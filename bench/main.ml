@@ -7,7 +7,6 @@
      phases    - per-phase analysis timing on the three systems (B1)
      scale     - analysis time vs synthetic core-component size (B2)
      engines   - legacy dense engine vs sparse worklist engine (B1 + B2)
-     cache     - content-addressed cache: cold vs warm vs one-function edit
      fleet     - sharded multi-system analysis over a shared cache
                  (analyses/sec cold vs warm, cross-system dedupe)
      ablation  - field/context/control-dependence toggles (B3)
@@ -567,121 +566,6 @@ let engines (o : opts) =
          ("seed", Jint o.seed);
          ("b1_systems", Jarr b1);
          ("b2_synthetic", Jarr b2) ])
-
-(* ==================================================== cache ============== *)
-
-(* Content-addressed incremental cache: cold run (fresh cache) vs warm rerun
-   (every digest hits) vs one-function edit (everything except the edited
-   function's dependent entries hits).  Each report is compared structurally
-   against a cache-less analysis of the same source; this is the experiment
-   behind BENCH_cache.json. *)
-let cache_bench (o : opts) =
-  let iters = max 1 o.iters in
-  let probe = "\ndouble __cache_probe(double x) { return x * 2.0; }\n" in
-  let systems =
-    [ "car_follow.c"; "double_ip.c"; "figure2.c"; "generic_simplex.c";
-      "ip_controller.c" ]
-  in
-  let inputs =
-    List.map
-      (fun f -> (Filename.remove_extension f, read_file (find ("systems/" ^ f))))
-      systems
-    @ List.map
-        (fun n -> (Fmt.str "synth-%d" n, Safeflow.Synth.of_size n))
-        [ 32; 64; 128; 192; 256; 384 ]
-  in
-  let engines =
-    [ ("legacy", { Safeflow.Config.default with engine = Safeflow.Config.Legacy });
-      ("worklist", { Safeflow.Config.default with engine = Safeflow.Config.Worklist }) ]
-  in
-  Fmt.pr "@.== Cache: cold vs warm vs one-function edit (med/min/mean of %d) ==@.@."
-    iters;
-  Fmt.pr "%-18s %-9s %20s %20s %20s %9s %10s@." "input" "engine" "cold(ms)" "warm(ms)"
-    "dirty(ms)" "speedup" "identical";
-  let cell (st : stats) = Fmt.str "%.1f/%.1f/%.1f" st.st_median st.st_min st.st_mean in
-  let rows =
-    List.concat_map
-      (fun (name, src) ->
-        List.map
-          (fun (ename, config) ->
-            let report src cache =
-              (Safeflow.Driver.analyze ~config ?cache src).Safeflow.Driver.report
-            in
-            let baseline = report src None in
-            let dirty_src = src ^ probe in
-            let dirty_baseline = report dirty_src None in
-            (* cold: every sample starts from an empty cache *)
-            let cold_ok = ref true in
-            let cold =
-              stats_of
-                (List.init iters (fun _ ->
-                     let c = Safeflow.Cache.create () in
-                     let r, t = timed (fun () -> report src (Some c)) in
-                     if r <> baseline then cold_ok := false;
-                     t))
-            in
-            (* warm: one untimed priming run, then timed reruns against the
-               populated cache *)
-            let warm_ok = ref true in
-            let c = Safeflow.Cache.create () in
-            ignore (report src (Some c));
-            let warm =
-              stats_of
-                (List.init iters (fun _ ->
-                     let r, t = timed (fun () -> report src (Some c)) in
-                     if r <> baseline then warm_ok := false;
-                     t))
-            in
-            (* dirty: prime a fresh cache with the unedited source (untimed),
-               then analyze the edited source against it *)
-            let dirty_ok = ref true in
-            let dirty =
-              stats_of
-                (List.init iters (fun _ ->
-                     let c = Safeflow.Cache.create () in
-                     ignore (report src (Some c));
-                     let r, t = timed (fun () -> report dirty_src (Some c)) in
-                     if r <> dirty_baseline then dirty_ok := false;
-                     t))
-            in
-            let speedup = cold.st_median /. Float.max 0.001 warm.st_median in
-            let identical = !cold_ok && !warm_ok && !dirty_ok in
-            Fmt.pr "%-18s %-9s %20s %20s %20s %8.1fx %10b@." name ename (cell cold)
-              (cell warm) (cell dirty) speedup identical;
-            ( (name, ename, speedup, identical),
-              Jobj
-                (("input", Jstr name) :: ("engine", Jstr ename)
-                :: ("config_fingerprint", Jstr (config_fingerprint config))
-                :: jstats "cold" cold
-                @ jstats "warm" warm
-                @ jstats "dirty" dirty
-                @ [ ("warm_speedup", Jfloat speedup);
-                    ("identical_cold", Jbool !cold_ok);
-                    ("identical_warm", Jbool !warm_ok);
-                    ("identical_dirty", Jbool !dirty_ok);
-                    ("identical_reports", Jbool identical);
-                    (* warm-rerun counters: cache.*.hits should dominate *)
-                    jtelemetry (fun () -> report src (Some c)) ]) ))
-          engines)
-      inputs
-  in
-  let all_identical = List.for_all (fun ((_, _, _, ok), _) -> ok) rows in
-  let headline =
-    List.filter_map
-      (fun ((name, ename, speedup, _), _) ->
-        if name = "synth-384" then Some (ename ^ "_warm_speedup", Jfloat speedup)
-        else None)
-      rows
-  in
-  Fmt.pr "@.(every report above is structurally identical to a cache-less analysis)@.";
-  write_json o
-    (Jobj
-       [ ("benchmark", Jstr "content-addressed cache: cold vs warm vs one-function edit");
-         jmeta ~benchmark:"cache" ~engines:[ "legacy"; "worklist" ];
-         ("iters", Jint iters);
-         ("identical_reports", Jbool all_identical);
-         ("headline", Jobj (("input", Jstr "synth-384") :: headline));
-         ("rows", Jarr (List.map snd rows)) ])
 
 (* ==================================================== fleet ============== *)
 
@@ -1252,7 +1136,7 @@ let () =
   let which, opts = parse_args () in
   if which = "diff" then diff_cmd opts;
   let all = [ ("table1", table1); ("phases", phases); ("scale", scale);
-              ("engines", engines); ("cache", cache_bench); ("fleet", fleet_bench);
+              ("engines", engines); ("fleet", fleet_bench);
               ("ablation", ablation); ("summary", summary); ("sim", sim);
               ("ranges", ranges_bench); ("micro", micro) ] in
   match List.assoc_opt which all with

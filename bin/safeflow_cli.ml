@@ -30,15 +30,8 @@ open Cmdliner
 
 let tool_version = Safeflow.Version.tool
 
-let config_of ~control_deps ~context_sensitive ~field_sensitive ~engine ~pair_domains =
-  {
-    Safeflow.Config.default with
-    control_deps;
-    context_sensitive;
-    field_sensitive;
-    engine;
-    pair_domains;
-  }
+let config_of ~control_deps ~context_sensitive ~field_sensitive ~engine =
+  { Safeflow.Config.default with control_deps; context_sensitive; field_sensitive; engine }
 
 (* Shared telemetry plumbing: any observability output requested turns
    the subsystem on for the run and writes the artifacts afterwards.
@@ -127,19 +120,10 @@ let analyze_cmd =
       & info [ "cache" ] ~docv:"DIR"
           ~doc:
             "content-addressed analysis cache directory (created if missing); reruns of \
-             unchanged sources skip phases 1-3, edits recompute only the affected \
-             functions.  Stale or corrupt entries are discarded and recomputed (counted \
+             unchanged sources skip phases 1-3, edits reuse the value-range summaries \
+             of unaffected functions.  Stale or corrupt entries are discarded and recomputed (counted \
              in --stats, reported per file with --verbose); reports are identical with \
              and without the cache")
-  in
-  let pair_domains =
-    Arg.(
-      value
-      & opt int Safeflow.Config.default.Safeflow.Config.pair_domains
-      & info [ "pair-domains" ] ~docv:"N"
-          ~doc:
-            "worklist engine: build value-flow edge blocks on $(docv) domains (1 = \
-             sequential, 0 = one per hardware thread); reports are identical")
   in
   let verbose =
     Arg.(
@@ -191,7 +175,7 @@ let analyze_cmd =
              reports are byte-identical with and without this option")
   in
   let run files no_control ctx_insensitive field_insensitive vfg use_summary engine
-      absint cache_dir pair_domains verbose sarif save_findings baseline emit_certs
+      absint cache_dir verbose sarif save_findings baseline emit_certs
       fail_on tele =
     try
       telemetry_setup tele;
@@ -200,7 +184,7 @@ let analyze_cmd =
           (config_of ~control_deps:(not no_control)
              ~context_sensitive:(not ctx_insensitive)
              ~field_sensitive:(not field_insensitive)
-             ~engine ~pair_domains)
+             ~engine)
           with
           Safeflow.Config.verbose = verbose;
           absint;
@@ -335,7 +319,7 @@ let analyze_cmd =
           error-level findings, 2 on warning-level findings only (see $(b,--fail-on)), \
           3 on frontend failure.")
     Term.(const run $ files $ no_control $ ctx_insensitive $ field_insensitive $ vfg
-          $ use_summary $ engine $ absint_arg $ cache_dir $ pair_domains $ verbose $ sarif
+          $ use_summary $ engine $ absint_arg $ cache_dir $ verbose $ sarif
           $ save_findings $ baseline $ emit_certs $ fail_on_arg $ telemetry_flags)
 
 let explain_cmd =
@@ -375,7 +359,7 @@ let explain_cmd =
           (config_of ~control_deps:(not no_control)
              ~context_sensitive:(not ctx_insensitive)
              ~field_sensitive:(not field_insensitive)
-             ~engine ~pair_domains:Safeflow.Config.default.Safeflow.Config.pair_domains)
+             ~engine)
           with
           Safeflow.Config.absint = absint;
         }

@@ -638,76 +638,92 @@ let run_function ~(prog : Ir.program) ~params ~ret_of (f : Ir.func) : func_summa
 
 (* -- Interprocedural driver ---------------------------------------------- *)
 
-let pp_itv_string i = Fmt.str "%a" Itv.pp i
+type span_probe = { span : 'a. string -> (unit -> 'a) -> 'a }
 
-let summary_repr s =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun (k, v) ->
-      (match k with
-      | Kvid id -> Buffer.add_string b (Printf.sprintf "v%d=" id)
-      | Kparam p -> Buffer.add_string b ("p_" ^ p ^ "="));
-      Buffer.add_string b (pp_itv_string v);
-      Buffer.add_char b ';')
-    s.s_env;
-  Buffer.add_string b ("ret=" ^ pp_itv_string s.s_ret ^ ";");
-  List.iter
-    (fun (p, v) -> Buffer.add_string b ("P" ^ p ^ "=" ^ pp_itv_string v ^ ";"))
-    s.s_params;
-  List.iter
-    (fun (bid, d) ->
-      Buffer.add_string b
-        (Printf.sprintf "dead%d=%s;" bid
-           (match d with Dead_then -> "t" | Dead_else -> "e")))
-    s.s_dead;
-  Buffer.contents b
+let no_span = { span = (fun _ f -> f ()) }
 
-let analyze ?memo (prog : Ir.program) : t =
+(* Digest input for a function: its IR with every source location
+   blanked, so an edit that only shifts lines leaves the keys of every
+   other function intact. *)
+let without_locs (f : Ir.func) : Ir.func =
+  let unlocated (i : Ir.instr) = { i with Ir.iloc = Loc.dummy } in
+  {
+    f with
+    Ir.floc = Loc.dummy;
+    blocks =
+      List.map
+        (fun (b : Ir.block) -> { b with Ir.instrs = List.map unlocated b.Ir.instrs })
+        f.Ir.blocks;
+  }
+
+let sorted_tbl tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
   let defined = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace defined f.Ir.fname f) prog.Ir.funcs;
-  let callees_of f =
-    List.filter_map
-      (fun (i : Ir.instr) ->
-        match i.Ir.idesc with
-        | Ir.Call { callee; _ } when Hashtbl.mem defined callee -> Some callee
-        | _ -> None)
-      (Ir.all_instrs f)
-    |> List.sort_uniq compare
+  (* call graph over defined functions, plus call-site counts: entry
+     points (never called) keep ⊤ parameters *)
+  let callees = Hashtbl.create 16 in
+  let ncallers = Hashtbl.create 16 in
+  let scc =
+    span.span "absint.bookkeeping" (fun () ->
+        List.iter
+          (fun f ->
+            let cs =
+              List.filter_map
+                (fun (i : Ir.instr) ->
+                  match i.Ir.idesc with
+                  | Ir.Call { callee; _ } when Hashtbl.mem defined callee -> Some callee
+                  | _ -> None)
+                (Ir.all_instrs f)
+              |> List.sort_uniq compare
+            in
+            Hashtbl.replace callees f.Ir.fname cs;
+            List.iter
+              (fun c ->
+                Hashtbl.replace ncallers c
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt ncallers c)))
+              cs)
+          prog.Ir.funcs;
+        let succs n = Option.value ~default:[] (Hashtbl.find_opt callees n) in
+        Dataflow.Scc.compute (List.map (fun f -> f.Ir.fname) prog.Ir.funcs) succs)
   in
-  let names = List.map (fun f -> f.Ir.fname) prog.Ir.funcs in
-  let succs n =
-    match Hashtbl.find_opt defined n with Some f -> callees_of f | None -> []
-  in
-  let scc = Dataflow.Scc.compute names succs in
+  let callees_of f = Hashtbl.find callees f.Ir.fname in
+  let succs n = Option.value ~default:[] (Hashtbl.find_opt callees n) in
   let memo =
     match memo with
     | Some m -> m
     | None -> fun ~fname:_ ~inputs_digest:_ compute -> compute ()
   in
-  let func_text = Hashtbl.create 16 in
-  let text_of n =
-    match Hashtbl.find_opt func_text n with
-    | Some t -> t
+  (* key parts shared by every key, or by both passes' keys of one
+     function; only derived when a key is *)
+  let no_sharing v = Marshal.to_string v [ Marshal.No_sharing ] in
+  let env_repr =
+    lazy (no_sharing (sorted_tbl prog.Ir.env.Ty.structs, sorted_tbl prog.Ir.env.Ty.typedefs))
+  in
+  let body_reprs = Hashtbl.create 16 in
+  let body_repr f =
+    match Hashtbl.find_opt body_reprs f.Ir.fname with
+    | Some r -> r
     | None ->
-      let t = Ir.func_to_string (Hashtbl.find defined n) in
-      Hashtbl.replace func_text n t;
-      t
+      let r = no_sharing (without_locs f) in
+      Hashtbl.replace body_reprs f.Ir.fname r;
+      r
   in
   let rets = Hashtbl.create 16 in
   let ret_of callee =
     match Hashtbl.find_opt rets callee with Some i -> i | None -> Itv.top
   in
   let analyze_one f ~params =
-    let digest =
-      Digest.string
-        (String.concat "\x00"
-           (text_of f.Ir.fname
-           :: List.map (fun (p, i) -> p ^ "=" ^ pp_itv_string i) params
-           @ List.map (fun c -> c ^ ":" ^ pp_itv_string (ret_of c)) (callees_of f)))
-      |> Digest.to_hex
+    (* the callee ranges are read now, the rest only if a key is asked
+       for: everything the fixpoint reads except source locations *)
+    let callee_rets = List.map (fun c -> (c, ret_of c)) (callees_of f) in
+    let inputs_digest =
+      lazy
+        (Digest.to_hex
+           (Digest.string (no_sharing (Lazy.force env_repr, body_repr f, params, callee_rets))))
     in
-    memo ~fname:f.Ir.fname ~inputs_digest:digest (fun () ->
-        run_function ~prog ~params ~ret_of f)
+    memo ~fname:f.Ir.fname ~inputs_digest (fun () -> run_function ~prog ~params ~ret_of f)
   in
   let top_params f = List.map (fun (p, _) -> (p, Itv.top)) f.Ir.fparams in
   (* pass 1, bottom-up: return summaries under unconstrained parameters *)
@@ -717,15 +733,6 @@ let analyze ?memo (prog : Ir.program) : t =
          let s = analyze_one f ~params:(top_params f) in
          Hashtbl.replace rets n s.s_ret))
     (Dataflow.Scc.reverse_topological scc);
-  (* call-site counts: entry points (never called) keep ⊤ parameters *)
-  let ncallers = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
-      List.iter
-        (fun c ->
-          Hashtbl.replace ncallers c (1 + Option.value ~default:0 (Hashtbl.find_opt ncallers c)))
-        (callees_of f))
-    prog.Ir.funcs;
   (* pass 2, top-down: join call-site argument ranges into parameters *)
   let summaries = Hashtbl.create 16 in
   let envs = Hashtbl.create 16 in
@@ -764,37 +771,32 @@ let analyze ?memo (prog : Ir.program) : t =
     (List.iter (fun n ->
          let f = Hashtbl.find defined n in
          let params =
-           if
-             Dataflow.Scc.in_cycle scc succs n
-             || not (Hashtbl.mem ncallers n)
-           then top_params f
-           else
-             match Hashtbl.find_opt arg_join n with
-             | None -> top_params f
-             | Some a ->
-               List.mapi
-                 (fun j (p, _) ->
-                   let itv = if j < Array.length a then a.(j) else Itv.top in
-                   (* a callee listed in ncallers has >= 1 recorded site,
-                      but guard against Bot from unreachable call sites *)
-                   (p, if Itv.is_bot itv then Itv.top else itv))
-                 f.Ir.fparams
+           span.span "absint.bookkeeping" (fun () ->
+               if Dataflow.Scc.in_cycle scc succs n || not (Hashtbl.mem ncallers n) then
+                 top_params f
+               else
+                 match Hashtbl.find_opt arg_join n with
+                 | None -> top_params f
+                 | Some a ->
+                   List.mapi
+                     (fun j (p, _) ->
+                       let itv = if j < Array.length a then a.(j) else Itv.top in
+                       (* a callee listed in ncallers has >= 1 recorded site,
+                          but guard against Bot from unreachable call sites *)
+                       (p, if Itv.is_bot itv then Itv.top else itv))
+                     f.Ir.fparams)
          in
          let s = analyze_one f ~params in
-         Hashtbl.replace summaries n s;
-         let env = Hashtbl.create 64 in
-         List.iter (fun (k, v) -> Hashtbl.replace env k v) s.s_env;
-         Hashtbl.replace envs n env;
-         List.iter (record_call env) (Ir.all_instrs f)))
+         span.span "absint.bookkeeping" (fun () ->
+             Hashtbl.replace summaries n s;
+             let env = Hashtbl.create 64 in
+             List.iter (fun (k, v) -> Hashtbl.replace env k v) s.s_env;
+             Hashtbl.replace envs n env;
+             List.iter (record_call env) (Ir.all_instrs f))))
     (Dataflow.Scc.topological scc);
   { prog; summaries; envs }
 
 (* -- Accessors ----------------------------------------------------------- *)
-
-let summary_digest t fname =
-  match Hashtbl.find_opt t.summaries fname with
-  | None -> ""
-  | Some s -> Digest.to_hex (Digest.string (summary_repr s))
 
 let iterations t =
   Hashtbl.fold (fun _ s acc -> acc + s.s_iters) t.summaries 0

@@ -72,20 +72,23 @@ type func_summary
 type t
 (** whole-program result *)
 
+type span_probe = { span : 'a. string -> (unit -> 'a) -> 'a }
+(** wraps a named stretch of the analysis (the caller's tracing hook) *)
+
 val analyze :
-  ?memo:(fname:string -> inputs_digest:string -> (unit -> func_summary) -> func_summary) ->
+  ?memo:(fname:string -> inputs_digest:string Lazy.t -> (unit -> func_summary) -> func_summary) ->
+  ?span:span_probe ->
   Ssair.Ir.program ->
   t
 (** [analyze prog] runs both interprocedural passes.  [~memo] is called
     around every per-function fixpoint with a digest of everything the
-    fixpoint reads (function body, parameter ranges, callee return
-    ranges); the driver uses it to back the computation with the
-    content-addressed cache. *)
-
-val summary_digest : t -> string -> string
-(** stable digest of a function's summary (empty string when the
-    function is unknown); folded into downstream cache keys so cached
-    phase-2/phase-3 artifacts are invalidated when ranges change *)
+    fixpoint reads (the function body without its source locations, the
+    type environment, parameter ranges and callee return ranges); the
+    driver uses it to back the computation with the content-addressed
+    cache.  The digest is lazy, so a memo that does not force it costs
+    nothing.  [~span] wraps the call-graph construction and the
+    per-function summary bookkeeping of the top-down pass, each under
+    the name ["absint.bookkeeping"]. *)
 
 val iterations : t -> int
 (** total fixpoint passes, all functions *)

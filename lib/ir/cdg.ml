@@ -9,7 +9,7 @@
     The whole computation runs on dense block indices (blocks numbered in
     [f.blocks] order, the virtual exit last) with int-array CHK
     post-dominators — this is called once per function on the phase-3
-    prewarm path, where per-function constant cost dominates on programs
+    pair walk, where per-function constant cost dominates on programs
     made of many small functions.  The dependence relation is therefore
     delivered primarily as dense slot arrays ([slot_bid], [ctrl_slots]);
     the bid-keyed hashtables are built lazily, only for consumers that

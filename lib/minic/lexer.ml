@@ -97,6 +97,7 @@ let read_string st =
   Buffer.contents buf
 
 let read_number st =
+  let loc = loc_of st in
   let start = st.pos in
   let is_hex =
     match (peek st, peek2 st) with
@@ -147,8 +148,10 @@ let read_number st =
     advance st
   done;
   let text = String.sub st.src start (suffix_start - start) in
-  if !is_float || !f_suffix then Token.FLOATLIT (float_of_string text)
-  else Token.INT (Int64.of_string text)
+  let bad () = Loc.error loc "malformed or out-of-range numeric literal %s" text in
+  if !is_float || !f_suffix then
+    match float_of_string_opt text with Some x -> Token.FLOATLIT x | None -> bad ()
+  else match Int64.of_string_opt text with Some n -> Token.INT n | None -> bad ()
 
 (** Lex the next token.  Skips whitespace, line comments, preprocessor
     lines and plain block comments; annotation comments become tokens. *)

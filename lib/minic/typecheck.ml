@@ -408,6 +408,27 @@ let check_program (prog : Ast.program) : Tast.program =
       in
       Hashtbl.replace env.Ty.structs name fields)
     (Hashtbl.copy env.Ty.structs);
+  (* a struct that contains itself by value — directly, through an array
+     or through another struct — has no finite layout: reject it before
+     anything sizes it *)
+  let state = Hashtbl.create 16 in
+  let rec visit name loc =
+    match Hashtbl.find_opt state name with
+    | Some `Done -> ()
+    | Some `Active -> Loc.error loc "struct %s contains itself" name
+    | None ->
+      Hashtbl.replace state name `Active;
+      List.iter
+        (fun (f : Ty.field) -> contained f.fty loc)
+        (Option.value ~default:[] (Hashtbl.find_opt env.Ty.structs name));
+      Hashtbl.replace state name `Done
+  and contained ty loc =
+    match ty with
+    | Ty.Struct s -> visit s loc
+    | Ty.Array (t, _) -> contained t loc
+    | _ -> ()
+  in
+  List.iter (function Ast.Dstruct (name, _, loc) -> visit name loc | _ -> ()) prog;
   Hashtbl.iter
     (fun name ty -> Hashtbl.replace globals name (fix_ty Loc.dummy ty))
     (Hashtbl.copy globals);

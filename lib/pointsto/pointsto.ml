@@ -206,6 +206,15 @@ let seed_globals t =
       ignore ty)
     t.prog.Ssair.Ir.globals
 
+type facts = t
+
+let no_program =
+  { Ssair.Ir.env = Minic.Ty.empty_env (); globals = []; externs = []; funcs = [] }
+
+let facts t = { t with prog = no_program }
+
+let of_facts prog (f : facts) = { f with prog }
+
 (** Run the analysis to fixpoint. *)
 let analyze (prog : Ssair.Ir.program) : t =
   let t =

@@ -46,6 +46,16 @@ type t
 val analyze : Ssair.Ir.program -> t
 (** run to fixpoint over the whole program *)
 
+type facts
+(** a result without the program it was computed over: pure data, small
+    to marshal (the program is cached on its own) *)
+
+val facts : t -> facts
+
+val of_facts : Ssair.Ir.program -> facts -> t
+(** [of_facts prog (facts t)] behaves as [t] when [prog] is
+    structurally equal to the program [t] was computed over *)
+
 val pts_get : t -> key -> Tset.t
 
 val fold_pts : (key -> Tset.t -> 'a -> 'a) -> t -> 'a -> 'a

@@ -22,8 +22,14 @@
    swapped or damaged after the header was written is detected as
    corrupt instead of unmarshalling into the wrong value; and the
    "absint" func_summary layout gained the raw (pre-promotion) return
-   join that certificate emission records. *)
-let format_version = 7
+   join that certificate emission records.
+   Version 8: the per-function "phase2fn" and "pair" namespaces are gone
+   (a hit on either cost more than recomputing), "absint" keys are
+   structural digests of the location-free function instead of its
+   printed text, "pointsto" entries no longer embed the program (the
+   "prepared" entry holds it), and payloads are marshalled without
+   sharing. *)
+let format_version = 8
 
 let magic = "SAFEFLOW-CACHE"
 
@@ -76,7 +82,7 @@ let c_cross_hits = Telemetry.counter "cache.cross_hits"
 let () =
   List.iter
     (fun ns -> List.iter (fun o -> ignore (tele_counter ns o)) outcomes)
-    [ "prepared"; "phase1"; "phase2"; "phase2fn"; "pointsto"; "phase3"; "pair"; "absint" ]
+    [ "prepared"; "phase1"; "phase2"; "pointsto"; "phase3"; "absint" ]
 
 (* -- origin tracking ------------------------------------------------------------
 
@@ -96,33 +102,37 @@ let with_origin origin f =
   Domain.DLS.set origin_dls origin;
   Fun.protect ~finally:(fun () -> Domain.DLS.set origin_dls prev) f
 
+(* [mkdir] that tolerates losing a race: two fleet workers creating the
+   same missing directory both succeed as long as it ends up a
+   directory, whoever made it. *)
+let ensure_dir d =
+  try Sys.mkdir d 0o755
+  with Sys_error _ when Sys.file_exists d && Sys.is_directory d -> ()
+
 let create ?dir ?(verbose = false) ?on_recovery () =
   let dir =
     match dir with
     | None -> None
     | Some d ->
       (try
-         if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-         if not (Sys.is_directory d) then None
-         else begin
-           (* entries live under the generation subdirectory; a sibling
-              generation left by another build is simply ignored *)
-           let gdir = Filename.concat d generation_dir_name in
-           if not (Sys.file_exists gdir) then Sys.mkdir gdir 0o755;
-           (* human-readable stamp; best-effort and write-once *)
-           let stamp = Filename.concat gdir "GENERATION" in
-           if not (Sys.file_exists stamp) then begin
-             let tmp =
-               Printf.sprintf "%s.%d.tmp" stamp (Unix.getpid ())
-             in
-             let oc = open_out tmp in
-             output_string oc (generation ^ "\n");
-             close_out oc;
-             (try Sys.rename tmp stamp
-              with Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ()))
-           end;
-           Some gdir
-         end
+         ensure_dir d;
+         (* entries live under the generation subdirectory; a sibling
+            generation left by another build is simply ignored *)
+         let gdir = Filename.concat d generation_dir_name in
+         ensure_dir gdir;
+         (* human-readable stamp; best-effort and write-once *)
+         let stamp = Filename.concat gdir "GENERATION" in
+         if not (Sys.file_exists stamp) then begin
+           let tmp =
+             Printf.sprintf "%s.%d.tmp" stamp (Unix.getpid ())
+           in
+           let oc = open_out tmp in
+           output_string oc (generation ^ "\n");
+           close_out oc;
+           (try Sys.rename tmp stamp
+            with Sys_error _ -> (try Sys.remove tmp with Sys_error _ -> ()))
+         end;
+         Some gdir
        with Sys_error _ | Unix.Unix_error _ -> None)
   in
   {
@@ -283,7 +293,11 @@ let write_disk t ns key (e : entry) =
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
-            let payload = Marshal.to_string e.e_v [] in
+            (* every cached type is acyclic pure data (IR, fact tables,
+               sets, report records), so marshalling without sharing
+               terminates, and it skips the sharing-detection table
+               that dominated store time *)
+            let payload = Marshal.to_string e.e_v [ Marshal.No_sharing ] in
             let h =
               {
                 h_magic = magic;

@@ -12,7 +12,7 @@
     many types); safety is by the namespace discipline: a namespace is
     only ever read and written with one type.  All in-memory operations
     are mutex-guarded, so one cache may be shared by the domains of
-    {!Driver.analyze_files_par} and the pair-build pool of {!Vfgraph}.
+    {!Driver.analyze_files_par}.
 
     {b Disk-tier concurrency protocol.}  On-disk entries (one file per
     entry) live under a {e generation-stamped} subdirectory of the cache
@@ -49,8 +49,9 @@ val create :
   unit ->
   t
 (** [create ()] is memory-only; [create ~dir ()] adds a disk tier rooted
-    at [dir] (created if missing; creation failure degrades silently to
-    memory-only), with entries under [dir]'s generation subdirectory.
+    at [dir] (created if missing — a directory another process created
+    first counts as success; any other creation failure degrades
+    silently to memory-only), with entries under [dir]'s generation subdirectory.
     [~verbose] (default false) reports each discarded stale/corrupt disk
     entry on stderr; it never affects results.  [~on_recovery] is called
     once per discarded disk entry with [kind] (["stale"] or ["corrupt"])

@@ -41,10 +41,6 @@ type t = {
       (** phase-3 propagation engine; [Legacy] is the paper-shaped dense
           fixpoint, [Worklist] (the default) the sparse value-flow-graph
           engine *)
-  pair_domains : int;
-      (** worklist engine: domains used to build (function, context)
-          value-flow edge blocks in parallel; 1 = sequential, 0 = one per
-          hardware thread.  Reports are identical for any value. *)
   verbose : bool;
       (** emit one-line diagnostics to stderr for otherwise-silent
           recoveries (stale/corrupt cache entries); never changes
@@ -62,7 +58,6 @@ type t = {
 let default =
   {
     engine = Worklist;
-    pair_domains = 1;
     verbose = false;
     absint = true;
     field_sensitive = true;

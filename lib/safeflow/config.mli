@@ -26,10 +26,6 @@ type t = {
   recv_functions : string list;
       (** message-passing receive calls (§3.4.3), default [recv] *)
   engine : engine;  (** phase-3 engine, default [Worklist] *)
-  pair_domains : int;
-      (** worklist engine: pair-build pool size; 1 = sequential
-          (default), 0 = one domain per hardware thread; reports are
-          identical for any value *)
   verbose : bool;
       (** stderr diagnostics for silent recoveries (default false);
           report-invisible, excluded from {!Digest_ir.semantic_config} *)

@@ -100,12 +100,16 @@ let () =
              Telemetry.observe_ns h_omega_query (Int64.sub (Telemetry.now_ns ()) t0)
          end))
 
+let absint_span = { Absint.span = (fun name f -> Telemetry.span name f) }
+
 (** Interprocedural value-range analysis, or [None] when disabled by
     [Config.absint] (phases 2/3 then behave exactly as without it).
     With [~cache], per-function summaries are memoized in the ["absint"]
-    namespace, keyed on the summary inputs (function text, parameter and
-    callee-return intervals) — an edit recomputes only the functions
-    whose inputs actually shifted. *)
+    namespace, keyed on the summary inputs (location-free function body,
+    type environment, parameter and callee-return intervals) — an edit
+    recomputes only the functions whose inputs actually shifted, and a
+    line shift alone recomputes none.  Without a cache no key is
+    derived. *)
 let stage_absint ?(config = Config.default) ?cache (p : prepared) : Absint.t option =
   if not config.Config.absint then None
   else
@@ -114,26 +118,24 @@ let stage_absint ?(config = Config.default) ?cache (p : prepared) : Absint.t opt
            also where the summary latency histogram lives: with a cache
            only true recomputations are timed (hits are disk reads,
            already histogrammed by Cache), without one every summary is *)
+        let summary compute =
+          Telemetry.span "absint.summary" (fun () ->
+              Telemetry.time_hist h_absint_summary compute)
+        in
         let memo =
           match cache with
           | Some c ->
-            Some
-              (fun ~fname:_ ~inputs_digest (compute : unit -> Absint.func_summary) ->
-                match
-                  (Cache.find c ~ns:"absint" ~key:inputs_digest
-                    : Absint.func_summary option)
-                with
-                | Some s -> s
-                | None ->
-                  let s = Telemetry.time_hist h_absint_summary compute in
-                  Cache.store c ~ns:"absint" ~key:inputs_digest s;
-                  s)
-          | None ->
-            Some
-              (fun ~fname:_ ~inputs_digest:_ (compute : unit -> Absint.func_summary) ->
-                Telemetry.time_hist h_absint_summary compute)
+            fun ~fname:_ ~inputs_digest (compute : unit -> Absint.func_summary) ->
+              let key = Telemetry.span "absint.key" (fun () -> Lazy.force inputs_digest) in
+              (match (Cache.find c ~ns:"absint" ~key : Absint.func_summary option) with
+              | Some s -> s
+              | None ->
+                let s = summary compute in
+                Cache.store c ~ns:"absint" ~key s;
+                s)
+          | None -> fun ~fname:_ ~inputs_digest:_ compute -> summary compute
         in
-        let ai = Absint.analyze ?memo p.ir in
+        let ai = Absint.analyze ~memo ~span:absint_span p.ir in
         Telemetry.add c_absint_iters (Absint.iterations ai);
         Telemetry.add c_absint_widenings (Absint.widenings ai);
         Some ai)
@@ -146,11 +148,9 @@ let stage_phase2 ?config ?cache ?digests ?absint (p : prepared) (p1 : Phase1.t) 
    report-visible lists verbatim (order preserved) plus the taint tables
    as association lists, from which a fresh state is rebuilt for the VFG
    export.  A warm rerun of an unchanged program under either engine
-   restores from here and skips propagation entirely.  The legacy engine
-   has no finer-grained build step to cache; the worklist engine
-   additionally caches per-pair edge blocks inside {!Vfgraph.run}, so an
-   edit that misses this tier still rebuilds only the edited functions'
-   dependent pairs. *)
+   restores from here and skips propagation entirely; an edit that
+   misses this tier reruns the engine, which costs less than any
+   finer-grained lookup would. *)
 type phase3_cached = {
   lc_warnings : Report.warning list;
   lc_dependencies : Report.dependency list;
@@ -217,7 +217,7 @@ let stage_phase3 ?(config = Config.default) ?cache ?digests ?absint (p : prepare
         Phase3.run ~config ?absint p.ir shm p1 pts)
   | Config.Worklist ->
     phase3_whole ~config ~tag:"worklist" ?cache ?digests ?absint p shm p1 pts (fun () ->
-        Vfgraph.run ~config ?cache ?digests ?absint p.ir shm p1 pts)
+        Vfgraph.run ~config ?absint p.ir shm p1 pts)
 
 (* -- One-shot analysis ------------------------------------------------------------ *)
 
@@ -336,8 +336,11 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
     Telemetry.span "pointsto" (fun () ->
         match (cache, digests) with
         | Some c, Some (d : Digest_ir.t) ->
-          (* config-independent, so keyed on the program alone *)
-          cached c ~ns:"pointsto" ~key:d.Digest_ir.program (fun () -> stage_pointsto p)
+          (* config-independent, so keyed on the program alone; the
+             entry leaves the program out, [p.ir] is that program *)
+          Pointsto.of_facts p.ir
+            (cached c ~ns:"pointsto" ~key:d.Digest_ir.program (fun () ->
+                 Pointsto.facts (stage_pointsto p)))
         | _ -> stage_pointsto p)
   in
   let ph3 =

@@ -759,21 +759,6 @@ let check_arrays st (f : Ssair.Ir.func) =
         b.Ssair.Ir.instrs)
     f.Ssair.Ir.blocks
 
-(** Verdicts for one function: a fresh accumulator per function, so the
-    result can be cached and reused independently.  Concatenating the
-    per-function lists in program order reproduces exactly the order the
-    original single-accumulator pass emitted. *)
-let check_function ~config ~prog ~p1 ~absint accessors (f : Ssair.Ir.func) :
-    Report.violation list * Report.info list * bounds_stats * Ledger.entry list =
-  let st =
-    { prog; p1; config; absint; violations = []; infos = []; bounds = bounds_zero;
-      ledger = [] }
-  in
-  check_p1 st f accessors;
-  check_p2_p3 st f;
-  check_arrays st f;
-  (List.rev st.violations, List.rev st.infos, st.bounds, List.rev st.ledger)
-
 (** Everything phase 2 produces in one pass: restriction verdicts, the
     [I-RANGE-PROVED] audit notes, the A1/A2 discharge accounting, and
     the per-obligation audit ledger (PR 9; never part of the report). *)
@@ -790,27 +775,23 @@ let empty_result = { violations = []; infos = []; bounds = bounds_zero; ledger =
     adheres to the MiniC shared-memory discipline) together with range
     notes and bounds-obligation statistics.
 
-    With [~cache] and [~digests], verdicts are cached at two
-    granularities: the whole program (so an unchanged system skips even
-    the accessor-closure computation) and per function — keyed on the
-    function body, its phase-1 facts, the shm-accessor closure, the
-    region model, the type environment, the semantic config and the
-    function's value-range summary (ranges are interprocedural, so an
-    edit elsewhere that shifts this function's ranges must miss) — so a
-    one-function edit recomputes only that function. *)
+    With [~cache] and [~digests], the result is cached for the whole
+    program, keyed on the program digest and the semantic config (which
+    covers the value-range toggle; the ranges themselves are a function
+    of the program).  An edited program recomputes it whole: that
+    costs less than the per-function lookups an edit would need. *)
 let run ?(config = Config.default) ?cache ?digests ?absint (prog : Ssair.Ir.program)
     (p1 : Phase1.t) : result =
   if not config.Config.check_restrictions then empty_result
   else begin
-    let sem_fp = lazy (Digest_ir.semantic_config config) in
-    let whole_key =
+    let key =
       match digests with
       | Some (d : Digest_ir.t) ->
-        Some (Digest_ir.combine [ d.Digest_ir.program; Lazy.force sem_fp ])
+        Some (Digest_ir.combine [ d.Digest_ir.program; Digest_ir.semantic_config config ])
       | None -> None
     in
     let cached_whole =
-      match (cache, whole_key) with
+      match (cache, key) with
       | Some c, Some key -> (Cache.find c ~ns:"phase2" ~key : result option)
       | _ -> None
     in
@@ -818,89 +799,46 @@ let run ?(config = Config.default) ?cache ?digests ?absint (prog : Ssair.Ir.prog
     | Some r -> r
     | None ->
       let accessors = shm_accessors prog p1 in
-      let absint_digest fname =
-        match absint with
-        | Some ai -> Absint.summary_digest ai fname
-        | None -> "no-absint"
+      let st =
+        { prog; p1; config; absint; violations = []; infos = []; bounds = bounds_zero;
+          ledger = [] }
       in
-      let func_key =
-        match (cache, digests) with
-        | Some _, Some (d : Digest_ir.t) ->
-          let p1_by = Digest_ir.phase1_by_func p1 in
-          let global =
-            Digest_ir.combine
-              [ Digest_ir.of_value
-                  (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) accessors []));
-                Digest_ir.shm p1.Phase1.shm;
-                d.Digest_ir.env;
-                Lazy.force sem_fp ]
-          in
-          fun fname ->
-            Some
-              (Digest_ir.combine
-                 [ Digest_ir.func d fname;
-                   Digest_ir.facts_digest p1_by fname;
-                   Digest_ir.of_value (absint_digest fname);
-                   global ])
-        | _ -> fun _ -> None
-      in
-      let per_func =
-        List.map
-          (fun (f : Ssair.Ir.func) ->
-            if Phase1.is_exempt p1 f.Ssair.Ir.fname then
-              (* obligation suspended under the initializing-function
-                 exemption (§3.2.1): one "assumed" ledger entry marks the
-                 whole function as unexamined by phases 2's provers *)
-              ( [],
-                [],
-                bounds_zero,
-                [
-                  {
-                    Ledger.l_rule = "EXEMPT";
-                    l_func = f.Ssair.Ir.fname;
-                    l_loc = f.Ssair.Ir.floc;
-                    l_region = "";
-                    l_discharge = Ledger.Assumed;
-                    l_counted = false;
-                    l_queries = 0;
-                    l_avoided = 0;
-                    l_cstrs = 0;
-                    l_hyps = 0;
-                    l_itv = None;
-                    l_bound = -1;
-                    l_ns = 0;
-                  };
-                ] )
-            else
-              match (cache, func_key f.Ssair.Ir.fname) with
-              | Some c, Some key -> (
-                match
-                  (Cache.find c ~ns:"phase2fn" ~key
-                    : (Report.violation list * Report.info list * bounds_stats
-                      * Ledger.entry list)
-                      option)
-                with
-                | Some r -> r
-                | None ->
-                  let r = check_function ~config ~prog ~p1 ~absint accessors f in
-                  Cache.store c ~ns:"phase2fn" ~key r;
-                  r)
-              | _ -> check_function ~config ~prog ~p1 ~absint accessors f)
-          prog.Ssair.Ir.funcs
-      in
-      let violations = List.concat_map (fun (vs, _, _, _) -> vs) per_func in
-      let infos = List.concat_map (fun (_, is, _, _) -> is) per_func in
-      let bounds =
-        List.fold_left (fun acc (_, _, b, _) -> bounds_add acc b) bounds_zero per_func
-      in
-      let ledger = Ledger.sort (List.concat_map (fun (_, _, _, l) -> l) per_func) in
+      List.iter
+        (fun (f : Ssair.Ir.func) ->
+          if Phase1.is_exempt p1 f.Ssair.Ir.fname then
+            (* obligation suspended under the initializing-function
+               exemption (§3.2.1): one "assumed" ledger entry marks the
+               whole function as unexamined by phases 2's provers *)
+            ledger_add st
+              {
+                Ledger.l_rule = "EXEMPT";
+                l_func = f.Ssair.Ir.fname;
+                l_loc = f.Ssair.Ir.floc;
+                l_region = "";
+                l_discharge = Ledger.Assumed;
+                l_counted = false;
+                l_queries = 0;
+                l_avoided = 0;
+                l_cstrs = 0;
+                l_hyps = 0;
+                l_itv = None;
+                l_bound = -1;
+                l_ns = 0;
+              }
+          else begin
+            check_p1 st f accessors;
+            check_p2_p3 st f;
+            check_arrays st f
+          end)
+        prog.Ssair.Ir.funcs;
       (* canonical (file, line, code) order: emission follows program
-         order, so sorting here makes the cached whole-program entry and
-         a fresh run byte-identical regardless of function layout *)
-      let violations = List.stable_sort Report.compare_violation violations in
-      let infos = List.stable_sort Report.compare_info infos in
+         order, so sorting here makes the cached entry and a fresh run
+         byte-identical regardless of function layout *)
+      let violations = List.stable_sort Report.compare_violation (List.rev st.violations) in
+      let infos = List.stable_sort Report.compare_info (List.rev st.infos) in
+      let bounds = st.bounds and ledger = Ledger.sort (List.rev st.ledger) in
       let result = { violations; infos; bounds; ledger } in
-      (match (cache, whole_key) with
+      (match (cache, key) with
       | Some c, Some key -> Cache.store c ~ns:"phase2" ~key result
       | _ -> ());
       result

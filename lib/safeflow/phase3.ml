@@ -120,9 +120,8 @@ let taint st table e ~parent ~why =
   end
 
 (** Memoized {!brinfo} of [f].  Pure with respect to the taint state;
-    must first run on the main domain (it writes the memo tables) — the
-    sparse engine prewarms it before parallel pair builds, after which
-    worker domains read it through {!Vfgraph}'s finfo table. *)
+    it writes the memo tables, so it must not run on two domains at
+    once. *)
 let branch_info st (f : Ssair.Ir.func) : brinfo =
   match Hashtbl.find_opt st.brinfos f.fname with
   | Some bi -> bi

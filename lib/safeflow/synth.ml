@@ -151,9 +151,9 @@ let default_fleet =
 (* Members of a fleet share a byte-identical prelude (regions + initShm)
    and a byte-identical prefix of "shared pool" workers, so a shared
    function sits at the same (line, col) in every member that includes
-   it.  Content digests include source positions; the identical-prefix
-   layout is what lets per-function cache entries (absint summaries,
-   phase-2 verdicts, pair edge blocks) hit across members when the
+   it.  Shared functions hit each other's per-function absint entries
+   (whose keys ignore positions); duplicate members also hit the
+   whole-program entries, whose digests include positions, when the
    sources are analyzed under one normalized source label. *)
 let fleet ?(seed = 1) (fp : fleet_params) : (string * string) list =
   let nregions = 2 in

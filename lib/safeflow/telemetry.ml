@@ -488,8 +488,8 @@ let write_chrome_trace path =
 
 (* One tree node per distinct name under a given parent aggregate:
    sibling spans sharing a name collapse into (count, total time), which
-   keeps the tree readable when a phase opens hundreds of pair-build
-   spans. *)
+   keeps the tree readable when a phase opens thousands of per-pair or
+   per-function spans. *)
 type agg = {
   g_name : string;
   mutable g_count : int;

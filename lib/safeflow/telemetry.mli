@@ -11,8 +11,8 @@
 
     Spans use a monotonic clock (CLOCK_MONOTONIC via a C stub) and a
     per-domain span stack ([Domain.DLS]), so instrumented code running on
-    worker domains — the pair-build pool of {!Vfgraph}, the multi-system
-    driver — records correctly-nested spans for its own domain without
+    worker domains — the multi-system driver, fleet shard domains —
+    records correctly-nested spans for its own domain without
     synchronizing with other domains; finished spans are merged into one
     global list under a mutex.  Counters are process-global atomics
     keyed by name, shared by all domains.

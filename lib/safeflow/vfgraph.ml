@@ -4,30 +4,16 @@
     live in packed bitsets ({!Bitset}), origins in parallel int arrays,
     and the successor edges in one flat edge array that is finalized
     into a CSR adjacency ({!Csr}) right before the single worklist
-    drain.  Each newly discovered (function, context) pair is translated
-    once into a flat symbolic {e edge block} by {!build_pair_block} — a
-    transcription of {!Phase3.analyze_pair} where every dynamic taint
-    test becomes a static edge — then {!replay} applies the block's
-    packed operations in recorded order and {!drain} runs the worklist
-    to closure.  The final interned taint state is poured back into a
-    {!Phase3.state} so that {!Phase3.collect_dependencies} (and the DOT
-    export) are shared with the legacy engine verbatim.
+    drain.  Each newly discovered (function, context) pair is walked
+    once by {!walk_pair} — a transcription of {!Phase3.analyze_pair}
+    where every dynamic taint test becomes a static edge — straight into
+    the live graph, then {!drain} runs the worklist to closure.  The
+    final interned taint state is poured back into a {!Phase3.state} so
+    that {!Phase3.collect_dependencies} (and the DOT export) are shared
+    with the legacy engine verbatim.
 
-    Why symbolic blocks instead of building edges directly (as PR 1
-    did): a block is pure data keyed only by what the builder reads, so
-    it can be (a) cached content-addressed across runs and (b) built on
-    another domain.  Cold, warm and parallel runs all replay the same
-    operation sequence in the same order, which is what makes their
-    reports bit-identical.
-
-    Flat layout (this PR): blocks carry small local value tables
-    ([b_strs]/[b_ctxs]/[b_nodes]/[b_whys]) plus two int arrays — one
-    packed descriptor per entity, one packed word per operation — so a
-    cache hit deserializes straight into ints and replay translates
-    local to global ids with four [Array.map]s instead of re-hashing
-    structural values.  Entity keys, (function, context) pair keys and
-    worklist items are all single ints; the taint hot path does no
-    boxed hashing at all. *)
+    Entity keys, (function, context) pair keys and worklist items are
+    all single ints; the taint hot path does no boxed hashing at all. *)
 
 open Minic
 module Offset = Pointsto.Offset
@@ -50,51 +36,12 @@ let many_ctrl = 3
 (* -- Packed encodings ----------------------------------------------------------- *)
 
 (* Entity key: tag(3) | a(20) | b(19) | c(20) — 62 bits, so the packed
-   word stays a non-negative OCaml int.  The same layout serves block-
-   local descriptors (a/b/c index the block's local tables) and global
-   keys (a/b/c are global intern ids).  Tags: 0 Eval(fname,ctx,vid),
+   word stays a non-negative OCaml int; a/b/c are global intern ids.
+   Tags: 0 Eval(fname,ctx,vid),
    1 Eparam(fname,ctx,pname), 2 Eret(fname,ctx), 3 Enode, 4 Eregion. *)
 let pack_key tag a b c =
   if a lor c > 0xFFFFF || b > 0x7FFFF then failwith "Vfgraph: packed entity key overflow";
   tag lor (a lsl 3) lor (b lsl 23) lor (c lsl 42)
-
-let key_tag k = k land 7
-let key_a k = (k lsr 3) land 0xFFFFF
-let key_b k = (k lsr 23) land 0x7FFFF
-let key_c k = (k lsr 42) land 0xFFFFF
-
-(* Operation word: kind(2) | x(20) | y(20) | mode(2) | why(17) — 61 bits.
-   Kinds: 0 edge (x src, y dst), 1 seed (x dst, y trace parent),
-   2 warning (x indexes [b_warns]), 3 discover (x local fname string id,
-   y local context id). *)
-let pack_op kind x y m w =
-  if x lor y > 0xFFFFF || w > 0x1FFFF then failwith "Vfgraph: packed op overflow";
-  kind lor (x lsl 2) lor (y lsl 22) lor (m lsl 42) lor (w lsl 44)
-
-let op_kind o = o land 3
-let op_x o = (o lsr 2) land 0xFFFFF
-let op_y o = (o lsr 22) land 0xFFFFF
-let op_mode o = (o lsr 42) land 3
-let op_why o = (o lsr 44) land 0x1FFFF
-
-(* Growable int buffer (amortized O(1) push, no boxing). *)
-module Ibuf = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create n = { a = Array.make (max n 16) 0; len = 0 }
-
-  let push t v =
-    let n = t.len in
-    if n = Array.length t.a then begin
-      let a' = Array.make (2 * n) 0 in
-      Array.blit t.a 0 a' 0 n;
-      t.a <- a'
-    end;
-    Array.unsafe_set t.a n v;
-    t.len <- n + 1
-
-  let to_array t = Array.sub t.a 0 t.len
-end
 
 (* -- CSR adjacency --------------------------------------------------------------- *)
 
@@ -142,22 +89,7 @@ module Csr = struct
         (t.dst.(t.off.(i) + j), t.info.(t.off.(i) + j)))
 end
 
-(* -- Blocks ----------------------------------------------------------------------- *)
-
-(* A pair's symbolic edge block, fully flattened: [b_ents] holds one
-   packed descriptor per distinct entity (indices into the local
-   tables), [b_ops] one packed word per operation (entity operands index
-   [b_ents]).  This is the cacheable unit: plain strings, contexts,
-   nodes, warnings and ints — no closures, no sharing. *)
-type block = {
-  b_strs : string array;
-  b_ctxs : Phase3.Ctx.t array;
-  b_nodes : Pointsto.Node.t array;
-  b_whys : string array;
-  b_ents : int array;
-  b_ops : int array;
-  b_warns : Report.warning array;
-}
+(* -- Graph state ----------------------------------------------------------------- *)
 
 (* Per-function facts that do not depend on the monitoring context. *)
 type finfo = {
@@ -170,11 +102,8 @@ type finfo = {
 
 (* -- Static why table ---------------------------------------------------------- *)
 
-(* Origin reasons known at compile time are referenced by their index in
-   this table; a block's local why table holds only dynamically
-   formatted reasons, and its indices are offset by [n_static_whys].
-   The table is part of the cached "pair" block format — reordering or
-   editing an entry requires a {!Cache.format_version} bump. *)
+(* Origin reasons known at compile time, interned once per run and
+   referenced through [static_wids] by their index in this table. *)
 let static_whys =
   [|
     "phi merge";
@@ -195,8 +124,6 @@ let static_whys =
     "returned value selected by an unsafe condition";
   |]
 
-let n_static_whys = Array.length static_whys
-
 (* indices into [static_whys] *)
 let w_phi = 0
 let w_phi_ctrl = 1
@@ -215,6 +142,19 @@ let w_recv = 13
 let w_ret = 14
 let w_ret_ctrl = 15
 
+(* What the walk memoizes per distinct callee: the callee context,
+   parameter/return entities and formatted reasons are the same at every
+   call site, so they are computed once (including the one [Ctx.union])
+   instead of per site. *)
+type cmemo =
+  | Cdefined of {
+      cm_params : int array;  (** entity id per parameter position *)
+      cm_ret : int;
+      cm_why_args : int array;  (** why id per parameter position *)
+      cm_why_ret : int;
+    }
+  | Cextern of { cm_why_ext : int }
+
 type t = {
   st : Phase3.state;  (** receptacle for pairs/warnings/taints *)
   ctxs : Intern.Ctx.store;
@@ -231,16 +171,34 @@ type t = {
           callees once per visit, so index the program up front *)
   own_lists : (string, Phase3.Ctx.t) Hashtbl.t;
       (** canonical own-assumption context per function — needed at every
-          call site; prewarmed on the main domain before parallel builds *)
+          call site *)
   p1_regs : (string, (Ssair.Ir.vid, Phase1.Rset.t) Hashtbl.t) Hashtbl.t;
       (** phase-1 register facts re-bucketed per function: the walk's
           per-instruction lookups hash an int instead of a
           [(fname, vid)] tuple.  Built once in {!create}; read-only. *)
   pts_regs : (string, (Ssair.Ir.vid, Pointsto.Tset.t) Hashtbl.t) Hashtbl.t;
       (** points-to register facts per function, same layout *)
-  prewarmed : (string, unit) Hashtbl.t;  (** functions already prewarmed *)
+  (* Walk memos, pair-independent and so shared by every walk of a
+     run.  Callee memos are keyed by (callee fname id, caller context
+     id): with few distinct contexts most call sites hit, skipping the
+     context union, reason formatting and parameter-entity interning
+     entirely.  A hit is emission-free, exactly like the recomputation
+     it replaces: entity interning is idempotent and the discover for
+     that (callee, context) already ran when the memo was filled. *)
+  cmemos : (int, cmemo) Hashtbl.t;
+  own_cids : (string, int) Hashtbl.t;  (** [own_lists] as context ids *)
+  call_whys : (int, int array * int) Hashtbl.t;
+      (** argument/return reasons per callee string id — they depend
+          only on the callee, never on the calling context *)
+  ext_whys : (int, int) Hashtbl.t;  (** "through external call" reasons *)
+  (* node/region entities are context-free, so their dense ids are
+     cached per node/string id (-1 = not yet interned): no packed-key
+     interning on the hot Load/Store path after first sight *)
+  mutable node_eids : int array;
+  mutable region_eids : int array;
   (* worklist FIFO of codes [entity id * 2 + (ctrl ? 1 : 0)]; drained
-     once after all waves, so a plain append-only array suffices *)
+     once after every pair is walked, so a plain append-only array
+     suffices *)
   mutable wl : int array;
   mutable wl_head : int;
   mutable wl_tail : int;
@@ -253,7 +211,7 @@ type t = {
   mutable d_why : int array;  (** why ids, valid iff the taint bit is set *)
   mutable c_why : int array;
   (* flat edge arrays in insertion order; finalized into [csr] once all
-     blocks are replayed (no edges appear during the drain) *)
+     pairs are walked (no edges appear during the drain) *)
   mutable es : int array;
   mutable ed : int array;
   mutable einfo : int array;
@@ -270,13 +228,10 @@ let c_wl_pops = Telemetry.counter "vf.worklist_pops"
 let c_edges = Telemetry.counter "vf.edges_built"
 let c_entities = Telemetry.counter "vf.entities"
 let c_contexts = Telemetry.counter "vf.contexts"
-let c_pair_replayed = Telemetry.counter "vf.pair_blocks_replayed"
 let c_pair_built = Telemetry.counter "vf.pair_blocks_built"
 let c_csr_build_us = Telemetry.counter "vf.csr_build_us"
 let c_bitset_words = Telemetry.counter "vf.bitset_words"
 let c_drain_edges_per_sec = Telemetry.counter "vf.drain_edges_per_sec"
-let c_pair_tasks = Telemetry.counter "pool.pair_tasks"
-let c_pair_peak = Telemetry.gauge "pool.pair_peak"
 let h_pair_build = Telemetry.histogram "pair.build"
 
 let create st =
@@ -316,7 +271,12 @@ let create st =
     own_lists = Hashtbl.create 64;
     p1_regs;
     pts_regs;
-    prewarmed = Hashtbl.create 64;
+    cmemos = Hashtbl.create 256;
+    own_cids = Hashtbl.create 64;
+    call_whys = Hashtbl.create 64;
+    ext_whys = Hashtbl.create 16;
+    node_eids = Array.make 64 (-1);
+    region_eids = Array.make 64 (-1);
     ctxs = Intern.Ctx.create ();
     strs = Intern.create 64;
     nodes = Intern.create 64;
@@ -427,7 +387,7 @@ let add_edge g src dst mode why =
   end
   else if data_tainted g src || ctrl_tainted g src then set_ctrl g dst ~parent:(-1) ~why
 
-(* All blocks are replayed (hence all edges exist) before the single
+(* All pairs are walked (hence all edges exist) before the single
    drain, so the CSR is finalized exactly once in between. *)
 let finalize_csr g =
   let t0 = Telemetry.now_ns () in
@@ -472,11 +432,6 @@ let drain g =
     Telemetry.add c_drain_edges_per_sec (!traversed * 1_000_000_000 / dur_ns)
 
 (* -- Static per-function facts ------------------------------------------------- *)
-
-(* [own_list]/[finfo] memoize into [g] (and [Phase3.branch_info] into
-   the shared state) and must only run on the main domain;
-   {!prewarm_wave} populates the tables for a wave before any worker
-   touches them read-only. *)
 
 let own_list g (f : Ssair.Ir.func) : Phase3.Ctx.t =
   match Hashtbl.find_opt g.own_lists f.Ssair.Ir.fname with
@@ -529,75 +484,146 @@ let discover_pair g (f : Ssair.Ir.func) cid =
 
 (* -- Building one (function, context) pair ------------------------------------- *)
 
-(* What the builder memoizes per distinct callee of the pair: the callee
-   context, parameter/return entities and formatted reasons are the same
-   at every call site, so they are computed once (including the one
-   [Ctx.union]) instead of per site. *)
-type cmemo =
-  | Cdefined of {
-      cm_params : int array;  (** entity id per parameter position *)
-      cm_ret : int;
-      cm_why_args : int array;  (** why id per parameter position *)
-      cm_why_ret : int;
-    }
-  | Cextern of { cm_why_ext : int }
+(* Dense id of a packed entity key; a fresh key records its structural
+   entity (built by [mk]) for the pour-back. *)
+let ent g gkey mk =
+  let n = Intern.Packed.length g.keys in
+  let id = Intern.Packed.intern g.keys gkey in
+  if id = n then begin
+    ensure_cap g (n + 1);
+    g.rev.(id) <- mk ()
+  end;
+  id
 
-(* Where the walk sends what it finds.  Two implementations: the block
-   sink interns into block-local tables and buffers packed ops (the
-   cacheable, worker-safe path), the direct sink interns into the
-   graph's global tables and applies each op immediately (the
-   sequential cache-less fast path — no block record, no replay
-   translation). *)
-type sink = {
-  s_sid : string -> int;
-  s_cid : Phase3.Ctx.t -> int;
-  s_wid : string -> int;  (** dynamically formatted reason *)
-  s_swids : int array;  (** why id per {!static_whys} index *)
-  s_nid : Pointsto.Node.t -> int;
-  s_ent_val : int -> int -> int -> int;  (** fname id, ctx id, vid *)
-  s_ent_param : int -> int -> int -> int;  (** fname id, ctx id, param-name id *)
-  s_ent_ret : int -> int -> int;  (** fname id, ctx id *)
-  s_ent_node : int -> int;
-  s_ent_region : int -> int;
-  s_edge : int -> int -> int -> int -> unit;  (** src, dst, mode, why *)
-  s_seed : int -> int -> int -> unit;  (** dst, parent, why *)
-  s_warn : Report.warning -> unit;
-  s_discover : Ssair.Ir.func -> int -> unit;  (** callee, [s_cid] of its context *)
-  s_callee_cid : Phase3.Ctx.t -> int -> Ssair.Ir.func -> int;
-      (** caller context, caller [s_cid], callee — [s_cid] of the callee
-          context (own assumptions, unioned with the caller context when
-          context-sensitive).  The direct sink resolves this at the
-          context-id level through the memoized {!Intern.Ctx.union},
-          never materializing the union list. *)
-  s_cmemo : Phase3.Ctx.t -> int -> string -> cmemo;
-      (** caller context, caller [s_cid], callee name — the direct sink
-          memoizes this across pairs (see {!direct_sink}) *)
-  s_call_whys : int -> string -> int -> int array * int;
-      (** callee [s_sid], name, arity — why ids for the per-argument and
-          return-value reasons.  Context-independent, so the direct sink
-          memoizes the formatted strings per callee string id. *)
-  s_why_ext : string -> int;  (** "through external call" reason *)
-}
+let ent_val g fid cid vid =
+  ent g (pack_key 0 fid cid vid) (fun () ->
+      Phase3.Eval (Intern.get g.strs fid, Intern.Ctx.get g.ctxs cid, vid))
 
-(** Transcribe [f] under context [ctx] through [sk]; the static taint
-    sources of the pair (unmonitored non-core reads, non-core recv
-    buffers) become seeds.  Edge-for-rule correspondence with
-    {!Phase3.analyze_pair} is documented inline.
+let ent_param g fid cid pid =
+  ent g (pack_key 1 fid cid pid) (fun () ->
+      Phase3.Eparam (Intern.get g.strs fid, Intern.Ctx.get g.ctxs cid, Intern.get g.strs pid))
 
-    With a block sink this is pure with respect to [g]: it reads only
-    [st] (immutable analysis inputs), [funcs_by_name], and the prewarmed
-    [finfos]/[own_lists] tables — safe to run on a worker domain. *)
-let walk_pair g (sk : sink) (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
+let ent_ret g fid cid =
+  ent g (pack_key 2 fid cid 0) (fun () ->
+      Phase3.Eret (Intern.get g.strs fid, Intern.Ctx.get g.ctxs cid))
+
+let grow_slots a i =
+  if i < Array.length a then a
+  else begin
+    let a' = Array.make (max (i + 1) (2 * Array.length a)) (-1) in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  end
+
+let ent_node g nid =
+  if nid >= Array.length g.node_eids then g.node_eids <- grow_slots g.node_eids nid;
+  let v = Array.unsafe_get g.node_eids nid in
+  if v >= 0 then v
+  else begin
+    let v = ent g (pack_key 3 nid 0 0) (fun () -> Phase3.Enode (Intern.get g.nodes nid)) in
+    Array.unsafe_set g.node_eids nid v;
+    v
+  end
+
+let ent_region g rid =
+  if rid >= Array.length g.region_eids then g.region_eids <- grow_slots g.region_eids rid;
+  let v = Array.unsafe_get g.region_eids rid in
+  if v >= 0 then v
+  else begin
+    let v = ent g (pack_key 4 rid 0 0) (fun () -> Phase3.Eregion (Intern.get g.strs rid)) in
+    Array.unsafe_set g.region_eids rid v;
+    v
+  end
+
+(* Warning dedup by (loc, region) — mirrors Phase3.warn, but the record
+   is already formatted. *)
+let record_warning g (w : Report.warning) =
+  let key = (w.Report.w_loc, w.Report.w_region) in
+  if not (Hashtbl.mem g.st.Phase3.warnings key) then
+    Hashtbl.replace g.st.Phase3.warnings key w
+
+(* Context id of [gfn] called from context [self_cid]: its own
+   assumptions, unioned with the caller's when context-sensitive.
+   Resolved at the context-id level through the memoized
+   {!Intern.Ctx.union}, never materializing the union list. *)
+let callee_cid g self_cid (gfn : Ssair.Ir.func) =
+  let ocid =
+    match Hashtbl.find_opt g.own_cids gfn.Ssair.Ir.fname with
+    | Some c -> c
+    | None ->
+      let c = Intern.Ctx.intern g.ctxs (own_list g gfn) in
+      Hashtbl.replace g.own_cids gfn.Ssair.Ir.fname c;
+      c
+  in
+  if g.st.Phase3.config.Config.context_sensitive then Intern.Ctx.union g.ctxs self_cid ocid
+  else ocid
+
+let call_whys g fid callee nargs =
+  match Hashtbl.find_opt g.call_whys fid with
+  | Some w -> w
+  | None ->
+    let w =
+      ( Array.init nargs (fun k ->
+            Intern.intern g.whys ("argument " ^ string_of_int k ^ " of call to " ^ callee)),
+        Intern.intern g.whys ("return value of " ^ callee) )
+    in
+    Hashtbl.add g.call_whys fid w;
+    w
+
+let why_ext g callee =
+  let fid = Intern.intern g.strs callee in
+  match Hashtbl.find_opt g.ext_whys fid with
+  | Some w -> w
+  | None ->
+    let w = Intern.intern g.whys ("through external call " ^ callee) in
+    Hashtbl.add g.ext_whys fid w;
+    w
+
+(** The callee memo for [callee] called from context [self_cid]: callee
+    context, parameter and return entities, and the formatted reasons.
+    Everything here depends only on the caller context and the callee,
+    never on the rest of the calling pair, which is what lets it be
+    memoized across pairs.  Filling the memo discovers the callee pair. *)
+let cmemo g self_cid callee : cmemo =
+  let fid = Intern.intern g.strs callee in
+  let key = (fid lsl 20) lor self_cid in
+  match Hashtbl.find_opt g.cmemos key with
+  | Some cm -> cm
+  | None ->
+    let cm =
+      match Hashtbl.find_opt g.funcs_by_name callee with
+      | Some gfn ->
+        let gfid = Intern.intern g.strs gfn.Ssair.Ir.fname in
+        let gcid = callee_cid g self_cid gfn in
+        discover_pair g gfn gcid;
+        let cm_params =
+          Array.of_list
+            (List.map
+               (fun (pname, _) -> ent_param g gfid gcid (Intern.intern g.strs pname))
+               gfn.Ssair.Ir.fparams)
+        in
+        let cm_why_args, cm_why_ret = call_whys g gfid callee (Array.length cm_params) in
+        Cdefined { cm_params; cm_ret = ent_ret g gfid gcid; cm_why_args; cm_why_ret }
+      | None -> Cextern { cm_why_ext = why_ext g callee }
+    in
+    Hashtbl.add g.cmemos key cm;
+    cm
+
+(** Walk [f] under context [ctx] (interned as [self_cid]) straight into
+    the live graph; the static taint sources of the pair (unmonitored
+    non-core reads, non-core recv buffers) become seeds.  Edge-for-rule
+    correspondence with {!Phase3.analyze_pair} is documented inline. *)
+let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
   let st = g.st in
   let config = st.Phase3.config in
   let env = st.Phase3.prog.Ssair.Ir.env in
   let fname = f.Ssair.Ir.fname in
   let fi = finfo g f in
-  let sid = sk.s_sid in
-  let wid = sk.s_wid in
-  let sw = sk.s_swids in
-  let edge = sk.s_edge in
-  let seed = sk.s_seed in
+  let sid x = Intern.intern g.strs x in
+  let wid x = Intern.intern g.whys x in
+  let sw = g.static_wids in
+  let edge src dst mode why = add_edge g src dst mode why in
+  let seed dst parent why = set_data g dst ~parent ~why in
   let self_fid = sid fname in
   (* vid → entity id, O(1) on the hottest entity kind *)
   let val_idx = Array.make (max fi.fi_nvals 1) (-1) in
@@ -606,22 +632,22 @@ let walk_pair g (sk : sink) (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid :
       let i = Array.unsafe_get val_idx vid in
       if i >= 0 then i
       else begin
-        let i = sk.s_ent_val self_fid self_cid vid in
+        let i = ent_val g self_fid self_cid vid in
         Array.unsafe_set val_idx vid i;
         i
       end
     end
-    else sk.s_ent_val self_fid self_cid vid
+    else ent_val g self_fid self_cid vid
   in
   (* -1 = no entity (constants); avoids an option box per operand *)
   let value_eid (v : Ssair.Ir.value) =
     match v with
     | Ssair.Ir.Vreg id -> eval id
-    | Ssair.Ir.Vparam p -> sk.s_ent_param self_fid self_cid (sid p)
+    | Ssair.Ir.Vparam p -> ent_param g self_fid self_cid (sid p)
     | _ -> -1
   in
-  let node_ent n = sk.s_ent_node (sk.s_nid n) in
-  let region_ent r = sk.s_ent_region (sid r) in
+  let node_ent n = ent_node g (Intern.intern g.nodes n) in
+  let region_ent r = ent_region g (sid r) in
   (* per-function fact views (see [p1_regs]/[pts_regs]): register
      lookups hash an int; anything else falls back to the generic
      tuple-keyed path, byte-for-byte equivalent *)
@@ -717,7 +743,7 @@ let walk_pair g (sk : sink) (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid :
                       | Offset.Top -> Phase3.Ctx.covers_region ctx rname ~lo:0 ~hi:r.Shm.r_size
                     in
                     if not covered then begin
-                      sk.s_warn
+                      record_warning g
                         {
                           Report.w_func = fname;
                           w_region = rname;
@@ -790,12 +816,9 @@ let walk_pair g (sk : sink) (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid :
               match Hashtbl.find_opt callees callee with
               | Some cm -> cm
               | None ->
-                (* first sight of this callee in the pair: for a defined
-                   callee the memo computation also emits the discover op
-                   — the old per-site repeats were deduplicated at
-                   replay, so keeping only the first site's op is
-                   equivalent *)
-                let cm = sk.s_cmemo ctx self_cid callee in
+                (* first sight of this callee in the pair; filling
+                   the run-wide memo also discovers the callee pair *)
+                let cm = cmemo g self_cid callee in
                 Hashtbl.replace callees callee cm;
                 cm
             in
@@ -847,7 +870,7 @@ let walk_pair g (sk : sink) (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid :
         b.Ssair.Ir.instrs;
       match b.Ssair.Ir.termin with
       | Ssair.Ir.Ret (Some v) ->
-        let re = sk.s_ent_ret self_fid self_cid in
+        let re = ent_ret g self_fid self_cid in
         (let ve = value_eid v in
          if ve >= 0 then edge ve re mboth sw.(w_ret));
         if config.Config.control_deps then
@@ -867,556 +890,32 @@ let walk_pair g (sk : sink) (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid :
         closure)
     fi.fi_bi.Phase3.br_branches
 
-(** Compute a callee memo through [sk]: callee context (own assumptions,
-    unioned with the caller context when context-sensitive), parameter
-    and return entities, and the formatted reasons.  Everything here
-    depends only on the caller context and the callee, never on the rest
-    of the calling pair, which is what lets the direct sink memoize the
-    result across pairs. *)
-let compute_cmemo g (sk : sink) ctx self_cid callee : cmemo =
-  match Hashtbl.find_opt g.funcs_by_name callee with
-  | Some gfn ->
-    let gfid = sk.s_sid gfn.Ssair.Ir.fname in
-    let gcid = sk.s_callee_cid ctx self_cid gfn in
-    sk.s_discover gfn gcid;
-    let cm_params =
-      Array.of_list
-        (List.map
-           (fun (pname, _) -> sk.s_ent_param gfid gcid (sk.s_sid pname))
-           gfn.Ssair.Ir.fparams)
-    in
-    let cm_why_args, cm_why_ret = sk.s_call_whys gfid callee (Array.length cm_params) in
-    Cdefined { cm_params; cm_ret = sk.s_ent_ret gfid gcid; cm_why_args; cm_why_ret }
-  | None -> Cextern { cm_why_ext = sk.s_why_ext callee }
-
-(* identity mapping: a block's static why ids are the indices themselves *)
-let static_self_ids = Array.init n_static_whys Fun.id
-
-(** Transcribe [f] under [ctx] into a position-independent flat edge
-    block (the cacheable, worker-safe form). *)
-let build_pair_block g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) : block =
-  (* block-local value tables; indices are what the packed descriptors
-     and ops carry *)
-  let lstrs = Intern.create 16 in
-  let lctxs = Intern.create 4 in
-  let lnodes = Intern.create 16 in
-  let lwhys = Intern.create 32 in
-  (* block-local entity table: packed descriptor ↦ dense index *)
-  let lents = Intern.Packed.create 64 in
-  let ents_buf = Ibuf.create 64 in
-  let ops_buf = Ibuf.create 256 in
-  let warns = ref [] in
-  let n_warns = ref 0 in
-  let ent_key k =
-    let n = Intern.Packed.length lents in
-    let i = Intern.Packed.intern lents k in
-    if i = n then Ibuf.push ents_buf k;
-    i
-  in
-  let rec sk =
-    {
-      s_sid = (fun x -> Intern.intern lstrs x);
-      s_cid = (fun c -> Intern.intern lctxs c);
-      (* dynamically formatted reasons only; compile-time constants are
-         their [static_whys] index (below [n_static_whys]) *)
-      s_wid = (fun x -> n_static_whys + Intern.intern lwhys x);
-      s_swids = static_self_ids;
-      s_nid = (fun n -> Intern.intern lnodes n);
-      s_ent_val = (fun fid cid vid -> ent_key (pack_key 0 fid cid vid));
-      s_ent_param = (fun fid cid pid -> ent_key (pack_key 1 fid cid pid));
-      s_ent_ret = (fun fid cid -> ent_key (pack_key 2 fid cid 0));
-      s_ent_node = (fun nid -> ent_key (pack_key 3 nid 0 0));
-      s_ent_region = (fun rid -> ent_key (pack_key 4 rid 0 0));
-      s_edge = (fun src dst mode why -> Ibuf.push ops_buf (pack_op 0 src dst mode why));
-      s_seed = (fun dst parent why -> Ibuf.push ops_buf (pack_op 1 dst parent 0 why));
-      s_warn =
-        (fun w ->
-          Ibuf.push ops_buf (pack_op 2 !n_warns 0 0 0);
-          warns := w :: !warns;
-          incr n_warns);
-      s_discover =
-        (fun gfn gcid ->
-          Ibuf.push ops_buf (pack_op 3 (Intern.intern lstrs gfn.Ssair.Ir.fname) gcid 0 0));
-      s_callee_cid =
-        (fun ctx _self_cid gfn ->
-          let own = Hashtbl.find g.own_lists gfn.Ssair.Ir.fname in
-          Intern.intern lctxs
-            (if g.st.Phase3.config.Config.context_sensitive then Phase3.Ctx.union ctx own
-             else own));
-      (* block-local tables can't be shared across pairs, so no memo *)
-      s_cmemo = (fun ctx self_cid callee -> compute_cmemo g sk ctx self_cid callee);
-      s_call_whys =
-        (fun _fid callee nargs ->
-          ( Array.init nargs (fun k ->
-                sk.s_wid ("argument " ^ string_of_int k ^ " of call to " ^ callee)),
-            sk.s_wid ("return value of " ^ callee) ));
-      s_why_ext = (fun callee -> sk.s_wid ("through external call " ^ callee));
-    }
-  in
-  walk_pair g sk f ctx ~self_cid:(Intern.intern lctxs ctx);
-  {
-    b_strs = Intern.to_array lstrs;
-    b_ctxs = Intern.to_array lctxs;
-    b_nodes = Intern.to_array lnodes;
-    b_whys = Intern.to_array lwhys;
-    b_ents = Ibuf.to_array ents_buf;
-    b_ops = Ibuf.to_array ops_buf;
-    b_warns = Array.of_list (List.rev !warns);
-  }
-
-(* -- Replaying a block into the live graph ------------------------------------- *)
-
-(* Warning dedup by (loc, region) — mirrors Phase3.warn, but the record
-   was already formatted at build time. *)
-let record_warning g (w : Report.warning) =
-  let key = (w.Report.w_loc, w.Report.w_region) in
-  if not (Hashtbl.mem g.st.Phase3.warnings key) then
-    Hashtbl.replace g.st.Phase3.warnings key w
-
-(** Sink that emits a pair's edges straight into the live graph: global
-    intern tables, immediate op application — no local tables, no block
-    record, no replay translation.  Only valid sequentially on the main
-    domain with no cache attached (the cached path must produce a
-    position-independent {!block} to store); applies the same ops in the
-    same order as [build_pair_block] followed by [replay], so taints,
-    origins and discoveries are identical.
-
-    The sink is pair-independent: built once per run and reused for
-    every pending pair.  That lets it memoize callee memos across pairs,
-    keyed by (callee fname id, caller context id) — with few distinct
-    contexts most pairs hit the memo, skipping the context union,
-    reason formatting and parameter-entity interning entirely.  A hit is
-    emission-free, exactly like the recomputation it replaces: entity
-    interning is idempotent and the discover for that (callee, context)
-    already ran when the memo was filled. *)
-let direct_sink g : sink =
-  let ent gkey mk =
-    let n = Intern.Packed.length g.keys in
-    let id = Intern.Packed.intern g.keys gkey in
-    if id = n then begin
-      ensure_cap g (n + 1);
-      g.rev.(id) <- mk ()
-    end;
-    id
-  in
-  let cmemo_tbl : (int, cmemo) Hashtbl.t = Hashtbl.create 256 in
-  let own_cids : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  (* call/extern reasons depend only on the callee, never on the calling
-     context — format and intern them once per callee (keyed by its
-     string id) *)
-  let call_whys : (int, int array * int) Hashtbl.t = Hashtbl.create 64 in
-  let ext_whys : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  (* node/region entities are context-free, so their dense ids are
-     cached per node/string id — no packed-key interning on the hot
-     Load/Store path after first sight *)
-  let node_eids = ref (Array.make 64 (-1)) in
-  let region_eids = ref (Array.make 64 (-1)) in
-  let slot cache i =
-    let a = !cache in
-    if i < Array.length a then a
-    else begin
-      let a' = Array.make (max (i + 1) (2 * Array.length a)) (-1) in
-      Array.blit a 0 a' 0 (Array.length a);
-      cache := a';
-      a'
-    end
-  in
-  let rec sk =
-    {
-      s_sid = (fun x -> Intern.intern g.strs x);
-      s_cid = (fun c -> Intern.Ctx.intern g.ctxs c);
-      s_wid = (fun x -> Intern.intern g.whys x);
-      s_swids = g.static_wids;
-      s_nid = (fun n -> Intern.intern g.nodes n);
-      s_ent_val =
-        (fun fid cid vid ->
-          ent (pack_key 0 fid cid vid) (fun () ->
-              Phase3.Eval (Intern.get g.strs fid, Intern.Ctx.get g.ctxs cid, vid)));
-      s_ent_param =
-        (fun fid cid pid ->
-          ent (pack_key 1 fid cid pid) (fun () ->
-              Phase3.Eparam
-                (Intern.get g.strs fid, Intern.Ctx.get g.ctxs cid, Intern.get g.strs pid)));
-      s_ent_ret =
-        (fun fid cid ->
-          ent (pack_key 2 fid cid 0) (fun () ->
-              Phase3.Eret (Intern.get g.strs fid, Intern.Ctx.get g.ctxs cid)));
-      s_ent_node =
-        (fun nid ->
-          let a = slot node_eids nid in
-          let v = Array.unsafe_get a nid in
-          if v >= 0 then v
-          else begin
-            let v = ent (pack_key 3 nid 0 0) (fun () -> Phase3.Enode (Intern.get g.nodes nid)) in
-            Array.unsafe_set a nid v;
-            v
-          end);
-      s_ent_region =
-        (fun rid ->
-          let a = slot region_eids rid in
-          let v = Array.unsafe_get a rid in
-          if v >= 0 then v
-          else begin
-            let v =
-              ent (pack_key 4 rid 0 0) (fun () -> Phase3.Eregion (Intern.get g.strs rid))
-            in
-            Array.unsafe_set a rid v;
-            v
-          end);
-      s_edge = (fun src dst mode why -> add_edge g src dst mode why);
-      s_seed = (fun dst parent why -> set_data g dst ~parent ~why);
-      s_warn = (fun w -> record_warning g w);
-      s_discover = (fun gfn gcid -> discover_pair g gfn gcid);
-      s_callee_cid =
-        (fun _ctx self_cid gfn ->
-          let ocid =
-            match Hashtbl.find_opt own_cids gfn.Ssair.Ir.fname with
-            | Some c -> c
-            | None ->
-              let c = Intern.Ctx.intern g.ctxs (own_list g gfn) in
-              Hashtbl.replace own_cids gfn.Ssair.Ir.fname c;
-              c
-          in
-          if g.st.Phase3.config.Config.context_sensitive then
-            Intern.Ctx.union g.ctxs self_cid ocid
-          else ocid);
-      s_cmemo =
-        (fun ctx self_cid callee ->
-          let fid = Intern.intern g.strs callee in
-          let key = (fid lsl 20) lor self_cid in
-          match Hashtbl.find_opt cmemo_tbl key with
-          | Some cm -> cm
-          | None ->
-            let cm = compute_cmemo g sk ctx self_cid callee in
-            Hashtbl.add cmemo_tbl key cm;
-            cm);
-      s_call_whys =
-        (fun fid callee nargs ->
-          match Hashtbl.find_opt call_whys fid with
-          | Some w -> w
-          | None ->
-            let w =
-              ( Array.init nargs (fun k ->
-                    sk.s_wid ("argument " ^ string_of_int k ^ " of call to " ^ callee)),
-                sk.s_wid ("return value of " ^ callee) )
-            in
-            Hashtbl.add call_whys fid w;
-            w);
-      s_why_ext =
-        (fun callee ->
-          let fid = Intern.intern g.strs callee in
-          match Hashtbl.find_opt ext_whys fid with
-          | Some w -> w
-          | None ->
-            let w = sk.s_wid ("through external call " ^ callee) in
-            Hashtbl.add ext_whys fid w;
-            w);
-    }
-  in
-  sk
-
-(* Translate the block's local value tables to global intern ids once,
-   then rewrite each packed local descriptor into a packed global key —
-   no structural hashing per entity, and a fresh key constructs its
-   [Phase3.entity] (for the pour-back) from the already-canonical global
-   values. *)
-let replay g (blk : block) =
-  let gstrs = Array.map (Intern.intern g.strs) blk.b_strs in
-  let gctxs = Array.map (Intern.Ctx.intern g.ctxs) blk.b_ctxs in
-  let gnodes = Array.map (Intern.intern g.nodes) blk.b_nodes in
-  let gwhys = Array.map (Intern.intern g.whys) blk.b_whys in
-  let gw w =
-    if w < n_static_whys then Array.unsafe_get g.static_wids w
-    else Array.unsafe_get gwhys (w - n_static_whys)
-  in
-  let nents = Array.length blk.b_ents in
-  let ids = Array.make (max nents 1) 0 in
-  for i = 0 to nents - 1 do
-    let k = Array.unsafe_get blk.b_ents i in
-    let tag = key_tag k and a = key_a k and b = key_b k and c = key_c k in
-    let gkey =
-      match tag with
-      | 0 -> pack_key 0 gstrs.(a) gctxs.(b) c
-      | 1 -> pack_key 1 gstrs.(a) gctxs.(b) gstrs.(c)
-      | 2 -> pack_key 2 gstrs.(a) gctxs.(b) 0
-      | 3 -> pack_key 3 gnodes.(a) 0 0
-      | _ -> pack_key 4 gstrs.(a) 0 0
-    in
-    let n = Intern.Packed.length g.keys in
-    let id = Intern.Packed.intern g.keys gkey in
-    if id = n then begin
-      ensure_cap g (n + 1);
-      g.rev.(id) <-
-        (match tag with
-        | 0 ->
-          Phase3.Eval (Intern.get g.strs gstrs.(a), Intern.Ctx.get g.ctxs gctxs.(b), c)
-        | 1 ->
-          Phase3.Eparam
-            (Intern.get g.strs gstrs.(a), Intern.Ctx.get g.ctxs gctxs.(b),
-             Intern.get g.strs gstrs.(c))
-        | 2 -> Phase3.Eret (Intern.get g.strs gstrs.(a), Intern.Ctx.get g.ctxs gctxs.(b))
-        | 3 -> Phase3.Enode (Intern.get g.nodes gnodes.(a))
-        | _ -> Phase3.Eregion (Intern.get g.strs gstrs.(a)))
-    end;
-    Array.unsafe_set ids i id
-  done;
-  let ops = blk.b_ops in
-  for i = 0 to Array.length ops - 1 do
-    let o = Array.unsafe_get ops i in
-    let kind = op_kind o in
-    if kind = 0 then
-      add_edge g ids.(op_x o) ids.(op_y o) (op_mode o) (gw (op_why o))
-    else if kind = 1 then set_data g ids.(op_x o) ~parent:ids.(op_y o) ~why:(gw (op_why o))
-    else if kind = 2 then record_warning g blk.b_warns.(op_x o)
-    else
-      match Hashtbl.find_opt g.funcs_by_name blk.b_strs.(op_x o) with
-      | Some gfn -> discover_pair g gfn gctxs.(op_y o)
-      | None -> ()
-  done
-
-(* -- Content-addressed pair keys ----------------------------------------------- *)
-
-(* Everything [build_pair_block] reads about a function, folded into one
-   digest; combined with the context digest this keys the pair cache.
-   Global inputs (region model, heap graph, type env, noncore sockets,
-   semantic config) are digested once per run. *)
-type keyctx = {
-  kc_global : string;
-  kc_p1_by : (string, string) Hashtbl.t;
-  kc_pts_by : (string, string) Hashtbl.t;
-  kc_funcs : (string, string) Hashtbl.t;  (** function digests *)
-  kc_dep : (string, string) Hashtbl.t;  (** memoized per-function dependency digest *)
-  kc_ctx : (int, string) Hashtbl.t;  (** memoized per-context digest, by ctx id *)
-}
-
-let make_keyctx g (digests : Digest_ir.t) ~sem_fp =
-  let st = g.st in
-  let p1_by = Digest_ir.phase1_by_func st.Phase3.p1 in
-  let pts_by, heap_d = Digest_ir.pointsto_by_func st.Phase3.pts in
-  let noncore_d =
-    Digest_ir.of_value
-      (List.sort compare
-         (Hashtbl.fold (fun s () acc -> s :: acc) st.Phase3.noncore_sockets []))
-  in
-  {
-    kc_global =
-      Digest_ir.combine
-        [ Digest_ir.shm st.Phase3.shm; heap_d; digests.Digest_ir.env; noncore_d; sem_fp ];
-    kc_p1_by = p1_by;
-    kc_pts_by = pts_by;
-    kc_funcs = digests.Digest_ir.funcs;
-    kc_dep = Hashtbl.create 64;
-    kc_ctx = Hashtbl.create 64;
-  }
-
-(* Direct defined callees of [f] with the facts the builder reads about
-   them: name, parameter names, own-assumption context. *)
-let callee_sigs g (f : Ssair.Ir.func) =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (i : Ssair.Ir.instr) ->
-      match i.Ssair.Ir.idesc with
-      | Ssair.Ir.Call { callee; _ } when not (Hashtbl.mem seen callee) -> (
-        match Hashtbl.find_opt g.funcs_by_name callee with
-        | Some gfn ->
-          Hashtbl.replace seen callee
-            (List.map fst gfn.Ssair.Ir.fparams, Hashtbl.find g.own_lists callee)
-        | None -> ())
-      | _ -> ())
-    (Ssair.Ir.all_instrs f);
-  List.sort compare (Hashtbl.fold (fun n sg acc -> (n, sg) :: acc) seen [])
-
-let dep_digest g kc (f : Ssair.Ir.func) =
-  let fname = f.Ssair.Ir.fname in
-  match Hashtbl.find_opt kc.kc_dep fname with
-  | Some d -> d
-  | None ->
-    (* the absint summary shapes the edge block (pruned control edges),
-       and ranges are interprocedural, so it must key the cached block *)
-    let absint_d =
-      match g.st.Phase3.absint with
-      | Some ai -> Absint.summary_digest ai fname
-      | None -> "no-absint"
-    in
-    let d =
-      Digest_ir.of_value
-        ( Hashtbl.find kc.kc_funcs fname,
-          Digest_ir.facts_digest kc.kc_p1_by fname,
-          Digest_ir.facts_digest kc.kc_pts_by fname,
-          kc.kc_global,
-          absint_d,
-          callee_sigs g f )
-    in
-    Hashtbl.replace kc.kc_dep fname d;
-    d
-
-let pair_key g kc (f : Ssair.Ir.func) cid =
-  let ctx_d =
-    match Hashtbl.find_opt kc.kc_ctx cid with
-    | Some d -> d
-    | None ->
-      let d = Digest_ir.of_value (Intern.Ctx.get g.ctxs cid) in
-      Hashtbl.replace kc.kc_ctx cid d;
-      d
-  in
-  Digest_ir.combine [ dep_digest g kc f; ctx_d ]
-
-(* -- Wave-parallel pair building ----------------------------------------------- *)
-
-(* Populate the [finfos] (CDG closures) and [own_lists] entries a wave's
-   builders will read; must run on the main domain before workers start.
-   A function reappearing in a later wave (same function, new context)
-   was fully prewarmed by its first wave, so it is skipped. *)
-let prewarm_wave g (wave : (Ssair.Ir.func * int) array) =
-  Array.iter
-    (fun ((f : Ssair.Ir.func), _) ->
-      if not (Hashtbl.mem g.prewarmed f.Ssair.Ir.fname) then begin
-        Hashtbl.replace g.prewarmed f.Ssair.Ir.fname ();
-        ignore (finfo g f);
-        ignore (own_list g f);
-        List.iter
-          (fun (i : Ssair.Ir.instr) ->
-            match i.Ssair.Ir.idesc with
-            | Ssair.Ir.Call { callee; _ } -> (
-              match Hashtbl.find_opt g.funcs_by_name callee with
-              | Some gfn -> ignore (own_list g gfn)
-              | None -> ())
-            | _ -> ())
-          (Ssair.Ir.all_instrs f)
-      end)
-    wave
-
-(* Build the given pairs, on a bounded domain pool when configured.
-   Workers only read [g] (see {!build_pair_block}); results come back in
-   input order, so the subsequent sequential replay is deterministic. *)
-let build_many g (todo : (Ssair.Ir.func * Phase3.Ctx.t) array) : block array =
-  let n = Array.length todo in
-  let domains =
-    let d = g.st.Phase3.config.Config.pair_domains in
-    if d = 0 then Domain.recommended_domain_count () else d
-  in
-  let build (f : Ssair.Ir.func) ctx =
-    Telemetry.span "pair.build"
-      ~args:[ ("function", f.Ssair.Ir.fname) ]
-      (fun () -> Telemetry.time_hist h_pair_build (fun () -> build_pair_block g f ctx))
-  in
-  Telemetry.add c_pair_tasks n;
-  if n <= 1 || domains <= 1 then Array.map (fun (f, ctx) -> build f ctx) todo
-  else begin
-    let out : (block, exn) result option array = Array.make n None in
-    let next = Atomic.make 0 in
-    let active = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          Telemetry.record_max c_pair_peak (Atomic.fetch_and_add active 1 + 1);
-          let f, ctx = todo.(i) in
-          out.(i) <- Some (try Ok (build f ctx) with e -> Error e);
-          Atomic.decr active;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let extra = min (domains - 1) (n - 1) in
-    let spawned = List.init (max 0 extra) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    Array.map (function Some (Ok b) -> b | Some (Error e) -> raise e | None -> assert false) out
-  end
-
 (* -- Entry point --------------------------------------------------------------- *)
 
-let run ?(config = Config.default) ?cache ?digests ?absint (prog : Ssair.Ir.program)
-    (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
+let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
+    (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
   let st = Phase3.make_state ~config ?absint prog shm p1 pts in
   let g = create st in
-  let kc =
-    match (cache, digests) with
-    | Some _, Some d -> Some (make_keyctx g d ~sem_fp:(Digest_ir.semantic_config config))
-    | _ -> None
-  in
   List.iter
     (fun (f, ctx) -> discover_pair g f (Intern.Ctx.intern g.ctxs ctx))
     (Phase3.root_pairs st);
-  (* pair discovery is taint-independent, so building all pairs before
-     draining reaches the same closure as interleaving would.  The
-     pending queue is drained in waves: each wave is prewarmed and built
-     (cache hits skipping the build; misses optionally in parallel),
-     then replayed sequentially in discovery order — the same total
-     order a sequential FIFO drain would produce, which keeps reports
-     bit-identical across {cold, warm, parallel}. *)
-  (* sequential cache-less runs take the direct path: each pending pair
-     is walked straight into the graph in FIFO order — the same total op
-     order the wave machinery produces, without block/replay overhead *)
-  let domains =
-    let d = config.Config.pair_domains in
-    if d = 0 then Domain.recommended_domain_count () else d
-  in
-  let direct () =
-    let sk = direct_sink g in
-    let n = ref 0 in
-    while not (Queue.is_empty g.pending) do
-      let f, cid = Queue.pop g.pending in
-      incr n;
-      if Telemetry.enabled () then
-        Telemetry.span "pair.build"
-          ~args:[ ("function", f.Ssair.Ir.fname) ]
-          (fun () ->
-            Telemetry.time_hist h_pair_build (fun () ->
-                walk_pair g sk f (Intern.Ctx.get g.ctxs cid) ~self_cid:cid))
-      else walk_pair g sk f (Intern.Ctx.get g.ctxs cid) ~self_cid:cid
-    done;
-    Telemetry.add c_pair_built !n
-  in
-  let rec waves () =
-    if not (Queue.is_empty g.pending) then begin
-      let wave = Array.of_seq (Queue.to_seq g.pending) in
-      Queue.clear g.pending;
-      Telemetry.span "phase3.prewarm" (fun () -> prewarm_wave g wave);
-      let keys =
-        match (cache, kc) with
-        | Some _, Some kc -> Array.map (fun (f, cid) -> Some (pair_key g kc f cid)) wave
-        | _ -> Array.map (fun _ -> None) wave
-      in
-      let blocks : block option array =
-        Array.map2
-          (fun (_, _) key ->
-            match (cache, key) with
-            | Some c, Some k -> (Cache.find c ~ns:"pair" ~key:k : block option)
-            | _ -> None)
-          wave keys
-      in
-      let miss_idx =
-        Array.to_list (Array.mapi (fun i b -> (i, b)) blocks)
-        |> List.filter_map (fun (i, b) -> if b = None then Some i else None)
-        |> Array.of_list
-      in
-      Telemetry.add c_pair_built (Array.length miss_idx);
-      Telemetry.add c_pair_replayed (Array.length wave - Array.length miss_idx);
-      let built =
-        Telemetry.span "phase3.buildmany" (fun () ->
-            build_many g
-              (Array.map
-                 (fun i ->
-                   let f, cid = wave.(i) in
-                   (f, Intern.Ctx.get g.ctxs cid))
-                 miss_idx))
-      in
-      Array.iteri
-        (fun j i ->
-          blocks.(i) <- Some built.(j);
-          match (cache, keys.(i)) with
-          | Some c, Some k -> Cache.store c ~ns:"pair" ~key:k built.(j)
-          | _ -> ())
-        miss_idx;
-      Telemetry.span "phase3.replay" (fun () ->
-          Array.iter (function Some b -> replay g b | None -> assert false) blocks);
-      waves ()
-    end
-  in
-  Telemetry.span "phase3.waves" (if kc = None && domains <= 1 then direct else waves);
+  (* pair discovery is taint-independent, so walking every pending pair
+     (FIFO, which appends newly discovered callees) before draining
+     reaches the same closure as interleaving would *)
+  Telemetry.span "phase3.walk" (fun () ->
+      let n = ref 0 in
+      while not (Queue.is_empty g.pending) do
+        let f, cid = Queue.pop g.pending in
+        incr n;
+        if Telemetry.enabled () then
+          Telemetry.span "pair.build"
+            ~args:[ ("function", f.Ssair.Ir.fname) ]
+            (fun () ->
+              Telemetry.time_hist h_pair_build (fun () ->
+                  walk_pair g f (Intern.Ctx.get g.ctxs cid) ~self_cid:cid))
+        else walk_pair g f (Intern.Ctx.get g.ctxs cid) ~self_cid:cid
+      done;
+      Telemetry.add c_pair_built !n);
   Telemetry.span "phase3.csr_build" (fun () -> finalize_csr g);
   Telemetry.span "phase3.drain" (fun () -> drain g);
   Telemetry.add c_wl_pushes g.n_pushes;

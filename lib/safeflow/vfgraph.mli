@@ -24,8 +24,8 @@
     report classifies, so classifications agree. *)
 
 (** CSR (compressed sparse row) adjacency over dense entity ids: the
-    flat edge list the replay appends to is finalized once — between the
-    last block replay and the worklist drain — into offset/target/info
+    flat edge list the pair walks append to is finalized once — between
+    the last walk and the worklist drain — into offset/target/info
     arrays, so the drain walks each entity's successors as one array
     slice.  Exposed for the property tests in [test/test_csr.ml]. *)
 module Csr : sig
@@ -47,8 +47,6 @@ end
 
 val run :
   ?config:Config.t ->
-  ?cache:Cache.t ->
-  ?digests:Digest_ir.t ->
   ?absint:Absint.t ->
   Ssair.Ir.program ->
   Shm.t ->
@@ -62,15 +60,9 @@ val run :
     [result.engine_stats] reports interned-entity, edge and worklist-pop
     counters.
 
-    With [~cache] and [~digests], each (function, context) edge block is
-    keyed on a content digest of everything its builder reads (function
-    body, its phase-1 and points-to facts, the region model, heap graph,
-    type environment, callee signatures and own-assumptions, semantic
-    config, monitoring context) — a warm rerun replays cached blocks
-    without re-scanning any instruction, and a one-function edit rebuilds
-    only the pairs whose dependency digest changed.
-
-    With [config.pair_domains] ≠ 1, cache-miss blocks of each discovery
-    wave are built on a bounded pool of domains; blocks are still
-    replayed sequentially in discovery order, so reports are bit-identical
-    to the sequential run. *)
+    Pairs are walked sequentially in discovery order on the calling
+    domain, so the edge insertion order, and with it every taint origin
+    and witness trace, is deterministic.  There is no per-pair cache:
+    walking a pair costs less than looking its edges up, so cached runs
+    reuse the whole-program ["phase3"] result ({!Driver.stage_phase3})
+    or rebuild every pair. *)

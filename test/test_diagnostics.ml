@@ -46,14 +46,19 @@ let test_engine_invariance name () =
   Alcotest.check slist "legacy = worklist" legacy worklist;
   Alcotest.(check bool) "non-empty" true (legacy <> [])
 
+(* [name] analyzed alongside the other systems on the multi-system
+   driver's domains must keep the fingerprints of a lone sequential run *)
 let test_parallelism_invariance name () =
-  let src = read_file (find_system name) in
-  let fps n =
-    sorted_fps
-      ~config:{ Config.default with engine = Config.Worklist; pair_domains = n }
-      src
+  let path = find_system name in
+  let par =
+    List.combine system_files
+      (Driver.analyze_files_par (List.map find_system system_files))
   in
-  Alcotest.check slist "sequential = parallel" (fps 1) (fps 0)
+  let a = List.assoc name par in
+  let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
+  Alcotest.check slist "sequential = parallel"
+    (sorted_fps (read_file path))
+    (List.sort compare (List.map fst (Fingerprint.of_report ctx a.Driver.report)))
 
 (* cache entries live under a generation subdirectory of the root *)
 let rec rm_rf dir =

@@ -153,7 +153,7 @@ let test_telemetry_invariance () =
   Alcotest.(check bool) "ledgers identical on/off (modulo timing)" true
     (List.map norm off.Driver.ledger = List.map norm on.Driver.ledger);
   Alcotest.(check bool) "ledger non-empty" true (off.Driver.ledger <> []);
-  (* histograms observed while on: pair blocks are always built *)
+  (* histograms observed while on: every pair is walked *)
   let hist_count name =
     match
       List.find_opt (fun (h : Telemetry.hist_view) -> h.Telemetry.hv_name = name) hists

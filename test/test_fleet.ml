@@ -291,7 +291,7 @@ let test_fleet_observability () =
         ("merged " ^ hits ^ "+" ^ misses ^ " = sum over workers")
         (worker_sum hits + worker_sum misses)
         (merged hits + merged misses))
-    [ "prepared"; "phase1"; "phase2"; "phase3"; "pair" ];
+    [ "prepared"; "phase1"; "phase2"; "phase3"; "absint" ];
   Alcotest.(check int) "merged cross_hits = sum over workers"
     (worker_sum "cache.cross_hits") (merged "cache.cross_hits");
   Alcotest.(check bool) "merged cross_hits above parent-only value" true

@@ -1,10 +1,10 @@
 (* End-to-end tests for the content-addressed incremental cache and the
-   parallel builders: reports must be structurally identical across
+   parallel driver: reports must be structurally identical across
    {no cache, cold, warm, one-function edit} × {legacy, worklist}; the
    on-disk tier must survive a round trip through a fresh process-level
-   cache object and silently recompute corrupt entries; the parallel
-   pair builder and Driver.analyze_files_par must agree with sequential
-   analysis in input order. *)
+   cache object, silently recompute corrupt entries, and survive losing
+   the race to create its directories; Driver.analyze_files_par must
+   agree with sequential analysis in input order. *)
 
 open Safeflow
 
@@ -122,19 +122,67 @@ let test_disk_corrupt () =
   check_report "corrupt entries are silently recomputed" baseline
     (report ~cache:(Cache.create ~dir ()) Config.default src)
 
-let test_parallel_pairs () =
+(* absint keys are location-free: a leading comment shifts every line,
+   so the whole-program tiers miss, yet every per-function summary must
+   still be found *)
+let test_absint_location_free () =
   List.iter
     (fun sys ->
       let src = read_file (find_system sys) in
-      let seq = report (config_of Config.Worklist) src in
-      let par_cfg =
-        { Config.default with engine = Config.Worklist; pair_domains = 0 }
-      in
-      check_report (sys ^ " parallel build") seq (report par_cfg src);
+      let shifted = "/* shifts every line */\n" ^ src in
       let c = Cache.create () in
-      check_report (sys ^ " parallel cold") seq (report ~cache:c par_cfg src);
-      check_report (sys ^ " parallel warm") seq (report ~cache:c par_cfg src))
+      ignore (report ~cache:c Config.default src);
+      Cache.reset_stats c;
+      check_report (sys ^ " shifted") (report Config.default shifted)
+        (report ~cache:c Config.default shifted);
+      let hits, misses =
+        Option.value ~default:(0, 0) (List.assoc_opt "absint" (Cache.stats c))
+      in
+      Alcotest.(check bool) (sys ^ " absint looked up") true (hits > 0);
+      Alcotest.(check int) (sys ^ " absint hits = lookups") (hits + misses) hits)
     systems
+
+(* Concurrent workers opening one missing cache directory race to
+   create it (and its generation subdirectory); every one must end up
+   with a disk tier, whoever won.  A root that exists but is not a
+   directory still degrades to memory-only. *)
+let test_disk_mkdir_race () =
+  let writes dir =
+    List.length
+      (List.filter (fun f -> Filename.basename f <> "GENERATION") (entry_files dir))
+  in
+  for round = 1 to 30 do
+    let dir = Printf.sprintf "tmp_cache_race_%d" round in
+    clear_dir dir;
+    (try Sys.rmdir dir with Sys_error _ -> ());
+    let open_and_store i () =
+      Cache.store (Cache.create ~dir ()) ~ns:"race" ~key:(string_of_int i) i
+    in
+    (* line the openers up so their mkdirs overlap *)
+    let ready = Atomic.make 0 in
+    let racer i () =
+      Atomic.incr ready;
+      while Atomic.get ready < 4 do Domain.cpu_relax () done;
+      open_and_store i ()
+    in
+    let ds = List.init 3 (fun i -> Domain.spawn (racer i)) in
+    racer 3 ();
+    List.iter Domain.join ds;
+    Alcotest.(check int) (Printf.sprintf "round %d: every opener stored to disk" round) 4
+      (writes dir);
+    (* both directories now exist: reopening takes the lost-race path *)
+    open_and_store 4 ();
+    Alcotest.(check int) "reopened cache stores to disk" 5 (writes dir);
+    clear_dir dir;
+    Sys.rmdir dir
+  done;
+  let file = "tmp_cache_race_file" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "not a directory");
+  let c = Cache.create ~dir:file () in
+  Cache.store c ~ns:"race" ~key:"k" 1;
+  Alcotest.(check (option int)) "file root: memory-only cache still works" (Some 1)
+    (Cache.find c ~ns:"race" ~key:"k");
+  Sys.remove file
 
 let test_par_driver_deterministic () =
   let paths = List.map find_system systems in
@@ -155,13 +203,15 @@ let () =
         [ Alcotest.test_case "cold and warm reports identical" `Quick
             test_warm_identity;
           Alcotest.test_case "one-function edit reports identical" `Quick
-            test_dirty_identity ] );
+            test_dirty_identity;
+          Alcotest.test_case "absint keys ignore source locations" `Quick
+            test_absint_location_free ] );
       ( "disk",
         [ Alcotest.test_case "round trip through a fresh cache" `Quick
             test_disk_roundtrip;
-          Alcotest.test_case "corrupt entries recomputed" `Quick test_disk_corrupt ] );
+          Alcotest.test_case "corrupt entries recomputed" `Quick test_disk_corrupt;
+          Alcotest.test_case "racing openers all get a disk tier" `Quick
+            test_disk_mkdir_race ] );
       ( "parallel",
-        [ Alcotest.test_case "parallel pair build identical" `Quick
-            test_parallel_pairs;
-          Alcotest.test_case "analyze_files_par deterministic" `Quick
+        [ Alcotest.test_case "analyze_files_par deterministic" `Quick
             test_par_driver_deterministic ] ) ]

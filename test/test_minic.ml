@@ -60,6 +60,17 @@ let test_lex_error_position () =
     Alcotest.(check int) "col" 3 loc.Loc.col
   | _ -> Alcotest.fail "expected lex error"
 
+let test_lex_literal_range () =
+  List.iter
+    (fun (src, col) ->
+      match Lexer.tokenize ~file:"<t>" src with
+      | exception Loc.Error (loc, msg) ->
+        Alcotest.(check int) (src ^ ": column") col loc.Loc.col;
+        Alcotest.(check bool) (src ^ ": names the literal") true
+          (Astring.String.is_infix ~affix:"numeric literal" msg)
+      | _ -> Alcotest.fail ("expected a literal error: " ^ src))
+    [ ("int a[99999999999999999999];", 7); ("double d = 1e;", 12) ]
+
 (* -- Annotation payloads ------------------------------------------------ *)
 
 let test_annot_core () =
@@ -271,6 +282,19 @@ let test_tc_void_assign () =
   | exception Loc.Error (_, _) -> ()
   | _ -> Alcotest.fail "expected void assign error"
 
+let test_tc_recursive_struct () =
+  List.iter
+    (fun src ->
+      match check_prog src with
+      | exception Loc.Error (_, msg) ->
+        Alcotest.(check bool) "mentions self-containment" true
+          (Astring.String.is_infix ~affix:"contains itself" msg)
+      | _ -> Alcotest.fail ("expected a recursive-layout error: " ^ src))
+    [ "struct s { int a; struct s x; }; long f() { return sizeof(struct s); }";
+      "struct s { int a; struct t y[2]; }; struct t { struct s z; }; int f() { return 0; }" ];
+  (* a pointer breaks the cycle: the layout is finite *)
+  ignore (check_prog "struct s { int a; struct s *next; }; long f() { return sizeof(struct s); }")
+
 let test_tc_shadowing_renamed () =
   let p =
     check_prog
@@ -425,7 +449,8 @@ let () =
           Alcotest.test_case "annotation token" `Quick test_lex_annotation;
           Alcotest.test_case "string escapes" `Quick test_lex_string_escape;
           Alcotest.test_case "preprocessor skipped" `Quick test_lex_preprocessor_skipped;
-          Alcotest.test_case "error position" `Quick test_lex_error_position ] );
+          Alcotest.test_case "error position" `Quick test_lex_error_position;
+          Alcotest.test_case "literal out of range" `Quick test_lex_literal_range ] );
       ( "annotations",
         [ Alcotest.test_case "assume core" `Quick test_annot_core;
           Alcotest.test_case "multi clause" `Quick test_annot_multi;
@@ -460,6 +485,7 @@ let () =
           Alcotest.test_case "bad call arity" `Quick test_tc_bad_call_arity;
           Alcotest.test_case "undeclared function" `Quick test_tc_undeclared_function;
           Alcotest.test_case "void assign" `Quick test_tc_void_assign;
+          Alcotest.test_case "recursive struct" `Quick test_tc_recursive_struct;
           Alcotest.test_case "shadowing renamed" `Quick test_tc_shadowing_renamed;
           Alcotest.test_case "sizeof folded" `Quick test_tc_sizeof_folded;
           Alcotest.test_case "array decay" `Quick test_tc_array_decay;
