@@ -6,7 +6,6 @@
      table1    - regenerate the paper's Table 1 (paper vs measured)
      phases    - per-phase analysis timing on the three systems (B1)
      scale     - analysis time vs synthetic core-component size (B2)
-     engines   - legacy dense engine vs sparse worklist engine (B1 + B2)
      fleet     - sharded multi-system analysis over a shared cache
                  (analyses/sec cold vs warm, cross-system dedupe)
      ablation  - field/context/control-dependence toggles (B3)
@@ -19,12 +18,10 @@
      --json FILE    also write the subcommand's results as JSON
      --iters N      samples per measurement (median is reported; default 5)
      --system NAME  restrict table rows to the named system (e.g. IP)
-     --synth SIZES  engines: run only the synthetic grid at these
-                    comma-separated worker counts (CI perf smoke);
-                    fleet: member counts of the synthetic fleets
-     --seed N       seed for synthetic program generation (engines,
-                    fleet); same seed => byte-identical sources on
-                    every host
+     --synth SIZES  fleet: comma-separated member counts of the
+                    synthetic fleets
+     --seed N       seed for synthetic program generation (fleet); same
+                    seed => byte-identical sources on every host
      --jobs N       fleet: worker processes per fleet run (default 2) *)
 
 let find path =
@@ -76,9 +73,8 @@ type opts = {
   json : string option;
   iters : int;
   system : string option;
-  synth : int list option;  (* engines: restrict B2 to these sizes, skip B1;
-                               fleet: member counts *)
-  seed : int;  (* synthetic-generation seed (engines, fleet) *)
+  synth : int list option;  (* fleet: member counts *)
+  seed : int;  (* synthetic-generation seed (fleet) *)
   jobs : int option;  (* fleet: worker processes *)
   threshold : float option;  (* diff: regression threshold, percent *)
   rest : string list;  (* positionals after the command (diff: OLD NEW) *)
@@ -162,16 +158,15 @@ let jstats prefix (st : stats) =
     (prefix ^ "_stddev_ms", Jfloat st.st_stddev) ]
 
 (* Self-describing records: the semantic-config fingerprint
-   (Digest_ir.semantic_config — engine-independent by construction) ties
+   (Digest_ir.semantic_config) ties
    each record to the exact analysis semantics that produced it, so two
    BENCH files can be compared without guessing at flag drift. *)
 let config_fingerprint (c : Safeflow.Config.t) = Safeflow.Digest_ir.semantic_config c
 
-let jmeta ~benchmark ~engines =
+let jmeta ~benchmark =
   ( "meta",
     Jobj
       [ ("benchmark", Jstr benchmark);
-        ("engines", Jarr (List.map (fun e -> Jstr e) engines));
         ("tool_version", Jstr Safeflow.Version.tool);
         ("ocaml_version", Jstr Sys.ocaml_version);
         ("word_size", Jint Sys.word_size);
@@ -184,37 +179,6 @@ let jmeta ~benchmark ~engines =
         ("sarif_version", Jstr Safeflow.Sarif.sarif_version);
         ("findings_format", Jstr Safeflow.Diffreport.format_version);
         ("fingerprint_version", Jstr Safeflow.Fingerprint.version) ] )
-
-(* Counter snapshot from one dedicated instrumented run of [f] — never
-   from the timed samples, which run with telemetry off so the recorded
-   times stay comparable with older BENCH files.  Latency histograms ride
-   along under "histograms": count plus bucket-ceiling p50/p90/p99 in µs
-   for every populated histogram (omega.query, absint.summary, ...). *)
-let jtelemetry f =
-  Safeflow.Telemetry.set_enabled true;
-  Safeflow.Telemetry.reset ();
-  ignore (f ());
-  let counters = Safeflow.Telemetry.counters () in
-  let hists = Safeflow.Telemetry.histograms () in
-  Safeflow.Telemetry.set_enabled false;
-  let us ns = float_of_int ns /. 1000.0 in
-  let jhist (h : Safeflow.Telemetry.hist_view) =
-    ( h.Safeflow.Telemetry.hv_name,
-      Jobj
-        [ ("count", Jint h.Safeflow.Telemetry.hv_count);
-          ("total_ms", Jfloat (float_of_int h.Safeflow.Telemetry.hv_sum_ns /. 1e6));
-          ("p50_us", Jfloat (us h.Safeflow.Telemetry.hv_p50_ns));
-          ("p90_us", Jfloat (us h.Safeflow.Telemetry.hv_p90_ns));
-          ("p99_us", Jfloat (us h.Safeflow.Telemetry.hv_p99_ns)) ] )
-  in
-  let populated =
-    List.filter (fun (h : Safeflow.Telemetry.hist_view) -> h.Safeflow.Telemetry.hv_count > 0)
-      hists
-  in
-  ( "telemetry",
-    Jobj
-      (List.map (fun (k, v) -> (k, Jint v)) counters
-      @ [ ("histograms", Jobj (List.map jhist populated)) ]) )
 
 (* -- parallel map over independent work items (one domain per core) ---------- *)
 
@@ -347,7 +311,6 @@ let table1 (o : opts) =
           (Fmt.str "%d/%d" row.p_fps (List.length (Safeflow.Report.control_deps r)));
         Jobj
           [ ("system", Jstr row.p_name);
-            ("engine", Jstr (Safeflow.Config.engine_name Safeflow.Config.default.Safeflow.Config.engine));
             ("config_fingerprint", Jstr (config_fingerprint Safeflow.Config.default));
             ("loc_core", Jint core_loc);
             ("annotations", Jint r.Safeflow.Report.annotation_lines);
@@ -406,7 +369,6 @@ let phases (o : opts) =
         total.st_median total.st_min total.st_mean,
       Jobj
         (("system", Jstr row.p_name)
-        :: ("engine", Jstr (Safeflow.Config.engine_name Safeflow.Config.default.Safeflow.Config.engine))
         :: ("config_fingerprint", Jstr (config_fingerprint Safeflow.Config.default))
         :: (jstats "frontend" f @ jstats "shm_phase1" p1 @ jstats "phase2" p2
            @ jstats "pointsto" pts @ jstats "phase3" p3 @ jstats "total" total)) )
@@ -423,8 +385,7 @@ let scale_sizes = [ 4; 8; 16; 32; 64; 96; 128; 192; 256; 384 ]
 
 let scale (o : opts) =
   Fmt.pr "@.== B2: analysis time vs synthetic core size ==@.@.";
-  Fmt.pr "%8s %8s %10s %10s %10s %10s@." "workers" "LOC" "time(ms)" "warnings"
-    "contexts" "passes";
+  Fmt.pr "%8s %8s %10s %10s %10s@." "workers" "LOC" "time(ms)" "warnings" "contexts";
   let cells =
     List.map
       (fun n ->
@@ -432,13 +393,11 @@ let scale (o : opts) =
         let loc = Safeflow.Driver.count_loc src in
         let a, t = time_ms (fun () -> Safeflow.Driver.analyze src) in
         let r = a.Safeflow.Driver.report in
-        Fmt.pr "%8d %8d %10.2f %10d %10d %10d@." n loc t
+        Fmt.pr "%8d %8d %10.2f %10d %10d@." n loc t
           (List.length r.Safeflow.Report.warnings)
-          (List.assoc "phase3_contexts" r.Safeflow.Report.stats)
-          (List.assoc "phase3_passes" r.Safeflow.Report.stats);
+          (List.assoc "phase3_contexts" r.Safeflow.Report.stats);
         Jobj
           [ ("workers", Jint n);
-            ("engine", Jstr (Safeflow.Config.engine_name Safeflow.Config.default.Safeflow.Config.engine));
             ("config_fingerprint", Jstr (config_fingerprint Safeflow.Config.default));
             ("loc", Jint loc);
             ("time_ms", Jfloat t);
@@ -447,125 +406,6 @@ let scale (o : opts) =
       scale_sizes
   in
   write_json o (Jobj [ ("scale", Jarr cells) ])
-
-(* ==================================================== engines ============ *)
-
-(* Legacy dense fixpoint vs sparse worklist engine: same systems (B1) and
-   synthetic programs (B2), asserting report equivalence and recording the
-   speedup.  This is the experiment behind BENCH_phase3.json. *)
-let engines (o : opts) =
-  let iters = max 1 o.iters in
-  let legacy_cfg = { Safeflow.Config.default with engine = Safeflow.Config.Legacy } in
-  let worklist_cfg = { Safeflow.Config.default with engine = Safeflow.Config.Worklist } in
-  let counts (r : Safeflow.Report.t) =
-    ( List.length (Safeflow.Report.errors r),
-      List.length r.Safeflow.Report.warnings,
-      List.length (Safeflow.Report.control_deps r) )
-  in
-  (* median phase-3 stage time under each engine, from shared prepared state *)
-  let measure_stage (p : Safeflow.Driver.prepared) =
-    let shm = Safeflow.Driver.stage_shm p in
-    let p1 = Safeflow.Driver.stage_phase1 p shm in
-    let pts = Safeflow.Driver.stage_pointsto p in
-    let sample config =
-      (* warmup: populate allocator/caches and fault code pages so the
-         first timed iteration is not an outlier *)
-      for _ = 1 to 2 do
-        ignore (Safeflow.Driver.stage_phase3 ~config p shm p1 pts)
-      done;
-      stats_of
-        (List.init iters (fun _ ->
-             snd (timed (fun () -> Safeflow.Driver.stage_phase3 ~config p shm p1 pts))))
-    in
-    let t_legacy = sample legacy_cfg in
-    let t_worklist = sample worklist_cfg in
-    let r3 = Safeflow.Driver.stage_phase3 ~config:worklist_cfg p shm p1 pts in
-    (t_legacy, t_worklist, r3.Safeflow.Phase3.engine_stats)
-  in
-  let cell (st : stats) = Fmt.str "%.2f/%.2f/%.2f" st.st_median st.st_min st.st_mean in
-  Fmt.pr "@.== Engines: legacy dense fixpoint vs sparse worklist (med/min/mean of %d) ==@.@."
-    iters;
-  Fmt.pr "%-18s %22s %22s %9s %12s %7s@." "input" "legacy(ms)" "worklist(ms)"
-    "speedup" "err/warn/fp" "agree";
-  let b1 =
-    if o.synth <> None then []
-    else
-      List.map
-      (fun row ->
-        let path = find ("systems/" ^ row.p_core_file) in
-        let src = read_file path in
-        let rl = (Safeflow.Driver.analyze ~config:legacy_cfg ~file:path src).report in
-        let rw = (Safeflow.Driver.analyze ~config:worklist_cfg ~file:path src).report in
-        let el, wl, fl = counts rl and ew, ww, fw = counts rw in
-        let agree = el = ew && wl = ww && fl = fw in
-        if not agree then
-          Fmt.failwith "engine mismatch on %s: legacy %d/%d/%d vs worklist %d/%d/%d"
-            row.p_name el wl fl ew ww fw;
-        let t_legacy, t_worklist, _ =
-          measure_stage (Safeflow.Driver.prepare_source ~file:path src)
-        in
-        let speedup = t_legacy.st_median /. Float.max 0.001 t_worklist.st_median in
-        Fmt.pr "%-18s %22s %22s %8.2fx %12s %7b@." row.p_name (cell t_legacy)
-          (cell t_worklist) speedup
-          (Fmt.str "%d/%d/%d" el wl fl) agree;
-        Jobj
-          (("system", Jstr row.p_name)
-          :: ("config_fingerprint", Jstr (config_fingerprint legacy_cfg))
-          :: ("engines", Jarr [ Jstr "legacy"; Jstr "worklist" ])
-          :: jstats "legacy" t_legacy
-          @ jstats "worklist" t_worklist
-          @ [ ("speedup", Jfloat speedup);
-              ("errors", Jint el);
-              ("warnings", Jint wl);
-              ("false_positives", Jint fl);
-              ("identical_reports", Jbool agree);
-              jtelemetry (fun () ->
-                  Safeflow.Driver.analyze ~config:worklist_cfg ~file:path src) ]))
-      (selected_rows o)
-  in
-  let b2_sizes =
-    match o.synth with Some sizes -> sizes | None -> [ 32; 64; 128; 192; 256; 384 ]
-  in
-  Fmt.pr "@.%8s %22s %22s %9s %10s %10s@." "workers" "legacy(ms)" "worklist(ms)"
-    "speedup" "passes" "vf_edges";
-  let b2 =
-    List.map
-      (fun n ->
-        let src = Safeflow.Synth.of_size ~seed:o.seed n in
-        let rl = (Safeflow.Driver.analyze ~config:legacy_cfg src).report in
-        let rw = (Safeflow.Driver.analyze ~config:worklist_cfg src).report in
-        let el, wl, fl = counts rl and ew, ww, fw = counts rw in
-        if not (el = ew && wl = ww && fl = fw) then
-          Fmt.failwith "engine mismatch on synth %d: legacy %d/%d/%d vs worklist %d/%d/%d"
-            n el wl fl ew ww fw;
-        let passes = List.assoc "phase3_passes" rl.Safeflow.Report.stats in
-        let p = Safeflow.Driver.prepare_source src in
-        let t_legacy, t_worklist, stats = measure_stage p in
-        let vf_edges = try List.assoc "vf_edges" stats with Not_found -> 0 in
-        let speedup = t_legacy.st_median /. Float.max 0.001 t_worklist.st_median in
-        Fmt.pr "%8d %22s %22s %8.2fx %10d %10d@." n (cell t_legacy) (cell t_worklist)
-          speedup passes vf_edges;
-        Jobj
-          (("workers", Jint n)
-          :: ("config_fingerprint", Jstr (config_fingerprint legacy_cfg))
-          :: ("engines", Jarr [ Jstr "legacy"; Jstr "worklist" ])
-          :: jstats "legacy" t_legacy
-          @ jstats "worklist" t_worklist
-          @ [ ("legacy_passes", Jint passes);
-              ("vf_edges", Jint vf_edges);
-              ("speedup", Jfloat speedup);
-              ("identical_reports", Jbool true) ]))
-      b2_sizes
-  in
-  Fmt.pr "@.(reports are asserted identical under both engines on every input)@.";
-  write_json o
-    (Jobj
-       [ ("benchmark", Jstr "phase3 engines: legacy dense fixpoint vs sparse worklist");
-         jmeta ~benchmark:"engines" ~engines:[ "legacy"; "worklist" ];
-         ("iters", Jint iters);
-         ("seed", Jint o.seed);
-         ("b1_systems", Jarr b1);
-         ("b2_synthetic", Jarr b2) ])
 
 (* ==================================================== fleet ============== *)
 
@@ -719,7 +559,7 @@ let fleet_bench (o : opts) =
     (Jobj
        [ ("benchmark",
           Jstr "fleet: sharded multi-system analysis over a shared content-addressed cache");
-         jmeta ~benchmark:"fleet" ~engines:[ "worklist" ];
+         jmeta ~benchmark:"fleet";
          ("seed", Jint seed);
          ("fleet", Jarr rows);
          ("jobs_sweep", Jarr sweep) ])
@@ -939,13 +779,13 @@ int main()
 }
 |}
 
-(* Value-range discharge experiment (BENCH_ranges.json): per system and
-   engine, the A1/A2 bounds obligations broken down by discharge method
-   (range analysis alone vs Omega), the Omega queries avoided, and
-   phase-2 wall time with the range analysis on and off — plus the
-   report-level guarantee that the on-findings are a fingerprint-subset
-   of the off-findings.  The clamp synthetic demonstrates the phase-3
-   control-dependence pruning under both engines. *)
+(* Value-range discharge experiment (BENCH_ranges.json): per system,
+   the A1/A2 bounds obligations broken down by discharge method (range
+   analysis alone vs Omega), the Omega queries avoided, and phase-2 wall
+   time with the range analysis on and off — plus the report-level
+   guarantee that the on-findings are a fingerprint-subset of the
+   off-findings.  The clamp synthetic demonstrates the phase-3
+   control-dependence pruning. *)
 let ranges_bench (o : opts) =
   Fmt.pr "@.== value-range discharge: A1/A2 obligations and phase-2 time ==@.@.";
   let sys_files =
@@ -959,97 +799,77 @@ let ranges_bench (o : opts) =
     List.sort_uniq compare
       (List.map fst (Safeflow.Fingerprint.of_report ctx a.Safeflow.Driver.report))
   in
-  Fmt.pr "%-20s %-8s %-6s %6s %7s %6s %7s %8s %11s %7s@." "system" "engine"
-    "absint" "oblig" "ranges" "omega" "failed" "avoided" "phase2 ms" "subset";
+  Fmt.pr "%-20s %-6s %6s %7s %6s %7s %8s %11s %7s@." "system" "absint" "oblig" "ranges"
+    "omega" "failed" "avoided" "phase2 ms" "subset";
   let records =
     List.concat_map
       (fun file ->
         let path = find ("systems/" ^ file) in
         let src = read_file path in
-        List.concat_map
-          (fun engine ->
-            let analyze absint =
-              let config = { Safeflow.Config.default with engine; absint } in
-              Safeflow.Driver.analyze ~config ~file:path src
+        let analyze absint =
+          let config = { Safeflow.Config.default with absint } in
+          Safeflow.Driver.analyze ~config ~file:path src
+        in
+        let a_on = analyze true and a_off = analyze false in
+        let fps_on = fingerprints a_on and fps_off = fingerprints a_off in
+        let is_subset = List.for_all (fun fp -> List.mem fp fps_off) fps_on in
+        List.map
+          (fun absint ->
+            let config = { Safeflow.Config.default with absint } in
+            let a = if absint then a_on else a_off in
+            let p = a.Safeflow.Driver.prepared in
+            let shm = Safeflow.Driver.stage_shm p in
+            let p1 = Safeflow.Driver.stage_phase1 ~config p shm in
+            let ai = Safeflow.Driver.stage_absint ~config p in
+            let samples =
+              List.init o.iters (fun _ ->
+                  snd (timed (fun () -> Safeflow.Driver.stage_phase2 ~config ?absint:ai p p1)))
             in
-            let a_on = analyze true and a_off = analyze false in
-            let fps_on = fingerprints a_on and fps_off = fingerprints a_off in
-            let is_subset =
-              List.for_all (fun fp -> List.mem fp fps_off) fps_on
+            let b = a.Safeflow.Driver.coverage.Safeflow.Coverage.cov_bounds in
+            let ctrl_deps =
+              List.length (Safeflow.Report.control_deps a.Safeflow.Driver.report)
             in
-            List.map
-              (fun absint ->
-                let config = { Safeflow.Config.default with engine; absint } in
-                let a = if absint then a_on else a_off in
-                let p = a.Safeflow.Driver.prepared in
-                let shm = Safeflow.Driver.stage_shm p in
-                let p1 = Safeflow.Driver.stage_phase1 ~config p shm in
-                let ai = Safeflow.Driver.stage_absint ~config p in
-                let samples =
-                  List.init o.iters (fun _ ->
-                      snd
-                        (timed (fun () ->
-                             Safeflow.Driver.stage_phase2 ~config ?absint:ai p p1)))
-                in
-                let b =
-                  a.Safeflow.Driver.coverage.Safeflow.Coverage.cov_bounds
-                in
-                let ctrl_deps =
-                  List.length (Safeflow.Report.control_deps a.Safeflow.Driver.report)
-                in
-                let st = stats_of samples in
-                Fmt.pr "%-20s %-8s %-6s %6d %7d %6d %7d %8d %11.2f %7b@." file
-                  (Safeflow.Config.engine_name engine)
-                  (if absint then "on" else "off")
-                  b.Safeflow.Phase2.bs_total b.Safeflow.Phase2.bs_ranges
-                  b.Safeflow.Phase2.bs_omega b.Safeflow.Phase2.bs_failed
-                  b.Safeflow.Phase2.bs_omega_avoided st.st_median is_subset;
-                Jobj
-                  ([ ("system", Jstr file);
-                     ("engine", Jstr (Safeflow.Config.engine_name engine));
-                     ("absint", Jbool absint);
-                     ("config_fingerprint", Jstr (config_fingerprint config));
-                     ("a1a2_obligations", Jint b.Safeflow.Phase2.bs_total);
-                     ("a1a2_by_ranges", Jint b.Safeflow.Phase2.bs_ranges);
-                     ("a1a2_by_omega", Jint b.Safeflow.Phase2.bs_omega);
-                     ("a1a2_failed", Jint b.Safeflow.Phase2.bs_failed);
-                     ("omega_queries_avoided",
-                      Jint b.Safeflow.Phase2.bs_omega_avoided);
-                     ("control_only_deps", Jint ctrl_deps);
-                     ("findings", Jint (List.length fps_on));
-                     ("findings_on_subset_of_off", Jbool is_subset) ]
-                  @ jstats "phase2" st))
-              [ true; false ])
-          [ Safeflow.Config.Legacy; Safeflow.Config.Worklist ])
+            let st = stats_of samples in
+            Fmt.pr "%-20s %-6s %6d %7d %6d %7d %8d %11.2f %7b@." file
+              (if absint then "on" else "off")
+              b.Safeflow.Phase2.bs_total b.Safeflow.Phase2.bs_ranges
+              b.Safeflow.Phase2.bs_omega b.Safeflow.Phase2.bs_failed
+              b.Safeflow.Phase2.bs_omega_avoided st.st_median is_subset;
+            Jobj
+              ([ ("system", Jstr file);
+                 ("absint", Jbool absint);
+                 ("config_fingerprint", Jstr (config_fingerprint config));
+                 ("a1a2_obligations", Jint b.Safeflow.Phase2.bs_total);
+                 ("a1a2_by_ranges", Jint b.Safeflow.Phase2.bs_ranges);
+                 ("a1a2_by_omega", Jint b.Safeflow.Phase2.bs_omega);
+                 ("a1a2_failed", Jint b.Safeflow.Phase2.bs_failed);
+                 ("omega_queries_avoided", Jint b.Safeflow.Phase2.bs_omega_avoided);
+                 ("control_only_deps", Jint ctrl_deps);
+                 ("findings", Jint (List.length fps_on));
+                 ("findings_on_subset_of_off", Jbool is_subset) ]
+              @ jstats "phase2" st))
+          [ true; false ])
       sys_files
   in
   Fmt.pr "@.-- clamp synthetic: control-dependence pruning --@.";
-  let demo =
-    List.map
-      (fun engine ->
-        let deps absint =
-          let config = { Safeflow.Config.default with engine; absint } in
-          List.length
-            (Safeflow.Report.control_deps
-               (Safeflow.Driver.analyze ~config ~file:"clamp_demo.c"
-                  clamp_demo_src)
-                 .Safeflow.Driver.report)
-        in
-        let off_deps = deps false and on_deps = deps true in
-        Fmt.pr "clamp demo (%s): C-CONTROL-DEP %d -> %d with ranges@."
-          (Safeflow.Config.engine_name engine)
-          off_deps on_deps;
-        Jobj
-          [ ("engine", Jstr (Safeflow.Config.engine_name engine));
-            ("control_only_deps_off", Jint off_deps);
-            ("control_only_deps_on", Jint on_deps) ])
-      [ Safeflow.Config.Legacy; Safeflow.Config.Worklist ]
+  let deps absint =
+    let config = { Safeflow.Config.default with absint } in
+    List.length
+      (Safeflow.Report.control_deps
+         (Safeflow.Driver.analyze ~config ~file:"clamp_demo.c" clamp_demo_src)
+           .Safeflow.Driver.report)
   in
+  let off_deps = deps false and on_deps = deps true in
+  Fmt.pr "clamp demo: C-CONTROL-DEP %d -> %d with ranges@." off_deps on_deps;
   write_json o
     (Jobj
-       [ jmeta ~benchmark:"ranges" ~engines:[ "legacy"; "worklist" ];
+       [ jmeta ~benchmark:"ranges";
          ("systems", Jarr records);
-         ("clamp_demo", Jarr demo) ])
+         ( "clamp_demo",
+           Jarr
+             [ Jobj
+                 [ ("control_only_deps_off", Jint off_deps);
+                   ("control_only_deps_on", Jint on_deps) ] ] ) ])
 
 (* ==================================================== micro ============== *)
 
@@ -1136,7 +956,7 @@ let () =
   let which, opts = parse_args () in
   if which = "diff" then diff_cmd opts;
   let all = [ ("table1", table1); ("phases", phases); ("scale", scale);
-              ("engines", engines); ("fleet", fleet_bench);
+              ("fleet", fleet_bench);
               ("ablation", ablation); ("summary", summary); ("sim", sim);
               ("ranges", ranges_bench); ("micro", micro) ] in
   match List.assoc_opt which all with

@@ -4,13 +4,12 @@
      safeflow analyze file.c [file2.c ...]
                              [--no-control-deps] [--ctx-insensitive]
                              [--field-insensitive] [--vfg out.dot]
-                             [--engine worklist|legacy]   (default: worklist)
                              [--stats] [--trace out.json] [--stats-json out.json]
                              [--sarif out.sarif] [--save-findings out.findings]
                              [--baseline FILE] [--fail-on never|error|warning]
      safeflow fleet DIR | --manifest FILE
                              [--jobs N] [--shard-domains N] [--cache DIR]
-                             [--engine ...] [--absint on|off] [--print-reports]
+                             [--absint on|off] [--print-reports]
                              [--save-findings OUT] [--baseline FILE] [--fail-on ...]
      safeflow diff OLD NEW       (findings files or MiniC sources)
      safeflow explain file.c
@@ -30,8 +29,8 @@ open Cmdliner
 
 let tool_version = Safeflow.Version.tool
 
-let config_of ~control_deps ~context_sensitive ~field_sensitive ~engine =
-  { Safeflow.Config.default with control_deps; context_sensitive; field_sensitive; engine }
+let config_of ~control_deps ~context_sensitive ~field_sensitive =
+  { Safeflow.Config.default with control_deps; context_sensitive; field_sensitive }
 
 (* Shared telemetry plumbing: any observability output requested turns
    the subsystem on for the run and writes the artifacts afterwards.
@@ -56,9 +55,6 @@ let telemetry_finish (stats, trace, stats_json) =
   Option.iter Safeflow.Telemetry.write_chrome_trace trace;
   Option.iter Safeflow.Telemetry.write_stats_json stats_json;
   if stats then Fmt.epr "%a@." Safeflow.Telemetry.pp_stats ()
-
-let engine_conv =
-  Arg.enum [ ("legacy", Safeflow.Config.Legacy); ("worklist", Safeflow.Config.Worklist) ]
 
 let absint_conv = Arg.enum [ ("on", true); ("off", false) ]
 
@@ -106,13 +102,6 @@ let analyze_cmd =
   let field_insensitive = Arg.(value & flag & info [ "field-insensitive" ] ~doc:"ignore byte offsets in regions (ablation)") in
   let vfg = Arg.(value & opt (some string) None & info [ "vfg" ] ~docv:"OUT.dot" ~doc:"write the value-flow graph as DOT (single file only)") in
   let use_summary = Arg.(value & flag & info [ "summary" ] ~doc:"use the ESP-style summary engine (single bottom-up pass; data dependencies only)") in
-  let engine =
-    Arg.(
-      value
-      & opt engine_conv Safeflow.Config.default.Safeflow.Config.engine
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"phase-3 engine: $(b,worklist) (sparse CSR value-flow graph with packed bitset taint state; the default) or $(b,legacy) (dense fixpoint, kept as an equivalence oracle); reports are byte-identical under both")
-  in
   let cache_dir =
     Arg.(
       value
@@ -174,8 +163,7 @@ let analyze_cmd =
              a $(docv)/<basename> sub-bundle.  Validate with $(b,safeflow check-cert); \
              reports are byte-identical with and without this option")
   in
-  let run files no_control ctx_insensitive field_insensitive vfg use_summary engine
-      absint cache_dir verbose sarif save_findings baseline emit_certs
+  let run files no_control ctx_insensitive field_insensitive vfg use_summary absint cache_dir verbose sarif save_findings baseline emit_certs
       fail_on tele =
     try
       telemetry_setup tele;
@@ -183,8 +171,7 @@ let analyze_cmd =
         {
           (config_of ~control_deps:(not no_control)
              ~context_sensitive:(not ctx_insensitive)
-             ~field_sensitive:(not field_insensitive)
-             ~engine)
+             ~field_sensitive:(not field_insensitive))
           with
           Safeflow.Config.verbose = verbose;
           absint;
@@ -193,8 +180,8 @@ let analyze_cmd =
       let cache =
         Option.map (fun dir -> Safeflow.Cache.create ~dir ~verbose ()) cache_dir
       in
-      (* one row per input: report + fingerprint context (+ coverage for
-         the exact engines; the summary engine has no pair universe or
+      (* one row per input: report + fingerprint context (+ coverage,
+         except under the summary engine, which has no pair universe or
          obligation ledger) *)
       if use_summary && emit_certs <> None then begin
         Fmt.epr "--emit-certs is not supported with --summary@.";
@@ -319,7 +306,7 @@ let analyze_cmd =
           error-level findings, 2 on warning-level findings only (see $(b,--fail-on)), \
           3 on frontend failure.")
     Term.(const run $ files $ no_control $ ctx_insensitive $ field_insensitive $ vfg
-          $ use_summary $ engine $ absint_arg $ cache_dir $ verbose $ sarif
+          $ use_summary $ absint_arg $ cache_dir $ verbose $ sarif
           $ save_findings $ baseline $ emit_certs $ fail_on_arg $ telemetry_flags)
 
 let explain_cmd =
@@ -329,13 +316,6 @@ let explain_cmd =
   let no_control = Arg.(value & flag & info [ "no-control-deps" ] ~doc:"disable control-dependence reporting") in
   let ctx_insensitive = Arg.(value & flag & info [ "ctx-insensitive" ] ~doc:"merge monitoring contexts (ablation)") in
   let field_insensitive = Arg.(value & flag & info [ "field-insensitive" ] ~doc:"ignore byte offsets in regions (ablation)") in
-  let engine =
-    Arg.(
-      value
-      & opt engine_conv Safeflow.Config.default.Safeflow.Config.engine
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"phase-3 engine: $(b,worklist) (default) or $(b,legacy); witnesses are identical under both")
-  in
   let cache_dir =
     Arg.(
       value
@@ -351,15 +331,13 @@ let explain_cmd =
              every finding with its stable fingerprint id, dependencies carrying their \
              full witness path in the certificate step encoding (hash-chained links)")
   in
-  let run file no_control ctx_insensitive field_insensitive engine absint cache_dir json
-      =
+  let run file no_control ctx_insensitive field_insensitive absint cache_dir json =
     try
       let config =
         {
           (config_of ~control_deps:(not no_control)
              ~context_sensitive:(not ctx_insensitive)
-             ~field_sensitive:(not field_insensitive)
-             ~engine)
+             ~field_sensitive:(not field_insensitive))
           with
           Safeflow.Config.absint = absint;
         }
@@ -381,7 +359,7 @@ let explain_cmd =
           their monitoring context, then each dependency's step-by-step path from \
           non-core source to critical sink.  Exits 0 regardless of findings (a review \
           aid, not a gate).")
-    Term.(const run $ file $ no_control $ ctx_insensitive $ field_insensitive $ engine
+    Term.(const run $ file $ no_control $ ctx_insensitive $ field_insensitive
           $ absint_arg $ cache_dir $ json_flag)
 
 (* -- check-cert: independently validate a certificate bundle ------------------- *)
@@ -515,13 +493,6 @@ let audit_cmd =
       & info [ "failed-only" ]
           ~doc:"show only obligations that produced a violation (with their witness)")
   in
-  let engine =
-    Arg.(
-      value
-      & opt engine_conv Safeflow.Config.default.Safeflow.Config.engine
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"phase-3 engine (the ledger is a phase-2 artifact and identical under both)")
-  in
   let cache_dir =
     Arg.(
       value
@@ -550,9 +521,9 @@ let audit_cmd =
     if e.Safeflow.Ledger.l_ns > 0 then
       Fmt.pf ppf " %.3fms" (float_of_int e.Safeflow.Ledger.l_ns /. 1e6)
   in
-  let run file audit_json failed_only engine absint cache_dir =
+  let run file audit_json failed_only absint cache_dir =
     try
-      let config = { Safeflow.Config.default with engine; absint } in
+      let config = { Safeflow.Config.default with absint } in
       let cache = Option.map (fun dir -> Safeflow.Cache.create ~dir ()) cache_dir in
       let a = Safeflow.Driver.analyze_file ~config ?cache file in
       let ledger = Safeflow.Ledger.sort a.Safeflow.Driver.ledger in
@@ -645,7 +616,7 @@ let audit_cmd =
           constraint counts) and the time spent.  The ledger totals are verified \
           against the phase-2 discharge summary; a mismatch exits 1.  Exits 0 \
           otherwise regardless of findings (a review aid, not a gate).")
-    Term.(const run $ file $ audit_json $ failed_only $ engine $ absint_arg $ cache_dir)
+    Term.(const run $ file $ audit_json $ failed_only $ absint_arg $ cache_dir)
 
 (* -- hotspots: rank functions/regions by ledger cost ----------------------------- *)
 
@@ -677,13 +648,6 @@ let hotspots_cmd =
       & opt (some string) None
       & info [ "cache" ] ~docv:"DIR" ~doc:"shared content-addressed cache directory")
   in
-  let engine =
-    Arg.(
-      value
-      & opt engine_conv Safeflow.Config.default.Safeflow.Config.engine
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"phase-3 engine (the ledger is a phase-2 artifact and identical under both)")
-  in
   let top =
     Arg.(
       value & opt int 10
@@ -702,7 +666,7 @@ let hotspots_cmd =
             "print machine-readable JSON (schema $(b,safeflow-hotspots/1)) instead of \
              tables")
   in
-  let run path manifest jobs cache_dir engine absint top regions json =
+  let run path manifest jobs cache_dir absint top regions json =
     try
       let members =
         match (path, manifest) with
@@ -723,7 +687,7 @@ let hotspots_cmd =
       (* histograms (Omega query / absint summary latency) want telemetry
          on; it never changes reports or the ledger *)
       Safeflow.Telemetry.set_enabled true;
-      let config = { Safeflow.Config.default with engine; absint } in
+      let config = { Safeflow.Config.default with absint } in
       let r = Safeflow.Fleet.run ~config ?cache_dir ~jobs members in
       let pairs =
         List.map
@@ -775,7 +739,7 @@ let hotspots_cmd =
           where every member's ledger arrives over the worker result channel.  A \
           latency footer shows Omega-query and absint-summary percentiles.  Exits 0 \
           regardless of findings (a review aid, not a gate).")
-    Term.(const run $ path $ manifest $ jobs $ cache_dir $ engine $ absint_arg $ top
+    Term.(const run $ path $ manifest $ jobs $ cache_dir $ absint_arg $ top
           $ regions $ json)
 
 let ranges_cmd =
@@ -875,14 +839,6 @@ let diff_cmd =
       required & pos 1 (some file) None
       & info [] ~docv:"NEW" ~doc:"current: a findings file or a MiniC source")
   in
-  let engine =
-    Arg.(
-      value
-      & opt engine_conv Safeflow.Config.default.Safeflow.Config.engine
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"phase-3 engine used when an argument is a source file; fingerprints are \
-                engine-invariant, so the delta is too")
-  in
   (* Sources are analyzed on the spot; findings files (--save-findings
      output) are loaded as-is, so either side can be a checked-in
      baseline. *)
@@ -898,9 +854,9 @@ let diff_cmd =
       Safeflow.Diffreport.entries_of_report ctx ~file a.Safeflow.Driver.report
     end
   in
-  let run old_file new_file engine fail_on =
+  let run old_file new_file fail_on =
     try
-      let config = { Safeflow.Config.default with engine } in
+      let config = Safeflow.Config.default in
       let baseline = entries_of ~config old_file in
       let current = entries_of ~config new_file in
       let d = Safeflow.Diffreport.diff ~baseline ~current in
@@ -917,7 +873,7 @@ let diff_cmd =
           fingerprint.  Each argument is either a findings file ($(b,--save-findings) \
           output) or a MiniC source, which is analyzed on the spot.  Exits 0 when no \
           new findings, otherwise per $(b,--fail-on) applied to the new findings only.")
-    Term.(const run $ old_arg $ new_arg $ engine $ fail_on_arg)
+    Term.(const run $ old_arg $ new_arg $ fail_on_arg)
 
 let fleet_cmd =
   let dir =
@@ -961,13 +917,6 @@ let fleet_cmd =
              concurrent multi-process access; content-identical functions from \
              different members are analyzed once fleet-wide (cross-system hits are \
              reported in the summary line).")
-  in
-  let engine =
-    Arg.(
-      value
-      & opt engine_conv Safeflow.Config.default.Safeflow.Config.engine
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"phase-3 engine, as for $(b,analyze); reports are byte-identical under both")
   in
   let source_label =
     Arg.(
@@ -1059,7 +1008,7 @@ let fleet_cmd =
              against a fresh parse, print per-member pass/fail/skipped counts, and \
              fail the run (exit 1) if any certificate fails")
   in
-  let run dir manifest jobs shard_domains cache_dir engine absint source_label
+  let run dir manifest jobs shard_domains cache_dir absint source_label
       print_reports save_findings baseline fail_on progress_flag no_progress log_json
       verbose emit_certs check_certs tele =
     try
@@ -1079,7 +1028,7 @@ let fleet_cmd =
         Fmt.epr "no member systems found@.";
         exit 2
       end;
-      let config = { Safeflow.Config.default with engine; absint; verbose } in
+      let config = { Safeflow.Config.default with absint; verbose } in
       let log_oc = Option.map open_out log_json in
       (* progress defaults to the terminal: forced on by --progress,
          forced off by --no-progress, otherwise on iff stderr is a TTY
@@ -1209,7 +1158,7 @@ let fleet_cmd =
           different members are analyzed once fleet-wide; reports are byte-identical to \
           per-member sequential runs.  Exit codes as for $(b,analyze), applied to the \
           union of all members' findings.")
-    Term.(const run $ dir $ manifest $ jobs $ shard_domains $ cache_dir $ engine
+    Term.(const run $ dir $ manifest $ jobs $ shard_domains $ cache_dir
           $ absint_arg $ source_label $ print_reports $ save_findings $ baseline
           $ fail_on_arg $ progress_flag $ no_progress $ log_json $ verbose
           $ emit_certs $ check_certs $ telemetry_flags)

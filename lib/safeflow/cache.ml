@@ -28,8 +28,13 @@
    structural digests of the location-free function instead of its
    printed text, "pointsto" entries no longer embed the program (the
    "prepared" entry holds it), and payloads are marshalled without
-   sharing. *)
-let format_version = 8
+   sharing.
+   Version 9: the "phase3" entry is the phase-3 result itself — report
+   lists, counters and the flat taint state (packed entity keys over
+   interned names and contexts, data/control bitsets, parent and reason
+   ids) — instead of a record of boxed-entity association lists, and its
+   key no longer carries an engine tag. *)
+let format_version = 9
 
 let magic = "SAFEFLOW-CACHE"
 

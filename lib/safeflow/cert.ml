@@ -531,7 +531,8 @@ let manifest_json ~label ~(digests : Digest_ir.t) ~(config : Config.t) ~absint_o
       ("program", J.Str digests.Digest_ir.program);
       ("env", J.Str digests.Digest_ir.env);
       ("semantic_config", J.Str (Digest_ir.semantic_config config));
-      ("engine", J.Str (Config.engine_name config.Config.engine));
+      (* the manifest layout predates the single phase-3 engine *)
+      ("engine", J.Str "worklist");
       ("absint", J.Bool absint_on);
       ("absenv", absenv_entry);
       ( "certs",

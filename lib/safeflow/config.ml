@@ -3,21 +3,6 @@
     The defaults correspond to the paper's tool; the toggles exist for the
     ablation benchmarks (B3) and for debugging. *)
 
-(** Phase-3 engine selection.  Both engines produce the same warnings,
-    violations and dependency classifications; they differ in cost model:
-    [Legacy] re-scans every discovered (function, context) pair until no
-    taint changes (simple, quadratic-ish in taint growth), [Worklist]
-    builds an explicit value-flow graph per pair once and propagates
-    taint sparsely along its edges (see {!Vfgraph}). *)
-type engine = Legacy | Worklist
-
-let engine_name = function Legacy -> "legacy" | Worklist -> "worklist"
-
-let engine_of_string = function
-  | "legacy" -> Some Legacy
-  | "worklist" -> Some Worklist
-  | _ -> None
-
 type t = {
   field_sensitive : bool;
       (** track byte offsets into shared-memory regions; off = treat every
@@ -37,10 +22,6 @@ type t = {
   recv_functions : string list;
       (** message-passing extension (§3.4.3): extern receive calls whose
           buffer argument is tainted when the socket is non-core *)
-  engine : engine;
-      (** phase-3 propagation engine; [Legacy] is the paper-shaped dense
-          fixpoint, [Worklist] (the default) the sparse value-flow-graph
-          engine *)
   verbose : bool;
       (** emit one-line diagnostics to stderr for otherwise-silent
           recoveries (stale/corrupt cache entries); never changes
@@ -57,7 +38,6 @@ type t = {
 
 let default =
   {
-    engine = Worklist;
     verbose = false;
     absint = true;
     field_sensitive = true;

@@ -1,15 +1,6 @@
 (** Analysis configuration; defaults correspond to the paper's tool, the
     toggles drive the ablation benchmarks (B3). *)
 
-type engine = Legacy | Worklist
-(** phase-3 propagation engine: the dense per-pass fixpoint of {!Phase3}
-    or the sparse worklist engine of {!Vfgraph}; both produce the same
-    warnings, violations and dependency classifications *)
-
-val engine_name : engine -> string
-
-val engine_of_string : string -> engine option
-
 type t = {
   field_sensitive : bool;
       (** track byte offsets into shared regions; off ⇒ whole-region *)
@@ -25,7 +16,6 @@ type t = {
           (default: the pid argument of [kill]) *)
   recv_functions : string list;
       (** message-passing receive calls (§3.4.3), default [recv] *)
-  engine : engine;  (** phase-3 engine, default [Worklist] *)
   verbose : bool;
       (** stderr diagnostics for silent recoveries (default false);
           report-invisible, excluded from {!Digest_ir.semantic_config} *)

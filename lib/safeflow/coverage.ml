@@ -52,7 +52,7 @@ let compute ?(bounds = Phase2.bounds_zero) ~(prog : Ssair.Ir.program) ~(shm : Sh
     && not (Phase1.is_exempt p1 f.Ssair.Ir.fname)
   in
   (* syntactic non-core read sites: loads whose phase-1 facts target a
-     non-core region — the same site predicate the engines warn on *)
+     non-core region — the same site predicate phase 3 warns on *)
   let sites : (Loc.t * string, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (f : Ssair.Ir.func) ->

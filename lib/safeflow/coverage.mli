@@ -14,9 +14,9 @@
     - the control-dependence-only error count — the paper's
       likely-false-positive class (§3.4.1), worth charting over time.
 
-    Metrics are engine-, cache- and parallelism-independent: read sites
-    are counted syntactically over the analyzed function universe (the
-    phase-3 pair discovery, identical for both engines), and warnings
+    Metrics are cache- and parallelism-independent: read sites are
+    counted syntactically over the analyzed function universe (the
+    phase-3 pair discovery), and warnings
     are taken from the canonical report. *)
 
 type region_coverage = {

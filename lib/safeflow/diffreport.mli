@@ -2,7 +2,7 @@
 
     Findings are serialized to a plain-text, line-oriented format
     (["safeflow-findings/1"]) keyed by {!Fingerprint} identities, so two
-    runs — across commits, engines, cache states or machines — can be
+    runs — across commits, cache states or machines — can be
     diffed into {e new} / {e fixed} / {e unchanged} classes.  The classes
     drive CI gating: a checked-in baseline file suppresses known
     findings, and the exit code reflects only what is new.

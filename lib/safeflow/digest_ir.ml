@@ -16,8 +16,7 @@ let combine ds = Digest.to_hex (Digest.string (String.concat "\x00" ds))
 
 let source_key ?(file = "<input>") src = of_value (file, src)
 
-(* [engine] deliberately omitted: it does not change reports, so
-   phase-1/2 and points-to entries are shared across engines. *)
+(* [verbose] deliberately omitted: it does not change reports. *)
 let semantic_config (c : Config.t) =
   of_value
     ( c.Config.field_sensitive,

@@ -33,7 +33,6 @@ val source_key : ?file:string -> string -> string
 
 val semantic_config : Config.t -> string
 (** fingerprint of the {e semantic} configuration fields — the ones that
-    change analysis results.  [engine] is excluded: both engines produce
-    identical reports, so their cached phase-1/2 results are shared. *)
+    change analysis results ([verbose] is excluded) *)
 
 val of_program : Ssair.Ir.program -> t

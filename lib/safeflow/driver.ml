@@ -144,80 +144,28 @@ let stage_phase2 ?config ?cache ?digests ?absint (p : prepared) (p1 : Phase1.t) 
     Phase2.result =
   Phase2.run ?config ?cache ?digests ?absint p.ir p1
 
-(* Whole-result phase-3 tier, keyed at program granularity: the
-   report-visible lists verbatim (order preserved) plus the taint tables
-   as association lists, from which a fresh state is rebuilt for the VFG
-   export.  A warm rerun of an unchanged program under either engine
-   restores from here and skips propagation entirely; an edit that
-   misses this tier reruns the engine, which costs less than any
-   finer-grained lookup would. *)
-type phase3_cached = {
-  lc_warnings : Report.warning list;
-  lc_dependencies : Report.dependency list;
-  lc_passes : int;
-  lc_stats : (string * int) list;
-  lc_data : (Phase3.entity * Phase3.origin) list;
-  lc_ctrl : (Phase3.entity * Phase3.origin) list;
-  lc_pairs : (string * Phase3.Ctx.t) list;
-  lc_warn_tbl : ((Minic.Loc.t * string) * Report.warning) list;
-}
+let cached (c : Cache.t) ~ns ~key (f : unit -> 'a) : 'a =
+  match Cache.find c ~ns ~key with
+  | Some v -> v
+  | None ->
+    let v = f () in
+    Cache.store c ~ns ~key v;
+    v
 
-let phase3_whole ~config ~tag ?cache ?digests ?absint (p : prepared) (shm : Shm.t)
-    (p1 : Phase1.t) (pts : Pointsto.t) (runner : unit -> Phase3.result) : Phase3.result =
-  let key =
-    match digests with
-    | Some (d : Digest_ir.t) ->
-      Some
-        (Digest_ir.combine [ d.Digest_ir.program; Digest_ir.semantic_config config; tag ])
-    | None -> None
-  in
-  let restore (lc : phase3_cached) : Phase3.result =
-    let st = Phase3.make_state ~config ?absint p.ir shm p1 pts in
-    List.iter (fun (e, o) -> Hashtbl.replace st.Phase3.data e o) lc.lc_data;
-    List.iter (fun (e, o) -> Hashtbl.replace st.Phase3.ctrl e o) lc.lc_ctrl;
-    List.iter (fun pr -> Hashtbl.replace st.Phase3.pairs pr ()) lc.lc_pairs;
-    List.iter (fun (k, w) -> Hashtbl.replace st.Phase3.warnings k w) lc.lc_warn_tbl;
-    st.Phase3.passes <- lc.lc_passes;
-    {
-      Phase3.warnings = lc.lc_warnings;
-      dependencies = lc.lc_dependencies;
-      passes = lc.lc_passes;
-      pair_count = List.length lc.lc_pairs;
-      engine_stats = lc.lc_stats;
-      taint_state = st;
-    }
-  in
-  match (cache, key) with
-  | Some c, Some key -> (
-    match (Cache.find c ~ns:"phase3" ~key : phase3_cached option) with
-    | Some lc -> restore lc
-    | None ->
-      let r = runner () in
-      let st = r.Phase3.taint_state in
-      let assoc tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-      Cache.store c ~ns:"phase3" ~key
-        {
-          lc_warnings = r.Phase3.warnings;
-          lc_dependencies = r.Phase3.dependencies;
-          lc_passes = r.Phase3.passes;
-          lc_stats = r.Phase3.engine_stats;
-          lc_data = assoc st.Phase3.data;
-          lc_ctrl = assoc st.Phase3.ctrl;
-          lc_pairs = Hashtbl.fold (fun k () acc -> k :: acc) st.Phase3.pairs [];
-          lc_warn_tbl = assoc st.Phase3.warnings;
-        };
-      r)
-  | _ -> runner ()
-
+(* Whole-result phase-3 tier, keyed at program granularity.  The entry
+   is the result itself — report lists, counters and the flat taint
+   state — so a warm rerun of an unchanged program returns it and skips
+   propagation entirely; an edit that misses this tier reruns the
+   engine, which costs less than any finer-grained lookup would. *)
 let stage_phase3 ?(config = Config.default) ?cache ?digests ?absint (p : prepared)
     (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
-  match config.Config.engine with
-  | Config.Legacy ->
-    phase3_whole ~config ~tag:"legacy" ?cache ?digests ?absint p shm p1 pts (fun () ->
-        Phase3.run ~config ?absint p.ir shm p1 pts)
-  | Config.Worklist ->
-    phase3_whole ~config ~tag:"worklist" ?cache ?digests ?absint p shm p1 pts (fun () ->
-        Vfgraph.run ~config ?absint p.ir shm p1 pts)
+  let run () = Vfgraph.run ~config ?absint p.ir shm p1 pts in
+  match (cache, digests) with
+  | Some c, Some (d : Digest_ir.t) ->
+    cached c ~ns:"phase3"
+      ~key:(Digest_ir.combine [ d.Digest_ir.program; Digest_ir.semantic_config config ])
+      run
+  | _ -> run ()
 
 (* -- One-shot analysis ------------------------------------------------------------ *)
 
@@ -242,8 +190,7 @@ type analysis = {
 (* The emission sites already sort by (file, line, code); this final
    (file, line, fingerprint) sort also covers results restored from a
    cache written by an older layout, making printed and serialized
-   output byte-identical across {engines} x {cache states} x
-   {parallelism}. *)
+   output byte-identical across {cache states} x {parallelism}. *)
 let canonicalize (fctx : Fingerprint.ctx) (r : Report.t) : Report.t =
   let by_fp to_finding natural a b =
     let c = Report.compare_loc (Fingerprint.loc (to_finding a)) (Fingerprint.loc (to_finding b)) in
@@ -275,23 +222,12 @@ let canonicalize (fctx : Fingerprint.ctx) (r : Report.t) : Report.t =
   }
 
 (** The function universe phase 3 actually analyzed: discovered pairs
-    minus exempt functions (identical for both engines — asserted by
-    [test_engine_equiv.ml]'s pair-count check). *)
+    minus exempt functions. *)
 let analyzed_functions (ph3 : Phase3.result) (p1 : Phase1.t) : string list =
-  let seen = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun (fname, _) () ->
-      if not (Phase1.is_exempt p1 fname) then Hashtbl.replace seen fname ())
-    ph3.Phase3.taint_state.Phase3.pairs;
-  List.sort compare (Hashtbl.fold (fun f () acc -> f :: acc) seen [])
-
-let cached (c : Cache.t) ~ns ~key (f : unit -> 'a) : 'a =
-  match Cache.find c ~ns ~key with
-  | Some v -> v
-  | None ->
-    let v = f () in
-    Cache.store c ~ns ~key v;
-    v
+  List.sort_uniq compare
+    (List.filter
+       (fun fname -> not (Phase1.is_exempt p1 fname))
+       (Phase3.pair_functions ph3.Phase3.flat))
 
 (* Cross-system dedupe attribution: record which system's analysis
    stored each cache entry.  An enclosing caller (the fleet driver) may
@@ -344,9 +280,7 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
         | _ -> stage_pointsto p)
   in
   let ph3 =
-    Telemetry.span "phase3"
-      ~args:[ ("engine", Config.engine_name config.Config.engine) ]
-      (fun () -> stage_phase3 ~config ?cache ?digests ?absint p shm p1 pts)
+    Telemetry.span "phase3" (fun () -> stage_phase3 ~config ?cache ?digests ?absint p shm p1 pts)
   in
   let fctx = Fingerprint.ctx_of_program p.ir in
   let report =
@@ -375,7 +309,6 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
       Report.stats =
         [ ("loc", p.loc_total);
           ("functions", List.length p.ir.Ssair.Ir.funcs);
-          ("phase3_passes", ph3.Phase3.passes);
           ("phase3_contexts", ph3.Phase3.pair_count) ]
         @ Coverage.stats coverage @ ph3.Phase3.engine_stats;
     }
@@ -432,7 +365,7 @@ let analyze_files_par ?config ?cache (paths : string list) : analysis list =
 
 (** Summary-engine variant of phase 3 (paper §3.3's ESP-style
     optimization): single bottom-up pass with per-function value-flow
-    summaries.  Warnings match the exact engine; dependencies are data
+    summaries.  Warnings match {!analyze}; dependencies are data
     only (no control-dependence classification). *)
 let stage_summary ?config (p : prepared) (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) :
     Summary.result =

@@ -52,6 +52,8 @@ val stage_phase3 :
   Phase1.t ->
   Pointsto.t ->
   Phase3.result
+(** phase 3 ({!Vfgraph}); with [~cache] and [~digests] the whole result
+    is memoized in the ["phase3"] namespace, so a hit returns it as is *)
 
 (** {1 One-shot analysis} *)
 
@@ -72,6 +74,10 @@ type analysis = {
           {!Config.t.absint} is off); certificate emission serializes
           its summaries *)
 }
+
+val canonicalize : Fingerprint.ctx -> Report.t -> Report.t
+(** the final report order, (file, line, fingerprint); {!analyze}
+    applies it to every report it returns *)
 
 val analyzed_functions : Phase3.result -> Phase1.t -> string list
 (** the function universe phase 3 analyzed: discovered (function,

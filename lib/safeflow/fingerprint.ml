@@ -1,6 +1,6 @@
 (** Stable finding identities (see the interface for the invariance
     contract).  The digested payload is pure data built exclusively from
-    components that survive engine choice, cache state and unrelated
+    components that survive propagation order, cache state and unrelated
     source edits:
 
     - the diagnostic code;
@@ -12,10 +12,10 @@
       normalized witness digest.  The witness is digested by its {e
       stable endpoints} (kind and sink description) only: interior steps
       and [p_why] strings depend on propagation visit order, which
-      neither engine guarantees (see [test_engine_equiv.ml]), and embed
-      absolute source locations — including them would break engine
-      invariance.  The endpoints coincide with the engines'
-      deduplication key, so they identify the dependency exactly. *)
+      phase 3 does not guarantee (see [test_engine_equiv.ml]), and embed
+      absolute source locations — including them would break that
+      invariance.  The endpoints coincide with phase 3's deduplication
+      key, so they identify the dependency exactly. *)
 
 open Minic
 
@@ -71,7 +71,7 @@ let norm_span (ctx : ctx) (fn : string) (l : Loc.t) : int * int =
 
 (* normalized witness digest: the stable endpoints of the value-flow
    path.  The sink description ("assert(safe(x))", "argument 0 of kill")
-   and the dependency kind are the engines' dedup key; interior steps
+   and the dependency kind are phase 3's dedup key; interior steps
    are visit-order-dependent and excluded by design. *)
 let witness_digest (d : Report.dependency) : string =
   Digest_ir.of_value (Fmt.str "%a" Report.pp_dep_kind d.Report.d_kind, d.Report.d_sink)

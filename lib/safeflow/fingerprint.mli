@@ -5,7 +5,8 @@
     normalized to the enclosing function — never {e where in the run} it
     was produced.  Fingerprints are therefore invariant under:
 
-    - engine choice (legacy vs worklist) and parallelism settings;
+    - propagation visit order (checked against the phase-3 test oracle)
+      and parallelism settings;
     - cache state (no cache / cold / warm / dirty);
     - reordering of findings within a report;
     - reordering of functions within the source file, and unrelated

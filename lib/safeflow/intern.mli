@@ -1,8 +1,8 @@
-(** Interning (hash-consing) support for the sparse phase-3 engine.
+(** Interning (hash-consing) support for the phase-3 engine.
 
-    The legacy engine keys its taint tables by structural values —
-    [(string * assumption list * vid)] tuples — so every membership test
-    structurally hashes a monitoring context.  This module maps such
+    Taint entities are structural values — [(string * assumption list *
+    vid)] tuples — so keying tables by them would structurally hash a
+    monitoring context on every membership test.  This module maps such
     values to dense integer ids once, after which membership is an array
     lookup and context union is a memoized table hit. *)
 

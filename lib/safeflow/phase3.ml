@@ -1,4 +1,5 @@
-(** Phase 3 (paper §3.3): value-flow analysis.
+(** Phase 3 (paper §3.3): value-flow analysis — the vocabulary shared by
+    the engine ({!Vfgraph}) and its readers.
 
     Reads of unmonitored non-core shared memory produce [unsafe] values
     (each such read is a {e warning}); unsafeness propagates through the
@@ -14,10 +15,14 @@
     unsafe values is tracked separately (implicit flows through phis,
     conditional sinks and conditional stores) and reported as
     [Control_only] — the class the paper identifies as candidate false
-    positives requiring value-flow-graph review (§3.4.1). *)
+    positives requiring value-flow-graph review (§3.4.1).
+
+    This module holds what does not depend on how taint is propagated:
+    monitoring contexts, taint entities, the per-program {!inputs}, the
+    root pairs, the sink collection over a {!lookup}, and the {!result}
+    with its flat taint state. *)
 
 open Minic
-module Offset = Pointsto.Offset
 
 (* -- Monitoring contexts ------------------------------------------------------ *)
 
@@ -68,10 +73,8 @@ type origin = { parent : entity option; why : string }
 (** Per-function control-dependence facts that do not depend on the
     monitoring context or the taint state: the undecided register-cond
     branches, and per branch block the transitive closure of the CDG
-    "controls" relation.  Memoized in {!state} ([brinfos]) — the legacy
-    engine recomputes {!block_control_taint} per (pair, pass) and
-    {!collect_dependencies} per pair, and only the branch conditions'
-    taint is dynamic. *)
+    "controls" relation.  Memoized in {!inputs} ([brinfos]); only the
+    branch conditions' taint is dynamic. *)
 type brinfo = {
   br_branches : (Ssair.Ir.bid * Ssair.Ir.vid * Ssair.Ir.bid list) list;
       (** blocks ending in [Cbr]/[Switch] on a register: block, cond
@@ -79,7 +82,9 @@ type brinfo = {
           block (as a set — member order is not meaningful) *)
 }
 
-type state = {
+(** What phase 3 reads of the program and the earlier phases, plus the
+    memos derived from them.  Independent of the taint state. *)
+type inputs = {
   prog : Ssair.Ir.program;
   shm : Shm.t;
   p1 : Phase1.t;
@@ -87,50 +92,52 @@ type state = {
   config : Config.t;
   absint : Absint.t option;
       (** value ranges; decided branches exert no control dependence *)
-  mutable data : (entity, origin) Hashtbl.t;  (** data-tainted entities *)
-  mutable ctrl : (entity, origin) Hashtbl.t;  (** control-tainted entities *)
-  pairs : (string * Ctx.t, unit) Hashtbl.t;  (** discovered (function, context) pairs *)
-  warnings : (Loc.t * string, Report.warning) Hashtbl.t;
   brinfos : (string, brinfo) Hashtbl.t;
   fidx : (string, Ssair.Ir.func) Hashtbl.t;
-      (** function index — [Ssair.Ir.find_func] is a linear scan and the
-          legacy engine resolves callees at every call site of every
-          pass.  First occurrence wins, mirroring [find_func]. *)
+      (** function index — [Ssair.Ir.find_func] is a linear scan.  First
+          occurrence wins, mirroring [find_func]. *)
   noncore_sockets : (string, unit) Hashtbl.t;
-  mutable changed : bool;
-  mutable passes : int;
+      (** [assume(noncore(s))] clauses naming something that is not a
+          shared-memory region (message-passing extension §3.4.3) *)
 }
 
-let data_tainted st e = Hashtbl.mem st.data e
-let ctrl_tainted st e = Hashtbl.mem st.ctrl e
+let make_inputs ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
+    (p1 : Phase1.t) (pts : Pointsto.t) : inputs =
+  let fidx = Hashtbl.create 64 in
+  let noncore_sockets = Hashtbl.create 4 in
+  List.iter
+    (fun (f : Ssair.Ir.func) ->
+      if not (Hashtbl.mem fidx f.Ssair.Ir.fname) then Hashtbl.add fidx f.Ssair.Ir.fname f;
+      List.iter
+        (function
+          | Annot.Noncore name when Shm.region shm name = None ->
+            Hashtbl.replace noncore_sockets name ()
+          | _ -> ())
+        f.Ssair.Ir.fannot)
+    prog.Ssair.Ir.funcs;
+  { prog; shm; p1; pts; config; absint; brinfos = Hashtbl.create 16; fidx; noncore_sockets }
 
 (* A conditional branch whose condition's value range decides the
    direction takes the same successor in every concrete execution, so it
    exerts no control dependence.  Pruning it is precision-only: findings
    can disappear, never appear. *)
-let branch_decided st (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
-  match st.absint with
+let branch_decided inp (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
+  match inp.absint with
   | None -> false
   | Some ai -> Absint.dead_branch ai ~fname:f.Ssair.Ir.fname ~bid:b.Ssair.Ir.bbid <> None
-
-let taint st table e ~parent ~why =
-  if not (Hashtbl.mem table e) then begin
-    Hashtbl.replace table e { parent; why };
-    st.changed <- true
-  end
 
 (** Memoized {!brinfo} of [f].  Pure with respect to the taint state;
     it writes the memo tables, so it must not run on two domains at
     once. *)
-let branch_info st (f : Ssair.Ir.func) : brinfo =
-  match Hashtbl.find_opt st.brinfos f.fname with
+let branch_info inp (f : Ssair.Ir.func) : brinfo =
+  match Hashtbl.find_opt inp.brinfos f.fname with
   | Some bi -> bi
   | None ->
     let br_branches =
       List.filter_map
         (fun (b : Ssair.Ir.block) ->
           (* decided branches exert no control dependence *)
-          if branch_decided st f b then None
+          if branch_decided inp f b then None
           else
             match b.Ssair.Ir.termin with
             | Ssair.Ir.Cbr (Ssair.Ir.Vreg id, _, _)
@@ -175,56 +182,55 @@ let branch_info st (f : Ssair.Ir.func) : brinfo =
           br_branches
     in
     let bi = { br_branches } in
-    Hashtbl.replace st.brinfos f.fname bi;
+    Hashtbl.replace inp.brinfos f.fname bi;
     bi
-
-(* -- Resolving annotations ----------------------------------------------------- *)
 
 (** Assumptions contributed by function [f]'s own [assume(core(...))]
     annotations (see {!Assume}). *)
-let own_assumptions st (f : Ssair.Ir.func) : assumption list =
-  Assume.of_func ~prog:st.prog ~shm:st.shm ~p1:st.p1 ~pts:st.pts f
+let own_assumptions inp (f : Ssair.Ir.func) : assumption list =
+  Assume.of_func ~prog:inp.prog ~shm:inp.shm ~p1:inp.p1 ~pts:inp.pts f
 
-(** Non-core sockets: [assume(noncore(s))] clauses naming something that is
-    not a shared-memory region (message-passing extension §3.4.3). *)
-let collect_noncore_sockets st =
+(** Root (function, context) pairs: main with its own assumptions, plus
+    every non-exempt function that is never called (library entry
+    points). *)
+let root_pairs inp : (Ssair.Ir.func * Ctx.t) list =
+  let prog = inp.prog in
+  let roots = ref [] in
+  let add_root (f : Ssair.Ir.func) =
+    roots := (f, Ctx.make (own_assumptions inp f)) :: !roots
+  in
+  (match Hashtbl.find_opt inp.fidx "main" with
+  | Some m -> add_root m
+  | None -> ());
+  let called = Hashtbl.create 32 in
   List.iter
     (fun (f : Ssair.Ir.func) ->
       List.iter
-        (function
-          | Annot.Noncore name when Shm.region st.shm name = None ->
-            Hashtbl.replace st.noncore_sockets name ()
-          | _ -> ())
-        f.Ssair.Ir.fannot)
-    st.prog.Ssair.Ir.funcs
-
-(* -- Warning emission ----------------------------------------------------------- *)
-
-let warn st (f : Ssair.Ir.func) ctx loc region =
-  let key = (loc, region) in
-  if not (Hashtbl.mem st.warnings key) then begin
-    Hashtbl.replace st.warnings key
-      { Report.w_func = f.fname; w_region = region; w_loc = loc; w_context = Ctx.names ctx };
-    st.changed <- true
-  end
-
-(* -- The per-(function, context) transfer ---------------------------------------- *)
-
-(** Blocks' tainted-control status: block → is any controlling branch
-    condition tainted (data or ctrl)?  The closure of the "controls"
-    relation is static per function ({!branch_info}); only the branch
-    conditions' taint is dynamic, and the closure of a union of branch
-    sets equals the union of the per-branch closures. *)
-let block_control_taint st (f : Ssair.Ir.func) ctx : (Ssair.Ir.bid, unit) Hashtbl.t =
-  let bi = branch_info st f in
-  let closed = Hashtbl.create 8 in
+        (fun (b : Ssair.Ir.block) ->
+          List.iter
+            (fun (i : Ssair.Ir.instr) ->
+              match i.Ssair.Ir.idesc with
+              | Ssair.Ir.Call { callee; _ } -> Hashtbl.replace called callee ()
+              | _ -> ())
+            b.Ssair.Ir.instrs)
+        f.Ssair.Ir.blocks)
+    prog.Ssair.Ir.funcs;
   List.iter
-    (fun (_bB, id, closure) ->
-      let e = Eval (f.fname, ctx, id) in
-      if data_tainted st e || ctrl_tainted st e then
-        List.iter (fun dep -> Hashtbl.replace closed dep ()) closure)
-    bi.br_branches;
-  closed
+    (fun (f : Ssair.Ir.func) ->
+      if
+        (not (Hashtbl.mem called f.Ssair.Ir.fname))
+        && (not (String.equal f.Ssair.Ir.fname "main"))
+        && not (Phase1.is_exempt inp.p1 f.Ssair.Ir.fname)
+      then add_root f)
+    prog.Ssair.Ir.funcs;
+  List.rev !roots
+
+(* -- Taint lookups -------------------------------------------------------------- *)
+
+(** How the sink collection reads a taint state: the first-taint origin
+    of an entity in the data and in the control table, [None] when the
+    entity is not tainted there. *)
+type lookup = { data : entity -> origin option; ctrl : entity -> origin option }
 
 let value_entity fname ctx (v : Ssair.Ir.value) : entity option =
   match v with
@@ -232,271 +238,38 @@ let value_entity fname ctx (v : Ssair.Ir.value) : entity option =
   | Ssair.Ir.Vparam p -> Some (Eparam (fname, ctx, p))
   | _ -> None
 
-let value_data_tainted st fname ctx v =
-  match value_entity fname ctx v with Some e -> data_tainted st e | None -> false
-
-let value_ctrl_tainted st fname ctx v =
-  match value_entity fname ctx v with Some e -> ctrl_tainted st e | None -> false
-
-let first_tainted _st fname ctx vs table =
-  List.find_map
-    (fun v ->
-      match value_entity fname ctx v with
-      | Some e when Hashtbl.mem table e -> Some e
-      | _ -> None)
-    vs
-
-(** Analyze one function under one context; records taints, warnings and
-    newly discovered (callee, context) pairs. *)
-let analyze_pair st (f : Ssair.Ir.func) (ctx : Ctx.t) =
-  let env = st.prog.Ssair.Ir.env in
-  let fname = f.Ssair.Ir.fname in
-  let blk_ctrl = block_control_taint st f ctx in
-  let in_tainted_block bid = Hashtbl.mem blk_ctrl bid in
+(** Blocks' tainted-control status: block → is any controlling branch
+    condition tainted (data or ctrl)?  The closure of the "controls"
+    relation is static per function ({!branch_info}); only the branch
+    conditions' taint is dynamic, and the closure of a union of branch
+    sets equals the union of the per-branch closures. *)
+let block_control_taint inp (tl : lookup) (f : Ssair.Ir.func) ctx :
+    (Ssair.Ir.bid, unit) Hashtbl.t =
+  let bi = branch_info inp f in
+  let closed = Hashtbl.create 8 in
   List.iter
-    (fun (b : Ssair.Ir.block) ->
-      (* phis: data from incomings, control from the block's merge *)
-      List.iter
-        (fun (p : Ssair.Ir.phi) ->
-          let self = Eval (fname, ctx, p.Ssair.Ir.pid) in
-          List.iter
-            (fun (_, v) ->
-              match value_entity fname ctx v with
-              | Some e when data_tainted st e ->
-                taint st st.data self ~parent:(Some e) ~why:"phi merge"
-              | Some e when ctrl_tainted st e ->
-                taint st st.ctrl self ~parent:(Some e) ~why:"phi merge"
-              | _ -> ())
-            p.Ssair.Ir.incoming;
-          (* implicit flow: the phi's value is selected by the branches
-             controlling its incoming edges *)
-          let incoming_controlled =
-            in_tainted_block b.Ssair.Ir.bbid
-            || List.exists
-                 (fun (pred, _) ->
-                   in_tainted_block pred
-                   ||
-                   match Ssair.Ir.block_opt f pred with
-                   | Some pblk -> (
-                     match pblk.Ssair.Ir.termin with
-                     | Ssair.Ir.Cbr (Ssair.Ir.Vreg cid, _, _)
-                     | Ssair.Ir.Switch (Ssair.Ir.Vreg cid, _, _) ->
-                       (not (branch_decided st f pblk))
-                       &&
-                       let ce = Eval (fname, ctx, cid) in
-                       data_tainted st ce || ctrl_tainted st ce
-                     | _ -> false)
-                   | None -> false)
-                 p.Ssair.Ir.incoming
-          in
-          if st.config.Config.control_deps && incoming_controlled then
-            taint st st.ctrl self ~parent:None
-              ~why:"phi merges paths controlled by an unsafe condition")
-        b.Ssair.Ir.phis;
-      List.iter
-        (fun (i : Ssair.Ir.instr) ->
-          let self = Eval (fname, ctx, i.Ssair.Ir.iid) in
-          let flow_operands vs why =
-            (match first_tainted st fname ctx vs st.data with
-            | Some e -> taint st st.data self ~parent:(Some e) ~why
-            | None -> ());
-            match first_tainted st fname ctx vs st.ctrl with
-            | Some e -> taint st st.ctrl self ~parent:(Some e) ~why
-            | None -> ()
-          in
-          match i.Ssair.Ir.idesc with
-          | Ssair.Ir.Alloca _ -> ()
-          | Ssair.Ir.Load { ptr; lty } -> (
-            (* 1. shared-memory reads *)
-            let shm_targets = Phase1.shm_targets st.p1 f ptr in
-            Phase1.Rset.iter
-              (fun tgt ->
-                let rname = tgt.Phase1.Rtgt.region in
-                match Shm.region st.shm rname with
-                | None -> ()
-                | Some r ->
-                  if r.Shm.r_noncore then begin
-                    let covered =
-                      match tgt.Phase1.Rtgt.off with
-                      | Offset.Byte b ->
-                        Ctx.covers_region ctx rname ~lo:b ~hi:(b + Ty.sizeof env lty)
-                      | Offset.Top ->
-                        Ctx.covers_region ctx rname ~lo:0 ~hi:r.Shm.r_size
-                    in
-                    if not covered then begin
-                      warn st f ctx i.Ssair.Ir.iloc rname;
-                      taint st st.data self ~parent:(Some (Eregion rname))
-                        ~why:
-                          (Fmt.str "unmonitored read of non-core region %s at %a" rname
-                             Loc.pp i.Ssair.Ir.iloc)
-                    end
-                  end
-                  else begin
-                    (* core region: safe unless some unsafe value was
-                       stored into it *)
-                    let node = Pointsto.Node.Nshm rname in
-                    if data_tainted st (Enode node) && not (Ctx.covers_node ctx node) then
-                      taint st st.data self ~parent:(Some (Enode node))
-                        ~why:"read of core region holding an unsafe value"
-                  end)
-              shm_targets;
-            (* 2. ordinary memory — only when the address is not a
-               shared-memory pointer: shm reads are governed by the region
-               model above (P2 guarantees shm pointers cannot also point
-               to ordinary objects, and the opaque node backing the
-               segment would otherwise conflate all regions) *)
-            if Phase1.Rset.is_empty shm_targets then
-            Pointsto.Tset.iter
-              (fun tgt ->
-                let node = tgt.Pointsto.Target.node in
-                if not (Ctx.covers_node ctx node) then begin
-                  if data_tainted st (Enode node) then
-                    taint st st.data self ~parent:(Some (Enode node))
-                      ~why:"load from unsafe memory object";
-                  if ctrl_tainted st (Enode node) then
-                    taint st st.ctrl self ~parent:(Some (Enode node))
-                      ~why:"load from control-unsafe memory object"
-                end)
-              (Pointsto.points_to st.pts f ptr);
-            (* 3. tainted address: attacker-chosen cell *)
-            flow_operands [ ptr ] "load through unsafe pointer";
-            ignore lty)
-          | Ssair.Ir.Store { ptr; sval; _ } ->
-            let mark table parent why =
-              (* taint every object the store may write; shm-pointer
-                 stores taint the region node, not the opaque segment *)
-              let shm = Phase1.shm_targets st.p1 f ptr in
-              if Phase1.Rset.is_empty shm then
-                Pointsto.Tset.iter
-                  (fun tgt ->
-                    taint st table (Enode tgt.Pointsto.Target.node) ~parent ~why)
-                  (Pointsto.points_to st.pts f ptr)
-              else
-                Phase1.Rset.iter
-                  (fun tgt ->
-                    taint st table
-                      (Enode (Pointsto.Node.Nshm tgt.Phase1.Rtgt.region))
-                      ~parent ~why)
-                  shm
-            in
-            (match value_entity fname ctx sval with
-            | Some e when data_tainted st e ->
-              mark st.data (Some e) "unsafe value stored"
-            | Some e when ctrl_tainted st e ->
-              mark st.ctrl (Some e) "control-unsafe value stored"
-            | _ -> ());
-            if st.config.Config.control_deps && in_tainted_block b.Ssair.Ir.bbid then
-              mark st.ctrl None "store controlled by an unsafe condition"
-          | Ssair.Ir.Binop { lhs; rhs; _ } -> flow_operands [ lhs; rhs ] "arithmetic"
-          | Ssair.Ir.Unop { operand; _ } -> flow_operands [ operand ] "arithmetic"
-          | Ssair.Ir.Cast { cval; _ } -> flow_operands [ cval ] "cast"
-          | Ssair.Ir.Gep { base; idx; _ } -> flow_operands [ base; idx ] "address arithmetic"
-          | Ssair.Ir.Annotation _ -> ()
-          | Ssair.Ir.Call { callee; args; _ } -> (
-            match Hashtbl.find_opt st.fidx callee with
-            | Some g ->
-              let gctx =
-                if st.config.Config.context_sensitive then
-                  Ctx.union ctx (Ctx.make (own_assumptions st g))
-                else Ctx.make (own_assumptions st g)
-              in
-              if not (Hashtbl.mem st.pairs (g.Ssair.Ir.fname, gctx)) then begin
-                Hashtbl.replace st.pairs (g.Ssair.Ir.fname, gctx) ();
-                st.changed <- true
-              end;
-              List.iteri
-                (fun k arg ->
-                  match List.nth_opt g.Ssair.Ir.fparams k with
-                  | Some (pname, _) -> (
-                    let pe = Eparam (g.Ssair.Ir.fname, gctx, pname) in
-                    (match value_entity fname ctx arg with
-                    | Some e when data_tainted st e ->
-                      taint st st.data pe ~parent:(Some e)
-                        ~why:(Fmt.str "argument %d of call to %s" k callee)
-                    | Some e when ctrl_tainted st e ->
-                      taint st st.ctrl pe ~parent:(Some e)
-                        ~why:(Fmt.str "argument %d of call to %s" k callee)
-                    | _ -> ());
-                    if st.config.Config.control_deps && in_tainted_block b.Ssair.Ir.bbid
-                    then
-                      taint st st.ctrl pe ~parent:None
-                        ~why:"call controlled by an unsafe condition")
-                  | None -> ())
-                args;
-              let re = Eret (g.Ssair.Ir.fname, gctx) in
-              if data_tainted st re then
-                taint st st.data self ~parent:(Some re)
-                  ~why:(Fmt.str "return value of %s" callee);
-              if ctrl_tainted st re then
-                taint st st.ctrl self ~parent:(Some re)
-                  ~why:(Fmt.str "return value of %s" callee)
-            | None ->
-              (* extern *)
-              (* message-passing: recv through a non-core socket taints the
-                 buffer *)
-              if List.mem callee st.config.Config.recv_functions then begin
-                let socket_is_noncore =
-                  match args with
-                  | sock :: _ -> (
-                    match sock with
-                    | Ssair.Ir.Vparam p -> Hashtbl.mem st.noncore_sockets p
-                    | Ssair.Ir.Vreg id -> (
-                      (* a load of an annotated global *)
-                      let defs = Ssair.Ir.def_table f in
-                      match Hashtbl.find_opt defs id with
-                      | Some
-                          (Ssair.Ir.Def_instr
-                             ( { idesc = Ssair.Ir.Load { ptr = Ssair.Ir.Vglobal g; _ }; _ },
-                               _ )) ->
-                        Hashtbl.mem st.noncore_sockets g
-                      | _ -> false)
-                    | _ -> false)
-                  | [] -> false
-                in
-                if socket_is_noncore then
-                  match args with
-                  | _ :: buf :: _ ->
-                    Pointsto.Tset.iter
-                      (fun tgt ->
-                        taint st st.data (Enode tgt.Pointsto.Target.node)
-                          ~parent:(Some (Eregion (Fmt.str "socket via %s" callee)))
-                          ~why:"data received from a non-core component")
-                      (Pointsto.points_to st.pts f buf)
-                  | _ -> ()
-              end;
-              (* conservative: extern results carry their arguments' taint *)
-              flow_operands args (Fmt.str "through external call %s" callee)))
-        b.Ssair.Ir.instrs;
-      (* returns *)
-      match b.Ssair.Ir.termin with
-      | Ssair.Ir.Ret (Some v) -> (
-        let re = Eret (fname, ctx) in
-        (match value_entity fname ctx v with
-        | Some e when data_tainted st e ->
-          taint st st.data re ~parent:(Some e) ~why:"returned"
-        | Some e when ctrl_tainted st e ->
-          taint st st.ctrl re ~parent:(Some e) ~why:"returned"
-        | _ -> ());
-        if st.config.Config.control_deps && in_tainted_block b.Ssair.Ir.bbid then
-          taint st st.ctrl re ~parent:None
-            ~why:"returned value selected by an unsafe condition")
-      | _ -> ())
-    f.Ssair.Ir.blocks
+    (fun (_bB, id, closure) ->
+      let e = Eval (f.fname, ctx, id) in
+      if tl.data e <> None || tl.ctrl e <> None then
+        List.iter (fun dep -> Hashtbl.replace closed dep ()) closure)
+    bi.br_branches;
+  closed
 
 (* -- Sinks and asserts ------------------------------------------------------------ *)
 
 (** Stable opaque identity of a taint entity — the [p_key] of witness
     steps.  Entities are pure data, so the digest is deterministic
-    across runs, engines and processes. *)
+    across runs and processes. *)
 let entity_key (e : entity) : string =
   Digest.to_hex (Digest.string (Marshal.to_string e [ Marshal.No_sharing ]))
 
-(** Walk first-taint origins from [e] back to a source, producing the
-    structured witness path, source first.  Each step records the entity
-    it came from ([p_parent]), so consecutive steps form a checkable
-    chain; the legacy string trace is derived from this path
-    ({!Report.path_strings}), keeping both in lockstep. *)
-let path_of table e : Report.path_step list =
+(** Walk first-taint origins ([origin_of] reads one table of a
+    {!lookup}) from [e] back to a source, producing the structured
+    witness path, source first.  Each step records the entity it came
+    from ([p_parent]), so consecutive steps form a checkable chain; the
+    string trace is derived from this path ({!Report.path_strings}),
+    keeping both in lockstep. *)
+let path_of (origin_of : entity -> origin option) e : Report.path_step list =
   let step e why parent =
     {
       Report.p_desc = Fmt.str "%a" pp_entity e;
@@ -508,16 +281,20 @@ let path_of table e : Report.path_step list =
   let rec go e acc depth =
     if depth > 32 then Report.synthetic_step "..." :: acc
     else
-      match Hashtbl.find_opt table e with
+      match origin_of e with
       | Some { parent = Some p; why } -> go p (step e (Some why) (Some p) :: acc) (depth + 1)
       | Some { parent = None; why } -> step e (Some why) None :: acc
       | None -> step e None None :: acc
   in
   go e [] 0
 
-(** After the fixpoint: evaluate assert(safe(x)) annotations and implicit
-    critical sinks, producing dependencies. *)
-let collect_dependencies st : Report.dependency list =
+(** After propagation: evaluate assert(safe(x)) annotations and implicit
+    critical sinks of every discovered pair, in [pairs]' iteration order,
+    producing dependencies. *)
+let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t, unit) Hashtbl.t) :
+    Report.dependency list =
+  let config = inp.config in
+  let data_tainted e = tl.data e <> None and ctrl_tainted e = tl.ctrl e <> None in
   let deps = ref [] in
   let add kind sink f loc path =
     deps :=
@@ -534,9 +311,9 @@ let collect_dependencies st : Report.dependency list =
   let check_value f ctx blk_ctrl bid loc sink (v : Ssair.Ir.value) =
     let fname = f.Ssair.Ir.fname in
     match value_entity fname ctx v with
-    | Some e when data_tainted st e -> add Report.Data sink fname loc (path_of st.data e)
-    | Some e when st.config.Config.control_deps && ctrl_tainted st e ->
-      add Report.Control_only sink fname loc (path_of st.ctrl e)
+    | Some e when data_tainted e -> add Report.Data sink fname loc (path_of tl.data e)
+    | Some e when config.Config.control_deps && ctrl_tainted e ->
+      add Report.Control_only sink fname loc (path_of tl.ctrl e)
     | Some e ->
       (* pointer-typed critical data: unsafe data reachable from it? *)
       let is_ptr =
@@ -549,7 +326,7 @@ let collect_dependencies st : Report.dependency list =
         | _ -> false
       in
       if is_ptr then begin
-        let reach = Pointsto.reachable st.pts (Pointsto.points_to st.pts f v) in
+        let reach = Pointsto.reachable inp.pts (Pointsto.points_to inp.pts f v) in
         match
           Pointsto.Tset.fold
             (fun tgt acc ->
@@ -557,18 +334,18 @@ let collect_dependencies st : Report.dependency list =
               | Some _ -> acc
               | None ->
                 let ne = Enode tgt.Pointsto.Target.node in
-                if data_tainted st ne then Some ne else None)
+                if data_tainted ne then Some ne else None)
             reach None
         with
         | Some ne ->
           add Report.Data sink f.Ssair.Ir.fname loc
-            (path_of st.data ne @ [ Report.synthetic_step "reachable from critical pointer" ])
+            (path_of tl.data ne @ [ Report.synthetic_step "reachable from critical pointer" ])
         | None -> ()
       end;
       if
-        st.config.Config.control_deps
-        && (not (data_tainted st e))
-        && (not (ctrl_tainted st e))
+        config.Config.control_deps
+        && (not (data_tainted e))
+        && (not (ctrl_tainted e))
         && Hashtbl.mem blk_ctrl bid
       then
         add Report.Control_only sink fname loc
@@ -577,7 +354,7 @@ let collect_dependencies st : Report.dependency list =
               "critical site executes under a condition influenced by non-core values";
           ]
     | None ->
-      if st.config.Config.control_deps && Hashtbl.mem blk_ctrl bid then
+      if config.Config.control_deps && Hashtbl.mem blk_ctrl bid then
         add Report.Control_only sink fname loc
           [
             Report.synthetic_step
@@ -596,7 +373,7 @@ let collect_dependencies st : Report.dependency list =
   List.iter
     (fun (callee, indices) ->
       if not (Hashtbl.mem sink_tbl callee) then Hashtbl.add sink_tbl callee indices)
-    st.config.Config.critical_sinks;
+    config.Config.critical_sinks;
   let sites_of (f : Ssair.Ir.func) =
     match Hashtbl.find_opt sites_memo f.Ssair.Ir.fname with
     | Some l -> l
@@ -636,20 +413,20 @@ let collect_dependencies st : Report.dependency list =
   in
   Hashtbl.iter
     (fun (fname, ctx) () ->
-      match Hashtbl.find_opt st.fidx fname with
+      match Hashtbl.find_opt inp.fidx fname with
       | None -> ()
       | Some f -> (
         match sites_of f with
         | [] -> ()
         | sites ->
-          let blk_ctrl = block_control_taint st f ctx in
+          let blk_ctrl = block_control_taint inp tl f ctx in
           List.iter
             (fun (bid, loc, sink, v) -> check_value f ctx blk_ctrl bid loc sink v)
             sites))
-    st.pairs;
+    pairs;
   (* deduplicate by (sink, loc, kind), then emit in the canonical
-     (file, line, code) order — [st.pairs] is a hash table, so the raw
-     collection order is engine- and layout-dependent *)
+     (file, line, code) order — [pairs] is a hash table, so the raw
+     collection order is layout-dependent *)
   let seen = Hashtbl.create 16 in
   List.filter
     (fun (d : Report.dependency) ->
@@ -662,115 +439,69 @@ let collect_dependencies st : Report.dependency list =
     (List.rev !deps)
   |> List.stable_sort Report.compare_dependency
 
-(* -- Entry point -------------------------------------------------------------------- *)
+(* -- The flat taint state ----------------------------------------------------------- *)
+
+(* Packed entity key: tag(3) | a(20) | b(19) | c(20) — 62 bits, so the
+   word stays a non-negative OCaml int; a/b/c are ids into the [strs],
+   [ctxs] and [nodes] tables of a {!flat}.  Tags: 0 Eval(fname,ctx,vid),
+   1 Eparam(fname,ctx,pname), 2 Eret(fname,ctx), 3 Enode, 4 Eregion. *)
+let pack_key tag a b c =
+  if a lor c > 0xFFFFF || b > 0x7FFFF then failwith "Phase3: packed entity key overflow";
+  tag lor (a lsl 3) lor (b lsl 23) lor (c lsl 42)
+
+(** One taint table (data or control) over dense entity ids. *)
+type table = {
+  bits : Bitset.t;  (** tainted ids *)
+  parent : int array;  (** first-taint parent id, -1 = none *)
+  why : int array;  (** index into {!flat.whys}; valid iff the bit is set *)
+}
+
+(** The taint state phase 3 ends with, as the engine holds it: entities
+    interned to dense ids and stored as packed keys over the interned
+    names, contexts and memory nodes.  Pure data, so the cache stores it
+    as is. *)
+type flat = {
+  keys : int array;  (** packed entity key per entity id ({!pack_key}) *)
+  strs : string array;  (** function, parameter and region names *)
+  ctxs : Ctx.t array;
+  nodes : Pointsto.Node.t array;
+  whys : string array;  (** origin reasons *)
+  data : table;
+  ctrl : table;
+  pairs : int array;
+      (** discovered (function, context) pairs in discovery order, each
+          [(fname id lsl 20) lor ctx id] *)
+}
+
+let entity (f : flat) id : entity =
+  let k = f.keys.(id) in
+  let a = (k lsr 3) land 0xFFFFF and b = (k lsr 23) land 0x7FFFF and c = k lsr 42 in
+  match k land 7 with
+  | 0 -> Eval (f.strs.(a), f.ctxs.(b), c)
+  | 1 -> Eparam (f.strs.(a), f.ctxs.(b), f.strs.(c))
+  | 2 -> Eret (f.strs.(a), f.ctxs.(b))
+  | 3 -> Enode f.nodes.(a)
+  | _ -> Eregion f.strs.(a)
+
+(** First-taint origin of entity [id] in table [t], if tainted there. *)
+let origin (f : flat) (t : table) id : origin option =
+  if not (Bitset.get t.bits id) then None
+  else
+    let p = t.parent.(id) in
+    Some { parent = (if p < 0 then None else Some (entity f p)); why = f.whys.(t.why.(id)) }
+
+(** Function name of every discovered pair, in discovery order. *)
+let pair_functions (f : flat) : string list =
+  Array.fold_right (fun k acc -> f.strs.(k lsr 20) :: acc) f.pairs []
+
+(* -- Result ------------------------------------------------------------------------- *)
 
 type result = {
   warnings : Report.warning list;
   dependencies : Report.dependency list;
-  passes : int;
-      (** legacy engine: dense fixpoint passes; worklist engine: 1 *)
   pair_count : int;
   engine_stats : (string * int) list;
-      (** engine-specific counters surfaced in {!Report.t.stats}: empty
-          for the legacy engine, edge/pop counts for {!Vfgraph} *)
-  taint_state : state;  (** exposed for the value-flow-graph export *)
+      (** counters surfaced in {!Report.t.stats}: entity, context, edge
+          and worklist counts *)
+  flat : flat;  (** the taint state, for the value-flow-graph export *)
 }
-
-(** Fresh analysis state; shared with the sparse engine ({!Vfgraph}),
-    which fills the same tables through a different propagation
-    strategy. *)
-let make_state ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
-    (p1 : Phase1.t) (pts : Pointsto.t) : state =
-  let fidx = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
-      if not (Hashtbl.mem fidx f.Ssair.Ir.fname) then Hashtbl.add fidx f.Ssair.Ir.fname f)
-    prog.Ssair.Ir.funcs;
-  let st =
-    {
-      prog;
-      shm;
-      p1;
-      pts;
-      config;
-      absint;
-      data = Hashtbl.create 256;
-      ctrl = Hashtbl.create 256;
-      pairs = Hashtbl.create 32;
-      warnings = Hashtbl.create 32;
-      brinfos = Hashtbl.create 16;
-      fidx;
-      noncore_sockets = Hashtbl.create 4;
-      changed = false;
-      passes = 0;
-    }
-  in
-  collect_noncore_sockets st;
-  st
-
-(** Root (function, context) pairs: main with its own assumptions, plus
-    every non-exempt function that is never called (library entry
-    points).  Also shared with {!Vfgraph}. *)
-let root_pairs st : (Ssair.Ir.func * Ctx.t) list =
-  let prog = st.prog in
-  let roots = ref [] in
-  let add_root (f : Ssair.Ir.func) =
-    roots := (f, Ctx.make (own_assumptions st f)) :: !roots
-  in
-  (match Hashtbl.find_opt st.fidx "main" with
-  | Some m -> add_root m
-  | None -> ());
-  let called = Hashtbl.create 32 in
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
-      List.iter
-        (fun (b : Ssair.Ir.block) ->
-          List.iter
-            (fun (i : Ssair.Ir.instr) ->
-              match i.Ssair.Ir.idesc with
-              | Ssair.Ir.Call { callee; _ } -> Hashtbl.replace called callee ()
-              | _ -> ())
-            b.Ssair.Ir.instrs)
-        f.Ssair.Ir.blocks)
-    prog.Ssair.Ir.funcs;
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
-      if
-        (not (Hashtbl.mem called f.Ssair.Ir.fname))
-        && (not (String.equal f.Ssair.Ir.fname "main"))
-        && not (Phase1.is_exempt st.p1 f.Ssair.Ir.fname)
-      then add_root f)
-    prog.Ssair.Ir.funcs;
-  List.rev !roots
-
-let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
-    (p1 : Phase1.t) (pts : Pointsto.t) : result =
-  let st = make_state ~config ?absint prog shm p1 pts in
-  st.changed <- true;
-  List.iter
-    (fun ((f : Ssair.Ir.func), ctx) -> Hashtbl.replace st.pairs (f.Ssair.Ir.fname, ctx) ())
-    (root_pairs st);
-  (* fixpoint *)
-  Telemetry.span "phase3.fixpoint" (fun () ->
-      while st.changed do
-        st.changed <- false;
-        st.passes <- st.passes + 1;
-        let pairs = Hashtbl.fold (fun k () acc -> k :: acc) st.pairs [] in
-        List.iter
-          (fun (fname, ctx) ->
-            match Hashtbl.find_opt st.fidx fname with
-            | Some f when not (Phase1.is_exempt p1 fname) -> analyze_pair st f ctx
-            | _ -> ())
-          pairs
-      done);
-  let dependencies = Telemetry.span "phase3.collect" (fun () -> collect_dependencies st) in
-  {
-    warnings =
-      Hashtbl.fold (fun _ w acc -> w :: acc) st.warnings []
-      |> List.stable_sort Report.compare_warning;
-    dependencies;
-    passes = st.passes;
-    pair_count = Hashtbl.length st.pairs;
-    engine_stats = [];
-    taint_state = st;
-  }

@@ -203,8 +203,8 @@ let rule_of_code id =
 
 (* (file, line, col) first so reports read in source order, then the
    diagnostic code and remaining fields for a total order.  Emission
-   sites (phase 2/3) and the driver both sort with these, so the legacy
-   and worklist engines emit byte-identically ordered output. *)
+   sites (phase 2/3) and the driver both sort with these, so output is
+   byte-identically ordered whatever the visit order. *)
 
 let compare_loc (a : Loc.t) (b : Loc.t) =
   let c = compare a.Loc.file b.Loc.file in

@@ -53,8 +53,8 @@ type dependency = {
   d_loc : Loc.t;
   d_trace : string list;  (** one value-flow path, source first *)
   d_path : path_step list;
-      (** the same path, structured (source first, sink last); engines
-          populate it so [d_trace = path_strings d_path] *)
+      (** the same path, structured (source first, sink last); phase 3
+          populates it so [d_trace = path_strings d_path] *)
 }
 
 (** Informational note (never gates): audit-trail entry emitted under
@@ -129,7 +129,7 @@ val rule_of_code : string -> rule
 
     Total orders by (file, line, col), then diagnostic code, then the
     remaining fields.  Emission sites and the driver sort with these so
-    both engines emit byte-identically ordered reports. *)
+    reports are byte-identically ordered whatever produced them. *)
 
 val compare_loc : Loc.t -> Loc.t -> int
 (** (file, line, col) *)

@@ -12,7 +12,7 @@
     is resolved beforehand by a cheap context-reachability pass that does
     no per-instruction work.
 
-    Compared to the exact engine ({!Phase3}):
+    Compared to the exact per-context engine ({!Vfgraph}):
     - warnings are identical (same coverage rule, same sites);
     - data dependencies are identical on programs where every read site
       has the same coverage in all contexts that reach it, and
@@ -20,7 +20,7 @@
     - control-only dependencies are not computed — the summary graphs
       capture data flow only, exactly as in ESP.
 
-    Benchmark B4 compares the two engines. *)
+    Benchmark B4 compares the two. *)
 
 open Minic
 module Offset = Pointsto.Offset

@@ -4,7 +4,8 @@
     objects) inlined at call sites in a bottom-up pass over call-graph
     SCCs.
 
-    Warnings match the exact engine; data dependencies match wherever
+    Warnings match the exact per-context engine ({!Vfgraph}); data
+    dependencies match wherever
     every read site has uniform monitoring coverage across the contexts
     reaching it (and are conservative otherwise); control-only
     dependencies are not computed. *)

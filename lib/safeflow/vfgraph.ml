@@ -5,12 +5,11 @@
     and the successor edges in one flat edge array that is finalized
     into a CSR adjacency ({!Csr}) right before the single worklist
     drain.  Each newly discovered (function, context) pair is walked
-    once by {!walk_pair} — a transcription of {!Phase3.analyze_pair}
-    where every dynamic taint test becomes a static edge — straight into
-    the live graph, then {!drain} runs the worklist to closure.  The
-    final interned taint state is poured back into a {!Phase3.state} so
-    that {!Phase3.collect_dependencies} (and the DOT export) are shared
-    with the legacy engine verbatim.
+    once by {!walk_pair} — the paper's per-pair transfer where every
+    dynamic taint test becomes a static edge — straight into the live
+    graph, then {!drain} runs the worklist to closure.  The interned
+    state itself is the result ({!Phase3.flat}); the sink collection
+    reads it through a {!Phase3.lookup}.
 
     Entity keys, (function, context) pair keys and worklist items are
     all single ints; the taint hot path does no boxed hashing at all. *)
@@ -19,10 +18,10 @@ open Minic
 module Offset = Pointsto.Offset
 
 (* Edge modes: how taint crosses the edge and which origin is recorded.
-   [mdata]/[mctrl] mirror the legacy data→data / ctrl→ctrl flows with the
-   source as trace parent; [mboth] fuses a data and a ctrl edge sharing
+   [mdata]/[mctrl] carry data→data / ctrl→ctrl flows with the source as
+   trace parent; [mboth] fuses a data and a ctrl edge sharing
    destination and reason (the overwhelmingly common pairing);
-   [many_ctrl] mirrors the control-dependence rules, which fire on either
+   [many_ctrl] carries the control-dependence rules, which fire on either
    taint kind and record no parent.  Encoded in 2 bits of the edge info
    word: [info = mode lor (why_id lsl 2)]. *)
 let mdata = 0
@@ -32,16 +31,6 @@ let mctrl = 1
 let mboth = 2
 
 let many_ctrl = 3
-
-(* -- Packed encodings ----------------------------------------------------------- *)
-
-(* Entity key: tag(3) | a(20) | b(19) | c(20) — 62 bits, so the packed
-   word stays a non-negative OCaml int; a/b/c are global intern ids.
-   Tags: 0 Eval(fname,ctx,vid),
-   1 Eparam(fname,ctx,pname), 2 Eret(fname,ctx), 3 Enode, 4 Eregion. *)
-let pack_key tag a b c =
-  if a lor c > 0xFFFFF || b > 0x7FFFF then failwith "Vfgraph: packed entity key overflow";
-  tag lor (a lsl 3) lor (b lsl 23) lor (c lsl 42)
 
 (* -- CSR adjacency --------------------------------------------------------------- *)
 
@@ -156,7 +145,13 @@ type cmemo =
   | Cextern of { cm_why_ext : int }
 
 type t = {
-  st : Phase3.state;  (** receptacle for pairs/warnings/taints *)
+  inp : Phase3.inputs;
+  pairs : (string * Phase3.Ctx.t, unit) Hashtbl.t;
+      (** discovered pairs; the sink collection iterates this table, and
+          its iteration order decides which witness a deduplicated
+          dependency keeps *)
+  mutable pair_keys : int list;  (** packed pair keys, newest first *)
+  warnings : (Loc.t * string, Report.warning) Hashtbl.t;  (** by (loc, region) *)
   ctxs : Intern.Ctx.store;
   strs : string Intern.t;
   nodes : Pointsto.Node.t Intern.t;
@@ -166,9 +161,6 @@ type t = {
   finfos : (string, finfo) Hashtbl.t;
   pairs_seen : Intern.Packed.t;  (** packed (fname id lsl 20) lor ctx id *)
   pending : (Ssair.Ir.func * int) Queue.t;  (** discovered, to build *)
-  funcs_by_name : (string, Ssair.Ir.func) Hashtbl.t;
-      (** [Ssair.Ir.find_func] is a linear scan; call sites resolve
-          callees once per visit, so index the program up front *)
   own_lists : (string, Phase3.Ctx.t) Hashtbl.t;
       (** canonical own-assumption context per function — needed at every
           call site *)
@@ -203,7 +195,7 @@ type t = {
   mutable wl_head : int;
   mutable wl_tail : int;
   (* parallel per-entity arrays, grown together by {!ensure_cap} *)
-  mutable rev : Phase3.entity array;
+  mutable ekeys : int array;  (** packed entity key per id *)
   data : Bitset.t;
   ctrl : Bitset.t;
   mutable d_parent : int array;  (** -1 = no parent *)
@@ -222,7 +214,7 @@ type t = {
 }
 
 (* Counter inventory (registered at module init so the names exist in
-   every stats snapshot, even as zeros under the legacy engine). *)
+   every stats snapshot, even as zeros on runs without phase 3). *)
 let c_wl_pushes = Telemetry.counter "vf.worklist_pushes"
 let c_wl_pops = Telemetry.counter "vf.worklist_pops"
 let c_edges = Telemetry.counter "vf.edges_built"
@@ -234,13 +226,12 @@ let c_bitset_words = Telemetry.counter "vf.bitset_words"
 let c_drain_edges_per_sec = Telemetry.counter "vf.drain_edges_per_sec"
 let h_pair_build = Telemetry.histogram "pair.build"
 
-let create st =
-  let funcs_by_name = st.Phase3.fidx in
+let create (inp : Phase3.inputs) =
   let whys = Intern.create 64 in
   (* size the flat stores from the function count so typical runs never
      grow mid-build (≈10 entities and ≈15 edges per function in
      practice); everything still grows on demand for denser programs *)
-  let nfuncs = Hashtbl.length st.Phase3.fidx in
+  let nfuncs = Hashtbl.length inp.Phase3.fidx in
   let ecap = max 1024 (10 * nfuncs) in
   let edgecap = max 1024 (14 * nfuncs) in
   let bucket tbl fname k v =
@@ -257,17 +248,21 @@ let create st =
   let p1_regs = Hashtbl.create (2 * nfuncs) in
   Hashtbl.iter
     (fun (fname, vid) rs -> bucket p1_regs fname vid rs)
-    st.Phase3.p1.Phase1.facts;
+    inp.Phase3.p1.Phase1.facts;
   let pts_regs = Hashtbl.create (2 * nfuncs) in
   Pointsto.fold_pts
     (fun k ts () ->
       match k with
       | Pointsto.Kreg (fname, vid) -> bucket pts_regs fname vid ts
       | _ -> ())
-    st.Phase3.pts ();
+    inp.Phase3.pts ();
   {
-    st;
-    funcs_by_name;
+    inp;
+    (* a fixed initial size, not one scaled to the program: the
+       table's iteration order decides reported witnesses (see [pairs]) *)
+    pairs = Hashtbl.create 32;
+    pair_keys = [];
+    warnings = Hashtbl.create 32;
     own_lists = Hashtbl.create 64;
     p1_regs;
     pts_regs;
@@ -289,7 +284,7 @@ let create st =
     wl = Array.make (max 1024 (ecap / 2)) 0;
     wl_head = 0;
     wl_tail = 0;
-    rev = Array.make ecap (Phase3.Eregion "");
+    ekeys = Array.make ecap 0;
     data = Bitset.create ecap;
     ctrl = Bitset.create ecap;
     d_parent = Array.make ecap (-1);
@@ -306,7 +301,7 @@ let create st =
   }
 
 let ensure_cap g n =
-  let cap = Array.length g.rev in
+  let cap = Array.length g.ekeys in
   if n > cap then begin
     let cap' = max 256 (max n (2 * cap)) in
     let grow_arr dummy a =
@@ -314,7 +309,7 @@ let ensure_cap g n =
       Array.blit a 0 a' 0 cap;
       a'
     in
-    g.rev <- grow_arr (Phase3.Eregion "") g.rev;
+    g.ekeys <- grow_arr 0 g.ekeys;
     g.d_parent <- grow_arr (-1) g.d_parent;
     g.c_parent <- grow_arr (-1) g.c_parent;
     g.d_why <- grow_arr (-1) g.d_why;
@@ -437,7 +432,7 @@ let own_list g (f : Ssair.Ir.func) : Phase3.Ctx.t =
   match Hashtbl.find_opt g.own_lists f.Ssair.Ir.fname with
   | Some l -> l
   | None ->
-    let l = Phase3.Ctx.make (Phase3.own_assumptions g.st f) in
+    let l = Phase3.Ctx.make (Phase3.own_assumptions g.inp f) in
     Hashtbl.replace g.own_lists f.Ssair.Ir.fname l;
     l
 
@@ -445,7 +440,7 @@ let finfo g (f : Ssair.Ir.func) : finfo =
   match Hashtbl.find_opt g.finfos f.Ssair.Ir.fname with
   | Some fi -> fi
   | None ->
-    let fi_bi = Phase3.branch_info g.st f in
+    let fi_bi = Phase3.branch_info g.inp f in
     let nvals = ref 0 in
     let maxbid = ref (-1) in
     List.iter
@@ -477,35 +472,29 @@ let discover_pair g (f : Ssair.Ir.func) cid =
   let pkey = (fid lsl 20) lor cid in
   let n = Intern.Packed.length g.pairs_seen in
   if Intern.Packed.intern g.pairs_seen pkey = n then begin
-    Hashtbl.replace g.st.Phase3.pairs (f.Ssair.Ir.fname, Intern.Ctx.get g.ctxs cid) ();
-    if not (Phase1.is_exempt g.st.Phase3.p1 f.Ssair.Ir.fname) then
+    Hashtbl.replace g.pairs (f.Ssair.Ir.fname, Intern.Ctx.get g.ctxs cid) ();
+    g.pair_keys <- pkey :: g.pair_keys;
+    if not (Phase1.is_exempt g.inp.Phase3.p1 f.Ssair.Ir.fname) then
       Queue.push (f, cid) g.pending
   end
 
 (* -- Building one (function, context) pair ------------------------------------- *)
 
-(* Dense id of a packed entity key; a fresh key records its structural
-   entity (built by [mk]) for the pour-back. *)
-let ent g gkey mk =
+(* Dense id of a packed entity key, recording the key of a fresh id. *)
+let ent g gkey =
   let n = Intern.Packed.length g.keys in
   let id = Intern.Packed.intern g.keys gkey in
   if id = n then begin
     ensure_cap g (n + 1);
-    g.rev.(id) <- mk ()
+    g.ekeys.(id) <- gkey
   end;
   id
 
-let ent_val g fid cid vid =
-  ent g (pack_key 0 fid cid vid) (fun () ->
-      Phase3.Eval (Intern.get g.strs fid, Intern.Ctx.get g.ctxs cid, vid))
+let ent_val g fid cid vid = ent g (Phase3.pack_key 0 fid cid vid)
 
-let ent_param g fid cid pid =
-  ent g (pack_key 1 fid cid pid) (fun () ->
-      Phase3.Eparam (Intern.get g.strs fid, Intern.Ctx.get g.ctxs cid, Intern.get g.strs pid))
+let ent_param g fid cid pid = ent g (Phase3.pack_key 1 fid cid pid)
 
-let ent_ret g fid cid =
-  ent g (pack_key 2 fid cid 0) (fun () ->
-      Phase3.Eret (Intern.get g.strs fid, Intern.Ctx.get g.ctxs cid))
+let ent_ret g fid cid = ent g (Phase3.pack_key 2 fid cid 0)
 
 let grow_slots a i =
   if i < Array.length a then a
@@ -520,7 +509,7 @@ let ent_node g nid =
   let v = Array.unsafe_get g.node_eids nid in
   if v >= 0 then v
   else begin
-    let v = ent g (pack_key 3 nid 0 0) (fun () -> Phase3.Enode (Intern.get g.nodes nid)) in
+    let v = ent g (Phase3.pack_key 3 nid 0 0) in
     Array.unsafe_set g.node_eids nid v;
     v
   end
@@ -530,17 +519,15 @@ let ent_region g rid =
   let v = Array.unsafe_get g.region_eids rid in
   if v >= 0 then v
   else begin
-    let v = ent g (pack_key 4 rid 0 0) (fun () -> Phase3.Eregion (Intern.get g.strs rid)) in
+    let v = ent g (Phase3.pack_key 4 rid 0 0) in
     Array.unsafe_set g.region_eids rid v;
     v
   end
 
-(* Warning dedup by (loc, region) — mirrors Phase3.warn, but the record
-   is already formatted. *)
+(* Warnings deduplicated by (loc, region): the first context wins. *)
 let record_warning g (w : Report.warning) =
   let key = (w.Report.w_loc, w.Report.w_region) in
-  if not (Hashtbl.mem g.st.Phase3.warnings key) then
-    Hashtbl.replace g.st.Phase3.warnings key w
+  if not (Hashtbl.mem g.warnings key) then Hashtbl.replace g.warnings key w
 
 (* Context id of [gfn] called from context [self_cid]: its own
    assumptions, unioned with the caller's when context-sensitive.
@@ -555,7 +542,7 @@ let callee_cid g self_cid (gfn : Ssair.Ir.func) =
       Hashtbl.replace g.own_cids gfn.Ssair.Ir.fname c;
       c
   in
-  if g.st.Phase3.config.Config.context_sensitive then Intern.Ctx.union g.ctxs self_cid ocid
+  if g.inp.Phase3.config.Config.context_sensitive then Intern.Ctx.union g.ctxs self_cid ocid
   else ocid
 
 let call_whys g fid callee nargs =
@@ -591,7 +578,7 @@ let cmemo g self_cid callee : cmemo =
   | Some cm -> cm
   | None ->
     let cm =
-      match Hashtbl.find_opt g.funcs_by_name callee with
+      match Hashtbl.find_opt g.inp.Phase3.fidx callee with
       | Some gfn ->
         let gfid = Intern.intern g.strs gfn.Ssair.Ir.fname in
         let gcid = callee_cid g self_cid gfn in
@@ -611,12 +598,11 @@ let cmemo g self_cid callee : cmemo =
 
 (** Walk [f] under context [ctx] (interned as [self_cid]) straight into
     the live graph; the static taint sources of the pair (unmonitored
-    non-core reads, non-core recv buffers) become seeds.  Edge-for-rule
-    correspondence with {!Phase3.analyze_pair} is documented inline. *)
+    non-core reads, non-core recv buffers) become seeds. *)
 let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
-  let st = g.st in
-  let config = st.Phase3.config in
-  let env = st.Phase3.prog.Ssair.Ir.env in
+  let inp = g.inp in
+  let config = inp.Phase3.config in
+  let env = inp.Phase3.prog.Ssair.Ir.env in
   let fname = f.Ssair.Ir.fname in
   let fi = finfo g f in
   let sid x = Intern.intern g.strs x in
@@ -659,7 +645,7 @@ let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
       match fn_p1regs with
       | Some t -> Option.value ~default:Phase1.Rset.empty (Hashtbl.find_opt t id)
       | None -> Phase1.Rset.empty)
-    | _ -> Phase1.shm_targets st.Phase3.p1 f v
+    | _ -> Phase1.shm_targets inp.Phase3.p1 f v
   in
   let pts_of (v : Ssair.Ir.value) =
     match v with
@@ -667,7 +653,7 @@ let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
       match fn_ptsregs with
       | Some t -> Option.value ~default:Pointsto.Tset.empty (Hashtbl.find_opt t id)
       | None -> Pointsto.Tset.empty)
-    | _ -> Pointsto.points_to st.Phase3.pts f v
+    | _ -> Pointsto.points_to inp.Phase3.pts f v
   in
   (* defs are only consulted to resolve recv sockets, so built on demand *)
   let defs = lazy (Ssair.Ir.def_table f) in
@@ -709,7 +695,7 @@ let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
                   match pblk.Ssair.Ir.termin with
                   | Ssair.Ir.Cbr (Ssair.Ir.Vreg cvid, _, _)
                   | Ssair.Ir.Switch (Ssair.Ir.Vreg cvid, _, _) ->
-                    if not (Phase3.branch_decided st f pblk) then
+                    if not (Phase3.branch_decided inp f pblk) then
                       edge (eval cvid) self many_ctrl why
                   | _ -> ())
                 | None -> ())
@@ -731,7 +717,7 @@ let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
             Phase1.Rset.iter
               (fun tgt ->
                 let rname = tgt.Phase1.Rtgt.region in
-                match Shm.region st.Phase3.shm rname with
+                match Shm.region inp.Phase3.shm rname with
                 | None -> ()
                 | Some r ->
                   if r.Shm.r_noncore then begin
@@ -762,8 +748,10 @@ let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
                       edge (node_ent node) self mdata sw.(w_core_read)
                   end)
               shm_targets;
-            (* 2. ordinary memory (cf. the shm/ordinary split in the
-               legacy engine) *)
+            (* 2. ordinary memory — only when the address is not a
+               shared-memory pointer: shm reads are governed by the
+               region model above (P2 guarantees shm pointers cannot also
+               point to ordinary objects) *)
             if Phase1.Rset.is_empty shm_targets then
               Pointsto.Tset.iter
                 (fun tgt ->
@@ -841,14 +829,14 @@ let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
                   match args with
                   | sock :: _ -> (
                     match sock with
-                    | Ssair.Ir.Vparam p -> Hashtbl.mem st.Phase3.noncore_sockets p
+                    | Ssair.Ir.Vparam p -> Hashtbl.mem inp.Phase3.noncore_sockets p
                     | Ssair.Ir.Vreg id -> (
                       match Hashtbl.find_opt (Lazy.force defs) id with
                       | Some
                           (Ssair.Ir.Def_instr
                              ( { idesc = Ssair.Ir.Load { ptr = Ssair.Ir.Vglobal gl; _ }; _ },
                                _ )) ->
-                        Hashtbl.mem st.Phase3.noncore_sockets gl
+                        Hashtbl.mem inp.Phase3.noncore_sockets gl
                       | _ -> false)
                     | _ -> false)
                   | [] -> false
@@ -878,8 +866,8 @@ let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
       | _ -> ())
     f.Ssair.Ir.blocks;
   (* wire branch conditions to the control-dependence targets of every
-     block in their controls-closure (Phase3.block_control_taint made
-     sparse: the closure is static, only the cond's taint is dynamic) *)
+     block in their controls-closure (the closure is static, only the
+     cond's taint is dynamic) *)
   List.iter
     (fun (_bB, cvid, closure) ->
       let c = eval cvid in
@@ -892,13 +880,47 @@ let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
 
 (* -- Entry point --------------------------------------------------------------- *)
 
+(* The final state as a {!Phase3.flat}: the per-entity arrays cut to the
+   entity count, the interners as arrays. *)
+let flat g : Phase3.flat =
+  let n = Intern.Packed.length g.keys in
+  let table bits parent why =
+    { Phase3.bits; parent = Array.sub parent 0 n; why = Array.sub why 0 n }
+  in
+  {
+    Phase3.keys = Array.sub g.ekeys 0 n;
+    strs = Intern.to_array g.strs;
+    ctxs = Array.init (Intern.Ctx.length g.ctxs) (Intern.Ctx.get g.ctxs);
+    nodes = Intern.to_array g.nodes;
+    whys = Intern.to_array g.whys;
+    data = table g.data g.d_parent g.d_why;
+    ctrl = table g.ctrl g.c_parent g.c_why;
+    pairs = Array.of_list (List.rev g.pair_keys);
+  }
+
+(* Taint lookups over the flat state [fl], resolving an entity to its id
+   through the live interners. *)
+let lookup g (fl : Phase3.flat) : Phase3.lookup =
+  let sid = Intern.intern g.strs and cid = Intern.Ctx.intern g.ctxs in
+  let id_of (e : Phase3.entity) =
+    Intern.Packed.find_opt g.keys
+      (match e with
+      | Phase3.Eval (f, ctx, vid) -> Phase3.pack_key 0 (sid f) (cid ctx) vid
+      | Phase3.Eparam (f, ctx, p) -> Phase3.pack_key 1 (sid f) (cid ctx) (sid p)
+      | Phase3.Eret (f, ctx) -> Phase3.pack_key 2 (sid f) (cid ctx) 0
+      | Phase3.Enode n -> Phase3.pack_key 3 (Intern.intern g.nodes n) 0 0
+      | Phase3.Eregion r -> Phase3.pack_key 4 (sid r) 0 0)
+  in
+  let origin t e = Option.bind (id_of e) (Phase3.origin fl t) in
+  { Phase3.data = origin fl.Phase3.data; ctrl = origin fl.Phase3.ctrl }
+
 let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
     (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
-  let st = Phase3.make_state ~config ?absint prog shm p1 pts in
-  let g = create st in
+  let inp = Phase3.make_inputs ~config ?absint prog shm p1 pts in
+  let g = create inp in
   List.iter
     (fun (f, ctx) -> discover_pair g f (Intern.Ctx.intern g.ctxs ctx))
-    (Phase3.root_pairs st);
+    (Phase3.root_pairs inp);
   (* pair discovery is taint-independent, so walking every pending pair
      (FIFO, which appends newly discovered callees) before draining
      reaches the same closure as interleaving would *)
@@ -918,49 +940,30 @@ let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (shm : Shm.
       Telemetry.add c_pair_built !n);
   Telemetry.span "phase3.csr_build" (fun () -> finalize_csr g);
   Telemetry.span "phase3.drain" (fun () -> drain g);
+  let engine_stats =
+    [ ("vf_entities", Intern.Packed.length g.keys);
+      ("vf_contexts", Intern.Ctx.length g.ctxs);
+      ("vf_edges", g.n_edges);
+      ("vf_pops", g.n_pops);
+      ("vf_pushes", g.n_pushes) ]
+  in
   Telemetry.add c_wl_pushes g.n_pushes;
   Telemetry.add c_wl_pops g.n_pops;
   Telemetry.add c_edges g.n_edges;
   Telemetry.add c_entities (Intern.Packed.length g.keys);
   Telemetry.add c_contexts (Intern.Ctx.length g.ctxs);
   Telemetry.add c_bitset_words (Bitset.words g.data + Bitset.words g.ctrl);
-  (* pour the interned taints back into the shared state shape; the
-     tables are sized up front from the bitset population counts so
-     insertion never rehashes *)
-  let entity_origin parents whys i =
-    let p = parents.(i) in
-    {
-      Phase3.parent = (if p < 0 then None else Some g.rev.(p));
-      why = Intern.get g.whys whys.(i);
-    }
+  let fl = flat g in
+  let dependencies =
+    Telemetry.span "phase3.collect" (fun () ->
+        Phase3.collect_dependencies inp (lookup g fl) g.pairs)
   in
-  Telemetry.span "phase3.pour" (fun () ->
-      let nents = Intern.Packed.length g.keys in
-      let data_tbl = Hashtbl.create (2 * Bitset.count g.data) in
-      let ctrl_tbl = Hashtbl.create (2 * Bitset.count g.ctrl) in
-      for i = 0 to nents - 1 do
-        if Bitset.get g.data i then
-          Hashtbl.replace data_tbl g.rev.(i) (entity_origin g.d_parent g.d_why i);
-        if Bitset.get g.ctrl i then
-          Hashtbl.replace ctrl_tbl g.rev.(i) (entity_origin g.c_parent g.c_why i)
-      done;
-      st.Phase3.data <- data_tbl;
-      st.Phase3.ctrl <- ctrl_tbl);
-  st.Phase3.passes <- 1;
-  st.Phase3.changed <- false;
-  let dependencies = Telemetry.span "phase3.collect" (fun () -> Phase3.collect_dependencies st) in
   {
     Phase3.warnings =
-      Hashtbl.fold (fun _ w acc -> w :: acc) st.Phase3.warnings []
+      Hashtbl.fold (fun _ w acc -> w :: acc) g.warnings []
       |> List.stable_sort Report.compare_warning;
     dependencies;
-    passes = 1;
-    pair_count = Hashtbl.length st.Phase3.pairs;
-    engine_stats =
-      [ ("vf_entities", Intern.Packed.length g.keys);
-        ("vf_contexts", Intern.Ctx.length g.ctxs);
-        ("vf_edges", g.n_edges);
-        ("vf_pops", g.n_pops);
-        ("vf_pushes", g.n_pushes) ];
-    taint_state = st;
+    pair_count = Hashtbl.length g.pairs;
+    engine_stats;
+    flat = fl;
   }

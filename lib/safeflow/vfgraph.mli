@@ -1,26 +1,25 @@
-(** Sparse worklist phase-3 engine over an explicit value-flow graph.
+(** The phase-3 engine: sparse worklist propagation over an explicit
+    value-flow graph.
 
-    The legacy engine ({!Phase3.run}) is a dense fixpoint: every pass
-    re-scans every instruction of every discovered (function, context)
-    pair until no taint changes.  This engine visits each pair {e once}:
-    on first discovery it builds the pair's value-flow successor edges
-    (SSA def-use, load/store edges resolved by {!Pointsto}, call/return
-    edges, control-dependence edges from the cached CDGs) and thereafter
-    propagates newly-tainted entities along out-edges from a worklist.
+    Each discovered (function, context) pair is visited {e once}: on
+    first discovery the engine builds the pair's value-flow successor
+    edges (SSA def-use, load/store edges resolved by {!Pointsto},
+    call/return edges, control-dependence edges from the cached CDGs),
+    and a single worklist drain then propagates taint along out-edges.
     Entities and monitoring contexts are interned to dense integer ids
-    ({!Intern}), so taint membership is an array lookup.
+    ({!Intern}), so taint membership is a bitset lookup, and that
+    interned state is the result ({!Phase3.flat}).
 
-    Select it with [{ Config.default with engine = Config.Worklist }]
-    (the {!Driver} dispatches on that flag).
-
-    Equivalence with the legacy engine: warnings, violations, discovered
-    pairs and dependency classifications are identical (asserted by
-    [test/test_engine_equiv.ml]).  Two deliberate, report-invisible
-    deviations: propagation-trace parents may differ (both engines pick
-    an arbitrary witness path), and control-taint is propagated
-    monotonically where the legacy engine's data-taint branch shadows
-    its control branch — the extra control marks land only on entities
-    that are also data-tainted, and data shadows control everywhere the
+    The paper-shaped dense fixpoint, which re-scans every pair until no
+    taint changes, lives under [test/] as the differential oracle:
+    warnings, violations, discovered pairs, dependency classifications,
+    fingerprints, rendered reports and coverage must agree with it
+    ([test/test_engine_equiv.ml]).  Two deliberate, report-invisible
+    deviations: propagation-trace parents may differ (both pick an
+    arbitrary witness path), and control-taint is propagated
+    monotonically where the fixpoint's data-taint branch shadows its
+    control branch — the extra control marks land only on entities that
+    are also data-tainted, and data shadows control everywhere the
     report classifies, so classifications agree. *)
 
 (** CSR (compressed sparse row) adjacency over dense entity ids: the
@@ -53,12 +52,10 @@ val run :
   Phase1.t ->
   Pointsto.t ->
   Phase3.result
-(** drop-in replacement for {!Phase3.run}; [?absint] prunes control
-    dependence of branches whose direction the value-range analysis
-    decides (precision-only, mirrored in the legacy engine);
-    [result.passes] is 1 and
-    [result.engine_stats] reports interned-entity, edge and worklist-pop
-    counters.
+(** Phase 3 over one program.  [?absint] prunes control dependence of
+    branches whose direction the value-range analysis decides
+    (precision-only); [result.engine_stats] reports interned-entity,
+    edge and worklist-pop counters.
 
     Pairs are walked sequentially in discovery order on the calling
     domain, so the edge insertion order, and with it every taint origin

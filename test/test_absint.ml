@@ -179,8 +179,8 @@ let test_branch_refinement_kills_branch () =
 
 (* -- report-level guarantees ------------------------------------------- *)
 
-let analyze_with ~engine ~absint ?file src =
-  let config = { Config.default with Config.engine; absint } in
+let analyze_with ~absint ?file src =
+  let config = { Config.default with Config.absint } in
   Driver.analyze ~config ?file src
 
 let fingerprints (a : Driver.analysis) =
@@ -188,26 +188,17 @@ let fingerprints (a : Driver.analysis) =
   List.sort_uniq compare (List.map fst (Fingerprint.of_report ctx a.Driver.report))
 
 let test_clamp_control_dep_pruned () =
-  List.iter
-    (fun engine ->
-      let name = Config.engine_name engine in
-      let off = analyze_with ~engine ~absint:false ~file:"clamp.c" clamp_src in
-      let on = analyze_with ~engine ~absint:true ~file:"clamp.c" clamp_src in
-      Alcotest.(check int)
-        (name ^ ": control dep reported without ranges")
-        1
-        (List.length (Report.control_deps off.Driver.report));
-      Alcotest.(check int)
-        (name ^ ": control dep pruned with ranges")
-        0
-        (List.length (Report.control_deps on.Driver.report));
-      (* the data-flow warning on the unchecked mode read must survive:
-         pruning is restricted to control dependences *)
-      Alcotest.(check int)
-        (name ^ ": warnings unchanged")
-        (List.length off.Driver.report.Report.warnings)
-        (List.length on.Driver.report.Report.warnings))
-    [ Config.Legacy; Config.Worklist ]
+  let off = analyze_with ~absint:false ~file:"clamp.c" clamp_src in
+  let on = analyze_with ~absint:true ~file:"clamp.c" clamp_src in
+  Alcotest.(check int) "control dep reported without ranges" 1
+    (List.length (Report.control_deps off.Driver.report));
+  Alcotest.(check int) "control dep pruned with ranges" 0
+    (List.length (Report.control_deps on.Driver.report));
+  (* the data-flow warning on the unchecked mode read must survive:
+     pruning is restricted to control dependences *)
+  Alcotest.(check int) "warnings unchanged"
+    (List.length off.Driver.report.Report.warnings)
+    (List.length on.Driver.report.Report.warnings)
 
 let all_systems =
   [ "figure2.c"; "ip_controller.c"; "double_ip.c"; "car_follow.c";
@@ -222,17 +213,13 @@ let test_systems_fingerprint_subset () =
         close_in ic;
         s
       in
-      List.iter
-        (fun engine ->
-          let off = analyze_with ~engine ~absint:false ~file:name src in
-          let on = analyze_with ~engine ~absint:true ~file:name src in
-          let fps_on = fingerprints on and fps_off = fingerprints off in
-          Alcotest.(check bool)
-            (Fmt.str "%s/%s: on-findings are a subset of off-findings" name
-               (Config.engine_name engine))
-            true
-            (List.for_all (fun fp -> List.mem fp fps_off) fps_on))
-        [ Config.Legacy; Config.Worklist ])
+      let off = analyze_with ~absint:false ~file:name src in
+      let on = analyze_with ~absint:true ~file:name src in
+      let fps_on = fingerprints on and fps_off = fingerprints off in
+      Alcotest.(check bool)
+        (name ^ ": on-findings are a subset of off-findings")
+        true
+        (List.for_all (fun fp -> List.mem fp fps_off) fps_on))
     all_systems
 
 let test_generic_simplex_discharges () =
@@ -256,7 +243,7 @@ let () =
           Alcotest.test_case "branch refinement decides clamp guard" `Quick
             test_branch_refinement_kills_branch ] );
       ( "reports",
-        [ Alcotest.test_case "clamp control dep pruned, both engines" `Quick
+        [ Alcotest.test_case "clamp control dep pruned" `Quick
             test_clamp_control_dep_pruned;
           Alcotest.test_case "five systems: on ⊆ off fingerprints" `Slow
             test_systems_fingerprint_subset;

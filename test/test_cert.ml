@@ -1,8 +1,8 @@
 (* Certificate pipeline tests:
 
    - round-trip identity: every certificate emitted for the five subject
-     systems validates against a freshly parsed program, across both
-     phase-3 engines and with absint on and off, and emission never
+     systems validates against a freshly parsed program, with absint on
+     and off, and emission never
      perturbs the report;
    - cache states: cold, warm and dirty (corrupted on disk) cached runs
      produce byte-identical reports and byte-identical bundles, with the
@@ -102,41 +102,36 @@ let bundle_files bdir =
 
 let check_roundtrip name =
   List.iter
-    (fun engine ->
-      List.iter
-        (fun absint ->
-          let tag =
-            Printf.sprintf "%s/%s/absint=%b" name (Config.engine_name engine) absint
+    (fun absint ->
+      let tag = Printf.sprintf "%s/absint=%b" name absint in
+      let config = { Config.default with Config.absint } in
+      let path = find_system name in
+      let baseline = report_string (Driver.analyze_file ~config path) in
+      with_tmpdir (fun dir ->
+          let a = Driver.analyze_file ~config path in
+          let s =
+            match Cert.emit_bundle ~config ~label:path ~dir a with
+            | Ok s -> s
+            | Error e -> Alcotest.fail (tag ^ ": emission failed: " ^ e)
           in
-          let config = { Config.default with Config.engine; absint } in
-          let path = find_system name in
-          let baseline = report_string (Driver.analyze_file ~config path) in
-          with_tmpdir (fun dir ->
-              let a = Driver.analyze_file ~config path in
-              let s =
-                match Cert.emit_bundle ~config ~label:path ~dir a with
-                | Ok s -> s
-                | Error e -> Alcotest.fail (tag ^ ": emission failed: " ^ e)
-              in
-              Alcotest.(check string)
-                (tag ^ ": emission does not perturb the report")
-                baseline (report_string a);
-              Alcotest.(check int) (tag ^ ": nothing skipped") 0
-                (List.length s.Cert.cs_skipped);
-              Alcotest.(check bool) (tag ^ ": bundle nonempty") true
-                (s.Cert.cs_written > 0);
-              let o = validate_fresh path dir in
-              List.iter
-                (fun (f : Checker.failure) ->
-                  Alcotest.fail
-                    (tag ^ ": " ^ f.Checker.ce_id ^ ": " ^ f.Checker.ce_msg))
-                o.Checker.failures;
-              Alcotest.(check int) (tag ^ ": checker skipped") 0 o.Checker.skipped;
-              Alcotest.(check int)
-                (tag ^ ": every certificate verified")
-                s.Cert.cs_written o.Checker.passed))
-        [ true; false ])
-    [ Config.Legacy; Config.Worklist ]
+          Alcotest.(check string)
+            (tag ^ ": emission does not perturb the report")
+            baseline (report_string a);
+          Alcotest.(check int) (tag ^ ": nothing skipped") 0
+            (List.length s.Cert.cs_skipped);
+          Alcotest.(check bool) (tag ^ ": bundle nonempty") true
+            (s.Cert.cs_written > 0);
+          let o = validate_fresh path dir in
+          List.iter
+            (fun (f : Checker.failure) ->
+              Alcotest.fail
+                (tag ^ ": " ^ f.Checker.ce_id ^ ": " ^ f.Checker.ce_msg))
+            o.Checker.failures;
+          Alcotest.(check int) (tag ^ ": checker skipped") 0 o.Checker.skipped;
+          Alcotest.(check int)
+            (tag ^ ": every certificate verified")
+            s.Cert.cs_written o.Checker.passed))
+    [ true; false ]
 
 let test_roundtrip name () = check_roundtrip name
 

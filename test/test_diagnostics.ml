@@ -2,9 +2,10 @@
    files and differential reports, monitoring coverage, CI gating.
 
    The load-bearing property is fingerprint invariance — the same
-   finding must get the same identity across engine choice, cache state,
-   parallelism settings and function reordering — because baselines and
-   diffs are keyed on nothing else. *)
+   finding must get the same identity from the phase-3 engine and its
+   dense oracle, across cache state, parallelism settings and function
+   reordering — because baselines and diffs are keyed on nothing
+   else. *)
 
 open Safeflow
 
@@ -36,15 +37,6 @@ let sorted_fps ?config ?cache src = List.sort compare (fingerprints ?config ?cac
 let slist = Alcotest.(list string)
 
 (* -- fingerprint invariance ---------------------------------------------------- *)
-
-let test_engine_invariance name () =
-  let src = read_file (find_system name) in
-  let legacy = sorted_fps ~config:{ Config.default with engine = Config.Legacy } src in
-  let worklist =
-    sorted_fps ~config:{ Config.default with engine = Config.Worklist } src
-  in
-  Alcotest.check slist "legacy = worklist" legacy worklist;
-  Alcotest.(check bool) "non-empty" true (legacy <> [])
 
 (* [name] analyzed alongside the other systems on the multi-system
    driver's domains must keep the fingerprints of a lone sequential run *)
@@ -148,14 +140,6 @@ let test_reorder_invariance () =
   Alcotest.check slist "reorder + shift invariant" f1 f2
 
 (* -- report determinism -------------------------------------------------------- *)
-
-let test_byte_identical name () =
-  let src = read_file (find_system name) in
-  let render engine =
-    Report.to_string (Driver.analyze ~config:{ Config.default with engine } src).Driver.report
-  in
-  Alcotest.(check string) "engines render identically" (render Config.Legacy)
-    (render Config.Worklist)
 
 let test_canonical_order name () =
   let src = read_file (find_system name) in
@@ -510,23 +494,21 @@ let test_coverage name () =
   | _ -> Alcotest.fail "coverage JSON is not an object"
   | exception Json.Bad m -> Alcotest.fail ("bad coverage JSON: " ^ m))
 
-let test_coverage_engine_invariance name () =
-  let src = read_file (find_system name) in
-  let cov engine = (Driver.analyze ~config:{ Config.default with engine } src).Driver.coverage in
-  Alcotest.(check bool) "coverage engine-invariant" true
-    (cov Config.Legacy = cov Config.Worklist)
-
 let per_system f = List.map (fun n -> Alcotest.test_case n `Quick (f n)) system_files
+
+(* [check] on [name] under every Config toggle combination, library
+   engine against the dense oracle (see oracle.ml) *)
+let vs_oracle check name () = Oracle.over_grid name (read_file (find_system name)) check
 
 let () =
   Alcotest.run "diagnostics"
-    [ ("fingerprint engine invariance", per_system test_engine_invariance);
+    [ ("fingerprint engine invariance", per_system (vs_oracle Oracle.check_fingerprints));
       ("fingerprint parallelism invariance", per_system test_parallelism_invariance);
       ("fingerprint cache invariance", per_system test_cache_invariance);
       ( "fingerprint reordering",
         [ Alcotest.test_case "function reorder + line shift" `Quick
             test_reorder_invariance ] );
-      ("byte-identical reports", per_system test_byte_identical);
+      ("byte-identical reports", per_system (vs_oracle Oracle.check_render));
       ("canonical order", per_system test_canonical_order);
       ( "sarif",
         [ Alcotest.test_case "structure over all systems" `Quick test_sarif_structure ] );
@@ -538,4 +520,4 @@ let () =
           Alcotest.test_case "noncore variants all fixed" `Quick test_diff_noncore ] );
       ("gating", [ Alcotest.test_case "exit codes" `Quick test_gate ]);
       ("coverage", per_system test_coverage);
-      ("coverage engine invariance", per_system test_coverage_engine_invariance) ]
+      ("coverage engine invariance", per_system (vs_oracle Oracle.check_coverage)) ]

@@ -1,7 +1,8 @@
 (* End-to-end tests for the content-addressed incremental cache and the
    parallel driver: reports must be structurally identical across
-   {no cache, cold, warm, one-function edit} × {legacy, worklist}; the
-   on-disk tier must survive a round trip through a fresh process-level
+   {no cache, cold, warm, one-function edit}, and so must the analyzed
+   function universe and the value-flow-graph export a cached phase-3
+   result is read back into; the on-disk tier must survive a round trip through a fresh process-level
    cache object, silently recompute corrupt entries, and survive losing
    the race to create its directories; Driver.analyze_files_par must
    agree with sequential analysis in input order. *)
@@ -27,14 +28,24 @@ let read_file p =
   close_in ic;
   s
 
-let engines = [ ("legacy", Config.Legacy); ("worklist", Config.Worklist) ]
-
-let config_of engine = { Config.default with engine }
-
 let report ?cache config src = (Driver.analyze ~config ?cache src).Driver.report
 
 let check_report label (expected : Report.t) (actual : Report.t) =
   Alcotest.(check bool) label true (expected = actual)
+
+(* what a run exposes beyond the report: the analyzed function universe
+   and both DOT exports, all read from the phase-3 result *)
+let views (a : Driver.analysis) =
+  ( Driver.analyzed_functions a.Driver.phase3 a.Driver.phase1,
+    Vfg.to_dot a.Driver.phase3,
+    Vfg.control_to_dot a.Driver.phase3 )
+
+let check_analysis label (expected : Driver.analysis) (actual : Driver.analysis) =
+  check_report (label ^ " report") expected.Driver.report actual.Driver.report;
+  let fns, dot, cdot = views expected and fns', dot', cdot' = views actual in
+  Alcotest.(check (list string)) (label ^ " analyzed functions") fns fns';
+  Alcotest.(check string) (label ^ " to_dot") dot dot';
+  Alcotest.(check string) (label ^ " control_to_dot") cdot cdot'
 
 (* an uncalled one-function edit: every other function keeps its source
    location, so only the probe's dependent cache entries miss *)
@@ -44,14 +55,15 @@ let test_warm_identity () =
   List.iter
     (fun sys ->
       let src = read_file (find_system sys) in
-      List.iter
-        (fun (ename, engine) ->
-          let config = config_of engine in
-          let baseline = report config src in
-          let c = Cache.create () in
-          check_report (sys ^ " cold " ^ ename) baseline (report ~cache:c config src);
-          check_report (sys ^ " warm " ^ ename) baseline (report ~cache:c config src))
-        engines)
+      let analyze ?cache () = Driver.analyze ?cache src in
+      let baseline = analyze () in
+      let c = Cache.create () in
+      check_analysis (sys ^ " cold") baseline (analyze ~cache:c ());
+      Cache.reset_stats c;
+      check_analysis (sys ^ " warm") baseline (analyze ~cache:c ());
+      (* the warm run's phase 3 came from the cache, not a rerun *)
+      Alcotest.(check (pair int int)) (sys ^ " warm phase3 hit") (1, 0)
+        (Option.value ~default:(0, 0) (List.assoc_opt "phase3" (Cache.stats c))))
     systems
 
 let test_dirty_identity () =
@@ -59,15 +71,12 @@ let test_dirty_identity () =
     (fun sys ->
       let src = read_file (find_system sys) in
       let dirty = src ^ probe in
-      List.iter
-        (fun (ename, engine) ->
-          let config = config_of engine in
-          let fresh = report config dirty in
-          let c = Cache.create () in
-          ignore (report ~cache:c config src);
-          (* primed with the unedited source *)
-          check_report (sys ^ " dirty " ^ ename) fresh (report ~cache:c config dirty))
-        engines)
+      let config = Config.default in
+      let fresh = report config dirty in
+      let c = Cache.create () in
+      ignore (report ~cache:c config src);
+      (* primed with the unedited source *)
+      check_report (sys ^ " dirty") fresh (report ~cache:c config dirty))
     systems
 
 (* disk entries live under a generation subdirectory of the cache root *)
@@ -105,6 +114,25 @@ let test_disk_roundtrip () =
     (report ~cache:c2 Config.default src);
   let hits = List.fold_left (fun acc (_, (h, _)) -> acc + h) 0 (Cache.stats c2) in
   Alcotest.(check bool) "disk entries were hit" true (hits > 0)
+
+(* The DOT bytes depend only on the phase-3 result: a run with no cache,
+   a cold run through a disk cache and a warm run through a fresh cache
+   object (so the result is unmarshalled from disk) export identical
+   graphs. *)
+let test_dot_deterministic () =
+  let dir = "tmp_cache_dot" in
+  List.iter
+    (fun sys ->
+      clear_dir dir;
+      let src = read_file (find_system sys) in
+      let _, dot, cdot = views (Driver.analyze src) in
+      List.iter
+        (fun state ->
+          let _, dot', cdot' = views (Driver.analyze ~cache:(Cache.create ~dir ()) src) in
+          Alcotest.(check string) (sys ^ " " ^ state ^ " to_dot") dot dot';
+          Alcotest.(check string) (sys ^ " " ^ state ^ " control_to_dot") cdot cdot')
+        [ "cold"; "warm" ])
+    systems
 
 let test_disk_corrupt () =
   let dir = "tmp_cache_corrupt" in
@@ -209,6 +237,8 @@ let () =
       ( "disk",
         [ Alcotest.test_case "round trip through a fresh cache" `Quick
             test_disk_roundtrip;
+          Alcotest.test_case "value-flow graph export identical" `Quick
+            test_dot_deterministic;
           Alcotest.test_case "corrupt entries recomputed" `Quick test_disk_corrupt;
           Alcotest.test_case "racing openers all get a disk tier" `Quick
             test_disk_mkdir_race ] );

@@ -3,7 +3,7 @@
    can be checked mechanically — the machine-checkable counterpart of
    the paper's "review the value-flow graph" workflow.
 
-   Checked on every subject system under both engines:
+   Checked on every subject system:
    - every dependency has a non-empty path whose string rendering IS the
      legacy d_trace (they are derived from the same structure);
    - consecutive non-synthetic steps chain by entity identity
@@ -100,47 +100,31 @@ let check_dependency label (r : Report.t) (d : Report.dependency) =
 let system_files =
   [ "ip_controller.c"; "generic_simplex.c"; "double_ip.c"; "figure2.c"; "car_follow.c" ]
 
-let engines = [ ("legacy", Config.Legacy); ("worklist", Config.Worklist) ]
-
 let test_system name () =
   let src = read_file (find_system name) in
+  let r = (Driver.analyze ~file:name src).Driver.report in
+  if Report.errors r = [] then
+    Alcotest.failf "%s: expected at least one error dependency" name;
   List.iter
-    (fun (ename, engine) ->
-      let config = { Config.default with engine } in
-      let r = (Driver.analyze ~config ~file:name src).Driver.report in
-      if Report.errors r = [] then
-        Alcotest.failf "%s/%s: expected at least one error dependency" name ename;
-      List.iter
-        (fun (d : Report.dependency) ->
-          check_dependency (Fmt.str "%s/%s %s" name ename d.Report.d_sink) r d)
-        r.Report.dependencies)
-    engines
+    (fun (d : Report.dependency) ->
+      check_dependency (Fmt.str "%s %s" name d.Report.d_sink) r d)
+    r.Report.dependencies
 
 (* Figure 2 of the paper: the witness must run from the unmonitored
    feedback read into the final safety assertion in main. *)
 let test_figure2_pin () =
   let src = read_file (find_system "figure2.c") in
-  List.iter
-    (fun (ename, engine) ->
-      let config = { Config.default with engine } in
-      let r = (Driver.analyze ~config ~file:"figure2.c" src).Driver.report in
-      match Report.errors r with
-      | [ d ] ->
-        Alcotest.(check string)
-          (ename ^ ": sink") "assert(safe(output))" d.Report.d_sink;
-        let steps = d.Report.d_path in
-        Alcotest.(check string)
-          (ename ^ ": source step")
-          "non-core region feedback"
-          (List.hd steps).Report.p_desc;
-        let last = List.nth steps (List.length steps - 1) in
-        Alcotest.(check bool)
-          (ename ^ ": sink step in main")
-          true
-          (starts_with "main:" last.Report.p_desc);
-        Alcotest.(check bool) (ename ^ ": multi-step") true (List.length steps >= 3)
-      | deps -> Alcotest.failf "%s: expected exactly 1 error, got %d" ename (List.length deps))
-    engines
+  let r = (Driver.analyze ~file:"figure2.c" src).Driver.report in
+  match Report.errors r with
+  | [ d ] ->
+    Alcotest.(check string) "sink" "assert(safe(output))" d.Report.d_sink;
+    let steps = d.Report.d_path in
+    Alcotest.(check string) "source step" "non-core region feedback"
+      (List.hd steps).Report.p_desc;
+    let last = List.nth steps (List.length steps - 1) in
+    Alcotest.(check bool) "sink step in main" true (starts_with "main:" last.Report.p_desc);
+    Alcotest.(check bool) "multi-step" true (List.length steps >= 3)
+  | deps -> Alcotest.failf "expected exactly 1 error, got %d" (List.length deps)
 
 (* Control-only dependencies carry witnesses too (possibly narrative). *)
 let test_control_paths () =
