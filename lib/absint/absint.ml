@@ -659,8 +659,8 @@ let without_locs (f : Ir.func) : Ir.func =
 let sorted_tbl tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
-  let defined = Hashtbl.create 16 in
-  List.iter (fun f -> Hashtbl.replace defined f.Ir.fname f) prog.Ir.funcs;
+  let find = Ir.func_index prog in
+  let defined n = Option.get (find n) in
   (* call graph over defined functions, plus call-site counts: entry
      points (never called) keep ⊤ parameters *)
   let callees = Hashtbl.create 16 in
@@ -673,7 +673,7 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
               List.filter_map
                 (fun (i : Ir.instr) ->
                   match i.Ir.idesc with
-                  | Ir.Call { callee; _ } when Hashtbl.mem defined callee -> Some callee
+                  | Ir.Call { callee; _ } when find callee <> None -> Some callee
                   | _ -> None)
                 (Ir.all_instrs f)
               |> List.sort_uniq compare
@@ -714,22 +714,35 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
   let ret_of callee =
     match Hashtbl.find_opt rets callee with Some i -> i | None -> Itv.top
   in
+  (* each function's last fixpoint with the parameter and callee-return
+     ranges it was computed from.  The fixpoint is a pure function of
+     those, the body and the type environment, and the last two do not
+     change between the passes, so pass 2 reuses a pass-1 result whose
+     ranges are unchanged without asking [memo] *)
+  let last = Hashtbl.create 16 in
   let analyze_one f ~params =
     (* the callee ranges are read now, the rest only if a key is asked
        for: everything the fixpoint reads except source locations *)
     let callee_rets = List.map (fun c -> (c, ret_of c)) (callees_of f) in
-    let inputs_digest =
-      lazy
-        (Digest.to_hex
-           (Digest.string (no_sharing (Lazy.force env_repr, body_repr f, params, callee_rets))))
-    in
-    memo ~fname:f.Ir.fname ~inputs_digest (fun () -> run_function ~prog ~params ~ret_of f)
+    match Hashtbl.find_opt last f.Ir.fname with
+    | Some (params', callee_rets', s) when params' = params && callee_rets' = callee_rets -> s
+    | _ ->
+      let inputs_digest =
+        lazy
+          (Digest.to_hex
+             (Digest.string (no_sharing (Lazy.force env_repr, body_repr f, params, callee_rets))))
+      in
+      let s =
+        memo ~fname:f.Ir.fname ~inputs_digest (fun () -> run_function ~prog ~params ~ret_of f)
+      in
+      Hashtbl.replace last f.Ir.fname (params, callee_rets, s);
+      s
   in
   let top_params f = List.map (fun (p, _) -> (p, Itv.top)) f.Ir.fparams in
   (* pass 1, bottom-up: return summaries under unconstrained parameters *)
   List.iter
     (List.iter (fun n ->
-         let f = Hashtbl.find defined n in
+         let f = defined n in
          let s = analyze_one f ~params:(top_params f) in
          Hashtbl.replace rets n s.s_ret))
     (Dataflow.Scc.reverse_topological scc);
@@ -739,8 +752,8 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
   let arg_join : (string, Itv.t array) Hashtbl.t = Hashtbl.create 16 in
   let record_call caller_env (i : Ir.instr) =
     match i.Ir.idesc with
-    | Ir.Call { callee; args; _ } when Hashtbl.mem defined callee ->
-      let g = Hashtbl.find defined callee in
+    | Ir.Call { callee; args; _ } when find callee <> None ->
+      let g = defined callee in
       let nparams = List.length g.Ir.fparams in
       let acc =
         match Hashtbl.find_opt arg_join callee with
@@ -769,7 +782,7 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
      ⊤ above for simplicity — still sound, rarely binding in practice *)
   List.iter
     (List.iter (fun n ->
-         let f = Hashtbl.find defined n in
+         let f = defined n in
          let params =
            span.span "absint.bookkeeping" (fun () ->
                if Dataflow.Scc.in_cycle scc succs n || not (Hashtbl.mem ncallers n) then

@@ -83,7 +83,9 @@ val analyze :
 (** [analyze prog] runs both interprocedural passes.  [~memo] is called
     around every per-function fixpoint with a digest of everything the
     fixpoint reads (the function body without its source locations, the
-    type environment, parameter ranges and callee return ranges); the
+    type environment, parameter ranges and callee return ranges), once
+    per distinct input: the top-down pass reuses a bottom-up result
+    whose ranges are unchanged without calling it again; the
     driver uses it to back the computation with the content-addressed
     cache.  The digest is lazy, so a memo that does not force it costs
     nothing.  [~span] wraps the call-graph construction and the

@@ -34,6 +34,7 @@ type memblock = {
 
 type state = {
   prog : Ir.program;
+  find : string -> Ir.func option;  (** {!Ir.func_index} of [prog] *)
   mem : (int, memblock) Hashtbl.t;
   mutable next_blk : int;
   global_addr : (string, ptr) Hashtbl.t;
@@ -76,6 +77,7 @@ let create ?(max_steps = 50_000_000) ?(extern_handler = default_extern)
   let st =
     {
       prog;
+      find = Ir.func_index prog;
       mem = Hashtbl.create 64;
       next_blk = 1;
       global_addr = Hashtbl.create 32;
@@ -315,7 +317,7 @@ let value st frame (v : Ir.value) : rtval =
   | Ir.Vundef _ -> VUndef
 
 let rec call ?caller st fname (args : rtval list) : rtval =
-  match Ir.find_func st.prog fname with
+  match st.find fname with
   | None -> st.extern_handler st fname args
   | Some f -> exec_func ?caller st f args
 

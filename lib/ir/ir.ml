@@ -95,7 +95,13 @@ let block f bid = List.find (fun b -> b.bbid = bid) f.blocks
 
 let block_opt f bid = List.find_opt (fun b -> b.bbid = bid) f.blocks
 
-let find_func p name = List.find_opt (fun f -> String.equal f.fname name) p.funcs
+(** [func_index p] builds a name index over [p.funcs] once; the returned
+    lookup is O(1) and the first definition of a name wins.  Apply it
+    once per pass, not per lookup. *)
+let func_index p =
+  let tbl = Hashtbl.create (List.length p.funcs) in
+  List.iter (fun f -> if not (Hashtbl.mem tbl f.fname) then Hashtbl.add tbl f.fname f) p.funcs;
+  Hashtbl.find_opt tbl
 
 let succs_of_term = function
   | Br b -> [ b ]

@@ -44,25 +44,27 @@ let check_func ?(ssa = false) (f : Ir.func) : violation list =
           end)
         b.Ir.instrs)
     f.blocks;
-  (* all uses defined *)
+  (* all uses defined; [where] names the user and is only formatted for
+     a violation *)
   let check_use where v =
     match v with
     | Ir.Vreg id ->
-      if not (Hashtbl.mem def_ids id) then err "%s: use of undefined %%%d" where id
+      if not (Hashtbl.mem def_ids id) then err "%t: use of undefined %%%d" where id
     | _ -> ()
   in
   List.iter
     (fun b ->
       List.iter
         (fun (p : Ir.phi) ->
-          List.iter (fun (_, v) -> check_use (Fmt.str "phi %%%d" p.pid) v) p.incoming)
+          let where ppf = Fmt.pf ppf "phi %%%d" p.pid in
+          List.iter (fun (_, v) -> check_use where v) p.incoming)
         b.Ir.phis;
       List.iter
         (fun i ->
-          List.iter (fun v -> check_use (Fmt.str "instr %%%d" i.Ir.iid) v)
+          List.iter (check_use (fun ppf -> Fmt.pf ppf "instr %%%d" i.Ir.iid))
             (Ir.operands_of_instr i))
         b.Ir.instrs;
-      List.iter (fun v -> check_use (Fmt.str "term of b%d" b.Ir.bbid) v)
+      List.iter (check_use (fun ppf -> Fmt.pf ppf "term of b%d" b.Ir.bbid))
         (Ir.operands_of_term b.Ir.termin))
     f.blocks;
   if ssa then begin

@@ -40,31 +40,35 @@ let is_ident_char c = is_ident_start c || is_digit c
 let lex_error st fmt = Loc.error (loc_of st) fmt
 
 (** Consume a block comment (opening "/*" already consumed).  Returns the
-    comment body. *)
-let read_block_comment st =
-  let buf = Buffer.create 64 in
+    end offset of its body, which starts where the call found [st.pos]. *)
+let skip_block_comment st =
   let rec go () =
     match (peek st, peek2 st) with
     | Some '*', Some '/' ->
+      let stop = st.pos in
       advance st;
-      advance st
-    | Some c, _ ->
-      Buffer.add_char buf c;
+      advance st;
+      stop
+    | Some _, _ ->
       advance st;
       go ()
     | None, _ -> lex_error st "unterminated comment"
   in
-  go ();
-  Buffer.contents buf
+  go ()
 
-(** Strip the leading annotation marker and decoration asterisks from an
-    annotation comment body. *)
-let annotation_payload body =
-  match Re.exec_opt (Re.compile (Re.str Annot.marker)) body with
-  | None -> None
-  | Some g ->
-    let _, stop = Re.Group.offset g 0 in
-    Some (String.sub body stop (String.length body - stop))
+(** The payload of an annotation comment whose body is
+    [src.[start .. stop-1]]: the text after the first occurrence of the
+    annotation marker, or [None] when the body does not contain it. *)
+let annotation_payload src ~start ~stop =
+  let m = Annot.marker in
+  let k = String.length m in
+  let rec matches_at i j = j = k || (src.[i + j] = m.[j] && matches_at i (j + 1)) in
+  let rec find i =
+    if i + k > stop then None
+    else if matches_at i 0 then Some (String.sub src (i + k) (stop - i - k))
+    else find (i + 1)
+  in
+  find start
 
 let read_escaped st =
   match peek st with
@@ -179,8 +183,9 @@ let rec next st : lexed =
     | Some '*' ->
       advance st;
       advance st;
-      let body = read_block_comment st in
-      (match annotation_payload body with
+      let start = st.pos in
+      let stop = skip_block_comment st in
+      (match annotation_payload st.src ~start ~stop with
       | Some payload -> { tok = ANNOT payload; loc }
       | None -> next st)
     | _ ->

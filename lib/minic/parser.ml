@@ -10,23 +10,37 @@
 
 open Token
 
+(* Tokens are pulled from the lexer on demand through a window of at
+   most three: the current token and up to two lexed ahead for
+   [peek_at].  The parser never backtracks, so nothing else is kept. *)
 type state = {
-  toks : Lexer.lexed array;
-  mutable pos : int;
+  lex : Lexer.state;
+  win : Lexer.lexed array;  (** [win.(0)] is the current token *)
+  mutable filled : int;  (** tokens in [win], at least 1 *)
   typedefs : (string, unit) Hashtbl.t;
 }
 
-let make toks =
-  { toks = Array.of_list toks; pos = 0; typedefs = Hashtbl.create 16 }
+let make lex =
+  { lex; win = Array.make 3 (Lexer.next lex); filled = 1; typedefs = Hashtbl.create 16 }
 
-let cur st = st.toks.(st.pos).tok
-let cur_loc st = st.toks.(st.pos).loc
+let cur st = st.win.(0).tok
+let cur_loc st = st.win.(0).loc
 
+(* n <= 2; past the end the lexer keeps answering EOF *)
 let peek_at st n =
-  let i = st.pos + n in
-  if i < Array.length st.toks then st.toks.(i).tok else EOF
+  while st.filled <= n do
+    st.win.(st.filled) <- Lexer.next st.lex;
+    st.filled <- st.filled + 1
+  done;
+  st.win.(n).tok
 
-let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+let advance st =
+  if st.filled = 1 then st.win.(0) <- Lexer.next st.lex
+  else begin
+    st.win.(0) <- st.win.(1);
+    st.win.(1) <- st.win.(2);
+    st.filled <- st.filled - 1
+  end
 
 let parse_error st fmt =
   Loc.error (cur_loc st) ("parse error: " ^^ fmt)
@@ -686,8 +700,8 @@ let rec parse_decl st ~(pending_annot : Annot.t) : Ast.decl list =
     end
 
 (** Parse a full translation unit. *)
-let parse_program toks : Ast.program =
-  let st = make toks in
+let parse_program lex : Ast.program =
+  let st = make lex in
   let rec go acc =
     match cur st with
     | EOF -> List.concat (List.rev acc)
@@ -696,7 +710,7 @@ let parse_program toks : Ast.program =
   go []
 
 (** Convenience: lex and parse a source string. *)
-let parse_string ?(file = "<string>") src = parse_program (Lexer.tokenize ~file src)
+let parse_string ?(file = "<string>") src = parse_program (Lexer.make ~file src)
 
 (** Lex and parse a file on disk. *)
 let parse_file path =

@@ -382,15 +382,20 @@ let check_program (prog : Ast.program) : Tast.program =
   let globals = Hashtbl.create 32 in
   let funcs = Hashtbl.create 32 in
   List.iter (fun (n, r, ps) -> Hashtbl.replace funcs n (r, ps)) builtin_externs;
-  (* pass 1: collect type definitions and signatures *)
+  (* pass 1: collect type definitions and signatures; a function may be
+     declared any number of times but defined once *)
+  let bodies = Hashtbl.create 32 in
   List.iter
     (fun d ->
       match d with
+      | Ast.Dfunc f when Hashtbl.mem bodies f.fname ->
+        err f.floc "redefinition of function %s" f.fname
       | Ast.Dstruct (name, fields, _) -> Hashtbl.replace env.Ty.structs name fields
       | Ast.Dtypedef (name, ty, _) -> Hashtbl.replace env.Ty.typedefs name ty
       | Ast.Dextern (name, ret, params, _) -> Hashtbl.replace funcs name (ret, params)
       | Ast.Dglobal g -> Hashtbl.replace globals g.gname g.gty
       | Ast.Dfunc f ->
+        Hashtbl.replace bodies f.fname ();
         Hashtbl.replace funcs f.fname (f.fret, List.map (fun p -> p.Ast.pty) f.fparams))
     prog;
   (* resolve struct field types and global/function types *)

@@ -105,7 +105,7 @@ let value_pts t (f : Ssair.Ir.func) (v : Ssair.Ir.value) : Tset.t =
   | Ssair.Ir.Vint _ | Ssair.Ir.Vfloat _ | Ssair.Ir.Vundef _ -> Tset.empty
 
 (** One propagation pass over an instruction; returns true on any change. *)
-let transfer t (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
+let transfer t find (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
   let env = t.prog.Ssair.Ir.env in
   let changed = ref false in
   let ( <+ ) k s = if pts_add t k s then changed := true in
@@ -155,7 +155,7 @@ let transfer t (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
     end
   | Ssair.Ir.Unop _ | Ssair.Ir.Annotation _ -> ()
   | Ssair.Ir.Call { callee; args; rty } -> (
-    match Ssair.Ir.find_func t.prog callee with
+    match find callee with
     | Some g ->
       (* bind arguments to parameters *)
       List.iteri
@@ -197,15 +197,6 @@ let transfer_phis t (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
       else changed)
     false b.Ssair.Ir.phis
 
-(** Initial facts from global variables that hold pointers initialized by
-    other globals (rare; conservative). *)
-let seed_globals t =
-  List.iter
-    (fun (name, ty, _) ->
-      ignore name;
-      ignore ty)
-    t.prog.Ssair.Ir.globals
-
 type facts = t
 
 let no_program =
@@ -225,7 +216,8 @@ let analyze (prog : Ssair.Ir.program) : t =
       shm_regions = Hashtbl.create 8;
     }
   in
-  seed_globals t;
+  (* the index stays out of [t]: a closure would make it unmarshallable *)
+  let find = Ssair.Ir.func_index prog in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -234,7 +226,7 @@ let analyze (prog : Ssair.Ir.program) : t =
         List.iter
           (fun b ->
             if transfer_phis t f b then changed := true;
-            List.iter (fun i -> if transfer t f i then changed := true) b.Ssair.Ir.instrs;
+            List.iter (fun i -> if transfer t find f i then changed := true) b.Ssair.Ir.instrs;
             if transfer_term t f b then changed := true)
           f.Ssair.Ir.blocks)
       prog.Ssair.Ir.funcs

@@ -245,7 +245,7 @@ let on_instr t (st : I.state) (frame : I.frame) (i : Ssair.Ir.instr) =
       | [] -> []
     in
     let taint =
-      match Ssair.Ir.find_func t.prog callee with
+      match st.I.find callee with
       | Some _ -> t.last_ret_taint
       | None -> List.exists Fun.id arg_taints (* extern: conservative *)
     in

@@ -70,7 +70,7 @@ let coarsen t s =
   if t.config.Config.field_sensitive then s
   else Rset.map (fun x -> { x with Rtgt.off = Offset.Top }) s
 
-let transfer t (prog : Ssair.Ir.program) (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
+let transfer t (prog : Ssair.Ir.program) find (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
   let changed = ref false in
   let self s = if add t.facts (f.fname, i.Ssair.Ir.iid) (coarsen t s) then changed := true in
   (match i.Ssair.Ir.idesc with
@@ -104,7 +104,7 @@ let transfer t (prog : Ssair.Ir.program) (f : Ssair.Ir.func) (i : Ssair.Ir.instr
     self (value_shm t f lhs);
     self (value_shm t f rhs)
   | Ssair.Ir.Call { callee; args; _ } -> (
-    match Ssair.Ir.find_func prog callee with
+    match find callee with
     | Some g ->
       List.iteri
         (fun k arg ->
@@ -146,27 +146,23 @@ let run ?(config = Config.default) (prog : Ssair.Ir.program) (shm : Shm.t) : t =
       iterations = 0;
     }
   in
+  let find = Ssair.Ir.func_index prog in
   (* exempt set: functions reachable from initializing functions *)
-  let tprog_stub =
-    (* build a minimal call graph over IR functions *)
-    let callees fname =
-      match Ssair.Ir.find_func prog fname with
-      | None -> []
-      | Some f ->
-        List.filter_map
-          (fun i ->
-            match i.Ssair.Ir.idesc with
-            | Ssair.Ir.Call { callee; _ } when Ssair.Ir.find_func prog callee <> None ->
-              Some callee
-            | _ -> None)
-          (Ssair.Ir.all_instrs f)
-    in
-    callees
+  let callees fname =
+    match find fname with
+    | None -> []
+    | Some f ->
+      List.filter_map
+        (fun i ->
+          match i.Ssair.Ir.idesc with
+          | Ssair.Ir.Call { callee; _ } when find callee <> None -> Some callee
+          | _ -> None)
+        (Ssair.Ir.all_instrs f)
   in
   let rec mark_exempt fn =
     if not (Hashtbl.mem t.exempt fn) then begin
       Hashtbl.replace t.exempt fn ();
-      List.iter mark_exempt (tprog_stub fn)
+      List.iter mark_exempt (callees fn)
     end
   in
   List.iter mark_exempt shm.Shm.init_funcs;
@@ -180,7 +176,7 @@ let run ?(config = Config.default) (prog : Ssair.Ir.program) (shm : Shm.t) : t =
           List.iter
             (fun b ->
               if transfer_phis t f b then changed := true;
-              List.iter (fun i -> if transfer t prog f i then changed := true) b.Ssair.Ir.instrs;
+              List.iter (fun i -> if transfer t prog find f i then changed := true) b.Ssair.Ir.instrs;
               if transfer_ret t f b then changed := true)
             f.Ssair.Ir.blocks)
       prog.Ssair.Ir.funcs

@@ -93,9 +93,7 @@ type inputs = {
   absint : Absint.t option;
       (** value ranges; decided branches exert no control dependence *)
   brinfos : (string, brinfo) Hashtbl.t;
-  fidx : (string, Ssair.Ir.func) Hashtbl.t;
-      (** function index — [Ssair.Ir.find_func] is a linear scan.  First
-          occurrence wins, mirroring [find_func]. *)
+  find : string -> Ssair.Ir.func option;  (** {!Ssair.Ir.func_index} of [prog] *)
   noncore_sockets : (string, unit) Hashtbl.t;
       (** [assume(noncore(s))] clauses naming something that is not a
           shared-memory region (message-passing extension §3.4.3) *)
@@ -103,11 +101,9 @@ type inputs = {
 
 let make_inputs ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
     (p1 : Phase1.t) (pts : Pointsto.t) : inputs =
-  let fidx = Hashtbl.create 64 in
   let noncore_sockets = Hashtbl.create 4 in
   List.iter
     (fun (f : Ssair.Ir.func) ->
-      if not (Hashtbl.mem fidx f.Ssair.Ir.fname) then Hashtbl.add fidx f.Ssair.Ir.fname f;
       List.iter
         (function
           | Annot.Noncore name when Shm.region shm name = None ->
@@ -115,7 +111,8 @@ let make_inputs ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Sh
           | _ -> ())
         f.Ssair.Ir.fannot)
     prog.Ssair.Ir.funcs;
-  { prog; shm; p1; pts; config; absint; brinfos = Hashtbl.create 16; fidx; noncore_sockets }
+  { prog; shm; p1; pts; config; absint; brinfos = Hashtbl.create 16;
+    find = Ssair.Ir.func_index prog; noncore_sockets }
 
 (* A conditional branch whose condition's value range decides the
    direction takes the same successor in every concrete execution, so it
@@ -199,7 +196,7 @@ let root_pairs inp : (Ssair.Ir.func * Ctx.t) list =
   let add_root (f : Ssair.Ir.func) =
     roots := (f, Ctx.make (own_assumptions inp f)) :: !roots
   in
-  (match Hashtbl.find_opt inp.fidx "main" with
+  (match inp.find "main" with
   | Some m -> add_root m
   | None -> ());
   let called = Hashtbl.create 32 in
@@ -413,7 +410,7 @@ let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t, unit) Hasht
   in
   Hashtbl.iter
     (fun (fname, ctx) () ->
-      match Hashtbl.find_opt inp.fidx fname with
+      match inp.find fname with
       | None -> ()
       | Some f -> (
         match sites_of f with

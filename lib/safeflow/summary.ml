@@ -38,6 +38,7 @@ end)
 
 type state = {
   prog : Ssair.Ir.program;
+  find : string -> Ssair.Ir.func option;  (** {!Ssair.Ir.func_index} of [prog] *)
   shm : Shm.t;
   p1 : Phase1.t;
   pts : Pointsto.t;
@@ -126,14 +127,14 @@ let compute_reachability st =
     st.prog.Ssair.Ir.funcs;
   while not (Queue.is_empty queue) do
     let fname, ctx = Queue.pop queue in
-    match Ssair.Ir.find_func st.prog fname with
+    match st.find fname with
     | None -> ()
     | Some f ->
       List.iter
         (fun i ->
           match i.Ssair.Ir.idesc with
           | Ssair.Ir.Call { callee; _ } -> (
-            match Ssair.Ir.find_func st.prog callee with
+            match st.find callee with
             | Some g when not (Phase1.is_exempt st.p1 callee) ->
               let gctx =
                 if st.config.Config.context_sensitive then
@@ -193,7 +194,7 @@ let summarize_function st (f : Ssair.Ir.func) (sinks : sink list ref) =
   (* inline a callee's return summary at a call site *)
   let instantiate callee args =
     let gsum = ret_get st callee in
-    match Ssair.Ir.find_func st.prog callee with
+    match st.find callee with
     | None -> Srcset.empty
     | Some g ->
       let arg_of p =
@@ -296,7 +297,7 @@ let summarize_function st (f : Ssair.Ir.func) (sinks : sink list ref) =
               vset i.Ssair.Ir.iid (Srcset.union (value_src base) (value_src idx))
             | Ssair.Ir.Annotation _ -> ()
             | Ssair.Ir.Call { callee; args; _ } -> (
-              match Ssair.Ir.find_func st.prog callee with
+              match st.find callee with
               | Some _ -> vset i.Ssair.Ir.iid (instantiate callee args)
               | None ->
                 (* message passing: recv through a non-core socket *)
@@ -402,6 +403,7 @@ let run ?(config = Config.default) (prog : Ssair.Ir.program) (shm : Shm.t)
   let st =
     {
       prog;
+      find = Ssair.Ir.func_index prog;
       shm;
       p1;
       pts;
@@ -429,13 +431,13 @@ let run ?(config = Config.default) (prog : Ssair.Ir.program) (shm : Shm.t)
   compute_reachability st;
   (* bottom-up order over call-graph SCCs *)
   let callees fname =
-    match Ssair.Ir.find_func prog fname with
+    match st.find fname with
     | None -> []
     | Some f ->
       List.filter_map
         (fun i ->
           match i.Ssair.Ir.idesc with
-          | Ssair.Ir.Call { callee; _ } when Ssair.Ir.find_func prog callee <> None ->
+          | Ssair.Ir.Call { callee; _ } when st.find callee <> None ->
             Some callee
           | _ -> None)
         (Ssair.Ir.all_instrs f)
@@ -463,7 +465,7 @@ let run ?(config = Config.default) (prog : Ssair.Ir.program) (shm : Shm.t)
           in
           List.iter
             (fun fname ->
-              match Ssair.Ir.find_func prog fname with
+              match st.find fname with
               | Some f when not (Phase1.is_exempt p1 fname) ->
                 summarize_function st f sinks
               | _ -> ())

@@ -231,7 +231,7 @@ let create (inp : Phase3.inputs) =
   (* size the flat stores from the function count so typical runs never
      grow mid-build (≈10 entities and ≈15 edges per function in
      practice); everything still grows on demand for denser programs *)
-  let nfuncs = Hashtbl.length inp.Phase3.fidx in
+  let nfuncs = List.length inp.Phase3.prog.Ssair.Ir.funcs in
   let ecap = max 1024 (10 * nfuncs) in
   let edgecap = max 1024 (14 * nfuncs) in
   let bucket tbl fname k v =
@@ -578,7 +578,7 @@ let cmemo g self_cid callee : cmemo =
   | Some cm -> cm
   | None ->
     let cm =
-      match Hashtbl.find_opt g.inp.Phase3.fidx callee with
+      match g.inp.Phase3.find callee with
       | Some gfn ->
         let gfid = Intern.intern g.strs gfn.Ssair.Ir.fname in
         let gcid = callee_cid g self_cid gfn in

@@ -192,7 +192,7 @@ let analyze_pair st (f : Ssair.Ir.func) (ctx : Ctx.t) =
           | Ssair.Ir.Gep { base; idx; _ } -> flow_operands [ base; idx ] "address arithmetic"
           | Ssair.Ir.Annotation _ -> ()
           | Ssair.Ir.Call { callee; args; _ } -> (
-            match Hashtbl.find_opt st.inp.fidx callee with
+            match st.inp.find callee with
             | Some g ->
               let gctx =
                 if st.inp.config.Config.context_sensitive then
@@ -309,7 +309,7 @@ let run ~config ?absint (prog : Ssair.Ir.program) (shm : Shm.t) (p1 : Phase1.t)
     let pairs = Hashtbl.fold (fun k () acc -> k :: acc) st.pairs [] in
     List.iter
       (fun (fname, ctx) ->
-        match Hashtbl.find_opt inp.fidx fname with
+        match inp.find fname with
         | Some f when not (Phase1.is_exempt p1 fname) -> analyze_pair st f ctx
         | _ -> ())
       pairs

@@ -231,6 +231,36 @@ let test_generic_simplex_discharges () =
   Alcotest.(check int) "none failed" 0 b.Phase2.bs_failed;
   Alcotest.(check bool) "Omega queries avoided" true (b.Phase2.bs_omega_avoided >= 1)
 
+(* -- one fixpoint per distinct input -------------------------------------- *)
+
+(* Analyze [ir] under a memo that counts its calls per function and the
+   distinct (function, inputs digest) pairs it was asked for. *)
+let count_fixpoints (ir : Ssair.Ir.program) =
+  let calls = Hashtbl.create 64 and inputs = Hashtbl.create 64 in
+  let memo ~fname ~inputs_digest compute =
+    Hashtbl.replace calls fname (1 + Option.value ~default:0 (Hashtbl.find_opt calls fname));
+    Hashtbl.replace inputs (fname, Lazy.force inputs_digest) ();
+    compute ()
+  in
+  ignore (Absint.analyze ~memo ir);
+  (calls, Hashtbl.length inputs)
+
+let test_synth_one_fixpoint_per_function () =
+  let p = Driver.prepare_source ~file:"synth32.c" (Synth.of_size 32) in
+  let calls, _ = count_fixpoints p.Driver.ir in
+  Alcotest.(check int) "every function analyzed"
+    (List.length p.Driver.ir.Ssair.Ir.funcs) (Hashtbl.length calls);
+  Hashtbl.iter (fun fname n -> Alcotest.(check int) (fname ^ ": fixpoints") 1 n) calls
+
+let test_systems_one_fixpoint_per_input () =
+  List.iter
+    (fun name ->
+      let p = Driver.prepare_file (find_system name) in
+      let calls, distinct = count_fixpoints p.Driver.ir in
+      Alcotest.(check int) (name ^ ": fixpoints = distinct inputs") distinct
+        (Hashtbl.fold (fun _ n acc -> acc + n) calls 0))
+    all_systems
+
 let () =
   Alcotest.run "absint"
     [ ( "interval lattice",
@@ -241,7 +271,11 @@ let () =
         [ Alcotest.test_case "widening terminates on counter loop" `Quick
             test_widening_terminates_on_loop;
           Alcotest.test_case "branch refinement decides clamp guard" `Quick
-            test_branch_refinement_kills_branch ] );
+            test_branch_refinement_kills_branch;
+          Alcotest.test_case "synth 32: one fixpoint per function" `Quick
+            test_synth_one_fixpoint_per_function;
+          Alcotest.test_case "five systems: one fixpoint per distinct input" `Quick
+            test_systems_one_fixpoint_per_input ] );
       ( "reports",
         [ Alcotest.test_case "clamp control dep pruned" `Quick
             test_clamp_control_dep_pruned;

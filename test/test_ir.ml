@@ -43,13 +43,13 @@ let no_violations ?ssa ir =
 let test_lower_simple () =
   let ir = compile "int add(int a, int b) { return a + b; }" in
   no_violations ir;
-  let f = Option.get (Ssair.Ir.find_func ir "add") in
+  let f = Option.get (Ssair.Ir.func_index ir "add") in
   Alcotest.(check int) "one block" 1 (List.length f.blocks)
 
 let test_lower_if_blocks () =
   let ir = compile "int f(int x) { if (x > 0) { return 1; } return 0; }" in
   no_violations ir;
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   Alcotest.(check bool) "several blocks" true (List.length f.blocks >= 3)
 
 let test_lower_annotations_kept () =
@@ -58,7 +58,7 @@ let test_lower_annotations_kept () =
      double *g;"
   in
   let ir = compile src in
-  let f = Option.get (Ssair.Ir.find_func ir "dec") in
+  let f = Option.get (Ssair.Ir.func_index ir "dec") in
   let annots =
     List.filter
       (fun i -> match i.Ssair.Ir.idesc with Ssair.Ir.Annotation _ -> true | _ -> false)
@@ -73,7 +73,7 @@ let test_lower_switch () =
        default: r = r + 1; } return r; }"
   in
   no_violations ir;
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let has_switch =
     List.exists
       (fun b -> match b.Ssair.Ir.termin with Ssair.Ir.Switch _ -> true | _ -> false)
@@ -83,7 +83,7 @@ let test_lower_switch () =
 
 let test_lower_pointer_gep () =
   let ir = compile "int f(int *p, int i) { return p[i]; }" in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let has_gep =
     List.exists
       (fun i -> match i.Ssair.Ir.idesc with Ssair.Ir.Gep _ -> true | _ -> false)
@@ -98,7 +98,7 @@ let diamond_src =
 
 let test_dom_diamond () =
   let ir = compile diamond_src in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let t = Ssair.Dom.compute f in
   (* entry dominates everything *)
   List.iter
@@ -125,7 +125,7 @@ let test_dom_diamond () =
 
 let test_dom_frontier_diamond () =
   let ir = compile diamond_src in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let t = Ssair.Dom.compute f in
   let df = Ssair.Dom.frontiers f t in
   let preds = Ssair.Ir.predecessors f in
@@ -147,7 +147,7 @@ let test_dom_frontier_diamond () =
 
 let test_dom_loop_header () =
   let ir = compile "int f(int n) { int s = 0; while (n > 0) { s += n; n--; } return s; }" in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let t = Ssair.Dom.compute f in
   (* every block reachable: the dom tree covers all blocks *)
   List.iter
@@ -165,14 +165,35 @@ let test_ssa_verifies () =
   let ir = compile_ssa diamond_src in
   no_violations ~ssa:true ir
 
+(* A hand-broken function: a phi, an instruction and the terminator each
+   use an undefined value.  The verifier names every user in its message
+   (formatted only once a violation is found). *)
+let test_verify_undefined_operands () =
+  let open Ssair.Ir in
+  let add =
+    { iid = 1; ity = Ty.Int; iloc = Loc.dummy;
+      idesc = Binop { op = Ast.Add; bty = Ty.Int; lhs = Vreg 7; rhs = Vint (1L, Ty.Int) } }
+  in
+  let phi = { pid = 2; pty = Ty.Int; incoming = [ (0, Vreg 8) ]; pname = "x" } in
+  let b = { bbid = 0; phis = [ phi ]; instrs = [ add ]; termin = Ret (Some (Vreg 9)) } in
+  let f =
+    { fname = "broken"; fret = Ty.Int; fparams = []; blocks = [ b ]; fentry = 0;
+      fannot = []; floc = Loc.dummy }
+  in
+  Alcotest.(check (list string)) "violations"
+    [ "[broken] phi %2: use of undefined %8";
+      "[broken] instr %1: use of undefined %7";
+      "[broken] term of b0: use of undefined %9" ]
+    (List.map (Fmt.str "%a" Ssair.Verify.pp_violation) (Ssair.Verify.check_func f))
+
 let test_ssa_phi_inserted () =
   let ir = compile_ssa diamond_src in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   Alcotest.(check bool) "phi exists" true (List.length (Ssair.Ir.all_phis f) >= 1)
 
 let test_ssa_no_scalar_allocas () =
   let ir = compile_ssa diamond_src in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let scalar_allocas =
     List.filter
       (fun i ->
@@ -185,7 +206,7 @@ let test_ssa_no_scalar_allocas () =
 
 let test_ssa_address_taken_not_promoted () =
   let ir = compile_ssa "int f() { int x = 1; int *p = &x; *p = 5; return x; }" in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let allocas =
     List.filter
       (fun i -> match i.Ssair.Ir.idesc with Ssair.Ir.Alloca _ -> true | _ -> false)
@@ -198,7 +219,7 @@ let test_ssa_address_taken_not_promoted () =
 let test_ssa_loop_phi () =
   let ir = compile_ssa "int f(int n) { int s = 0; int i = 0; while (i < n) { s += i; i++; } return s; }" in
   no_violations ~ssa:true ir;
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   Alcotest.(check bool) "loop phis" true (List.length (Ssair.Ir.all_phis f) >= 2)
 
 (* -- Interpreter (differential) -------------------------------------------- *)
@@ -349,7 +370,7 @@ let test_interp_undeclared_call_rejected () =
 
 let test_cdg_if () =
   let ir = compile_ssa diamond_src in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let cdg = Ssair.Cdg.compute f in
   (* the entry block (holding the condition) controls both branch blocks *)
   let controlled =
@@ -360,7 +381,7 @@ let test_cdg_if () =
 
 let test_cdg_straightline () =
   let ir = compile_ssa "int f() { int a = 1; int b = 2; return a + b; }" in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let cdg = Ssair.Cdg.compute f in
   List.iter
     (fun b ->
@@ -372,7 +393,7 @@ let test_cdg_straightline () =
 
 let test_cdg_loop_self () =
   let ir = compile_ssa "int f(int n) { int s = 0; while (n > 0) { s++; n--; } return s; }" in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let cdg = Ssair.Cdg.compute f in
   (* loop body is control-dependent on the header *)
   let dependent_blocks =
@@ -382,7 +403,7 @@ let test_cdg_loop_self () =
 
 let test_cdg_infinite_loop_tolerated () =
   let ir = compile_ssa "void f() { while (1) { } }" in
-  let f = Option.get (Ssair.Ir.find_func ir "f") in
+  let f = Option.get (Ssair.Ir.func_index ir "f") in
   let _ = Ssair.Cdg.compute f in
   ()
 
@@ -457,6 +478,7 @@ let () =
           Alcotest.test_case "loop header" `Quick test_dom_loop_header ] );
       ( "mem2reg",
         [ Alcotest.test_case "ssa verifies" `Quick test_ssa_verifies;
+          Alcotest.test_case "undefined operands named" `Quick test_verify_undefined_operands;
           Alcotest.test_case "phi inserted" `Quick test_ssa_phi_inserted;
           Alcotest.test_case "no scalar allocas" `Quick test_ssa_no_scalar_allocas;
           Alcotest.test_case "address-taken kept" `Quick test_ssa_address_taken_not_promoted;

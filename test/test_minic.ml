@@ -44,6 +44,20 @@ let test_lex_annotation () =
   in
   Alcotest.(check int) "one annotation token" 1 (List.length annots)
 
+let annot_payloads src =
+  List.filter_map (function Token.ANNOT s -> Some s | _ -> None) (tok_kinds src)
+
+let test_lex_annotation_payload () =
+  let check name expected src =
+    Alcotest.(check (list string)) name expected (annot_payloads src)
+  in
+  check "marker mid-comment" [ " shminit " ] "/* note: SafeFlow Annotation shminit */ x;";
+  check "after the first occurrence" [ " a SafeFlow Annotation b " ]
+    "/*SafeFlow Annotation a SafeFlow Annotation b */";
+  check "marker closes the comment" [ "" ] "/* SafeFlow Annotation*/";
+  check "near miss" [] "/* SafeFlow Annotatio shminit */ x;";
+  check "shorter than the marker" [] "/*SafeFlow*/"
+
 let test_lex_string_escape () =
   match tok_kinds {|"a\nb"|} with
   | [ STRING "a\nb"; EOF ] -> ()
@@ -206,6 +220,15 @@ let test_parse_cast () =
     | _ -> Alcotest.fail "cast shape")
   | _ -> Alcotest.fail "parse shape"
 
+(* The parser pulls tokens from the lexer as it goes, so a parse error
+   wins over a lexical error later in the file. *)
+let test_parse_error_before_lex_error () =
+  match parse "int x = ;\nint y = 1 @ 2;" with
+  | exception Loc.Error (loc, msg) ->
+    Alcotest.(check (pair int int)) "location" (1, 9) (loc.Loc.line, loc.Loc.col);
+    Alcotest.(check string) "message" "parse error: unexpected token ; in expression" msg
+  | _ -> Alcotest.fail "expected a parse error"
+
 let test_parse_error_reports_location () =
   match parse "int f() { return + ; }" with
   | exception Loc.Error (_, msg) ->
@@ -259,6 +282,18 @@ let test_tc_field_access () =
       "struct V { double x; double y; }; double f(struct V *v) { return v->x + v->y; }"
   in
   ignore p
+
+let test_tc_redefinition () =
+  (match check_prog "int f(void) { return 1; }\nint f(void) { return 2; }" with
+  | exception Loc.Error (loc, msg) ->
+    Alcotest.(check int) "line of the second definition" 2 loc.Loc.line;
+    Alcotest.(check string) "message" "type error: redefinition of function f" msg
+  | _ -> Alcotest.fail "expected a redefinition error");
+  (* declarations around the one definition stay legal *)
+  ignore
+    (check_prog
+       "int f(void); extern int f(void); int f(void) { return 1; } int f(void);\n\
+        int main(void) { return f(); }")
 
 let test_tc_unbound_var () =
   match check_prog "int f() { return y; }" with
@@ -447,6 +482,7 @@ let () =
           Alcotest.test_case "floats" `Quick test_lex_floats;
           Alcotest.test_case "comments" `Quick test_lex_comments;
           Alcotest.test_case "annotation token" `Quick test_lex_annotation;
+          Alcotest.test_case "annotation payload" `Quick test_lex_annotation_payload;
           Alcotest.test_case "string escapes" `Quick test_lex_string_escape;
           Alcotest.test_case "preprocessor skipped" `Quick test_lex_preprocessor_skipped;
           Alcotest.test_case "error position" `Quick test_lex_error_position;
@@ -470,7 +506,9 @@ let () =
           Alcotest.test_case "stmt annotation" `Quick test_parse_stmt_annotation;
           Alcotest.test_case "global array init" `Quick test_parse_global_array_init;
           Alcotest.test_case "cast" `Quick test_parse_cast;
-          Alcotest.test_case "error location" `Quick test_parse_error_reports_location ] );
+          Alcotest.test_case "error location" `Quick test_parse_error_reports_location;
+          Alcotest.test_case "parse error before lex error" `Quick
+            test_parse_error_before_lex_error ] );
       ( "roundtrip",
         [ Alcotest.test_case "simple" `Quick test_roundtrip_simple;
           Alcotest.test_case "control flow" `Quick test_roundtrip_control;
@@ -482,6 +520,7 @@ let () =
           Alcotest.test_case "pointer arith" `Quick test_tc_pointer_arith;
           Alcotest.test_case "field access" `Quick test_tc_field_access;
           Alcotest.test_case "unbound var" `Quick test_tc_unbound_var;
+          Alcotest.test_case "redefinition" `Quick test_tc_redefinition;
           Alcotest.test_case "bad call arity" `Quick test_tc_bad_call_arity;
           Alcotest.test_case "undeclared function" `Quick test_tc_undeclared_function;
           Alcotest.test_case "void assign" `Quick test_tc_void_assign;

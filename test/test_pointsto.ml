@@ -9,7 +9,7 @@ let compile src =
   ignore (Ssair.Mem2reg.run ir);
   (ir, Pointsto.analyze ir)
 
-let func ir name = Option.get (Ssair.Ir.find_func ir name)
+let func ir name = Option.get (Ssair.Ir.func_index ir name)
 
 (* the points-to set of the value returned by [fname] *)
 let ret_pts pts fname = Pointsto.pts_get pts (Pointsto.Kret fname)
