@@ -914,9 +914,9 @@ let fleet_cmd =
       & info [ "cache" ] ~docv:"DIR"
           ~doc:
             "shared content-addressed cache directory (created if missing).  Safe under \
-             concurrent multi-process access; content-identical functions from \
-             different members are analyzed once fleet-wide (cross-system hits are \
-             reported in the summary line).")
+             concurrent multi-process access; content-identical members are \
+             analyzed once fleet-wide (cross-system hits are reported in the \
+             summary line).")
   in
   let source_label =
     Arg.(

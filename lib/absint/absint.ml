@@ -163,7 +163,6 @@ type func_summary = {
 type t = {
   prog : Ssair.Ir.program;
   summaries : (string, func_summary) Hashtbl.t;
-  envs : (string, (key, Itv.t) Hashtbl.t) Hashtbl.t;  (* s_env as a table *)
 }
 
 (* -- Per-function fixpoint ----------------------------------------------- *)
@@ -656,6 +655,11 @@ let without_locs (f : Ir.func) : Ir.func =
         f.Ir.blocks;
   }
 
+let env_table s =
+  let env = Hashtbl.create (List.length s.s_env) in
+  List.iter (fun (k, v) -> Hashtbl.replace env k v) s.s_env;
+  env
+
 let sorted_tbl tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
@@ -748,7 +752,6 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
     (Dataflow.Scc.reverse_topological scc);
   (* pass 2, top-down: join call-site argument ranges into parameters *)
   let summaries = Hashtbl.create 16 in
-  let envs = Hashtbl.create 16 in
   let arg_join : (string, Itv.t array) Hashtbl.t = Hashtbl.create 16 in
   let record_call caller_env (i : Ir.instr) =
     match i.Ir.idesc with
@@ -802,12 +805,12 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
          let s = analyze_one f ~params in
          span.span "absint.bookkeeping" (fun () ->
              Hashtbl.replace summaries n s;
-             let env = Hashtbl.create 64 in
-             List.iter (fun (k, v) -> Hashtbl.replace env k v) s.s_env;
-             Hashtbl.replace envs n env;
+             (* the caller's ranges as a table only while its call sites
+                are recorded; the result keeps the summary alone *)
+             let env = env_table s in
              List.iter (record_call env) (Ir.all_instrs f))))
     (Dataflow.Scc.topological scc);
-  { prog; summaries; envs }
+  { prog; summaries }
 
 (* -- Accessors ----------------------------------------------------------- *)
 
@@ -835,15 +838,10 @@ type qctx = {
 }
 
 let query_ctx t (f : Ir.func) =
-  let env =
-    match Hashtbl.find_opt t.envs f.Ir.fname with
-    | Some e -> e
-    | None -> Hashtbl.create 0
-  in
-  let params =
+  let env, params =
     match Hashtbl.find_opt t.summaries f.Ir.fname with
-    | Some s -> s.s_params
-    | None -> []
+    | Some s -> (env_table s, s.s_params)
+    | None -> (Hashtbl.create 0, [])
   in
   {
     q_t = t;

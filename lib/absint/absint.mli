@@ -70,7 +70,7 @@ type func_summary
     fixpoint statistics.  Pure data — safe to marshal for caching. *)
 
 type t
-(** whole-program result *)
+(** whole-program result: one summary per function *)
 
 type span_probe = { span : 'a. string -> (unit -> 'a) -> 'a }
 (** wraps a named stretch of the analysis (the caller's tracing hook) *)
@@ -109,8 +109,10 @@ val dead_branch : t -> fname:string -> bid:Ssair.Ir.bid -> dead option
     never zero), i.e. the branch cannot actually select at run time *)
 
 type qctx
-(** per-function query context (caches the dominator tree used for
-    branch refinement at query sites) *)
+(** per-function query context: the function's value ranges as a table
+    (built from its summary when the context is made; the result itself
+    keeps summaries only) and the dominator tree used for branch
+    refinement at query sites *)
 
 val query_ctx : t -> Ssair.Ir.func -> qctx
 

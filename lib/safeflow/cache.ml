@@ -33,8 +33,14 @@
    lists, counters and the flat taint state (packed entity keys over
    interned names and contexts, data/control bitsets, parent and reason
    ids) — instead of a record of boxed-entity association lists, and its
-   key no longer carries an engine tag. *)
-let format_version = 9
+   key no longer carries an engine tag.
+   Version 10: an entry is a 32-byte hex digest of everything after it,
+   then the header, then the payload, each marshalled straight to and
+   from the file (no whole-payload string); "absint" holds one pack per
+   program (inputs digest ↦ summary) instead of one entry per function,
+   and the new "latest" namespace maps an origin to its last pack's
+   key. *)
+let format_version = 10
 
 let magic = "SAFEFLOW-CACHE"
 
@@ -67,7 +73,10 @@ type entry = {
 type t = {
   dir : string option;  (** generation subdirectory, entries live here *)
   verbose : bool;  (** one-line stderr note per discarded disk entry *)
-  tbl : (string, entry) Hashtbl.t;  (** "ns:key" ↦ entry *)
+  tbl : (string, entry) Hashtbl.t;
+      (** "ns:key" ↦ entry, for what the disk tier does not hold: every
+          entry of a memory-only cache, and values whose disk write
+          failed *)
   counters : (string, counters) Hashtbl.t;  (** per-namespace outcomes *)
   lock : Mutex.t;
   on_recovery : (kind:string -> ns:string -> key:string -> unit) option;
@@ -87,7 +96,7 @@ let c_cross_hits = Telemetry.counter "cache.cross_hits"
 let () =
   List.iter
     (fun ns -> List.iter (fun o -> ignore (tele_counter ns o)) outcomes)
-    [ "prepared"; "phase1"; "phase2"; "pointsto"; "phase3"; "absint" ]
+    [ "prepared"; "phase1"; "phase2"; "pointsto"; "phase3"; "absint"; "latest" ]
 
 (* -- origin tracking ------------------------------------------------------------
 
@@ -207,52 +216,48 @@ type header = {
   h_ns : string;
   h_key : string;
   h_origin : string;
-  h_cert : string;
-      (** MD5 (hex) of the marshalled payload bytes that follow the
-          header.  The payload is marshalled separately and verified
-          against this digest before unmarshalling, so a payload that
-          was swapped between entries or damaged after the header was
-          written is detected as corrupt instead of decoding into the
-          wrong value. *)
 }
+
+(* An entry file is [digest][header][payload]: [digest] is the MD5 (32
+   hex characters) of every byte after it, and header and payload are
+   marshalled straight to and from the file.  The reader digests the
+   file before [Marshal] sees any of it, so a truncated, flipped or
+   swapped entry, or a damaged digest, reads as corrupt instead of
+   decoding into the wrong value. *)
+let digest_len = 32
 
 let h_disk_read = Telemetry.histogram "cache.disk_read"
 
 let read_disk t ns key : entry outcome =
   match t.dir with
   | None -> Absent
-  | Some dir ->
+  | Some dir -> (
     let path = path_of dir ns key in
-    if not (Sys.file_exists path) then Absent
-    else begin
+    match open_in_bin path with
+    | exception Sys_error _ -> Absent
+    | ic ->
       let result =
         Telemetry.time_hist h_disk_read @@ fun () ->
-        try
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () ->
-              let (h : header) = Marshal.from_channel ic in
-              if
-                not
-                  (String.equal h.h_magic magic
-                  && h.h_version = format_version
-                  && String.equal h.h_ocaml Sys.ocaml_version
-                  && String.equal h.h_ns ns && String.equal h.h_key key)
-              then Stale
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            try
+              let expected = really_input_string ic digest_len in
+              if not (String.equal (Digest.to_hex (Digest.channel ic (-1))) expected) then
+                Corrupt
               else begin
-                (* the payload travels as separately-marshalled bytes;
-                   digest-check them against the header before trusting
-                   [Marshal] with them *)
-                let pos = pos_in ic in
-                let len = in_channel_length ic - pos in
-                let payload = really_input_string ic len in
-                if not (String.equal (Digest.to_hex (Digest.string payload)) h.h_cert)
-                then Corrupt
-                else
-                  Hit { e_v = Marshal.from_string payload 0; e_origin = h.h_origin }
-              end)
-        with _ -> Corrupt
+                seek_in ic digest_len;
+                let (h : header) = Marshal.from_channel ic in
+                if
+                  not
+                    (String.equal h.h_magic magic
+                    && h.h_version = format_version
+                    && String.equal h.h_ocaml Sys.ocaml_version
+                    && String.equal h.h_ns ns && String.equal h.h_key key)
+                then Stale
+                else Hit { e_v = Marshal.from_channel ic; e_origin = h.h_origin }
+              end
+            with _ -> Corrupt)
       in
       (match result with
       | Hit _ | Absent -> ()
@@ -268,56 +273,69 @@ let read_disk t ns key : entry outcome =
         | Some f -> ( try f ~kind ~ns ~key with _ -> ())
         | None -> ());
         (try Sys.remove path with Sys_error _ -> ()));
-      result
-    end
+      result)
 
 (* Writers never touch the destination path directly: each write goes to
    a temp name unique across processes AND within this process (pid +
    atomic counter — two domains, or two forked workers of a fleet run,
    storing the same key concurrently must not interleave into one temp
    file), then rename(2) publishes it atomically.  Readers therefore
-   observe either no file or a complete entry, never a torn one. *)
+   observe either no file or a complete entry, never a torn one.
+
+   The temp file is published only after a checked flush and close: a
+   write error (a full disk, a file-size limit) raises, the temp file is
+   removed, and the caller keeps the value in memory instead.  The digest
+   is taken by reading back what was written, through an input channel
+   on the same descriptor, and patched into the placeholder at the head
+   of the file.  Only the output channel is closed; the input channel is
+   left to the GC, which frees its buffer without touching the
+   descriptor. *)
 let tmp_seq = Atomic.make 0
 
-let write_disk t ns key (e : entry) =
+let write_file path (e : entry) h =
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644 in
+  let oc = Unix.out_channel_of_descr fd in
+  try
+    output_string oc (String.make digest_len '0');
+    Marshal.to_channel oc h [];
+    (* every cached type is acyclic pure data (IR, fact tables, sets,
+       report records), so marshalling without sharing terminates, and
+       it skips the sharing-detection table that dominated store time *)
+    Marshal.to_channel oc e.e_v [ Marshal.No_sharing ];
+    flush oc;
+    let ic = Unix.in_channel_of_descr fd in
+    seek_in ic digest_len;
+    let digest = Digest.to_hex (Digest.channel ic (-1)) in
+    seek_out oc 0;
+    output_string oc digest;
+    close_out oc
+  with ex ->
+    close_out_noerr oc;
+    raise ex
+
+(* [true] when the entry is on disk afterwards — published now, or
+   already there (same key ⇒ same value, so it is not rewritten unless
+   [replace]) *)
+let write_disk t ns key ~replace (e : entry) =
   match t.dir with
-  | None -> ()
+  | None -> false
   | Some dir ->
     let path = path_of dir ns key in
-    (* entries are content-addressed: same key ⇒ same value, so if some
-       process already published this entry there is nothing to add and
-       rewriting it would only churn the directory under concurrent
-       readers *)
-    if not (Sys.file_exists path) then begin
+    if (not replace) && Sys.file_exists path then true
+    else begin
       let tmp =
         Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
           (Atomic.fetch_and_add tmp_seq 1)
       in
       try
-        let oc = open_out_bin tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            (* every cached type is acyclic pure data (IR, fact tables,
-               sets, report records), so marshalling without sharing
-               terminates, and it skips the sharing-detection table
-               that dominated store time *)
-            let payload = Marshal.to_string e.e_v [ Marshal.No_sharing ] in
-            let h =
-              {
-                h_magic = magic;
-                h_version = format_version;
-                h_ocaml = Sys.ocaml_version;
-                h_ns = ns;
-                h_key = key;
-                h_origin = e.e_origin;
-                h_cert = Digest.to_hex (Digest.string payload);
-              }
-            in
-            Marshal.to_channel oc h [];
-            output_string oc payload);
-        Sys.rename tmp path
-      with _ -> (try Sys.remove tmp with Sys_error _ -> ())
+        write_file tmp e
+          { h_magic = magic; h_version = format_version; h_ocaml = Sys.ocaml_version;
+            h_ns = ns; h_key = key; h_origin = e.e_origin };
+        Sys.rename tmp path;
+        true
+      with _ ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        false
     end
 
 let find t ~ns ~key : 'a option =
@@ -329,28 +347,27 @@ let find t ~ns ~key : 'a option =
             && (not (String.equal e_origin ""))
             && not (String.equal e_origin origin)
           in
-          let k = ns ^ ":" ^ key in
-          match Hashtbl.find_opt t.tbl k with
-          | Some e ->
-            count t ns ~cross:(is_cross e.e_origin) (Hit ());
-            Some (Obj.obj e.e_v)
-          | None -> (
-            let o = read_disk t ns key in
-            count t ns
-              ~cross:(match o with Hit e -> is_cross e.e_origin | _ -> false)
-              (match o with Hit _ -> Hit () | Absent -> Absent | Stale -> Stale | Corrupt -> Corrupt);
-            match o with
-            | Hit e ->
-              Hashtbl.replace t.tbl k e;
-              Some (Obj.obj e.e_v)
-            | Absent | Stale | Corrupt -> None)))
+          let o =
+            match Hashtbl.find_opt t.tbl (ns ^ ":" ^ key) with
+            | Some e -> Hit e
+            | None -> read_disk t ns key
+          in
+          count t ns
+            ~cross:(match o with Hit e -> is_cross e.e_origin | _ -> false)
+            (match o with Hit _ -> Hit () | Absent -> Absent | Stale -> Stale | Corrupt -> Corrupt);
+          (* a disk hit is not copied into memory: the file stays the
+             one copy *)
+          match o with
+          | Hit e -> Some (Obj.obj e.e_v)
+          | Absent | Stale | Corrupt -> None))
 
-let store t ~ns ~key v =
+let store ?(replace = false) t ~ns ~key v =
   Telemetry.span "cache.store" ~args:[ ("ns", ns) ] (fun () ->
       let e = { e_v = Obj.repr v; e_origin = current_origin () } in
+      let k = ns ^ ":" ^ key in
       locked t (fun () ->
-          Hashtbl.replace t.tbl (ns ^ ":" ^ key) e;
-          write_disk t ns key e))
+          if write_disk t ns key ~replace e then Hashtbl.remove t.tbl k
+          else Hashtbl.replace t.tbl k e))
 
 let stats t =
   locked t (fun () ->

@@ -1,44 +1,61 @@
-(** Content-addressed analysis cache: an in-memory store with an
-    optional on-disk tier shared safely by concurrent readers {e and}
-    writers — the domains of one process and the forked workers of a
-    fleet run alike.
+(** Content-addressed analysis cache: an on-disk tier shared safely by
+    concurrent readers {e and} writers — the domains of one process and
+    the forked workers of a fleet run alike — backed by an in-memory
+    table for what the disk does not hold.
 
     Entries are keyed by [(namespace, digest)] where the digest is
     computed by {!Digest_ir} over everything the cached computation
     reads; a stale input therefore changes the key and the entry is
-    simply never found again — there is no explicit invalidation.
+    simply never found again — there is no explicit invalidation.  The
+    one exception is the ["latest"] namespace, which names the last
+    absint pack an origin used (see {!Driver.stage_absint}); it is the
+    only entry ever rewritten, and only with [~replace].
 
     The store is type-unsafe by construction (one table holds values of
     many types); safety is by the namespace discipline: a namespace is
-    only ever read and written with one type.  All in-memory operations
-    are mutex-guarded, so one cache may be shared by the domains of
+    only ever read and written with one type.  All operations are
+    mutex-guarded, so one cache may be shared by the domains of
     {!Driver.analyze_files_par}.
+
+    {b Memory holds only what disk does not.}  With a disk tier, [store]
+    writes the file and keeps nothing in memory, and a disk hit is not
+    copied into memory, so a long-lived process (a fleet worker) does
+    not grow with the number of entries it has seen.  The memory table
+    serves memory-only caches (no directory, or one that could not be
+    created) and values whose disk write failed.
 
     {b Disk-tier concurrency protocol.}  On-disk entries (one file per
     entry) live under a {e generation-stamped} subdirectory of the cache
     root named from {!format_version} and the compiler version, so
     processes with incompatible marshalled layouts never touch the same
-    files.  Within a generation, writers marshal to a temp file whose
-    name is unique per process {e and} per write (pid + atomic counter)
-    and publish it with an atomic [rename(2)]; a key that already exists
-    on disk is left alone (same key ⇒ same value).  Readers validate
-    lock-free: every entry carries a versioned header recording the
-    cache format, compiler version and entry key, and a file that is
-    absent, truncated, corrupt, or written by a different
-    format/compiler is discarded and the result recomputed.  Discards
-    are never silent to the observability layer: {e stale} (header
-    mismatch) and {e corrupt} (unmarshal failure) recoveries are counted
-    separately — in {!detailed_stats} and in the
-    ["cache.<ns>.stale"/".corrupt"] telemetry counters — and [~verbose]
-    adds a one-line stderr note per discarded file.
+    files.  Within a generation, writers marshal straight into a temp
+    file whose name is unique per process {e and} per write (pid +
+    atomic counter), flush and close it with errors checked, and only
+    then publish it with an atomic [rename(2)]; a write that fails (a
+    full disk, a file-size limit) publishes nothing.  A key that already
+    exists on disk is left alone (same key ⇒ same value) unless the
+    store asks to [~replace] it, which still goes through a fresh temp
+    file and [rename], so a hard link to the old file keeps the old
+    bytes.  Each file starts with the hex MD5 of everything after it,
+    then a versioned header recording the cache format, compiler
+    version and entry key, then the payload.  Readers validate
+    lock-free: the digest is checked by streaming the file before
+    [Marshal] reads any of it, and a file that is absent, truncated,
+    corrupt, or written by a different format/compiler is discarded and
+    the result recomputed.  Discards are never silent to the
+    observability layer: {e stale} (header mismatch) and {e corrupt}
+    (digest or unmarshal failure) recoveries are counted separately — in
+    {!detailed_stats} and in the ["cache.<ns>.stale"/".corrupt"]
+    telemetry counters — and [~verbose] adds a one-line stderr note per
+    discarded file.
 
-    {b Cross-system dedupe accounting.}  Per-function entries are keyed
-    by content digest, so identical functions appearing in many systems
-    are computed once fleet-wide.  Each entry records the {e origin}
-    system whose analysis stored it (see {!with_origin}); a hit whose
-    origin differs from the current one is a {e cross hit} — work some
-    other system already paid for — counted in {!detailed_stats},
-    {!cross_hits} and the ["cache.cross_hits"] telemetry counter. *)
+    {b Cross-system dedupe accounting.}  Entries are keyed by content
+    digest, so identical programs appearing in many systems are analyzed
+    once fleet-wide.  Each entry records the {e origin} system whose
+    analysis stored it (see {!with_origin}); a hit whose origin differs
+    from the current one is a {e cross hit} — work some other system
+    already paid for — counted in {!detailed_stats}, {!cross_hits} and
+    the ["cache.cross_hits"] telemetry counter. *)
 
 type t
 
@@ -60,14 +77,15 @@ val create :
     must not call back into this cache (it runs under the cache lock). *)
 
 val find : t -> ns:string -> key:string -> 'a option
-(** memory first, then disk (populating memory on a disk hit).  The
+(** memory first, then disk; a disk hit is not copied into memory.  The
     caller must request the type that [store] put in [ns]. *)
 
-val store : t -> ns:string -> key:string -> 'a -> unit
-(** the value must be pure data (no closures); disk writes go to a
-    pid+sequence-unique temp file published by atomic rename (write
-    errors are ignored), and a key already present on disk is not
-    rewritten *)
+val store : ?replace:bool -> t -> ns:string -> key:string -> 'a -> unit
+(** the value must be pure data (no closures).  With a disk tier the
+    value goes to a pid+sequence-unique temp file published by atomic
+    rename and is not kept in memory; a key already present on disk is
+    not rewritten unless [~replace] (default false).  A memory-only
+    cache, or a failed disk write, keeps the value in memory instead. *)
 
 val stats : t -> (string * (int * int)) list
 (** per-namespace (hits, misses) counters, sorted by namespace — kept

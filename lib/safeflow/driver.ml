@@ -81,6 +81,11 @@ let stage_pointsto (p : prepared) : Pointsto.t = Pointsto.analyze p.ir
 let c_absint_iters = Telemetry.counter "absint.iterations"
 let c_absint_widenings = Telemetry.counter "absint.widenings"
 
+(* per-function memo outcomes: a summary taken from the cached pack, or
+   a fixpoint computed *)
+let c_absint_reused = Telemetry.counter "absint.reused"
+let c_absint_computed = Telemetry.counter "absint.computed"
+
 (* Latency histograms for the solver stack (PR 9).  The Omega library
    has no clock of its own, so the query probe reads ours: the outer
    application fires at query start, the returned closure at the
@@ -102,40 +107,80 @@ let () =
 
 let absint_span = { Absint.span = (fun name f -> Telemetry.span name f) }
 
+(* An absint pack: every per-function summary one run used, keyed by the
+   digest of the inputs it was computed from. *)
+type absint_pack = (string * Absint.func_summary) list
+
 (** Interprocedural value-range analysis, or [None] when disabled by
     [Config.absint] (phases 2/3 then behave exactly as without it).
-    With [~cache], per-function summaries are memoized in the ["absint"]
-    namespace, keyed on the summary inputs (location-free function body,
-    type environment, parameter and callee-return intervals) — an edit
-    recomputes only the functions whose inputs actually shifted, and a
-    line shift alone recomputes none.  Without a cache no key is
+    With [~cache], per-function summaries come from one absint pack: the
+    pack stored under [~key] when there is one, else the pack the
+    ["latest"] entry of the current origin names, else none.  A summary
+    is reused only when its inputs digest (location-free function body,
+    type environment, parameter and callee-return intervals) matches, so
+    a pack written by any other version of the program is sound to
+    consult: an edit recomputes only the functions whose inputs actually
+    shifted, and a line shift alone recomputes none.  With [~key], a
+    pack of the summaries this run used is stored under it when it
+    missed, and ["latest"] is pointed at it.  Without a cache no key is
     derived. *)
-let stage_absint ?(config = Config.default) ?cache (p : prepared) : Absint.t option =
+let stage_absint ?(config = Config.default) ?cache ?key (p : prepared) : Absint.t option =
   if not config.Config.absint then None
   else
     Telemetry.span "absint" (fun () ->
         (* the memo hook wraps every per-function fixpoint, so it is
-           also where the summary latency histogram lives: with a cache
-           only true recomputations are timed (hits are disk reads,
-           already histogrammed by Cache), without one every summary is *)
-        let summary compute =
+           also where the summary latency histogram lives: only true
+           recomputations are timed *)
+        let compute_summary compute =
+          Telemetry.incr c_absint_computed;
           Telemetry.span "absint.summary" (fun () ->
               Telemetry.time_hist h_absint_summary compute)
         in
-        let memo =
+        let ai =
           match cache with
+          | None ->
+            Absint.analyze ~span:absint_span p.ir
+              ~memo:(fun ~fname:_ ~inputs_digest:_ compute -> compute_summary compute)
           | Some c ->
-            fun ~fname:_ ~inputs_digest (compute : unit -> Absint.func_summary) ->
-              let key = Telemetry.span "absint.key" (fun () -> Lazy.force inputs_digest) in
-              (match (Cache.find c ~ns:"absint" ~key : Absint.func_summary option) with
-              | Some s -> s
-              | None ->
-                let s = summary compute in
-                Cache.store c ~ns:"absint" ~key s;
-                s)
-          | None -> fun ~fname:_ ~inputs_digest:_ compute -> summary compute
+            let pack k : absint_pack option = Cache.find c ~ns:"absint" ~key:k in
+            let latest_key = Digest_ir.of_value (Cache.current_origin ()) in
+            let exact = Option.bind key pack in
+            let latest : string option = Cache.find c ~ns:"latest" ~key:latest_key in
+            let prior =
+              match (exact, latest) with
+              | Some _, _ -> exact
+              | None, Some k when Some k <> key -> pack k
+              | None, _ -> None
+            in
+            let known = Hashtbl.create 64 in
+            Option.iter (List.iter (fun (d, s) -> Hashtbl.replace known d s)) prior;
+            let used = Hashtbl.create 64 in
+            let memo ~fname:_ ~inputs_digest compute =
+              let d = Telemetry.span "absint.key" (fun () -> Lazy.force inputs_digest) in
+              let s =
+                match Hashtbl.find_opt known d with
+                | Some s ->
+                  Telemetry.incr c_absint_reused;
+                  s
+                | None -> compute_summary compute
+              in
+              Hashtbl.replace used d s;
+              s
+            in
+            let ai = Absint.analyze ~memo ~span:absint_span p.ir in
+            Option.iter
+              (fun k ->
+                if exact = None then
+                  Cache.store c ~ns:"absint" ~key:k
+                    (List.sort
+                       (fun (a, _) (b, _) -> String.compare a b)
+                       (Hashtbl.fold (fun d s acc -> (d, s) :: acc) used []));
+                (* republished on exact hits too, so which files a run
+                   leaves does not depend on who stored the pack first *)
+                if latest <> key then Cache.store ~replace:true c ~ns:"latest" ~key:latest_key k)
+              key;
+            ai
         in
-        let ai = Absint.analyze ~memo ~span:absint_span p.ir in
         Telemetry.add c_absint_iters (Absint.iterations ai);
         Telemetry.add c_absint_widenings (Absint.widenings ai);
         Some ai)
@@ -243,12 +288,11 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
     ~args:[ ("file", Option.value file ~default:"<input>") ]
     (fun () ->
   with_default_origin (Option.value file ~default:"<input>") (fun () ->
+  let source_key = Option.map (fun _ -> Digest_ir.source_key ?file src) cache in
   let p =
-    match cache with
-    | Some c ->
-      cached c ~ns:"prepared" ~key:(Digest_ir.source_key ?file src) (fun () ->
-          prepare_source ?file src)
-    | None -> prepare_source ?file src
+    match (cache, source_key) with
+    | Some c, Some key -> cached c ~ns:"prepared" ~key (fun () -> prepare_source ?file src)
+    | _ -> prepare_source ?file src
   in
   (* program digests drive every later cache key; skip them entirely when
      no cache is attached *)
@@ -264,7 +308,11 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
             (fun () -> stage_phase1 ~config p shm)
         | _ -> stage_phase1 ~config p shm)
   in
-  let absint = stage_absint ~config ?cache p in
+  let absint =
+    stage_absint ~config ?cache
+      ?key:(Option.map (fun k -> Digest_ir.combine [ "absint"; k ]) source_key)
+      p
+  in
   let ph2 =
     Telemetry.span "phase2" (fun () -> stage_phase2 ~config ?cache ?digests ?absint p p1)
   in

@@ -28,10 +28,16 @@ val stage_phase1 : ?config:Config.t -> prepared -> Shm.t -> Phase1.t
 
 val stage_pointsto : prepared -> Pointsto.t
 
-val stage_absint : ?config:Config.t -> ?cache:Cache.t -> prepared -> Absint.t option
+val stage_absint :
+  ?config:Config.t -> ?cache:Cache.t -> ?key:string -> prepared -> Absint.t option
 (** interprocedural value-range analysis, or [None] when disabled by
-    {!Config.t.absint}; with [~cache], per-function summaries are
-    memoized in the ["absint"] namespace *)
+    {!Config.t.absint}.  With [~cache], per-function summaries are
+    reused from one absint pack (inputs digest ↦ summary): the pack
+    stored under [~key], else the one the ["latest"] entry of the
+    current origin ({!Cache.current_origin}) names.  With [~key], the
+    summaries this run used are stored as the pack under [key] when that
+    lookup missed, and ["latest"] is pointed at [key]; without it the
+    cache is only read. *)
 
 val stage_phase2 :
   ?config:Config.t ->
@@ -89,7 +95,9 @@ val analyze : ?config:Config.t -> ?cache:Cache.t -> ?file:string -> string -> an
     points-to / phase 3 on program and per-function digests
     ({!Digest_ir}).  Reports are bit-identical with and without the
     cache; a warm rerun of an unchanged system skips phases 1–3 and goes
-    straight to taint propagation. *)
+    straight to taint propagation.  Absint's pack is keyed on the source
+    key, so an edit reuses every summary of the origin's previous pack
+    whose inputs did not move. *)
 
 val analyze_file : ?config:Config.t -> ?cache:Cache.t -> string -> analysis
 

@@ -150,9 +150,21 @@ let test_disk_corrupt () =
   check_report "corrupt entries are silently recomputed" baseline
     (report ~cache:(Cache.create ~dir ()) Config.default src)
 
+(* per-function memo outcomes of [f]: summaries reused from an absint
+   pack and fixpoints computed, read from the telemetry counters *)
+let absint_outcomes f =
+  let reused = Telemetry.counter "absint.reused"
+  and computed = Telemetry.counter "absint.computed" in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let r0 = Telemetry.value reused and c0 = Telemetry.value computed in
+  let v = Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) f in
+  (v, Telemetry.value reused - r0, Telemetry.value computed - c0)
+
 (* absint keys are location-free: a leading comment shifts every line,
-   so the whole-program tiers miss, yet every per-function summary must
-   still be found *)
+   so the whole-program tiers (and the exact absint pack) miss, yet every
+   per-function summary must still be reused from the pack the previous
+   run left *)
 let test_absint_location_free () =
   List.iter
     (fun sys ->
@@ -160,14 +172,72 @@ let test_absint_location_free () =
       let shifted = "/* shifts every line */\n" ^ src in
       let c = Cache.create () in
       ignore (report ~cache:c Config.default src);
-      Cache.reset_stats c;
-      check_report (sys ^ " shifted") (report Config.default shifted)
-        (report ~cache:c Config.default shifted);
-      let hits, misses =
-        Option.value ~default:(0, 0) (List.assoc_opt "absint" (Cache.stats c))
+      let r, reused, computed =
+        absint_outcomes (fun () -> report ~cache:c Config.default shifted)
       in
-      Alcotest.(check bool) (sys ^ " absint looked up") true (hits > 0);
-      Alcotest.(check int) (sys ^ " absint hits = lookups") (hits + misses) hits)
+      check_report (sys ^ " shifted") (report Config.default shifted) r;
+      Alcotest.(check bool) (sys ^ " absint summaries reused") true (reused > 0);
+      Alcotest.(check int) (sys ^ " absint fixpoints computed") 0 computed)
+    systems
+
+(* the inputs digest of every fixpoint a cache-less absint run computes *)
+let fixpoint_digests src =
+  let p = Driver.prepare_source src in
+  let ds = ref [] in
+  let memo ~fname:_ ~inputs_digest compute =
+    ds := Lazy.force inputs_digest :: !ds;
+    compute ()
+  in
+  ignore (Absint.analyze ~memo p.Driver.ir);
+  List.sort_uniq compare !ds
+
+(* an edit to one return value moves the ranges of its callers: exactly
+   the fixpoints whose inputs digest the primed run never saw are
+   recomputed, and every other one is reused *)
+let test_absint_edit_recomputes_moved () =
+  let program ret =
+    Printf.sprintf
+      "int base(int x) { return %d; }\n\
+       int twice(int x) { return base(x) * 2; }\n\
+       int unrelated(int y) { return y + 1; }\n\
+       int main() { int a; int b; a = twice(3); b = unrelated(4); return a + b; }\n"
+      ret
+  in
+  let src = program 10 and edited = program 20 in
+  let before = fixpoint_digests src and after = fixpoint_digests edited in
+  let moved = List.filter (fun d -> not (List.mem d before)) after in
+  Alcotest.(check bool) "the edit moves more than the edited function" true
+    (List.length moved > 1);
+  Alcotest.(check bool) "the edit leaves some fixpoint in place" true
+    (List.length moved < List.length after);
+  let c = Cache.create () in
+  ignore (report ~cache:c Config.default src);
+  let r, reused, computed = absint_outcomes (fun () -> report ~cache:c Config.default edited) in
+  check_report "edited" (report Config.default edited) r;
+  Alcotest.(check int) "computed = moved fixpoints" (List.length moved) computed;
+  Alcotest.(check int) "reused = the rest" (List.length after - List.length moved) reused
+
+let ranges (a : Driver.analysis) = Option.map Absint.summary_views a.Driver.absint
+
+(* summaries are matched by their exact inputs digest, so a "latest" pack
+   another program left under the same label is sound to consult: the
+   report and every range equal a run with no cache *)
+let test_latest_other_program () =
+  let dir = "tmp_cache_latest_other" in
+  let file = "member.c" in
+  List.iteri
+    (fun i sys ->
+      clear_dir dir;
+      let other = List.nth systems ((i + 1) mod List.length systems) in
+      let src = read_file (find_system sys) in
+      ignore (Driver.analyze ~cache:(Cache.create ~dir ()) ~file (read_file (find_system other)));
+      let c = Cache.create ~dir () in
+      let a = Driver.analyze ~cache:c ~file src and fresh = Driver.analyze ~file src in
+      check_report (sys ^ " after " ^ other) fresh.Driver.report a.Driver.report;
+      Alcotest.(check bool) (sys ^ " ranges after " ^ other) true (ranges fresh = ranges a);
+      let st ns = Option.value ~default:(0, 0) (List.assoc_opt ns (Cache.stats c)) in
+      Alcotest.(check (pair int int)) (sys ^ " latest named the other pack") (1, 0) (st "latest");
+      Alcotest.(check (pair int int)) (sys ^ " exact miss, then that pack") (1, 1) (st "absint"))
     systems
 
 (* Concurrent workers opening one missing cache directory race to
@@ -212,6 +282,105 @@ let test_disk_mkdir_race () =
     (Cache.find c ~ns:"race" ~key:"k");
   Sys.remove file
 
+let entry_path dir ns =
+  List.find (fun f -> String.starts_with ~prefix:(ns ^ "-") (Filename.basename f)) (entry_files dir)
+
+(* "latest" is the one entry that is rewritten, and only through a temp
+   file and rename: a hard link to the old file (a cache restored from a
+   pristine copy by linking) keeps its bytes *)
+let test_latest_rewrite_keeps_links () =
+  let dir = "tmp_cache_latest_link" in
+  clear_dir dir;
+  let c = Cache.create ~dir () in
+  Cache.store c ~ns:"latest" ~key:"k" "first";
+  let path = entry_path dir "latest" in
+  let link = "tmp_cache_latest_link.old" in
+  (try Sys.remove link with Sys_error _ -> ());
+  Unix.link path link;
+  let before = read_file link in
+  Cache.store c ~ns:"latest" ~key:"k" "ignored";
+  Alcotest.(check (option string)) "store without replace keeps the entry" (Some "first")
+    (Cache.find c ~ns:"latest" ~key:"k");
+  Cache.store ~replace:true c ~ns:"latest" ~key:"k" "second";
+  Alcotest.(check (option string)) "replaced" (Some "second")
+    (Cache.find (Cache.create ~dir ()) ~ns:"latest" ~key:"k");
+  Alcotest.(check string) "the old link is byte-identical" before (read_file link);
+  (* the same through the driver: a second program under one label *)
+  clear_dir dir;
+  let file = "member.c" in
+  ignore (Driver.analyze ~cache:(Cache.create ~dir ()) ~file (read_file (find_system "figure2.c")));
+  let path = entry_path dir "latest" in
+  Sys.remove link;
+  Unix.link path link;
+  let before = read_file link in
+  ignore (Driver.analyze ~cache:(Cache.create ~dir ()) ~file (read_file (find_system "double_ip.c")));
+  Alcotest.(check bool) "the driver rewrote latest" true (read_file path <> before);
+  Alcotest.(check string) "the driver left the old link alone" before (read_file link);
+  Sys.remove link
+
+(* memory holds only what disk does not *)
+let test_no_memory_shadow () =
+  let dir = "tmp_cache_shadow" in
+  clear_dir dir;
+  let c = Cache.create ~dir () in
+  Cache.store c ~ns:"shadow" ~key:"k" [ 1; 2; 3 ];
+  Alcotest.(check (option (list int))) "disk hit" (Some [ 1; 2; 3 ])
+    (Cache.find c ~ns:"shadow" ~key:"k");
+  Sys.remove (entry_path dir "shadow");
+  Alcotest.(check (option (list int))) "no copy kept in memory" None
+    (Cache.find c ~ns:"shadow" ~key:"k");
+  let m = Cache.create () in
+  Cache.store m ~ns:"shadow" ~key:"k" [ 4 ];
+  Alcotest.(check (option (list int))) "memory-only cache hits" (Some [ 4 ])
+    (Cache.find m ~ns:"shadow" ~key:"k")
+
+(* a directory that refuses writes keeps each value in memory instead;
+   the generation directory is swapped for a plain file, which refuses
+   writes to every user, the superuser included (mode bits would not) *)
+let test_unwritable_dir () =
+  let dir = "tmp_cache_unwritable" in
+  clear_dir dir;
+  let c = Cache.create ~dir () in
+  let gen =
+    List.find
+      (fun f -> Sys.is_directory (Filename.concat dir f))
+      (Array.to_list (Sys.readdir dir))
+  in
+  let gen = Filename.concat dir gen in
+  clear_dir gen;
+  Sys.rmdir gen;
+  Out_channel.with_open_bin gen (fun oc -> output_string oc "not a directory");
+  Cache.store c ~ns:"ro" ~key:"k" "kept";
+  Alcotest.(check (option string)) "kept in memory" (Some "kept") (Cache.find c ~ns:"ro" ~key:"k");
+  let src = read_file (find_system "figure2.c") in
+  check_report "report through an unwritable cache" (report Config.default src)
+    (report ~cache:c Config.default src);
+  Sys.remove gen
+
+(* a flipped payload byte and a tampered digest prefix are each counted
+   corrupt, and the stage is recomputed *)
+let test_damaged_entries () =
+  let dir = "tmp_cache_damaged" in
+  let src = read_file (find_system "figure2.c") in
+  let baseline = report Config.default src in
+  List.iter
+    (fun (ns, what, damage) ->
+      clear_dir dir;
+      ignore (report ~cache:(Cache.create ~dir ()) Config.default src);
+      let path = entry_path dir ns in
+      let b = Bytes.of_string (read_file path) in
+      let i = damage (Bytes.length b) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+      let c = Cache.create ~dir () in
+      check_report (ns ^ " " ^ what ^ " recomputed") baseline (report ~cache:c Config.default src);
+      let st = List.assoc ns (Cache.detailed_stats c) in
+      Alcotest.(check int) (ns ^ " " ^ what ^ " counted corrupt") 1 st.Cache.corrupt;
+      Alcotest.(check bool) (ns ^ " " ^ what ^ " rewritten") true
+        (read_file (entry_path dir ns) <> Bytes.to_string b))
+    [ ("phase3", "flipped payload byte", fun n -> n - 1);
+      ("prepared", "tampered digest prefix", fun _ -> 0) ]
+
 let test_par_driver_deterministic () =
   let paths = List.map find_system systems in
   let seq = List.map (fun p -> (Driver.analyze_file p).Driver.report) paths in
@@ -233,7 +402,11 @@ let () =
           Alcotest.test_case "one-function edit reports identical" `Quick
             test_dirty_identity;
           Alcotest.test_case "absint keys ignore source locations" `Quick
-            test_absint_location_free ] );
+            test_absint_location_free;
+          Alcotest.test_case "one-function edit recomputes the moved fixpoints" `Quick
+            test_absint_edit_recomputes_moved;
+          Alcotest.test_case "latest pack of another program" `Quick
+            test_latest_other_program ] );
       ( "disk",
         [ Alcotest.test_case "round trip through a fresh cache" `Quick
             test_disk_roundtrip;
@@ -241,7 +414,15 @@ let () =
             test_dot_deterministic;
           Alcotest.test_case "corrupt entries recomputed" `Quick test_disk_corrupt;
           Alcotest.test_case "racing openers all get a disk tier" `Quick
-            test_disk_mkdir_race ] );
+            test_disk_mkdir_race;
+          Alcotest.test_case "rewriting latest keeps hard links" `Quick
+            test_latest_rewrite_keeps_links;
+          Alcotest.test_case "no in-memory shadow of disk entries" `Quick
+            test_no_memory_shadow;
+          Alcotest.test_case "unwritable directory keeps values in memory" `Quick
+            test_unwritable_dir;
+          Alcotest.test_case "damaged entries counted corrupt" `Quick
+            test_damaged_entries ] );
       ( "parallel",
         [ Alcotest.test_case "analyze_files_par deterministic" `Quick
             test_par_driver_deterministic ] ) ]
