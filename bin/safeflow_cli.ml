@@ -84,13 +84,6 @@ let fail_on_arg =
            only warning-level findings are present.  With $(b,--baseline), only \
            findings new relative to the baseline gate.")
 
-let read_file file =
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  src
-
 let analyze_cmd =
   let files =
     Arg.(
@@ -191,7 +184,7 @@ let analyze_cmd =
         if use_summary then
           ( List.map
               (fun file ->
-                let r, _ = Safeflow.Driver.analyze_summary ~config ~file (read_file file) in
+                let r, _ = Safeflow.Driver.analyze_summary ~config ~file (Minic.Loc.read_source file) in
                 Fmt.pr "%a@." Safeflow.Report.pp r;
                 (file, r, Safeflow.Fingerprint.ctx_empty, None))
               files,
@@ -414,10 +407,7 @@ let check_cert_cmd =
             match source_label with
             | None -> Safeflow.Driver.prepare_file file
             | Some label ->
-              let ic = open_in_bin file in
-              let src = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              Safeflow.Driver.prepare_source ~file:label src
+              Safeflow.Driver.prepare_source ~file:label (Minic.Loc.read_source file)
           in
           let ir = prep.Safeflow.Driver.ir in
           let shm = Safeflow.Driver.stage_shm prep in
@@ -843,7 +833,7 @@ let diff_cmd =
      output) are loaded as-is, so either side can be a checked-in
      baseline. *)
   let entries_of ~config file =
-    let content = read_file file in
+    let content = Minic.Loc.read_source file in
     if Safeflow.Diffreport.looks_like_findings content then
       Safeflow.Diffreport.parse content
     else begin

@@ -1,176 +1,67 @@
-(** Dominator tree (Cooper–Harvey–Kennedy iterative algorithm), dominance
-    frontiers (Cytron et al.), and post-dominators for control-dependence
-    computation. *)
+(** Dominator tree of a function's CFG (Cooper, Harvey and Kennedy's
+    iterative algorithm), over arrays indexed by block id. *)
 
 type tree = {
-  idom : (Ir.bid, Ir.bid) Hashtbl.t;      (** immediate dominator; entry maps to itself *)
-  children : (Ir.bid, Ir.bid list) Hashtbl.t;
-  order : Ir.bid list;                    (** reverse postorder used for the computation *)
+  idom : int array;  (** immediate dominator; the root maps to itself, -1 if unreachable *)
   root : Ir.bid;
 }
 
-(** Generic CHK dominator computation over an arbitrary rooted graph. *)
-let compute_generic ~(root : Ir.bid) ~(nodes : Ir.bid list)
-    ~(preds : Ir.bid -> Ir.bid list) ~(succs : Ir.bid -> Ir.bid list) : tree =
-  (* reverse postorder from root *)
-  let visited = Hashtbl.create 16 in
-  let order = ref [] in
-  let rec dfs n =
-    if not (Hashtbl.mem visited n) then begin
-      Hashtbl.replace visited n ();
-      List.iter dfs (succs n);
-      order := n :: !order
-    end
+let compute (f : Ir.func) : tree =
+  let n = 1 + List.fold_left (fun m (b : Ir.block) -> max m b.bbid) f.fentry f.blocks in
+  let succs = Array.make n [] in
+  List.iter
+    (fun (b : Ir.block) ->
+      succs.(b.bbid) <- List.filter (fun s -> s >= 0 && s < n) (Ir.succs_of_term b.termin))
+    f.blocks;
+  (* reverse postorder numbering from the entry; -1 marks unreachable *)
+  let rpo = Array.make n (-1) in
+  let order = Array.make n 0 in
+  let count = ref 0 in
+  let rec dfs v =
+    rpo.(v) <- 0;
+    List.iter (fun s -> if rpo.(s) < 0 then dfs s) succs.(v);
+    order.(!count) <- v;
+    incr count
   in
-  dfs root;
-  let rpo = !order in
-  ignore nodes;
-  let rpo_num = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.replace rpo_num n i) rpo;
-  let idom : (Ir.bid, Ir.bid) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.replace idom root root;
-  let intersect b1 b2 =
-    let rec go f1 f2 =
-      if f1 = f2 then f1
-      else if Hashtbl.find rpo_num f1 > Hashtbl.find rpo_num f2 then
-        go (Hashtbl.find idom f1) f2
-      else go f1 (Hashtbl.find idom f2)
-    in
-    go b1 b2
+  dfs f.fentry;
+  let count = !count in
+  for k = 0 to count - 1 do
+    rpo.(order.(k)) <- count - 1 - k
+  done;
+  let preds = Array.make n [] in
+  for k = 0 to count - 1 do
+    let v = order.(k) in
+    List.iter (fun s -> preds.(s) <- v :: preds.(s)) succs.(v)
+  done;
+  let idom = Array.make n (-1) in
+  idom.(f.fentry) <- f.fentry;
+  let rec intersect a b =
+    if a = b then a else if rpo.(a) > rpo.(b) then intersect idom.(a) b else intersect a idom.(b)
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun n ->
-        if n <> root then begin
-          let processed_preds =
-            List.filter (fun p -> Hashtbl.mem idom p && Hashtbl.mem rpo_num p) (preds n)
-          in
-          match processed_preds with
-          | [] -> ()
-          | first :: rest ->
-            let new_idom = List.fold_left intersect first rest in
-            if Hashtbl.find_opt idom n <> Some new_idom then begin
-              Hashtbl.replace idom n new_idom;
-              changed := true
-            end
-        end)
-      rpo
+    (* reverse postorder is [order] read backwards *)
+    for k = count - 2 downto 0 do
+      let v = order.(k) in
+      let nd =
+        List.fold_left
+          (fun acc p -> if idom.(p) < 0 then acc else if acc < 0 then p else intersect p acc)
+          (-1) preds.(v)
+      in
+      if nd >= 0 && idom.(v) <> nd then begin
+        idom.(v) <- nd;
+        changed := true
+      end
+    done
   done;
-  let children = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace children n []) rpo;
-  List.iter
-    (fun n ->
-      if n <> root then
-        match Hashtbl.find_opt idom n with
-        | Some p ->
-          let old = Option.value ~default:[] (Hashtbl.find_opt children p) in
-          Hashtbl.replace children p (n :: old)
-        | None -> ())
-    rpo;
-  { idom; children; order = rpo; root }
+  { idom; root = f.fentry }
 
-(** Dominator tree of [f]'s CFG. *)
-let compute (f : Ir.func) : tree =
-  let preds_tbl = Ir.predecessors f in
-  let preds n = Option.value ~default:[] (Hashtbl.find_opt preds_tbl n) in
-  let succs n = match Ir.block_opt f n with Some b -> Ir.successors f b | None -> [] in
-  compute_generic ~root:f.fentry ~nodes:(List.map (fun b -> b.Ir.bbid) f.blocks) ~preds ~succs
+let in_tree t n = n >= 0 && n < Array.length t.idom && t.idom.(n) >= 0
 
-let idom t n = if n = t.root then None else Hashtbl.find_opt t.idom n
-
-let children t n = Option.value ~default:[] (Hashtbl.find_opt t.children n)
+let idom t n = if n = t.root || not (in_tree t n) then None else Some t.idom.(n)
 
 (** Does [a] dominate [b] (reflexively)? *)
 let dominates t a b =
-  let rec go n = if n = a then true else if n = t.root then false else go (Hashtbl.find t.idom n) in
-  if not (Hashtbl.mem t.idom b) then false else go b
-
-(** Dominance frontiers per Cytron et al. *)
-let frontiers (f : Ir.func) (t : tree) : (Ir.bid, Ir.bid list) Hashtbl.t =
-  let df = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace df b.Ir.bbid []) f.blocks;
-  let preds_tbl = Ir.predecessors f in
-  List.iter
-    (fun b ->
-      let n = b.Ir.bbid in
-      let preds = Option.value ~default:[] (Hashtbl.find_opt preds_tbl n) in
-      if List.length preds >= 2 then
-        List.iter
-          (fun p ->
-            if Hashtbl.mem t.idom p || p = t.root then begin
-              let runner = ref p in
-              let idom_n = Hashtbl.find t.idom n in
-              while !runner <> idom_n do
-                let old = Option.value ~default:[] (Hashtbl.find_opt df !runner) in
-                if not (List.mem n old) then Hashtbl.replace df !runner (n :: old);
-                runner := Hashtbl.find t.idom !runner
-              done
-            end)
-          preds)
-    f.blocks;
-  df
-
-(* -- Post-dominators ------------------------------------------------------ *)
-
-(** Post-dominator tree: dominators of the reversed CFG, rooted at a
-    virtual exit node that all [Ret]/[Unreachable] blocks flow into.
-    The virtual exit has id [-1]. *)
-let virtual_exit : Ir.bid = -1
-
-let compute_post (f : Ir.func) : tree =
-  let preds_tbl = Ir.predecessors f in
-  let exits =
-    List.filter_map
-      (fun b ->
-        match b.Ir.termin with
-        | Ir.Ret _ | Ir.Unreachable -> Some b.Ir.bbid
-        | _ -> None)
-      f.blocks
-  in
-  (* infinite loops (e.g. the periodic "while(1)" control loop) have no
-     path to a return; promote representatives of such regions to exits so
-     every block is post-dominated by the virtual exit *)
-  let exits =
-    let reaches_exit = Hashtbl.create 16 in
-    let rec mark n =
-      if not (Hashtbl.mem reaches_exit n) then begin
-        Hashtbl.replace reaches_exit n ();
-        List.iter mark (Option.value ~default:[] (Hashtbl.find_opt preds_tbl n))
-      end
-    in
-    List.iter mark exits;
-    let extra = ref [] in
-    let rec close () =
-      let stuck =
-        List.filter
-          (fun b -> not (Hashtbl.mem reaches_exit b.Ir.bbid))
-          f.blocks
-      in
-      match stuck with
-      | [] -> ()
-      | b :: _ ->
-        extra := b.Ir.bbid :: !extra;
-        mark b.Ir.bbid;
-        close ()
-    in
-    close ();
-    exits @ !extra
-  in
-  (* reversed edges: succs in reverse graph = CFG preds (+ virtual exit) *)
-  let rsuccs n =
-    if n = virtual_exit then exits
-    else Option.value ~default:[] (Hashtbl.find_opt preds_tbl n)
-  in
-  let rpreds n =
-    if n = virtual_exit then []
-    else
-      let cfg_succs =
-        match Ir.block_opt f n with Some b -> Ir.successors f b | None -> []
-      in
-      if List.mem n exits then virtual_exit :: cfg_succs else cfg_succs
-  in
-  compute_generic ~root:virtual_exit
-    ~nodes:(virtual_exit :: List.map (fun b -> b.Ir.bbid) f.blocks)
-    ~preds:rpreds ~succs:rsuccs
+  let rec go n = n = a || (n <> t.root && go t.idom.(n)) in
+  in_tree t b && go b

@@ -1,7 +1,8 @@
 (** Reference interpreter for the IR.
 
     Serves three purposes:
-    - differential testing (lowering and mem2reg must preserve semantics);
+    - differential testing (SSA lowering must preserve the semantics of
+      the memory form);
     - executing the MiniC subject systems inside the examples, with
       external functions (shared memory, sensors, actuators) provided by
       OCaml callbacks — this is how the C core controllers run against the

@@ -3,8 +3,8 @@
     The analysis phases of the paper operate on "LLVM byte-code, a typed
     intermediate format in SSA form" (§3.3).  This module provides the
     equivalent substrate: functions are CFGs of basic blocks holding typed
-    instructions; after {!Mem2reg} runs, scalar locals are promoted to SSA
-    registers with phi nodes.
+    instructions; {!Build} lowers scalar locals whose address is never
+    taken straight to SSA registers with phi nodes.
 
     Instruction results are identified by integer ids ([iid]); the value
     [Vreg iid] refers to the result of instruction or phi [iid]. *)
@@ -16,7 +16,7 @@ type bid = int
 
 type value =
   | Vreg of vid                (** result of an instruction or phi *)
-  | Vparam of string           (** function parameter (post-mem2reg) *)
+  | Vparam of string           (** function parameter *)
   | Vint of int64 * Ty.t
   | Vfloat of float * Ty.t
   | Vglobal of string          (** address of a global *)
@@ -140,18 +140,49 @@ let reverse_postorder f =
   dfs f.fentry;
   !order
 
+(** Apply [f] to each value an instruction reads, in operand order. *)
+let iter_operands f = function
+  | Alloca _ | Annotation { aval = None; _ } -> ()
+  | Annotation { aval = Some v; _ } | Load { ptr = v; _ } | Unop { operand = v; _ }
+  | Cast { cval = v; _ } ->
+    f v
+  | Store { ptr = v; sval = w; _ } | Binop { lhs = v; rhs = w; _ } | Gep { base = v; idx = w; _ } ->
+    f v;
+    f w
+  | Call { args; _ } -> List.iter f args
+
 (** Values read by an instruction. *)
 let operands_of_instr i =
-  match i.idesc with
-  | Alloca _ | Annotation { aval = None; _ } -> []
-  | Annotation { aval = Some v; _ } -> [ v ]
-  | Load { ptr; _ } -> [ ptr ]
-  | Store { ptr; sval; _ } -> [ ptr; sval ]
-  | Binop { lhs; rhs; _ } -> [ lhs; rhs ]
-  | Unop { operand; _ } -> [ operand ]
-  | Cast { cval; _ } -> [ cval ]
-  | Gep { base; idx; _ } -> [ base; idx ]
-  | Call { args; _ } -> args
+  let acc = ref [] in
+  iter_operands (fun v -> acc := v :: !acc) i.idesc;
+  List.rev !acc
+
+(** [d] with every operand mapped through [f]; [d] itself when [f]
+    returns each operand unchanged (physically). *)
+let map_operands f d =
+  let f1 v k = let v' = f v in if v' == v then d else k v' in
+  let f2 v w k =
+    let v' = f v and w' = f w in
+    if v' == v && w' == w then d else k v' w'
+  in
+  match d with
+  | Alloca _ | Annotation { aval = None; _ } -> d
+  | Annotation { clause; aval = Some v } -> f1 v (fun v -> Annotation { clause; aval = Some v })
+  | Load l -> f1 l.ptr (fun ptr -> Load { l with ptr })
+  | Store s -> f2 s.ptr s.sval (fun ptr sval -> Store { s with ptr; sval })
+  | Binop o -> f2 o.lhs o.rhs (fun lhs rhs -> Binop { o with lhs; rhs })
+  | Unop u -> f1 u.operand (fun operand -> Unop { u with operand })
+  | Cast c -> f1 c.cval (fun cval -> Cast { c with cval })
+  | Gep g -> f2 g.base g.idx (fun base idx -> Gep { g with base; idx })
+  | Call c ->
+    let args = List.map f c.args in
+    if List.for_all2 ( == ) args c.args then d else Call { c with args }
+
+let map_term_operands f = function
+  | Cbr (v, t, e) -> Cbr (f v, t, e)
+  | Switch (v, cases, d) -> Switch (f v, cases, d)
+  | Ret (Some v) -> Ret (Some (f v))
+  | (Br _ | Ret None | Unreachable) as t -> t
 
 let operands_of_term = function
   | Br _ | Ret None | Unreachable -> []
@@ -199,7 +230,7 @@ let use_table f =
         (fun p -> List.iter (fun (_, v) -> add v (Use_phi (p, b.bbid))) p.incoming)
         b.phis;
       List.iter
-        (fun i -> List.iter (fun v -> add v (Use_instr (i, b.bbid))) (operands_of_instr i))
+        (fun i -> iter_operands (fun v -> add v (Use_instr (i, b.bbid))) i.idesc)
         b.instrs;
       List.iter (fun v -> add v (Use_term b.bbid)) (operands_of_term b.termin))
     f.blocks;

@@ -136,6 +136,23 @@ let fold_constants (f : Ir.func) : int =
           b.Ir.instrs)
       f.Ir.blocks
   done;
+  (* a terminator of [b] folded to [Br keep]: the phis of every other
+     former successor lose their operand from [b] *)
+  let fold_to (b : Ir.block) keep =
+    incr changes;
+    List.iter
+      (fun s ->
+        if s <> keep then
+          Option.iter
+            (fun (sb : Ir.block) ->
+              List.iter
+                (fun (p : Ir.phi) ->
+                  p.Ir.incoming <- List.filter (fun (bid, _) -> bid <> b.Ir.bbid) p.Ir.incoming)
+                sb.Ir.phis)
+            (Ir.block_opt f s))
+      (Ir.succs_of_term b.Ir.termin);
+    Ir.Br keep
+  in
   (* pass B: rewrite every operand, drop replaced definitions, fold
      terminators *)
   List.iter
@@ -150,45 +167,21 @@ let fold_constants (f : Ir.func) : int =
           (fun (i : Ir.instr) ->
             if Ir.defines i && Hashtbl.mem repl i.Ir.iid then false
             else begin
-              i.Ir.idesc <-
-                (match i.Ir.idesc with
-                | Ir.Alloca _ as d -> d
-                | Ir.Load { ptr; lty } -> Ir.Load { ptr = subst ptr; lty }
-                | Ir.Store { ptr; sval; sty } ->
-                  Ir.Store { ptr = subst ptr; sval = subst sval; sty }
-                | Ir.Binop bo ->
-                  Ir.Binop { bo with lhs = subst bo.lhs; rhs = subst bo.rhs }
-                | Ir.Unop u -> Ir.Unop { u with operand = subst u.operand }
-                | Ir.Cast c -> Ir.Cast { c with cval = subst c.cval }
-                | Ir.Gep g -> Ir.Gep { g with base = subst g.base; idx = subst g.idx }
-                | Ir.Call c -> Ir.Call { c with args = List.map subst c.args }
-                | Ir.Annotation { clause; aval } ->
-                  Ir.Annotation { clause; aval = Option.map subst aval });
+              i.Ir.idesc <- Ir.map_operands subst i.Ir.idesc;
               true
             end)
           b.Ir.instrs;
+      b.Ir.termin <- Ir.map_term_operands subst b.Ir.termin;
       b.Ir.termin <-
         (match b.Ir.termin with
-        | Ir.Br t -> Ir.Br t
         | Ir.Cbr (v, t, e) -> (
-          let v = subst v in
           match is_truthy v with
-          | Some true ->
-            incr changes;
-            Ir.Br t
-          | Some false ->
-            incr changes;
-            Ir.Br e
-          | None -> Ir.Cbr (v, t, e))
-        | Ir.Switch (v, cases, d) -> (
-          let v = subst v in
-          match v with
-          | Ir.Vint (n, _) ->
-            incr changes;
-            Ir.Br (match List.assoc_opt n cases with Some t -> t | None -> d)
-          | _ -> Ir.Switch (v, cases, d))
-        | Ir.Ret (Some v) -> Ir.Ret (Some (subst v))
-        | (Ir.Ret None | Ir.Unreachable) as t -> t))
+          | Some true -> fold_to b t
+          | Some false -> fold_to b e
+          | None -> b.Ir.termin)
+        | Ir.Switch (Ir.Vint (n, _), cases, d) ->
+          fold_to b (match List.assoc_opt n cases with Some t -> t | None -> d)
+        | t -> t))
     f.Ir.blocks;
   !changes
 

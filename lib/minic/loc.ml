@@ -19,6 +19,10 @@ exception Error of t * string
 
 let error loc fmt = Fmt.kstr (fun msg -> raise (Error (loc, msg))) fmt
 
+let read_source path =
+  try In_channel.with_open_bin path (fun ic -> really_input_string ic (in_channel_length ic))
+  with Sys_error msg -> error { file = path; line = 1; col = 1 } "cannot read source: %s" msg
+
 let compare a b =
   match String.compare a.file b.file with
   | 0 -> ( match Int.compare a.line b.line with 0 -> Int.compare a.col b.col | c -> c)

@@ -16,6 +16,10 @@ exception Error of t * string
 val error : t -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** @raise Error *)
 
+val read_source : string -> string
+(** the contents of a file; a path that cannot be read (missing, a
+    directory, ...) raises {!Error} located at the path *)
+
 val compare : t -> t -> int
 
 val equal : t -> t -> bool

@@ -713,9 +713,4 @@ let parse_program lex : Ast.program =
 let parse_string ?(file = "<string>") src = parse_program (Lexer.make ~file src)
 
 (** Lex and parse a file on disk. *)
-let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  parse_string ~file:path src
+let parse_file path = parse_string ~file:path (Loc.read_source path)

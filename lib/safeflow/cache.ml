@@ -39,8 +39,11 @@
    from the file (no whole-payload string); "absint" holds one pack per
    program (inputs digest ↦ summary) instead of one entry per function,
    and the new "latest" namespace maps an origin to its last pack's
-   key. *)
-let format_version = 10
+   key.
+   Version 11: the IR a "prepared" entry holds is built in SSA form
+   directly while lowering, so its phi ids and phi operand order differ
+   from version 10's. *)
+let format_version = 11
 
 let magic = "SAFEFLOW-CACHE"
 

@@ -77,12 +77,7 @@ let parse content : entry list =
                    e_where = where;
                    e_msg = msg })))
 
-let load path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  parse s
+let load path = parse (Minic.Loc.read_source path)
 
 (* -- Classification ------------------------------------------------------------- *)
 

@@ -50,24 +50,15 @@ let prepare_source ?(file = "<input>") (src : string) : prepared =
   Telemetry.span "prepare" ~args:[ ("file", file) ] (fun () ->
       let ast = Telemetry.span "parse" (fun () -> Parser.parse_string ~file src) in
       let tast = Telemetry.span "typecheck" (fun () -> Typecheck.check_program ast) in
-      let ir =
-        Telemetry.span "ssa" (fun () ->
-            let ir = Ssair.Build.lower tast in
-            ignore (Ssair.Mem2reg.run ir);
-            ir)
-      in
-      (match Ssair.Verify.check_program ~ssa:true ir with
-      | [] -> ()
-      | v :: _ ->
-        Loc.error Loc.dummy "internal IR verification failed: %s" v.Ssair.Verify.vmsg);
+      let ir = Telemetry.span "prepare.lower" (fun () -> Ssair.Build.lower tast) in
+      Telemetry.span "prepare.verify" (fun () ->
+          match Ssair.Verify.check_program ~ssa:true ir with
+          | [] -> ()
+          | v :: _ ->
+            Loc.error Loc.dummy "internal IR verification failed: %s" v.Ssair.Verify.vmsg);
       { ir; annotation_lines = count_annotations ast; loc_total = count_loc src })
 
-let prepare_file path : prepared =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  prepare_source ~file:path src
+let prepare_file path : prepared = prepare_source ~file:path (Loc.read_source path)
 
 (* -- Staged pipeline ------------------------------------------------------------ *)
 
@@ -365,11 +356,7 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
     ledger = ph2.Phase2.ledger; absint }))
 
 let analyze_file ?config ?cache path : analysis =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  analyze ?config ?cache ~file:path src
+  analyze ?config ?cache ~file:path (Loc.read_source path)
 
 let c_file_tasks = Telemetry.counter "pool.file_tasks"
 let c_file_peak = Telemetry.gauge "pool.file_peak"

@@ -66,20 +66,13 @@ type result = {
   f_cache : cache_totals;
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  src
-
 (* One member: analyze under the normalized source label (so content
    digests align across members and per-function entries dedupe
    fleet-wide) but attribute cache traffic to the member's real path —
    a later hit from a different member is a cross-system hit. *)
 let analyze_member ?config ?cache ?emit_certs ?(check_certs = false) ~source_label
     path : member_result =
-  let src = read_file path in
+  let src = Minic.Loc.read_source path in
   Cache.with_origin path (fun () ->
       let a = Driver.analyze ?config ?cache ~file:source_label src in
       let r = a.Driver.report in
@@ -501,7 +494,7 @@ let members_of_dir dir =
   |> List.map (Filename.concat dir)
 
 let members_of_manifest path =
-  read_file path |> String.split_on_char '\n'
+  Minic.Loc.read_source path |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          let line = String.trim line in
          if line = "" || line.[0] = '#' then None

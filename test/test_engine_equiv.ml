@@ -150,8 +150,8 @@ let test_telemetry_invariance () =
   List.iter
     (fun phase ->
       if not (List.mem phase names) then Alcotest.failf "missing %s span" phase)
-    [ "analyze"; "prepare"; "parse"; "phase1"; "phase2"; "pointsto"; "phase3";
-      "pair.build"; "phase3.drain" ];
+    [ "analyze"; "prepare"; "parse"; "prepare.lower"; "prepare.verify"; "phase1"; "phase2";
+      "pointsto"; "phase3"; "pair.build"; "phase3.drain" ];
   (* every non-root parent id must name a recorded span *)
   let ids = List.map (fun (s : Telemetry.span_record) -> s.Telemetry.s_id) spans in
   List.iter

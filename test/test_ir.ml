@@ -1,17 +1,15 @@
-(* Tests for the SSA IR: lowering, dominators, mem2reg, the verifier, the
-   control-dependence graph, and the reference interpreter (differential
-   pre/post-SSA execution). *)
+(* Tests for the SSA IR: lowering, dominators, SSA construction against
+   the mem2reg oracle, the verifier, the control-dependence graph, and the
+   reference interpreter (differential memory-form/SSA execution). *)
 
 open Minic
 
-let compile src =
-  let prog = Parser.parse_string ~file:"<test>" src in
-  Ssair.Build.lower (Typecheck.check_program prog)
+let tast_of src = Typecheck.check_program (Parser.parse_string ~file:"<test>" src)
 
-let compile_ssa src =
-  let ir = compile src in
-  ignore (Ssair.Mem2reg.run ir);
-  ir
+(* memory form: every local in a stack slot *)
+let compile src = Ssair.Build.lower_memory (tast_of src)
+
+let compile_ssa src = Ssair.Build.lower (tast_of src)
 
 let run_int ?entry src =
   match Ssair.Interp.run ?entry src with
@@ -21,13 +19,10 @@ let run_int ?entry src =
 
 let run_src ?entry src = run_int ?entry (compile_ssa src)
 
-(* run a program both before and after SSA conversion; results must agree *)
+(* run a program in memory form and in SSA form; results must agree *)
 let differential src expected =
-  let pre = compile src in
-  let pre_result = run_int pre in
-  let post = compile src in
-  ignore (Ssair.Mem2reg.run post);
-  let post_result = run_int post in
+  let pre_result = run_int (compile src) in
+  let post_result = run_int (compile_ssa src) in
   Alcotest.(check int64) "pre-SSA result" expected pre_result;
   Alcotest.(check int64) "post-SSA result" expected post_result
 
@@ -127,7 +122,7 @@ let test_dom_frontier_diamond () =
   let ir = compile diamond_src in
   let f = Option.get (Ssair.Ir.func_index ir "f") in
   let t = Ssair.Dom.compute f in
-  let df = Ssair.Dom.frontiers f t in
+  let df = Mem2reg.frontiers f t in
   let preds = Ssair.Ir.predecessors f in
   let join =
     List.find
@@ -159,7 +154,7 @@ let test_dom_loop_header () =
           (Ssair.Dom.idom t b.Ssair.Ir.bbid <> None))
     f.blocks
 
-(* -- Mem2reg / SSA ---------------------------------------------------------- *)
+(* -- SSA construction ------------------------------------------------------- *)
 
 let test_ssa_verifies () =
   let ir = compile_ssa diamond_src in
@@ -460,8 +455,64 @@ let prop_mem2reg_preserves_semantics =
       let src = wrap_prog p in
       let pre = compile src in
       let post = compile src in
-      ignore (Ssair.Mem2reg.run post);
+      ignore (Mem2reg.run post);
       run_int pre = run_int post)
+
+let prop_build_preserves_semantics =
+  QCheck.Test.make ~name:"SSA lowering preserves semantics" ~count:120 arb_sprog (fun p ->
+      let src = wrap_prog p in
+      run_int (compile src) = run_int (compile_ssa src))
+
+(* -- Build's SSA against the mem2reg oracle ---------------------------------- *)
+
+let agrees_with_oracle tast =
+  match Mem2reg.diff_against_oracle tast with
+  | None -> true
+  | Some d -> QCheck.Test.fail_reportf "differs from the oracle: %s" d
+
+let prop_oracle_random =
+  QCheck.Test.make ~name:"SSA equals the oracle on random programs" ~count:120 arb_sprog
+    (fun p -> agrees_with_oracle (tast_of (wrap_prog p)))
+
+let prop_oracle_synth =
+  QCheck.Test.make ~name:"SSA equals the oracle on Synth programs" ~count:12
+    QCheck.(pair (int_range 1 1000) (int_range 1 24))
+    (fun (seed, size) -> agrees_with_oracle (tast_of (Safeflow.Synth.of_size ~seed size)))
+
+let find_system name =
+  let candidates =
+    [ "../../../systems/" ^ name; "../../systems/" ^ name; "systems/" ^ name ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.fail ("cannot locate systems/" ^ name)
+
+let test_oracle_systems () =
+  List.iter
+    (fun name ->
+      let tast = Typecheck.check_program (Parser.parse_file (find_system name)) in
+      Alcotest.(check (option string)) name None (Mem2reg.diff_against_oracle tast))
+    [ "figure2.c"; "ip_controller.c"; "generic_simplex.c"; "double_ip.c"; "car_follow.c" ]
+
+(* The one intended divergence: an address taken only in unreachable code
+   keeps the local in memory, where the oracle (which sees only the
+   reachable code) promotes it. *)
+let test_unreachable_address_taken () =
+  let src = "int f(int c) { int x = c; return x; int *p = &x; *p = 1; return 0; }" in
+  let allocas ir =
+    List.length
+      (List.filter
+         (fun i -> match i.Ssair.Ir.idesc with Ssair.Ir.Alloca _ -> true | _ -> false)
+         (Ssair.Ir.all_instrs (Option.get (Ssair.Ir.func_index ir "f"))))
+  in
+  let direct = compile_ssa src in
+  let oracle = compile src in
+  ignore (Mem2reg.run oracle);
+  Alcotest.(check int) "build keeps x in memory" 1 (allocas direct);
+  Alcotest.(check int) "oracle promotes x" 0 (allocas oracle);
+  no_violations ~ssa:true direct;
+  Alcotest.(check bool) "oracle reports the difference" true
+    (Mem2reg.diff_against_oracle (tast_of src) <> None)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -514,5 +565,10 @@ let () =
           Alcotest.test_case "straightline" `Quick test_cdg_straightline;
           Alcotest.test_case "loop" `Quick test_cdg_loop_self;
           Alcotest.test_case "infinite loop" `Quick test_cdg_infinite_loop_tolerated ] );
+      ( "ssa-oracle",
+        [ Alcotest.test_case "five systems" `Quick test_oracle_systems;
+          Alcotest.test_case "unreachable address-taken" `Quick test_unreachable_address_taken;
+          qt prop_oracle_random; qt prop_oracle_synth ] );
       ( "properties",
-        [ qt prop_random_programs_verify; qt prop_mem2reg_preserves_semantics ] ) ]
+        [ qt prop_random_programs_verify; qt prop_mem2reg_preserves_semantics;
+          qt prop_build_preserves_semantics ] ) ]

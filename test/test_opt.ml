@@ -5,9 +5,7 @@
 open Minic
 
 let compile src =
-  let ir = Ssair.Build.lower (Typecheck.check_program (Parser.parse_string src)) in
-  ignore (Ssair.Mem2reg.run ir);
-  ir
+  Ssair.Build.lower (Typecheck.check_program (Parser.parse_string src))
 
 let run_int ir =
   match Ssair.Interp.run ir with
@@ -92,6 +90,33 @@ let test_ssa_preserved () =
   Alcotest.(check (list string)) "ssa verifies" []
     (List.map (fun v -> v.Ssair.Verify.vmsg) (Ssair.Verify.check_program ~ssa:true ir))
 
+(* Branch folding used to keep the phi operand of the edge it removed, and
+   block merging then added a second operand from the same predecessor. *)
+let test_folded_edge_operand_dropped () =
+  let src =
+    "int main() { int x = 3; int y = 17; switch (((x + 10)) % 3) { case 0: y = (3 % (y + \
+     7)); break; case 1: x = x + 1; default: y = y - 1; } return x * 31 + y; }"
+  in
+  let plain = compile src in
+  let opt = compile src in
+  ignore (Ssair.Opt.run opt);
+  Alcotest.(check (list string)) "ssa verifies" []
+    (List.map (fun v -> v.Ssair.Verify.vmsg) (Ssair.Verify.check_program ~ssa:true opt));
+  Alcotest.(check int64) "same result" (run_int plain) (run_int opt)
+
+(* The verifier rejects a phi with two operands from one predecessor. *)
+let test_verify_repeated_predecessor () =
+  let open Ssair.Ir in
+  let phi = { pid = 1; pty = Ty.Int; incoming = [ (0, Vint (4L, Ty.Int)); (0, Vint (3L, Ty.Int)) ];
+              pname = "x" } in
+  let b0 = { bbid = 0; phis = []; instrs = []; termin = Br 1 } in
+  let b1 = { bbid = 1; phis = [ phi ]; instrs = []; termin = Ret (Some (Vreg 1)) } in
+  let f =
+    { fname = "f"; fret = Ty.Int; fparams = []; blocks = [ b0; b1 ]; fentry = 0; fannot = [];
+      floc = Loc.dummy }
+  in
+  Alcotest.(check bool) "rejected" true (Ssair.Verify.check_func ~ssa:true f <> [])
+
 (* -- differential semantics ---------------------------------------------------- *)
 
 let gen_prog =
@@ -153,6 +178,15 @@ let prop_opt_idempotent_result =
       ignore (Ssair.Opt.run opt);
       Ssair.Opt.run opt = 0)
 
+let prop_build_matches_oracle =
+  QCheck.Test.make ~name:"SSA lowering equals the mem2reg oracle" ~count:150 arb_prog
+    (fun src ->
+      match
+        Mem2reg.diff_against_oracle (Typecheck.check_program (Parser.parse_string src))
+      with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "differs from the oracle: %s" d)
+
 (* -- analysis stability ---------------------------------------------------------- *)
 
 let find_system name =
@@ -199,10 +233,14 @@ let () =
           Alcotest.test_case "dead code" `Quick test_dead_code_removed;
           Alcotest.test_case "calls kept" `Quick test_calls_not_removed;
           Alcotest.test_case "annotations kept" `Quick test_annotations_kept;
-          Alcotest.test_case "ssa preserved" `Quick test_ssa_preserved ] );
+          Alcotest.test_case "ssa preserved" `Quick test_ssa_preserved;
+          Alcotest.test_case "folded edge operand dropped" `Quick
+            test_folded_edge_operand_dropped;
+          Alcotest.test_case "repeated predecessor rejected" `Quick
+            test_verify_repeated_predecessor ] );
       ( "properties",
         [ qt prop_opt_preserves_semantics; qt prop_opt_preserves_ssa;
-          qt prop_opt_idempotent_result ] );
+          qt prop_opt_idempotent_result; qt prop_build_matches_oracle ] );
       ( "analysis-stability",
         [ Alcotest.test_case "systems stable" `Quick
             test_analysis_stable_under_optimization ] ) ]

@@ -6,7 +6,6 @@ open Minic
 
 let compile src =
   let ir = Ssair.Build.lower (Typecheck.check_program (Parser.parse_string src)) in
-  ignore (Ssair.Mem2reg.run ir);
   (ir, Pointsto.analyze ir)
 
 let func ir name = Option.get (Ssair.Ir.func_index ir name)

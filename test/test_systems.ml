@@ -134,7 +134,6 @@ let test_noncore_components_parse () =
       let prog = Minic.Parser.parse_file path in
       let tast = Minic.Typecheck.check_program prog in
       let ir = Ssair.Build.lower tast in
-      ignore (Ssair.Mem2reg.run ir);
       Alcotest.(check (list string)) (name ^ " verifies") []
         (List.map (fun v -> v.Ssair.Verify.vmsg) (Ssair.Verify.check_program ~ssa:true ir)))
     [ "ip_complex.c"; "generic_complex.c"; "dip_complex.c" ]
