@@ -23,11 +23,31 @@
 
    Exit codes (analyze and diff): 0 clean, 1 error-level findings,
    2 warning-level findings only, 3 frontend (parse/type) failure.
-   With --baseline, only findings NEW relative to the baseline gate. *)
+   With --baseline, only findings NEW relative to the baseline gate.
+   Every command exits 4 when it cannot write an output file. *)
 
 open Cmdliner
 
 let tool_version = Safeflow.Version.tool
+
+(* Every file the CLI writes goes through [write_output]: when [write path]
+   fails (a missing or unwritable directory, a full disk) the run names
+   the path and the reason on stderr and exits 4. *)
+let write_output path write =
+  let fail reason =
+    Fmt.epr "cannot write %s: %s@." path reason;
+    exit 4
+  in
+  try write path with
+  | Sys_error msg ->
+    let prefix = path ^ ": " in
+    fail
+      (if String.starts_with ~prefix msg then
+         String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+       else msg)
+  | Unix.Unix_error (e, _, arg) ->
+    let reason = Unix.error_message e in
+    fail (if arg = "" || arg = path then reason else arg ^ ": " ^ reason)
 
 let config_of ~control_deps ~context_sensitive ~field_sensitive =
   { Safeflow.Config.default with control_deps; context_sensitive; field_sensitive }
@@ -52,8 +72,8 @@ let telemetry_setup (stats, trace, stats_json) =
   if stats || trace <> None || stats_json <> None then Safeflow.Telemetry.set_enabled true
 
 let telemetry_finish (stats, trace, stats_json) =
-  Option.iter Safeflow.Telemetry.write_chrome_trace trace;
-  Option.iter Safeflow.Telemetry.write_stats_json stats_json;
+  Option.iter (fun p -> write_output p Safeflow.Telemetry.write_chrome_trace) trace;
+  Option.iter (fun p -> write_output p Safeflow.Telemetry.write_stats_json) stats_json;
   if stats then Fmt.epr "%a@." Safeflow.Telemetry.pp_stats ()
 
 let absint_conv = Arg.enum [ ("on", true); ("off", false) ]
@@ -198,7 +218,7 @@ let analyze_cmd =
             files analyses;
           (match (vfg, analyses) with
           | Some path, [ a ] ->
-            Safeflow.Vfg.write_dot path a.Safeflow.Driver.phase3;
+            write_output path (fun p -> Safeflow.Vfg.write_dot p a.Safeflow.Driver.phase3);
             Fmt.pr "value-flow graph written to %s@." path
           | Some _, _ -> Fmt.epr "--vfg ignored: more than one input file@."
           | None, _ -> ());
@@ -213,7 +233,10 @@ let analyze_cmd =
                       (Filename.remove_extension (Filename.basename file))
                   else dir
                 in
-                match Safeflow.Cert.emit_bundle ~config ~label:file ~dir:bdir a with
+                match
+                  write_output bdir (fun dir ->
+                      Safeflow.Cert.emit_bundle ~config ~label:file ~dir a)
+                with
                 | Ok s ->
                   Fmt.pr "certificates: %d written to %s%s@."
                     s.Safeflow.Cert.cs_written bdir
@@ -241,11 +264,12 @@ let analyze_cmd =
       in
       (match sarif with
       | Some path ->
-        Safeflow.Sarif.write ~tool_version path
-          (List.map
-             (fun (file, r, ctx, _) ->
-               { Safeflow.Sarif.i_file = file; i_report = r; i_ctx = ctx })
-             rows);
+        write_output path (fun p ->
+            Safeflow.Sarif.write ~tool_version p
+              (List.map
+                 (fun (file, r, ctx, _) ->
+                   { Safeflow.Sarif.i_file = file; i_report = r; i_ctx = ctx })
+                 rows));
         Fmt.pr "SARIF written to %s@." path
       | None -> ());
       let entries =
@@ -255,7 +279,7 @@ let analyze_cmd =
       in
       (match save_findings with
       | Some path ->
-        Safeflow.Diffreport.save path entries;
+        write_output path (fun p -> Safeflow.Diffreport.save p entries);
         Fmt.pr "findings written to %s@." path
       | None -> ());
       let stats_flag, _, stats_json = tele in
@@ -297,7 +321,7 @@ let analyze_cmd =
        ~doc:
          "run the full SafeFlow analysis on core components.  Exits 0 when clean, 1 on \
           error-level findings, 2 on warning-level findings only (see $(b,--fail-on)), \
-          3 on frontend failure.")
+          3 on frontend failure, 4 when an output file cannot be written.")
     Term.(const run $ files $ no_control $ ctx_insensitive $ field_insensitive $ vfg
           $ use_summary $ absint_arg $ cache_dir $ verbose $ sarif
           $ save_findings $ baseline $ emit_certs $ fail_on_arg $ telemetry_flags)
@@ -581,6 +605,7 @@ let audit_cmd =
       match audit_json with
       | None -> ()
       | Some path ->
+        write_output path @@ fun path ->
         let oc = open_out path in
         Printf.fprintf oc
           "{\"schema\":\"%s\",\"tool_version\":\"%s\",\"file\":\"%s\",\"summary\":%s,\"phase2_bounds\":{\"total\":%d,\"ranges\":%d,\"omega\":%d,\"failed\":%d,\"avoided\":%d},\"entries\":%s}\n"
@@ -1019,7 +1044,7 @@ let fleet_cmd =
         exit 2
       end;
       let config = { Safeflow.Config.default with absint; verbose } in
-      let log_oc = Option.map open_out log_json in
+      let log_oc = Option.map (fun p -> write_output p open_out) log_json in
       (* progress defaults to the terminal: forced on by --progress,
          forced off by --no-progress, otherwise on iff stderr is a TTY
          (so piped/redirected CI logs stay clean without any flag) *)
@@ -1057,7 +1082,7 @@ let fleet_cmd =
       (match progress with Some p -> Safeflow.Progress.finish p | None -> ());
       (match (log_oc, log_json) with
       | Some oc, Some path ->
-        close_out oc;
+        write_output path (fun _ -> close_out oc);
         Fmt.epr "event log written to %s@." path
       | _ -> ());
       List.iter
@@ -1116,7 +1141,7 @@ let fleet_cmd =
       in
       (match save_findings with
       | Some path ->
-        Safeflow.Diffreport.save path entries;
+        write_output path (fun p -> Safeflow.Diffreport.save p entries);
         Fmt.pr "findings written to %s@." path
       | None -> ());
       let gated =
@@ -1183,8 +1208,7 @@ let synth_cmd =
           ~doc:
             "instead of one component on stdout, write a deterministic $(docv)-member \
              synthetic fleet (controlled cross-member overlap and duplicates) into \
-             $(b,--out); the input generator behind $(b,bench fleet) and the CI \
-             fleet-smoke job")
+             $(b,--out); the input generator behind the CI fleet-smoke job")
   in
   let seed =
     Arg.(
@@ -1207,17 +1231,18 @@ let synth_cmd =
         Fmt.epr "--fleet needs --out DIR@.";
         exit 2
       | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
         let members =
           Safeflow.Synth.fleet ~seed
             { Safeflow.Synth.default_fleet with Safeflow.Synth.fleet_n = fn }
         in
-        List.iter
-          (fun (name, src) ->
-            let oc = open_out (Filename.concat dir name) in
-            output_string oc src;
-            close_out oc)
-          members;
+        write_output dir (fun dir ->
+            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+            List.iter
+              (fun (name, src) ->
+                let oc = open_out (Filename.concat dir name) in
+                output_string oc src;
+                close_out oc)
+              members);
         Fmt.pr "wrote %d members to %s@." (List.length members) dir)
   in
   Cmd.v

@@ -1,9 +1,9 @@
 (* Minimal JSON reader (and escape helper).  The repo deliberately has
    no JSON dependency — emitters are hand-rolled Buffer code — but the
-   observability layer needs to *read* JSON back: bench records for
-   [Benchdiff], NDJSON fleet events for [Progress], stats files in
-   tests.  Recursive-descent parser over a string; numbers are kept as
-   floats, which covers every value the tool itself emits. *)
+   observability layer needs to *read* JSON back: NDJSON fleet events
+   for [Progress], stats files in tests.  Recursive-descent parser over
+   a string; numbers are kept as floats, which covers every value the
+   tool itself emits. *)
 
 type t =
   | Null

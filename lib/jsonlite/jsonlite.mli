@@ -2,9 +2,8 @@
 
     The repo's emitters are hand-rolled; this is the matching reader
     for the observability layer — fleet NDJSON events ({!Events},
-    {!Progress}), bench records ({!Benchdiff}), and stats files in
-    tests.  Numbers are represented as floats, which is lossless for
-    everything the tool itself emits. *)
+    {!Progress}) and stats files in tests.  Numbers are represented as
+    floats, which is lossless for everything the tool itself emits. *)
 
 type t =
   | Null

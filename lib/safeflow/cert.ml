@@ -687,34 +687,32 @@ let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
       skipped0
       @ List.map (fun (id, msg) -> (id, "self-check: " ^ msg)) rejected
     in
-    try
-      mkdir_p (Filename.concat dir "certs");
+    mkdir_p (Filename.concat dir "certs");
+    List.iter
+      (fun (_, _, path, body, _) -> write_file (Filename.concat dir path) body)
+      entries;
+    (match absenv_file with
+    | Some (path, body, _) -> write_file (Filename.concat dir path) body
+    | None -> ());
+    write_file (Filename.concat dir "manifest.json")
+      (J.emit (build_manifest entries skipped));
+    let kinds =
+      let t = Hashtbl.create 4 in
       List.iter
-        (fun (_, _, path, body, _) -> write_file (Filename.concat dir path) body)
+        (fun (_, kind, _, _, _) ->
+          Hashtbl.replace t kind
+            (1 + Option.value ~default:0 (Hashtbl.find_opt t kind)))
         entries;
-      (match absenv_file with
-      | Some (path, body, _) -> write_file (Filename.concat dir path) body
-      | None -> ());
-      write_file (Filename.concat dir "manifest.json")
-        (J.emit (build_manifest entries skipped));
-      let kinds =
-        let t = Hashtbl.create 4 in
-        List.iter
-          (fun (_, kind, _, _, _) ->
-            Hashtbl.replace t kind
-              (1 + Option.value ~default:0 (Hashtbl.find_opt t kind)))
-          entries;
-        Hashtbl.fold (fun k n acc -> (k, n) :: acc) t []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Ok
-        {
-          cs_dir = dir;
-          cs_written = List.length entries;
-          cs_kinds = kinds;
-          cs_skipped = skipped;
-        }
-    with Sys_error e | Unix.Unix_error (_, e, _) -> Error e)
+      Hashtbl.fold (fun k n acc -> (k, n) :: acc) t []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    in
+    Ok
+      {
+        cs_dir = dir;
+        cs_written = List.length entries;
+        cs_kinds = kinds;
+        cs_skipped = skipped;
+      })
 
 (* ---- explain --json ------------------------------------------------------ *)
 

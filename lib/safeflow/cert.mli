@@ -50,10 +50,10 @@ val emit_bundle :
   Driver.analysis ->
   (summary, string) result
 (** Emit the certificate bundle for one analyzed system.  [label] is the
-    source path recorded in the manifest.  [Error _] means the bundle
-    could not be produced at all (an unwritable directory, or a
-    self-check failure of the manifest/absenv themselves — individual
-    certificate failures only demote to [skipped]). *)
+    source path recorded in the manifest.  [Error _] means the manifest
+    or absenv failed their own self-check (individual certificate
+    failures only demote to [skipped]).  A directory that cannot be
+    written raises [Sys_error] or [Unix.Unix_error]. *)
 
 val explain_json : label:string -> Driver.analysis -> Jsonlite.t
 (** the [safeflow explain --json] document: every finding with its

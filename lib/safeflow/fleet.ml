@@ -74,7 +74,12 @@ let analyze_member ?config ?cache ?emit_certs ?(check_certs = false) ~source_lab
     path : member_result =
   let src = Minic.Loc.read_source path in
   Cache.with_origin path (fun () ->
-      let a = Driver.analyze ?config ?cache ~file:source_label src in
+      let a =
+        try Driver.analyze ?config ?cache ~file:source_label src
+        with Minic.Loc.Error (loc, msg) when loc.Minic.Loc.file = source_label ->
+          (* a frontend error names the member, not the normalized label *)
+          raise (Minic.Loc.Error ({ loc with Minic.Loc.file = path }, msg))
+      in
       let r = a.Driver.report in
       let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
       (* per-member certificate bundle under <root>/<basename>; the
@@ -341,11 +346,14 @@ let run_forked ?config ~cache_dir ?emit_certs ?check_certs ~jobs ~shard_domains
           close_out oc;
           0
         with e ->
+          let msg =
+            match e with
+            | Minic.Loc.Error (loc, msg) -> Fmt.str "%a: %s" Minic.Loc.pp loc msg
+            | e -> Printexc.to_string e
+          in
           (try
              let oc = open_out_bin (shard_file j) in
-             Marshal.to_channel oc
-               (Error (Printexc.to_string e) : shard_payload)
-               [];
+             Marshal.to_channel oc (Error msg : shard_payload) [];
              close_out oc
            with _ -> ());
           1

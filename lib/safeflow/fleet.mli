@@ -35,7 +35,7 @@
     Reports are unaffected by sharding, caching, or label choice: a
     fleet run's reports are byte-identical to sequential no-cache
     analyses of the same sources under the same label (asserted by
-    [bench fleet] and [test/test_fleet.ml]).
+    [test/test_fleet.ml] and the CI fleet smoke job).
 
     {2 Observability}
 

@@ -21,7 +21,6 @@ module Jsonlite = Jsonlite
 module Events = Events
 module Progress = Progress
 module Logctx = Logctx
-module Benchdiff = Benchdiff
 module Shm = Shm
 module Phase1 = Phase1
 module Phase2 = Phase2

@@ -1,5 +1,5 @@
-(** Synthetic core-component generator for the scalability benchmarks
-    (experiment B2) and the fleet benchmarks.
+(** Synthetic core-component generator for the end-to-end benchmark,
+    the fleet tests and the CI fleet smoke job.
 
     Generates MiniC core components with a configurable number of shared
     regions, worker functions and call-chain depth.  Workers read the
@@ -11,8 +11,8 @@
     All generation is deterministic: randomness comes from a seeded
     linear-congruential generator (no [Random] state, no host
     dependence), so a (seed, params) pair reproduces the same sources on
-    every machine — the property the fleet benchmarks rely on to compare
-    BENCH_fleet.json files across hosts.  Seed 0 (the default)
+    every machine — so a seeded fleet or benchmark input is the same on
+    every host.  Seed 0 (the default)
     reproduces the historical unseeded output byte-for-byte. *)
 
 type params = {

@@ -1,6 +1,6 @@
-(** Synthetic core-component generator for the scalability benchmarks
-    (B2) and the fleet benchmarks: configurable region count, worker
-    functions, helper-chain depth and monitored fraction.
+(** Synthetic core-component generator for the end-to-end benchmark and
+    the fleet tests: configurable region count, worker functions,
+    helper-chain depth and monitored fraction.
 
     Generation is deterministic and host-independent: randomness comes
     from a seeded LCG, never from [Random], so a (seed, params) pair

@@ -222,14 +222,20 @@ let test_systems_fingerprint_subset () =
         (List.for_all (fun fp -> List.mem fp fps_off) fps_on))
     all_systems
 
+(* The exact A1/A2 discharge split on generic_simplex, with the range
+   analysis on and off: on, ranges alone discharge all three obligations
+   and skip six Omega queries; off, Omega discharges all three. *)
 let test_generic_simplex_discharges () =
-  let a = Driver.analyze_file (find_system "generic_simplex.c") in
-  let b = a.Driver.coverage.Coverage.cov_bounds in
-  Alcotest.(check bool) "has A1/A2 obligations" true (b.Phase2.bs_total >= 1);
-  Alcotest.(check bool) "at least one discharged by ranges" true
-    (b.Phase2.bs_ranges >= 1);
-  Alcotest.(check int) "none failed" 0 b.Phase2.bs_failed;
-  Alcotest.(check bool) "Omega queries avoided" true (b.Phase2.bs_omega_avoided >= 1)
+  let path = find_system "generic_simplex.c" in
+  let split absint =
+    let config = { Config.default with Config.absint } in
+    let b = (Driver.analyze_file ~config path).Driver.coverage.Coverage.cov_bounds in
+    [ b.Phase2.bs_total; b.Phase2.bs_ranges; b.Phase2.bs_omega; b.Phase2.bs_failed;
+      b.Phase2.bs_omega_avoided ]
+  in
+  let fields = "total, ranges, Omega, failed, avoided" in
+  Alcotest.(check (list int)) ("absint on: " ^ fields) [ 3; 3; 0; 0; 6 ] (split true);
+  Alcotest.(check (list int)) ("absint off: " ^ fields) [ 3; 0; 3; 0; 0 ] (split false)
 
 (* -- one fixpoint per distinct input -------------------------------------- *)
 

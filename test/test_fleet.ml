@@ -6,7 +6,8 @@
    - cross-system hit attribution via Cache.with_origin;
    - fleet report identity: a sharded (2 processes x 2 domains) run over
      a shared cache — cold and warm — is byte-identical to a sequential
-     no-cache baseline, with cross-system hits observed on the way.
+     no-cache baseline, with cross-system hits observed on the way and
+     no miss and no corrupt entry on the warm run.
 
    Ordering matters: the OCaml 5 runtime forbids Unix.fork in any
    process that has ever spawned a domain, so every fork-based test
@@ -194,6 +195,7 @@ let test_fleet_identity () =
     (cold.Fleet.f_cache.Fleet.ct_cross > 0);
   Alcotest.(check bool) "warm run hits the cache" true
     (warm.Fleet.f_cache.Fleet.ct_hits > 0);
+  Alcotest.(check int) "warm run misses nothing" 0 warm.Fleet.f_cache.Fleet.ct_misses;
   Alcotest.(check int) "no corrupt entries" 0
     (cold.Fleet.f_cache.Fleet.ct_corrupt + warm.Fleet.f_cache.Fleet.ct_corrupt);
   Alcotest.(check int) "no stale entries" 0

@@ -100,8 +100,20 @@ let rec entry_files dir =
            let p = Filename.concat dir f in
            if Sys.is_directory p then entry_files p else [ p ])
 
+(* each disk test works in a fresh directory under the system temp
+   directory and removes it afterwards, so running the tests leaves
+   nothing behind in the working directory *)
+let with_tmp_root f =
+  let root = Filename.temp_dir "sf-incremental" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      clear_dir root;
+      Sys.rmdir root)
+    (fun () -> f root)
+
 let test_disk_roundtrip () =
-  let dir = "tmp_cache_disk" in
+  with_tmp_root @@ fun root ->
+  let dir = Filename.concat root "cache" in
   clear_dir dir;
   let src = read_file (find_system "ip_controller.c") in
   let baseline = report Config.default src in
@@ -120,7 +132,8 @@ let test_disk_roundtrip () =
    object (so the result is unmarshalled from disk) export identical
    graphs. *)
 let test_dot_deterministic () =
-  let dir = "tmp_cache_dot" in
+  with_tmp_root @@ fun root ->
+  let dir = Filename.concat root "cache" in
   List.iter
     (fun sys ->
       clear_dir dir;
@@ -135,7 +148,8 @@ let test_dot_deterministic () =
     systems
 
 let test_disk_corrupt () =
-  let dir = "tmp_cache_corrupt" in
+  with_tmp_root @@ fun root ->
+  let dir = Filename.concat root "cache" in
   clear_dir dir;
   let src = read_file (find_system "figure2.c") in
   let baseline = report Config.default src in
@@ -223,7 +237,8 @@ let ranges (a : Driver.analysis) = Option.map Absint.summary_views a.Driver.absi
    another program left under the same label is sound to consult: the
    report and every range equal a run with no cache *)
 let test_latest_other_program () =
-  let dir = "tmp_cache_latest_other" in
+  with_tmp_root @@ fun root ->
+  let dir = Filename.concat root "cache" in
   let file = "member.c" in
   List.iteri
     (fun i sys ->
@@ -245,12 +260,13 @@ let test_latest_other_program () =
    with a disk tier, whoever won.  A root that exists but is not a
    directory still degrades to memory-only. *)
 let test_disk_mkdir_race () =
+  with_tmp_root @@ fun root ->
   let writes dir =
     List.length
       (List.filter (fun f -> Filename.basename f <> "GENERATION") (entry_files dir))
   in
   for round = 1 to 30 do
-    let dir = Printf.sprintf "tmp_cache_race_%d" round in
+    let dir = Filename.concat root (Printf.sprintf "race_%d" round) in
     clear_dir dir;
     (try Sys.rmdir dir with Sys_error _ -> ());
     let open_and_store i () =
@@ -274,7 +290,7 @@ let test_disk_mkdir_race () =
     clear_dir dir;
     Sys.rmdir dir
   done;
-  let file = "tmp_cache_race_file" in
+  let file = Filename.concat root "race_file" in
   Out_channel.with_open_bin file (fun oc -> output_string oc "not a directory");
   let c = Cache.create ~dir:file () in
   Cache.store c ~ns:"race" ~key:"k" 1;
@@ -289,12 +305,13 @@ let entry_path dir ns =
    file and rename: a hard link to the old file (a cache restored from a
    pristine copy by linking) keeps its bytes *)
 let test_latest_rewrite_keeps_links () =
-  let dir = "tmp_cache_latest_link" in
+  with_tmp_root @@ fun root ->
+  let dir = Filename.concat root "cache" in
   clear_dir dir;
   let c = Cache.create ~dir () in
   Cache.store c ~ns:"latest" ~key:"k" "first";
   let path = entry_path dir "latest" in
-  let link = "tmp_cache_latest_link.old" in
+  let link = Filename.concat root "latest.old" in
   (try Sys.remove link with Sys_error _ -> ());
   Unix.link path link;
   let before = read_file link in
@@ -320,7 +337,8 @@ let test_latest_rewrite_keeps_links () =
 
 (* memory holds only what disk does not *)
 let test_no_memory_shadow () =
-  let dir = "tmp_cache_shadow" in
+  with_tmp_root @@ fun root ->
+  let dir = Filename.concat root "cache" in
   clear_dir dir;
   let c = Cache.create ~dir () in
   Cache.store c ~ns:"shadow" ~key:"k" [ 1; 2; 3 ];
@@ -338,7 +356,8 @@ let test_no_memory_shadow () =
    the generation directory is swapped for a plain file, which refuses
    writes to every user, the superuser included (mode bits would not) *)
 let test_unwritable_dir () =
-  let dir = "tmp_cache_unwritable" in
+  with_tmp_root @@ fun root ->
+  let dir = Filename.concat root "cache" in
   clear_dir dir;
   let c = Cache.create ~dir () in
   let gen =
@@ -360,7 +379,8 @@ let test_unwritable_dir () =
 (* a flipped payload byte and a tampered digest prefix are each counted
    corrupt, and the stage is recomputed *)
 let test_damaged_entries () =
-  let dir = "tmp_cache_damaged" in
+  with_tmp_root @@ fun root ->
+  let dir = Filename.concat root "cache" in
   let src = read_file (find_system "figure2.c") in
   let baseline = report Config.default src in
   List.iter

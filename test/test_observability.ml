@@ -13,11 +13,7 @@
    - Events: every constructor yields one parseable line with the
      expected fields;
    - Progress: event lines drive the members-done accounting and the
-     rendered line;
-   - Benchdiff: identical files gate 0, an injected 25 % slowdown on
-     the same host gates 1, a host mismatch is non-blocking, a
-     throughput drop counts as a regression, sub-noise rows and
-     _stddev companions never gate.
+     rendered line.
 
    These tests mutate the process-global telemetry state; each one
    resets it and the file ends with telemetry disabled. *)
@@ -592,72 +588,6 @@ let test_progress () =
   Alcotest.(check bool) "final state rendered" true
     (Astring.String.is_infix ~affix:"4/4 members" out)
 
-(* -- Benchdiff ------------------------------------------------------------------- *)
-
-let bench_doc ?(host = Some "ci-host") ?(ms = 10.0) ?(aps = 100.0) ?(noise = 1.0) () =
-  let hostfield =
-    match host with
-    | Some h -> Printf.sprintf {|"hostname":"%s",|} h
-    | None -> ""
-  in
-  Printf.sprintf
-    {|{"benchmark":"t","meta":{%s"config_fingerprint":"f1"},
-      "rows":[{"system":"S1","engine":"worklist","run_ms":%f,"run_stddev_ms":%f,
-               "warm_analyses_per_sec":%f,"hits":12},
-              {"system":"tiny","engine":"worklist","run_ms":0.01}]}|}
-    hostfield ms noise aps
-
-let diff_docs ?threshold a b =
-  match Benchdiff.diff ?threshold ~old_text:a ~new_text:b () with
-  | Ok v -> v
-  | Error e -> Alcotest.fail e
-
-let test_benchdiff_identical () =
-  let d = bench_doc () in
-  let v = diff_docs d d in
-  Alcotest.(check int) "rows matched" 2 v.Benchdiff.v_rows_matched;
-  Alcotest.(check bool) "host match" true v.Benchdiff.v_host_match;
-  Alcotest.(check int) "no deltas" 0 (List.length v.Benchdiff.v_deltas);
-  Alcotest.(check int) "gate 0" 0 (Benchdiff.gate v)
-
-let test_benchdiff_slowdown () =
-  (* 25 % slower on the same host: must gate non-zero *)
-  let v = diff_docs (bench_doc ()) (bench_doc ~ms:12.5 ()) in
-  (match Benchdiff.regressions v with
-  | [ r ] ->
-    Alcotest.(check string) "metric" "run_ms" r.Benchdiff.d_metric;
-    Alcotest.(check bool) "~+25%" true (abs_float (r.Benchdiff.d_change_pct -. 25.0) < 0.01)
-  | rs -> Alcotest.fail (Printf.sprintf "expected 1 regression, got %d" (List.length rs)));
-  Alcotest.(check int) "gate 1" 1 (Benchdiff.gate v);
-  (* same slowdown within threshold: no gate *)
-  let v = diff_docs ~threshold:0.30 (bench_doc ()) (bench_doc ~ms:12.5 ()) in
-  Alcotest.(check int) "inside custom threshold" 0 (Benchdiff.gate v)
-
-let test_benchdiff_throughput_drop () =
-  let v = diff_docs (bench_doc ()) (bench_doc ~aps:70.0 ()) in
-  (match Benchdiff.regressions v with
-  | [ r ] -> Alcotest.(check string) "metric" "warm_analyses_per_sec" r.Benchdiff.d_metric
-  | rs -> Alcotest.fail (Printf.sprintf "expected 1 regression, got %d" (List.length rs)));
-  Alcotest.(check int) "gate 1" 1 (Benchdiff.gate v)
-
-let test_benchdiff_host_mismatch () =
-  let v = diff_docs (bench_doc ()) (bench_doc ~host:(Some "other") ~ms:20.0 ()) in
-  Alcotest.(check bool) "regression still reported" true (Benchdiff.regressions v <> []);
-  Alcotest.(check int) "but non-blocking" 0 (Benchdiff.gate v);
-  (* missing hostnames are not a match either *)
-  let v = diff_docs (bench_doc ~host:None ()) (bench_doc ~host:None ~ms:20.0 ()) in
-  Alcotest.(check bool) "no hostname, no match" false v.Benchdiff.v_host_match;
-  Alcotest.(check int) "gate 0" 0 (Benchdiff.gate v)
-
-let test_benchdiff_noise_immune () =
-  (* stddev companion doubling and a 10x change on a 0.01 ms row: neither gates *)
-  let v = diff_docs (bench_doc ()) (bench_doc ~noise:2.0 ()) in
-  Alcotest.(check int) "stddev excluded" 0 (List.length v.Benchdiff.v_deltas);
-  let tiny_old = {|{"meta":{"hostname":"h"},"rows":[{"system":"t","run_ms":0.01}]}|} in
-  let tiny_new = {|{"meta":{"hostname":"h"},"rows":[{"system":"t","run_ms":0.1}]}|} in
-  let v = diff_docs tiny_old tiny_new in
-  Alcotest.(check int) "sub-noise row ignored" 0 (List.length v.Benchdiff.v_deltas)
-
 let () =
   let cleanup f () =
     Fun.protect
@@ -700,12 +630,4 @@ let () =
       ( "events",
         [ Alcotest.test_case "constructors parse" `Quick test_events_parse ] );
       ( "progress",
-        [ Alcotest.test_case "event stream drives rendering" `Quick test_progress ] );
-      ( "benchdiff",
-        [ Alcotest.test_case "identical files" `Quick test_benchdiff_identical;
-          Alcotest.test_case "25% slowdown gates" `Quick test_benchdiff_slowdown;
-          Alcotest.test_case "throughput drop gates" `Quick test_benchdiff_throughput_drop;
-          Alcotest.test_case "host mismatch non-blocking" `Quick
-            test_benchdiff_host_mismatch;
-          Alcotest.test_case "noise immunity" `Quick test_benchdiff_noise_immune ] )
-    ]
+        [ Alcotest.test_case "event stream drives rendering" `Quick test_progress ] ) ]

@@ -106,6 +106,31 @@ let test_fp_class_is_control_dependence () =
         (Report.control_deps r))
     [ "ip_controller.c"; "generic_simplex.c"; "double_ip.c" ]
 
+(* Ablations on the three Table 1 systems: each monitors whole regions
+   from single contexts, so dropping context or field sensitivity moves
+   no count; dropping control-dependence tracking keeps every error and
+   warning and silences exactly the false-positive class (all 10).  The
+   crafted probes showing what the first two buy are in test_safeflow. *)
+let test_ablations_keep_table1 () =
+  let toggles =
+    [ ("no context sensitivity", { Config.default with context_sensitive = false }, true);
+      ("no field sensitivity", { Config.default with field_sensitive = false }, true);
+      ("no control deps", { Config.default with control_deps = false }, false) ]
+  in
+  List.iter
+    (fun (name, errors, warnings, fps) ->
+      List.iter
+        (fun (toggle, config, keeps_fps) ->
+          let r = (Driver.analyze_file ~config (find_system name)).Driver.report in
+          let label what = Fmt.str "%s, %s: %s" name toggle what in
+          Alcotest.(check int) (label "errors") errors (List.length (Report.errors r));
+          Alcotest.(check int) (label "warnings") warnings (List.length r.Report.warnings);
+          Alcotest.(check int) (label "control-only dependencies")
+            (if keeps_fps then fps else 0)
+            (List.length (Report.control_deps r)))
+        toggles)
+    [ ("ip_controller.c", 1, 7, 2); ("generic_simplex.c", 2, 7, 6); ("double_ip.c", 2, 8, 2) ]
+
 (* -- InitCheck ------------------------------------------------------------------ *)
 
 let test_initcheck_layouts () =
@@ -254,7 +279,8 @@ let () =
           Alcotest.test_case "generic feedback+kill" `Quick
             test_generic_errors_are_feedback_and_kill;
           Alcotest.test_case "double IP tuning+kill" `Quick test_double_ip_errors;
-          Alcotest.test_case "FP class" `Quick test_fp_class_is_control_dependence ] );
+          Alcotest.test_case "FP class" `Quick test_fp_class_is_control_dependence;
+          Alcotest.test_case "ablations keep Table 1" `Quick test_ablations_keep_table1 ] );
       ( "initcheck",
         [ Alcotest.test_case "layouts" `Quick test_initcheck_layouts ] );
       ( "companions",
