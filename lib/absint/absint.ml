@@ -21,19 +21,32 @@ module Itv = struct
     | _, MInf -> 1
     | PInf, _ -> 1
     | _, PInf -> -1
-    | Fin x, Fin y -> compare x y
+    | Fin x, Fin y -> if x < y then -1 else if x > y then 1 else 0
+
+  let beq a b =
+    match (a, b) with
+    | MInf, MInf | PInf, PInf -> true
+    | Fin x, Fin y -> x = y
+    | _ -> false
 
   let bmin a b = if bcmp a b <= 0 then a else b
   let bmax a b = if bcmp a b >= 0 then a else b
 
   let norm lo hi = if bcmp lo hi > 0 then Bot else Iv (lo, hi)
 
-  let const n = Iv (Fin n, Fin n)
+  let const n =
+    let b = Fin n in
+    Iv (b, b)
+
   let range lo hi = norm (Fin lo) (Fin hi)
 
-  let is_bot t = t = Bot
+  let is_bot = function Bot -> true | Iv _ -> false
 
-  let equal a b = a = b
+  let equal a b =
+    match (a, b) with
+    | Bot, Bot -> true
+    | Iv (l1, h1), Iv (l2, h2) -> beq l1 l2 && beq h1 h2
+    | _ -> false
 
   let leq a b =
     match (a, b) with
@@ -41,15 +54,23 @@ module Itv = struct
     | _, Bot -> false
     | Iv (l1, h1), Iv (l2, h2) -> bcmp l2 l1 <= 0 && bcmp h1 h2 <= 0
 
+  (* [join] and [meet] return an argument itself when it is the result,
+     so a fixpoint that has settled allocates nothing for them *)
   let join a b =
     match (a, b) with
     | Bot, x | x, Bot -> x
-    | Iv (l1, h1), Iv (l2, h2) -> Iv (bmin l1 l2, bmax h1 h2)
+    | Iv (l1, h1), Iv (l2, h2) ->
+      let lo = bmin l1 l2 and hi = bmax h1 h2 in
+      if lo == l1 && hi == h1 then a else if lo == l2 && hi == h2 then b else Iv (lo, hi)
 
   let meet a b =
     match (a, b) with
     | Bot, _ | _, Bot -> Bot
-    | Iv (l1, h1), Iv (l2, h2) -> norm (bmax l1 l2) (bmin h1 h2)
+    | Iv (l1, h1), Iv (l2, h2) ->
+      let lo = bmax l1 l2 and hi = bmin h1 h2 in
+      if lo == l1 && hi == h1 then a
+      else if lo == l2 && hi == h2 then b
+      else norm lo hi
 
   (* [widen old next]: a bound that moved since [old] jumps to infinity *)
   let widen a b =
@@ -66,8 +87,8 @@ module Itv = struct
     | Bot, _ -> Bot
     | _, Bot -> Bot
     | Iv (l1, h1), Iv (l2, h2) ->
-      let lo = if l1 = MInf then l2 else l1 in
-      let hi = if h1 = PInf then h2 else h1 in
+      let lo = match l1 with MInf -> l2 | _ -> l1 in
+      let hi = match h1 with PInf -> h2 | _ -> h1 in
       norm lo hi
 
   (* saturating bound arithmetic; on mixed infinities the caller picks the
@@ -90,7 +111,8 @@ module Itv = struct
   let bmul a b =
     match (a, b) with
     | Fin 0, _ | _, Fin 0 -> Fin 0
-    | (MInf | PInf), (MInf | PInf) -> if a = b then PInf else MInf
+    | MInf, MInf | PInf, PInf -> PInf
+    | (MInf | PInf), (MInf | PInf) -> MInf
     | ((MInf | PInf) as i), Fin x | Fin x, ((MInf | PInf) as i) ->
       if x > 0 then i else bneg i
     | Fin x, Fin y ->
@@ -112,17 +134,17 @@ module Itv = struct
     match (a, b) with
     | Bot, _ | _, Bot -> Bot
     | Iv (l1, h1), Iv (l2, h2) ->
-      let ps = [ bmul l1 l2; bmul l1 h2; bmul h1 l2; bmul h1 h2 ] in
-      Iv (List.fold_left bmin PInf ps, List.fold_left bmax MInf ps)
+      let p1 = bmul l1 l2 and p2 = bmul l1 h2 and p3 = bmul h1 l2 and p4 = bmul h1 h2 in
+      Iv (bmin (bmin p1 p2) (bmin p3 p4), bmax (bmax p1 p2) (bmax p3 p4))
 
   let contains t n =
     match t with
     | Bot -> false
     | Iv (l, h) -> bcmp l (Fin n) <= 0 && bcmp (Fin n) h <= 0
 
-  let is_zero t = t = Iv (Fin 0, Fin 0)
+  let is_zero = function Iv (Fin 0, Fin 0) -> true | _ -> false
 
-  let excludes_zero t = t <> Bot && not (contains t 0)
+  let excludes_zero t = (not (is_bot t)) && not (contains t 0)
 
   let within t ~lo ~hi =
     match t with
@@ -140,13 +162,15 @@ module Itv = struct
   let pp ppf = function
     | Bot -> Fmt.string ppf "_|_"
     | Iv (MInf, PInf) -> Fmt.string ppf "T"
-    | Iv (l, h) when l = h -> Fmt.pf ppf "[%a]" pp_bound l
+    | Iv (l, h) when beq l h -> Fmt.pf ppf "[%a]" pp_bound l
     | Iv (l, h) -> Fmt.pf ppf "[%a,%a]" pp_bound l pp_bound h
 end
 
 (* -- Summaries ----------------------------------------------------------- *)
 
-type key = Kvid of Ssair.Ir.vid | Kparam of string
+(* [s_env] holds [Kvid] keys only; [Kparam] stays for the layout of
+   summaries in absint packs *)
+type key = Kvid of Ssair.Ir.vid | Kparam of string [@@warning "-37"]
 
 type dead = Dead_then | Dead_else
 
@@ -162,70 +186,177 @@ type func_summary = {
 
 type t = {
   prog : Ssair.Ir.program;
-  summaries : (string, func_summary) Hashtbl.t;
+  ids : (string, int) Hashtbl.t;  (* function name -> index in [prog.funcs] *)
+  summaries : func_summary option array;  (* by function index *)
 }
 
-(* -- Per-function fixpoint ----------------------------------------------- *)
+(* -- Dense per-function context ------------------------------------------ *)
 
 module Ir = Ssair.Ir
 
+type def = No_def | Dinstr of Ir.instr | Dphi of Ir.phi * Ir.bid
+
+(* Everything one function's fixpoint (or one query context) reads, as
+   arrays: blocks and predecessor facts by block id, definitions and the
+   environment by SSA id.  Built once per fixpoint and dropped with it. *)
 type fctx = {
   func : Ir.func;
-  defs : (Ir.vid, Ir.def_site) Hashtbl.t;
-  preds : (Ir.bid, Ir.bid list) Hashtbl.t;
-  env : (key, Itv.t) Hashtbl.t;
-  params : (string * Itv.t) list;
+  blocks : Ir.block option array;  (* by block id; first definition wins *)
+  single_pred : int array;  (* by block id: the only predecessor, or -1 *)
+  mutable defs : def array;  (* by SSA id; built on the first lookup *)
+  env : Itv.t array;  (* by SSA id; meaningful only where [present] *)
+  present : Bytes.t;  (* an absent value is Bot *)
+  pnames : string array;  (* the formal parameters, in declaration order *)
+  params : Itv.t array;  (* their ranges *)
   ret_of : string -> Itv.t;  (* callee return summary (Top for externs) *)
-  reach : (Ir.bid, unit) Hashtbl.t;
+  reach : Bytes.t;  (* by block id *)
+  mutable changed : bool;
   mutable iters : int;
   mutable widens : int;
 }
 
-let lookup ctx k = Option.value ~default:Itv.Bot (Hashtbl.find_opt ctx.env k)
+let bit_get b i = Bytes.unsafe_get b i <> '\000'
+let bit_set b i = Bytes.unsafe_set b i '\001'
 
-let int_roundtrips n = Int64.of_int (Int64.to_int n) = n
+(* [f] over the distinct successors of a terminator, in
+   [Ir.succs_of_term] order, without building the list for a branch *)
+let iter_succs f (t : Ir.term) =
+  match t with
+  | Ir.Br b -> f b
+  | Ir.Cbr (_, tb, eb) ->
+    f tb;
+    if tb <> eb then f eb
+  | Ir.Switch _ -> List.iter f (Ir.succs_of_term t)
+  | Ir.Ret _ | Ir.Unreachable -> ()
+
+let make_fctx (f : Ir.func) ~params ~ret_of =
+  let max_bid = ref f.Ir.fentry and max_vid = ref (-1) in
+  List.iter
+    (fun (b : Ir.block) ->
+      max_bid := max !max_bid b.Ir.bbid;
+      iter_succs (fun s -> max_bid := max !max_bid s) b.Ir.termin;
+      List.iter (fun (p : Ir.phi) -> max_vid := max !max_vid p.Ir.pid) b.Ir.phis;
+      List.iter
+        (fun (i : Ir.instr) -> if Ir.defines i then max_vid := max !max_vid i.Ir.iid)
+        b.Ir.instrs)
+    f.Ir.blocks;
+  let nb = !max_bid + 1 and nv = !max_vid + 1 in
+  let blocks = Array.make nb None in
+  (* predecessor counts, then the sole predecessor where there is one *)
+  let npreds = Array.make nb 0 and single_pred = Array.make nb (-1) in
+  List.iter
+    (fun (b : Ir.block) ->
+      let bid = b.Ir.bbid in
+      (match blocks.(bid) with None -> blocks.(bid) <- Some b | Some _ -> ());
+      iter_succs
+        (fun s ->
+          npreds.(s) <- npreds.(s) + 1;
+          single_pred.(s) <- (if npreds.(s) = 1 then bid else -1))
+        b.Ir.termin)
+    f.Ir.blocks;
+  {
+    func = f;
+    blocks;
+    single_pred;
+    defs = [||];
+    env = Array.make nv Itv.Bot;
+    present = Bytes.make nv '\000';
+    pnames = Array.of_list (List.map fst f.Ir.fparams);
+    params;
+    ret_of;
+    reach = Bytes.make nb '\000';
+    changed = false;
+    iters = 0;
+    widens = 0;
+  }
+
+let lookup ctx id =
+  if id >= 0 && id < Array.length ctx.env && bit_get ctx.present id then ctx.env.(id)
+  else Itv.Bot
+
+(* definition sites are read only by branch refinement, which many
+   functions never reach *)
+let def_of ctx id =
+  if Array.length ctx.defs = 0 && Array.length ctx.env > 0 then begin
+    let defs = Array.make (Array.length ctx.env) No_def in
+    List.iter
+      (fun (b : Ir.block) ->
+        List.iter (fun (p : Ir.phi) -> defs.(p.Ir.pid) <- Dphi (p, b.Ir.bbid)) b.Ir.phis;
+        List.iter
+          (fun (i : Ir.instr) -> if Ir.defines i then defs.(i.Ir.iid) <- Dinstr i)
+          b.Ir.instrs)
+      ctx.func.Ir.blocks;
+    ctx.defs <- defs
+  end;
+  if id >= 0 && id < Array.length ctx.defs then ctx.defs.(id) else No_def
+
+let block_of ctx bid =
+  if bid >= 0 && bid < Array.length ctx.blocks then ctx.blocks.(bid) else None
+
+(* position of the first formal parameter named [p], or -1 *)
+let param_index ctx p =
+  let n = Array.length ctx.pnames in
+  let rec go j = if j = n then -1 else if String.equal ctx.pnames.(j) p then j else go (j + 1) in
+  go 0
+
+let int_roundtrips n = Int64.equal (Int64.of_int (Int64.to_int n)) n
+
+(* the intervals of small constants, shared rather than rebuilt at every
+   evaluation.  The table stays below the minor heap's largest block: a
+   larger one goes to the major heap at start-up, and a short run then
+   pays for major collections it would never otherwise do. *)
+let small_min = -16
+let small_consts = Array.init 240 (fun k -> Itv.const (k + small_min))
+
+let itv_of_int n =
+  let k = n - small_min in
+  if k >= 0 && k < Array.length small_consts then small_consts.(k) else Itv.const n
 
 let itv_of_int64 n =
-  if int_roundtrips n then Itv.const (Int64.to_int n)
+  if int_roundtrips n then itv_of_int (Int64.to_int n)
   else if Int64.compare n 0L > 0 then Itv.Iv (Itv.Fin max_int, Itv.PInf)
   else Itv.Iv (Itv.MInf, Itv.Fin min_int)
 
 let eval_value ctx = function
   | Ir.Vint (n, _) -> itv_of_int64 n
-  | Ir.Vreg id -> lookup ctx (Kvid id)
+  | Ir.Vreg id -> lookup ctx id
   | Ir.Vparam p ->
-    (match List.assoc_opt p ctx.params with Some i -> i | None -> Itv.top)
+    let j = param_index ctx p in
+    if j >= 0 then ctx.params.(j) else Itv.top
   | Ir.Vfloat _ | Ir.Vglobal _ | Ir.Vstr _ | Ir.Vundef _ -> Itv.top
 
-let key_of_value = function
-  | Ir.Vreg id -> Some (Kvid id)
-  | Ir.Vparam p -> Some (Kparam p)
-  | _ -> None
+(* A refinement target as an int: an SSA id, or [-1 - j] for the j-th
+   parameter; [no_key] for values no refinement can name. *)
+let no_key = min_int
+
+let key_of_value ctx = function
+  | Ir.Vreg id -> id
+  | Ir.Vparam p ->
+    let j = param_index ctx p in
+    if j >= 0 then -1 - j else no_key
+  | _ -> no_key
+
+let bool_range = Itv.range 0 1
 
 (* interval of [a op b] for a comparison: decided comparisons collapse to
    [0,0]/[1,1], otherwise [0,1] *)
 let eval_cmp op a b =
   let open Itv in
-  if is_bot a || is_bot b then Bot
-  else
-    let al, ah, bl, bh =
-      match (a, b) with
-      | Iv (al, ah), Iv (bl, bh) -> (al, ah, bl, bh)
-      | _ -> assert false
-    in
+  match (a, b) with
+  | Bot, _ | _, Bot -> Bot
+  | Iv (al, ah), Iv (bl, bh) ->
+    let same_point () = beq al ah && beq bl bh && beq al bl && (match al with Fin _ -> true | _ -> false) in
     let always, never =
       match op with
       | Ast.Lt -> (bcmp ah bl < 0, bcmp al bh >= 0)
       | Ast.Le -> (bcmp ah bl <= 0, bcmp al bh > 0)
       | Ast.Gt -> (bcmp al bh > 0, bcmp ah bl <= 0)
       | Ast.Ge -> (bcmp al bh >= 0, bcmp ah bl < 0)
-      | Ast.Eq -> (al = ah && bl = bh && al = bl && al <> MInf && al <> PInf,
-                   is_bot (meet a b))
-      | Ast.Ne -> (is_bot (meet a b),
-                   al = ah && bl = bh && al = bl && al <> MInf && al <> PInf)
+      | Ast.Eq -> (same_point (), is_bot (meet a b))
+      | Ast.Ne -> (is_bot (meet a b), same_point ())
       | _ -> (false, false)
     in
-    if always then const 1 else if never then const 0 else range 0 1
+    if always then itv_of_int 1 else if never then itv_of_int 0 else bool_range
 
 (* x mod y under OCaml/C truncated-division semantics: the result's sign
    follows the dividend, magnitude is below |y| *)
@@ -245,11 +376,10 @@ let eval_div a b =
   let open Itv in
   if is_bot a || is_bot b then Bot
   else
-    match (finite_lo b, finite_hi b) with
-    | Some bl, Some bh when bl = bh && bl <> 0 ->
-      let k = bl in
-      (match (a, excludes_zero b) with
-      | Iv (l, h), _ ->
+    match b with
+    | Iv (Fin k, Fin k') when k = k' && k <> 0 -> (
+      match a with
+      | Iv (l, h) ->
         let bdiv = function
           | MInf -> if k > 0 then MInf else PInf
           | PInf -> if k > 0 then PInf else MInf
@@ -257,11 +387,11 @@ let eval_div a b =
         in
         let c1 = bdiv l and c2 = bdiv h in
         Iv (bmin c1 c2, bmax c1 c2)
-      | Bot, _ -> Bot)
+      | Bot -> Bot)
     | _ -> (
       (* |a / b| <= |a| whenever the division executes *)
-      match (finite_lo a, finite_hi a) with
-      | Some l, Some h ->
+      match a with
+      | Iv (Fin l, Fin h) ->
         let m = max (abs l) (abs h) in
         range (-m) m
       | _ -> top)
@@ -272,26 +402,24 @@ let next_pow2_mask n =
 
 let eval_bitop op a b =
   let open Itv in
-  if is_bot a || is_bot b then Bot
-  else
-    match (finite_lo a, finite_hi a, finite_lo b, finite_hi b) with
-    | Some al, Some ah, Some bl, Some bh when al >= 0 && bl >= 0 -> (
-      match op with
-      | Ast.Band -> range 0 (min ah bh)
-      | Ast.Bor | Ast.Bxor -> range 0 (next_pow2_mask (max ah bh))
-      | _ -> top)
-    | _ -> top
+  match (a, b) with
+  | Bot, _ | _, Bot -> Bot
+  | Iv (Fin al, Fin ah), Iv (Fin bl, Fin bh) when al >= 0 && bl >= 0 -> (
+    match op with
+    | Ast.Band -> range 0 (min ah bh)
+    | Ast.Bor | Ast.Bxor -> range 0 (next_pow2_mask (max ah bh))
+    | _ -> top)
+  | _ -> top
 
 let eval_shift op a b =
   let open Itv in
   if is_bot a || is_bot b then Bot
   else
-    match (op, finite_lo b, finite_hi b) with
-    | Ast.Shl, Some k, Some k' when k = k' && k >= 0 && k < 62 ->
-      mul a (const (1 lsl k))
-    | Ast.Shr, Some k, _ when k >= 0 -> (
-      match (finite_lo a, finite_hi a) with
-      | Some l, Some h when l >= 0 -> range 0 (h asr k)
+    match (op, b) with
+    | Ast.Shl, Iv (Fin k, Fin k') when k = k' && k >= 0 && k < 62 -> mul a (const (1 lsl k))
+    | Ast.Shr, Iv (Fin k, _) when k >= 0 -> (
+      match a with
+      | Iv (Fin l, Fin h) when l >= 0 -> range 0 (h asr k)
       | _ -> top)
     | _ -> top
 
@@ -303,8 +431,7 @@ let eval_binop op a b =
   | Ast.Div -> eval_div a b
   | Ast.Mod -> eval_rem a b
   | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> eval_cmp op a b
-  | Ast.Land | Ast.Lor ->
-    if Itv.is_bot a || Itv.is_bot b then Itv.Bot else Itv.range 0 1
+  | Ast.Land | Ast.Lor -> if Itv.is_bot a || Itv.is_bot b then Itv.Bot else bool_range
   | Ast.Band | Ast.Bor | Ast.Bxor -> eval_bitop op a b
   | Ast.Shl | Ast.Shr -> eval_shift op a b
 
@@ -355,88 +482,83 @@ let refine_ne a b =
   let open Itv in
   match (a, b) with
   | Iv (l, h), Iv (Fin k, Fin k') when k = k' ->
-    if l = Fin k then norm (Fin (k + 1)) h
-    else if h = Fin k then norm l (Fin (k - 1))
+    if beq l (Fin k) then norm (Fin (k + 1)) h
+    else if beq h (Fin k) then norm l (Fin (k - 1))
     else a
   | _ -> a
 
-(* refinements implied by boolean [v] holding with [pol]arity, as a list
-   of (key, interval-to-meet).  Mirrors Phase 2's cond_constraints,
-   including the short-circuit phi shapes lowered from && and ||. *)
-let rec refine_cond ctx v pol depth : (key * Itv.t) list =
-  if depth > 8 then []
+let nonneg = Itv.Iv (Itv.Fin 0, Itv.PInf)
+let positive = Itv.Iv (Itv.Fin 1, Itv.PInf)
+let zero = itv_of_int 0
+
+(* [acc] met with every refinement of [key] implied by boolean [v]
+   holding with [pol]arity.  Mirrors Phase 2's cond_constraints,
+   including the short-circuit phi shapes lowered from && and ||.  Meet
+   is associative and commutative, so the refinements of one key can be
+   folded in any order. *)
+let rec refine ctx key v pol depth acc =
+  if depth > 8 then acc
   else
     match v with
     | Ir.Vreg id -> (
-      let self =
-        if pol then
+      let acc =
+        if id <> key then acc
+        else if pol then
           (* truthy: non-convex in general; usable when the sign is known *)
-          let cur = lookup ctx (Kvid id) in
-          if Itv.leq cur (Itv.Iv (Itv.Fin 0, Itv.PInf)) then
-            [ (Kvid id, Itv.Iv (Itv.Fin 1, Itv.PInf)) ]
-          else []
-        else [ (Kvid id, Itv.const 0) ]
+          if Itv.leq (lookup ctx id) nonneg then Itv.meet acc positive else acc
+        else Itv.meet acc zero
       in
-      match Hashtbl.find_opt ctx.defs id with
-      | Some (Ir.Def_instr ({ idesc = Ir.Binop { op; lhs; rhs; _ }; _ }, _)) -> (
+      match def_of ctx id with
+      | Dinstr { idesc = Ir.Binop { op; lhs; rhs; _ }; _ } -> (
         match (op, lhs, rhs) with
-        | Ast.Ne, x, Ir.Vint (0L, _) -> self @ refine_cond ctx x pol (depth + 1)
-        | Ast.Eq, x, Ir.Vint (0L, _) -> self @ refine_cond ctx x (not pol) (depth + 1)
+        | Ast.Ne, x, Ir.Vint (0L, _) -> refine ctx key x pol (depth + 1) acc
+        | Ast.Eq, x, Ir.Vint (0L, _) -> refine ctx key x (not pol) (depth + 1) acc
         | (Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne), _, _ ->
           let op = if pol then op else negate_cmp op in
-          let li = eval_value ctx lhs and ri = eval_value ctx rhs in
-          let refine_side side_v other_itv op =
-            match key_of_value side_v with
-            | None -> []
-            | Some k ->
-              let cur = eval_value ctx side_v in
+          let side side_v other op acc =
+            if key_of_value ctx side_v <> key then acc
+            else
+              let cur = eval_value ctx side_v and other_itv = eval_value ctx other in
               let r =
-                if op = Ast.Ne then refine_ne cur other_itv
-                else Itv.meet cur (refine_cmp op other_itv)
+                match op with
+                | Ast.Ne -> refine_ne cur other_itv
+                | _ -> Itv.meet cur (refine_cmp op other_itv)
               in
-              [ (k, r) ]
+              Itv.meet acc r
           in
-          self @ refine_side lhs ri op @ refine_side rhs li (flip_cmp op)
-        | _ -> self)
-      | Some (Ir.Def_instr ({ idesc = Ir.Unop { uop = Ast.Lnot; operand; _ }; _ }, _)) ->
-        self @ refine_cond ctx operand (not pol) (depth + 1)
-      | Some (Ir.Def_phi (p, pblk)) -> (
+          side rhs lhs (flip_cmp op) (side lhs rhs op acc)
+        | _ -> acc)
+      | Dinstr { idesc = Ir.Unop { uop = Ast.Lnot; operand; _ }; _ } ->
+        refine ctx key operand (not pol) (depth + 1) acc
+      | Dphi ({ Ir.incoming = [ (b1, v1); (b2, v2) ]; _ }, pblk) -> (
         (* short-circuit shapes (see Phase2.cond_constraints) *)
-        match p.Ir.incoming with
-        | [ (b1, v1); (b2, v2) ] -> (
-          let classify (ba, va) (br, vr) =
-            match ((Ir.block ctx.func ba).Ir.termin, va) with
-            | Ir.Cbr (Ir.Vreg c, tb, eb), Ir.Vreg vc when vc = c && tb <> eb ->
-              if eb = pblk && tb = br then Some (`And, c, vr)
-              else if tb = pblk && eb = br then Some (`Or, c, vr)
-              else None
-            | _ -> None
-          in
-          let shape =
-            match classify (b1, v1) (b2, v2) with
-            | Some s -> Some s
-            | None -> classify (b2, v2) (b1, v1)
-          in
-          match shape with
-          | Some (`And, c, vr) when pol ->
-            self
-            @ refine_cond ctx (Ir.Vreg c) true (depth + 1)
-            @ refine_cond ctx vr true (depth + 1)
-          | Some (`Or, c, vr) when not pol ->
-            self
-            @ refine_cond ctx (Ir.Vreg c) false (depth + 1)
-            @ refine_cond ctx vr false (depth + 1)
-          | _ -> self)
-        | _ -> self)
-      | _ -> self)
-    | Ir.Vparam p ->
-      if pol then []
-      else [ (Kparam p, Itv.const 0) ]
-    | _ -> []
+        let classify ba va br vr =
+          match (block_of ctx ba, va) with
+          | Some { Ir.termin = Ir.Cbr (Ir.Vreg c, tb, eb); _ }, Ir.Vreg vc when vc = c && tb <> eb ->
+            if eb = pblk && tb = br then Some (`And, c, vr)
+            else if tb = pblk && eb = br then Some (`Or, c, vr)
+            else None
+          | _ -> None
+        in
+        let shape =
+          match classify b1 v1 b2 v2 with
+          | Some s -> Some s
+          | None -> classify b2 v2 b1 v1
+        in
+        match shape with
+        | Some (`And, c, vr) when pol ->
+          refine ctx key vr true (depth + 1) (refine ctx key (Ir.Vreg c) true (depth + 1) acc)
+        | Some (`Or, c, vr) when not pol ->
+          refine ctx key vr false (depth + 1) (refine ctx key (Ir.Vreg c) false (depth + 1) acc)
+        | _ -> acc)
+      | _ -> acc)
+    | Ir.Vparam _ ->
+      if pol || key_of_value ctx v <> key then acc else Itv.meet acc zero
+    | _ -> acc
 
 (* -- CFG fixpoint -------------------------------------------------------- *)
 
-let edge_feasible ctx pred_blk succ =
+let edge_feasible ctx (pred_blk : Ir.block) succ =
   match pred_blk.Ir.termin with
   | Ir.Cbr (c, tb, eb) when tb <> eb ->
     let cv = eval_value ctx c in
@@ -453,53 +575,50 @@ let edge_feasible ctx pred_blk succ =
    single-predecessor step means the edge into the block dominates it,
    so its branch refinement is valid.  Depth-capped: a self-looping
    single-predecessor block would otherwise climb forever. *)
-let chain_refinements ctx blk =
+let chain_refine ctx key blk acc =
   let rec climb current n acc =
     if n = 0 then acc
     else
-      match Hashtbl.find_opt ctx.preds current with
-      | Some [ p ] -> (
-        match Ir.block_opt ctx.func p with
+      let p = ctx.single_pred.(current) in
+      if p < 0 then acc
+      else
+        match ctx.blocks.(p) with
+        | None -> acc
         | Some pp ->
           let acc =
             match pp.Ir.termin with
             | Ir.Cbr (c, tb, eb) when tb <> eb && (current = tb || current = eb) ->
-              refine_cond ctx c (current = tb) 0 @ acc
+              refine ctx key c (current = tb) 0 acc
             | _ -> acc
           in
           climb p (n - 1) acc
-        | None -> acc)
-      | _ -> acc
   in
-  climb blk 8 []
+  climb blk 8 acc
 
-let eval_phi ctx b (p : Ir.phi) =
-  List.fold_left
-    (fun acc (pred, v) ->
-      match Ir.block_opt ctx.func pred with
-      | None -> acc
-      | Some pb ->
-        if not (Hashtbl.mem ctx.reach pred) then acc
-        else if not (edge_feasible ctx pb b.Ir.bbid) then acc
-        else
-          let base = eval_value ctx v in
-          let refs =
-            (match pb.Ir.termin with
-            | Ir.Cbr (c, tb, eb) when tb <> eb ->
-              refine_cond ctx c (b.Ir.bbid = tb) 0
-            | _ -> [])
-            @ chain_refinements ctx pred
-          in
-          let refined =
-            match key_of_value v with
-            | None -> base
-            | Some k ->
-              List.fold_left
-                (fun acc' (k', itv) -> if k' = k then Itv.meet acc' itv else acc')
-                base refs
-          in
-          Itv.join acc refined)
-    Itv.Bot p.Ir.incoming
+(* the join over the feasible incoming edges of a phi in block [bid],
+   each value refined by the branches deciding its edge *)
+let rec eval_incoming ctx bid acc = function
+  | [] -> acc
+  | (pred, v) :: rest ->
+    let acc =
+      match block_of ctx pred with
+      | Some pb when bit_get ctx.reach pred && edge_feasible ctx pb bid ->
+        let base = eval_value ctx v in
+        let key = key_of_value ctx v in
+        let refined =
+          if key = no_key then base
+          else
+            let edge =
+              match pb.Ir.termin with
+              | Ir.Cbr (c, tb, eb) when tb <> eb -> refine ctx key c (bid = tb) 0 base
+              | _ -> base
+            in
+            chain_refine ctx key pred edge
+        in
+        Itv.join acc refined
+      | _ -> acc
+    in
+    eval_incoming ctx bid acc rest
 
 let eval_instr ctx env_ty (i : Ir.instr) =
   match i.Ir.idesc with
@@ -509,128 +628,156 @@ let eval_instr ctx env_ty (i : Ir.instr) =
   | Ir.Unop { uop = Ast.Lnot; operand; _ } ->
     let v = eval_value ctx operand in
     if Itv.is_bot v then Itv.Bot
-    else if Itv.is_zero v then Itv.const 1
-    else if Itv.excludes_zero v then Itv.const 0
-    else Itv.range 0 1
+    else if Itv.is_zero v then itv_of_int 1
+    else if Itv.excludes_zero v then itv_of_int 0
+    else bool_range
   | Ir.Unop { uop = Ast.Bnot; _ } -> Itv.top
   | Ir.Cast { to_ty; cval; from_ty } ->
-    if Ty.is_integer (Ty.resolve env_ty from_ty) || Ty.is_pointer (Ty.resolve env_ty from_ty)
-    then eval_cast env_ty to_ty (eval_value ctx cval)
+    let from = Ty.resolve env_ty from_ty in
+    if Ty.is_integer from || Ty.is_pointer from then eval_cast env_ty to_ty (eval_value ctx cval)
     else Itv.top
   | Ir.Call { callee; _ } -> ctx.ret_of callee
   | Ir.Load _ | Ir.Alloca _ | Ir.Gep _ | Ir.Store _ | Ir.Annotation _ -> Itv.top
+
+(* the reachable blocks in reverse postorder, and whether any edge
+   between them retreats (goes to a block not later in the order): a
+   function without one has no loop, so one pass in this order is its
+   fixpoint *)
+let rpo_blocks ctx =
+  let nb = Array.length ctx.blocks in
+  let order = Array.make nb (-1) in
+  let post = ref [] in
+  let rec dfs bid =
+    order.(bid) <- 0;
+    (match ctx.blocks.(bid) with
+    | Some b -> iter_succs (fun s -> if order.(s) < 0 then dfs s) b.Ir.termin
+    | None -> ());
+    match ctx.blocks.(bid) with Some b -> post := b :: !post | None -> ()
+  in
+  dfs ctx.func.Ir.fentry;
+  let blocks = Array.of_list !post in
+  Array.fill order 0 nb (-1);
+  Array.iteri (fun k (b : Ir.block) -> order.(b.Ir.bbid) <- k) blocks;
+  let retreats = ref false in
+  Array.iter
+    (fun (b : Ir.block) ->
+      let k = order.(b.Ir.bbid) in
+      iter_succs (fun s -> if order.(s) >= 0 && order.(s) <= k then retreats := true) b.Ir.termin)
+    blocks;
+  (blocks, !retreats)
+
+(* store [v] as the range of [id]; absence already means Bot *)
+let set ctx id v =
+  if bit_get ctx.present id then begin
+    if not (Itv.equal ctx.env.(id) v) then begin
+      ctx.env.(id) <- v;
+      ctx.changed <- true
+    end
+  end
+  else if not (Itv.is_bot v) then begin
+    ctx.env.(id) <- v;
+    bit_set ctx.present id;
+    ctx.changed <- true
+  end
+
+let rec update_phis ctx ~widening ~narrowing bid = function
+  | [] -> ()
+  | (p : Ir.phi) :: rest ->
+    let nv = eval_incoming ctx bid Itv.Bot p.Ir.incoming in
+    let old = lookup ctx p.Ir.pid in
+    let nv =
+      if narrowing then Itv.narrow old nv
+      else if widening && not (Itv.leq nv old) then begin
+        let w = Itv.widen old (Itv.join old nv) in
+        if not (Itv.equal w old) then ctx.widens <- ctx.widens + 1;
+        w
+      end
+      else Itv.join old nv
+    in
+    set ctx p.Ir.pid nv;
+    update_phis ctx ~widening ~narrowing bid rest
+
+let rec update_instrs ctx env_ty = function
+  | [] -> ()
+  | (i : Ir.instr) :: rest ->
+    if Ir.defines i then set ctx i.Ir.iid (eval_instr ctx env_ty i);
+    update_instrs ctx env_ty rest
+
+let reach_succ ctx (b : Ir.block) s =
+  if (not (bit_get ctx.reach s)) && edge_feasible ctx b s then begin
+    bit_set ctx.reach s;
+    ctx.changed <- true
+  end
+
+(* one visit of a block in a pass: its phis, its instructions in order,
+   then the successors its branch can take *)
+let visit ctx env_ty ~widening ~narrowing (b : Ir.block) =
+  if bit_get ctx.reach b.Ir.bbid then begin
+    update_phis ctx ~widening ~narrowing b.Ir.bbid b.Ir.phis;
+    update_instrs ctx env_ty b.Ir.instrs;
+    match b.Ir.termin with
+    | Ir.Br s -> reach_succ ctx b s
+    | Ir.Cbr (_, tb, eb) ->
+      reach_succ ctx b tb;
+      if tb <> eb then reach_succ ctx b eb
+    | Ir.Switch _ -> List.iter (reach_succ ctx b) (Ir.succs_of_term b.Ir.termin)
+    | Ir.Ret _ | Ir.Unreachable -> ()
+  end
 
 let widen_delay = 3
 let max_ascending = 100
 
 let run_function ~(prog : Ir.program) ~params ~ret_of (f : Ir.func) : func_summary =
-  let ctx =
-    {
-      func = f;
-      defs = Ir.def_table f;
-      preds = Ir.predecessors f;
-      env = Hashtbl.create 64;
-      params;
-      ret_of;
-      reach = Hashtbl.create 16;
-      iters = 0;
-      widens = 0;
-    }
-  in
-  let rpo = Ir.reverse_postorder f in
-  let blocks = List.filter_map (Ir.block_opt f) rpo in
-  Hashtbl.replace ctx.reach f.Ir.fentry ();
-  let set k v changed =
-    let old = lookup ctx k in
-    if not (Itv.equal old v) then begin
-      Hashtbl.replace ctx.env k v;
-      changed := true
-    end
-  in
+  let ctx = make_fctx f ~params:(Array.of_list (List.map snd params)) ~ret_of in
+  let blocks, has_loop = rpo_blocks ctx in
+  bit_set ctx.reach f.Ir.fentry;
+  let env_ty = prog.Ir.env in
   let pass ~widening ~narrowing =
-    let changed = ref false in
-    List.iter
-      (fun b ->
-        if Hashtbl.mem ctx.reach b.Ir.bbid then begin
-          List.iter
-            (fun p ->
-              let nv = eval_phi ctx b p in
-              let old = lookup ctx (Kvid p.Ir.pid) in
-              let nv =
-                if narrowing then Itv.narrow old nv
-                else if widening && not (Itv.leq nv old) then begin
-                  let w = Itv.widen old (Itv.join old nv) in
-                  if not (Itv.equal w old) then ctx.widens <- ctx.widens + 1;
-                  w
-                end
-                else Itv.join old nv
-              in
-              set (Kvid p.Ir.pid) nv changed)
-            b.Ir.phis;
-          List.iter
-            (fun i ->
-              if Ir.defines i then
-                set (Kvid i.Ir.iid) (eval_instr ctx prog.Ir.env i) changed)
-            b.Ir.instrs;
-          List.iter
-            (fun s ->
-              if edge_feasible ctx b s && not (Hashtbl.mem ctx.reach s) then begin
-                Hashtbl.replace ctx.reach s ();
-                changed := true
-              end)
-            (Ir.succs_of_term b.Ir.termin)
-        end)
-      blocks;
+    ctx.changed <- false;
+    for k = 0 to Array.length blocks - 1 do
+      visit ctx env_ty ~widening ~narrowing blocks.(k)
+    done;
     ctx.iters <- ctx.iters + 1;
-    !changed
+    ctx.changed
   in
-  (* ascending chain with delayed widening at phis *)
-  let rec ascend n =
-    if n < max_ascending && pass ~widening:(n >= widen_delay) ~narrowing:false then
-      ascend (n + 1)
-  in
-  ascend 0;
-  (* two descending (narrowing) passes recover precision lost to widening *)
-  ignore (pass ~widening:false ~narrowing:true);
-  ignore (pass ~widening:false ~narrowing:true);
-  (* return range: join over reachable ret blocks *)
-  let ret =
-    List.fold_left
-      (fun acc b ->
-        if not (Hashtbl.mem ctx.reach b.Ir.bbid) then acc
-        else
-          match b.Ir.termin with
-          | Ir.Ret (Some v) -> Itv.join acc (eval_value ctx v)
-          | _ -> acc)
-      Itv.Bot blocks
-  in
-  let ret_raw = ret in
-  let ret = if Itv.is_bot ret then Itv.top else ret in
-  (* decided two-way branches in reachable blocks *)
-  let dead =
-    List.filter_map
-      (fun b ->
-        if not (Hashtbl.mem ctx.reach b.Ir.bbid) then None
-        else
-          match b.Ir.termin with
-          | Ir.Cbr (c, tb, eb) when tb <> eb ->
-            let cv = eval_value ctx c in
-            if Itv.is_zero cv then Some (b.Ir.bbid, Dead_then)
-            else if Itv.excludes_zero cv then Some (b.Ir.bbid, Dead_else)
-            else None
-          | _ -> None)
-      blocks
-    |> List.sort compare
-  in
-  let env_list =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.env [] |> List.sort compare
-  in
+  if not has_loop then
+    (* every block follows all its predecessors: the first pass reads
+       only final values, so it is the fixpoint *)
+    ignore (pass ~widening:false ~narrowing:false)
+  else begin
+    (* ascending chain with delayed widening at phis *)
+    let rec ascend n =
+      if n < max_ascending && pass ~widening:(n >= widen_delay) ~narrowing:false then
+        ascend (n + 1)
+    in
+    ascend 0;
+    (* two descending (narrowing) passes recover precision lost to widening *)
+    ignore (pass ~widening:false ~narrowing:true);
+    ignore (pass ~widening:false ~narrowing:true)
+  end;
+  (* return range and decided two-way branches, over reachable blocks *)
+  let ret = ref Itv.Bot and dead = ref [] in
+  Array.iter
+    (fun (b : Ir.block) ->
+      if bit_get ctx.reach b.Ir.bbid then
+        match b.Ir.termin with
+        | Ir.Ret (Some v) -> ret := Itv.join !ret (eval_value ctx v)
+        | Ir.Cbr (c, tb, eb) when tb <> eb ->
+          let cv = eval_value ctx c in
+          if Itv.is_zero cv then dead := (b.Ir.bbid, Dead_then) :: !dead
+          else if Itv.excludes_zero cv then dead := (b.Ir.bbid, Dead_else) :: !dead
+        | _ -> ())
+    blocks;
+  let env = ref [] in
+  for id = Array.length ctx.env - 1 downto 0 do
+    if bit_get ctx.present id then env := (Kvid id, ctx.env.(id)) :: !env
+  done;
   {
-    s_env = env_list;
+    s_env = !env;
     s_params = params;
-    s_ret = ret;
-    s_ret_raw = ret_raw;
-    s_dead = dead;
+    s_ret = (if Itv.is_bot !ret then Itv.top else !ret);
+    s_ret_raw = !ret;
+    s_dead = List.sort (fun (a, _) (b, _) -> Int.compare a b) !dead;
     s_iters = ctx.iters;
     s_widen = ctx.widens;
   }
@@ -655,262 +802,256 @@ let without_locs (f : Ir.func) : Ir.func =
         f.Ir.blocks;
   }
 
-let env_table s =
-  let env = Hashtbl.create (List.length s.s_env) in
-  List.iter (fun (k, v) -> Hashtbl.replace env k v) s.s_env;
-  env
-
 let sorted_tbl tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
-  let find = Ir.func_index prog in
-  let defined n = Option.get (find n) in
-  (* call graph over defined functions, plus call-site counts: entry
-     points (never called) keep ⊤ parameters *)
-  let callees = Hashtbl.create 16 in
-  let ncallers = Hashtbl.create 16 in
-  let scc =
+  let funcs = Array.of_list prog.Ir.funcs in
+  let n = Array.length funcs in
+  let ids = Hashtbl.create n in
+  Array.iteri
+    (fun i (f : Ir.func) -> if not (Hashtbl.mem ids f.Ir.fname) then Hashtbl.add ids f.Ir.fname i)
+    funcs;
+  (* call graph over defined functions: distinct callees sorted by name,
+     call sites, and call-site counts (entry points, never called, keep
+     ⊤ parameters) *)
+  let callees = Array.make n [||] and calls = Array.make n [] in
+  let ncallers = Array.make n 0 and cyclic = Array.make n false in
+  let comps =
     span.span "absint.bookkeeping" (fun () ->
-        List.iter
-          (fun f ->
-            let cs =
-              List.filter_map
-                (fun (i : Ir.instr) ->
-                  match i.Ir.idesc with
-                  | Ir.Call { callee; _ } when find callee <> None -> Some callee
-                  | _ -> None)
-                (Ir.all_instrs f)
-              |> List.sort_uniq compare
-            in
-            Hashtbl.replace callees f.Ir.fname cs;
-            List.iter
-              (fun c ->
-                Hashtbl.replace ncallers c
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt ncallers c)))
-              cs)
-          prog.Ir.funcs;
-        let succs n = Option.value ~default:[] (Hashtbl.find_opt callees n) in
-        Dataflow.Scc.compute (List.map (fun f -> f.Ir.fname) prog.Ir.funcs) succs)
+        let nodes = ref [] in
+        Array.iteri
+          (fun i (f : Ir.func) ->
+            if Hashtbl.find ids f.Ir.fname = i then begin
+              nodes := i :: !nodes;
+              let names = ref [] in
+              List.iter
+                (fun (b : Ir.block) ->
+                  List.iter
+                    (fun (ins : Ir.instr) ->
+                      match ins.Ir.idesc with
+                      | Ir.Call { callee; args; _ } -> (
+                        match Hashtbl.find_opt ids callee with
+                        | Some j ->
+                          names := callee :: !names;
+                          calls.(i) <- (j, args) :: calls.(i)
+                        | None -> ())
+                      | _ -> ())
+                    b.Ir.instrs)
+                f.Ir.blocks;
+              let cs = Array.of_list (List.sort_uniq String.compare !names) in
+              callees.(i) <- Array.map (Hashtbl.find ids) cs;
+              Array.iter (fun c -> ncallers.(c) <- ncallers.(c) + 1) callees.(i)
+            end)
+          funcs;
+        let succs i = Array.to_list callees.(i) in
+        let scc = Dataflow.Scc.compute (List.rev !nodes) succs in
+        List.iter (fun i -> cyclic.(i) <- Dataflow.Scc.in_cycle scc succs i) !nodes;
+        Dataflow.Scc.reverse_topological scc)
   in
-  let callees_of f = Hashtbl.find callees f.Ir.fname in
-  let succs n = Option.value ~default:[] (Hashtbl.find_opt callees n) in
   let memo =
     match memo with
     | Some m -> m
     | None -> fun ~fname:_ ~inputs_digest:_ compute -> compute ()
   in
-  (* key parts shared by every key, or by both passes' keys of one
-     function; only derived when a key is *)
+  (* key parts shared by every key; only derived when a key is *)
   let no_sharing v = Marshal.to_string v [ Marshal.No_sharing ] in
   let env_repr =
     lazy (no_sharing (sorted_tbl prog.Ir.env.Ty.structs, sorted_tbl prog.Ir.env.Ty.typedefs))
   in
-  let body_reprs = Hashtbl.create 16 in
-  let body_repr f =
-    match Hashtbl.find_opt body_reprs f.Ir.fname with
+  let body_reprs = Array.make n None in
+  let body_repr i =
+    match body_reprs.(i) with
     | Some r -> r
     | None ->
-      let r = no_sharing (without_locs f) in
-      Hashtbl.replace body_reprs f.Ir.fname r;
+      let r = no_sharing (without_locs funcs.(i)) in
+      body_reprs.(i) <- Some r;
       r
   in
-  let rets = Hashtbl.create 16 in
+  let rets = Array.make n Itv.top in
   let ret_of callee =
-    match Hashtbl.find_opt rets callee with Some i -> i | None -> Itv.top
+    match Hashtbl.find_opt ids callee with Some j -> rets.(j) | None -> Itv.top
   in
   (* each function's last fixpoint with the parameter and callee-return
      ranges it was computed from.  The fixpoint is a pure function of
      those, the body and the type environment, and the last two do not
      change between the passes, so pass 2 reuses a pass-1 result whose
      ranges are unchanged without asking [memo] *)
-  let last = Hashtbl.create 16 in
-  let analyze_one f ~params =
+  let last = Array.make n None in
+  let same_params a b = List.for_all2 (fun (_, x) (_, y) -> Itv.equal x y) a b in
+  let analyze_one i ~params =
+    let f = funcs.(i) in
     (* the callee ranges are read now, the rest only if a key is asked
        for: everything the fixpoint reads except source locations *)
-    let callee_rets = List.map (fun c -> (c, ret_of c)) (callees_of f) in
-    match Hashtbl.find_opt last f.Ir.fname with
-    | Some (params', callee_rets', s) when params' = params && callee_rets' = callee_rets -> s
+    let callee_rets = Array.map (fun c -> rets.(c)) callees.(i) in
+    match last.(i) with
+    | Some (params', callee_rets', s)
+      when same_params params' params && Array.for_all2 Itv.equal callee_rets' callee_rets ->
+      s
     | _ ->
       let inputs_digest =
         lazy
-          (Digest.to_hex
-             (Digest.string (no_sharing (Lazy.force env_repr, body_repr f, params, callee_rets))))
+          (let named =
+             Array.to_list (Array.mapi (fun k c -> (funcs.(c).Ir.fname, callee_rets.(k))) callees.(i))
+           in
+           Digest.to_hex
+             (Digest.string (no_sharing (Lazy.force env_repr, body_repr i, params, named))))
       in
       let s =
         memo ~fname:f.Ir.fname ~inputs_digest (fun () -> run_function ~prog ~params ~ret_of f)
       in
-      Hashtbl.replace last f.Ir.fname (params, callee_rets, s);
+      last.(i) <- Some (params, callee_rets, s);
       s
   in
-  let top_params f = List.map (fun (p, _) -> (p, Itv.top)) f.Ir.fparams in
+  let top_params i = List.map (fun (p, _) -> (p, Itv.top)) funcs.(i).Ir.fparams in
   (* pass 1, bottom-up: return summaries under unconstrained parameters *)
-  List.iter
-    (List.iter (fun n ->
-         let f = defined n in
-         let s = analyze_one f ~params:(top_params f) in
-         Hashtbl.replace rets n s.s_ret))
-    (Dataflow.Scc.reverse_topological scc);
+  span.span "absint.bookkeeping" (fun () ->
+      List.iter
+        (List.iter (fun i -> rets.(i) <- (analyze_one i ~params:(top_params i)).s_ret))
+        comps);
   (* pass 2, top-down: join call-site argument ranges into parameters *)
-  let summaries = Hashtbl.create 16 in
-  let arg_join : (string, Itv.t array) Hashtbl.t = Hashtbl.create 16 in
-  let record_call caller_env (i : Ir.instr) =
-    match i.Ir.idesc with
-    | Ir.Call { callee; args; _ } when find callee <> None ->
-      let g = defined callee in
-      let nparams = List.length g.Ir.fparams in
-      let acc =
-        match Hashtbl.find_opt arg_join callee with
-        | Some a -> a
-        | None ->
-          let a = Array.make nparams Itv.Bot in
-          Hashtbl.replace arg_join callee a;
-          a
-      in
-      List.iteri
-        (fun j a ->
-          if j < nparams then
-            let itv =
-              match a with
-              | Ir.Vint (n, _) -> itv_of_int64 n
-              | Ir.Vreg id ->
-                Option.value ~default:Itv.top (Hashtbl.find_opt caller_env (Kvid id))
-              | Ir.Vparam _ | Ir.Vfloat _ | Ir.Vglobal _ | Ir.Vstr _ | Ir.Vundef _ ->
-                Itv.top
-            in
-            acc.(j) <- Itv.join acc.(j) itv)
-        args
-    | _ -> ()
+  let summaries = Array.make n None in
+  let arg_join = Array.make n None in
+  let record_calls i (s : func_summary) =
+    (* the caller's ranges by SSA id, only while its call sites are
+       recorded; an id the fixpoint never stored reads as ⊤ here *)
+    let env =
+      lazy
+        (let size = List.fold_left (fun m (k, _) -> match k with Kvid id -> max m (id + 1) | Kparam _ -> m) 0 s.s_env in
+         let a = Array.make size Itv.top in
+         List.iter (function Kvid id, v -> a.(id) <- v | Kparam _, _ -> ()) s.s_env;
+         a)
+    in
+    List.iter
+      (fun (j, args) ->
+        let nparams = List.length funcs.(j).Ir.fparams in
+        let acc =
+          match arg_join.(j) with
+          | Some a -> a
+          | None ->
+            let a = Array.make nparams Itv.Bot in
+            arg_join.(j) <- Some a;
+            a
+        in
+        List.iteri
+          (fun k a ->
+            if k < nparams then
+              let itv =
+                match a with
+                | Ir.Vint (n, _) -> itv_of_int64 n
+                | Ir.Vreg id ->
+                  let env = Lazy.force env in
+                  if id >= 0 && id < Array.length env then env.(id) else Itv.top
+                (* a Vparam argument's range depends on the caller's own
+                   parameters; ⊤ is still sound and rarely binding *)
+                | Ir.Vparam _ | Ir.Vfloat _ | Ir.Vglobal _ | Ir.Vstr _ | Ir.Vundef _ -> Itv.top
+              in
+              acc.(k) <- Itv.join acc.(k) itv)
+          args)
+      calls.(i)
   in
-  (* a Vparam argument's range depends on the caller's own parameters; use
-     ⊤ above for simplicity — still sound, rarely binding in practice *)
-  List.iter
-    (List.iter (fun n ->
-         let f = defined n in
-         let params =
-           span.span "absint.bookkeeping" (fun () ->
-               if Dataflow.Scc.in_cycle scc succs n || not (Hashtbl.mem ncallers n) then
-                 top_params f
-               else
-                 match Hashtbl.find_opt arg_join n with
-                 | None -> top_params f
-                 | Some a ->
-                   List.mapi
-                     (fun j (p, _) ->
-                       let itv = if j < Array.length a then a.(j) else Itv.top in
-                       (* a callee listed in ncallers has >= 1 recorded site,
-                          but guard against Bot from unreachable call sites *)
-                       (p, if Itv.is_bot itv then Itv.top else itv))
-                     f.Ir.fparams)
-         in
-         let s = analyze_one f ~params in
-         span.span "absint.bookkeeping" (fun () ->
-             Hashtbl.replace summaries n s;
-             (* the caller's ranges as a table only while its call sites
-                are recorded; the result keeps the summary alone *)
-             let env = env_table s in
-             List.iter (record_call env) (Ir.all_instrs f))))
-    (Dataflow.Scc.topological scc);
-  { prog; summaries }
+  span.span "absint.bookkeeping" (fun () ->
+      List.iter
+        (List.iter (fun i ->
+             let params =
+               match arg_join.(i) with
+               | Some a when (not cyclic.(i)) && ncallers.(i) > 0 ->
+                 List.mapi
+                   (fun k (p, _) ->
+                     let itv = if k < Array.length a then a.(k) else Itv.top in
+                     (* a callee with callers has >= 1 recorded site, but
+                        guard against Bot from unreachable call sites *)
+                     (p, if Itv.is_bot itv then Itv.top else itv))
+                   funcs.(i).Ir.fparams
+               | _ -> top_params i
+             in
+             let s = analyze_one i ~params in
+             summaries.(i) <- Some s;
+             record_calls i s))
+        (List.rev comps));
+  { prog; ids; summaries }
 
 (* -- Accessors ----------------------------------------------------------- *)
 
-let iterations t =
-  Hashtbl.fold (fun _ s acc -> acc + s.s_iters) t.summaries 0
+let summary t fname =
+  match Hashtbl.find_opt t.ids fname with Some i -> t.summaries.(i) | None -> None
 
-let widenings t =
-  Hashtbl.fold (fun _ s acc -> acc + s.s_widen) t.summaries 0
+let fold_summaries_i f t init =
+  let acc = ref init in
+  Array.iteri (fun i s -> match s with Some s -> acc := f i s !acc | None -> ()) t.summaries;
+  !acc
+
+let fold_summaries f t init = fold_summaries_i (fun _ s acc -> f s acc) t init
+
+let iterations t = fold_summaries (fun s acc -> acc + s.s_iters) t 0
+
+let widenings t = fold_summaries (fun s acc -> acc + s.s_widen) t 0
 
 let dead_branch t ~fname ~bid =
-  match Hashtbl.find_opt t.summaries fname with
+  match summary t fname with
   | None -> None
   | Some s -> List.assoc_opt bid s.s_dead
 
+let decided_branches t ~fname =
+  match summary t fname with None -> [] | Some s -> List.map fst s.s_dead
+
 (* -- Query context (dominator-refined ranges at a program point) --------- *)
 
-type qctx = {
-  q_t : t;
-  q_func : Ir.func;
-  q_defs : (Ir.vid, Ir.def_site) Hashtbl.t;
-  q_dom : Ssair.Dom.tree;
-  q_preds : (Ir.bid, Ir.bid list) Hashtbl.t;
-  q_env : (key, Itv.t) Hashtbl.t;
-  q_params : (string * Itv.t) list;
-}
+type qctx = { q_ctx : fctx; q_dom : Ssair.Dom.tree }
 
 let query_ctx t (f : Ir.func) =
-  let env, params =
-    match Hashtbl.find_opt t.summaries f.Ir.fname with
-    | Some s -> (env_table s, s.s_params)
-    | None -> (Hashtbl.create 0, [])
+  let s = summary t f.Ir.fname in
+  let params =
+    Array.of_list
+      (List.map
+         (fun (p, _) ->
+           match s with
+           | Some s -> Option.value ~default:Itv.top (List.assoc_opt p s.s_params)
+           | None -> Itv.top)
+         f.Ir.fparams)
   in
-  {
-    q_t = t;
-    q_func = f;
-    q_defs = Ir.def_table f;
-    q_dom = Ssair.Dom.compute f;
-    q_preds = Ir.predecessors f;
-    q_env = env;
-    q_params = params;
-  }
+  let ctx = make_fctx f ~params ~ret_of:(fun _ -> Itv.top) in
+  Option.iter
+    (fun s ->
+      List.iter
+        (function
+          | Kvid id, v when id < Array.length ctx.env ->
+            ctx.env.(id) <- v;
+            bit_set ctx.present id
+          | _ -> ())
+        s.s_env)
+    s;
+  { q_ctx = ctx; q_dom = Ssair.Dom.compute f }
 
-let qctx_as_fctx q =
-  {
-    func = q.q_func;
-    defs = q.q_defs;
-    preds = q.q_preds;
-    env = q.q_env;
-    params = q.q_params;
-    ret_of = (fun _ -> Itv.top);
-    reach = Hashtbl.create 0;
-    iters = 0;
-    widens = 0;
-  }
-
-(* branch refinements from conditions dominating [bid]; mirrors Phase 2's
-   dominating_constraints (edge dominance via single-predecessor test) *)
-let dominating_refinements q bid =
-  let ctx = qctx_as_fctx q in
-  let single_pred blk from =
-    match Hashtbl.find_opt q.q_preds blk with Some [ p ] -> p = from | _ -> false
-  in
+(* [base] met with the branch refinements of [key] from conditions
+   dominating [bid]; mirrors Phase 2's dominating_constraints (edge
+   dominance via single-predecessor test) *)
+let dominating_refine q bid key base =
+  let ctx = q.q_ctx in
   let rec climb child acc =
     match Ssair.Dom.idom q.q_dom child with
     | None -> acc
     | Some parent when parent = child -> acc
     | Some parent ->
       let acc =
-        match (Ir.block q.q_func parent).Ir.termin with
-        | Ir.Cbr (c, tb, eb) when tb <> eb -> (
-          let polarity =
-            if child = tb && single_pred child parent then Some true
-            else if child = eb && single_pred child parent then Some false
-            else None
-          in
-          match polarity with
-          | None -> acc
-          | Some pol -> refine_cond ctx c pol 0 @ acc)
+        match block_of ctx parent with
+        | Some { Ir.termin = Ir.Cbr (c, tb, eb); _ } when tb <> eb && ctx.single_pred.(child) = parent ->
+          if child = tb then refine ctx key c true 0 acc
+          else if child = eb then refine ctx key c false 0 acc
+          else acc
         | _ -> acc
       in
       climb parent acc
   in
-  climb bid []
-
-let range_of_key q ~at k =
-  let base =
-    match k with
-    | Kvid id -> Option.value ~default:Itv.Bot (Hashtbl.find_opt q.q_env (Kvid id))
-    | Kparam p ->
-      (match List.assoc_opt p q.q_params with Some i -> i | None -> Itv.top)
-  in
-  List.fold_left
-    (fun acc (k', itv) -> if k' = k then Itv.meet acc itv else acc)
-    base (dominating_refinements q at)
+  climb bid base
 
 let range_of_value q ~at v =
   match v with
   | Ir.Vint (n, _) -> itv_of_int64 n
-  | Ir.Vreg id -> range_of_key q ~at (Kvid id)
-  | Ir.Vparam p -> range_of_key q ~at (Kparam p)
+  | Ir.Vreg _ | Ir.Vparam _ ->
+    let ctx = q.q_ctx in
+    let key = key_of_value ctx v in
+    let base = eval_value ctx v in
+    if key = no_key then base else dominating_refine q at key base
   | Ir.Vfloat _ | Ir.Vglobal _ | Ir.Vstr _ | Ir.Vundef _ -> Itv.top
 
 (* Phase 2 symbol syntax: "v<id>" for SSA values, "p_<name>" for params *)
@@ -918,18 +1059,17 @@ let range_of_sym q ~at sym =
   let n = String.length sym in
   if n > 1 && sym.[0] = 'v' then
     match int_of_string_opt (String.sub sym 1 (n - 1)) with
-    | Some id when Hashtbl.mem q.q_defs id -> Some (range_of_key q ~at (Kvid id))
+    | Some id when (match def_of q.q_ctx id with No_def -> false | _ -> true) -> Some (range_of_value q ~at (Ir.Vreg id))
     | _ -> None
   else if n > 2 && sym.[0] = 'p' && sym.[1] = '_' then
     let p = String.sub sym 2 (n - 2) in
-    if List.mem_assoc p q.q_func.Ir.fparams then Some (range_of_key q ~at (Kparam p))
-    else None
+    if param_index q.q_ctx p >= 0 then Some (range_of_value q ~at (Ir.Vparam p)) else None
   else None
 
 (* -- Pretty-printing ----------------------------------------------------- *)
 
 let pp_func_summary t ppf (f : Ir.func) =
-  match Hashtbl.find_opt t.summaries f.Ir.fname with
+  match summary t f.Ir.fname with
   | None -> Fmt.pf ppf "function %s: no summary@." f.Ir.fname
   | Some s ->
     Fmt.pf ppf "function %s:@." f.Ir.fname;
@@ -962,20 +1102,17 @@ type summary_view = {
 }
 
 let summary_views t =
-  Hashtbl.fold
-    (fun name s acc ->
-      let env =
-        List.filter_map
-          (function Kvid id, v -> Some (id, v) | Kparam _, _ -> None)
-          s.s_env
-      in
+  let funcs = Array.of_list t.prog.Ir.funcs in
+  fold_summaries_i
+    (fun i s acc ->
       {
-        sv_func = name;
+        sv_func = funcs.(i).Ir.fname;
         sv_params = s.s_params;
         sv_ret = s.s_ret;
         sv_ret_raw = s.s_ret_raw;
-        sv_env = env;
+        sv_env =
+          List.filter_map (function Kvid id, v -> Some (id, v) | Kparam _, _ -> None) s.s_env;
       }
       :: acc)
-    t.summaries []
-  |> List.sort (fun a b -> compare a.sv_func b.sv_func)
+    t []
+  |> List.sort (fun a b -> String.compare a.sv_func b.sv_func)

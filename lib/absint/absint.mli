@@ -1,14 +1,19 @@
 (** Interprocedural value-range abstract interpretation over the SSA IR.
 
     Computes, per function, an interval for every SSA value (plus the
-    formal parameters and the return value) by a worklist fixpoint over
-    the CFG with widening/narrowing at phi nodes and branch-condition
-    refinement on CFG edges ([x < n] narrows the interval flowing into
-    the true successor).  Call summaries are propagated over the
-    {!Dataflow.Scc} condensation of the call graph: a bottom-up pass
-    derives sound return-value ranges, then a top-down pass joins the
-    argument ranges of every call site into formal-parameter ranges
-    (entry points and recursion cycles keep ⊤).
+    formal parameters and the return value) by a fixpoint over the CFG
+    with widening/narrowing at phi nodes and branch-condition refinement
+    on CFG edges ([x < n] narrows the interval flowing into the true
+    successor).  Each fixpoint runs over dense per-function arrays
+    (blocks, predecessors and definitions by id, the environment by SSA
+    id), built when it starts and dropped when it ends.  A function
+    without a loop takes exactly one pass in reverse postorder; one with
+    a loop widens after a short delay, then narrows twice.  Call
+    summaries are propagated over the strongly connected components of
+    the call graph, numbered by function index: a bottom-up pass derives
+    sound return-value ranges, then a top-down pass joins the argument
+    ranges of every call site into formal-parameter ranges (entry points
+    and recursion cycles keep ⊤).
 
     Consumers: Phase 2 discharges A1/A2 index obligations whose range is
     provably within bounds (and feeds finite ranges to the Omega solver
@@ -88,9 +93,10 @@ val analyze :
     whose ranges are unchanged without calling it again; the
     driver uses it to back the computation with the content-addressed
     cache.  The digest is lazy, so a memo that does not force it costs
-    nothing.  [~span] wraps the call-graph construction and the
-    per-function summary bookkeeping of the top-down pass, each under
-    the name ["absint.bookkeeping"]. *)
+    nothing.  [~span] wraps the call-graph and SCC construction and
+    each of the two interprocedural passes, each under the name
+    ["absint.bookkeeping"] (three spans per run); spans that [~memo]
+    opens nest inside the passes'. *)
 
 val iterations : t -> int
 (** total fixpoint passes, all functions *)
@@ -107,6 +113,10 @@ val dead_branch : t -> fname:string -> bid:Ssair.Ir.bid -> dead option
 (** for a reachable block ending in [Cbr] with distinct successors:
     [Some _] when the condition's interval is decided (always zero or
     never zero), i.e. the branch cannot actually select at run time *)
+
+val decided_branches : t -> fname:string -> Ssair.Ir.bid list
+(** every block of [fname] for which {!dead_branch} is [Some _], in
+    ascending order *)
 
 type qctx
 (** per-function query context: the function's value ranges as a table

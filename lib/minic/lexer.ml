@@ -21,16 +21,29 @@ let loc_of st = Loc.make ~file:st.file ~line:st.line ~col:(st.pos - st.bol + 1)
 
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+(* the character at [st.pos + k], or NUL past the end (which matches no
+   character the lexer looks ahead for) *)
+let char_at st k =
+  let i = st.pos + k in
+  if i < String.length st.src then String.unsafe_get st.src i else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if st.pos < String.length st.src && String.unsafe_get st.src st.pos = '\n' then begin
     st.line <- st.line + 1;
     st.bol <- st.pos + 1
-  | _ -> ());
+  end;
   st.pos <- st.pos + 1
+
+(* advance over a run of characters satisfying [p] (none of them a
+   newline) *)
+let skip_while st p =
+  let src = st.src in
+  let len = String.length src in
+  let i = ref st.pos in
+  while !i < len && p (String.unsafe_get src !i) do
+    incr i
+  done;
+  st.pos <- !i
 
 let is_digit c = c >= '0' && c <= '9'
 let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
@@ -42,19 +55,49 @@ let lex_error st fmt = Loc.error (loc_of st) fmt
 (** Consume a block comment (opening "/*" already consumed).  Returns the
     end offset of its body, which starts where the call found [st.pos]. *)
 let skip_block_comment st =
-  let rec go () =
-    match (peek st, peek2 st) with
-    | Some '*', Some '/' ->
-      let stop = st.pos in
-      advance st;
-      advance st;
-      stop
-    | Some _, _ ->
-      advance st;
-      go ()
-    | None, _ -> lex_error st "unterminated comment"
+  let src = st.src in
+  let len = String.length src in
+  let rec go i =
+    if i + 1 < len && String.unsafe_get src i = '*' && String.unsafe_get src (i + 1) = '/'
+    then begin
+      st.pos <- i + 2;
+      i
+    end
+    else if i >= len then begin
+      st.pos <- len;
+      lex_error st "unterminated comment"
+    end
+    else begin
+      if String.unsafe_get src i = '\n' then begin
+        st.line <- st.line + 1;
+        st.bol <- i + 1
+      end;
+      go (i + 1)
+    end
   in
-  go ()
+  go st.pos
+
+(* Skip whitespace, line comments and preprocessor lines (systems use
+   #include/#define only for constants we inline), stopping at the first
+   character of anything else. *)
+let skip_blank st =
+  let src = st.src in
+  let len = String.length src in
+  let rec line_end i = if i < len && String.unsafe_get src i <> '\n' then line_end (i + 1) else i in
+  let rec go i =
+    if i >= len then i
+    else
+      match String.unsafe_get src i with
+      | ' ' | '\t' | '\r' -> go (i + 1)
+      | '\n' ->
+        st.line <- st.line + 1;
+        st.bol <- i + 1;
+        go (i + 1)
+      | '#' -> go (line_end i)
+      | '/' when i + 1 < len && String.unsafe_get src (i + 1) = '/' -> go (line_end i)
+      | _ -> i
+  in
+  st.pos <- go st.pos
 
 (** The payload of an annotation comment whose body is
     [src.[start .. stop-1]]: the text after the first occurrence of the
@@ -104,53 +147,37 @@ let read_number st =
   let loc = loc_of st in
   let start = st.pos in
   let is_hex =
-    match (peek st, peek2 st) with
-    | Some '0', Some ('x' | 'X') ->
-      advance st;
-      advance st;
+    match (char_at st 0, char_at st 1) with
+    | '0', ('x' | 'X') ->
+      st.pos <- st.pos + 2;
       true
     | _ -> false
   in
-  let digits_ok c = if is_hex then is_hex_digit c else is_digit c in
-  while (match peek st with Some c -> digits_ok c | None -> false) do
-    advance st
-  done;
+  skip_while st (if is_hex then is_hex_digit else is_digit);
   let is_float = ref false in
   if not is_hex then begin
-    (match (peek st, peek2 st) with
-    | Some '.', Some c when is_digit c ->
+    if char_at st 0 = '.' then begin
       is_float := true;
-      advance st;
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done
-    | Some '.', _ ->
+      st.pos <- st.pos + 1;
+      skip_while st is_digit
+    end;
+    match char_at st 0 with
+    | 'e' | 'E' ->
       is_float := true;
-      advance st
-    | _ -> ());
-    (match peek st with
-    | Some ('e' | 'E') ->
-      is_float := true;
-      advance st;
-      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done
-    | _ -> ())
+      st.pos <- st.pos + 1;
+      (match char_at st 0 with '+' | '-' -> st.pos <- st.pos + 1 | _ -> ());
+      skip_while st is_digit
+    | _ -> ()
   end;
   (* trailing suffixes f/F/l/L/u/U — not part of the numeric text *)
   let suffix_start = st.pos in
   let f_suffix = ref false in
-  while
-    match peek st with
-    | Some ('f' | 'F') when not is_hex ->
+  skip_while st (function
+    | 'f' | 'F' when not is_hex ->
       f_suffix := true;
       true
-    | Some ('l' | 'L' | 'u' | 'U') -> true
-    | _ -> false
-  do
-    advance st
-  done;
+    | 'l' | 'L' | 'u' | 'U' -> true
+    | _ -> false);
   let text = String.sub st.src start (suffix_start - start) in
   let bad () = Loc.error loc "malformed or out-of-range numeric literal %s" text in
   if !is_float || !f_suffix then
@@ -160,136 +187,122 @@ let read_number st =
 (** Lex the next token.  Skips whitespace, line comments, preprocessor
     lines and plain block comments; annotation comments become tokens. *)
 let rec next st : lexed =
+  skip_blank st;
   let loc = loc_of st in
-  match peek st with
-  | None -> { tok = EOF; loc }
-  | Some (' ' | '\t' | '\r' | '\n') ->
-    advance st;
-    next st
-  | Some '#' ->
-    (* preprocessor line: skipped wholesale (systems use #include/#define
-       only for constants we inline) *)
-    while (match peek st with Some c when c <> '\n' -> true | _ -> false) do
-      advance st
-    done;
-    next st
-  | Some '/' -> (
-    match peek2 st with
-    | Some '/' ->
-      while (match peek st with Some c when c <> '\n' -> true | _ -> false) do
-        advance st
-      done;
-      next st
-    | Some '*' ->
+  if st.pos >= String.length st.src then { tok = EOF; loc }
+  else
+    match String.unsafe_get st.src st.pos with
+    | '/' -> (
+      match char_at st 1 with
+      | '*' ->
+        st.pos <- st.pos + 2;
+        let start = st.pos in
+        let stop = skip_block_comment st in
+        (match annotation_payload st.src ~start ~stop with
+        | Some payload -> { tok = ANNOT payload; loc }
+        | None -> next st)
+      | '=' ->
+        st.pos <- st.pos + 2;
+        { tok = SLASHEQ; loc }
+      | _ ->
+        st.pos <- st.pos + 1;
+        { tok = SLASH; loc })
+    | '"' ->
       advance st;
+      { tok = STRING (read_string st); loc }
+    | '\'' ->
       advance st;
+      let c =
+        match peek st with
+        | Some '\\' ->
+          advance st;
+          read_escaped st
+        | Some c ->
+          advance st;
+          c
+        | None -> lex_error st "unterminated char literal"
+      in
+      (match peek st with
+      | Some '\'' -> advance st
+      | _ -> lex_error st "unterminated char literal");
+      { tok = CHARLIT c; loc }
+    | c when is_digit c -> { tok = read_number st; loc }
+    | c when is_ident_start c ->
       let start = st.pos in
-      let stop = skip_block_comment st in
-      (match annotation_payload st.src ~start ~stop with
-      | Some payload -> { tok = ANNOT payload; loc }
-      | None -> next st)
-    | _ ->
-      advance st;
-      if peek st = Some '=' then begin advance st; { tok = SLASHEQ; loc } end
-      else { tok = SLASH; loc })
-  | Some '"' ->
-    advance st;
-    { tok = STRING (read_string st); loc }
-  | Some '\'' ->
-    advance st;
-    let c =
-      match peek st with
-      | Some '\\' ->
-        advance st;
-        read_escaped st
-      | Some c ->
-        advance st;
-        c
-      | None -> lex_error st "unterminated char literal"
-    in
-    (match peek st with
-    | Some '\'' -> advance st
-    | _ -> lex_error st "unterminated char literal");
-    { tok = CHARLIT c; loc }
-  | Some c when is_digit c -> { tok = read_number st; loc }
-  | Some c when is_ident_start c ->
-    let start = st.pos in
-    while (match peek st with Some c -> is_ident_char c | None -> false) do
-      advance st
-    done;
-    let text = String.sub st.src start (st.pos - start) in
-    let tok =
-      match Token.keyword_of_string text with
-      | Some kw -> kw
-      | None -> Token.IDENT text
-    in
-    { tok; loc }
-  | Some c ->
-    advance st;
-    let two expected (tok1 : Token.t) (tok0 : Token.t) =
-      if peek st = Some expected then begin
-        advance st;
-        tok1
-      end
-      else tok0
-    in
-    let tok : Token.t =
-      match c with
-      | '(' -> LPAREN
-      | ')' -> RPAREN
-      | '{' -> LBRACE
-      | '}' -> RBRACE
-      | '[' -> LBRACKET
-      | ']' -> RBRACKET
-      | ';' -> SEMI
-      | ',' -> COMMA
-      | ':' -> COLON
-      | '?' -> QUESTION
-      | '.' -> DOT
-      | '+' -> (
-        match peek st with
-        | Some '+' -> advance st; PLUSPLUS
-        | Some '=' -> advance st; PLUSEQ
-        | _ -> PLUS)
-      | '-' -> (
-        match peek st with
-        | Some '-' -> advance st; MINUSMINUS
-        | Some '=' -> advance st; MINUSEQ
-        | Some '>' -> advance st; ARROW
-        | _ -> MINUS)
-      | '*' -> two '=' STAREQ STAR
-      | '%' -> two '=' PERCENTEQ PERCENT
-      | '~' -> TILDE
-      | '!' -> two '=' NEQ BANG
-      | '^' -> two '=' CARETEQ CARET
-      | '&' -> (
-        match peek st with
-        | Some '&' -> advance st; ANDAND
-        | Some '=' -> advance st; AMPEQ
-        | _ -> AMP)
-      | '|' -> (
-        match peek st with
-        | Some '|' -> advance st; OROR
-        | Some '=' -> advance st; PIPEEQ
-        | _ -> PIPE)
-      | '<' -> (
-        match peek st with
-        | Some '<' ->
-          advance st;
-          two '=' SHLEQ SHL
-        | Some '=' -> advance st; LE
-        | _ -> LT)
-      | '>' -> (
-        match peek st with
-        | Some '>' ->
-          advance st;
-          two '=' SHREQ SHR
-        | Some '=' -> advance st; GE
-        | _ -> GT)
-      | '=' -> two '=' EQEQ ASSIGN
-      | c -> Loc.error loc "unexpected character %C" c
-    in
-    { tok; loc }
+      skip_while st is_ident_char;
+      let text = String.sub st.src start (st.pos - start) in
+      let tok =
+        match Token.keyword_of_string text with
+        | Some kw -> kw
+        | None -> Token.IDENT text
+      in
+      { tok; loc }
+    | c ->
+      st.pos <- st.pos + 1;
+      let two expected (tok1 : Token.t) (tok0 : Token.t) =
+        if char_at st 0 = expected then begin
+          st.pos <- st.pos + 1;
+          tok1
+        end
+        else tok0
+      in
+      let tok : Token.t =
+        match c with
+        | '(' -> LPAREN
+        | ')' -> RPAREN
+        | '{' -> LBRACE
+        | '}' -> RBRACE
+        | '[' -> LBRACKET
+        | ']' -> RBRACKET
+        | ';' -> SEMI
+        | ',' -> COMMA
+        | ':' -> COLON
+        | '?' -> QUESTION
+        | '.' -> DOT
+        | '+' -> (
+          match char_at st 0 with
+          | '+' -> st.pos <- st.pos + 1; PLUSPLUS
+          | '=' -> st.pos <- st.pos + 1; PLUSEQ
+          | _ -> PLUS)
+        | '-' -> (
+          match char_at st 0 with
+          | '-' -> st.pos <- st.pos + 1; MINUSMINUS
+          | '=' -> st.pos <- st.pos + 1; MINUSEQ
+          | '>' -> st.pos <- st.pos + 1; ARROW
+          | _ -> MINUS)
+        | '*' -> two '=' STAREQ STAR
+        | '%' -> two '=' PERCENTEQ PERCENT
+        | '~' -> TILDE
+        | '!' -> two '=' NEQ BANG
+        | '^' -> two '=' CARETEQ CARET
+        | '&' -> (
+          match char_at st 0 with
+          | '&' -> st.pos <- st.pos + 1; ANDAND
+          | '=' -> st.pos <- st.pos + 1; AMPEQ
+          | _ -> AMP)
+        | '|' -> (
+          match char_at st 0 with
+          | '|' -> st.pos <- st.pos + 1; OROR
+          | '=' -> st.pos <- st.pos + 1; PIPEEQ
+          | _ -> PIPE)
+        | '<' -> (
+          match char_at st 0 with
+          | '<' ->
+            st.pos <- st.pos + 1;
+            two '=' SHLEQ SHL
+          | '=' -> st.pos <- st.pos + 1; LE
+          | _ -> LT)
+        | '>' -> (
+          match char_at st 0 with
+          | '>' ->
+            st.pos <- st.pos + 1;
+            two '=' SHREQ SHR
+          | '=' -> st.pos <- st.pos + 1; GE
+          | _ -> GT)
+        | '=' -> two '=' EQEQ ASSIGN
+        | c -> Loc.error loc "unexpected character %C" c
+      in
+      { tok; loc }
 
 (** Lex an entire source buffer. *)
 let tokenize ~file src : lexed list =

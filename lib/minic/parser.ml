@@ -165,11 +165,12 @@ and parse_cond st =
   end
   else c
 
-and parse_binop_level st ops next =
+(* one precedence level: [op_of] maps the level's tokens to operators *)
+and parse_binop_level st op_of next =
   let lhs = ref (next st) in
   let continue = ref true in
   while !continue do
-    match List.assoc_opt (cur st) ops with
+    match op_of (cur st) with
     | Some op ->
       advance st;
       let rhs = next st in
@@ -178,28 +179,34 @@ and parse_binop_level st ops next =
   done;
   !lhs
 
-and parse_lor st = parse_binop_level st [ (OROR, Ast.Lor) ] parse_land
-and parse_land st = parse_binop_level st [ (ANDAND, Ast.Land) ] parse_bor
-and parse_bor st = parse_binop_level st [ (PIPE, Ast.Bor) ] parse_bxor
-and parse_bxor st = parse_binop_level st [ (CARET, Ast.Bxor) ] parse_band
-and parse_band st = parse_binop_level st [ (AMP, Ast.Band) ] parse_equality
+and parse_lor st = parse_binop_level st (function OROR -> Some Ast.Lor | _ -> None) parse_land
+and parse_land st = parse_binop_level st (function ANDAND -> Some Ast.Land | _ -> None) parse_bor
+and parse_bor st = parse_binop_level st (function PIPE -> Some Ast.Bor | _ -> None) parse_bxor
+and parse_bxor st = parse_binop_level st (function CARET -> Some Ast.Bxor | _ -> None) parse_band
+and parse_band st = parse_binop_level st (function AMP -> Some Ast.Band | _ -> None) parse_equality
 
 and parse_equality st =
-  parse_binop_level st [ (EQEQ, Ast.Eq); (NEQ, Ast.Ne) ] parse_relational
+  parse_binop_level st
+    (function EQEQ -> Some Ast.Eq | NEQ -> Some Ast.Ne | _ -> None)
+    parse_relational
 
 and parse_relational st =
   parse_binop_level st
-    [ (LT, Ast.Lt); (LE, Ast.Le); (GT, Ast.Gt); (GE, Ast.Ge) ]
+    (function
+      | LT -> Some Ast.Lt | LE -> Some Ast.Le | GT -> Some Ast.Gt | GE -> Some Ast.Ge | _ -> None)
     parse_shift
 
-and parse_shift st = parse_binop_level st [ (SHL, Ast.Shl); (SHR, Ast.Shr) ] parse_additive
+and parse_shift st =
+  parse_binop_level st (function SHL -> Some Ast.Shl | SHR -> Some Ast.Shr | _ -> None) parse_additive
 
 and parse_additive st =
-  parse_binop_level st [ (PLUS, Ast.Add); (MINUS, Ast.Sub) ] parse_multiplicative
+  parse_binop_level st
+    (function PLUS -> Some Ast.Add | MINUS -> Some Ast.Sub | _ -> None)
+    parse_multiplicative
 
 and parse_multiplicative st =
   parse_binop_level st
-    [ (STAR, Ast.Mul); (SLASH, Ast.Div); (PERCENT, Ast.Mod) ]
+    (function STAR -> Some Ast.Mul | SLASH -> Some Ast.Div | PERCENT -> Some Ast.Mod | _ -> None)
     parse_unary
 
 and parse_unary st =

@@ -539,7 +539,10 @@ let range_hypotheses aq ~bid (e : Omega.Linexpr.t) : Omega.cstr list =
           lo @ hi)
       (Omega.Linexpr.vars e)
 
-(** Check one shm array access: gep with non-trivial index. *)
+(** Check one shm array access: gep with non-trivial index.  The affine
+    context [ctx] and the range query context [aq] are forced only for a
+    symbolic index into a shared-memory region, the one access that
+    reads them. *)
 let check_bounds st ctx aq (f : Ssair.Ir.func) (i : Ssair.Ir.instr) bid base kind idx =
   let env = st.prog.Ssair.Ir.env in
   let targets = Phase1.shm_targets st.p1 f base in
@@ -597,6 +600,7 @@ let check_bounds st ctx aq (f : Ssair.Ir.func) (i : Ssair.Ir.instr) bid base kin
                   bounds_entry ~rule:"A1" ~discharge:Ledger.Const ~counted:false
                     ~queries:0 ~avoided:0 ~cstrs:0 ~hyps:0 ~itv:None ~ns:0
               | _ ->
+                let ctx = Lazy.force ctx and aq = Lazy.force aq in
                 let tick d = st.bounds <- bounds_add st.bounds d in
                 tick { bounds_zero with bs_total = 1 };
                 let t0 = Telemetry.now_ns () in
@@ -741,12 +745,21 @@ let check_bounds st ctx aq (f : Ssair.Ir.func) (i : Ssair.Ir.instr) bid base kin
                 end)))
         targets
 
+(* range query contexts built: one per function with a symbolic index
+   into a shared-memory region *)
+let c_query_ctx = Telemetry.counter "absint.query_ctx"
+
 let check_arrays st (f : Ssair.Ir.func) =
-  let ctx = mk_affine_ctx f in
-  (* per-function range query context, built lazily so functions without
-     array accesses never pay for the dominator tree *)
+  (* per-function contexts, built lazily so functions without a symbolic
+     shared-memory index never pay for their dominator trees *)
+  let ctx = lazy (mk_affine_ctx f) in
   let aq =
-    lazy (Option.map (fun ai -> Absint.query_ctx ai f) st.absint)
+    lazy
+      (Option.map
+         (fun ai ->
+           Telemetry.incr c_query_ctx;
+           Absint.query_ctx ai f)
+         st.absint)
   in
   List.iter
     (fun (b : Ssair.Ir.block) ->
@@ -754,7 +767,7 @@ let check_arrays st (f : Ssair.Ir.func) =
         (fun (i : Ssair.Ir.instr) ->
           match i.Ssair.Ir.idesc with
           | Ssair.Ir.Gep { base; kind; idx } ->
-            check_bounds st ctx (Lazy.force aq) f i b.Ssair.Ir.bbid base kind idx
+            check_bounds st ctx aq f i b.Ssair.Ir.bbid base kind idx
           | _ -> ())
         b.Ssair.Ir.instrs)
     f.Ssair.Ir.blocks

@@ -80,6 +80,9 @@ type brinfo = {
       (** blocks ending in [Cbr]/[Switch] on a register: block, cond
           vid, and the blocks transitively control-dependent on the
           block (as a set — member order is not meaningful) *)
+  br_decided : bool array;
+      (** by block id: the block's branch is decided by the value
+          ranges; empty when none is *)
 }
 
 (** What phase 3 reads of the program and the earlier phases, plus the
@@ -118,10 +121,9 @@ let make_inputs ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Sh
    direction takes the same successor in every concrete execution, so it
    exerts no control dependence.  Pruning it is precision-only: findings
    can disappear, never appear. *)
-let branch_decided inp (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
-  match inp.absint with
-  | None -> false
-  | Some ai -> Absint.dead_branch ai ~fname:f.Ssair.Ir.fname ~bid:b.Ssair.Ir.bbid <> None
+let decided_in table bid = bid < Array.length table && table.(bid)
+
+let branch_decided (bi : brinfo) (bid : Ssair.Ir.bid) : bool = decided_in bi.br_decided bid
 
 (** Memoized {!brinfo} of [f].  Pure with respect to the taint state;
     it writes the memo tables, so it must not run on two domains at
@@ -130,11 +132,22 @@ let branch_info inp (f : Ssair.Ir.func) : brinfo =
   match Hashtbl.find_opt inp.brinfos f.fname with
   | Some bi -> bi
   | None ->
+    let br_decided =
+      match inp.absint with
+      | None -> [||]
+      | Some ai -> (
+        match Absint.decided_branches ai ~fname:f.fname with
+        | [] -> [||]
+        | bids ->
+          let a = Array.make (1 + List.fold_left max 0 bids) false in
+          List.iter (fun bid -> a.(bid) <- true) bids;
+          a)
+    in
     let br_branches =
       List.filter_map
         (fun (b : Ssair.Ir.block) ->
           (* decided branches exert no control dependence *)
-          if branch_decided inp f b then None
+          if decided_in br_decided b.Ssair.Ir.bbid then None
           else
             match b.Ssair.Ir.termin with
             | Ssair.Ir.Cbr (Ssair.Ir.Vreg id, _, _)
@@ -178,7 +191,7 @@ let branch_info inp (f : Ssair.Ir.func) : brinfo =
             (bB, id, bids))
           br_branches
     in
-    let bi = { br_branches } in
+    let bi = { br_branches; br_decided } in
     Hashtbl.replace inp.brinfos f.fname bi;
     bi
 

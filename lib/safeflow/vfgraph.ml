@@ -230,10 +230,13 @@ let create (inp : Phase3.inputs) =
   let whys = Intern.create 64 in
   (* size the flat stores from the function count so typical runs never
      grow mid-build (≈10 entities and ≈15 edges per function in
-     practice); everything still grows on demand for denser programs *)
+     practice); everything still grows on demand for denser programs.
+     The floor stays small: a small program (a fleet member) would
+     otherwise allocate, and leave for the major collector, some 13k
+     words of stores it never fills *)
   let nfuncs = List.length inp.Phase3.prog.Ssair.Ir.funcs in
-  let ecap = max 1024 (10 * nfuncs) in
-  let edgecap = max 1024 (14 * nfuncs) in
+  let ecap = max 64 (10 * nfuncs) in
+  let edgecap = max 64 (14 * nfuncs) in
   let bucket tbl fname k v =
     let t =
       match Hashtbl.find_opt tbl fname with
@@ -281,7 +284,7 @@ let create (inp : Phase3.inputs) =
     finfos = Hashtbl.create (2 * nfuncs);
     pairs_seen = Intern.Packed.create (2 * nfuncs);
     pending = Queue.create ();
-    wl = Array.make (max 1024 (ecap / 2)) 0;
+    wl = Array.make (max 64 (ecap / 2)) 0;
     wl_head = 0;
     wl_tail = 0;
     ekeys = Array.make ecap 0;
@@ -695,7 +698,7 @@ let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
                   match pblk.Ssair.Ir.termin with
                   | Ssair.Ir.Cbr (Ssair.Ir.Vreg cvid, _, _)
                   | Ssair.Ir.Switch (Ssair.Ir.Vreg cvid, _, _) ->
-                    if not (Phase3.branch_decided inp f pblk) then
+                    if not (Phase3.branch_decided fi.fi_bi pblk.Ssair.Ir.bbid) then
                       edge (eval cvid) self many_ctrl why
                   | _ -> ())
                 | None -> ())

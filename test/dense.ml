@@ -80,7 +80,10 @@ let analyze_pair st (f : Ssair.Ir.func) (ctx : Ctx.t) =
                      match pblk.Ssair.Ir.termin with
                      | Ssair.Ir.Cbr (Ssair.Ir.Vreg cid, _, _)
                      | Ssair.Ir.Switch (Ssair.Ir.Vreg cid, _, _) ->
-                       (not (branch_decided st.inp f pblk))
+                       (match st.inp.absint with
+                       | None -> true
+                       | Some ai ->
+                         Absint.dead_branch ai ~fname ~bid:pblk.Ssair.Ir.bbid = None)
                        &&
                        let ce = Eval (fname, ctx, cid) in
                        data_tainted st ce || ctrl_tainted st ce

@@ -1,8 +1,9 @@
 (* Value-range abstract interpretation (lib/absint): interval lattice
    laws, widening termination, branch refinement via dead-branch
-   detection, the precision-only guarantee on the five subject systems
-   (absint-on findings are a fingerprint subset of absint-off), and the
-   A1/A2 discharge evidence on generic_simplex. *)
+   detection, the dense engine against the hash-table oracle
+   (absint_oracle.ml), the precision-only guarantee on the five subject
+   systems (absint-on findings are a fingerprint subset of absint-off),
+   and the A1/A2 discharge evidence on generic_simplex. *)
 
 open Safeflow
 module Itv = Absint.Itv
@@ -267,6 +268,111 @@ let test_systems_one_fixpoint_per_input () =
         (Hashtbl.fold (fun _ n acc -> acc + n) calls 0))
     all_systems
 
+(* -- the dense engine against the oracle --------------------------------- *)
+
+let pp_view ppf (v : Absint.summary_view) =
+  Fmt.pf ppf "%s: params [%a] ret %a raw %a env [%a]" v.Absint.sv_func
+    Fmt.(list ~sep:semi (pair ~sep:sp string Itv.pp))
+    v.Absint.sv_params Itv.pp v.Absint.sv_ret Itv.pp v.Absint.sv_ret_raw
+    Fmt.(list ~sep:semi (pair ~sep:(any "=") int Itv.pp))
+    v.Absint.sv_env
+
+(* The first disagreement between the library and the oracle on [ir], if
+   any: per function the summary view, the decided branch of every
+   block, and the range of every SSA value and parameter at every
+   block. *)
+let oracle_diff (ir : Ssair.Ir.program) : string option =
+  let lib = Absint.analyze ir and ora = Absint_oracle.analyze ir in
+  let views_l = Absint.summary_views lib and views_o = Absint_oracle.summary_views ora in
+  let exception Diff of string in
+  let differ fmt = Fmt.kstr (fun m -> raise (Diff m)) fmt in
+  try
+    if List.length views_l <> List.length views_o then
+      differ "%d summaries against %d" (List.length views_l) (List.length views_o);
+    List.iter2
+      (fun l o -> if l <> o then differ "summary@.  library %a@.  oracle  %a" pp_view l pp_view o)
+      views_l views_o;
+    if Absint.iterations lib > Absint_oracle.iterations ora then
+      differ "%d passes against the oracle's %d" (Absint.iterations lib)
+        (Absint_oracle.iterations ora);
+    List.iter
+      (fun (f : Ssair.Ir.func) ->
+        let fname = f.Ssair.Ir.fname in
+        let ql = Absint.query_ctx lib f and qo = Absint_oracle.query_ctx ora f in
+        let values =
+          List.map (fun (p, _) -> Ssair.Ir.Vparam p) f.Ssair.Ir.fparams
+          @ List.map (fun (p : Ssair.Ir.phi) -> Ssair.Ir.Vreg p.Ssair.Ir.pid) (Ssair.Ir.all_phis f)
+          @ List.filter_map
+              (fun (i : Ssair.Ir.instr) ->
+                if Ssair.Ir.defines i then Some (Ssair.Ir.Vreg i.Ssair.Ir.iid) else None)
+              (Ssair.Ir.all_instrs f)
+        in
+        List.iter
+          (fun (b : Ssair.Ir.block) ->
+            let bid = b.Ssair.Ir.bbid in
+            if Absint.dead_branch lib ~fname ~bid <> Absint_oracle.dead_branch ora ~fname ~bid then
+              differ "%s b%d: decided branch" fname bid;
+            List.iter
+              (fun v ->
+                let l = Absint.range_of_value ql ~at:bid v
+                and o = Absint_oracle.range_of_value qo ~at:bid v in
+                if not (Itv.equal l o) then
+                  differ "%s b%d %a: %a against %a" fname bid Ssair.Ir.pp_value v Itv.pp l Itv.pp o)
+              values)
+          f.Ssair.Ir.blocks)
+      ir.Ssair.Ir.funcs;
+    None
+  with Diff m -> Some m
+
+let check_oracle name ir =
+  match oracle_diff ir with None -> () | Some d -> Alcotest.failf "%s: %s" name d
+
+let test_oracle_systems () =
+  List.iter (fun name -> check_oracle name (Driver.prepare_file (find_system name)).Driver.ir)
+    all_systems
+
+let test_oracle_synth () =
+  List.iter
+    (fun seed ->
+      let p = Driver.prepare_source ~file:"synth32.c" (Synth.of_size ~seed 32) in
+      check_oracle (Fmt.str "synth seed %d" seed) p.Driver.ir)
+    [ 1; 2; 3 ]
+
+(* the random body twice: as main's, and as a callee's over its
+   parameters, so call sites feed argument and return ranges *)
+let wrap_with_callee (p : Sprog.t) =
+  Fmt.str
+    "int step(int x, int y) { %s return x * 31 + y; }\n\
+     int main() { int x = 3; int y = 17; %s return step(x, y) + step(y, 4); }"
+    p.Sprog.body p.Sprog.body
+
+let prop_oracle_random =
+  QCheck.Test.make ~name:"random programs agree with the oracle" ~count:100 Sprog.arbitrary
+    (fun p ->
+      let ir = (Driver.prepare_source ~file:"random.c" (wrap_with_callee p)).Driver.ir in
+      match oracle_diff ir with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "differs from the oracle: %s" d)
+
+(* -- phase 2 builds a range query context only for an obligation -------- *)
+
+let query_ctxs src ~file =
+  let c = Telemetry.counter "absint.query_ctx" in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let before = Telemetry.value c in
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled was)
+    (fun () -> ignore (Driver.analyze ~file src));
+  Telemetry.value c - before
+
+let test_query_ctx_on_demand () =
+  Alcotest.(check int) "synth 32: no symbolic shared index, no context" 0
+    (query_ctxs ~file:"synth32.c" (Synth.of_size ~seed:1 32));
+  let path = find_system "generic_simplex.c" in
+  Alcotest.(check bool) "generic_simplex: one per function with an obligation" true
+    (query_ctxs ~file:path (Minic.Loc.read_source path) >= 1)
+
 let () =
   Alcotest.run "absint"
     [ ( "interval lattice",
@@ -281,7 +387,13 @@ let () =
           Alcotest.test_case "synth 32: one fixpoint per function" `Quick
             test_synth_one_fixpoint_per_function;
           Alcotest.test_case "five systems: one fixpoint per distinct input" `Quick
-            test_systems_one_fixpoint_per_input ] );
+            test_systems_one_fixpoint_per_input;
+          Alcotest.test_case "phase 2 builds query contexts on demand" `Quick
+            test_query_ctx_on_demand ] );
+      ( "oracle",
+        [ Alcotest.test_case "five systems" `Quick test_oracle_systems;
+          Alcotest.test_case "synth seeds 1-3" `Quick test_oracle_synth;
+          QCheck_alcotest.to_alcotest prop_oracle_random ] );
       ( "reports",
         [ Alcotest.test_case "clamp control dep pruned" `Quick
             test_clamp_control_dep_pruned;

@@ -404,45 +404,11 @@ let test_cdg_infinite_loop_tolerated () =
 
 (* -- Property tests ----------------------------------------------------------- *)
 
-(* random structured programs: lower → mem2reg → verifier passes and the
-   interpreted result matches the pre-SSA interpretation *)
-type sprog = { body : string; }
+(* random structured programs (Sprog): lower → mem2reg → verifier passes
+   and the interpreted result matches the pre-SSA interpretation *)
+let arb_sprog = Sprog.arbitrary
 
-let gen_stmt_src =
-  let open QCheck.Gen in
-  let expr_leaf = oneof [ map (fun n -> string_of_int (abs n mod 100)) small_int; return "x"; return "y" ] in
-  let expr =
-    let* a = expr_leaf and* b = expr_leaf and* op = oneofl [ "+"; "-"; "*" ] in
-    return (Fmt.str "(%s %s %s)" a op b)
-  in
-  let assign =
-    let* v = oneofl [ "x"; "y" ] and* e = expr in
-    return (Fmt.str "%s = %s;" v e)
-  in
-  let rec stmt n =
-    if n <= 0 then assign
-    else
-      frequency
-        [ (3, assign);
-          ( 1,
-            let* c = expr and* s1 = stmt (n / 2) and* s2 = stmt (n / 2) in
-            return (Fmt.str "if (%s > 0) { %s } else { %s }" c s1 s2) );
-          ( 1,
-            let* s1 = stmt (n / 2) and* s2 = stmt (n / 2) in
-            return (Fmt.str "%s %s" s1 s2) );
-          ( 1,
-            let* c = expr and* s1 = stmt (n / 2) in
-            (* bounded loop via the counter k *)
-            return
-              (Fmt.str "{ int k = 0; while (k < 5 && (%s) > -999999) { %s k++; } }" c s1) ) ]
-  in
-  let* body = stmt 6 in
-  return { body }
-
-let arb_sprog = QCheck.make ~print:(fun p -> p.body) gen_stmt_src
-
-let wrap_prog p =
-  Fmt.str "int main() { int x = 3; int y = 17; %s return x * 31 + y; }" p.body
+let wrap_prog = Sprog.wrap_main
 
 let prop_random_programs_verify =
   QCheck.Test.make ~name:"random programs: SSA verifies" ~count:120 arb_sprog (fun p ->

@@ -74,6 +74,32 @@ let test_lex_error_position () =
     Alcotest.(check int) "col" 3 loc.Loc.col
   | _ -> Alcotest.fail "expected lex error"
 
+(* every token's line:col over each kind of skipped text: spaces, tabs,
+   CRLF line ends (the CR counts as a column), line comments, a
+   preprocessor line, a block comment spanning a CRLF, an annotation
+   comment (located at its opening slash) and a block comment inside a
+   line *)
+let test_lex_positions () =
+  let src =
+    "#define N 4\r\n\
+     int\tx = 1; // c1\r\n\
+     \  /* plain\r\n\
+     \   comment */ y\n\
+     /*** SafeFlow Annotation shminit ***/\tz;\n\
+     \t\tw /* a */ = 2;"
+  in
+  let got =
+    List.map
+      (fun (l : Lexer.lexed) ->
+        let tok = match l.Lexer.tok with Token.ANNOT _ -> "ANNOT" | t -> Token.to_string t in
+        Fmt.str "%s@%d:%d" tok l.Lexer.loc.Loc.line l.Lexer.loc.Loc.col)
+      (Lexer.tokenize ~file:"<t>" src)
+  in
+  Alcotest.(check (list string)) "token positions"
+    [ "int@2:1"; "x@2:5"; "=@2:7"; "1@2:9"; ";@2:10"; "y@4:15"; "ANNOT@5:1"; "z@5:39";
+      ";@5:40"; "w@6:3"; "=@6:13"; "2@6:15"; ";@6:16"; "<eof>@6:17" ]
+    got
+
 let test_lex_literal_range () =
   List.iter
     (fun (src, col) ->
@@ -486,6 +512,7 @@ let () =
           Alcotest.test_case "string escapes" `Quick test_lex_string_escape;
           Alcotest.test_case "preprocessor skipped" `Quick test_lex_preprocessor_skipped;
           Alcotest.test_case "error position" `Quick test_lex_error_position;
+          Alcotest.test_case "token positions" `Quick test_lex_positions;
           Alcotest.test_case "literal out of range" `Quick test_lex_literal_range ] );
       ( "annotations",
         [ Alcotest.test_case "assume core" `Quick test_annot_core;

@@ -484,6 +484,23 @@ let test_trace_multi_pid () =
 let ledger_systems =
   [ "ip_controller.c"; "generic_simplex.c"; "double_ip.c"; "figure2.c"; "car_follow.c" ]
 
+(* The absint span accounts for itself cheaply: on synth-384 it has
+   three bookkeeping children (the call graph, then each interprocedural
+   pass, with the per-function spans nested inside), and they cover at
+   least 90 % of its time. *)
+let test_absint_span_coverage () =
+  fresh ();
+  ignore (Driver.analyze ~file:"synth384.c" (Synth.of_size ~seed:1 384));
+  let spans = Telemetry.spans () in
+  let absint = List.find (fun s -> s.Telemetry.s_name = "absint") spans in
+  let children = List.filter (fun s -> s.Telemetry.s_parent = absint.Telemetry.s_id) spans in
+  Alcotest.(check (list string)) "children of absint"
+    [ "absint.bookkeeping"; "absint.bookkeeping"; "absint.bookkeeping" ]
+    (List.map (fun s -> s.Telemetry.s_name) children);
+  let covered = List.fold_left (fun acc s -> Int64.add acc s.Telemetry.s_dur_ns) 0L children in
+  let share = Int64.to_float covered /. Int64.to_float absint.Telemetry.s_dur_ns in
+  if share < 0.9 then Alcotest.failf "children cover %.1f %% of absint" (100. *. share)
+
 let test_ledger_reconcile name () =
   let src = read_file (find_system name) in
   List.iter
@@ -627,6 +644,9 @@ let () =
           (fun name ->
             Alcotest.test_case name `Quick (test_ledger_reconcile name))
           ledger_systems );
+      ( "spans",
+        [ Alcotest.test_case "absint children cover its time" `Quick
+            (cleanup test_absint_span_coverage) ] );
       ( "events",
         [ Alcotest.test_case "constructors parse" `Quick test_events_parse ] );
       ( "progress",
