@@ -121,11 +121,12 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "cache" ] ~docv:"DIR"
           ~doc:
-            "content-addressed analysis cache directory (created if missing); reruns of \
-             unchanged sources skip phases 1-3, edits reuse the value-range summaries \
-             of unaffected functions.  Stale or corrupt entries are discarded and recomputed (counted \
-             in --stats, reported per file with --verbose); reports are identical with \
-             and without the cache")
+            "content-addressed analysis cache directory (created if missing); a rerun of \
+             an unchanged source under the same options reads its result and runs no \
+             analysis, an edit reuses the value-range summaries of unaffected functions.  \
+             Stale or corrupt entries are discarded and recomputed (counted in --stats, \
+             reported per file with --verbose); reports are identical with and without \
+             the cache")
   in
   let verbose =
     Arg.(
@@ -218,7 +219,8 @@ let analyze_cmd =
             files analyses;
           (match (vfg, analyses) with
           | Some path, [ a ] ->
-            write_output path (fun p -> Safeflow.Vfg.write_dot p a.Safeflow.Driver.phase3);
+            write_output path (fun p ->
+                Safeflow.Vfg.write_dot p (Lazy.force a.Safeflow.Driver.detail).Safeflow.Driver.phase3);
             Fmt.pr "value-flow graph written to %s@." path
           | Some _, _ -> Fmt.epr "--vfg ignored: more than one input file@."
           | None, _ -> ());
@@ -252,8 +254,7 @@ let analyze_cmd =
               (fun file (a : Safeflow.Driver.analysis) ->
                 ( file,
                   a.Safeflow.Driver.report,
-                  Safeflow.Fingerprint.ctx_of_program
-                    a.Safeflow.Driver.prepared.Safeflow.Driver.ir,
+                  a.Safeflow.Driver.fingerprints,
                   Some a.Safeflow.Driver.coverage ))
               files analyses,
             List.map2
@@ -513,8 +514,8 @@ let audit_cmd =
       & opt (some string) None
       & info [ "cache" ] ~docv:"DIR"
           ~doc:
-            "content-addressed analysis cache directory; ledger entries ride the \
-             per-function cache, so a warm audit reconciles exactly like a cold one")
+            "content-addressed analysis cache directory; the ledger rides the cached \
+             analysis, so a warm audit reconciles exactly like a cold one")
   in
   let pp_entry ppf (e : Safeflow.Ledger.entry) =
     Fmt.pf ppf "%-7s %-24s %-12s %-12s" e.Safeflow.Ledger.l_rule
@@ -801,10 +802,10 @@ let initcheck_cmd =
   in
   let run file =
     try
-      let a = Safeflow.Driver.analyze_file file in
+      let d = Lazy.force (Safeflow.Driver.analyze_file file).Safeflow.Driver.detail in
       let layout =
-        Safeflow.Shm.run_init_check a.Safeflow.Driver.prepared.Safeflow.Driver.ir
-          a.Safeflow.Driver.shm
+        Safeflow.Shm.run_init_check d.Safeflow.Driver.prepared.Safeflow.Driver.ir
+          d.Safeflow.Driver.shm
       in
       Fmt.pr "InitCheck passed; shared-memory layout:@.";
       List.iter (fun (n, off, sz) -> Fmt.pr "  %-16s offset %5d size %5d@." n off sz) layout
@@ -863,10 +864,8 @@ let diff_cmd =
       Safeflow.Diffreport.parse content
     else begin
       let a = Safeflow.Driver.analyze ~config ~file content in
-      let ctx =
-        Safeflow.Fingerprint.ctx_of_program a.Safeflow.Driver.prepared.Safeflow.Driver.ir
-      in
-      Safeflow.Diffreport.entries_of_report ctx ~file a.Safeflow.Driver.report
+      Safeflow.Diffreport.entries_of_report a.Safeflow.Driver.fingerprints ~file
+        a.Safeflow.Driver.report
     end
   in
   let run old_file new_file fail_on =
@@ -929,9 +928,8 @@ let fleet_cmd =
       & info [ "cache" ] ~docv:"DIR"
           ~doc:
             "shared content-addressed cache directory (created if missing).  Safe under \
-             concurrent multi-process access; content-identical members are \
-             analyzed once fleet-wide (cross-system hits are reported in the \
-             summary line).")
+             concurrent multi-process access; identical members are analyzed once \
+             fleet-wide (cross-system hits are reported in the summary line).")
   in
   let source_label =
     Arg.(
@@ -939,9 +937,9 @@ let fleet_cmd =
       & opt string "<system>"
       & info [ "source-label" ] ~docv:"LABEL"
           ~doc:
-            "normalized source label every member is analyzed under, so \
-             content-identical functions from different members key identically in the \
-             cache.  Findings and baselines still carry each member's real path.")
+            "normalized source label every member is analyzed under, so identical \
+             members key identically in the cache.  Findings and baselines still carry \
+             each member's real path.")
   in
   let print_reports =
     Arg.(
@@ -1169,10 +1167,9 @@ let fleet_cmd =
     (Cmd.info "fleet"
        ~doc:
          "analyze a fleet of member systems sharded across processes and domains over \
-          one shared content-addressed cache.  Content-identical functions from \
-          different members are analyzed once fleet-wide; reports are byte-identical to \
-          per-member sequential runs.  Exit codes as for $(b,analyze), applied to the \
-          union of all members' findings.")
+          one shared content-addressed cache.  Identical members are analyzed once \
+          fleet-wide; reports are byte-identical to per-member sequential runs.  Exit \
+          codes as for $(b,analyze), applied to the union of all members' findings.")
     Term.(const run $ dir $ manifest $ jobs $ shard_domains $ cache_dir
           $ absint_arg $ source_label $ print_reports $ save_findings $ baseline
           $ fail_on_arg $ progress_flag $ no_progress $ log_json $ verbose

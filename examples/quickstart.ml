@@ -27,15 +27,16 @@ let () =
 
   (* run the paper's InitCheck: simulate the initializing function and
      verify the declared regions do not overlap *)
+  let d = Lazy.force a.Safeflow.Driver.detail in
   let layout =
-    Safeflow.Shm.run_init_check a.Safeflow.Driver.prepared.Safeflow.Driver.ir
-      a.Safeflow.Driver.shm
+    Safeflow.Shm.run_init_check d.Safeflow.Driver.prepared.Safeflow.Driver.ir
+      d.Safeflow.Driver.shm
   in
   Fmt.pr "@.InitCheck: region layout verified:@.";
   List.iter (fun (n, off, sz) -> Fmt.pr "  %-14s offset %3d size %3d@." n off sz) layout;
 
   (* export the value-flow graph used for manual review of reports *)
-  Safeflow.Vfg.write_dot "figure2_vfg.dot" a.Safeflow.Driver.phase3;
+  Safeflow.Vfg.write_dot "figure2_vfg.dot" d.Safeflow.Driver.phase3;
   Fmt.pr "@.value-flow graph written to figure2_vfg.dot@.";
 
   (* demonstrate the fix: the same controller with a monitored local copy

@@ -45,7 +45,7 @@ let core_pid = 1000L
 let run_system ~attack_at ~steps () =
   let file = find "systems/ip_controller.c" in
   let a = Safeflow.Driver.analyze_file file in
-  let ir = a.Safeflow.Driver.prepared.Safeflow.Driver.ir in
+  let ir = (Lazy.force a.Safeflow.Driver.detail).Safeflow.Driver.prepared.Safeflow.Driver.ir in
   let env = ir.Ssair.Ir.env in
   let plant = Plant.inverted_pendulum () in
   let w =

@@ -62,8 +62,6 @@ type key =
 type t = {
   pts : (key, Tset.t) Hashtbl.t;
   heap : (Node.t, Tset.t) Hashtbl.t;
-  prog : Ssair.Ir.program;
-  shm_regions : (string, unit) Hashtbl.t;  (** globals treated as shm region handles *)
 }
 
 let pts_get t k = Option.value ~default:Tset.empty (Hashtbl.find_opt t.pts k)
@@ -104,9 +102,9 @@ let value_pts t (f : Ssair.Ir.func) (v : Ssair.Ir.value) : Tset.t =
   | Ssair.Ir.Vstr s -> Tset.singleton { Target.node = Node.Nstr s; off = Offset.Byte 0 }
   | Ssair.Ir.Vint _ | Ssair.Ir.Vfloat _ | Ssair.Ir.Vundef _ -> Tset.empty
 
-(** One propagation pass over an instruction; returns true on any change. *)
-let transfer t find (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
-  let env = t.prog.Ssair.Ir.env in
+(** One propagation pass over an instruction; returns true on any change.
+    [env] is the program's type environment. *)
+let transfer t env find (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
   let changed = ref false in
   let ( <+ ) k s = if pts_add t k s then changed := true in
   let self = Kreg (f.fname, i.Ssair.Ir.iid) in
@@ -180,44 +178,27 @@ let transfer t find (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
         self <+ Tset.singleton { Target.node = ext; off = Offset.Top }));
   !changed
 
-let transfer_term t (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
+let transfer_term t env (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
   match b.Ssair.Ir.termin with
   | Ssair.Ir.Ret (Some v) ->
-    if is_pointer t.prog.Ssair.Ir.env f.Ssair.Ir.fret then pts_add t (Kret f.Ssair.Ir.fname) (value_pts t f v)
+    if is_pointer env f.Ssair.Ir.fret then pts_add t (Kret f.Ssair.Ir.fname) (value_pts t f v)
     else false
   | _ -> false
 
-let transfer_phis t (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
+let transfer_phis t env (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
   List.fold_left
     (fun changed (p : Ssair.Ir.phi) ->
-      if is_pointer t.prog.Ssair.Ir.env p.Ssair.Ir.pty then
+      if is_pointer env p.Ssair.Ir.pty then
         List.fold_left
           (fun ch (_, v) -> pts_add t (Kreg (f.fname, p.Ssair.Ir.pid)) (value_pts t f v) || ch)
           changed p.Ssair.Ir.incoming
       else changed)
     false b.Ssair.Ir.phis
 
-type facts = t
-
-let no_program =
-  { Ssair.Ir.env = Minic.Ty.empty_env (); globals = []; externs = []; funcs = [] }
-
-let facts t = { t with prog = no_program }
-
-let of_facts prog (f : facts) = { f with prog }
-
 (** Run the analysis to fixpoint. *)
 let analyze (prog : Ssair.Ir.program) : t =
-  let t =
-    {
-      pts = Hashtbl.create 256;
-      heap = Hashtbl.create 64;
-      prog;
-      shm_regions = Hashtbl.create 8;
-    }
-  in
-  (* the index stays out of [t]: a closure would make it unmarshallable *)
-  let find = Ssair.Ir.func_index prog in
+  let t = { pts = Hashtbl.create 256; heap = Hashtbl.create 64 } in
+  let env = prog.Ssair.Ir.env and find = Ssair.Ir.func_index prog in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -225,9 +206,9 @@ let analyze (prog : Ssair.Ir.program) : t =
       (fun f ->
         List.iter
           (fun b ->
-            if transfer_phis t f b then changed := true;
-            List.iter (fun i -> if transfer t find f i then changed := true) b.Ssair.Ir.instrs;
-            if transfer_term t f b then changed := true)
+            if transfer_phis t env f b then changed := true;
+            List.iter (fun i -> if transfer t env find f i then changed := true) b.Ssair.Ir.instrs;
+            if transfer_term t env f b then changed := true)
           f.Ssair.Ir.blocks)
       prog.Ssair.Ir.funcs
   done;

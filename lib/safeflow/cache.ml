@@ -42,8 +42,14 @@
    key.
    Version 11: the IR a "prepared" entry holds is built in SSA form
    directly while lowering, so its phi ids and phi operand order differ
-   from version 10's. *)
-let format_version = 11
+   from version 10's.
+   Version 12: the five whole-program namespaces ("prepared", "phase1",
+   "phase2", "pointsto", "phase3") are gone; one "analysis" entry per
+   analysed input, keyed on the source key and the semantic
+   configuration, holds the report (every phase-2 info included), the
+   coverage, the ledger and the fingerprint context.  "absint" and
+   "latest" are unchanged. *)
+let format_version = 12
 
 let magic = "SAFEFLOW-CACHE"
 
@@ -89,17 +95,22 @@ type t = {
 (* Telemetry counter inventory.  The namespaces are known statically, so
    registering them here makes every "cache.<ns>.<outcome>" key present
    (as 0) in any stats snapshot — the CI schema check relies on that.
-   Unknown namespaces still register lazily inside [count]. *)
+   Unknown namespaces still register lazily inside [count].  Besides the
+   lookup outcomes, each namespace counts the bytes it read from disk
+   (every file opened, hit or not) and the files and bytes it published. *)
 let tele_counter ns outcome = Telemetry.counter (Printf.sprintf "cache.%s.%s" ns outcome)
 
-let outcomes = [ "hits"; "misses"; "stale"; "corrupt" ]
+let outcomes =
+  [ "hits"; "misses"; "stale"; "corrupt"; "bytes_read"; "files_written"; "bytes_written" ]
 
 let c_cross_hits = Telemetry.counter "cache.cross_hits"
 
 let () =
   List.iter
     (fun ns -> List.iter (fun o -> ignore (tele_counter ns o)) outcomes)
-    [ "prepared"; "phase1"; "phase2"; "pointsto"; "phase3"; "absint"; "latest" ]
+    [ "analysis"; "absint"; "latest" ]
+
+let tele_add ns what n = if Telemetry.enabled () then Telemetry.add (tele_counter ns what) n
 
 (* -- origin tracking ------------------------------------------------------------
 
@@ -245,6 +256,7 @@ let read_disk t ns key : entry outcome =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () ->
             try
+              tele_add ns "bytes_read" (in_channel_length ic);
               let expected = really_input_string ic digest_len in
               if not (String.equal (Digest.to_hex (Digest.channel ic (-1))) expected) then
                 Corrupt
@@ -292,10 +304,10 @@ let read_disk t ns key : entry outcome =
    on the same descriptor, and patched into the placeholder at the head
    of the file.  Only the output channel is closed; the input channel is
    left to the GC, which frees its buffer without touching the
-   descriptor. *)
+   descriptor.  Returns the file's size. *)
 let tmp_seq = Atomic.make 0
 
-let write_file path (e : entry) h =
+let write_file path (e : entry) h : int =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644 in
   let oc = Unix.out_channel_of_descr fd in
   try
@@ -306,12 +318,14 @@ let write_file path (e : entry) h =
        it skips the sharing-detection table that dominated store time *)
     Marshal.to_channel oc e.e_v [ Marshal.No_sharing ];
     flush oc;
+    let size = pos_out oc in
     let ic = Unix.in_channel_of_descr fd in
     seek_in ic digest_len;
     let digest = Digest.to_hex (Digest.channel ic (-1)) in
     seek_out oc 0;
     output_string oc digest;
-    close_out oc
+    close_out oc;
+    size
   with ex ->
     close_out_noerr oc;
     raise ex
@@ -331,10 +345,14 @@ let write_disk t ns key ~replace (e : entry) =
           (Atomic.fetch_and_add tmp_seq 1)
       in
       try
-        write_file tmp e
-          { h_magic = magic; h_version = format_version; h_ocaml = Sys.ocaml_version;
-            h_ns = ns; h_key = key; h_origin = e.e_origin };
+        let size =
+          write_file tmp e
+            { h_magic = magic; h_version = format_version; h_ocaml = Sys.ocaml_version;
+              h_ns = ns; h_key = key; h_origin = e.e_origin }
+        in
         Sys.rename tmp path;
+        tele_add ns "files_written" 1;
+        tele_add ns "bytes_written" size;
         true
       with _ ->
         (try Sys.remove tmp with Sys_error _ -> ());
@@ -364,8 +382,11 @@ let find t ~ns ~key : 'a option =
           | Hit e -> Some (Obj.obj e.e_v)
           | Absent | Stale | Corrupt -> None))
 
+let h_store = Telemetry.histogram "cache.store"
+
 let store ?(replace = false) t ~ns ~key v =
-  Telemetry.span "cache.store" ~args:[ ("ns", ns) ] (fun () ->
+  Telemetry.span "cache.store" ~args:[ ("ns", ns) ] @@ fun () ->
+  Telemetry.time_hist h_store (fun () ->
       let e = { e_v = Obj.repr v; e_origin = current_origin () } in
       let k = ns ^ ":" ^ key in
       locked t (fun () ->

@@ -322,12 +322,12 @@ let certify_omega_side ~fuel ~doms ~inds ~hyps goal :
         (Side_unreplayable
            "Omega verdict not replayable by the independent refuter"))
 
-let obligation_certs ~(config : Config.t) (an : Driver.analysis) :
+let obligation_certs ~(config : Config.t) (d : Driver.detail) :
     (string * string * J.t) list * (string * string) list =
   if not config.Config.check_restrictions then ([], [])
   else begin
-    let prog = an.Driver.prepared.Driver.ir in
-    let p1 = an.Driver.phase1 in
+    let prog = d.Driver.prepared.Driver.ir in
+    let p1 = d.Driver.phase1 in
     let fuel = config.Config.omega_fuel in
     let certs = ref [] and skipped = ref [] in
     let seq_tbl = Hashtbl.create 32 in
@@ -450,7 +450,7 @@ let obligation_certs ~(config : Config.t) (an : Driver.analysis) :
       (fun (f : Ssair.Ir.func) ->
         if not (Phase1.is_exempt p1 f.Ssair.Ir.fname) then begin
           let aq =
-            lazy (Option.map (fun ai -> Absint.query_ctx ai f) an.Driver.absint)
+            lazy (Option.map (fun ai -> Absint.query_ctx ai f) d.Driver.absint)
           in
           List.iter
             (fun (b : Ssair.Ir.block) ->
@@ -579,8 +579,8 @@ type summary = {
   cs_skipped : (string * string) list;
 }
 
-let regions_of (an : Driver.analysis) =
-  List.map (fun (r : Shm.region) -> (r.Shm.r_name, r.Shm.r_size)) an.Driver.shm.Shm.regions
+let regions_of (d : Driver.detail) =
+  List.map (fun (r : Shm.region) -> (r.Shm.r_name, r.Shm.r_size)) d.Driver.shm.Shm.regions
 
 let mkdir_p dir =
   let rec go d =
@@ -598,11 +598,12 @@ let write_file path body =
 
 let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
     (summary, string) result =
-  let ir = an.Driver.prepared.Driver.ir in
+  let d = Lazy.force an.Driver.detail in
+  let ir = d.Driver.prepared.Driver.ir in
   let digests = Digest_ir.of_program ir in
   (* every certificate, in report order: findings and witnesses first
      (keyed by fingerprint), then P1–P3 sites, then A1/A2 obligations *)
-  let fp_ctx = Fingerprint.ctx_of_program ir in
+  let fp_ctx = an.Driver.fingerprints in
   let finding_certs =
     let seen = Hashtbl.create 64 in
     List.filter_map
@@ -618,7 +619,7 @@ let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
         end)
       (Fingerprint.of_report fp_ctx an.Driver.report)
   in
-  let obligs, skipped0 = obligation_certs ~config an in
+  let obligs, skipped0 = obligation_certs ~config d in
   let all_certs = finding_certs @ site_certs an.Driver.ledger @ obligs in
   let files =
     List.map
@@ -627,9 +628,9 @@ let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
         (id, kind, "certs/" ^ id ^ ".json", body, md5_hex body))
       all_certs
   in
-  let absint_on = an.Driver.absint <> None in
+  let absint_on = d.Driver.absint <> None in
   let absenv_file =
-    match an.Driver.absint with
+    match d.Driver.absint with
     | None -> None
     | Some ai ->
       let body = J.emit (absenv_json ai) in
@@ -661,7 +662,7 @@ let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
   let entries0 = files in
   let expect = [ ("program", digests.Digest_ir.program); ("env", digests.Digest_ir.env) ] in
   let outcome =
-    Checker.validate ~ir ~regions:(regions_of an) ~expect
+    Checker.validate ~ir ~regions:(regions_of d) ~expect
       ~check_finding:(check_finding_binding ir)
       ~manifest:(build_manifest entries0 skipped0)
       ~load:(load_from entries0) ()
@@ -717,9 +718,8 @@ let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
 (* ---- explain --json ------------------------------------------------------ *)
 
 let explain_json ~label (an : Driver.analysis) : J.t =
-  let ir = an.Driver.prepared.Driver.ir in
-  let fp_ctx = Fingerprint.ctx_of_program ir in
-  let digests = Digest_ir.of_program ir in
+  let fp_ctx = an.Driver.fingerprints in
+  let digests = Digest_ir.of_program (Lazy.force an.Driver.detail).Driver.prepared.Driver.ir in
   let violations = ref [] and warnings = ref [] and deps = ref [] and infos = ref [] in
   List.iter
     (fun (fp, f) ->

@@ -1,8 +1,9 @@
 (** End-to-end SafeFlow pipeline: MiniC source → SSA IR → shared-memory
     model → phases 1–3 → report.
 
-    The staged API ({!prepare}, {!stage1}...) exists so the benchmark
-    harness can time each phase separately (experiment B1). *)
+    The staged API ({!prepare_source}, {!stage_shm}, {!stage_phase1}...)
+    exists so the benchmark harness can time each phase separately
+    (experiment B1). *)
 
 open Minic
 
@@ -102,6 +103,9 @@ let absint_span = { Absint.span = (fun name f -> Telemetry.span name f) }
    digest of the inputs it was computed from. *)
 type absint_pack = (string * Absint.func_summary) list
 
+(* the "latest" entry of the current origin names its last absint pack *)
+let latest_key () = Digest_ir.of_value (Cache.current_origin ())
+
 (** Interprocedural value-range analysis, or [None] when disabled by
     [Config.absint] (phases 2/3 then behave exactly as without it).
     With [~cache], per-function summaries come from one absint pack: the
@@ -134,7 +138,7 @@ let stage_absint ?(config = Config.default) ?cache ?key (p : prepared) : Absint.
               ~memo:(fun ~fname:_ ~inputs_digest:_ compute -> compute_summary compute)
           | Some c ->
             let pack k : absint_pack option = Cache.find c ~ns:"absint" ~key:k in
-            let latest_key = Digest_ir.of_value (Cache.current_origin ()) in
+            let latest_key = latest_key () in
             let exact = Option.bind key pack in
             let latest : string option = Cache.find c ~ns:"latest" ~key:latest_key in
             let prior =
@@ -176,57 +180,42 @@ let stage_absint ?(config = Config.default) ?cache ?key (p : prepared) : Absint.
         Telemetry.add c_absint_widenings (Absint.widenings ai);
         Some ai)
 
-let stage_phase2 ?config ?cache ?digests ?absint (p : prepared) (p1 : Phase1.t) :
+(* [?cache] and [?digests] are accepted and ignored: results are cached
+   whole, per analysed input, by {!analyze} *)
+let stage_phase2 ?config ?cache:_ ?digests:_ ?absint (p : prepared) (p1 : Phase1.t) :
     Phase2.result =
-  Phase2.run ?config ?cache ?digests ?absint p.ir p1
+  Phase2.run ?config ?absint p.ir p1
 
-let cached (c : Cache.t) ~ns ~key (f : unit -> 'a) : 'a =
-  match Cache.find c ~ns ~key with
-  | Some v -> v
-  | None ->
-    let v = f () in
-    Cache.store c ~ns ~key v;
-    v
-
-(* Whole-result phase-3 tier, keyed at program granularity.  The entry
-   is the result itself — report lists, counters and the flat taint
-   state — so a warm rerun of an unchanged program returns it and skips
-   propagation entirely; an edit that misses this tier reruns the
-   engine, which costs less than any finer-grained lookup would. *)
-let stage_phase3 ?(config = Config.default) ?cache ?digests ?absint (p : prepared)
+let stage_phase3 ?(config = Config.default) ?cache:_ ?digests:_ ?absint (p : prepared)
     (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
-  let run () = Vfgraph.run ~config ?absint p.ir shm p1 pts in
-  match (cache, digests) with
-  | Some c, Some (d : Digest_ir.t) ->
-    cached c ~ns:"phase3"
-      ~key:(Digest_ir.combine [ d.Digest_ir.program; Digest_ir.semantic_config config ])
-      run
-  | _ -> run ()
+  Vfgraph.run ~config ?absint p.ir shm p1 pts
 
 (* -- One-shot analysis ------------------------------------------------------------ *)
 
-type analysis = {
-  report : Report.t;
-  phase3 : Phase3.result;
+type detail = {
   prepared : prepared;
   shm : Shm.t;
   phase1 : Phase1.t;
   pointsto : Pointsto.t;
+  phase3 : Phase3.result;
+  absint : Absint.t option;
+}
+
+type analysis = {
+  report : Report.t;
   coverage : Coverage.t;
   ledger : Ledger.entry list;
       (* phase-2 obligation audit trail; observability only, never
          consulted when building [report] *)
-  absint : Absint.t option;
-      (* the value-range analysis the run used ([None] when disabled);
-         certificate emission serializes its summaries *)
+  fingerprints : Fingerprint.ctx;
+  detail : detail Lazy.t;
 }
 
 (* -- Canonical report order ------------------------------------------------------ *)
 
 (* The emission sites already sort by (file, line, code); this final
-   (file, line, fingerprint) sort also covers results restored from a
-   cache written by an older layout, making printed and serialized
-   output byte-identical across {cache states} x {parallelism}. *)
+   (file, line, fingerprint) sort makes printed and serialized output
+   byte-identical across {cache states} x {parallelism}. *)
 let canonicalize (fctx : Fingerprint.ctx) (r : Report.t) : Report.t =
   let by_fp to_finding natural a b =
     let c = Report.compare_loc (Fingerprint.loc (to_finding a)) (Fingerprint.loc (to_finding b)) in
@@ -274,53 +263,27 @@ let with_default_origin label f =
   if not (String.equal (Cache.current_origin ()) "") then f ()
   else Cache.with_origin label f
 
-let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
-  Telemetry.span "analyze"
-    ~args:[ ("file", Option.value file ~default:"<input>") ]
-    (fun () ->
-  with_default_origin (Option.value file ~default:"<input>") (fun () ->
-  let source_key = Option.map (fun _ -> Digest_ir.source_key ?file src) cache in
-  let p =
-    match (cache, source_key) with
-    | Some c, Some key -> cached c ~ns:"prepared" ~key (fun () -> prepare_source ?file src)
-    | _ -> prepare_source ?file src
-  in
-  (* program digests drive every later cache key; skip them entirely when
-     no cache is attached *)
-  let digests = Option.map (fun _ -> Digest_ir.of_program p.ir) cache in
+(* Every stage once, in order, with no cache but the absint pack.
+   Phase 2's result is not part of [detail]; a forced [detail] reruns it
+   too (a few per cent of the run) to keep one code path. *)
+let stages ~config ?cache ?absint_key ?file src : detail * Phase2.result =
+  let p = prepare_source ?file src in
   let shm = Telemetry.span "shm" (fun () -> stage_shm p) in
-  let p1 =
-    Telemetry.span "phase1" (fun () ->
-        match (cache, digests) with
-        | Some c, Some (d : Digest_ir.t) ->
-          cached c ~ns:"phase1"
-            ~key:
-              (Digest_ir.combine [ d.Digest_ir.program; Digest_ir.semantic_config config ])
-            (fun () -> stage_phase1 ~config p shm)
-        | _ -> stage_phase1 ~config p shm)
-  in
-  let absint =
-    stage_absint ~config ?cache
-      ?key:(Option.map (fun k -> Digest_ir.combine [ "absint"; k ]) source_key)
-      p
-  in
-  let ph2 =
-    Telemetry.span "phase2" (fun () -> stage_phase2 ~config ?cache ?digests ?absint p p1)
-  in
-  let pts =
-    Telemetry.span "pointsto" (fun () ->
-        match (cache, digests) with
-        | Some c, Some (d : Digest_ir.t) ->
-          (* config-independent, so keyed on the program alone; the
-             entry leaves the program out, [p.ir] is that program *)
-          Pointsto.of_facts p.ir
-            (cached c ~ns:"pointsto" ~key:d.Digest_ir.program (fun () ->
-                 Pointsto.facts (stage_pointsto p)))
-        | _ -> stage_pointsto p)
-  in
-  let ph3 =
-    Telemetry.span "phase3" (fun () -> stage_phase3 ~config ?cache ?digests ?absint p shm p1 pts)
-  in
+  let p1 = Telemetry.span "phase1" (fun () -> stage_phase1 ~config p shm) in
+  let absint = stage_absint ~config ?cache ?key:absint_key p in
+  let ph2 = Telemetry.span "phase2" (fun () -> stage_phase2 ~config ?absint p p1) in
+  let pts = Telemetry.span "pointsto" (fun () -> stage_pointsto p) in
+  let ph3 = Telemetry.span "phase3" (fun () -> stage_phase3 ~config ?absint p shm p1 pts) in
+  ({ prepared = p; shm; phase1 = p1; pointsto = pts; phase3 = ph3; absint }, ph2)
+
+(* The "analysis" entry: what [analyze] prints and what audit, hotspots,
+   baselines, SARIF and the fleet read.  The report keeps every phase-2
+   info: [verbose] is not part of the key, so infos are dropped after
+   the lookup. *)
+type entry = Report.t * Coverage.t * Ledger.entry list * Fingerprint.ctx
+
+let summarize (d : detail) (ph2 : Phase2.result) : entry =
+  let p = d.prepared and ph3 = d.phase3 in
   let fctx = Fingerprint.ctx_of_program p.ir in
   let report =
     canonicalize fctx
@@ -328,32 +291,64 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
         Report.violations = ph2.Phase2.violations;
         warnings = ph3.Phase3.warnings;
         dependencies = ph3.Phase3.dependencies;
-        (* infos are always computed (cache entries stay verbose-free);
-           the report carries them only under --verbose *)
-        infos = (if config.Config.verbose then ph2.Phase2.infos else []);
+        infos = ph2.Phase2.infos;
         regions =
-          List.map (fun r -> (r.Shm.r_name, r.Shm.r_size, r.Shm.r_noncore)) shm.Shm.regions;
+          List.map (fun r -> (r.Shm.r_name, r.Shm.r_size, r.Shm.r_noncore)) d.shm.Shm.regions;
         annotation_lines = p.annotation_lines;
         stats = [];
       }
   in
   let coverage =
     Telemetry.span "coverage" (fun () ->
-        Coverage.compute ~bounds:ph2.Phase2.bounds ~prog:p.ir ~shm ~p1 ~pts
-          ~analyzed:(analyzed_functions ph3 p1) report)
+        Coverage.compute ~bounds:ph2.Phase2.bounds ~prog:p.ir ~shm:d.shm ~p1:d.phase1
+          ~pts:d.pointsto ~analyzed:(analyzed_functions ph3 d.phase1) report)
   in
-  let report =
-    {
-      report with
-      Report.stats =
-        [ ("loc", p.loc_total);
-          ("functions", List.length p.ir.Ssair.Ir.funcs);
-          ("phase3_contexts", ph3.Phase3.pair_count) ]
-        @ Coverage.stats coverage @ ph3.Phase3.engine_stats;
-    }
+  let stats =
+    [ ("loc", p.loc_total);
+      ("functions", List.length p.ir.Ssair.Ir.funcs);
+      ("phase3_contexts", ph3.Phase3.pair_count) ]
+    @ Coverage.stats coverage @ ph3.Phase3.engine_stats
   in
-  { report; phase3 = ph3; prepared = p; shm; phase1 = p1; pointsto = pts; coverage;
-    ledger = ph2.Phase2.ledger; absint }))
+  ({ report with Report.stats }, coverage, ph2.Phase2.ledger, fctx)
+
+(* A hit runs no absint, but still points the origin's "latest" entry at
+   this input's pack, as a miss does: otherwise which entries a fleet
+   leaves would depend on the order its members ran in. *)
+let point_latest c ~key =
+  let latest_key = latest_key () in
+  if (Cache.find c ~ns:"latest" ~key:latest_key : string option) <> Some key then
+    Cache.store ~replace:true c ~ns:"latest" ~key:latest_key key
+
+let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
+  Telemetry.span "analyze"
+    ~args:[ ("file", Option.value file ~default:"<input>") ]
+    (fun () ->
+  with_default_origin (Option.value file ~default:"<input>") (fun () ->
+  let of_entry ((report, coverage, ledger, fingerprints) : entry) detail =
+    let report = if config.Config.verbose then report else { report with Report.infos = [] } in
+    { report; coverage; ledger; fingerprints; detail }
+  in
+  match cache with
+  | None ->
+    let d, ph2 = stages ~config ?file src in
+    of_entry (summarize d ph2) (Lazy.from_val d)
+  | Some c -> (
+    let source_key = Digest_ir.source_key ?file src in
+    let absint_key = Digest_ir.combine [ "absint"; source_key ] in
+    let key = Digest_ir.combine [ source_key; Digest_ir.semantic_config config ] in
+    match (Cache.find c ~ns:"analysis" ~key : entry option) with
+    | Some e ->
+      if config.Config.absint then point_latest c ~key:absint_key;
+      let origin = Cache.current_origin () in
+      of_entry e
+        (lazy
+          (Cache.with_origin origin (fun () ->
+               fst (stages ~config ~cache:c ~absint_key ?file src))))
+    | None ->
+      let d, ph2 = stages ~config ~cache:c ~absint_key ?file src in
+      let e = summarize d ph2 in
+      Cache.store c ~ns:"analysis" ~key e;
+      of_entry e (Lazy.from_val d))))
 
 let analyze_file ?config ?cache path : analysis =
   analyze ?config ?cache ~file:path (Loc.read_source path)

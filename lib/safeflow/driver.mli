@@ -47,6 +47,8 @@ val stage_phase2 :
   prepared ->
   Phase1.t ->
   Phase2.result
+(** phase 2; [?cache] and [?digests] are ignored (kept for callers that
+    still pass them): only {!analyze} caches, per analysed input *)
 
 val stage_phase3 :
   ?config:Config.t ->
@@ -58,27 +60,36 @@ val stage_phase3 :
   Phase1.t ->
   Pointsto.t ->
   Phase3.result
-(** phase 3 ({!Vfgraph}); with [~cache] and [~digests] the whole result
-    is memoized in the ["phase3"] namespace, so a hit returns it as is *)
+(** phase 3 ({!Vfgraph}); [?cache] and [?digests] are ignored, as for
+    {!stage_phase2} *)
 
 (** {1 One-shot analysis} *)
 
-type analysis = {
-  report : Report.t;  (** canonical order: (file, line, fingerprint) *)
-  phase3 : Phase3.result;  (** taint state, for VFG export *)
+type detail = {
   prepared : prepared;
   shm : Shm.t;
   phase1 : Phase1.t;
   pointsto : Pointsto.t;
+  phase3 : Phase3.result;  (** taint state, for VFG export *)
+  absint : Absint.t option;
+      (** the value-range analysis the run used ([None] when
+          {!Config.t.absint} is off); certificate emission serializes
+          its summaries *)
+}
+(** the intermediate results behind a report; only [--emit-certs],
+    [--vfg], [explain --json] and [initcheck] need them *)
+
+type analysis = {
+  report : Report.t;  (** canonical order: (file, line, fingerprint) *)
   coverage : Coverage.t;  (** monitoring-coverage metrics *)
   ledger : Ledger.entry list;
       (** phase-2 obligation audit trail ([safeflow audit] /
           [safeflow hotspots]); observability only — never consulted
           when building [report] *)
-  absint : Absint.t option;
-      (** the value-range analysis the run used ([None] when
-          {!Config.t.absint} is off); certificate emission serializes
-          its summaries *)
+  fingerprints : Fingerprint.ctx;  (** the context [report]'s fingerprints use *)
+  detail : detail Lazy.t;
+      (** already computed when the run computed the report; after a
+          cache hit, forcing it reruns the stages (with the absint pack) *)
 }
 
 val canonicalize : Fingerprint.ctx -> Report.t -> Report.t
@@ -90,14 +101,15 @@ val analyzed_functions : Phase3.result -> Phase1.t -> string list
     context) pairs minus exempt functions; sorted *)
 
 val analyze : ?config:Config.t -> ?cache:Cache.t -> ?file:string -> string -> analysis
-(** With [~cache], every stage consults the content-addressed cache: the
-    prepared IR is keyed on the source text, phase 1 / phase 2 /
-    points-to / phase 3 on program and per-function digests
-    ({!Digest_ir}).  Reports are bit-identical with and without the
-    cache; a warm rerun of an unchanged system skips phases 1–3 and goes
-    straight to taint propagation.  Absint's pack is keyed on the source
-    key, so an edit reuses every summary of the origin's previous pack
-    whose inputs did not move. *)
+(** With [~cache], one ["analysis"] entry per analysed input, keyed on
+    the source key (file label and text, {!Digest_ir.source_key}) and
+    the semantic configuration, holds the report, coverage, ledger and
+    fingerprint context.  A hit returns them and runs no stage; it only
+    points the origin's ["latest"] entry at the input's absint pack, as
+    a miss would.  A miss runs every stage and stores the entry; absint
+    reuses the pack keyed on the source key, else the one ["latest"]
+    names, so an edit recomputes only the summaries whose inputs moved.
+    Reports are bit-identical with and without the cache. *)
 
 val analyze_file : ?config:Config.t -> ?cache:Cache.t -> string -> analysis
 

@@ -66,8 +66,8 @@ type result = {
   f_cache : cache_totals;
 }
 
-(* One member: analyze under the normalized source label (so content
-   digests align across members and per-function entries dedupe
+(* One member: analyze under the normalized source label (so identical
+   members share one source key and their cache entries dedupe
    fleet-wide) but attribute cache traffic to the member's real path —
    a later hit from a different member is a cross-system hit. *)
 let analyze_member ?config ?cache ?emit_certs ?(check_certs = false) ~source_label
@@ -81,7 +81,7 @@ let analyze_member ?config ?cache ?emit_certs ?(check_certs = false) ~source_lab
           raise (Minic.Loc.Error ({ loc with Minic.Loc.file = path }, msg))
       in
       let r = a.Driver.report in
-      let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
+      let ctx = a.Driver.fingerprints in
       (* per-member certificate bundle under <root>/<basename>; the
          real path is recorded as the manifest label, but digests bind
          to the IR as analyzed (under the normalized source label) *)

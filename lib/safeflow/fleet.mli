@@ -25,8 +25,8 @@
     disk tier is the shared medium and is safe under concurrent
     multi-process multi-domain access (atomic temp+rename writes,
     read-validate, generation stamping — see {!Cache}).  To make
-    content-identical functions from {e different} members key
-    identically, all members are analyzed under one normalized
+    identical members key identically (cache entries are per analysed
+    input), all members are analyzed under one normalized
     [source_label] (default ["<system>"]) while the member's real path
     is installed as the {!Cache.with_origin} origin — so a hit whose
     entry was written by a different member is counted as a

@@ -4,7 +4,7 @@
     bounds, constraint-system size, query counts) and {e at what} cost.
 
     Entries ride alongside the phase-2 result — including through the
-    per-function result cache, so a warm run reconciles exactly like a
+    ["analysis"] cache entry, so a warm run reconciles exactly like a
     cold one — but never feed into {!Report.t}: reports are
     byte-identical with or without anyone reading the ledger (the PR 3
     telemetry invariant).  [safeflow audit] renders the ledger as a

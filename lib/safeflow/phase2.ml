@@ -316,8 +316,8 @@ type state = {
 }
 
 (* The obligation ledger is collected unconditionally (like Telemetry
-   sections): it rides the phase-2 result through the cache, so a warm
-   run reconciles exactly like a cold one, and it never feeds into
+   sections): it rides the "analysis" cache entry, so a warm run
+   reconciles exactly like a cold one, and it never feeds into
    [Report.t].  [Telemetry.now_ns] is a raw CLOCK_MONOTONIC read, cheap
    enough to pay per obligation rather than per instruction. *)
 let ledger_add st (e : Ledger.entry) = st.ledger <- e :: st.ledger
@@ -786,73 +786,48 @@ let empty_result = { violations = []; infos = []; bounds = bounds_zero; ledger =
 
 (** Run phase 2.  Returns restriction violations (empty when the program
     adheres to the MiniC shared-memory discipline) together with range
-    notes and bounds-obligation statistics.
-
-    With [~cache] and [~digests], the result is cached for the whole
-    program, keyed on the program digest and the semantic config (which
-    covers the value-range toggle; the ranges themselves are a function
-    of the program).  An edited program recomputes it whole: that
-    costs less than the per-function lookups an edit would need. *)
-let run ?(config = Config.default) ?cache ?digests ?absint (prog : Ssair.Ir.program)
-    (p1 : Phase1.t) : result =
+    notes and bounds-obligation statistics. *)
+let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (p1 : Phase1.t) : result =
   if not config.Config.check_restrictions then empty_result
   else begin
-    let key =
-      match digests with
-      | Some (d : Digest_ir.t) ->
-        Some (Digest_ir.combine [ d.Digest_ir.program; Digest_ir.semantic_config config ])
-      | None -> None
+    let accessors = shm_accessors prog p1 in
+    let st =
+      { prog; p1; config; absint; violations = []; infos = []; bounds = bounds_zero;
+        ledger = [] }
     in
-    let cached_whole =
-      match (cache, key) with
-      | Some c, Some key -> (Cache.find c ~ns:"phase2" ~key : result option)
-      | _ -> None
-    in
-    match cached_whole with
-    | Some r -> r
-    | None ->
-      let accessors = shm_accessors prog p1 in
-      let st =
-        { prog; p1; config; absint; violations = []; infos = []; bounds = bounds_zero;
-          ledger = [] }
-      in
-      List.iter
-        (fun (f : Ssair.Ir.func) ->
-          if Phase1.is_exempt p1 f.Ssair.Ir.fname then
-            (* obligation suspended under the initializing-function
-               exemption (§3.2.1): one "assumed" ledger entry marks the
-               whole function as unexamined by phases 2's provers *)
-            ledger_add st
-              {
-                Ledger.l_rule = "EXEMPT";
-                l_func = f.Ssair.Ir.fname;
-                l_loc = f.Ssair.Ir.floc;
-                l_region = "";
-                l_discharge = Ledger.Assumed;
-                l_counted = false;
-                l_queries = 0;
-                l_avoided = 0;
-                l_cstrs = 0;
-                l_hyps = 0;
-                l_itv = None;
-                l_bound = -1;
-                l_ns = 0;
-              }
-          else begin
-            check_p1 st f accessors;
-            check_p2_p3 st f;
-            check_arrays st f
-          end)
-        prog.Ssair.Ir.funcs;
-      (* canonical (file, line, code) order: emission follows program
-         order, so sorting here makes the cached entry and a fresh run
-         byte-identical regardless of function layout *)
-      let violations = List.stable_sort Report.compare_violation (List.rev st.violations) in
-      let infos = List.stable_sort Report.compare_info (List.rev st.infos) in
-      let bounds = st.bounds and ledger = Ledger.sort (List.rev st.ledger) in
-      let result = { violations; infos; bounds; ledger } in
-      (match (cache, key) with
-      | Some c, Some key -> Cache.store c ~ns:"phase2" ~key result
-      | _ -> ());
-      result
+    List.iter
+      (fun (f : Ssair.Ir.func) ->
+        if Phase1.is_exempt p1 f.Ssair.Ir.fname then
+          (* obligation suspended under the initializing-function
+             exemption (§3.2.1): one "assumed" ledger entry marks the
+             whole function as unexamined by phases 2's provers *)
+          ledger_add st
+            {
+              Ledger.l_rule = "EXEMPT";
+              l_func = f.Ssair.Ir.fname;
+              l_loc = f.Ssair.Ir.floc;
+              l_region = "";
+              l_discharge = Ledger.Assumed;
+              l_counted = false;
+              l_queries = 0;
+              l_avoided = 0;
+              l_cstrs = 0;
+              l_hyps = 0;
+              l_itv = None;
+              l_bound = -1;
+              l_ns = 0;
+            }
+        else begin
+          check_p1 st f accessors;
+          check_p2_p3 st f;
+          check_arrays st f
+        end)
+      prog.Ssair.Ir.funcs;
+    (* canonical (file, line, code) order: emission follows program
+       order, so sorting here makes a cached report and a fresh run
+       byte-identical regardless of function layout *)
+    let violations = List.stable_sort Report.compare_violation (List.rev st.violations) in
+    let infos = List.stable_sort Report.compare_info (List.rev st.infos) in
+    let bounds = st.bounds and ledger = Ledger.sort (List.rev st.ledger) in
+    { violations; infos; bounds; ledger }
   end

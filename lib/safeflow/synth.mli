@@ -42,9 +42,10 @@ val default_fleet : fleet_params
 
 val fleet : ?seed:int -> fleet_params -> (string * string) list
 (** [(file name, MiniC source)] for every member.  Shared-pool functions
-    are byte-identical (text {e and} position) across members, so their
-    per-function cache entries dedupe fleet-wide when members are
-    analyzed under one normalized source label (see {!Fleet.run}). *)
+    are byte-identical (text {e and} position) across members, and
+    duplicated members are byte-identical whole, so their cache entries
+    dedupe fleet-wide when members are analyzed under one normalized
+    source label (see {!Fleet.run}). *)
 
 val context_explosion : depth:int -> string
 (** binary tree of monitoring functions: 2^depth distinct monitoring

@@ -60,6 +60,6 @@ val run :
     Pairs are walked sequentially in discovery order on the calling
     domain, so the edge insertion order, and with it every taint origin
     and witness trace, is deterministic.  There is no per-pair cache:
-    walking a pair costs less than looking its edges up, so cached runs
-    reuse the whole-program ["phase3"] result ({!Driver.stage_phase3})
-    or rebuild every pair. *)
+    walking a pair costs less than looking its edges up, so a cached
+    run either reads the whole analysis ({!Driver.analyze}) or rebuilds
+    every pair. *)

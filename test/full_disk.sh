@@ -3,7 +3,7 @@
 #
 #   sh full_disk.sh SAFEFLOW SOURCE
 #
-# The first run analyzes SOURCE into an empty cache under a 4 KiB
+# The first run analyzes SOURCE into an empty cache under a 2 KiB
 # file-size limit (ulimit -f counts 512-byte blocks), with SIGXFSZ ignored
 # so that a write past the limit fails with EFBIG instead of killing the
 # process.  Its report must match a run with no cache.  The second run,
@@ -29,7 +29,7 @@ run() {
 }
 
 out=plain.out run "$cli" analyze "$src"
-out=limited.out run sh -c 'trap "" XFSZ; ulimit -f 8; exec "$0" analyze "$1" --cache "$2"' \
+out=limited.out run sh -c 'trap "" XFSZ; ulimit -f 4; exec "$0" analyze "$1" --cache "$2"' \
   "$cli" "$src" "$dir"
 cmp plain.out limited.out
 out=second.out run "$cli" analyze "$src" --cache "$dir" --stats-json stats.json

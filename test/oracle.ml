@@ -26,12 +26,10 @@ let run_of label (config : Config.t) src =
   | Some r -> r
   | None ->
     let lib = Driver.analyze ~config src in
-    let p = lib.Driver.prepared in
-    let absint = lib.Driver.absint in
-    let o =
-      Dense.run ~config ?absint p.Driver.ir lib.Driver.shm lib.Driver.phase1
-        lib.Driver.pointsto
-    in
+    let d = Lazy.force lib.Driver.detail in
+    let p = d.Driver.prepared in
+    let absint = d.Driver.absint in
+    let o = Dense.run ~config ?absint p.Driver.ir d.Driver.shm d.Driver.phase1 d.Driver.pointsto in
     let oracle_report =
       Driver.canonicalize
         (Fingerprint.ctx_of_program p.Driver.ir)
@@ -39,17 +37,17 @@ let run_of label (config : Config.t) src =
           Report.warnings = o.Dense.warnings;
           dependencies = o.Dense.dependencies }
     in
-    let ph2 = Driver.stage_phase2 ~config ?absint p lib.Driver.phase1 in
+    let ph2 = Driver.stage_phase2 ~config ?absint p d.Driver.phase1 in
     let oracle_coverage =
-      Coverage.compute ~bounds:ph2.Phase2.bounds ~prog:p.Driver.ir ~shm:lib.Driver.shm
-        ~p1:lib.Driver.phase1 ~pts:lib.Driver.pointsto
-        ~analyzed:(Dense.analyzed_functions o lib.Driver.phase1)
+      Coverage.compute ~bounds:ph2.Phase2.bounds ~prog:p.Driver.ir ~shm:d.Driver.shm
+        ~p1:d.Driver.phase1 ~pts:d.Driver.pointsto
+        ~analyzed:(Dense.analyzed_functions o d.Driver.phase1)
         oracle_report
     in
     let r =
       {
         lib;
-        pairs = (lib.Driver.phase3.Phase3.pair_count, Hashtbl.length o.Dense.pairs);
+        pairs = (d.Driver.phase3.Phase3.pair_count, Hashtbl.length o.Dense.pairs);
         oracle_report;
         oracle_coverage;
       }
@@ -80,7 +78,7 @@ let over_grid name src check =
     toggle_grid
 
 let sorted_fps (a : Driver.analysis) (r : Report.t) =
-  let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
+  let ctx = a.Driver.fingerprints in
   List.sort compare (List.map fst (Fingerprint.of_report ctx r))
 
 let check_fingerprints label r =

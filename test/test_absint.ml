@@ -185,7 +185,7 @@ let analyze_with ~absint ?file src =
   Driver.analyze ~config ?file src
 
 let fingerprints (a : Driver.analysis) =
-  let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
+  let ctx = a.Driver.fingerprints in
   List.sort_uniq compare (List.map fst (Fingerprint.of_report ctx a.Driver.report))
 
 let test_clamp_control_dep_pruned () =

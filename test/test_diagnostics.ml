@@ -29,7 +29,7 @@ let system_files =
 
 let fingerprints ?config ?cache src =
   let a = Driver.analyze ?config ?cache src in
-  let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
+  let ctx = a.Driver.fingerprints in
   List.map fst (Fingerprint.of_report ctx a.Driver.report)
 
 let sorted_fps ?config ?cache src = List.sort compare (fingerprints ?config ?cache src)
@@ -47,7 +47,7 @@ let test_parallelism_invariance name () =
       (Driver.analyze_files_par (List.map find_system system_files))
   in
   let a = List.assoc name par in
-  let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
+  let ctx = a.Driver.fingerprints in
   Alcotest.check slist "sequential = parallel"
     (sorted_fps (read_file path))
     (List.sort compare (List.map fst (Fingerprint.of_report ctx a.Driver.report)))
@@ -144,7 +144,7 @@ let test_reorder_invariance () =
 let test_canonical_order name () =
   let src = read_file (find_system name) in
   let a = Driver.analyze src in
-  let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
+  let ctx = a.Driver.fingerprints in
   let check_sorted what keys =
     Alcotest.(check bool) (what ^ " sorted") true (List.sort compare keys = keys)
   in
@@ -299,7 +299,7 @@ let sarif_inputs names =
     (fun name ->
       let file = find_system name in
       let a = Driver.analyze_file file in
-      let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
+      let ctx = a.Driver.fingerprints in
       (a, { Sarif.i_file = file; i_report = a.Driver.report; i_ctx = ctx }))
     names
 
@@ -367,7 +367,7 @@ let test_sarif_structure () =
 let entries_of name =
   let file = find_system name in
   let a = Driver.analyze_file file in
-  let ctx = Fingerprint.ctx_of_program a.Driver.prepared.Driver.ir in
+  let ctx = a.Driver.fingerprints in
   Diffreport.entries_of_report ctx ~file a.Driver.report
 
 let test_findings_roundtrip () =

@@ -56,10 +56,11 @@ let basic_handler st name _args =
 
 let dynamic_run ?(max_steps = 2_000_000) path =
   let a = Driver.analyze_file path in
+  let d = Lazy.force a.Driver.detail in
   let tick = ref 0 in
   let dyn =
     Dyntaint.run ~extern_handler:(extern_handler tick) ~max_steps
-      a.Driver.prepared.Driver.ir a.Driver.shm
+      d.Driver.prepared.Driver.ir d.Driver.shm
   in
   (a.Driver.report, dyn)
 
@@ -113,8 +114,9 @@ let test_ip_kill_manifests () =
      segment right after attachment *)
   let path = find_system "ip_controller.c" in
   let a = Driver.analyze_file path in
+  let d = Lazy.force a.Driver.detail in
   let tick = ref 0 in
-  let env = a.Driver.prepared.Driver.ir.Ssair.Ir.env in
+  let env = d.Driver.prepared.Driver.ir.Ssair.Ir.env in
   let handler st name args =
     match name with
     | "shmat" ->
@@ -129,7 +131,7 @@ let test_ip_kill_manifests () =
   in
   let dyn =
     Dyntaint.run ~extern_handler:handler ~max_steps:2_000_000
-      a.Driver.prepared.Driver.ir a.Driver.shm
+      d.Driver.prepared.Driver.ir d.Driver.shm
   in
   check_subset "ip-kill" a.Driver.report dyn;
   Alcotest.(check bool) "kill sink observed dynamically" true
@@ -173,7 +175,8 @@ int main() {
 |}
   in
   let a = Driver.analyze src in
-  let dyn = Dyntaint.run a.Driver.prepared.Driver.ir a.Driver.shm
+  let d = Lazy.force a.Driver.detail in
+  let dyn = Dyntaint.run d.Driver.prepared.Driver.ir d.Driver.shm
       ~extern_handler:basic_handler
   in
   (* exactly one dynamic source (the unmonitored read) and one violation *)
@@ -214,7 +217,8 @@ int main() {
 |}
   in
   let a = Driver.analyze src in
-  let dyn = Dyntaint.run a.Driver.prepared.Driver.ir a.Driver.shm
+  let d = Lazy.force a.Driver.detail in
+  let dyn = Dyntaint.run d.Driver.prepared.Driver.ir d.Driver.shm
       ~extern_handler:basic_handler
   in
   (* dynamically clean (strong update); statically reported (no strong
@@ -233,8 +237,9 @@ let prop_synth_dynamic_subset =
         Synth.generate { Synth.default with workers; monitored_fraction; chain_depth = 2 }
       in
       let a = Driver.analyze src in
+      let d = Lazy.force a.Driver.detail in
       let dyn =
-        Dyntaint.run ~max_steps:3_000_000 a.Driver.prepared.Driver.ir a.Driver.shm
+        Dyntaint.run ~max_steps:3_000_000 d.Driver.prepared.Driver.ir d.Driver.shm
           ~extern_handler:basic_handler
       in
       let static_sites =

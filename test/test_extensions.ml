@@ -167,11 +167,12 @@ let test_vfg_wellformed_for_all_systems () =
   List.iter
     (fun name ->
       let a = Driver.analyze_file (find_system name) in
-      let dot = Vfg.to_dot a.Driver.phase3 in
+      let d = Lazy.force a.Driver.detail in
+      let dot = Vfg.to_dot d.Driver.phase3 in
       Alcotest.(check bool) (name ^ ": digraph") true
         (Astring.String.is_prefix ~affix:"digraph" dot);
       Alcotest.(check bool) (name ^ ": balanced") true (balanced_braces dot);
-      let cdot = Vfg.control_to_dot a.Driver.phase3 in
+      let cdot = Vfg.control_to_dot d.Driver.phase3 in
       Alcotest.(check bool) (name ^ ": control graph balanced") true (balanced_braces cdot))
     [ "ip_controller.c"; "generic_simplex.c"; "double_ip.c" ]
 
@@ -242,6 +243,7 @@ let prop_summary_agrees_on_synth =
 
 let test_car_follow_system () =
   let a = Driver.analyze_file (find_system "car_follow.c") in
+  let d = Lazy.force a.Driver.detail in
   let r = a.Driver.report in
   Alcotest.(check int) "regions" 3 (List.length r.Report.regions);
   Alcotest.(check int) "violations" 0 (List.length r.Report.violations);
@@ -271,7 +273,7 @@ let test_car_follow_system () =
         d.Report.d_trace)
     (Report.errors r);
   (* InitCheck lays out the three regions disjointly *)
-  let layout = Shm.run_init_check a.Driver.prepared.Driver.ir a.Driver.shm in
+  let layout = Shm.run_init_check d.Driver.prepared.Driver.ir d.Driver.shm in
   Alcotest.(check int) "layout" 3 (List.length layout)
 
 let () =

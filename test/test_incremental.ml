@@ -1,8 +1,8 @@
 (* End-to-end tests for the content-addressed incremental cache and the
    parallel driver: reports must be structurally identical across
    {no cache, cold, warm, one-function edit}, and so must the analyzed
-   function universe and the value-flow-graph export a cached phase-3
-   result is read back into; the on-disk tier must survive a round trip through a fresh process-level
+   function universe and the value-flow-graph export a cache hit's
+   forced detail yields; the on-disk tier must survive a round trip through a fresh process-level
    cache object, silently recompute corrupt entries, and survive losing
    the race to create its directories; Driver.analyze_files_par must
    agree with sequential analysis in input order. *)
@@ -34,11 +34,13 @@ let check_report label (expected : Report.t) (actual : Report.t) =
   Alcotest.(check bool) label true (expected = actual)
 
 (* what a run exposes beyond the report: the analyzed function universe
-   and both DOT exports, all read from the phase-3 result *)
+   and both DOT exports, all read from the phase-3 result (after a cache
+   hit, forcing [detail] reruns the stages) *)
 let views (a : Driver.analysis) =
-  ( Driver.analyzed_functions a.Driver.phase3 a.Driver.phase1,
-    Vfg.to_dot a.Driver.phase3,
-    Vfg.control_to_dot a.Driver.phase3 )
+  let d = Lazy.force a.Driver.detail in
+  ( Driver.analyzed_functions d.Driver.phase3 d.Driver.phase1,
+    Vfg.to_dot d.Driver.phase3,
+    Vfg.control_to_dot d.Driver.phase3 )
 
 let check_analysis label (expected : Driver.analysis) (actual : Driver.analysis) =
   check_report (label ^ " report") expected.Driver.report actual.Driver.report;
@@ -60,11 +62,34 @@ let test_warm_identity () =
       let c = Cache.create () in
       check_analysis (sys ^ " cold") baseline (analyze ~cache:c ());
       Cache.reset_stats c;
-      check_analysis (sys ^ " warm") baseline (analyze ~cache:c ());
-      (* the warm run's phase 3 came from the cache, not a rerun *)
-      Alcotest.(check (pair int int)) (sys ^ " warm phase3 hit") (1, 0)
-        (Option.value ~default:(0, 0) (List.assoc_opt "phase3" (Cache.stats c))))
+      let warm = analyze ~cache:c () in
+      (* the warm run read one analysis entry and ran no absint; the
+         counts are taken before [check_analysis] forces the detail *)
+      let st ns = Option.value ~default:(0, 0) (List.assoc_opt ns (Cache.stats c)) in
+      Alcotest.(check (pair int int)) (sys ^ " warm analysis hit") (1, 0) (st "analysis");
+      Alcotest.(check (pair int int)) (sys ^ " warm absint not looked up") (0, 0) (st "absint");
+      check_analysis (sys ^ " warm") baseline warm)
     systems
+
+(* [verbose] is not part of the analysis key, so the entry keeps every
+   phase-2 info: a cold run in one mode and a warm run in the other each
+   equal the cache-less report of their own mode, in either order *)
+let test_verbose_either_order () =
+  let quiet = Config.default and loud = { Config.default with Config.verbose = true } in
+  let infos = ref 0 in
+  List.iter
+    (fun sys ->
+      let src = read_file (find_system sys) in
+      infos := !infos + List.length (report loud src).Report.infos;
+      List.iter
+        (fun (order, first, second) ->
+          let c = Cache.create () in
+          check_report (sys ^ " " ^ order ^ " cold") (report first src) (report ~cache:c first src);
+          check_report (sys ^ " " ^ order ^ " warm") (report second src)
+            (report ~cache:c second src))
+        [ ("quiet then verbose", quiet, loud); ("verbose then quiet", loud, quiet) ])
+    systems;
+  Alcotest.(check bool) "some system has infos under verbose" true (!infos > 0)
 
 let test_dirty_identity () =
   List.iter
@@ -231,7 +256,8 @@ let test_absint_edit_recomputes_moved () =
   Alcotest.(check int) "computed = moved fixpoints" (List.length moved) computed;
   Alcotest.(check int) "reused = the rest" (List.length after - List.length moved) reused
 
-let ranges (a : Driver.analysis) = Option.map Absint.summary_views a.Driver.absint
+let ranges (a : Driver.analysis) =
+  Option.map Absint.summary_views (Lazy.force a.Driver.detail).Driver.absint
 
 (* summaries are matched by their exact inputs digest, so a "latest" pack
    another program left under the same label is sound to consult: the
@@ -377,14 +403,16 @@ let test_unwritable_dir () =
   Sys.remove gen
 
 (* a flipped payload byte and a tampered digest prefix are each counted
-   corrupt, and the stage is recomputed *)
+   corrupt, and the entry is recomputed.  The absint pack is read only on
+   a miss of the analysis entry, so that case reruns under another
+   semantic configuration: the pack's key is the source key alone. *)
 let test_damaged_entries () =
   with_tmp_root @@ fun root ->
   let dir = Filename.concat root "cache" in
   let src = read_file (find_system "figure2.c") in
-  let baseline = report Config.default src in
+  let no_control = { Config.default with Config.control_deps = false } in
   List.iter
-    (fun (ns, what, damage) ->
+    (fun (ns, what, config, damage) ->
       clear_dir dir;
       ignore (report ~cache:(Cache.create ~dir ()) Config.default src);
       let path = entry_path dir ns in
@@ -393,13 +421,41 @@ let test_damaged_entries () =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
       let c = Cache.create ~dir () in
-      check_report (ns ^ " " ^ what ^ " recomputed") baseline (report ~cache:c Config.default src);
+      check_report (ns ^ " " ^ what ^ " recomputed") (report config src)
+        (report ~cache:c config src);
       let st = List.assoc ns (Cache.detailed_stats c) in
       Alcotest.(check int) (ns ^ " " ^ what ^ " counted corrupt") 1 st.Cache.corrupt;
       Alcotest.(check bool) (ns ^ " " ^ what ^ " rewritten") true
         (read_file (entry_path dir ns) <> Bytes.to_string b))
-    [ ("phase3", "flipped payload byte", fun n -> n - 1);
-      ("prepared", "tampered digest prefix", fun _ -> 0) ]
+    [ ("analysis", "flipped payload byte", Config.default, fun n -> n - 1);
+      ("absint", "tampered digest prefix", no_control, fun _ -> 0) ]
+
+(* which entries a run leaves must not depend on the order of members
+   with equal sources: a hit still points the member's "latest" entry at
+   the pack, as a miss does *)
+let test_member_order () =
+  with_tmp_root @@ fun root ->
+  let members =
+    [ ("m0", "figure2.c"); ("m1", "double_ip.c"); ("m2", "figure2.c"); ("m3", "car_follow.c");
+      ("m4", "double_ip.c"); ("m5", "figure2.c") ]
+  in
+  let entries order ms =
+    let dir = Filename.concat root order in
+    let c = Cache.create ~dir () in
+    List.iter
+      (fun (path, sys) ->
+        Cache.with_origin path (fun () ->
+            ignore (Driver.analyze ~cache:c ~file:"<system>" (read_file (find_system sys)))))
+      ms;
+    let hits, _ = List.assoc "analysis" (Cache.stats c) in
+    Alcotest.(check int) (order ^ ": duplicates hit") 3 hits;
+    List.sort compare (List.map Filename.basename (entry_files dir))
+  in
+  let forward = entries "forward" members and reverse = entries "reverse" (List.rev members) in
+  let count ns = List.length (List.filter (String.starts_with ~prefix:(ns ^ "-")) forward) in
+  Alcotest.(check (list int)) "analysis, absint, latest entries" [ 3; 3; 6 ]
+    (List.map count [ "analysis"; "absint"; "latest" ]);
+  Alcotest.(check (list string)) "same entries in either order" forward reverse
 
 let test_par_driver_deterministic () =
   let paths = List.map find_system systems in
@@ -419,6 +475,8 @@ let () =
     [ ( "cache",
         [ Alcotest.test_case "cold and warm reports identical" `Quick
             test_warm_identity;
+          Alcotest.test_case "verbose off and on, in either order" `Quick
+            test_verbose_either_order;
           Alcotest.test_case "one-function edit reports identical" `Quick
             test_dirty_identity;
           Alcotest.test_case "absint keys ignore source locations" `Quick
@@ -441,6 +499,8 @@ let () =
             test_no_memory_shadow;
           Alcotest.test_case "unwritable directory keeps values in memory" `Quick
             test_unwritable_dir;
+          Alcotest.test_case "member order leaves the same entries" `Quick
+            test_member_order;
           Alcotest.test_case "damaged entries counted corrupt" `Quick
             test_damaged_entries ] );
       ( "parallel",

@@ -501,6 +501,63 @@ let test_absint_span_coverage () =
   let share = Int64.to_float covered /. Int64.to_float absint.Telemetry.s_dur_ns in
   if share < 0.9 then Alcotest.failf "children cover %.1f %% of absint" (100. *. share)
 
+(* The cache accounts for itself.  On synth-384 a warm run reads one
+   analysis entry and runs no stage: the analyze span has no prepare,
+   absint or phase3 child, and nothing is written.  A one-function edit
+   (one multiplier changed in place) publishes three files, one per
+   namespace, as the file and byte counters show. *)
+let test_cache_accounting () =
+  let dir = Filename.temp_dir "sf-obs-cache" "" in
+  let rec rm_rf d =
+    Array.iter
+      (fun f ->
+        let p = Filename.concat d f in
+        if Sys.is_directory p then rm_rf p else Sys.remove p)
+      (Sys.readdir d);
+    Sys.rmdir d
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let run src =
+    fresh ();
+    ignore (Driver.analyze ~cache:(Cache.create ~dir ()) ~file:"synth384.c" src)
+  in
+  let namespaces = [ "analysis"; "absint"; "latest" ] in
+  let written () =
+    List.map (fun ns -> counter_value ("cache." ^ ns ^ ".files_written")) namespaces
+  in
+  let src = Synth.of_size ~seed:1 384 in
+  run src;
+  Alcotest.(check (list int)) "cold run writes one file per namespace" [ 1; 1; 1 ] (written ());
+  run src;
+  let spans = Telemetry.spans () in
+  let analyze = List.find (fun s -> s.Telemetry.s_name = "analyze") spans in
+  let children =
+    List.filter_map
+      (fun s ->
+        if s.Telemetry.s_parent = analyze.Telemetry.s_id then Some s.Telemetry.s_name else None)
+      spans
+  in
+  List.iter
+    (fun n -> Alcotest.(check bool) ("warm run has no " ^ n ^ " span") false (List.mem n children))
+    [ "prepare"; "absint"; "phase3" ];
+  Alcotest.(check (list int)) "warm run writes nothing" [ 0; 0; 0 ] (written ());
+  Alcotest.(check bool) "warm run read the analysis entry" true
+    (counter_value "cache.analysis.bytes_read" > 0);
+  let marker = "double helper_7_2(double x)\n{\n  double y = x * " in
+  let rec find i =
+    if String.sub src i (String.length marker) = marker then i + String.length marker
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = String.index_from src start ' ' in
+  run (String.sub src 0 start ^ "1.0199" ^ String.sub src stop (String.length src - stop));
+  Alcotest.(check (list int)) "edit writes one file per namespace" [ 1; 1; 1 ] (written ());
+  List.iter
+    (fun ns ->
+      Alcotest.(check bool) ("edit wrote " ^ ns ^ " bytes") true
+        (counter_value ("cache." ^ ns ^ ".bytes_written") > 0))
+    namespaces
+
 let test_ledger_reconcile name () =
   let src = read_file (find_system name) in
   List.iter
@@ -547,7 +604,7 @@ let test_events_parse () =
       Events.member_start ~worker:1 ~path:"m\"quoted\".c";
       Events.member_done ~worker:1 ~path:"m.c" ~errors:1 ~warnings:2 ~findings:3
         ~cache_hits:4 ~cache_misses:5 ~certs:(7, 1, 2) ~elapsed_ms:6.5 ();
-      Events.cache_recovered ~worker:1 ~ns:"phase3" ~key:"abc" ~kind:"corrupt";
+      Events.cache_recovered ~worker:1 ~ns:"analysis" ~key:"abc" ~kind:"corrupt";
       Events.heartbeat ~worker:1 ~done_:10 ~total:32;
       Events.worker_done ~worker:1 ~members:32 ~errors:4 ~warnings:8;
       Events.fleet_done ~systems:64 ~elapsed_s:1.5 ~analyses_per_sec:42.7;
@@ -574,7 +631,7 @@ let test_events_parse () =
   let rec_ = Jsonlite.parse_exn (List.nth lines 4) in
   Alcotest.(check (option string)) "recovery kind" (Some "corrupt")
     (str "kind" rec_);
-  Alcotest.(check (option string)) "recovery ns" (Some "phase3") (str "ns" rec_);
+  Alcotest.(check (option string)) "recovery ns" (Some "analysis") (str "ns" rec_);
   let quoted = Jsonlite.parse_exn (List.nth lines 2) in
   Alcotest.(check (option string)) "path with quotes survives" (Some "m\"quoted\".c")
     (str "path" quoted)
@@ -646,7 +703,9 @@ let () =
           ledger_systems );
       ( "spans",
         [ Alcotest.test_case "absint children cover its time" `Quick
-            (cleanup test_absint_span_coverage) ] );
+            (cleanup test_absint_span_coverage);
+          Alcotest.test_case "the cache accounts for itself" `Quick
+            (cleanup test_cache_accounting) ] );
       ( "events",
         [ Alcotest.test_case "constructors parse" `Quick test_events_parse ] );
       ( "progress",

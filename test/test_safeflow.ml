@@ -509,7 +509,8 @@ int main() {
 
 let test_initcheck_ok () =
   let a = full (prelude ^ "int main() { initComm(); return 0; }") in
-  let layout = Shm.run_init_check a.Driver.prepared.Driver.ir a.Driver.shm in
+  let d = Lazy.force a.Driver.detail in
+  let layout = Shm.run_init_check d.Driver.prepared.Driver.ir d.Driver.shm in
   Alcotest.(check int) "two regions laid out" 2 (List.length layout);
   let offs = List.map (fun (_, o, _) -> o) layout in
   Alcotest.(check (list int)) "offsets" [ 0; 24 ] (List.sort compare offs)
@@ -539,7 +540,8 @@ int main() { initBad(); return 0; }
 |}
   in
   let a = full src in
-  match Shm.run_init_check a.Driver.prepared.Driver.ir a.Driver.shm with
+  let d = Lazy.force a.Driver.detail in
+  match Shm.run_init_check d.Driver.prepared.Driver.ir d.Driver.shm with
   | exception Shm.Init_check_failed msg ->
     Alcotest.(check bool) "overlap named" true (Astring.String.is_infix ~affix:"overlap" msg)
   | _ -> Alcotest.fail "expected InitCheck failure"
@@ -548,6 +550,7 @@ int main() { initBad(); return 0; }
 
 let test_figure2 () =
   let a = Driver.analyze_file "../../../systems/figure2.c" in
+  let d = Lazy.force a.Driver.detail in
   let r = a.Driver.report in
   Alcotest.(check int) "two regions" 2 (List.length r.Report.regions);
   Alcotest.(check int) "four warnings (feedback reads)" 4 (count_warnings r);
@@ -558,12 +561,13 @@ let test_figure2 () =
     (fun w -> Alcotest.(check string) "warned region" "feedback" w.Report.w_region)
     r.Report.warnings;
   (* InitCheck passes *)
-  let layout = Shm.run_init_check a.Driver.prepared.Driver.ir a.Driver.shm in
+  let layout = Shm.run_init_check d.Driver.prepared.Driver.ir d.Driver.shm in
   Alcotest.(check int) "layout entries" 2 (List.length layout)
 
 let test_figure2_vfg_export () =
   let a = Driver.analyze_file "../../../systems/figure2.c" in
-  let dot = Vfg.to_dot a.Driver.phase3 in
+  let d = Lazy.force a.Driver.detail in
+  let dot = Vfg.to_dot d.Driver.phase3 in
   Alcotest.(check bool) "dot mentions feedback" true
     (Astring.String.is_infix ~affix:"feedback" dot);
   Alcotest.(check bool) "digraph syntax" true
@@ -581,10 +585,11 @@ let test_phase2_unknown_symbols () =
   let a = full (prelude ^ {|
 int main() { initComm(); return 0; }
 |}) in
+  let d = Lazy.force a.Driver.detail in
   let f =
     List.find
       (fun (f : Ssair.Ir.func) -> f.Ssair.Ir.fname = "main")
-      a.Driver.prepared.Driver.ir.Ssair.Ir.funcs
+      d.Driver.prepared.Driver.ir.Ssair.Ir.funcs
   in
   let ctx = Phase2.mk_affine_ctx f in
   let sym v =

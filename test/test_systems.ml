@@ -137,7 +137,8 @@ let test_initcheck_layouts () =
   List.iter
     (fun (name, nregions) ->
       let a = analyze name in
-      let layout = Shm.run_init_check a.Driver.prepared.Driver.ir a.Driver.shm in
+      let d = Lazy.force a.Driver.detail in
+      let layout = Shm.run_init_check d.Driver.prepared.Driver.ir d.Driver.shm in
       Alcotest.(check int) (name ^ ": layout entries") nregions (List.length layout);
       (* regions are disjoint and ordered *)
       let sorted = List.sort (fun (_, a, _) (_, b, _) -> compare a b) layout in
@@ -219,7 +220,8 @@ let test_source_change_size () =
 
 let run_core_system name ~steps =
   let a = analyze name in
-  let ir = a.Driver.prepared.Driver.ir in
+  let d = Lazy.force a.Driver.detail in
+  let ir = d.Driver.prepared.Driver.ir in
   let outputs = ref [] in
   let tick = ref 0 in
   let handler st ename args =
