@@ -8,7 +8,7 @@
                              [--sarif out.sarif] [--save-findings out.findings]
                              [--baseline FILE] [--fail-on never|error|warning]
      safeflow fleet DIR | --manifest FILE
-                             [--jobs N] [--shard-domains N] [--cache DIR]
+                             [--jobs N] [--cache DIR]
                              [--absint on|off] [--print-reports]
                              [--save-findings OUT] [--baseline FILE] [--fail-on ...]
      safeflow diff OLD NEW       (findings files or MiniC sources)
@@ -108,7 +108,8 @@ let analyze_cmd =
   let files =
     Arg.(
       non_empty & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"MiniC source files (several are analyzed in parallel)")
+      & info [] ~docv:"FILE"
+          ~doc:"MiniC source files (several are analyzed on parallel worker processes)")
   in
   let no_control = Arg.(value & flag & info [ "no-control-deps" ] ~doc:"disable control-dependence reporting") in
   let ctx_insensitive = Arg.(value & flag & info [ "ctx-insensitive" ] ~doc:"merge monitoring contexts (ablation)") in
@@ -211,7 +212,10 @@ let analyze_cmd =
               files,
             [] )
         else begin
-          let analyses = Safeflow.Driver.analyze_files_par ~config ?cache files in
+          let analyses =
+            Safeflow.Driver.analyze_files_par ~config ?cache
+              ~force_detail:(emit_certs <> None) files
+          in
           List.iter2
             (fun file (a : Safeflow.Driver.analysis) ->
               if List.length files > 1 then Fmt.pr "== %s ==@." file;
@@ -911,15 +915,9 @@ let fleet_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "shard the fleet across $(docv) worker processes (member $(i,i) goes to \
-             shard $(i,i) mod $(docv)); every worker shares the same $(b,--cache) \
-             directory")
-  in
-  let shard_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "shard-domains" ] ~docv:"N"
-          ~doc:"domains per worker process draining that worker's members")
+            "shard the fleet across $(docv) worker processes (members with identical \
+             sources form one group, and the groups go to the workers round-robin); \
+             every worker shares the same $(b,--cache) directory")
   in
   let cache_dir =
     Arg.(
@@ -988,7 +986,7 @@ let fleet_cmd =
       & info [ "log-json" ] ~docv:"OUT.ndjson"
           ~doc:
             "tee the raw worker event stream (newline-delimited JSON, schema \
-             $(b,safeflow-events/1): fleet/worker/member lifecycle, per-member cache \
+             $(b,safeflow-events/2): fleet/worker/member lifecycle, per-member cache \
              deltas, heartbeats) to $(docv) for post-hoc analysis")
   in
   let verbose =
@@ -1021,7 +1019,7 @@ let fleet_cmd =
              against a fresh parse, print per-member pass/fail/skipped counts, and \
              fail the run (exit 1) if any certificate fails")
   in
-  let run dir manifest jobs shard_domains cache_dir absint source_label
+  let run dir manifest jobs cache_dir absint source_label
       print_reports save_findings baseline fail_on progress_flag no_progress log_json
       verbose emit_certs check_certs tele =
     try
@@ -1074,7 +1072,7 @@ let fleet_cmd =
         exit 2
       end;
       let r =
-        Safeflow.Fleet.run ~config ?cache_dir ~jobs ~shard_domains ~source_label
+        Safeflow.Fleet.run ~config ?cache_dir ~jobs ~source_label
           ?on_event ?emit_certs ~check_certs members
       in
       (match progress with Some p -> Safeflow.Progress.finish p | None -> ());
@@ -1101,8 +1099,10 @@ let fleet_cmd =
             Fmt.pr "%-48s %3d errors  %3d warnings%s@." m.Safeflow.Fleet.mr_path
               m.Safeflow.Fleet.mr_errors m.Safeflow.Fleet.mr_warnings certs)
         r.Safeflow.Fleet.f_results;
-      Fmt.pr "fleet: %d systems on %d process(es) x %d domain(s) in %.2fs — %.1f analyses/sec@."
-        r.Safeflow.Fleet.f_systems r.Safeflow.Fleet.f_jobs r.Safeflow.Fleet.f_shard_domains
+      (* every worker is one single-threaded process; "x 1 domain(s)"
+         stays in the line because scripts parse its fixed layout *)
+      Fmt.pr "fleet: %d systems on %d process(es) x 1 domain(s) in %.2fs — %.1f analyses/sec@."
+        r.Safeflow.Fleet.f_systems r.Safeflow.Fleet.f_jobs
         r.Safeflow.Fleet.f_elapsed_s r.Safeflow.Fleet.f_analyses_per_sec;
       (if cache_dir <> None then
          let c = r.Safeflow.Fleet.f_cache in
@@ -1166,11 +1166,11 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
-         "analyze a fleet of member systems sharded across processes and domains over \
-          one shared content-addressed cache.  Identical members are analyzed once \
+         "analyze a fleet of member systems sharded across worker processes over one \
+          shared content-addressed cache.  Identical members are analyzed once \
           fleet-wide; reports are byte-identical to per-member sequential runs.  Exit \
           codes as for $(b,analyze), applied to the union of all members' findings.")
-    Term.(const run $ dir $ manifest $ jobs $ shard_domains $ cache_dir
+    Term.(const run $ dir $ manifest $ jobs $ cache_dir
           $ absint_arg $ source_label $ print_reports $ save_findings $ baseline
           $ fail_on_arg $ progress_flag $ no_progress $ log_json $ verbose
           $ emit_certs $ check_certs $ telemetry_flags)

@@ -87,7 +87,6 @@ type t = {
           entry of a memory-only cache, and values whose disk write
           failed *)
   counters : (string, counters) Hashtbl.t;  (** per-namespace outcomes *)
-  lock : Mutex.t;
   on_recovery : (kind:string -> ns:string -> key:string -> unit) option;
       (** observer for stale/corrupt disk discards (fleet event stream) *)
 }
@@ -115,20 +114,19 @@ let tele_add ns what n = if Telemetry.enabled () then Telemetry.add (tele_counte
 (* -- origin tracking ------------------------------------------------------------
 
    The current origin is the identity of the system whose analysis is
-   running on this domain ("" = unknown).  A hit on an entry recorded
-   under a different origin is a cross-system hit: work another system's
-   analysis already paid for.  Origins are domain-local so the
-   multi-system driver can analyze several systems concurrently over one
-   shared cache and still attribute hits correctly. *)
+   running ("" = unknown).  A hit on an entry recorded under a different
+   origin is a cross-system hit: work another system's analysis already
+   paid for.  One process analyzes one system at a time, so the origin
+   is a plain process-wide ref. *)
 
-let origin_dls : string Domain.DLS.key = Domain.DLS.new_key (fun () -> "")
+let origin = ref ""
 
-let current_origin () = Domain.DLS.get origin_dls
+let current_origin () = !origin
 
-let with_origin origin f =
-  let prev = Domain.DLS.get origin_dls in
-  Domain.DLS.set origin_dls origin;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set origin_dls prev) f
+let with_origin o f =
+  let prev = !origin in
+  origin := o;
+  Fun.protect ~finally:(fun () -> origin := prev) f
 
 (* [mkdir] that tolerates losing a race: two fleet workers creating the
    same missing directory both succeed as long as it ends up a
@@ -138,6 +136,9 @@ let ensure_dir d =
   with Sys_error _ when Sys.file_exists d && Sys.is_directory d -> ()
 
 let create ?dir ?(verbose = false) ?on_recovery () =
+  (* nothing here is synchronised: a second domain must fork instead *)
+  if not (Domain.is_main_domain ()) then
+    invalid_arg "Cache.create: called off the main domain (use forked workers)";
   let dir =
     match dir with
     | None -> None
@@ -168,13 +169,8 @@ let create ?dir ?(verbose = false) ?on_recovery () =
     verbose;
     tbl = Hashtbl.create 256;
     counters = Hashtbl.create 8;
-    lock = Mutex.create ();
     on_recovery;
   }
-
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 (* Disk-read outcomes.  [Stale] is a well-formed entry from another cache
    format or compiler version; [Corrupt] is a file that failed to
@@ -292,9 +288,9 @@ let read_disk t ns key : entry outcome =
 
 (* Writers never touch the destination path directly: each write goes to
    a temp name unique across processes AND within this process (pid +
-   atomic counter — two domains, or two forked workers of a fleet run,
-   storing the same key concurrently must not interleave into one temp
-   file), then rename(2) publishes it atomically.  Readers therefore
+   counter — two forked workers storing the same key concurrently must
+   not interleave into one temp file), then rename(2) publishes it
+   atomically.  Readers therefore
    observe either no file or a complete entry, never a torn one.
 
    The temp file is published only after a checked flush and close: a
@@ -305,7 +301,7 @@ let read_disk t ns key : entry outcome =
    of the file.  Only the output channel is closed; the input channel is
    left to the GC, which frees its buffer without touching the
    descriptor.  Returns the file's size. *)
-let tmp_seq = Atomic.make 0
+let tmp_seq = ref 0
 
 let write_file path (e : entry) h : int =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644 in
@@ -340,10 +336,8 @@ let write_disk t ns key ~replace (e : entry) =
     let path = path_of dir ns key in
     if (not replace) && Sys.file_exists path then true
     else begin
-      let tmp =
-        Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
-          (Atomic.fetch_and_add tmp_seq 1)
-      in
+      incr tmp_seq;
+      let tmp = Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ()) !tmp_seq in
       try
         let size =
           write_file tmp e
@@ -362,25 +356,24 @@ let write_disk t ns key ~replace (e : entry) =
 let find t ~ns ~key : 'a option =
   Telemetry.span "cache.find" ~args:[ ("ns", ns) ] (fun () ->
       let origin = current_origin () in
-      locked t (fun () ->
-          let is_cross e_origin =
-            (not (String.equal origin ""))
-            && (not (String.equal e_origin ""))
-            && not (String.equal e_origin origin)
-          in
-          let o =
-            match Hashtbl.find_opt t.tbl (ns ^ ":" ^ key) with
-            | Some e -> Hit e
-            | None -> read_disk t ns key
-          in
-          count t ns
-            ~cross:(match o with Hit e -> is_cross e.e_origin | _ -> false)
-            (match o with Hit _ -> Hit () | Absent -> Absent | Stale -> Stale | Corrupt -> Corrupt);
-          (* a disk hit is not copied into memory: the file stays the
-             one copy *)
-          match o with
-          | Hit e -> Some (Obj.obj e.e_v)
-          | Absent | Stale | Corrupt -> None))
+      let is_cross e_origin =
+        (not (String.equal origin ""))
+        && (not (String.equal e_origin ""))
+        && not (String.equal e_origin origin)
+      in
+      let o =
+        match Hashtbl.find_opt t.tbl (ns ^ ":" ^ key) with
+        | Some e -> Hit e
+        | None -> read_disk t ns key
+      in
+      count t ns
+        ~cross:(match o with Hit e -> is_cross e.e_origin | _ -> false)
+        (match o with Hit _ -> Hit () | Absent -> Absent | Stale -> Stale | Corrupt -> Corrupt);
+      (* a disk hit is not copied into memory: the file stays the one
+         copy *)
+      match o with
+      | Hit e -> Some (Obj.obj e.e_v)
+      | Absent | Stale | Corrupt -> None)
 
 let h_store = Telemetry.histogram "cache.store"
 
@@ -389,35 +382,28 @@ let store ?(replace = false) t ~ns ~key v =
   Telemetry.time_hist h_store (fun () ->
       let e = { e_v = Obj.repr v; e_origin = current_origin () } in
       let k = ns ^ ":" ^ key in
-      locked t (fun () ->
-          if write_disk t ns key ~replace e then Hashtbl.remove t.tbl k
-          else Hashtbl.replace t.tbl k e))
+      if write_disk t ns key ~replace e then Hashtbl.remove t.tbl k
+      else Hashtbl.replace t.tbl k e)
 
 let stats t =
-  locked t (fun () ->
-      List.sort compare
-        (Hashtbl.fold
-           (fun ns c acc -> (ns, (!(c.c_hits), !(c.c_misses))) :: acc)
-           t.counters []))
+  List.sort compare
+    (Hashtbl.fold (fun ns c acc -> (ns, (!(c.c_hits), !(c.c_misses))) :: acc) t.counters [])
 
 let detailed_stats t =
-  locked t (fun () ->
-      List.sort compare
-        (Hashtbl.fold
-           (fun ns c acc ->
-             ( ns,
-               {
-                 hits = !(c.c_hits);
-                 misses = !(c.c_misses);
-                 stale = !(c.c_stale);
-                 corrupt = !(c.c_corrupt);
-                 cross = !(c.c_cross);
-               } )
-             :: acc)
-           t.counters []))
+  List.sort compare
+    (Hashtbl.fold
+       (fun ns c acc ->
+         ( ns,
+           {
+             hits = !(c.c_hits);
+             misses = !(c.c_misses);
+             stale = !(c.c_stale);
+             corrupt = !(c.c_corrupt);
+             cross = !(c.c_cross);
+           } )
+         :: acc)
+       t.counters [])
 
-let cross_hits t =
-  locked t (fun () ->
-      Hashtbl.fold (fun _ c acc -> acc + !(c.c_cross)) t.counters 0)
+let cross_hits t = Hashtbl.fold (fun _ c acc -> acc + !(c.c_cross)) t.counters 0
 
-let reset_stats t = locked t (fun () -> Hashtbl.reset t.counters)
+let reset_stats t = Hashtbl.reset t.counters

@@ -1,7 +1,7 @@
 (** Content-addressed analysis cache: an on-disk tier shared safely by
-    concurrent readers {e and} writers — the domains of one process and
-    the forked workers of a fleet run alike — backed by an in-memory
-    table for what the disk does not hold.
+    concurrent readers {e and} writers — the forked workers of a fleet or
+    multi-file run, and any other process on the same directory — backed
+    by an in-memory table for what the disk does not hold.
 
     Entries are keyed by [(namespace, digest)] where the digest is
     computed by {!Digest_ir} over everything the cached computation
@@ -13,9 +13,9 @@
 
     The store is type-unsafe by construction (one table holds values of
     many types); safety is by the namespace discipline: a namespace is
-    only ever read and written with one type.  All operations are
-    mutex-guarded, so one cache may be shared by the domains of
-    {!Driver.analyze_files_par}.
+    only ever read and written with one type.  A [t] is not synchronised:
+    it is used from the main domain only ({!create} refuses any other),
+    and processes share entries through the disk tier, never a [t].
 
     {b Memory holds only what disk does not.}  With a disk tier, [store]
     writes the file and keeps nothing in memory, and a disk hit is not
@@ -30,7 +30,7 @@
     processes with incompatible marshalled layouts never touch the same
     files.  Within a generation, writers marshal straight into a temp
     file whose name is unique per process {e and} per write (pid +
-    atomic counter), flush and close it with errors checked, and only
+    counter), flush and close it with errors checked, and only
     then publish it with an atomic [rename(2)]; a write that fails (a
     full disk, a file-size limit) publishes nothing.  A key that already
     exists on disk is left alone (same key ⇒ same value) unless the
@@ -65,7 +65,8 @@ val create :
   ?on_recovery:(kind:string -> ns:string -> key:string -> unit) ->
   unit ->
   t
-(** [create ()] is memory-only; [create ~dir ()] adds a disk tier rooted
+(** Raises [Invalid_argument] when called off the main domain.
+    [create ()] is memory-only; [create ~dir ()] adds a disk tier rooted
     at [dir] (created if missing — a directory another process created
     first counts as success; any other creation failure degrades
     silently to memory-only), with entries under [dir]'s generation subdirectory.
@@ -74,7 +75,8 @@ val create :
     once per discarded disk entry with [kind] (["stale"] or ["corrupt"])
     and the entry's namespace and key — fleet workers use it to emit
     [cache.recovered] events; exceptions it raises are swallowed, and it
-    must not call back into this cache (it runs under the cache lock). *)
+    must not call back into this cache (it runs in the middle of a
+    lookup). *)
 
 val find : t -> ns:string -> key:string -> 'a option
 (** memory first, then disk; a disk hit is not copied into memory.  The
@@ -115,15 +117,15 @@ val reset_stats : t -> unit
 (** {1 Origin tracking} *)
 
 val with_origin : string -> (unit -> 'a) -> 'a
-(** [with_origin sys f] runs [f] with the current domain's origin set to
+(** [with_origin sys f] runs [f] with the process's current origin set to
     [sys] (the identity of the system being analyzed — the fleet member
     path, or the source label for a plain run).  Stores record the
     origin; hits compare against it.  The previous origin is restored on
-    exit.  An empty origin (the default on every domain) disables
+    exit.  An empty origin (the default) disables
     cross-hit attribution for that code. *)
 
 val current_origin : unit -> string
-(** this domain's current origin ("" when unset) *)
+(** the current origin ("" when unset) *)
 
 (** {1 Format identity} *)
 

@@ -50,6 +50,9 @@ let count_loc (src : string) : int =
 let prepare_source ?(file = "<input>") (src : string) : prepared =
   Telemetry.span "prepare" ~args:[ ("file", file) ] (fun () ->
       let ast = Telemetry.span "parse" (fun () -> Parser.parse_string ~file src) in
+      (* counted before typechecking, so the AST is garbage during
+         lowering instead of live until the end *)
+      let annotation_lines = count_annotations ast and loc_total = count_loc src in
       let tast = Telemetry.span "typecheck" (fun () -> Typecheck.check_program ast) in
       let ir = Telemetry.span "prepare.lower" (fun () -> Ssair.Build.lower tast) in
       Telemetry.span "prepare.verify" (fun () ->
@@ -57,7 +60,7 @@ let prepare_source ?(file = "<input>") (src : string) : prepared =
           | [] -> ()
           | v :: _ ->
             Loc.error Loc.dummy "internal IR verification failed: %s" v.Ssair.Verify.vmsg);
-      { ir; annotation_lines = count_annotations ast; loc_total = count_loc src })
+      { ir; annotation_lines; loc_total })
 
 let prepare_file path : prepared = prepare_source ~file:path (Loc.read_source path)
 
@@ -319,19 +322,32 @@ let point_latest c ~key =
   if (Cache.find c ~ns:"latest" ~key:latest_key : string option) <> Some key then
     Cache.store ~replace:true c ~ns:"latest" ~key:latest_key key
 
-let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
+(* [detail] on demand, as after a cache hit: every stage again under
+   [origin], with the cache's absint pack when there is a cache *)
+let detail_later ~config ?cache ~origin ?file (src : unit -> string) : detail Lazy.t =
+  lazy
+    (Cache.with_origin origin (fun () ->
+         let src = src () in
+         let absint_key =
+           Option.map
+             (fun _ -> Digest_ir.combine [ "absint"; Digest_ir.source_key ?file src ])
+             cache
+         in
+         fst (stages ~config ?cache ?absint_key ?file src)))
+
+(* The "analysis" entry of one input (every info kept) and its detail.
+   Everything here is unsynchronised, so a second domain is refused. *)
+let analyze_entry ~config ?cache ?file (src : string) : entry * detail Lazy.t =
+  if not (Domain.is_main_domain ()) then
+    invalid_arg "Driver.analyze: called off the main domain (use forked workers)";
   Telemetry.span "analyze"
     ~args:[ ("file", Option.value file ~default:"<input>") ]
     (fun () ->
   with_default_origin (Option.value file ~default:"<input>") (fun () ->
-  let of_entry ((report, coverage, ledger, fingerprints) : entry) detail =
-    let report = if config.Config.verbose then report else { report with Report.infos = [] } in
-    { report; coverage; ledger; fingerprints; detail }
-  in
   match cache with
   | None ->
     let d, ph2 = stages ~config ?file src in
-    of_entry (summarize d ph2) (Lazy.from_val d)
+    (summarize d ph2, Lazy.from_val d)
   | Some c -> (
     let source_key = Digest_ir.source_key ?file src in
     let absint_key = Digest_ir.combine [ "absint"; source_key ] in
@@ -339,58 +355,60 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
     match (Cache.find c ~ns:"analysis" ~key : entry option) with
     | Some e ->
       if config.Config.absint then point_latest c ~key:absint_key;
-      let origin = Cache.current_origin () in
-      of_entry e
-        (lazy
-          (Cache.with_origin origin (fun () ->
-               fst (stages ~config ~cache:c ~absint_key ?file src))))
+      (e, detail_later ~config ~cache:c ~origin:(Cache.current_origin ()) ?file (fun () -> src))
     | None ->
       let d, ph2 = stages ~config ~cache:c ~absint_key ?file src in
       let e = summarize d ph2 in
       Cache.store c ~ns:"analysis" ~key e;
-      of_entry e (Lazy.from_val d))))
+      (e, Lazy.from_val d))))
+
+let of_entry ~config ((report, coverage, ledger, fingerprints) : entry) detail =
+  let report = if config.Config.verbose then report else { report with Report.infos = [] } in
+  { report; coverage; ledger; fingerprints; detail }
+
+let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
+  let e, detail = analyze_entry ~config ?cache ?file src in
+  of_entry ~config e detail
 
 let analyze_file ?config ?cache path : analysis =
   analyze ?config ?cache ~file:path (Loc.read_source path)
 
-let c_file_tasks = Telemetry.counter "pool.file_tasks"
-let c_file_peak = Telemetry.gauge "pool.file_peak"
-
-(** Analyze several systems concurrently, one domain per hardware thread
-    (bounded by [Domain.recommended_domain_count]).  Analysis state is
-    per-run, so the systems are embarrassingly parallel; results come
-    back in input order and exceptions are re-raised in input order. *)
-let analyze_files_par ?config ?cache (paths : string list) : analysis list =
+(** Several inputs on forked workers ({!Forkmap}), at most one per
+    hardware thread.  A worker sends back each input's entry, and its
+    forced detail when [force_detail]; a frontend error comes back as
+    data and the first one in input order is raised here. *)
+let analyze_files_par ?(config = Config.default) ?cache ?(force_detail = false)
+    (paths : string list) : analysis list =
   let n = List.length paths in
-  if n <= 1 then List.map (analyze_file ?config ?cache) paths
+  let workers = min (Domain.recommended_domain_count ()) n in
+  if workers <= 1 then List.map (analyze_file ~config ?cache) paths
   else begin
     let files = Array.of_list paths in
-    let results : (analysis, exn) result option array = Array.make n None in
-    let next = Atomic.make 0 in
-    Telemetry.add c_file_tasks n;
-    let active = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          Telemetry.record_max c_file_peak (Atomic.fetch_and_add active 1 + 1);
-          results.(i) <-
-            Some (try Ok (analyze_file ?config ?cache files.(i)) with e -> Error e);
-          Atomic.decr active;
-          loop ()
-        end
-      in
-      loop ()
+    let results =
+      Forkmap.map ~what:"analyze worker" ~stripes:(Forkmap.stripes ~workers n)
+        (fun ~worker:_ ~emit:_ indices ->
+          Array.map
+            (fun i ->
+              let path = files.(i) in
+              match analyze_entry ~config ?cache ~file:path (Loc.read_source path) with
+              | e, d -> Ok (e, if force_detail then Some (Lazy.force d) else None)
+              | exception Loc.Error (loc, msg) -> Error (loc, msg))
+            indices)
     in
-    let extra = min (Domain.recommended_domain_count () - 1) (n - 1) in
-    let domains = List.init (max 0 extra) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join domains;
-    Array.to_list results
-    |> List.map (function
-         | Some (Ok a) -> a
-         | Some (Error e) -> raise e
-         | None -> assert false)
+    Array.iter (function Error (loc, msg) -> raise (Loc.Error (loc, msg)) | Ok _ -> ()) results;
+    let origin = Cache.current_origin () in
+    List.mapi
+      (fun i path ->
+        match results.(i) with
+        | Ok (e, Some d) -> of_entry ~config e (Lazy.from_val d)
+        | Ok (e, None) ->
+          of_entry ~config e
+            (detail_later ~config ?cache
+               ~origin:(if origin = "" then path else origin)
+               ~file:path
+               (fun () -> Loc.read_source path))
+        | Error _ -> assert false)
+      paths
   end
 
 (** Summary-engine variant of phase 3 (paper §3.3's ESP-style

@@ -1,5 +1,5 @@
 (* Structured fleet event stream: one JSON object per line
-   (schema "safeflow-events/1"), written by workers onto a dedicated
+   (schema "safeflow-events/2"), written by workers onto a dedicated
    pipe and consumed by the parent for live progress and --log-json.
 
    Lines stay far below PIPE_BUF, so a single Unix.write per line is
@@ -9,7 +9,9 @@
    for correlating with telemetry spans (those use the monotonic
    epoch). *)
 
-let schema = "safeflow-events/1"
+(* v2: [fleet_start] no longer carries "shard_domains" (workers are
+   single-threaded processes) *)
+let schema = "safeflow-events/2"
 
 let esc = Jsonlite.escape
 
@@ -24,13 +26,12 @@ let base ev fields =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let fleet_start ~systems ~jobs ~shard_domains =
+let fleet_start ~systems ~jobs =
   base "fleet_start"
     [
       Printf.sprintf "\"schema\":\"%s\"" schema;
       Printf.sprintf "\"systems\":%d" systems;
       Printf.sprintf "\"jobs\":%d" jobs;
-      Printf.sprintf "\"shard_domains\":%d" shard_domains;
     ]
 
 let worker_start ~worker ~pid ~members =

@@ -1,5 +1,5 @@
 (** Structured fleet event stream: newline-delimited JSON
-    ([safeflow-events/1]).
+    ([safeflow-events/2]).
 
     Fleet workers emit these on a dedicated pipe; the parent tees them
     to [--log-json FILE] and feeds {!Progress}.  Each constructor
@@ -9,9 +9,9 @@
     atomic across concurrently-writing workers. *)
 
 val schema : string
-(** ["safeflow-events/1"]; carried in the [fleet_start] event *)
+(** ["safeflow-events/2"]; carried in the [fleet_start] event *)
 
-val fleet_start : systems:int -> jobs:int -> shard_domains:int -> string
+val fleet_start : systems:int -> jobs:int -> string
 
 val worker_start : worker:int -> pid:int -> members:int -> string
 
@@ -30,8 +30,8 @@ val member_done :
   unit ->
   string
 (** [cache_hits]/[cache_misses] are the delta observed while analyzing
-    this member (approximate under concurrent domains in the same
-    worker).  [certs], present only under [--emit-certs --check-certs],
+    this member (a worker analyzes its members one at a time, so the
+    delta is exact).  [certs], present only under [--emit-certs --check-certs],
     is the member's (passed, failed, skipped) certificate validation
     counts. *)
 

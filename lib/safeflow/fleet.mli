@@ -1,30 +1,25 @@
 (** Fleet mode: analyze many subject systems — a directory or manifest of
-    independently-built core components — sharded across OS processes
-    ([jobs]) and OCaml 5 domains per process ([shard_domains]), all
-    sharing one content-addressed disk cache.
+    independently-built core components — sharded across forked worker
+    processes ([jobs]), all sharing one content-addressed disk cache.
 
     {2 Sharding model}
 
-    Member [i] of an [n]-member fleet belongs to shard [i mod jobs].
-    Each shard is one forked worker process; inside a worker the
-    members are drained by a work-stealing pool of [shard_domains]
-    domains.  Workers marshal their per-member results back to the
-    parent through temp files and exit with [Unix._exit], so parent
-    buffers are never double-flushed.  The parent never spawns domains
-    itself (the OCaml 5 runtime forbids [Unix.fork] in a process that
-    ever did): with [jobs = 1] but [shard_domains > 1] a single forked
-    child hosts the domains, and only a fully sequential run
-    ([jobs = 1], [shard_domains = 1]) stays in-process — the mode used
-    by tests that need deterministic single-process cache statistics.
-    If fork itself is unavailable because earlier code in the process
-    already spawned a domain, the run degrades to in-process.
+    Members with identical sources form one group (they share every
+    cache key), and the groups go round-robin over [jobs] stripes in
+    first-appearance order ({!Forkmap.stripes}), so the first member of
+    a group stores its entries and its duplicates hit them on the same
+    worker.  Each stripe is one forked worker process ({!Forkmap.map})
+    that analyzes its members one after another and marshals their
+    results back to the parent.  A sequential run ([jobs = 1]) stays
+    in-process — the mode used by tests that need deterministic
+    single-process cache statistics.
 
     {2 Shared cache and cross-system dedupe}
 
     Every worker opens its own {!Cache.t} on the same directory; the
     disk tier is the shared medium and is safe under concurrent
-    multi-process multi-domain access (atomic temp+rename writes,
-    read-validate, generation stamping — see {!Cache}).  To make
+    multi-process access (atomic temp+rename writes, read-validate,
+    generation stamping — see {!Cache}).  To make
     identical members key identically (cache entries are per analysed
     input), all members are analyzed under one normalized
     [source_label] (default ["<system>"]) while the member's real path
@@ -44,17 +39,13 @@
 
     - {b Events} ([?on_event]): workers write {!Events} NDJSON lines
       (worker/member lifecycle, cache deltas, heartbeats) to a
-      dedicated pipe; single writes below [PIPE_BUF] keep concurrent
-      lines atomic.  The parent drains the pipe to EOF {e before}
-      reaping workers (every worker holds a write end until [_exit],
-      so EOF means all workers are gone — draining cannot deadlock
-      against a full pipe) and hands each line to [on_event].  The CLI
-      tees these to [--log-json] and a live [--progress] line.
-    - {b Telemetry}: when {!Telemetry.enabled}, each worker calls
-      {!Telemetry.begin_worker} after the fork, records spans and
-      counters as usual, and ships a {!Telemetry.snapshot} back with
-      its results; the parent merges them ({!Telemetry.merge_worker})
-      into the fleet-wide view used by [--stats], [--stats-json]
+      dedicated pipe ({!Forkmap.map}) and the parent hands each line to
+      [on_event].  The CLI tees these to [--log-json] and a live
+      [--progress] line.
+    - {b Telemetry}: when {!Telemetry.enabled}, each worker records
+      spans and counters as usual and ships a {!Telemetry.snapshot}
+      back with its results; the parent merges them into the
+      fleet-wide view used by [--stats], [--stats-json]
       (schema v3 [workers] section) and the multi-pid [--trace].
 
     Workers also tag their verbose stderr notes with a
@@ -97,8 +88,7 @@ type cache_totals = {
 type result = {
   f_results : member_result list;  (** in input order *)
   f_systems : int;
-  f_jobs : int;
-  f_shard_domains : int;
+  f_jobs : int;  (** worker processes; 1 for an in-process run *)
   f_elapsed_s : float;
   f_analyses_per_sec : float;
   f_cache : cache_totals;  (** summed over all shards and namespaces *)
@@ -108,7 +98,6 @@ val run :
   ?config:Config.t ->
   ?cache_dir:string ->
   ?jobs:int ->
-  ?shard_domains:int ->
   ?source_label:string ->
   ?on_event:(string -> unit) ->
   ?emit_certs:string ->
@@ -116,8 +105,9 @@ val run :
   string list ->
   result
 (** [run paths] analyzes every member and aggregates.  A member whose
-    analysis raises fails the whole run with the original message
-    (prefixed by its shard).  Cache totals are meaningful only with
+    analysis raises fails the whole run: in-process with the original
+    exception, forked with [Failure] carrying its message prefixed by its
+    shard (the first such member in input order).  Cache totals are meaningful only with
     [~cache_dir]; without it every member is analyzed cold.
     [on_event] receives each {!Events} line (no trailing newline) on
     the parent, in arrival order; it is called from the parent's single

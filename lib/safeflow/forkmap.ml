@@ -1,0 +1,141 @@
+(** Forked worker processes (see the interface). *)
+
+let stripes ?key ~workers n =
+  let workers = max 1 workers in
+  let groups = Hashtbl.create 64 in
+  let group i =
+    match key with
+    | None -> i
+    | Some key -> (
+      let k = key i in
+      match Hashtbl.find_opt groups k with
+      | Some g -> g
+      | None ->
+        let g = Hashtbl.length groups in
+        Hashtbl.replace groups k g;
+        g)
+  in
+  let worker = Array.init n (fun i -> group i mod workers) in
+  Array.init workers (fun j ->
+      Array.of_list (List.filter (fun i -> worker.(i) = j) (List.init n Fun.id)))
+
+let mkdtemp prefix =
+  let base = Filename.get_temp_dir_name () in
+  let rec go k =
+    let d = Filename.concat base (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) k) in
+    if Sys.file_exists d then go (k + 1)
+    else begin
+      try
+        Sys.mkdir d 0o700;
+        d
+      with Sys_error _ -> go (k + 1)
+    end
+  in
+  go 0
+
+(* what a worker marshals back: its per-item results and, when telemetry
+   is on, its snapshot; or why it could not finish its stripe *)
+type ('b, 'e) payload =
+  (('b, 'e) result array * Telemetry.snapshot option, string) Stdlib.result
+
+let map ?on_event ~what ~stripes f =
+  let jobs = Array.length stripes in
+  let tmpdir = mkdtemp "safeflow-workers" in
+  let result_file j = Filename.concat tmpdir (Printf.sprintf "worker-%d.bin" j) in
+  flush stdout;
+  flush stderr;
+  let pipe = Option.map (fun _ -> Unix.pipe ()) on_event in
+  let fork_worker j =
+    match Unix.fork () with
+    | 0 ->
+      (* fresh telemetry on the parent's timeline; a vanished event
+         reader must not kill the worker *)
+      Telemetry.begin_worker ();
+      let emit =
+        Option.map
+          (fun (rfd, wfd) ->
+            Unix.close rfd;
+            (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+            Events.write_line wfd)
+          pipe
+      in
+      let write (p : _ payload) =
+        let oc = open_out_bin (result_file j) in
+        Marshal.to_channel oc p [];
+        close_out oc
+      in
+      let status =
+        try
+          let results = f ~worker:j ~emit stripes.(j) in
+          let snap = if Telemetry.enabled () then Some (Telemetry.snapshot ()) else None in
+          write (Ok (results, snap));
+          0
+        with e ->
+          (try write (Error (Printexc.to_string e)) with _ -> ());
+          1
+      in
+      (* _exit: no at_exit handlers, no double-flushed buffers; also
+         drops this worker's write end of the event pipe *)
+      Unix._exit status
+    | pid -> pid
+  in
+  let pids = List.init jobs fork_worker in
+  (match (pipe, on_event) with
+  | Some (rfd, wfd), Some sink ->
+    Unix.close wfd;
+    let ic = Unix.in_channel_of_descr rfd in
+    (try
+       while true do
+         sink (input_line ic)
+       done
+     with End_of_file | Sys_error _ -> ());
+    close_in_noerr ic
+  | _ -> ());
+  (* reap every worker before acting on any failure: no zombies *)
+  let statuses = List.map (fun pid -> snd (Unix.waitpid [] pid)) pids in
+  let read j status =
+    let fail fmt =
+      Fmt.kstr (fun msg -> failwith (Printf.sprintf "%s %d/%d: %s" what j jobs msg)) fmt
+    in
+    (match status with
+    | Unix.WEXITED (0 | 1) -> ()
+    | Unix.WEXITED c -> fail "worker exited with code %d" c
+    | Unix.WSIGNALED s -> fail "worker killed by signal %d" s
+    | Unix.WSTOPPED s -> fail "worker stopped by signal %d" s);
+    match open_in_bin (result_file j) with
+    | exception Sys_error _ -> fail "worker produced no result file"
+    | ic -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> (Marshal.from_channel ic : _ payload))
+      with
+      | Ok r -> r
+      | Error msg -> fail "%s" msg)
+  in
+  let shards =
+    Fun.protect
+      ~finally:(fun () ->
+        try
+          Array.iter
+            (fun f -> try Sys.remove (Filename.concat tmpdir f) with Sys_error _ -> ())
+            (Sys.readdir tmpdir);
+          Sys.rmdir tmpdir
+        with Sys_error _ -> ())
+      (fun () -> List.mapi read statuses)
+  in
+  List.iteri
+    (fun j (_, snap) ->
+      Option.iter
+        (fun s ->
+          if not (Telemetry.merge_worker ~label:(Printf.sprintf "worker %d" j) s) then
+            Printf.eprintf
+              "safeflow: dropping worker %d telemetry (snapshot version mismatch)\n%!" j)
+        snap)
+    shards;
+  let n = Array.fold_left (fun acc s -> acc + Array.length s) 0 stripes in
+  let by_item = Array.make n None in
+  List.iteri
+    (fun j (results, _) -> Array.iteri (fun k i -> by_item.(i) <- Some results.(k)) stripes.(j))
+    shards;
+  Array.map (function Some r -> r | None -> failwith (what ^ ": missing result")) by_item

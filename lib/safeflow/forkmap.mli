@@ -1,0 +1,52 @@
+(** Forked worker processes: SafeFlow's one parallelism mechanism.
+
+    [map] runs each stripe of items in its own forked process and
+    gathers the per-item results in the parent.  A worker shares nothing
+    with its parent after the fork, so analysis state, telemetry and
+    cache handles need no synchronisation, and a fault stays inside the
+    process that hit it.  Fleet mode ({!Fleet.run}) and multi-file
+    analysis ({!Driver.analyze_files_par}) both go through it.
+
+    {2 Protocol}
+
+    The parent flushes [stdout] and [stderr] (buffers duplicated into a
+    child would be written twice) and forks one worker per stripe.  A
+    worker calls {!Telemetry.begin_worker}, runs the caller's function
+    on its stripe, and marshals the per-item results, plus a
+    {!Telemetry.snapshot} when telemetry is on, into a temp file.  It
+    leaves with [Unix._exit], so no [at_exit] handler runs twice.
+
+    With [?on_event], workers also get an [emit] function that writes
+    one line to a shared pipe ({!Events.write_line}: single writes below
+    [PIPE_BUF] are atomic).  The parent drains the pipe to EOF before it
+    reaps: every worker holds a write end until it exits, so EOF means
+    all workers are gone, and draining cannot deadlock against a full
+    pipe.  The parent then reaps every worker, reads the result files,
+    and merges each snapshot with {!Telemetry.merge_worker} under the
+    label ["worker N"]. *)
+
+val stripes : ?key:(int -> string) -> workers:int -> int -> int array array
+(** [stripes ~workers n] assigns items [0 .. n-1] to [workers] stripes,
+    round-robin.  With [~key], items with equal keys form one group, and
+    the groups go round-robin in first-appearance order, so equal items
+    always land on one worker.  Every stripe lists its items in
+    increasing order; a stripe may be empty. *)
+
+val map :
+  ?on_event:(string -> unit) ->
+  what:string ->
+  stripes:int array array ->
+  (worker:int -> emit:(string -> unit) option -> int array -> ('b, 'e) result array) ->
+  ('b, 'e) result array
+(** [map ~what ~stripes f] forks one worker per stripe; worker [j] runs
+    [f ~worker:j ~emit stripes.(j)], which returns one result per item of
+    its stripe, in stripe order.  The results come back indexed by item.
+    ['b] and ['e] must be pure data (no closures): they cross the
+    process boundary through [Marshal].
+
+    [emit] is [Some] exactly when [on_event] is given; the parent calls
+    [on_event] on each line, in arrival order, from its single thread.
+
+    A worker that exits abnormally, leaves no result file, or whose [f]
+    raises fails the whole map with [Failure "WHAT j/N: reason"], after
+    every worker has been reaped. *)

@@ -32,6 +32,7 @@ module Cache = Cache
 module Vfgraph = Vfgraph
 module Vfg = Vfg
 module Driver = Driver
+module Forkmap = Forkmap
 module Fleet = Fleet
 module Synth = Synth
 module Dyntaint = Dyntaint

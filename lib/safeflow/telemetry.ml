@@ -1,10 +1,10 @@
 (** Telemetry implementation (see the interface for the contract).
 
-    Hot-path discipline: every entry point loads one atomic flag and
-    returns when telemetry is off, so instrumented code costs a load and
-    a branch when disabled.  When enabled, span finish and counter
-    registration take a global mutex; counter updates are lock-free
-    atomics.
+    Hot-path discipline: every entry point reads one flag and returns
+    when telemetry is off, so instrumented code costs a load and a branch
+    when disabled.  All state is plain mutable data: SafeFlow runs on
+    the main domain only (parallelism is forked processes, see
+    {!Forkmap}), so nothing here is shared between threads.
 
     Fleet aggregation: a forked worker process records into its own
     inherited copy of this state (cleared by {!begin_worker}), packages
@@ -15,9 +15,9 @@
 
 external now_ns : unit -> int64 = "safeflow_monotonic_ns"
 
-let on = Atomic.make false
+let on = ref false
 
-let enabled () = Atomic.get on
+let enabled () = !on
 
 (* -- Spans --------------------------------------------------------------------- *)
 
@@ -26,7 +26,6 @@ type span_record = {
   s_parent : int;
   s_name : string;
   s_args : (string * string) list;
-  s_domain : int;
   s_start_ns : int64;
   s_dur_ns : int64;
 }
@@ -39,39 +38,33 @@ type active = {
   a_t0 : int64;
 }
 
-let lock = Mutex.create ()
-
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 (* trace epoch: all exported timestamps are relative to this.  A forked
    worker inherits the parent's epoch, and CLOCK_MONOTONIC is
    system-wide, so parent and worker span timestamps share one timeline
    in the merged trace. *)
-let epoch = Atomic.make (now_ns ())
+let epoch = ref (now_ns ())
 
-let next_span_id = Atomic.make 0
+let next_span_id = ref 0
 
-let finished : span_record list ref = ref []  (* newest first; guarded by [lock] *)
+let finished : span_record list ref = ref []  (* newest first *)
 
-(* per-domain stack of open spans *)
-let stack_key : active list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* the open spans, innermost first *)
+let stack : active list ref = ref []
 
 let span ?(args = []) name f =
-  if not (Atomic.get on) then f ()
+  if not !on then f ()
   else begin
-    let stack = Domain.DLS.get stack_key in
     let parent = match !stack with [] -> -1 | a :: _ -> a.a_id in
     let a =
       {
-        a_id = Atomic.fetch_and_add next_span_id 1;
+        a_id = !next_span_id;
         a_parent = parent;
         a_name = name;
         a_args = args;
         a_t0 = now_ns ();
       }
     in
+    incr next_span_id;
     stack := a :: !stack;
     Fun.protect
       ~finally:(fun () ->
@@ -83,23 +76,22 @@ let span ?(args = []) name f =
             s_parent = a.a_parent;
             s_name = a.a_name;
             s_args = a.a_args;
-            s_domain = (Domain.self () :> int);
-            s_start_ns = Int64.sub a.a_t0 (Atomic.get epoch);
+            s_start_ns = Int64.sub a.a_t0 !epoch;
             s_dur_ns = dur;
           }
         in
-        locked (fun () -> finished := r :: !finished))
+        finished := r :: !finished)
       f
   end
 
 let sort_spans l =
   List.sort (fun a b -> compare (a.s_start_ns, a.s_id) (b.s_start_ns, b.s_id)) l
 
-let spans () = sort_spans (locked (fun () -> !finished))
+let spans () = sort_spans !finished
 
 (* -- Counters and gauges --------------------------------------------------------- *)
 
-type counter = int Atomic.t
+type counter = int ref
 
 let registry : (string, counter) Hashtbl.t = Hashtbl.create 64
 
@@ -107,89 +99,71 @@ let registry : (string, counter) Hashtbl.t = Hashtbl.create 64
 let gauge_set : (string, unit) Hashtbl.t = Hashtbl.create 8
 
 let counter name =
-  locked (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some c -> c
-      | None ->
-        let c = Atomic.make 0 in
-        Hashtbl.replace registry name c;
-        c)
+  match Hashtbl.find_opt registry name with
+  | Some c -> c
+  | None ->
+    let c = ref 0 in
+    Hashtbl.replace registry name c;
+    c
 
 let gauge name =
   let c = counter name in
-  locked (fun () -> Hashtbl.replace gauge_set name ());
+  Hashtbl.replace gauge_set name ();
   c
 
-let is_gauge name = locked (fun () -> Hashtbl.mem gauge_set name)
+let is_gauge name = Hashtbl.mem gauge_set name
 
-let incr c = if Atomic.get on then ignore (Atomic.fetch_and_add c 1)
+let incr c = if !on then Stdlib.incr c
 
-let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c n)
+let add c n = if !on then c := !c + n
 
-let rec record_max c n =
-  if Atomic.get on then begin
-    let v = Atomic.get c in
-    if n > v && not (Atomic.compare_and_set c v n) then record_max c n
-  end
+let record_max c n = if !on && n > !c then c := n
 
-let value c = Atomic.get c
+let value c = !c
 
 let counters () =
-  locked (fun () ->
-      List.sort compare
-        (Hashtbl.fold (fun name c acc -> (name, Atomic.get c) :: acc) registry []))
+  List.sort compare (Hashtbl.fold (fun name c acc -> (name, !c) :: acc) registry [])
 
 (* float gauges: named floating-point measurements with max-retain
    semantics (analyses/sec and friends, which an int counter would
-   truncate); guarded by [lock] *)
+   truncate) *)
 let fgauges : (string, float) Hashtbl.t = Hashtbl.create 8
 
 let record_float_max name v =
-  if Atomic.get on then
-    locked (fun () ->
-        match Hashtbl.find_opt fgauges name with
-        | Some old when old >= v -> ()
-        | _ -> Hashtbl.replace fgauges name v)
+  if !on then
+    match Hashtbl.find_opt fgauges name with
+    | Some old when old >= v -> ()
+    | _ -> Hashtbl.replace fgauges name v
 
 let float_gauges () =
-  locked (fun () ->
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fgauges []))
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fgauges [])
 
 (* -- Histograms ------------------------------------------------------------------ *)
 
 (* log2-bucketed latency histograms: bucket [i] counts observations with
    duration in [2^i, 2^(i+1)) ns (bucket 0 additionally absorbs 0 and
    1 ns).  64 buckets cover the full non-negative int63 range, so no
-   observation is ever clipped.  Updates are lock-free atomics, same
-   discipline as counters; percentiles are recomputed from the buckets
+   observation is ever clipped.  Percentiles are recomputed from the buckets
    on export, which makes the representation mergeable bucket-wise
    across fleet workers. *)
 let hist_buckets = 64
 
 type histogram = {
   h_name : string;
-  h_count : int Atomic.t;
-  h_sum : int Atomic.t;  (* total observed ns *)
-  h_b : int Atomic.t array;
+  mutable h_count : int;
+  mutable h_sum : int;  (* total observed ns *)
+  h_b : int array;
 }
 
 let hist_registry : (string, histogram) Hashtbl.t = Hashtbl.create 8
 
 let histogram name =
-  locked (fun () ->
-      match Hashtbl.find_opt hist_registry name with
-      | Some h -> h
-      | None ->
-        let h =
-          {
-            h_name = name;
-            h_count = Atomic.make 0;
-            h_sum = Atomic.make 0;
-            h_b = Array.init hist_buckets (fun _ -> Atomic.make 0);
-          }
-        in
-        Hashtbl.replace hist_registry name h;
-        h)
+  match Hashtbl.find_opt hist_registry name with
+  | Some h -> h
+  | None ->
+    let h = { h_name = name; h_count = 0; h_sum = 0; h_b = Array.make hist_buckets 0 } in
+    Hashtbl.replace hist_registry name h;
+    h
 
 let bucket_of_ns ns =
   if ns <= 1 then 0
@@ -209,15 +183,16 @@ let bucket_upper_ns i =
   if i >= 62 then max_int else (1 lsl (i + 1)) - 1
 
 let observe_ns h ns =
-  if Atomic.get on then begin
+  if !on then begin
     let ns = if Int64.compare ns 0L < 0 then 0 else Int64.to_int ns in
-    ignore (Atomic.fetch_and_add h.h_count 1);
-    ignore (Atomic.fetch_and_add h.h_sum ns);
-    ignore (Atomic.fetch_and_add h.h_b.(bucket_of_ns ns) 1)
+    let b = bucket_of_ns ns in
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum + ns;
+    h.h_b.(b) <- h.h_b.(b) + 1
   end
 
 let time_hist h f =
-  if not (Atomic.get on) then f ()
+  if not !on then f ()
   else begin
     let t0 = now_ns () in
     Fun.protect ~finally:(fun () -> observe_ns h (Int64.sub (now_ns ()) t0)) f
@@ -262,34 +237,29 @@ let view_of_buckets name count sum buckets =
   }
 
 let histograms () =
-  let hs =
-    locked (fun () -> Hashtbl.fold (fun _ h acc -> h :: acc) hist_registry [])
-  in
   List.sort compare
-    (List.map
-       (fun h ->
-         view_of_buckets h.h_name (Atomic.get h.h_count) (Atomic.get h.h_sum)
-           (Array.map Atomic.get h.h_b))
-       hs)
+    (Hashtbl.fold
+       (fun _ h acc -> view_of_buckets h.h_name h.h_count h.h_sum (Array.copy h.h_b) :: acc)
+       hist_registry [])
 
 (* -- Sections -------------------------------------------------------------------- *)
 
 (* named raw-JSON fragments contributed by other subsystems (monitoring
    coverage per analyzed file, notably) and embedded verbatim in the
-   stats JSON; guarded by [lock], first-set order preserved *)
+   stats JSON; first-set order preserved *)
 let section_tbl : (string * string) list ref = ref []
 
-let set_section name json =
-  locked (fun () ->
-      section_tbl := (name, json) :: List.remove_assoc name !section_tbl)
+let set_section name json = section_tbl := (name, json) :: List.remove_assoc name !section_tbl
 
-let sections () = locked (fun () -> List.rev !section_tbl)
+let sections () = List.rev !section_tbl
 
 (* -- Worker snapshots -------------------------------------------------------------- *)
 
 (* v2: adds [sn_hists] (log-bucketed latency histograms, merged
-   bucket-wise) *)
-let snapshot_version = 2
+   bucket-wise).
+   v3: span records lose [s_domain] (a worker is one single-threaded
+   process) *)
+let snapshot_version = 3
 
 type snapshot = {
   sn_version : int;
@@ -308,9 +278,7 @@ let snapshot () =
     sn_version = snapshot_version;
     sn_pid = Unix.getpid ();
     sn_counters = counters ();
-    sn_gauge_names =
-      locked (fun () ->
-          List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) gauge_set []));
+    sn_gauge_names = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) gauge_set []);
     sn_fgauges = float_gauges ();
     sn_hists =
       List.map
@@ -322,7 +290,7 @@ let snapshot () =
 
 type worker_view = { w_label : string; w_snapshot : snapshot }
 
-let worker_views : worker_view list ref = ref []  (* newest first; guarded by [lock] *)
+let worker_views : worker_view list ref = ref []  (* newest first *)
 
 let merge_worker ~label (s : snapshot) =
   if s.sn_version <> snapshot_version then false
@@ -342,61 +310,44 @@ let merge_worker ~label (s : snapshot) =
     List.iter
       (fun (name, count, sum, buckets) ->
         let h = histogram name in
-        ignore (Atomic.fetch_and_add h.h_count count);
-        ignore (Atomic.fetch_and_add h.h_sum sum);
-        Array.iteri
-          (fun i n ->
-            if i < hist_buckets && n > 0 then
-              ignore (Atomic.fetch_and_add h.h_b.(i) n))
-          buckets)
+        h.h_count <- h.h_count + count;
+        h.h_sum <- h.h_sum + sum;
+        Array.iteri (fun i n -> if i < hist_buckets then h.h_b.(i) <- h.h_b.(i) + n) buckets)
       s.sn_hists;
     (* sections carry analysis-derived data, not timings: keep the
        parent's value when both set the same name *)
     List.iter
       (fun (name, json) ->
-        locked (fun () ->
-            if not (List.mem_assoc name !section_tbl) then
-              section_tbl := (name, json) :: !section_tbl))
+        if not (List.mem_assoc name !section_tbl) then section_tbl := (name, json) :: !section_tbl)
       s.sn_sections;
-    locked (fun () ->
-        worker_views := { w_label = label; w_snapshot = s } :: !worker_views);
+    worker_views := { w_label = label; w_snapshot = s } :: !worker_views;
     true
   end
 
-let workers () = List.rev (locked (fun () -> !worker_views))
-
-let zero_hists () =
-  Hashtbl.iter
-    (fun _ h ->
-      Atomic.set h.h_count 0;
-      Atomic.set h.h_sum 0;
-      Array.iter (fun b -> Atomic.set b 0) h.h_b)
-    hist_registry
+let workers () = List.rev !worker_views
 
 let begin_worker () =
-  locked (fun () ->
-      finished := [];
-      section_tbl := [];
-      worker_views := [];
-      Hashtbl.reset fgauges;
-      zero_hists ();
-      Hashtbl.iter (fun _ c -> Atomic.set c 0) registry)
+  finished := [];
+  section_tbl := [];
+  worker_views := [];
+  Hashtbl.reset fgauges;
+  Hashtbl.iter
+    (fun _ h ->
+      h.h_count <- 0;
+      h.h_sum <- 0;
+      Array.fill h.h_b 0 hist_buckets 0)
+    hist_registry;
+  Hashtbl.iter (fun _ c -> c := 0) registry
 
 (* -- Switch / reset -------------------------------------------------------------- *)
 
 let reset () =
-  Atomic.set epoch (now_ns ());
-  locked (fun () ->
-      finished := [];
-      section_tbl := [];
-      worker_views := [];
-      Hashtbl.reset fgauges;
-      zero_hists ();
-      Hashtbl.iter (fun _ c -> Atomic.set c 0) registry)
+  epoch := now_ns ();
+  begin_worker ()
 
 let set_enabled b =
-  if b && not (Atomic.get on) then Atomic.set epoch (now_ns ());
-  Atomic.set on b
+  if b && not !on then epoch := now_ns ();
+  on := b
 
 (* -- JSON helpers ----------------------------------------------------------------- *)
 
@@ -437,9 +388,8 @@ let write_chrome_trace path =
     sep ();
     Buffer.add_string b
       (Printf.sprintf
-         "{\"name\":\"%s\",\"cat\":\"safeflow\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d"
-         (json_escape s.s_name) (us_of_ns s.s_start_ns) (us_of_ns s.s_dur_ns) pid
-         s.s_domain);
+         "{\"name\":\"%s\",\"cat\":\"safeflow\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":0"
+         (json_escape s.s_name) (us_of_ns s.s_start_ns) (us_of_ns s.s_dur_ns) pid);
     if s.s_args <> [] then begin
       Buffer.add_string b ",\"args\":{";
       List.iteri
@@ -465,7 +415,7 @@ let write_chrome_trace path =
   (* latency histograms as trace counter events ("ph":"C"): one sample
      per histogram at the current trace time, so Perfetto renders a
      counter track with the percentile series next to the span rows *)
-  let now_ts = us_of_ns (Int64.sub (now_ns ()) (Atomic.get epoch)) in
+  let now_ts = us_of_ns (Int64.sub (now_ns ()) !epoch) in
   List.iter
     (fun hv ->
       if hv.hv_count > 0 then begin

@@ -1,24 +1,22 @@
-(** Analysis telemetry: hierarchical phase spans, atomic counters and
-    gauges, exportable as a Chrome-trace JSON, a human-readable tree, or
-    a machine-readable stats JSON.
+(** Analysis telemetry: hierarchical phase spans, counters and gauges,
+    exportable as a Chrome-trace JSON, a human-readable tree, or a
+    machine-readable stats JSON.
 
     The subsystem is {b disabled by default} and designed to be
     zero-overhead when off: {!span} runs its thunk directly after one
-    atomic flag read, and counter updates reduce to the same flag read.
+    flag read, and counter updates reduce to the same flag read.
     Nothing here ever feeds back into {!Report.t}, so reports are
     byte-identical whether telemetry is on or off (asserted by
     [test/test_engine_equiv.ml]).
 
-    Spans use a monotonic clock (CLOCK_MONOTONIC via a C stub) and a
-    per-domain span stack ([Domain.DLS]), so instrumented code running on
-    worker domains — the multi-system driver, fleet shard domains —
-    records correctly-nested spans for its own domain without
-    synchronizing with other domains; finished spans are merged into one
-    global list under a mutex.  Counters are process-global atomics
-    keyed by name, shared by all domains.
+    Spans use a monotonic clock (CLOCK_MONOTONIC via a C stub) and one
+    process-wide span stack.  All state is plain mutable data with no
+    locks: SafeFlow code runs on the main domain only, and its
+    parallelism is forked worker processes ({!Forkmap}), each recording
+    into its own copy.  Counters are process-global and keyed by name.
 
-    Fleet aggregation (PR 8): telemetry is per-process, so a forked
-    fleet worker records into its own copy of this state.  Workers call
+    Fleet aggregation: telemetry is per-process, so a forked worker
+    records into its own copy of this state.  Workers call
     {!begin_worker} right after the fork (clearing inherited parent
     data while keeping the trace epoch, which — CLOCK_MONOTONIC being
     system-wide — keeps worker and parent spans on one timeline),
@@ -48,16 +46,15 @@ val now_ns : unit -> int64
 (** {1 Spans} *)
 
 val span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [span name f] times [f ()] as a child of the innermost open span on
-    the current domain.  Exceptions propagate; the span is closed either
-    way.  When disabled this is [f ()]. *)
+(** [span name f] times [f ()] as a child of the innermost open span.
+    Exceptions propagate; the span is closed either way.  When disabled
+    this is [f ()]. *)
 
 type span_record = {
   s_id : int;
   s_parent : int;  (** -1 for a root span *)
   s_name : string;
   s_args : (string * string) list;
-  s_domain : int;  (** domain id the span ran on *)
   s_start_ns : int64;  (** relative to the trace epoch *)
   s_dur_ns : int64;
 }
@@ -108,13 +105,13 @@ val float_gauges : unit -> (string * float) list
 
 (** {1 Latency histograms}
 
-    Log2-bucketed latency histograms (PR 9): bucket [i] counts
-    observations with duration in [2^i, 2^(i+1)) ns, 64 buckets.  Like
-    counters they are process-global, lock-free to update, and no-ops
-    when telemetry is off.  Unlike a single span total, a histogram
-    keeps the full latency distribution, and because the representation
-    is pure bucket counts it merges across fleet workers bucket-wise —
-    percentiles are recomputed from the merged buckets, never averaged. *)
+    Log2-bucketed latency histograms: bucket [i] counts observations
+    with duration in [2^i, 2^(i+1)) ns, 64 buckets.  Like counters they
+    are process-global and no-ops when telemetry is off.  Unlike a
+    single span total, a histogram keeps the full latency distribution,
+    and because the representation is pure bucket counts it merges
+    across fleet workers bucket-wise — percentiles are recomputed from
+    the merged buckets, never averaged. *)
 
 type histogram
 
@@ -209,10 +206,10 @@ val workers : unit -> worker_view list
 
 val write_chrome_trace : string -> unit
 (** write all finished spans as Chrome trace-event JSON (load in
-    [chrome://tracing] or Perfetto); one track per domain.  With merged
-    worker snapshots present, worker spans are emitted under their real
-    [pid] (with [process_name] metadata records), so a fleet run
-    renders as side-by-side per-process timelines. *)
+    [chrome://tracing] or Perfetto); one track ([tid] 0) per process.
+    With merged worker snapshots present, worker spans are emitted under
+    their real [pid] (with [process_name] metadata records), so a fleet
+    run renders as side-by-side per-process timelines. *)
 
 val write_stats_json : string -> unit
 (** machine-readable snapshot: schema tag, pid, all counters, float

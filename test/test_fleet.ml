@@ -1,18 +1,21 @@
 (* Fleet-mode tests:
 
    - the shared disk cache under concurrent hammering from several
-     processes AND from several domains of one process: no corrupt
-     entries, no wrong values, every key readable afterwards;
+     processes: no corrupt entries, no wrong values, every key readable
+     afterwards;
    - cross-system hit attribution via Cache.with_origin;
-   - fleet report identity: a sharded (2 processes x 2 domains) run over
-     a shared cache — cold and warm — is byte-identical to a sequential
+   - fleet report identity: a sharded (2 worker processes) run over a
+     shared cache — cold and warm — is byte-identical to a sequential
      no-cache baseline, with cross-system hits observed on the way and
-     no miss and no corrupt entry on the warm run.
+     no miss and no corrupt entry on the warm run;
+   - identical members go to one worker, so a cold run stores each
+     distinct source once;
+   - the single-domain contract: a second domain is refused.
 
    Ordering matters: the OCaml 5 runtime forbids Unix.fork in any
    process that has ever spawned a domain, so every fork-based test
-   (including Fleet.run with jobs or domains, which forks workers) runs
-   before the in-process multi-domain test, which is last. *)
+   (including Fleet.run with jobs, which forks workers) runs before the
+   domain test, which is last. *)
 
 open Safeflow
 
@@ -181,8 +184,8 @@ let test_fleet_identity () =
     List.map (fun m -> m.Fleet.mr_report) r.Fleet.f_results
   in
   let base = Fleet.run paths in
-  let cold = Fleet.run ~cache_dir ~jobs:2 ~shard_domains:2 paths in
-  let warm = Fleet.run ~cache_dir ~jobs:2 ~shard_domains:2 paths in
+  let cold = Fleet.run ~cache_dir ~jobs:2 paths in
+  let warm = Fleet.run ~cache_dir ~jobs:2 paths in
   Alcotest.(check int) "all members analyzed" 12 base.Fleet.f_systems;
   Alcotest.(check (list string))
     "member order preserved" paths
@@ -219,8 +222,7 @@ let test_fleet_identity () =
 (* A forked observed run (telemetry + events on) must produce a coherent
    merged view — worker snapshot sums matching fleet totals, events for
    every member, a multi-pid trace — while leaving reports byte-identical
-   to an unobserved run.  Forks, so must run before the multidomain
-   test. *)
+   to an unobserved run.  Forks, so must run before the domain test. *)
 let test_fleet_observability () =
   let fp =
     { Synth.fleet_n = 8; fleet_workers = 4; fleet_overlap = 0.5; fleet_dup = 0.25 }
@@ -240,7 +242,7 @@ let test_fleet_observability () =
     List.map (fun m -> m.Fleet.mr_report) r.Fleet.f_results
   in
   (* plain run: no telemetry, no events, no cache *)
-  let plain = Fleet.run ~jobs:2 ~shard_domains:2 paths in
+  let plain = Fleet.run ~jobs:2 paths in
   (* observed run *)
   Telemetry.set_enabled true;
   Telemetry.reset ();
@@ -248,7 +250,7 @@ let test_fleet_observability () =
   let events = ref [] in
   let parent_cross_before = Telemetry.value (Telemetry.counter "cache.cross_hits") in
   let observed =
-    Fleet.run ~cache_dir ~jobs:2 ~shard_domains:2
+    Fleet.run ~cache_dir ~jobs:2
       ~on_event:(fun line -> events := line :: !events)
       paths
   in
@@ -336,28 +338,64 @@ let test_fleet_observability () =
   rm_rf cache_dir;
   rm_rf src_dir
 
-(* -- multi-domain (must stay last: spawning a domain forbids fork) ------------ *)
+(* -- duplicates ------------------------------------------------------------------ *)
 
-let test_multidomain () =
-  let dir = mkdtemp "sf-fleet-md" in
-  let c = Cache.create ~dir () in
-  let ks = keys 100 in
-  let results = Array.make 4 true in
-  let worker d () = try hammer c ks ~rot:(d * 13) with _ -> results.(d) <- false in
-  let doms = List.init 3 (fun d -> Domain.spawn (worker (d + 1))) in
-  worker 0 ();
-  List.iter Domain.join doms;
-  Array.iteri
-    (fun d ok -> Alcotest.(check bool) (Printf.sprintf "domain %d clean" d) true ok)
-    results;
-  Array.iter
-    (fun key ->
-      match (Cache.find c ~ns ~key : (string * int * string list) option) with
-      | Some v -> Alcotest.(check bool) "value intact" true (v = value_of key)
-      | None -> Alcotest.fail ("missing key " ^ key))
-    ks;
-  Alcotest.(check int) "no corrupt entries" 0 (corrupt_count c);
-  rm_rf dir
+(* Members with one source share every cache key.  Grouped on one
+   worker, a cold two-worker run misses and writes each distinct
+   "analysis" entry exactly once, and every duplicate is a cross-system
+   hit on its group's first member. *)
+let test_fleet_duplicates () =
+  let fp =
+    { Synth.fleet_n = 16; fleet_workers = 4; fleet_overlap = 0.5; fleet_dup = 0.5 }
+  in
+  let src_dir = mkdtemp "sf-fleet-dup-src" in
+  let cache_dir = mkdtemp "sf-fleet-dup-cache" in
+  let members = Synth.fleet ~seed:3 fp in
+  let paths =
+    List.map
+      (fun (name, src) ->
+        let path = Filename.concat src_dir name in
+        let oc = open_out_bin path in
+        output_string oc src;
+        close_out oc;
+        path)
+      members
+  in
+  let distinct = List.length (List.sort_uniq compare (List.map snd members)) in
+  Alcotest.(check bool) "the fleet has duplicates" true (distinct < List.length members);
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  let r = Fleet.run ~cache_dir ~jobs:2 paths in
+  let counter name = Telemetry.value (Telemetry.counter name) in
+  let misses = counter "cache.analysis.misses" in
+  let written = counter "cache.analysis.files_written" in
+  Telemetry.set_enabled false;
+  Telemetry.reset ();
+  Alcotest.(check int) "one analysis miss per distinct source" distinct misses;
+  Alcotest.(check int) "one analysis entry written per distinct source" distinct written;
+  Alcotest.(check int) "every duplicate is a cross-system hit"
+    (List.length members - distinct) r.Fleet.f_cache.Fleet.ct_cross;
+  rm_rf cache_dir;
+  rm_rf src_dir
+
+(* -- a second domain (must stay last: spawning a domain forbids fork) --------- *)
+
+(* Caches and analyses are unsynchronised, so SafeFlow refuses to run
+   them off the main domain instead of racing. *)
+let test_second_domain_refused () =
+  let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let cache, analyze =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ( refused (fun () -> ignore (Cache.create ())),
+             refused (fun () -> ignore (Driver.analyze "int main() { return 0; }") ) )))
+  in
+  Alcotest.(check bool) "Cache.create refused" true cache;
+  Alcotest.(check bool) "Driver.analyze refused" true analyze;
+  (* the main domain is unaffected *)
+  let c = Cache.create () in
+  Cache.store c ~ns ~key:"k" 1;
+  Alcotest.(check (option int)) "main-domain cache works" (Some 1) (Cache.find c ~ns ~key:"k")
 
 let () =
   Alcotest.run "fleet"
@@ -369,7 +407,9 @@ let () =
           Alcotest.test_case "sharded+cached reports identical to baseline" `Quick
             test_fleet_identity;
           Alcotest.test_case "observed run: merged telemetry, events, neutral reports"
-            `Quick test_fleet_observability ] );
+            `Quick test_fleet_observability;
+          Alcotest.test_case "duplicates analyzed once on one worker" `Quick
+            test_fleet_duplicates ] );
       ( "multidomain",
-        [ Alcotest.test_case "4 domains hammer one disk cache" `Quick test_multidomain ] )
+        [ Alcotest.test_case "a second domain is refused" `Quick test_second_domain_refused ] )
     ]

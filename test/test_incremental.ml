@@ -4,8 +4,8 @@
    function universe and the value-flow-graph export a cache hit's
    forced detail yields; the on-disk tier must survive a round trip through a fresh process-level
    cache object, silently recompute corrupt entries, and survive losing
-   the race to create its directories; Driver.analyze_files_par must
-   agree with sequential analysis in input order. *)
+   the race to create its directories; Driver.analyze_files_par (forked
+   workers) must agree with sequential analysis in input order. *)
 
 open Safeflow
 
@@ -281,7 +281,7 @@ let test_latest_other_program () =
       Alcotest.(check (pair int int)) (sys ^ " exact miss, then that pack") (1, 1) (st "absint"))
     systems
 
-(* Concurrent workers opening one missing cache directory race to
+(* Concurrent forked workers opening one missing cache directory race to
    create it (and its generation subdirectory); every one must end up
    with a disk tier, whoever won.  A root that exists but is not a
    directory still degrades to memory-only. *)
@@ -298,16 +298,35 @@ let test_disk_mkdir_race () =
     let open_and_store i () =
       Cache.store (Cache.create ~dir ()) ~ns:"race" ~key:(string_of_int i) i
     in
-    (* line the openers up so their mkdirs overlap *)
-    let ready = Atomic.make 0 in
-    let racer i () =
-      Atomic.incr ready;
-      while Atomic.get ready < 4 do Domain.cpu_relax () done;
-      open_and_store i ()
+    (* line the openers up so their mkdirs overlap: each one blocks on
+       the pipe until the parent releases all four with one write *)
+    let go_r, go_w = Unix.pipe () in
+    flush stdout;
+    flush stderr;
+    let pids =
+      List.init 4 (fun i ->
+          match Unix.fork () with
+          | 0 ->
+            Unix.close go_w;
+            let status =
+              try
+                ignore (Unix.read go_r (Bytes.create 1) 0 1);
+                open_and_store i ();
+                0
+              with _ -> 1
+            in
+            Unix._exit status
+          | pid -> pid)
     in
-    let ds = List.init 3 (fun i -> Domain.spawn (racer i)) in
-    racer 3 ();
-    List.iter Domain.join ds;
+    Unix.close go_r;
+    ignore (Unix.write_substring go_w "gogo" 0 4);
+    Unix.close go_w;
+    List.iter
+      (fun pid ->
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.fail "an opener failed")
+      pids;
     Alcotest.(check int) (Printf.sprintf "round %d: every opener stored to disk" round) 4
       (writes dir);
     (* both directories now exist: reopening takes the lost-race path *)

@@ -391,7 +391,6 @@ let test_merge_deep_span_trees () =
       s_parent = parent;
       s_name = name;
       s_args = [];
-      s_domain = 0;
       s_start_ns = Int64.of_int (id * 10);
       s_dur_ns = 1000L;
     }
@@ -448,7 +447,6 @@ let test_trace_multi_pid () =
       s_parent = -1;
       s_name = "worker.work";
       s_args = [];
-      s_domain = 0;
       s_start_ns = 0L;
       s_dur_ns = 500L;
     }
@@ -599,7 +597,7 @@ let test_events_parse () =
   let int name j = Option.bind (Jsonlite.member name j) Jsonlite.to_int in
   let lines =
     [
-      Events.fleet_start ~systems:64 ~jobs:2 ~shard_domains:2;
+      Events.fleet_start ~systems:64 ~jobs:2;
       Events.worker_start ~worker:1 ~pid:123 ~members:32;
       Events.member_start ~worker:1 ~path:"m\"quoted\".c";
       Events.member_done ~worker:1 ~path:"m.c" ~errors:1 ~warnings:2 ~findings:3
@@ -642,7 +640,7 @@ let test_progress () =
   let path = tmpfile ".txt" in
   let oc = open_out path in
   let p = Progress.create ~out:oc ~interval_s:0.0 ~total:4 () in
-  Progress.feed p (Events.fleet_start ~systems:4 ~jobs:2 ~shard_domains:1);
+  Progress.feed p (Events.fleet_start ~systems:4 ~jobs:2);
   for w = 0 to 1 do
     Progress.feed p (Events.worker_start ~worker:w ~pid:(100 + w) ~members:2)
   done;
