@@ -33,11 +33,11 @@ type cphi = {
   mutable ops : (Ir.bid * Ir.value) list;  (** in predecessor order *)
   mutable users : cphi list;  (** phis with this one as an operand *)
   mutable repl : Ir.value option;  (** the value it stands for once trivial *)
-  mutable fid : Ir.vid;  (** final id *)
+  mutable fval : Ir.value;  (** [Vreg] of the final id, once numbered *)
 }
 
 type bstate = {
-  blk : Ir.block;  (** [instrs] accumulate in reverse *)
+  mutable blk : Ir.block;  (** [instrs] accumulate in reverse *)
   mutable preds : Ir.bid list;  (** reachable predecessors, latest first *)
   mutable live : bool;  (** reachable from the entry *)
   mutable sealed : bool;  (** all predecessors known *)
@@ -52,9 +52,11 @@ type builder = {
   mutable next_id : int;
   mutable blocks : bstate array;  (** by block id, [nblocks] used *)
   mutable nblocks : int;
+  mutable nstates : int;  (** [blocks.(0 .. nstates-1)] are distinct, reusable states *)
   mutable cur : bstate;
   mutable dead : bool;  (** current block terminated or unreachable *)
   locals : (string, local) Hashtbl.t;
+  global_ty : string -> Ty.t option;  (** a global's type *)
   mutable nvars : int;
   mutable phis : cphi array;  (** by [k], [nphis] used *)
   mutable nphis : int;
@@ -69,35 +71,54 @@ let fresh_id b =
 
 let grow arr n fill = if n < Array.length arr then arr else Array.append arr (Array.make (max 8 n) fill)
 
+(* Block states are reused from function to function: only the IR
+   block is new. *)
 let new_block b =
   let bid = b.nblocks in
-  let s =
-    { blk = { Ir.bbid = bid; phis = []; instrs = []; termin = Ir.Unreachable };
-      preds = []; live = false; sealed = false; defs = []; incomplete = []; bphis = [] }
-  in
-  b.blocks <- grow b.blocks bid s;
-  b.blocks.(bid) <- s;
+  let blk = { Ir.bbid = bid; phis = []; instrs = []; termin = Ir.Unreachable } in
+  if bid < b.nstates then begin
+    let s = b.blocks.(bid) in
+    s.blk <- blk;
+    s.preds <- [];
+    s.live <- false;
+    s.sealed <- false;
+    s.defs <- [];
+    s.incomplete <- [];
+    s.bphis <- []
+  end
+  else begin
+    let s = { blk; preds = []; live = false; sealed = false; defs = []; incomplete = []; bphis = [] } in
+    b.blocks <- grow b.blocks bid s;
+    b.blocks.(bid) <- s;
+    b.nstates <- bid + 1
+  end;
   b.nblocks <- bid + 1;
   bid
 
 (** Append an instruction to the current block, returning its result id;
     in dead code the id is taken and nothing is emitted. *)
-let emit ?(loc = Loc.dummy) b ity idesc =
+let emit ~loc b ity idesc =
   let iid = fresh_id b in
   if not b.dead then b.cur.blk.instrs <- { Ir.iid; idesc; ity; iloc = loc } :: b.cur.blk.instrs;
   iid
 
-let emit_v ?loc b ity idesc = Ir.Vreg (emit ?loc b ity idesc)
+let emit_v ~loc b ity idesc = Ir.Vreg (emit ~loc b ity idesc)
+
+let add_pred b t =
+  let s = b.blocks.(t) in
+  s.preds <- b.cur.blk.bbid :: s.preds;
+  s.live <- true
 
 let terminate b term =
   if not b.dead then begin
     b.cur.blk.termin <- term;
-    List.iter
-      (fun t ->
-        let s = b.blocks.(t) in
-        s.preds <- b.cur.blk.bbid :: s.preds;
-        s.live <- true)
-      (Ir.succs_of_term term);
+    (match term with
+    | Ir.Br t -> add_pred b t
+    | Ir.Cbr (_, t, e) ->
+      add_pred b t;
+      if t <> e then add_pred b e
+    | Ir.Switch _ -> List.iter (add_pred b) (Ir.succs_of_term term)
+    | Ir.Ret _ | Ir.Unreachable -> ());
     b.dead <- true
   end
 
@@ -105,13 +126,15 @@ let terminate b term =
 
 let phi_value p = Ir.Vreg (-1 - p.k)
 
-let phi_of b = function Ir.Vreg id when id < 0 -> Some b.phis.(-1 - id) | _ -> None
+(* whether [v] names a phi under construction *)
+let is_phi = function Ir.Vreg id -> id < 0 | _ -> false
+
+(* the phi [v] names, when [is_phi v] *)
+let phi_named b v = match v with Ir.Vreg id -> b.phis.(-1 - id) | _ -> assert false
 
 (** The value [v] stands for, following removed phis. *)
 let rec resolve b v =
-  match phi_of b v with
-  | Some { repl = Some r; _ } -> resolve b r
-  | _ -> v
+  if is_phi v then (match (phi_named b v).repl with Some r -> resolve b r | None -> v) else v
 
 (* floats compare by bits, so a phi of 0.0 and -0.0 is not trivial *)
 let same_value x y =
@@ -121,19 +144,24 @@ let same_value x y =
   | _ -> x = y
 
 let new_phi b s var =
-  let p = { k = b.nphis; var; ops = []; users = []; repl = None; fid = -1 } in
+  let p = { k = b.nphis; var; ops = []; users = []; repl = None; fval = Ir.Vundef var.vty } in
   b.phis <- grow b.phis b.nphis p;
   b.phis.(b.nphis) <- p;
   b.nphis <- b.nphis + 1;
   s.bphis <- p :: s.bphis;
   p
 
+(* the current definition of variable [idx] in a block's [defs] *)
+let rec def_in idx = function
+  | [] -> raise_notrace Not_found
+  | (i, v) :: rest -> if i = idx then v else def_in idx rest
+
 let write_var s var v = s.defs <- (var.idx, v) :: s.defs
 
 let rec read_var b s var =
-  match List.assoc_opt var.idx s.defs with
-  | Some v -> resolve b v
-  | None ->
+  match def_in var.idx s.defs with
+  | v -> resolve b v
+  | exception Not_found ->
     let v =
       if not s.sealed then begin
         let p = new_phi b s var in
@@ -158,7 +186,10 @@ and add_operands b s p =
   List.iter
     (fun pred ->
       let v = read_var b b.blocks.(pred) p.var in
-      Option.iter (fun q -> q.users <- p :: q.users) (phi_of b v);
+      if is_phi v then begin
+        let q = phi_named b v in
+        q.users <- p :: q.users
+      end;
       p.ops <- (pred, v) :: p.ops)
     s.preds;
   remove_trivial b p
@@ -182,7 +213,10 @@ and remove_trivial b p =
   | Some v ->
     let v = Option.value v ~default:(Ir.Vundef p.var.vty) in
     p.repl <- Some v;
-    Option.iter (fun q -> q.users <- List.rev_append p.users q.users) (phi_of b v);
+    if is_phi v then begin
+      let q = phi_named b v in
+      q.users <- List.rev_append p.users q.users
+    end;
     List.iter (fun u -> if u != p && u.repl = None then ignore (remove_trivial b u)) p.users;
     resolve b v
 
@@ -190,7 +224,7 @@ let seal b s =
   if not s.sealed then begin
     let pending = s.incomplete in
     s.incomplete <- [];
-    List.iter (fun p -> ignore (add_operands b s p)) (List.rev pending);
+    if pending <> [] then List.iter (fun p -> ignore (add_operands b s p)) (List.rev pending);
     s.sealed <- true
   end
 
@@ -211,7 +245,7 @@ let write_local b var v =
 
 (** A fresh local, promoted when [promote] allows and [ty] is scalar.  A
     slot's alloca is emitted here. *)
-let declare ?loc ?(promote = true) b name ty =
+let declare ?(loc = Loc.dummy) ?(promote = true) b name ty =
   let l =
     if promote && b.promote && Ty.is_scalar ty then begin
       ignore (fresh_id b);
@@ -219,7 +253,7 @@ let declare ?loc ?(promote = true) b name ty =
       b.nvars <- idx + 1;
       Var { idx; vname = name; vty = ty }
     end
-    else Slot (emit ?loc b (Ty.Ptr ty) (Ir.Alloca { aname = name; aty = ty }), ty)
+    else Slot (emit ~loc b (Ty.Ptr ty) (Ir.Alloca { aname = name; aty = ty }), ty)
   in
   Hashtbl.replace b.locals name l;
   l
@@ -242,12 +276,14 @@ let bool_of v b ty loc =
 let rec strip (e : Tast.texpr) =
   match e.tdesc with Tast.Tderef { tdesc = Tast.Taddr lv; _ } -> strip lv | _ -> e
 
-(** The promoted local an lvalue names, if any. *)
+(** The promoted local an lvalue names, or [no_var]. *)
+let no_var = { idx = -1; vname = ""; vty = Ty.Void }
+
 let promoted b e =
   match (strip e).tdesc with
   | Tast.Tlocal x -> (
-    match Hashtbl.find_opt b.locals x with Some (Var v) -> Some v | _ -> None)
-  | _ -> None
+    match Hashtbl.find b.locals x with Var v -> v | Slot _ -> no_var | exception Not_found -> no_var)
+  | _ -> no_var
 
 (** Lower an lvalue expression to its address (a value of pointer type). *)
 let rec lower_addr b (e : Tast.texpr) : Ir.value =
@@ -288,9 +324,9 @@ and lower_value b (e : Tast.texpr) : Ir.value =
   | Tast.Tfloat x -> Ir.Vfloat (x, e.tty)
   | Tast.Tstr s -> Ir.Vstr s
   | Tast.Tlocal _ | Tast.Tglobal _ | Tast.Tderef _ | Tast.Tindex _ | Tast.Tfield _ -> (
-    match promoted b e with
-    | Some var -> read_local b var
-    | None ->
+    let var = promoted b e in
+    if var != no_var then read_local b var
+    else
       let addr = lower_addr b e in
       emit_v ~loc b e.tty (Ir.Load { ptr = addr; lty = e.tty }))
   | Tast.Taddr lv -> lower_addr b lv
@@ -361,9 +397,9 @@ and lower_shortcircuit b ~is_and lhs rhs loc =
 
 (** Store [v] to the lvalue [lhs]. *)
 and store ~loc b lhs v =
-  match promoted b lhs with
-  | Some var -> write_local b var v
-  | None ->
+  let var = promoted b lhs in
+  if var != no_var then write_local b var v
+  else
     let addr = lower_addr b lhs in
     ignore (emit ~loc b Ty.Void (Ir.Store { ptr = addr; sval = v; sty = lhs.Tast.tty }))
 
@@ -387,11 +423,13 @@ let with_targets b ~break ?continue f =
   b.break_targets <- fst saved;
   b.continue_targets <- snd saved
 
+(* a branch condition as a 0/1 int *)
+let cond b loc (c : Tast.texpr) = bool_of (lower_value b c) b c.Tast.tty loc
+
 let rec lower_stmts b stmts = List.iter (lower_stmt b) stmts
 
 and lower_stmt b (s : Tast.tstmt) =
   let loc = s.tsloc in
-  let cond c = bool_of (lower_value b c) b c.Tast.tty loc in
   match s.tsdesc with
   | Tast.TSexpr e -> ignore (lower_value b e)
   | Tast.TSdecl (_, _, None) -> ()
@@ -402,7 +440,7 @@ and lower_stmt b (s : Tast.tstmt) =
     | Slot (slot, _) ->
       ignore (emit ~loc b Ty.Void (Ir.Store { ptr = Ir.Vreg slot; sval = v; sty = ty })))
   | Tast.TSif (c, t, e) ->
-    let cb = cond c in
+    let cb = cond b loc c in
     let then_b = new_block b in
     let else_b = new_block b in
     let join_b = new_block b in
@@ -420,7 +458,7 @@ and lower_stmt b (s : Tast.tstmt) =
     let exit_b = new_block b in
     terminate b (Ir.Br head);
     switch_to ~seal_now:false b head;
-    terminate b (Ir.Cbr (cond c, body_b, exit_b));
+    terminate b (Ir.Cbr (cond b loc c, body_b, exit_b));
     with_targets b ~break:exit_b ~continue:head (fun () ->
         switch_to b body_b;
         lower_stmts b body;
@@ -437,7 +475,7 @@ and lower_stmt b (s : Tast.tstmt) =
         lower_stmts b body;
         terminate b (Ir.Br cond_b);
         switch_to b cond_b;
-        terminate b (Ir.Cbr (cond c, body_b, exit_b)));
+        terminate b (Ir.Cbr (cond b loc c, body_b, exit_b)));
     seal b b.blocks.(body_b);
     switch_to b exit_b
   | Tast.TSfor (init, c, step, body) ->
@@ -449,7 +487,7 @@ and lower_stmt b (s : Tast.tstmt) =
     terminate b (Ir.Br head);
     switch_to ~seal_now:false b head;
     (match c with
-    | Some c -> terminate b (Ir.Cbr (cond c, body_b, exit_b))
+    | Some c -> terminate b (Ir.Cbr (cond b loc c, body_b, exit_b))
     | None -> terminate b (Ir.Br body_b));
     with_targets b ~break:exit_b ~continue:step_b (fun () ->
         switch_to b body_b;
@@ -505,10 +543,17 @@ and lower_stmt b (s : Tast.tstmt) =
     List.iter
       (fun c ->
         (* assert(safe(x)) reads x here so the taint analysis sees the
-           value live at this program point *)
+           value live at this program point: a local's current value, or
+           a load of a global (the typechecker rejects any other name) *)
         let aval =
           match c with
-          | Annot.Assert_safe x -> Option.map (get ~loc b) (Hashtbl.find_opt b.locals x)
+          | Annot.Assert_safe x -> (
+            match Hashtbl.find_opt b.locals x with
+            | Some l -> Some (get ~loc b l)
+            | None ->
+              Option.map
+                (fun ty -> emit_v ~loc b ty (Ir.Load { ptr = Ir.Vglobal x; lty = ty }))
+                (b.global_ty x))
           | _ -> None
         in
         ignore (emit ~loc b Ty.Void (Ir.Annotation { clause = c; aval })))
@@ -553,44 +598,49 @@ let address_taken body =
 
 let fix b v =
   let v = resolve b v in
-  match phi_of b v with Some p -> Ir.Vreg p.fid | None -> v
+  if is_phi v then (phi_named b v).fval else v
+
+(* [instrs] reversed, each with its operands through [fix] *)
+let rec rev_fixed fix acc = function
+  | [] -> acc
+  | (i : Ir.instr) :: rest ->
+    i.idesc <- Ir.map_operands fix i.idesc;
+    rev_fixed fix (i :: acc) rest
+
+let final_phi fix p =
+  match (p.repl, p.fval) with
+  | None, Ir.Vreg pid ->
+    Some
+      { Ir.pid; pty = p.var.vty; pname = p.var.vname;
+        incoming = List.map (fun (bid, v) -> (bid, fix v)) p.ops }
+  | _ -> None
 
 let finish_func b : Ir.block list =
-  let live = ref [] in
-  for bid = b.nblocks - 1 downto 0 do
-    if b.blocks.(bid).live then live := b.blocks.(bid) :: !live
-  done;
-  let live = !live in
-  List.iter
-    (fun s ->
+  (* number the surviving phis in block order first: an operand may
+     name a phi of a later block *)
+  for bid = 0 to b.nblocks - 1 do
+    let s = b.blocks.(bid) in
+    if s.live && s.bphis <> [] then
       List.iter
-        (fun p -> if p.repl = None then p.fid <- fresh_id b)
-        (List.rev s.bphis))
-    live;
+        (fun p -> if p.repl = None then p.fval <- Ir.Vreg (fresh_id b))
+        (List.rev s.bphis)
+  done;
   let fix = fix b in
-  List.map
-    (fun s ->
+  let blocks = ref [] in
+  for bid = b.nblocks - 1 downto 0 do
+    let s = b.blocks.(bid) in
+    if s.live then begin
       let blk = s.blk in
       if b.nphis = 0 then blk.instrs <- List.rev blk.instrs
       else begin
-        blk.instrs <-
-          List.rev_map
-            (fun (i : Ir.instr) ->
-              i.idesc <- Ir.map_operands fix i.idesc;
-              i)
-            blk.instrs;
+        blk.instrs <- rev_fixed fix [] blk.instrs;
         blk.termin <- Ir.map_term_operands fix blk.termin
       end;
-      blk.phis <-
-        List.rev s.bphis
-        |> List.filter_map (fun p ->
-               if p.repl <> None then None
-               else
-                 Some
-                   { Ir.pid = p.fid; pty = p.var.vty; pname = p.var.vname;
-                     incoming = List.map (fun (bid, v) -> (bid, fix v)) p.ops });
-      blk)
-    live
+      if s.bphis <> [] then blk.phis <- List.filter_map (final_phi fix) (List.rev s.bphis);
+      blocks := blk :: !blocks
+    end
+  done;
+  !blocks
 
 let lower_func b (tf : Tast.tfunc) : Ir.func =
   b.next_id <- 0;
@@ -610,7 +660,7 @@ let lower_func b (tf : Tast.tfunc) : Ir.func =
   List.iter (fun (name, ty) -> ignore (declare name ty)) tf.tf_locals;
   (* function-level annotations become pseudo-instructions at entry *)
   List.iter
-    (fun c -> ignore (emit b Ty.Void (Ir.Annotation { clause = c; aval = None })))
+    (fun c -> ignore (emit ~loc:Loc.dummy b Ty.Void (Ir.Annotation { clause = c; aval = None })))
     tf.tf_annot;
   lower_stmts b tf.tf_body;
   (* implicit return *)
@@ -627,35 +677,46 @@ let lower_func b (tf : Tast.tfunc) : Ir.func =
     floc = tf.tf_loc;
   }
 
-let lower_with ~promote (prog : Tast.program) : Ir.program =
+let builder ~promote env global_ty =
   let dummy_blk =
     { blk = { Ir.bbid = -1; phis = []; instrs = []; termin = Ir.Unreachable };
       preds = []; live = false; sealed = true; defs = []; incomplete = []; bphis = [] }
   in
-  let b =
-    {
-      env = prog.p_env;
-      promote;
-      next_id = 0;
-      blocks = [||];
-      nblocks = 0;
-      cur = dummy_blk;
-      dead = true;
-      locals = Hashtbl.create 16;
-      nvars = 0;
-      phis = [||];
-      nphis = 0;
-      break_targets = [];
-      continue_targets = [];
-    }
-  in
   {
-    Ir.env = prog.p_env;
-    globals =
-      List.map (fun g -> (g.Tast.tg_name, g.Tast.tg_ty, g.Tast.tg_init)) prog.p_globals;
-    externs = prog.p_externs;
-    funcs = List.map (lower_func b) prog.p_funcs;
+    env;
+    promote;
+    next_id = 0;
+    blocks = [||];
+    nblocks = 0;
+    nstates = 0;
+    cur = dummy_blk;
+    dead = true;
+    locals = Hashtbl.create 16;
+    global_ty;
+    nvars = 0;
+    phis = [||];
+    nphis = 0;
+    break_targets = [];
+    continue_targets = [];
   }
+
+(** A lowering of single functions sharing one builder: the type
+    environment and the globals' types are the program's. *)
+let func_lowering env ~globals = lower_func (builder ~promote:true env globals)
+
+(** The program of typed declarations [prog] (its functions ignored)
+    and lowered functions [funcs]. *)
+let program (prog : Tast.program) funcs : Ir.program =
+  { Ir.env = prog.p_env;
+    globals = List.map (fun g -> (g.Tast.tg_name, g.Tast.tg_ty, g.Tast.tg_init)) prog.p_globals;
+    externs = prog.p_externs;
+    funcs }
+
+let lower_with ~promote (prog : Tast.program) : Ir.program =
+  let globals = Hashtbl.create 16 in
+  List.iter (fun g -> Hashtbl.replace globals g.Tast.tg_name g.Tast.tg_ty) prog.p_globals;
+  let b = builder ~promote prog.p_env (Hashtbl.find_opt globals) in
+  program prog (List.map (lower_func b) prog.p_funcs)
 
 (** Lower a typed program to SSA form. *)
 let lower prog = lower_with ~promote:true prog

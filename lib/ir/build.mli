@@ -9,3 +9,13 @@ val lower : Minic.Tast.program -> Ir.program
 val lower_memory : Minic.Tast.program -> Ir.program
 (** the same lowering with every local in memory (allocas, loads and
     stores, no phis), the input of the mem2reg test oracle *)
+
+val func_lowering :
+  Minic.Ty.env -> globals:(string -> Minic.Ty.t option) -> Minic.Tast.tfunc -> Ir.func
+(** [func_lowering env ~globals] lowers one typed function at a time,
+    as {!lower} does each function of a program whose type environment
+    is [env] and whose globals have the types [globals] answers *)
+
+val program : Minic.Tast.program -> Ir.func list -> Ir.program
+(** the program of a typed program's declarations (its [p_funcs] are
+    ignored) and the given lowered functions *)

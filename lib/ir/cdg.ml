@@ -34,6 +34,21 @@ type t = {
           instead of per-node hashtable probes *)
 }
 
+(* the successors with a slot: how many, and their slots in order *)
+let rec count_slots slot_of k = function
+  | [] -> k
+  | s :: rest -> count_slots slot_of (if slot_of s >= 0 then k + 1 else k) rest
+
+let rec fill_slots slot_of a j = function
+  | [] -> ()
+  | s :: rest ->
+    let i = slot_of s in
+    if i >= 0 then begin
+      a.(j) <- i;
+      fill_slots slot_of a (j + 1) rest
+    end
+    else fill_slots slot_of a j rest
+
 let compute (f : Ir.func) : t =
   let blocks = Array.of_list f.blocks in
   let n = Array.length blocks in
@@ -74,18 +89,20 @@ let compute (f : Ir.func) : t =
     let succs =
       Array.map
         (fun (b : Ir.block) ->
-          Array.of_list
-            (List.filter_map
-               (fun s ->
-                 let i = slot_of s in
-                 if i >= 0 then Some i else None)
-               (Ir.successors f b)))
+          let l = Ir.successors f b in
+          let a = Array.make (count_slots slot_of 0 l) 0 in
+          fill_slots slot_of a 0 l;
+          a)
         blocks
     in
     let preds = Array.make n [] in
-    Array.iteri
-      (fun i sa -> Array.iter (fun s -> preds.(s) <- i :: preds.(s)) sa)
-      succs;
+    for i = 0 to n - 1 do
+      let sa = succs.(i) in
+      for j = 0 to Array.length sa - 1 do
+        let s = sa.(j) in
+        preds.(s) <- i :: preds.(s)
+      done
+    done;
     (* exits: [Ret]/[Unreachable] blocks, then promoted representatives
        of regions with no path to a return (e.g. the periodic "while(1)"
        control loop), in block order, so every block post-dominates
@@ -144,68 +161,81 @@ let compute (f : Ir.func) : t =
     let changed = ref true in
     while !changed do
       changed := false;
-      Array.iter
-        (fun u ->
-          if u <> exit_i then begin
-            (* predecessors in the reversed graph = CFG successors, plus
-               the virtual exit for exit blocks *)
-            let nid = ref undef in
-            let consider p =
-              if idom.(p) <> undef then
-                nid := if !nid = undef then p else intersect !nid p
-            in
-            if is_exit.(u) then consider exit_i;
-            Array.iter consider succs.(u);
-            if !nid <> undef && idom.(u) <> !nid then begin
-              idom.(u) <- !nid;
-              changed := true
-            end
-          end)
-        rpo
+      for k = 0 to Array.length rpo - 1 do
+        let u = rpo.(k) in
+        if u <> exit_i then begin
+          (* predecessors in the reversed graph = CFG successors, plus
+             the virtual exit for exit blocks *)
+          let nid = ref (if is_exit.(u) && idom.(exit_i) <> undef then exit_i else undef) in
+          let su = succs.(u) in
+          for j = 0 to Array.length su - 1 do
+            let p = su.(j) in
+            if idom.(p) <> undef then nid := if !nid = undef then p else intersect !nid p
+          done;
+          if !nid <> undef && idom.(u) <> !nid then begin
+            idom.(u) <- !nid;
+            changed := true
+          end
+        end
+      done
     done;
     (* FOW: for each CFG edge a→s, everything on the post-dominator-tree
        path from s up to (excluding) ipostdom(a) is control-dependent on
        a.  Dependences accumulate in bid-canonical array slots (duplicate
        bbids share the first block's slot, merging exactly as the
        hashtable version did). *)
-    let deps_a = Array.make n [] in
-    let ctrl_a = Array.make n [] in
     let ctrl_s = Array.make n [] in
+    (* [asl] controlling [bs] is recorded once.  Without duplicate bids
+       every slot records its controlled slots in one iteration of the
+       loop below, so the controller [bs] was last recorded under tells
+       whether it is recorded already *)
+    let last = Array.make n (-1) in
     let add b a =
       let bs = canon_of b and asl = canon_of a in
-      let a_bid = blocks.(asl).Ir.bbid in
-      if not (List.mem a_bid deps_a.(bs)) then begin
-        deps_a.(bs) <- a_bid :: deps_a.(bs);
-        ctrl_a.(asl) <- blocks.(bs).Ir.bbid :: ctrl_a.(asl);
+      let fresh =
+        match canon with
+        | None -> last.(bs) <> asl
+        | Some _ -> not (List.mem bs ctrl_s.(asl))
+      in
+      if fresh then begin
+        last.(bs) <- asl;
         ctrl_s.(asl) <- bs :: ctrl_s.(asl)
       end
     in
-    Array.iteri
-      (fun a _ ->
-        let stop = idom.(a) in
-        Array.iter
-          (fun s ->
-            let rec walk u =
-              if u <> stop && u <> exit_i then begin
-                add u a;
-                let p = idom.(u) in
-                if p <> undef && p <> u then walk p
-              end
-            in
-            walk s)
-          succs.(a))
-      blocks;
-    let tbl_of arr =
-      lazy
-        (let t = Hashtbl.create 16 in
-         Array.iteri
-           (fun i l -> if l <> [] then Hashtbl.replace t blocks.(i).Ir.bbid l)
-           arr;
-         t)
+    let rec walk stop a u =
+      if u <> stop && u <> exit_i then begin
+        add u a;
+        let p = idom.(u) in
+        if p <> undef && p <> u then walk stop a p
+      end
     in
+    for a = 0 to n - 1 do
+      let stop = idom.(a) in
+      let sa = succs.(a) in
+      for j = 0 to Array.length sa - 1 do
+        walk stop a sa.(j)
+      done
+    done;
+    (* the bid-keyed tables, derived from [ctrl_s] on demand: a slot's
+       controlled list is in recording order, newest first; a block's
+       controllers come newest (highest slot) first, the order in which
+       the walk above records them *)
+    let tbl_of arr =
+      let t = Hashtbl.create 16 in
+      Array.iteri (fun i l -> if l <> [] then Hashtbl.replace t blocks.(i).Ir.bbid l) arr;
+      t
+    in
+    let bid s = blocks.(s).Ir.bbid in
+    let deps =
+      lazy
+        (let deps_a = Array.make n [] in
+         Array.iteri (fun asl l -> List.iter (fun bs -> deps_a.(bs) <- bid asl :: deps_a.(bs)) l) ctrl_s;
+         tbl_of deps_a)
+    in
+    let controls = lazy (tbl_of (Array.map (List.map bid) ctrl_s)) in
     {
-      deps = tbl_of deps_a;
-      controls = tbl_of ctrl_a;
+      deps;
+      controls;
       slot_of;
       slot_bid = Array.map (fun (b : Ir.block) -> b.Ir.bbid) blocks;
       ctrl_slots = ctrl_s;

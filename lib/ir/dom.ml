@@ -6,12 +6,15 @@ type tree = {
   root : Ir.bid;
 }
 
+let rec all_below n = function [] -> true | s :: rest -> s >= 0 && s < n && all_below n rest
+
 let compute (f : Ir.func) : tree =
   let n = 1 + List.fold_left (fun m (b : Ir.block) -> max m b.bbid) f.fentry f.blocks in
   let succs = Array.make n [] in
   List.iter
     (fun (b : Ir.block) ->
-      succs.(b.bbid) <- List.filter (fun s -> s >= 0 && s < n) (Ir.succs_of_term b.termin))
+      let l = Ir.succs_of_term b.termin in
+      succs.(b.bbid) <- (if all_below n l then l else List.filter (fun s -> s >= 0 && s < n) l))
     f.blocks;
   (* reverse postorder numbering from the entry; -1 marks unreachable *)
   let rpo = Array.make n (-1) in
@@ -19,9 +22,14 @@ let compute (f : Ir.func) : tree =
   let count = ref 0 in
   let rec dfs v =
     rpo.(v) <- 0;
-    List.iter (fun s -> if rpo.(s) < 0 then dfs s) succs.(v);
+    visit succs.(v);
     order.(!count) <- v;
     incr count
+  and visit = function
+    | [] -> ()
+    | s :: rest ->
+      if rpo.(s) < 0 then dfs s;
+      visit rest
   in
   dfs f.fentry;
   let count = !count in
@@ -29,14 +37,24 @@ let compute (f : Ir.func) : tree =
     rpo.(order.(k)) <- count - 1 - k
   done;
   let preds = Array.make n [] in
+  let rec add_preds v = function
+    | [] -> ()
+    | s :: rest ->
+      preds.(s) <- v :: preds.(s);
+      add_preds v rest
+  in
   for k = 0 to count - 1 do
     let v = order.(k) in
-    List.iter (fun s -> preds.(s) <- v :: preds.(s)) succs.(v)
+    add_preds v succs.(v)
   done;
   let idom = Array.make n (-1) in
   idom.(f.fentry) <- f.fentry;
   let rec intersect a b =
     if a = b then a else if rpo.(a) > rpo.(b) then intersect idom.(a) b else intersect a idom.(b)
+  in
+  let rec meet acc = function
+    | [] -> acc
+    | p :: rest -> meet (if idom.(p) < 0 then acc else if acc < 0 then p else intersect p acc) rest
   in
   let changed = ref true in
   while !changed do
@@ -44,11 +62,7 @@ let compute (f : Ir.func) : tree =
     (* reverse postorder is [order] read backwards *)
     for k = count - 2 downto 0 do
       let v = order.(k) in
-      let nd =
-        List.fold_left
-          (fun acc p -> if idom.(p) < 0 then acc else if acc < 0 then p else intersect p acc)
-          (-1) preds.(v)
-      in
+      let nd = meet (-1) preds.(v) in
       if nd >= 0 && idom.(v) <> nd then begin
         idom.(v) <- nd;
         changed := true
@@ -62,6 +76,6 @@ let in_tree t n = n >= 0 && n < Array.length t.idom && t.idom.(n) >= 0
 let idom t n = if n = t.root || not (in_tree t n) then None else Some t.idom.(n)
 
 (** Does [a] dominate [b] (reflexively)? *)
-let dominates t a b =
-  let rec go n = n = a || (n <> t.root && go t.idom.(n)) in
-  in_tree t b && go b
+let rec dominated_from t a n = n = a || (n <> t.root && dominated_from t a t.idom.(n))
+
+let dominates t a b = in_tree t b && dominated_from t a b

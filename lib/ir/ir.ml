@@ -159,30 +159,55 @@ let operands_of_instr i =
 
 (** [d] with every operand mapped through [f]; [d] itself when [f]
     returns each operand unchanged (physically). *)
+(* [List.map f l], or [l] itself when [f] returns every element
+   unchanged (physically) *)
+let rec map_same f = function
+  | [] -> []
+  | x :: rest as l ->
+    let x' = f x in
+    let rest' = map_same f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
 let map_operands f d =
-  let f1 v k = let v' = f v in if v' == v then d else k v' in
-  let f2 v w k =
-    let v' = f v and w' = f w in
-    if v' == v && w' == w then d else k v' w'
-  in
   match d with
   | Alloca _ | Annotation { aval = None; _ } -> d
-  | Annotation { clause; aval = Some v } -> f1 v (fun v -> Annotation { clause; aval = Some v })
-  | Load l -> f1 l.ptr (fun ptr -> Load { l with ptr })
-  | Store s -> f2 s.ptr s.sval (fun ptr sval -> Store { s with ptr; sval })
-  | Binop o -> f2 o.lhs o.rhs (fun lhs rhs -> Binop { o with lhs; rhs })
-  | Unop u -> f1 u.operand (fun operand -> Unop { u with operand })
-  | Cast c -> f1 c.cval (fun cval -> Cast { c with cval })
-  | Gep g -> f2 g.base g.idx (fun base idx -> Gep { g with base; idx })
+  | Annotation { clause; aval = Some v } ->
+    let v' = f v in
+    if v' == v then d else Annotation { clause; aval = Some v' }
+  | Load l ->
+    let ptr = f l.ptr in
+    if ptr == l.ptr then d else Load { l with ptr }
+  | Store s ->
+    let ptr = f s.ptr and sval = f s.sval in
+    if ptr == s.ptr && sval == s.sval then d else Store { s with ptr; sval }
+  | Binop o ->
+    let lhs = f o.lhs and rhs = f o.rhs in
+    if lhs == o.lhs && rhs == o.rhs then d else Binop { o with lhs; rhs }
+  | Unop u ->
+    let operand = f u.operand in
+    if operand == u.operand then d else Unop { u with operand }
+  | Cast c ->
+    let cval = f c.cval in
+    if cval == c.cval then d else Cast { c with cval }
+  | Gep g ->
+    let base = f g.base and idx = f g.idx in
+    if base == g.base && idx == g.idx then d else Gep { g with base; idx }
   | Call c ->
-    let args = List.map f c.args in
-    if List.for_all2 ( == ) args c.args then d else Call { c with args }
+    let args = map_same f c.args in
+    if args == c.args then d else Call { c with args }
 
-let map_term_operands f = function
-  | Cbr (v, t, e) -> Cbr (f v, t, e)
-  | Switch (v, cases, d) -> Switch (f v, cases, d)
-  | Ret (Some v) -> Ret (Some (f v))
-  | (Br _ | Ret None | Unreachable) as t -> t
+let map_term_operands f term =
+  match term with
+  | Cbr (v, t, e) ->
+    let v' = f v in
+    if v' == v then term else Cbr (v', t, e)
+  | Switch (v, cases, d) ->
+    let v' = f v in
+    if v' == v then term else Switch (v', cases, d)
+  | Ret (Some v) ->
+    let v' = f v in
+    if v' == v then term else Ret (Some v')
+  | Br _ | Ret None | Unreachable -> term
 
 let operands_of_term = function
   | Br _ | Ret None | Unreachable -> []

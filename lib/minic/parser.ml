@@ -12,41 +12,90 @@ open Token
 
 (* Tokens are pulled from the lexer on demand through a window of at
    most three: the current token and up to two lexed ahead for
-   [peek_at].  The parser never backtracks, so nothing else is kept. *)
+   [peek_at].  Each slot keeps its token and the token's start line and
+   column as plain ints; a {!Loc.t} is built only for the tokens an AST
+   node or a diagnostic is located at.  The parser never backtracks, so
+   nothing else is kept. *)
 type state = {
   lex : Lexer.state;
-  win : Lexer.lexed array;  (** [win.(0)] is the current token *)
-  mutable filled : int;  (** tokens in [win], at least 1 *)
-  typedefs : (string, unit) Hashtbl.t;
+  toks : Token.t array;  (** [toks.(0)] is the current token *)
+  lines : int array;
+  cols : int array;
+  mutable filled : int;  (** tokens in the window, at least 1 *)
+  typedefs : (string, int) Hashtbl.t;
+      (** typedef names, each with the number of typedef names declared
+          before it *)
+  mutable typedef_limit : int;  (** names numbered from here on are not visible yet *)
+  defer_bodies : bool;  (** skip function bodies, recording them in [deferred] *)
+  mutable deferred : body list;  (** newest first *)
+  mutable last_loc : Loc.t;  (** the location built last, shared when asked again *)
 }
 
-let make lex =
-  { lex; win = Array.make 3 (Lexer.next lex); filled = 1; typedefs = Hashtbl.create 16 }
+(* A function body skipped by [parse_program_deferred]: the lexer
+   position after its opening brace and the typedefs visible there. *)
+and body = { b_st : state; b_mark : Lexer.mark; b_limit : int }
 
-let cur st = st.win.(0).tok
-let cur_loc st = st.win.(0).loc
+let pull st k =
+  st.toks.(k) <- Lexer.next st.lex;
+  st.lines.(k) <- Lexer.tok_line st.lex;
+  st.cols.(k) <- Lexer.tok_col st.lex
+
+let make ?(defer_bodies = false) lex =
+  let st =
+    { lex; toks = Array.make 3 EOF; lines = Array.make 3 0; cols = Array.make 3 0; filled = 1;
+      typedefs = Hashtbl.create 16; typedef_limit = max_int; defer_bodies; deferred = [];
+      last_loc = Loc.dummy }
+  in
+  pull st 0;
+  st
+
+let cur st = Array.unsafe_get st.toks 0
+
+(* Is the current token [t]?  Only for constant constructors, which are
+   immediate values, so physical equality decides it without a
+   polymorphic compare. *)
+let is st (t : Token.t) = cur st == t
+
+(* A statement and its first expression start at the same token, so
+   the last location built is reused when it is asked for again. *)
+let cur_loc st =
+  let l = st.last_loc in
+  if l.Loc.line = st.lines.(0) && l.Loc.col = st.cols.(0) && l.Loc.file == Lexer.file st.lex then l
+  else begin
+    let l = Loc.make ~file:(Lexer.file st.lex) ~line:st.lines.(0) ~col:st.cols.(0) in
+    st.last_loc <- l;
+    l
+  end
 
 (* n <= 2; past the end the lexer keeps answering EOF *)
 let peek_at st n =
   while st.filled <= n do
-    st.win.(st.filled) <- Lexer.next st.lex;
+    pull st st.filled;
     st.filled <- st.filled + 1
   done;
-  st.win.(n).tok
+  st.toks.(n)
 
 let advance st =
-  if st.filled = 1 then st.win.(0) <- Lexer.next st.lex
+  if st.filled = 1 then pull st 0
   else begin
-    st.win.(0) <- st.win.(1);
-    st.win.(1) <- st.win.(2);
+    st.toks.(0) <- st.toks.(1);
+    st.lines.(0) <- st.lines.(1);
+    st.cols.(0) <- st.cols.(1);
+    st.toks.(1) <- st.toks.(2);
+    st.lines.(1) <- st.lines.(2);
+    st.cols.(1) <- st.cols.(2);
     st.filled <- st.filled - 1
   end
+
+(* AST nodes without the optional-argument box of {!Ast.mk_expr} *)
+let ex loc edesc = { Ast.edesc; eloc = loc }
+let stm loc sdesc = { Ast.sdesc; sloc = loc }
 
 let parse_error st fmt =
   Loc.error (cur_loc st) ("parse error: " ^^ fmt)
 
 let expect st tok =
-  if cur st = tok then advance st
+  if is st tok then advance st
   else
     parse_error st "expected %s but found %s" (Token.to_string tok)
       (Token.to_string (cur st))
@@ -58,7 +107,10 @@ let expect_ident st =
     x
   | t -> parse_error st "expected identifier, found %s" (Token.to_string t)
 
-let is_typedef_name st name = Hashtbl.mem st.typedefs name
+let is_typedef_name st name =
+  match Hashtbl.find st.typedefs name with
+  | i -> i < st.typedef_limit
+  | exception Not_found -> false
 
 (** Does the current token start a type specifier? *)
 let starts_type st =
@@ -103,7 +155,7 @@ let rec parse_type_spec st : Ty.t =
 (** Pointer stars following a type specifier. *)
 let parse_stars st base =
   let ty = ref base in
-  while cur st = STAR do
+  while is st STAR do
     advance st;
     (match cur st with KW_const -> advance st | _ -> ());
     ty := Ty.Ptr !ty
@@ -113,7 +165,7 @@ let parse_stars st base =
 (** Array suffixes after a declarator name: [N][M]... *)
 let parse_array_suffix st base =
   let dims = ref [] in
-  while cur st = LBRACKET do
+  while is st LBRACKET do
     advance st;
     (match cur st with
     | INT n ->
@@ -127,120 +179,120 @@ let parse_array_suffix st base =
 
 (* -- Expressions ------------------------------------------------------ *)
 
+(* Binary operators by precedence climbing: the precedence of a token
+   that is a binary operator (0 for any other token), from [||] (1) to
+   the multiplicative operators (10).  All levels are left-associative,
+   so [parse_binary st p] builds the same tree as one descent function
+   per level would. *)
+let binop_prec : Token.t -> int = function
+  | OROR -> 1
+  | ANDAND -> 2
+  | PIPE -> 3
+  | CARET -> 4
+  | AMP -> 5
+  | EQEQ | NEQ -> 6
+  | LT | LE | GT | GE -> 7
+  | SHL | SHR -> 8
+  | PLUS | MINUS -> 9
+  | STAR | SLASH | PERCENT -> 10
+  | _ -> 0
+
+let binop_of : Token.t -> Ast.binop = function
+  | OROR -> Lor
+  | ANDAND -> Land
+  | PIPE -> Bor
+  | CARET -> Bxor
+  | AMP -> Band
+  | EQEQ -> Eq
+  | NEQ -> Ne
+  | LT -> Lt
+  | LE -> Le
+  | GT -> Gt
+  | GE -> Ge
+  | SHL -> Shl
+  | SHR -> Shr
+  | PLUS -> Add
+  | MINUS -> Sub
+  | STAR -> Mul
+  | SLASH -> Div
+  | PERCENT -> Mod
+  | t -> invalid_arg ("Parser.binop_of " ^ Token.to_string t)
+
+(* [lv = lv op 1], the desugaring of [++]/[--] *)
+let bump loc op lv = ex loc (Ast.Assign (lv, ex loc (Ast.Binop (op, lv, Ast.int_e ~loc 1))))
+
 let rec parse_expr st : Ast.expr = parse_assign st
 
 and parse_assign st =
   let lhs = parse_cond st in
-  let loc = lhs.Ast.eloc in
-  let mk_compound op =
-    advance st;
-    let rhs = parse_assign st in
-    Ast.mk_expr ~loc (Ast.Assign (lhs, Ast.mk_expr ~loc (Ast.Binop (op, lhs, rhs))))
-  in
   match cur st with
   | ASSIGN ->
     advance st;
     let rhs = parse_assign st in
-    Ast.mk_expr ~loc (Ast.Assign (lhs, rhs))
-  | PLUSEQ -> mk_compound Ast.Add
-  | MINUSEQ -> mk_compound Ast.Sub
-  | STAREQ -> mk_compound Ast.Mul
-  | SLASHEQ -> mk_compound Ast.Div
-  | PERCENTEQ -> mk_compound Ast.Mod
-  | AMPEQ -> mk_compound Ast.Band
-  | PIPEEQ -> mk_compound Ast.Bor
-  | CARETEQ -> mk_compound Ast.Bxor
-  | SHLEQ -> mk_compound Ast.Shl
-  | SHREQ -> mk_compound Ast.Shr
+    ex lhs.Ast.eloc (Ast.Assign (lhs, rhs))
+  | PLUSEQ -> compound st lhs Ast.Add
+  | MINUSEQ -> compound st lhs Ast.Sub
+  | STAREQ -> compound st lhs Ast.Mul
+  | SLASHEQ -> compound st lhs Ast.Div
+  | PERCENTEQ -> compound st lhs Ast.Mod
+  | AMPEQ -> compound st lhs Ast.Band
+  | PIPEEQ -> compound st lhs Ast.Bor
+  | CARETEQ -> compound st lhs Ast.Bxor
+  | SHLEQ -> compound st lhs Ast.Shl
+  | SHREQ -> compound st lhs Ast.Shr
   | _ -> lhs
 
+and compound st lhs op =
+  advance st;
+  let rhs = parse_assign st in
+  let loc = lhs.Ast.eloc in
+  ex loc (Ast.Assign (lhs, ex loc (Ast.Binop (op, lhs, rhs))))
+
 and parse_cond st =
-  let c = parse_lor st in
-  if cur st = QUESTION then begin
+  let c = parse_binary st 1 in
+  if is st QUESTION then begin
     advance st;
     let a = parse_expr st in
     expect st COLON;
     let b = parse_cond st in
-    Ast.mk_expr ~loc:c.Ast.eloc (Ast.Cond (c, a, b))
+    ex c.Ast.eloc (Ast.Cond (c, a, b))
   end
   else c
 
-(* one precedence level: [op_of] maps the level's tokens to operators *)
-and parse_binop_level st op_of next =
-  let lhs = ref (next st) in
-  let continue = ref true in
-  while !continue do
-    match op_of (cur st) with
-    | Some op ->
-      advance st;
-      let rhs = next st in
-      lhs := Ast.mk_expr ~loc:(!lhs).Ast.eloc (Ast.Binop (op, !lhs, rhs))
-    | None -> continue := false
-  done;
-  !lhs
+(* a unary operand followed by binary operators of precedence at least
+   [min_prec] *)
+and parse_binary st min_prec = climb st min_prec (parse_unary st)
 
-and parse_lor st = parse_binop_level st (function OROR -> Some Ast.Lor | _ -> None) parse_land
-and parse_land st = parse_binop_level st (function ANDAND -> Some Ast.Land | _ -> None) parse_bor
-and parse_bor st = parse_binop_level st (function PIPE -> Some Ast.Bor | _ -> None) parse_bxor
-and parse_bxor st = parse_binop_level st (function CARET -> Some Ast.Bxor | _ -> None) parse_band
-and parse_band st = parse_binop_level st (function AMP -> Some Ast.Band | _ -> None) parse_equality
-
-and parse_equality st =
-  parse_binop_level st
-    (function EQEQ -> Some Ast.Eq | NEQ -> Some Ast.Ne | _ -> None)
-    parse_relational
-
-and parse_relational st =
-  parse_binop_level st
-    (function
-      | LT -> Some Ast.Lt | LE -> Some Ast.Le | GT -> Some Ast.Gt | GE -> Some Ast.Ge | _ -> None)
-    parse_shift
-
-and parse_shift st =
-  parse_binop_level st (function SHL -> Some Ast.Shl | SHR -> Some Ast.Shr | _ -> None) parse_additive
-
-and parse_additive st =
-  parse_binop_level st
-    (function PLUS -> Some Ast.Add | MINUS -> Some Ast.Sub | _ -> None)
-    parse_multiplicative
-
-and parse_multiplicative st =
-  parse_binop_level st
-    (function STAR -> Some Ast.Mul | SLASH -> Some Ast.Div | PERCENT -> Some Ast.Mod | _ -> None)
-    parse_unary
+and climb st min_prec lhs =
+  let t = cur st in
+  let p = binop_prec t in
+  if p = 0 || p < min_prec then lhs
+  else begin
+    advance st;
+    let rhs = parse_binary st (p + 1) in
+    climb st min_prec (ex lhs.Ast.eloc (Ast.Binop (binop_of t, lhs, rhs)))
+  end
 
 and parse_unary st =
-  let loc = cur_loc st in
   match cur st with
-  | MINUS ->
-    advance st;
-    Ast.mk_expr ~loc (Ast.Unop (Ast.Neg, parse_unary st))
-  | BANG ->
-    advance st;
-    Ast.mk_expr ~loc (Ast.Unop (Ast.Lnot, parse_unary st))
-  | TILDE ->
-    advance st;
-    Ast.mk_expr ~loc (Ast.Unop (Ast.Bnot, parse_unary st))
+  | MINUS -> prefix st (fun a -> Ast.Unop (Ast.Neg, a))
+  | BANG -> prefix st (fun a -> Ast.Unop (Ast.Lnot, a))
+  | TILDE -> prefix st (fun a -> Ast.Unop (Ast.Bnot, a))
   | PLUS ->
     advance st;
     parse_unary st
-  | STAR ->
-    advance st;
-    Ast.mk_expr ~loc (Ast.Deref (parse_unary st))
-  | AMP ->
-    advance st;
-    Ast.mk_expr ~loc (Ast.Addr (parse_unary st))
+  | STAR -> prefix st (fun a -> Ast.Deref a)
+  | AMP -> prefix st (fun a -> Ast.Addr a)
   | PLUSPLUS ->
+    let loc = cur_loc st in
     advance st;
-    let lv = parse_unary st in
-    Ast.mk_expr ~loc
-      (Ast.Assign (lv, Ast.mk_expr ~loc (Ast.Binop (Ast.Add, lv, Ast.int_e ~loc 1))))
+    bump loc Ast.Add (parse_unary st)
   | MINUSMINUS ->
+    let loc = cur_loc st in
     advance st;
-    let lv = parse_unary st in
-    Ast.mk_expr ~loc
-      (Ast.Assign (lv, Ast.mk_expr ~loc (Ast.Binop (Ast.Sub, lv, Ast.int_e ~loc 1))))
+    bump loc Ast.Sub (parse_unary st)
   | KW_sizeof ->
+    let loc = cur_loc st in
     advance st;
     expect st LPAREN;
     let ty =
@@ -250,13 +302,21 @@ and parse_unary st =
         parse_error st "sizeof requires a type in MiniC"
     in
     expect st RPAREN;
-    Ast.mk_expr ~loc (Ast.Sizeof ty)
+    ex loc (Ast.Sizeof ty)
   | LPAREN when starts_type_cast st ->
+    let loc = cur_loc st in
     advance st;
     let ty = parse_stars st (parse_type_spec st) in
     expect st RPAREN;
-    Ast.mk_expr ~loc (Ast.Cast (ty, parse_unary st))
+    ex loc (Ast.Cast (ty, parse_unary st))
   | _ -> parse_postfix st
+
+(* a prefix operator at the current token applied to the unary operand
+   after it *)
+and prefix st mk =
+  let loc = cur_loc st in
+  advance st;
+  ex loc (mk (parse_unary st))
 
 (* A '(' begins a cast if the following token starts a type (and the parse
    is not a compound literal, which MiniC lacks). *)
@@ -268,65 +328,52 @@ and starts_type_cast st =
   | IDENT x -> is_typedef_name st x
   | _ -> false
 
-and parse_postfix st =
-  let e = ref (parse_primary st) in
-  let continue = ref true in
-  while !continue do
+and parse_postfix st = postfix st (parse_primary st)
+
+and postfix st e =
+  match cur st with
+  | LBRACKET ->
     let loc = cur_loc st in
-    match cur st with
-    | LBRACKET ->
-      advance st;
-      let idx = parse_expr st in
-      expect st RBRACKET;
-      e := Ast.mk_expr ~loc (Ast.Index (!e, idx))
-    | DOT ->
-      advance st;
-      let f = expect_ident st in
-      e := Ast.mk_expr ~loc (Ast.Field (!e, f))
-    | ARROW ->
-      advance st;
-      let f = expect_ident st in
-      e := Ast.mk_expr ~loc (Ast.Arrow (!e, f))
-    | PLUSPLUS ->
-      advance st;
-      let lv = !e in
-      e :=
-        Ast.mk_expr ~loc
-          (Ast.Assign (lv, Ast.mk_expr ~loc (Ast.Binop (Ast.Add, lv, Ast.int_e ~loc 1))))
-    | MINUSMINUS ->
-      advance st;
-      let lv = !e in
-      e :=
-        Ast.mk_expr ~loc
-          (Ast.Assign (lv, Ast.mk_expr ~loc (Ast.Binop (Ast.Sub, lv, Ast.int_e ~loc 1))))
-    | _ -> continue := false
-  done;
-  !e
+    advance st;
+    let idx = parse_expr st in
+    expect st RBRACKET;
+    postfix st (ex loc (Ast.Index (e, idx)))
+  | DOT ->
+    let loc = cur_loc st in
+    advance st;
+    let f = expect_ident st in
+    postfix st (ex loc (Ast.Field (e, f)))
+  | ARROW ->
+    let loc = cur_loc st in
+    advance st;
+    let f = expect_ident st in
+    postfix st (ex loc (Ast.Arrow (e, f)))
+  | PLUSPLUS ->
+    let loc = cur_loc st in
+    advance st;
+    postfix st (bump loc Ast.Add e)
+  | MINUSMINUS ->
+    let loc = cur_loc st in
+    advance st;
+    postfix st (bump loc Ast.Sub e)
+  | _ -> e
 
 and parse_primary st =
-  let loc = cur_loc st in
   match cur st with
-  | INT n ->
-    advance st;
-    Ast.mk_expr ~loc (Ast.Cint n)
-  | FLOATLIT f ->
-    advance st;
-    Ast.mk_expr ~loc (Ast.Cfloat f)
-  | STRING s ->
-    advance st;
-    Ast.mk_expr ~loc (Ast.Cstr s)
-  | CHARLIT c ->
-    advance st;
-    Ast.mk_expr ~loc (Ast.Cchar c)
+  | INT n -> leaf st (Ast.Cint n)
+  | FLOATLIT f -> leaf st (Ast.Cfloat f)
+  | STRING s -> leaf st (Ast.Cstr s)
+  | CHARLIT c -> leaf st (Ast.Cchar c)
   | IDENT x ->
+    let loc = cur_loc st in
     advance st;
-    if cur st = LPAREN then begin
+    if is st LPAREN then begin
       advance st;
       let args = parse_args st in
       expect st RPAREN;
-      Ast.mk_expr ~loc (Ast.Call (x, args))
+      ex loc (Ast.Call (x, args))
     end
-    else Ast.mk_expr ~loc (Ast.Var x)
+    else ex loc (Ast.Var x)
   | LPAREN ->
     advance st;
     let e = parse_expr st in
@@ -334,12 +381,18 @@ and parse_primary st =
     e
   | t -> parse_error st "unexpected token %s in expression" (Token.to_string t)
 
+(* the one-token expression at the current token *)
+and leaf st edesc =
+  let loc = cur_loc st in
+  advance st;
+  ex loc edesc
+
 and parse_args st =
-  if cur st = RPAREN then []
+  if is st RPAREN then []
   else
     let rec go acc =
       let e = parse_expr st in
-      if cur st = COMMA then begin
+      if is st COMMA then begin
         advance st;
         go (e :: acc)
       end
@@ -350,10 +403,10 @@ and parse_args st =
 (* -- Initializers ------------------------------------------------------ *)
 
 let rec parse_init st : Ast.init =
-  if cur st = LBRACE then begin
+  if is st LBRACE then begin
     advance st;
     let rec go acc =
-      if cur st = RBRACE then begin
+      if is st RBRACE then begin
         advance st;
         List.rev acc
       end
@@ -378,12 +431,12 @@ let rec parse_stmt st : Ast.stmt =
       try Annot.parse_payload payload
       with Annot.Parse_error msg -> Loc.error loc "bad annotation: %s" msg
     in
-    Ast.mk_stmt ~loc (Ast.Sannot clauses)
+    stm loc (Ast.Sannot clauses)
   | LBRACE ->
     advance st;
     let body = parse_block_items st in
     expect st RBRACE;
-    Ast.mk_stmt ~loc (Ast.Sblock body)
+    stm loc (Ast.Sblock body)
   | KW_if ->
     advance st;
     expect st LPAREN;
@@ -391,19 +444,19 @@ let rec parse_stmt st : Ast.stmt =
     expect st RPAREN;
     let then_branch = parse_branch st in
     let else_branch =
-      if cur st = KW_else then begin
+      if is st KW_else then begin
         advance st;
         parse_branch st
       end
       else []
     in
-    Ast.mk_stmt ~loc (Ast.Sif (c, then_branch, else_branch))
+    stm loc (Ast.Sif (c, then_branch, else_branch))
   | KW_while ->
     advance st;
     expect st LPAREN;
     let c = parse_expr st in
     expect st RPAREN;
-    Ast.mk_stmt ~loc (Ast.Swhile (c, parse_branch st))
+    stm loc (Ast.Swhile (c, parse_branch st))
   | KW_do ->
     advance st;
     let body = parse_branch st in
@@ -412,24 +465,24 @@ let rec parse_stmt st : Ast.stmt =
     let c = parse_expr st in
     expect st RPAREN;
     expect st SEMI;
-    Ast.mk_stmt ~loc (Ast.Sdo (body, c))
+    stm loc (Ast.Sdo (body, c))
   | KW_for ->
     advance st;
     expect st LPAREN;
     let init =
-      if cur st = SEMI then None
+      if is st SEMI then None
       else if starts_type st then Some (parse_decl_stmt st ~consume_semi:false)
-      else Some (Ast.mk_stmt ~loc (Ast.Sexpr (parse_expr st)))
+      else Some (stm loc (Ast.Sexpr (parse_expr st)))
     in
     expect st SEMI;
-    let cond = if cur st = SEMI then None else Some (parse_expr st) in
+    let cond = if is st SEMI then None else Some (parse_expr st) in
     expect st SEMI;
     let step =
-      if cur st = RPAREN then None
-      else Some (Ast.mk_stmt ~loc (Ast.Sexpr (parse_expr st)))
+      if is st RPAREN then None
+      else Some (stm loc (Ast.Sexpr (parse_expr st)))
     in
     expect st RPAREN;
-    Ast.mk_stmt ~loc (Ast.Sfor (init, cond, step, parse_branch st))
+    stm loc (Ast.Sfor (init, cond, step, parse_branch st))
   | KW_switch ->
     advance st;
     expect st LPAREN;
@@ -438,35 +491,35 @@ let rec parse_stmt st : Ast.stmt =
     expect st LBRACE;
     let cases = parse_cases st in
     expect st RBRACE;
-    Ast.mk_stmt ~loc (Ast.Sswitch (e, cases))
+    stm loc (Ast.Sswitch (e, cases))
   | KW_return ->
     advance st;
-    let e = if cur st = SEMI then None else Some (parse_expr st) in
+    let e = if is st SEMI then None else Some (parse_expr st) in
     expect st SEMI;
-    Ast.mk_stmt ~loc (Ast.Sreturn e)
+    stm loc (Ast.Sreturn e)
   | KW_break ->
     advance st;
     expect st SEMI;
-    Ast.mk_stmt ~loc Ast.Sbreak
+    stm loc Ast.Sbreak
   | KW_continue ->
     advance st;
     expect st SEMI;
-    Ast.mk_stmt ~loc Ast.Scontinue
+    stm loc Ast.Scontinue
   | SEMI ->
     advance st;
-    Ast.mk_stmt ~loc (Ast.Sblock [])
+    stm loc (Ast.Sblock [])
   | _ when starts_type st -> parse_decl_stmt st ~consume_semi:true
   | _ ->
     let e = parse_expr st in
     expect st SEMI;
-    Ast.mk_stmt ~loc (Ast.Sexpr e)
+    stm loc (Ast.Sexpr e)
 
 (** A single statement or block used as a branch body, normalized to a
     statement list. *)
 and parse_branch st : Ast.stmt list =
   match (parse_stmt st).sdesc with
   | Ast.Sblock body -> body
-  | other -> [ Ast.mk_stmt other ]
+  | other -> [ stm Loc.dummy other ]
 
 and parse_cases st : Ast.case list =
   let rec go acc =
@@ -504,19 +557,20 @@ and parse_cases st : Ast.case list =
   in
   go []
 
+(* statement lists are built in order, without a reversed copy *)
 and parse_case_body st : Ast.stmt list =
-  let rec go acc =
-    match cur st with
-    | KW_case | KW_default | RBRACE -> List.rev acc
-    | _ -> go (parse_stmt st :: acc)
-  in
-  go []
+  match cur st with
+  | KW_case | KW_default | RBRACE -> []
+  | _ ->
+    let s = parse_stmt st in
+    s :: parse_case_body st
 
 and parse_block_items st : Ast.stmt list =
-  let rec go acc =
-    match cur st with RBRACE | EOF -> List.rev acc | _ -> go (parse_stmt st :: acc)
-  in
-  go []
+  match cur st with
+  | RBRACE | EOF -> []
+  | _ ->
+    let s = parse_stmt st in
+    s :: parse_block_items st
 
 (** Parse a local declaration statement: [ty d1 [= init] (, d2 [= init])* ;].
     Multiple declarators desugar into a block of single declarations. *)
@@ -528,17 +582,17 @@ and parse_decl_stmt st ~consume_semi : Ast.stmt =
     let name = expect_ident st in
     let ty = parse_array_suffix st ty in
     let init =
-      if cur st = ASSIGN then begin
+      if is st ASSIGN then begin
         advance st;
         Some (parse_init st)
       end
       else None
     in
-    Ast.mk_stmt ~loc (Ast.Sdecl (ty, name, init))
+    stm loc (Ast.Sdecl (ty, name, init))
   in
   let first = parse_one () in
   let rec more acc =
-    if cur st = COMMA then begin
+    if is st COMMA then begin
       advance st;
       more (parse_one () :: acc)
     end
@@ -546,13 +600,22 @@ and parse_decl_stmt st ~consume_semi : Ast.stmt =
   in
   let rest = more [] in
   if consume_semi then expect st SEMI;
-  match rest with [] -> first | _ -> Ast.mk_stmt ~loc (Ast.Sblock (first :: rest))
+  match rest with [] -> first | _ -> stm loc (Ast.Sblock (first :: rest))
 
 (* -- Top-level declarations -------------------------------------------- *)
 
+(* Skip the block whose opening brace is the current token up to the
+   brace that closes it, which becomes the current token.  The window
+   must hold only the current token. *)
+let skip_block st =
+  let closed = Lexer.skip_block st.lex in
+  st.toks.(0) <- (if closed then RBRACE else EOF);
+  st.lines.(0) <- Lexer.tok_line st.lex;
+  st.cols.(0) <- Lexer.tok_col st.lex
+
 let parse_params st : Ast.param list =
-  if cur st = RPAREN then []
-  else if cur st = KW_void && peek_at st 1 = RPAREN then begin
+  if is st RPAREN then []
+  else if is st KW_void && peek_at st 1 == RPAREN then begin
     advance st;
     []
   end
@@ -569,7 +632,7 @@ let parse_params st : Ast.param list =
       (* array parameters decay to pointers *)
       let ty = match ty with Ty.Array (t, _) -> Ty.Ptr t | t -> t in
       let p = { Ast.pname = name; pty = ty } in
-      if cur st = COMMA then begin
+      if is st COMMA then begin
         advance st;
         go (p :: acc)
       end
@@ -580,7 +643,7 @@ let parse_params st : Ast.param list =
 
 let parse_struct_fields st : Ty.field list =
   let rec go acc =
-    if cur st = RBRACE then List.rev acc
+    if is st RBRACE then List.rev acc
     else begin
       let base = parse_type_spec st in
       let rec declarators acc =
@@ -588,7 +651,7 @@ let parse_struct_fields st : Ty.field list =
         let name = expect_ident st in
         let ty = parse_array_suffix st ty in
         let acc = { Ty.fname = name; fty = ty } :: acc in
-        if cur st = COMMA then begin
+        if is st COMMA then begin
           advance st;
           declarators acc
         end
@@ -618,9 +681,10 @@ let rec parse_decl st ~(pending_annot : Annot.t) : Ast.decl list =
     let name = expect_ident st in
     let ty = parse_array_suffix st ty in
     expect st SEMI;
-    Hashtbl.replace st.typedefs name ();
+    if not (Hashtbl.mem st.typedefs name) then
+      Hashtbl.add st.typedefs name (Hashtbl.length st.typedefs);
     [ Ast.Dtypedef (name, ty, loc) ]
-  | KW_struct when peek_at st 2 = LBRACE ->
+  | KW_struct when peek_at st 2 == LBRACE ->
     advance st;
     let name = expect_ident st in
     expect st LBRACE;
@@ -634,7 +698,7 @@ let rec parse_decl st ~(pending_annot : Annot.t) : Ast.decl list =
     let base = parse_type_spec st in
     let ty = parse_stars st base in
     let name = expect_ident st in
-    if cur st = LPAREN then begin
+    if is st LPAREN then begin
       advance st;
       let params = parse_params st in
       expect st RPAREN;
@@ -651,7 +715,7 @@ let rec parse_decl st ~(pending_annot : Annot.t) : Ast.decl list =
     let base = parse_type_spec st in
     let ty = parse_stars st base in
     let name = expect_ident st in
-    if cur st = LPAREN then begin
+    if is st LPAREN then begin
       (* function definition or prototype *)
       advance st;
       let params = parse_params st in
@@ -668,13 +732,27 @@ let rec parse_decl st ~(pending_annot : Annot.t) : Ast.decl list =
         | _ -> ());
         advance st
       done;
-      if cur st = SEMI then begin
+      if is st SEMI then begin
         advance st;
         [ Ast.Dextern (name, ty, List.map (fun p -> p.Ast.pty) params, loc) ]
       end
       else begin
-        expect st LBRACE;
-        let body = parse_block_items st in
+        let body =
+          if st.defer_bodies && is st LBRACE then begin
+            (* a body is deferred from the lexer position right after its
+               brace, so no token after the brace may be lexed yet *)
+            if st.filled <> 1 then parse_error st "function body after a lookahead";
+            st.deferred <-
+              { b_st = st; b_mark = Lexer.mark st.lex; b_limit = Hashtbl.length st.typedefs }
+              :: st.deferred;
+            skip_block st;
+            []
+          end
+          else begin
+            expect st LBRACE;
+            parse_block_items st
+          end
+        in
         expect st RBRACE;
         [ Ast.Dfunc
             { fname = name; fret = ty; fparams = params; fbody = body;
@@ -686,14 +764,14 @@ let rec parse_decl st ~(pending_annot : Annot.t) : Ast.decl list =
       let rec go acc ty name =
         let ty = parse_array_suffix st ty in
         let init =
-          if cur st = ASSIGN then begin
+          if is st ASSIGN then begin
             advance st;
             Some (parse_init st)
           end
           else None
         in
         let g = Ast.Dglobal { gname = name; gty = ty; ginit = init; gloc = loc } in
-        if cur st = COMMA then begin
+        if is st COMMA then begin
           advance st;
           let ty' = parse_stars st base in
           let name' = expect_ident st in
@@ -715,6 +793,30 @@ let parse_program lex : Ast.program =
     | _ -> go (parse_decl st ~pending_annot:[] :: acc)
   in
   go []
+
+(** A translation unit whose function bodies are left unparsed. *)
+let parse_program_deferred lex : Ast.program * body list =
+  let st = make ~defer_bodies:true lex in
+  let rec go acc =
+    match cur st with
+    | EOF -> List.concat (List.rev acc)
+    | _ -> go (parse_decl st ~pending_annot:[] :: acc)
+  in
+  let prog = go [] in
+  (prog, List.rev st.deferred)
+
+(** The statements of a deferred body, parsed by the state that skipped
+    it, moved back to the body and to the typedefs visible there. *)
+let parse_body b : Ast.stmt list =
+  let st = b.b_st in
+  Lexer.seek st.lex b.b_mark;
+  st.typedef_limit <- b.b_limit;
+  st.filled <- 1;
+  pull st 0;
+  let stmts = parse_block_items st in
+  (* the closing brace is the skipping state's next token already *)
+  if not (is st RBRACE) then expect st RBRACE;
+  stmts
 
 (** Convenience: lex and parse a source string. *)
 let parse_string ?(file = "<string>") src = parse_program (Lexer.make ~file src)

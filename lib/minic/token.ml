@@ -28,33 +28,6 @@ type t =
   | ANNOT of string
   | EOF
 
-let keyword_of_string = function
-  | "void" -> Some KW_void
-  | "char" -> Some KW_char
-  | "int" -> Some KW_int
-  | "long" -> Some KW_long
-  | "float" -> Some KW_float
-  | "double" -> Some KW_double
-  | "struct" -> Some KW_struct
-  | "typedef" -> Some KW_typedef
-  | "extern" -> Some KW_extern
-  | "static" -> Some KW_static
-  | "const" -> Some KW_const
-  | "unsigned" -> Some KW_unsigned
-  | "if" -> Some KW_if
-  | "else" -> Some KW_else
-  | "while" -> Some KW_while
-  | "for" -> Some KW_for
-  | "do" -> Some KW_do
-  | "return" -> Some KW_return
-  | "break" -> Some KW_break
-  | "continue" -> Some KW_continue
-  | "switch" -> Some KW_switch
-  | "case" -> Some KW_case
-  | "default" -> Some KW_default
-  | "sizeof" -> Some KW_sizeof
-  | _ -> None
-
 let to_string = function
   | INT n -> Int64.to_string n
   | FLOATLIT f -> string_of_float f

@@ -8,12 +8,13 @@
     - alpha-rename block-scoped locals to unique names and collect them;
     - desugar brace initializers of locals into element assignments and of
       globals into (offset, value) lists;
-    - reject constructs outside the MiniC subset. *)
+    - reject constructs outside the MiniC subset.
 
-type scope = {
-  parent : scope option;
-  vars : (string, string * Ty.t) Hashtbl.t;  (* source name -> unique name, type *)
-}
+    Block scopes are one hash table with an undo stack, emptied after
+    each function: a declaration adds a binding on top of any it
+    shadows, and leaving a block removes the bindings made in it.  A
+    name is resolved with one probe of that table (and one of the
+    globals), whatever the nesting depth. *)
 
 type fstate = {
   env : Ty.env;
@@ -22,14 +23,39 @@ type fstate = {
   mutable locals : (string * Ty.t) list;  (* accumulated, reverse order *)
   counters : (string, int) Hashtbl.t;
   ret : Ty.t;
+  vars : (string, string * Ty.t) Hashtbl.t;
+      (* visible locals: source name -> unique name, type; the innermost
+         binding of a name hides the outer ones *)
+  mutable bound : string list;  (* names bound in the open blocks, newest first *)
 }
 
 let err loc fmt = Loc.error loc ("type error: " ^^ fmt)
 
-let rec lookup_scope scope name =
-  match Hashtbl.find_opt scope.vars name with
-  | Some r -> Some r
-  | None -> ( match scope.parent with Some p -> lookup_scope p name | None -> None)
+let probes = ref 0
+
+let scope_probes () = !probes
+
+let lookup fs name =
+  incr probes;
+  match Hashtbl.find fs.vars name with v -> Some v | exception Not_found -> None
+
+let bind fs name v =
+  Hashtbl.add fs.vars name v;
+  fs.bound <- name :: fs.bound
+
+(* leave the blocks opened since [fs.bound] was [mark] *)
+let rec unwind fs mark =
+  if fs.bound != mark then
+    match fs.bound with
+    | name :: rest ->
+      Hashtbl.remove fs.vars name;
+      fs.bound <- rest;
+      unwind fs mark
+    | [] -> ()
+
+let global_ty fs name =
+  incr probes;
+  Hashtbl.find_opt fs.globals name
 
 let fresh_name fs name =
   let n = Option.value ~default:0 (Hashtbl.find_opt fs.counters name) in
@@ -50,7 +76,7 @@ let rec deep_resolve env loc ty =
     Ty.Fun (deep_resolve env loc r, List.map (deep_resolve env loc) args)
   | t -> t
 
-let mk ?(loc = Loc.dummy) tdesc tty : Tast.texpr = { tdesc; tty; tloc = loc }
+let mk ~loc tdesc tty : Tast.texpr = { tdesc; tty; tloc = loc }
 
 (** Insert array decay when an array-typed expression is used as a value. *)
 let decay e =
@@ -83,7 +109,7 @@ let coerce env loc want e =
     | _ ->
       err loc "cannot convert %a to %a" Ty.pp have Ty.pp want
 
-let rec check_expr fs scope (e : Ast.expr) : Tast.texpr =
+let rec check_expr fs (e : Ast.expr) : Tast.texpr =
   let loc = e.eloc in
   let env = fs.env in
   match e.edesc with
@@ -92,17 +118,18 @@ let rec check_expr fs scope (e : Ast.expr) : Tast.texpr =
   | Ast.Cchar c -> mk ~loc (Tast.Tint (Int64.of_int (Char.code c))) Ty.Char
   | Ast.Cstr s -> mk ~loc (Tast.Tstr s) (Ty.Ptr Ty.Char)
   | Ast.Var x -> (
-    match lookup_scope scope x with
-    | Some (uname, ty) -> mk ~loc (Tast.Tlocal uname) ty
-    | None -> (
-      match Hashtbl.find_opt fs.globals x with
+    incr probes;
+    match Hashtbl.find fs.vars x with
+    | uname, ty -> mk ~loc (Tast.Tlocal uname) ty
+    | exception Not_found -> (
+      match global_ty fs x with
       | Some ty -> mk ~loc (Tast.Tglobal x) ty
       | None -> err loc "unbound variable %s" x))
   | Ast.Sizeof ty ->
     let ty = deep_resolve env loc ty in
     mk ~loc (Tast.Tint (Int64.of_int (Ty.sizeof env ty))) Ty.Long
   | Ast.Unop (op, a) -> (
-    let a = decay (check_expr fs scope a) in
+    let a = decay (check_expr fs a) in
     match op with
     | Ast.Neg ->
       if not (Ty.is_arith (Ty.resolve env a.tty)) then err loc "negation of non-arithmetic";
@@ -113,14 +140,14 @@ let rec check_expr fs scope (e : Ast.expr) : Tast.texpr =
     | Ast.Bnot ->
       if not (Ty.is_integer (Ty.resolve env a.tty)) then err loc "~ of non-integer";
       mk ~loc (Tast.Tunop (op, a)) a.tty)
-  | Ast.Binop (op, a, b) -> check_binop fs scope loc op a b
+  | Ast.Binop (op, a, b) -> check_binop fs loc op a b
   | Ast.Assign (lhs, rhs) ->
-    let lhs = check_expr fs scope lhs in
+    let lhs = check_expr fs lhs in
     if not (Tast.is_lvalue lhs) then err loc "assignment to non-lvalue";
     (match Ty.resolve env lhs.tty with
     | Ty.Array _ -> err loc "assignment to array"
     | _ -> ());
-    let rhs = decay (check_expr fs scope rhs) in
+    let rhs = decay (check_expr fs rhs) in
     let rhs = coerce env loc lhs.tty rhs in
     mk ~loc (Tast.Tassign (lhs, rhs)) lhs.tty
   | Ast.Call (fname, args) -> (
@@ -132,29 +159,29 @@ let rec check_expr fs scope (e : Ast.expr) : Tast.texpr =
           (List.length ptys) (List.length args);
       let args =
         List.map2
-          (fun pty arg -> coerce env loc pty (decay (check_expr fs scope arg)))
+          (fun pty arg -> coerce env loc pty (decay (check_expr fs arg)))
           ptys args
       in
       mk ~loc (Tast.Tcall (fname, args)) ret)
   | Ast.Deref p -> (
-    let p = decay (check_expr fs scope p) in
+    let p = decay (check_expr fs p) in
     match Ty.resolve env p.tty with
     | Ty.Ptr t -> mk ~loc (Tast.Tderef p) (deep_resolve env loc t)
     | t -> err loc "dereference of non-pointer (%a)" Ty.pp t)
   | Ast.Addr a ->
-    let a = check_expr fs scope a in
+    let a = check_expr fs a in
     if not (Tast.is_lvalue a) then err loc "address of non-lvalue";
     mk ~loc (Tast.Taddr a) (Ty.Ptr a.tty)
   | Ast.Index (base, idx) -> (
-    let base = check_expr fs scope base in
-    let idx = decay (check_expr fs scope idx) in
+    let base = check_expr fs base in
+    let idx = decay (check_expr fs idx) in
     if not (Ty.is_integer (Ty.resolve env idx.tty)) then err loc "non-integer array index";
     match Ty.resolve env base.tty with
     | Ty.Array (t, _) -> mk ~loc (Tast.Tindex (base, idx)) (deep_resolve env loc t)
     | Ty.Ptr t -> mk ~loc (Tast.Tindex (decay base, idx)) (deep_resolve env loc t)
     | t -> err loc "indexing non-array (%a)" Ty.pp t)
   | Ast.Field (s, f) -> (
-    let s = check_expr fs scope s in
+    let s = check_expr fs s in
     match Ty.resolve env s.tty with
     | Ty.Struct sname -> (
       match Ty.field_type env sname f with
@@ -162,17 +189,17 @@ let rec check_expr fs scope (e : Ast.expr) : Tast.texpr =
       | None -> err loc "struct %s has no field %s" sname f)
     | t -> err loc "field access on non-struct (%a)" Ty.pp t)
   | Ast.Arrow (p, f) ->
-    check_expr fs scope
+    check_expr fs
       (Ast.mk_expr ~loc (Ast.Field (Ast.mk_expr ~loc (Ast.Deref p), f)))
   | Ast.Cast (ty, a) ->
     let ty = deep_resolve env loc ty in
-    let a = decay (check_expr fs scope a) in
+    let a = decay (check_expr fs a) in
     mk ~loc (Tast.Tcast (ty, a)) ty
   | Ast.Cond (c, a, b) ->
-    let c = decay (check_expr fs scope c) in
+    let c = decay (check_expr fs c) in
     if not (Ty.is_scalar (Ty.resolve env c.tty)) then err loc "non-scalar condition";
-    let a = decay (check_expr fs scope a) in
-    let b = decay (check_expr fs scope b) in
+    let a = decay (check_expr fs a) in
+    let b = decay (check_expr fs b) in
     let ty =
       if Ty.compatible env a.tty b.tty then a.tty
       else if Ty.is_arith (Ty.resolve env a.tty) && Ty.is_arith (Ty.resolve env b.tty)
@@ -181,10 +208,10 @@ let rec check_expr fs scope (e : Ast.expr) : Tast.texpr =
     in
     mk ~loc (Tast.Tcond (c, coerce env loc ty a, coerce env loc ty b)) ty
 
-and check_binop fs scope loc op a b =
+and check_binop fs loc op a b =
   let env = fs.env in
-  let a = decay (check_expr fs scope a) in
-  let b = decay (check_expr fs scope b) in
+  let a = decay (check_expr fs a) in
+  let b = decay (check_expr fs b) in
   let ra = Ty.resolve env a.tty and rb = Ty.resolve env b.tty in
   match op with
   | Ast.Add | Ast.Sub -> (
@@ -226,11 +253,11 @@ and check_binop fs scope loc op a b =
 
 (** Desugar a brace/scalar initializer for a local of type [ty] rooted at
     lvalue [lv] into assignment statements. *)
-let rec lower_local_init fs scope loc (lv : Tast.texpr) ty (init : Ast.init) acc =
+let rec lower_local_init fs loc (lv : Tast.texpr) ty (init : Ast.init) acc =
   let env = fs.env in
   match (init, Ty.resolve env ty) with
   | Ast.Iexpr e, _ ->
-    let rhs = coerce env loc ty (decay (check_expr fs scope e)) in
+    let rhs = coerce env loc ty (decay (check_expr fs e)) in
     { Tast.tsdesc = Tast.TSexpr (mk ~loc (Tast.Tassign (lv, rhs)) ty); tsloc = loc } :: acc
   | Ast.Ilist items, Ty.Array (elt, n) ->
     if List.length items > n then err loc "too many initializers";
@@ -238,7 +265,7 @@ let rec lower_local_init fs scope loc (lv : Tast.texpr) ty (init : Ast.init) acc
       (fun (acc, i) item ->
         let idx = mk ~loc (Tast.Tint (Int64.of_int i)) Ty.Int in
         let cell = mk ~loc (Tast.Tindex (lv, idx)) (deep_resolve env loc elt) in
-        (lower_local_init fs scope loc cell elt item acc, i + 1))
+        (lower_local_init fs loc cell elt item acc, i + 1))
       (acc, 0) items
     |> fst
   | Ast.Ilist items, Ty.Struct sname ->
@@ -247,7 +274,7 @@ let rec lower_local_init fs scope loc (lv : Tast.texpr) ty (init : Ast.init) acc
     List.fold_left2
       (fun acc item (f : Ty.field) ->
         let cell = mk ~loc (Tast.Tfield (lv, f.fname)) (deep_resolve env loc f.fty) in
-        lower_local_init fs scope loc cell f.fty item acc)
+        lower_local_init fs loc cell f.fty item acc)
       acc
       items
       (List.filteri (fun i _ -> i < List.length items) fields)
@@ -258,8 +285,7 @@ let rec flatten_global_init fs loc ty off (init : Ast.init) acc =
   let env = fs.env in
   match (init, Ty.resolve env ty) with
   | Ast.Iexpr e, _ ->
-    let scope = { parent = None; vars = Hashtbl.create 1 } in
-    let v = coerce env loc ty (decay (check_expr fs scope e)) in
+    let v = coerce env loc ty (decay (check_expr fs e)) in
     { Tast.gi_offset = off; gi_value = v } :: acc
   | Ast.Ilist items, Ty.Array (elt, n) ->
     if List.length items > n then err loc "too many initializers";
@@ -283,85 +309,105 @@ let rec flatten_global_init fs loc ty off (init : Ast.init) acc =
 
 (* -- Statements ---------------------------------------------------------- *)
 
-let rec check_stmts fs scope stmts = List.concat_map (check_stmt fs scope) stmts
+let one loc tsdesc = [ { Tast.tsdesc; tsloc = loc } ]
 
-and check_block fs scope stmts =
-  let inner = { parent = Some scope; vars = Hashtbl.create 8 } in
-  check_stmts fs inner stmts
+(* in order, the statements checked first *)
+let rec check_stmts fs = function
+  | [] -> []
+  | s :: rest -> (
+    match check_stmt fs s with
+    | [ t ] -> t :: check_stmts fs rest
+    | ts -> ts @ check_stmts fs rest)
 
-and check_stmt fs scope (s : Ast.stmt) : Tast.tstmt list =
+and check_block fs stmts =
+  let mark = fs.bound in
+  let r = check_stmts fs stmts in
+  unwind fs mark;
+  r
+
+and check_stmt fs (s : Ast.stmt) : Tast.tstmt list =
   let loc = s.sloc in
   let env = fs.env in
-  let one tsdesc = [ { Tast.tsdesc; tsloc = loc } ] in
   match s.sdesc with
-  | Ast.Sexpr e -> one (Tast.TSexpr (check_expr fs scope e))
+  | Ast.Sexpr e -> one loc (Tast.TSexpr (check_expr fs e))
   | Ast.Sdecl (ty, name, init) ->
     let ty = deep_resolve env loc ty in
     (match ty with Ty.Void -> err loc "void variable %s" name | _ -> ());
     let uname = fresh_name fs name in
-    Hashtbl.replace scope.vars name (uname, ty);
+    bind fs name (uname, ty);
     fs.locals <- (uname, ty) :: fs.locals;
     let decl = { Tast.tsdesc = Tast.TSdecl (uname, ty, None); tsloc = loc } in
     (match init with
     | None -> [ decl ]
     | Some (Ast.Iexpr e) ->
-      let rhs = coerce env loc ty (decay (check_expr fs scope e)) in
+      let rhs = coerce env loc ty (decay (check_expr fs e)) in
       [ { Tast.tsdesc = Tast.TSdecl (uname, ty, Some rhs); tsloc = loc } ]
     | Some (Ast.Ilist _ as init) ->
       let lv = mk ~loc (Tast.Tlocal uname) ty in
-      decl :: List.rev (lower_local_init fs scope loc lv ty init []))
+      decl :: List.rev (lower_local_init fs loc lv ty init []))
   | Ast.Sif (c, t, e) ->
-    let c = decay (check_expr fs scope c) in
+    let c = decay (check_expr fs c) in
     if not (Ty.is_scalar (Ty.resolve env c.tty)) then err loc "non-scalar if condition";
-    one (Tast.TSif (c, check_block fs scope t, check_block fs scope e))
+    one loc (Tast.TSif (c, check_block fs t, check_block fs e))
   | Ast.Swhile (c, body) ->
-    let c = decay (check_expr fs scope c) in
-    one (Tast.TSwhile (c, check_block fs scope body))
+    let c = decay (check_expr fs c) in
+    one loc (Tast.TSwhile (c, check_block fs body))
   | Ast.Sdo (body, c) ->
-    let body = check_block fs scope body in
-    let c = decay (check_expr fs scope c) in
-    one (Tast.TSdo (body, c))
+    let body = check_block fs body in
+    let c = decay (check_expr fs c) in
+    one loc (Tast.TSdo (body, c))
   | Ast.Sfor (init, cond, step, body) ->
-    let inner = { parent = Some scope; vars = Hashtbl.create 4 } in
+    let mark = fs.bound in
     let init =
       match init with
       | None -> None
       | Some s -> (
-        match check_stmt fs inner s with
+        match check_stmt fs s with
         | [ single ] -> Some single
         | many -> Some { Tast.tsdesc = Tast.TSblock many; tsloc = loc })
     in
-    let cond = Option.map (fun c -> decay (check_expr fs inner c)) cond in
+    let cond = Option.map (fun c -> decay (check_expr fs c)) cond in
     let step =
       Option.map
         (fun s ->
-          match check_stmt fs inner s with
+          match check_stmt fs s with
           | [ single ] -> single
           | many -> { Tast.tsdesc = Tast.TSblock many; tsloc = loc })
         step
     in
-    one (Tast.TSfor (init, cond, step, check_block fs inner body))
+    let body = check_block fs body in
+    unwind fs mark;
+    one loc (Tast.TSfor (init, cond, step, body))
   | Ast.Sswitch (e, cases) ->
-    let e = decay (check_expr fs scope e) in
+    let e = decay (check_expr fs e) in
     if not (Ty.is_integer (Ty.resolve env e.tty)) then err loc "non-integer switch";
     let cases =
       List.map
         (fun (c : Ast.case) ->
-          { Tast.tcval = c.cval; tcbody = check_block fs scope c.cbody; tcloc = c.cloc })
+          { Tast.tcval = c.cval; tcbody = check_block fs c.cbody; tcloc = c.cloc })
         cases
     in
-    one (Tast.TSswitch (e, cases))
+    one loc (Tast.TSswitch (e, cases))
   | Ast.Sreturn None ->
     if not (Ty.equal fs.ret Ty.Void) then err loc "return without value";
-    one (Tast.TSreturn None)
+    one loc (Tast.TSreturn None)
   | Ast.Sreturn (Some e) ->
     if Ty.equal fs.ret Ty.Void then err loc "return with value in void function";
-    let e = coerce env loc fs.ret (decay (check_expr fs scope e)) in
-    one (Tast.TSreturn (Some e))
-  | Ast.Sbreak -> one Tast.TSbreak
-  | Ast.Scontinue -> one Tast.TScontinue
-  | Ast.Sblock body -> one (Tast.TSblock (check_block fs scope body))
-  | Ast.Sannot a -> one (Tast.TSannot a)
+    let e = coerce env loc fs.ret (decay (check_expr fs e)) in
+    one loc (Tast.TSreturn (Some e))
+  | Ast.Sbreak -> one loc Tast.TSbreak
+  | Ast.Scontinue -> one loc Tast.TScontinue
+  | Ast.Sblock body -> one loc (Tast.TSblock (check_block fs body))
+  | Ast.Sannot a ->
+    (* the critical datum must exist where it is asserted: a local in
+       scope or a global (lowering reads it at this point) *)
+    List.iter
+      (function
+        | Annot.Assert_safe x when lookup fs x = None && global_ty fs x = None ->
+          err loc "assert(safe(%s)) names no variable in scope" x
+        | _ -> ())
+      a;
+    one loc (Tast.TSannot a)
 
 (* -- Programs ------------------------------------------------------------ *)
 
@@ -377,7 +423,8 @@ let builtin_externs : (string * Ty.t * Ty.t list) list =
     ("InitCheck", Ty.Void, [ Ty.Ptr Ty.Void; Ty.Long ]);
   ]
 
-let check_program (prog : Ast.program) : Tast.program =
+let check_program_map ?body (prog : Ast.program)
+    ~(start : Ty.env -> (string -> Ty.t option) -> Tast.tfunc -> 'a) : Tast.program * 'a list =
   let env = Ty.empty_env () in
   let globals = Hashtbl.create 32 in
   let funcs = Hashtbl.create 32 in
@@ -399,13 +446,7 @@ let check_program (prog : Ast.program) : Tast.program =
         Hashtbl.replace funcs f.fname (f.fret, List.map (fun p -> p.Ast.pty) f.fparams))
     prog;
   (* resolve struct field types and global/function types *)
-  let fix_ty loc ty =
-    let fs_dummy =
-      { env; globals; funcs; locals = []; counters = Hashtbl.create 1; ret = Ty.Void }
-    in
-    ignore fs_dummy;
-    deep_resolve env loc ty
-  in
+  let fix_ty loc ty = deep_resolve env loc ty in
   Hashtbl.iter
     (fun name fields ->
       let fields =
@@ -441,7 +482,12 @@ let check_program (prog : Ast.program) : Tast.program =
     (fun name (r, ps) ->
       Hashtbl.replace funcs name (fix_ty Loc.dummy r, List.map (fix_ty Loc.dummy) ps))
     (Hashtbl.copy funcs);
-  (* pass 2: check bodies *)
+  (* pass 2: check bodies; every function starts from empty name
+     tables, shared to spare two tables per function (the scopes of a
+     function are all left when its body is checked) *)
+  let counters = Hashtbl.create 16 and vars = Hashtbl.create 16 in
+  let consume = start env (Hashtbl.find_opt globals) in
+  let fnames = ref [] in
   let tglobals = ref [] in
   let tfuncs = ref [] in
   let texterns = ref [] in
@@ -455,7 +501,7 @@ let check_program (prog : Ast.program) : Tast.program =
       | Ast.Dglobal g ->
         let ty = fix_ty g.gloc g.gty in
         let fs =
-          { env; globals; funcs; locals = []; counters = Hashtbl.create 4; ret = Ty.Void }
+          { env; globals; funcs; locals = []; counters; ret = Ty.Void; vars; bound = [] }
         in
         let init =
           match g.ginit with
@@ -466,34 +512,48 @@ let check_program (prog : Ast.program) : Tast.program =
           { Tast.tg_name = g.gname; tg_ty = ty; tg_init = init; tg_loc = g.gloc }
           :: !tglobals
       | Ast.Dfunc f ->
+        List.iter
+          (function
+            | Annot.Assert_safe x ->
+              err f.floc "assert(safe(%s)) must annotate a statement, not a function" x
+            | _ -> ())
+          f.fannot;
         let ret = fix_ty f.floc f.fret in
+        Hashtbl.clear counters;
         let fs =
-          { env; globals; funcs; locals = []; counters = Hashtbl.create 16; ret }
+          { env; globals; funcs; locals = []; counters; ret; vars; bound = [] }
         in
-        let scope = { parent = None; vars = Hashtbl.create 8 } in
         let params =
           List.map
             (fun (p : Ast.param) ->
               let ty = fix_ty f.floc p.pty in
               let uname = fresh_name fs p.pname in
-              Hashtbl.replace scope.vars p.pname (uname, ty);
+              bind fs p.pname (uname, ty);
               (uname, ty))
             f.fparams
         in
-        let body = check_stmts fs scope f.fbody in
+        let body = check_stmts fs (match body with Some b -> b f | None -> f.fbody) in
+        unwind fs [];
+        fnames := f.fname :: !fnames;
         tfuncs :=
-          { Tast.tf_name = f.fname; tf_ret = ret; tf_params = params;
-            tf_locals = List.rev fs.locals; tf_body = body; tf_annot = f.fannot;
-            tf_loc = f.floc }
+          consume
+            { Tast.tf_name = f.fname; tf_ret = ret; tf_params = params;
+              tf_locals = List.rev fs.locals; tf_body = body; tf_annot = f.fannot;
+              tf_loc = f.floc }
           :: !tfuncs)
     prog;
   (* add built-ins that were not explicitly declared *)
   let declared = List.map (fun (n, _, _) -> n) !texterns in
-  let defined = List.map (fun f -> f.Tast.tf_name) !tfuncs in
+  let defined = !fnames in
   List.iter
     (fun (n, r, ps) ->
       if not (List.mem n declared || List.mem n defined) then
         texterns := (n, r, ps) :: !texterns)
     builtin_externs;
-  { Tast.p_env = env; p_globals = List.rev !tglobals; p_externs = List.rev !texterns;
-    p_funcs = List.rev !tfuncs }
+  ( { Tast.p_env = env; p_globals = List.rev !tglobals; p_externs = List.rev !texterns;
+      p_funcs = [] },
+    List.rev !tfuncs )
+
+let check_program prog =
+  let p, funcs = check_program_map prog ~start:(fun _ _ tf -> tf) in
+  { p with Tast.p_funcs = funcs }

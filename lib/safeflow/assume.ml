@@ -48,10 +48,13 @@ let of_func ~(prog : Ssair.Ir.program) ~(shm : Shm.t) ~(p1 : Phase1.t)
   let fn_level = List.concat_map clause_assumptions f.fannot in
   let stmt_level =
     List.concat_map
-      (fun (i : Ssair.Ir.instr) ->
-        match i.Ssair.Ir.idesc with
-        | Ssair.Ir.Annotation { clause; _ } -> clause_assumptions clause
-        | _ -> [])
-      (Ssair.Ir.all_instrs f)
+      (fun (b : Ssair.Ir.block) ->
+        List.concat_map
+          (fun (i : Ssair.Ir.instr) ->
+            match i.Ssair.Ir.idesc with
+            | Ssair.Ir.Annotation { clause; _ } -> clause_assumptions clause
+            | _ -> [])
+          b.Ssair.Ir.instrs)
+      f.Ssair.Ir.blocks
   in
   fn_level @ stmt_level

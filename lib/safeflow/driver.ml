@@ -13,48 +13,108 @@ type prepared = {
   loc_total : int;
 }
 
+(* Annotation clauses of a statement list, added to [acc]. *)
+let rec stmt_clauses acc (stmts : Ast.stmt list) =
+  List.fold_left
+    (fun acc (s : Ast.stmt) ->
+      match s.sdesc with
+      | Ast.Sannot clauses -> acc + List.length clauses
+      | Ast.Sif (_, a, b) -> stmt_clauses (stmt_clauses acc a) b
+      | Ast.Swhile (_, a) | Ast.Sdo (a, _) -> stmt_clauses acc a
+      | Ast.Sfor (i, _, st, a) ->
+        let acc = Option.fold ~none:acc ~some:(fun s -> stmt_clauses acc [ s ]) i in
+        let acc = Option.fold ~none:acc ~some:(fun s -> stmt_clauses acc [ s ]) st in
+        stmt_clauses acc a
+      | Ast.Sswitch (_, cases) ->
+        List.fold_left (fun acc c -> stmt_clauses acc c.Ast.cbody) acc cases
+      | Ast.Sblock a -> stmt_clauses acc a
+      | _ -> acc)
+    acc stmts
+
 (** Count annotation clauses in a parsed program (the paper's "annotation
     line count" — each clause occupies one line in our systems). *)
 let count_annotations (prog : Ast.program) : int =
-  let stmt_clauses stmts =
-    (* walk statements directly for Sannot *)
-    let rec go acc (s : Ast.stmt) =
-      match s.sdesc with
-      | Ast.Sannot clauses -> acc + List.length clauses
-      | Ast.Sif (_, a, b) -> List.fold_left go (List.fold_left go acc a) b
-      | Ast.Swhile (_, a) | Ast.Sdo (a, _) -> List.fold_left go acc a
-      | Ast.Sfor (i, _, st, a) ->
-        let acc = Option.fold ~none:acc ~some:(go acc) i in
-        let acc = Option.fold ~none:acc ~some:(go acc) st in
-        List.fold_left go acc a
-      | Ast.Sswitch (_, cases) ->
-        List.fold_left (fun acc c -> List.fold_left go acc c.Ast.cbody) acc cases
-      | Ast.Sblock a -> List.fold_left go acc a
-      | _ -> acc
-    in
-    List.fold_left go 0 stmts
-  in
   List.fold_left
     (fun acc d ->
       match d with
-      | Ast.Dfunc f -> acc + List.length f.fannot + stmt_clauses f.fbody
+      | Ast.Dfunc f -> stmt_clauses (acc + List.length f.fannot) f.fbody
       | _ -> acc)
     0 prog
 
+(** Lines holding anything but blanks ([String.trim]'s set), counted in
+    place. *)
 let count_loc (src : string) : int =
-  String.split_on_char '\n' src
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.length
+  let n = ref 0 and blank = ref true in
+  for i = 0 to String.length src - 1 do
+    match String.unsafe_get src i with
+    | '\n' ->
+      if not !blank then incr n;
+      blank := true
+    | ' ' | '\012' | '\r' | '\t' -> ()
+    | _ -> blank := false
+  done;
+  if not !blank then !n + 1 else !n
+
+let c_lex_tokens = Telemetry.counter "lex.tokens"
+
+(* The frontend one function at a time: the declarations are parsed
+   with every function body skipped, then each body is parsed,
+   typechecked and lowered in turn, so no function's syntax tree or
+   typed tree lives long enough to reach the major heap; only the IR
+   does.  Returns the IR, the annotation clause count and the number of
+   tokens lexed.
+
+   On a valid program this builds what parsing, typechecking and
+   lowering the whole program in turn builds.  A frontend error could
+   surface in another order (a parse error in one body after a type
+   error in an earlier function, a [break] outside a loop before a type
+   error further on), so {!prepare_source} redoes an erroneous program
+   the whole-program way, which raises the error it raises. *)
+let frontend_by_function ~file src =
+  let lex = Lexer.make ~file src in
+  let decls, bodies =
+    Telemetry.span "parse" (fun () -> Parser.parse_program_deferred lex)
+  in
+  let annots = ref (count_annotations decls) in
+  let pending = ref bodies in
+  let body (_ : Ast.func) =
+    match !pending with
+    | b :: rest ->
+      pending := rest;
+      let stmts = Parser.parse_body b in
+      annots := stmt_clauses !annots stmts;
+      stmts
+    | [] -> invalid_arg "Driver: more function definitions than parsed bodies"
+  in
+  let tdecls, funcs =
+    Telemetry.span "typecheck" (fun () ->
+        Typecheck.check_program_map ~body decls ~start:(fun env global_ty ->
+            let lower = Ssair.Build.func_lowering env ~globals:global_ty in
+            fun tf ->
+              if Telemetry.enabled () then Telemetry.span "prepare.lower" (fun () -> lower tf)
+              else lower tf))
+  in
+  (* the bodies' tokens are lexed (and counted) when they are parsed *)
+  (Ssair.Build.program tdecls funcs, !annots, Lexer.token_count lex)
+
+(* The same, a whole stage at a time: the errors this raises are the
+   frontend's. *)
+let frontend_by_stage ~file src =
+  let lex = Lexer.make ~file src in
+  let ast = Telemetry.span "parse" (fun () -> Parser.parse_program lex) in
+  let annots = count_annotations ast in
+  let tast = Telemetry.span "typecheck" (fun () -> Typecheck.check_program ast) in
+  let ir = Telemetry.span "prepare.lower" (fun () -> Ssair.Build.lower tast) in
+  (ir, annots, Lexer.token_count lex)
 
 (** Frontend + IR construction (shared by all phases). *)
 let prepare_source ?(file = "<input>") (src : string) : prepared =
   Telemetry.span "prepare" ~args:[ ("file", file) ] (fun () ->
-      let ast = Telemetry.span "parse" (fun () -> Parser.parse_string ~file src) in
-      (* counted before typechecking, so the AST is garbage during
-         lowering instead of live until the end *)
-      let annotation_lines = count_annotations ast and loc_total = count_loc src in
-      let tast = Telemetry.span "typecheck" (fun () -> Typecheck.check_program ast) in
-      let ir = Telemetry.span "prepare.lower" (fun () -> Ssair.Build.lower tast) in
+      let ir, annotation_lines, tokens =
+        try frontend_by_function ~file src with Loc.Error _ -> frontend_by_stage ~file src
+      in
+      Telemetry.add c_lex_tokens tokens;
+      let loc_total = Telemetry.span "prepare.count" (fun () -> count_loc src) in
       Telemetry.span "prepare.verify" (fun () ->
           match Ssair.Verify.check_program ~ssa:true ir with
           | [] -> ()
@@ -289,6 +349,7 @@ let summarize (d : detail) (ph2 : Phase2.result) : entry =
   let p = d.prepared and ph3 = d.phase3 in
   let fctx = Fingerprint.ctx_of_program p.ir in
   let report =
+    Telemetry.span "canonicalize" @@ fun () ->
     canonicalize fctx
       {
         Report.violations = ph2.Phase2.violations;

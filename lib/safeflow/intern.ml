@@ -15,11 +15,11 @@ let c_hits = Telemetry.counter "intern.hits"
 let c_misses = Telemetry.counter "intern.misses"
 
 let intern t x =
-  match Hashtbl.find_opt t.tbl x with
-  | Some i ->
+  match Hashtbl.find t.tbl x with
+  | i ->
     Telemetry.incr c_hits;
     i
-  | None ->
+  | exception Not_found ->
     Telemetry.incr c_misses;
     let i = t.len in
     if i = Array.length t.rev then begin
@@ -128,7 +128,7 @@ end
 module Ctx = struct
   type store = {
     ids : Assume.assumption list t;
-    union_memo : (int * int, int) Hashtbl.t;
+    union_memo : (int, int) Hashtbl.t;  (** by [(min lsl 31) lor max] *)
   }
 
   let create () = { ids = create 64; union_memo = Hashtbl.create 64 }
@@ -144,7 +144,7 @@ module Ctx = struct
     if a = b then a
     else
       (* union is symmetric: normalize the memo key *)
-      let key = if a < b then (a, b) else (b, a) in
+      let key = if a < b then (a lsl 31) lor b else (b lsl 31) lor a in
       match Hashtbl.find_opt s.union_memo key with
       | Some u ->
         Telemetry.incr c_union_hits;

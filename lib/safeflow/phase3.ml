@@ -19,8 +19,10 @@
 
     This module holds what does not depend on how taint is propagated:
     monitoring contexts, taint entities, the per-program {!inputs}, the
-    root pairs, the sink collection over a {!lookup}, and the {!result}
-    with its flat taint state. *)
+    root pairs, the sink collection over a {!lookup} (visiting pairs in
+    a caller-given order, see {!hashtbl_order}), the packed origin
+    reasons ({!why_text}), and the {!result} with its flat taint
+    state. *)
 
 open Minic
 
@@ -100,7 +102,12 @@ type inputs = {
   noncore_sockets : (string, unit) Hashtbl.t;
       (** [assume(noncore(s))] clauses naming something that is not a
           shared-memory region (message-passing extension §3.4.3) *)
+  sites : (string, site list) Hashtbl.t;  (** {!sites_of} memo *)
 }
+
+(** A critical site: its block, location, sink description and the
+    value checked there. *)
+and site = Ssair.Ir.bid * Loc.t * string * Ssair.Ir.value
 
 let make_inputs ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
     (p1 : Phase1.t) (pts : Pointsto.t) : inputs =
@@ -115,7 +122,7 @@ let make_inputs ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Sh
         f.Ssair.Ir.fannot)
     prog.Ssair.Ir.funcs;
   { prog; shm; p1; pts; config; absint; brinfos = Hashtbl.create 16;
-    find = Ssair.Ir.func_index prog; noncore_sockets }
+    find = Ssair.Ir.func_index prog; noncore_sockets; sites = Hashtbl.create 32 }
 
 (* A conditional branch whose condition's value range decides the
    direction takes the same successor in every concrete execution, so it
@@ -124,6 +131,18 @@ let make_inputs ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Sh
 let decided_in table bid = bid < Array.length table && table.(bid)
 
 let branch_decided (bi : brinfo) (bid : Ssair.Ir.bid) : bool = decided_in bi.br_decided bid
+
+(* The slots reachable through [ds] in the CDG's "controls" relation
+   that [seen] does not hold yet, marked there and consed onto [acc] in
+   depth-first preorder. *)
+let rec controlled (c : Ssair.Cdg.t) seen acc = function
+  | [] -> acc
+  | d :: rest ->
+    if seen.(d) then controlled c seen acc rest
+    else begin
+      seen.(d) <- true;
+      controlled c seen (controlled c seen (d :: acc) c.Ssair.Cdg.ctrl_slots.(d)) rest
+    end
 
 (** Memoized {!brinfo} of [f].  Pure with respect to the taint state;
     it writes the memo tables, so it must not run on two domains at
@@ -143,53 +162,40 @@ let branch_info inp (f : Ssair.Ir.func) : brinfo =
           List.iter (fun bid -> a.(bid) <- true) bids;
           a)
     in
-    let br_branches =
-      List.filter_map
-        (fun (b : Ssair.Ir.block) ->
-          (* decided branches exert no control dependence *)
-          if decided_in br_decided b.Ssair.Ir.bbid then None
-          else
-            match b.Ssair.Ir.termin with
-            | Ssair.Ir.Cbr (Ssair.Ir.Vreg id, _, _)
-            | Ssair.Ir.Switch (Ssair.Ir.Vreg id, _, _) ->
-              Some (b.Ssair.Ir.bbid, id)
-            | _ -> None)
-        f.Ssair.Ir.blocks
+    (* the register condition of an undecided branch ending [b], or -1 *)
+    let cond (b : Ssair.Ir.block) =
+      if decided_in br_decided b.Ssair.Ir.bbid then -1
+      else
+        match b.Ssair.Ir.termin with
+        | Ssair.Ir.Cbr (Ssair.Ir.Vreg id, _, _) | Ssair.Ir.Switch (Ssair.Ir.Vreg id, _, _) -> id
+        | _ -> -1
     in
     let br_branches =
-      match br_branches with
-      | [] -> []
-      | _ ->
-        (* the CDG is only consulted through the closures of undecided
-           branches, so a branch-free (or all-decided) function never
-           pays for post-dominator computation *)
+      (* the CDG is only consulted through the closures of undecided
+         branches, so a branch-free (or all-decided) function never
+         pays for post-dominator computation *)
+      if not (List.exists (fun b -> cond b >= 0) f.Ssair.Ir.blocks) then []
+      else begin
         let c = Ssair.Cdg.compute f in
         (* per-function scratch; unmarked after each branch walk *)
         let seen = Array.make (Array.length c.Ssair.Cdg.slot_bid) false in
-        List.map
-          (fun (bB, id) ->
-            (* transitive closure of the CDG "controls" relation from bB,
-               excluding bB itself unless it controls itself — a DFS on
-               the dense slot arrays (member order is irrelevant: every
-               consumer treats the closure as a set) *)
-            let acc = ref [] in
-            let s0 = c.Ssair.Cdg.slot_of bB in
-            (if s0 >= 0 then
-               let rec go s =
-                 List.iter
-                   (fun d ->
-                     if not seen.(d) then begin
-                       seen.(d) <- true;
-                       acc := d :: !acc;
-                       go d
-                     end)
-                   c.Ssair.Cdg.ctrl_slots.(s)
-               in
-               go s0);
-            let bids = List.map (fun s -> c.Ssair.Cdg.slot_bid.(s)) !acc in
-            List.iter (fun s -> seen.(s) <- false) !acc;
-            (bB, id, bids))
-          br_branches
+        List.fold_right
+          (fun (b : Ssair.Ir.block) acc ->
+            let id = cond b in
+            if id < 0 then acc
+            else begin
+              (* transitive closure of the CDG "controls" relation from
+                 bB, excluding bB itself unless it controls itself — a
+                 DFS on the dense slot arrays *)
+              let bB = b.Ssair.Ir.bbid in
+              let s0 = c.Ssair.Cdg.slot_of bB in
+              let slots = if s0 >= 0 then controlled c seen [] c.Ssair.Cdg.ctrl_slots.(s0) else [] in
+              let bids = List.map (fun s -> c.Ssair.Cdg.slot_bid.(s)) slots in
+              List.iter (fun s -> seen.(s) <- false) slots;
+              (bB, id, bids) :: acc
+            end)
+          f.Ssair.Ir.blocks []
+      end
     in
     let bi = { br_branches; br_decided } in
     Hashtbl.replace inp.brinfos f.fname bi;
@@ -298,10 +304,86 @@ let path_of (origin_of : entity -> origin option) e : Report.path_step list =
   in
   go e [] 0
 
+(** The critical sites of [f] in block and instruction order:
+    [assert(safe(x))] annotations and the critical arguments of sink
+    calls.  Context-independent, so memoized per function. *)
+let rec instrs_have_site sinks = function
+  | [] -> false
+  | { Ssair.Ir.idesc = Ssair.Ir.Annotation { clause = Annot.Assert_safe _; aval = Some _ }; _ } :: _ ->
+    true
+  | { Ssair.Ir.idesc = Ssair.Ir.Call { callee; _ }; _ } :: _ when List.mem_assoc callee sinks -> true
+  | _ :: rest -> instrs_have_site sinks rest
+
+let rec blocks_have_site sinks = function
+  | [] -> false
+  | (b : Ssair.Ir.block) :: rest -> instrs_have_site sinks b.Ssair.Ir.instrs || blocks_have_site sinks rest
+
+let rec sites_of inp (f : Ssair.Ir.func) : site list =
+  (* most functions have no site: found out without allocating, and not
+     memoized *)
+  if not (blocks_have_site inp.config.Config.critical_sinks f.Ssair.Ir.blocks) then []
+  else
+    match Hashtbl.find_opt inp.sites f.Ssair.Ir.fname with
+    | Some l -> l
+    | None ->
+      let l = collect_sites inp f in
+      Hashtbl.replace inp.sites f.Ssair.Ir.fname l;
+      l
+
+and collect_sites inp (f : Ssair.Ir.func) =
+  let sinks = inp.config.Config.critical_sinks in
+  let acc = ref [] in
+  List.iter
+    (fun (b : Ssair.Ir.block) ->
+      List.iter
+        (fun (i : Ssair.Ir.instr) ->
+          match i.Ssair.Ir.idesc with
+          | Ssair.Ir.Annotation { clause = Annot.Assert_safe x; aval = Some v } ->
+            acc := (b.Ssair.Ir.bbid, i.Ssair.Ir.iloc, Fmt.str "assert(safe(%s))" x, v) :: !acc
+          | Ssair.Ir.Call { callee; args; _ } -> (
+            (* the first entry for a callee wins *)
+            match List.assoc_opt callee sinks with
+            | Some indices ->
+              List.iter
+                (fun k ->
+                  match List.nth_opt args k with
+                  | Some arg ->
+                    acc :=
+                      (b.Ssair.Ir.bbid, i.Ssair.Ir.iloc, Fmt.str "argument %d of %s" k callee, arg)
+                      :: !acc
+                  | None -> ())
+                indices
+            | None -> ())
+          | _ -> ())
+        b.Ssair.Ir.instrs)
+    f.Ssair.Ir.blocks;
+  List.rev !acc
+
+(** The iteration order of a [Hashtbl.create 32] table into which the
+    keys of [added] (distinct) were inserted one at a time, in array
+    order, restricted to the keys that satisfy [keep]: bucket index
+    ([Hashtbl.hash] modulo the final bucket count) ascending, and within
+    a bucket the latest insertion first.  Only kept keys are hashed. *)
+let hashtbl_order ~keep (added : 'a array) : 'a list =
+  let n = Array.length added in
+  let buckets = ref 32 in
+  for size = 1 to n do
+    if size > 2 * !buckets then buckets := 2 * !buckets
+  done;
+  let mask = !buckets - 1 in
+  let kept = ref [] in
+  for i = n - 1 downto 0 do
+    let k = added.(i) in
+    if keep k then kept := (Hashtbl.hash k land mask, -i, k) :: !kept
+  done;
+  List.stable_sort (fun (b1, i1, _) (b2, i2, _) -> if b1 <> b2 then Int.compare b1 b2 else Int.compare i1 i2) !kept
+  |> List.map (fun (_, _, k) -> k)
+
 (** After propagation: evaluate assert(safe(x)) annotations and implicit
-    critical sinks of every discovered pair, in [pairs]' iteration order,
-    producing dependencies. *)
-let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t, unit) Hashtbl.t) :
+    critical sinks of every pair of [pairs], in that order, producing
+    dependencies.  The order decides which witness a deduplicated
+    dependency keeps. *)
+let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t) list) :
     Report.dependency list =
   let config = inp.config in
   let data_tainted e = tl.data e <> None and ctrl_tainted e = tl.ctrl e <> None in
@@ -371,62 +453,12 @@ let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t, unit) Hasht
               "critical site executes under a condition influenced by non-core values";
           ]
   in
-  (* sink sites are context-independent; collect them once per function
-     (in block/instruction order — the order of the [check_value] calls
-     below drives first-win dedup) and skip the control-taint closure
-     for the many pairs of functions with no sinks at all *)
-  let sites_memo : (string, (Ssair.Ir.bid * Loc.t * string * Ssair.Ir.value) list) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  (* the sink list is tiny but consulted once per call instruction *)
-  let sink_tbl = Hashtbl.create 16 in
   List.iter
-    (fun (callee, indices) ->
-      if not (Hashtbl.mem sink_tbl callee) then Hashtbl.add sink_tbl callee indices)
-    config.Config.critical_sinks;
-  let sites_of (f : Ssair.Ir.func) =
-    match Hashtbl.find_opt sites_memo f.Ssair.Ir.fname with
-    | Some l -> l
-    | None ->
-      let acc = ref [] in
-      List.iter
-        (fun (b : Ssair.Ir.block) ->
-          List.iter
-            (fun (i : Ssair.Ir.instr) ->
-              match i.Ssair.Ir.idesc with
-              | Ssair.Ir.Annotation { clause = Annot.Assert_safe x; aval = Some v } ->
-                acc :=
-                  (b.Ssair.Ir.bbid, i.Ssair.Ir.iloc, Fmt.str "assert(safe(%s))" x, v)
-                  :: !acc
-              | Ssair.Ir.Call { callee; args; _ } -> (
-                match Hashtbl.find_opt sink_tbl callee with
-                | Some indices ->
-                  List.iter
-                    (fun k ->
-                      match List.nth_opt args k with
-                      | Some arg ->
-                        acc :=
-                          ( b.Ssair.Ir.bbid,
-                            i.Ssair.Ir.iloc,
-                            Fmt.str "argument %d of %s" k callee,
-                            arg )
-                          :: !acc
-                      | None -> ())
-                    indices
-                | None -> ())
-              | _ -> ())
-            b.Ssair.Ir.instrs)
-        f.Ssair.Ir.blocks;
-      let l = List.rev !acc in
-      Hashtbl.replace sites_memo f.Ssair.Ir.fname l;
-      l
-  in
-  Hashtbl.iter
-    (fun (fname, ctx) () ->
+    (fun (fname, ctx) ->
       match inp.find fname with
       | None -> ()
       | Some f -> (
-        match sites_of f with
+        match sites_of inp f with
         | [] -> ()
         | sites ->
           let blk_ctrl = block_control_taint inp tl f ctx in
@@ -435,8 +467,7 @@ let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t, unit) Hasht
             sites))
     pairs;
   (* deduplicate by (sink, loc, kind), then emit in the canonical
-     (file, line, code) order — [pairs] is a hash table, so the raw
-     collection order is layout-dependent *)
+     (file, line, code) order *)
   let seen = Hashtbl.create 16 in
   List.filter
     (fun (d : Report.dependency) ->
@@ -459,11 +490,25 @@ let pack_key tag a b c =
   if a lor c > 0xFFFFF || b > 0x7FFFF then failwith "Phase3: packed entity key overflow";
   tag lor (a lsl 3) lor (b lsl 23) lor (c lsl 42)
 
+(* Origin reasons as packed ints: [payload lsl 3 lor kind].  Kind 0 is
+   an index into {!flat.whys} (the fixed reasons and the formatted
+   unmonitored-read ones); the reasons of call edges name a function by
+   its {!flat.strs} id and are formatted only when a witness or an
+   export reads them ({!why_text}). *)
+let why_string i = i lsl 3
+
+let why_arg ~callee k =
+  if k > 0xFFFF then failwith "Phase3: argument index overflow (packed reason)";
+  (((callee lsl 16) lor k) lsl 3) lor 1
+
+let why_ret ~callee = (callee lsl 3) lor 2
+let why_ext ~callee = (callee lsl 3) lor 3
+
 (** One taint table (data or control) over dense entity ids. *)
 type table = {
   bits : Bitset.t;  (** tainted ids *)
   parent : int array;  (** first-taint parent id, -1 = none *)
-  why : int array;  (** index into {!flat.whys}; valid iff the bit is set *)
+  why : int array;  (** packed reason ({!why_text}); valid iff the bit is set *)
 }
 
 (** The taint state phase 3 ends with, as the engine holds it: entities
@@ -471,11 +516,14 @@ type table = {
     names, contexts and memory nodes.  Pure data, so the cache stores it
     as is. *)
 type flat = {
-  keys : int array;  (** packed entity key per entity id ({!pack_key}) *)
+  entities : int;  (** entity count; ids are [0 .. entities - 1] *)
+  keys : int array;
+      (** packed entity key per entity id ({!pack_key}); this and the
+          tables' arrays may be longer than [entities] *)
   strs : string array;  (** function, parameter and region names *)
   ctxs : Ctx.t array;
   nodes : Pointsto.Node.t array;
-  whys : string array;  (** origin reasons *)
+  whys : string array;  (** origin reasons that are not call edges' *)
   data : table;
   ctrl : table;
   pairs : int array;
@@ -493,12 +541,21 @@ let entity (f : flat) id : entity =
   | 3 -> Enode f.nodes.(a)
   | _ -> Eregion f.strs.(a)
 
+(** The text of a packed reason. *)
+let why_text (f : flat) code =
+  let p = code lsr 3 in
+  match code land 7 with
+  | 0 -> f.whys.(p)
+  | 1 -> "argument " ^ string_of_int (p land 0xFFFF) ^ " of call to " ^ f.strs.(p lsr 16)
+  | 2 -> "return value of " ^ f.strs.(p)
+  | _ -> "through external call " ^ f.strs.(p)
+
 (** First-taint origin of entity [id] in table [t], if tainted there. *)
 let origin (f : flat) (t : table) id : origin option =
   if not (Bitset.get t.bits id) then None
   else
     let p = t.parent.(id) in
-    Some { parent = (if p < 0 then None else Some (entity f p)); why = f.whys.(t.why.(id)) }
+    Some { parent = (if p < 0 then None else Some (entity f p)); why = why_text f t.why.(id) }
 
 (** Function name of every discovered pair, in discovery order. *)
 let pair_functions (f : flat) : string list =

@@ -19,7 +19,7 @@ let escape s =
 let table_to_dot ~name (fl : Phase3.flat) (t : Phase3.table) : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Fmt.str "digraph %s {\n  rankdir=LR;\n  node [shape=box];\n" name);
-  let n = Array.length fl.Phase3.keys in
+  let n = fl.Phase3.entities in
   (* DOT node number per entity id, 0 = not yet declared *)
   let ids = Array.make n 0 in
   let next = ref 0 in
@@ -48,7 +48,7 @@ let table_to_dot ~name (fl : Phase3.flat) (t : Phase3.table) : string =
       if p >= 0 then
         Buffer.add_string buf
           (Fmt.str "  n%d -> n%d [label=\"%s\"];\n" (node_id p) dst
-             (escape fl.Phase3.whys.(t.Phase3.why.(id))))
+             (escape (Phase3.why_text fl t.Phase3.why.(id))))
       else Buffer.add_string buf (Fmt.str "  n%d [color=red];\n" dst)
     end
   done;

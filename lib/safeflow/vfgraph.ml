@@ -51,21 +51,19 @@ module Csr = struct
       let s = Array.unsafe_get src i in
       Array.unsafe_set off s (Array.unsafe_get off s + 1)
     done;
-    let cur = Array.make n 0 in
+    (* [off.(s)] becomes the end of row [s], then serves as its cursor:
+       after every edge is placed it is the start of the row *)
     let total = ref 0 in
     for s = 0 to n - 1 do
-      let c = Array.unsafe_get off s in
-      Array.unsafe_set off s !total;
-      total := !total + c;
-      (* row end *)
-      Array.unsafe_set cur s !total
+      total := !total + Array.unsafe_get off s;
+      Array.unsafe_set off s !total
     done;
     off.(n) <- !total;
     let cdst = Array.make len 0 and cinfo = Array.make len 0 in
     for i = 0 to len - 1 do
       let s = Array.unsafe_get src i in
-      let p = Array.unsafe_get cur s - 1 in
-      Array.unsafe_set cur s p;
+      let p = Array.unsafe_get off s - 1 in
+      Array.unsafe_set off s p;
       Array.unsafe_set cdst p (Array.unsafe_get dst i);
       Array.unsafe_set cinfo p (Array.unsafe_get info i)
     done;
@@ -80,19 +78,22 @@ end
 
 (* -- Graph state ----------------------------------------------------------------- *)
 
-(* Per-function facts that do not depend on the monitoring context. *)
+(* Per-function facts that do not depend on the monitoring context,
+   built on the function's first walk. *)
 type finfo = {
   fi_func : Ssair.Ir.func;
-  fi_blocks : Ssair.Ir.block option array;  (** indexed by block id *)
-  fi_maxbid : int;  (** max block id — sizes per-pair bid-indexed scratch *)
+  fi_sid : int;  (** [strs] id of the name *)
+  fi_blocks : Ssair.Ir.block array;  (** indexed by block id; [no_block] where none *)
+  fi_maxbid : int;  (** max block id *)
   fi_bi : Phase3.brinfo;  (** undecided branches + CDG closures (shared memo) *)
-  fi_nvals : int;  (** max SSA vid + 1 — sizes the builder's vid→entity cache *)
+  fi_pnames : string array;  (** parameter names, in order *)
+  fi_psids : int array;  (** their [strs] ids *)
 }
 
 (* -- Static why table ---------------------------------------------------------- *)
 
-(* Origin reasons known at compile time, interned once per run and
-   referenced through [static_wids] by their index in this table. *)
+(* Origin reasons known at compile time, interned first (so their
+   {!Phase3.why_string} codes are their indices here). *)
 let static_whys =
   [|
     "phi merge";
@@ -113,76 +114,62 @@ let static_whys =
     "returned value selected by an unsafe condition";
   |]
 
-(* indices into [static_whys] *)
-let w_phi = 0
-let w_phi_ctrl = 1
-let w_core_read = 2
-let w_load_unsafe = 3
-let w_load_ctrl_unsafe = 4
-let w_load_ptr = 5
-let w_store_d = 6
-let w_store_c = 7
-let w_store_ctrl = 8
-let w_arith = 9
-let w_cast = 10
-let w_addr = 11
-let w_call_ctrl = 12
-let w_recv = 13
-let w_ret = 14
-let w_ret_ctrl = 15
+(* codes of [static_whys] *)
+let w_phi = Phase3.why_string 0
+let w_phi_ctrl = Phase3.why_string 1
+let w_core_read = Phase3.why_string 2
+let w_load_unsafe = Phase3.why_string 3
+let w_load_ctrl_unsafe = Phase3.why_string 4
+let w_load_ptr = Phase3.why_string 5
+let w_store_d = Phase3.why_string 6
+let w_store_c = Phase3.why_string 7
+let w_store_ctrl = Phase3.why_string 8
+let w_arith = Phase3.why_string 9
+let w_cast = Phase3.why_string 10
+let w_addr = Phase3.why_string 11
+let w_call_ctrl = Phase3.why_string 12
+let w_recv = Phase3.why_string 13
+let w_ret = Phase3.why_string 14
+let w_ret_ctrl = Phase3.why_string 15
 
-(* What the walk memoizes per distinct callee: the callee context,
-   parameter/return entities and formatted reasons are the same at every
-   call site, so they are computed once (including the one [Ctx.union])
-   instead of per site. *)
+(* What the walk memoizes per (callee, calling context): the callee's
+   parameter and return entities in the callee context.  They are the
+   same at every call site, so they are computed (and the callee pair
+   discovered) once. *)
 type cmemo =
   | Cdefined of {
+      cm_callee : int;  (** [strs] id, for the packed reasons *)
       cm_params : int array;  (** entity id per parameter position *)
       cm_ret : int;
-      cm_why_args : int array;  (** why id per parameter position *)
-      cm_why_ret : int;
     }
-  | Cextern of { cm_why_ext : int }
+  | Cextern of { cm_callee : int }
 
 type t = {
   inp : Phase3.inputs;
-  pairs : (string * Phase3.Ctx.t, unit) Hashtbl.t;
-      (** discovered pairs; the sink collection iterates this table, and
-          its iteration order decides which witness a deduplicated
-          dependency keeps *)
-  mutable pair_keys : int list;  (** packed pair keys, newest first *)
+  funcs : Ssair.Ir.func array;  (** the program's functions, by function index *)
+  findex : (string, int) Hashtbl.t;  (** name → function index, first definition wins *)
+  mutable pair_arr : int array;  (** packed pair keys in discovery order ([pairs_seen] ids) *)
   warnings : (Loc.t * string, Report.warning) Hashtbl.t;  (** by (loc, region) *)
   ctxs : Intern.Ctx.store;
   strs : string Intern.t;
   nodes : Pointsto.Node.t Intern.t;
-  whys : string Intern.t;  (** origin reasons, so per-entity whys are ints *)
-  static_wids : int array;  (** global why id per {!static_whys} index *)
+  whys : string Intern.t;  (** reasons of kind {!Phase3.why_string} *)
   keys : Intern.Packed.t;  (** packed entity key → dense entity id *)
-  finfos : (string, finfo) Hashtbl.t;
+  finfos : finfo option array;  (** by function index *)
+  own_cids : int array;
+      (** by function index: context id of the function's own
+          assumptions, -1 until first needed *)
+  p1_views : Phase1.Rset.t array array;
+      (** by function index, then value id: phase-1 register facts
+          (empty arrays and out-of-range ids mean none) *)
+  pts_views : Pointsto.Tset.t array array;  (** points-to register facts, same layout *)
   pairs_seen : Intern.Packed.t;  (** packed (fname id lsl 20) lor ctx id *)
-  pending : (Ssair.Ir.func * int) Queue.t;  (** discovered, to build *)
-  own_lists : (string, Phase3.Ctx.t) Hashtbl.t;
-      (** canonical own-assumption context per function — needed at every
-          call site *)
-  p1_regs : (string, (Ssair.Ir.vid, Phase1.Rset.t) Hashtbl.t) Hashtbl.t;
-      (** phase-1 register facts re-bucketed per function: the walk's
-          per-instruction lookups hash an int instead of a
-          [(fname, vid)] tuple.  Built once in {!create}; read-only. *)
-  pts_regs : (string, (Ssair.Ir.vid, Pointsto.Tset.t) Hashtbl.t) Hashtbl.t;
-      (** points-to register facts per function, same layout *)
-  (* Walk memos, pair-independent and so shared by every walk of a
-     run.  Callee memos are keyed by (callee fname id, caller context
-     id): with few distinct contexts most call sites hit, skipping the
-     context union, reason formatting and parameter-entity interning
-     entirely.  A hit is emission-free, exactly like the recomputation
-     it replaces: entity interning is idempotent and the discover for
-     that (callee, context) already ran when the memo was filled. *)
-  cmemos : (int, cmemo) Hashtbl.t;
-  own_cids : (string, int) Hashtbl.t;  (** [own_lists] as context ids *)
-  call_whys : (int, int array * int) Hashtbl.t;
-      (** argument/return reasons per callee string id — they depend
-          only on the callee, never on the calling context *)
-  ext_whys : (int, int) Hashtbl.t;  (** "through external call" reasons *)
+  mutable walk_q : int array;
+      (** the pairs to walk in discovery order, each
+          [(function index lsl 20) lor context id]; exempt functions'
+          pairs are discovered but not walked *)
+  mutable walk_n : int;
+  cmemos : (int, cmemo) Hashtbl.t;  (** by (callee [strs] id lsl 20) lor caller context id *)
   (* node/region entities are context-free, so their dense ids are
      cached per node/string id (-1 = not yet interned): no packed-key
      interning on the hot Load/Store path after first sight *)
@@ -200,7 +187,7 @@ type t = {
   ctrl : Bitset.t;
   mutable d_parent : int array;  (** -1 = no parent *)
   mutable c_parent : int array;
-  mutable d_why : int array;  (** why ids, valid iff the taint bit is set *)
+  mutable d_why : int array;  (** packed reasons, valid iff the taint bit is set *)
   mutable c_why : int array;
   (* flat edge arrays in insertion order; finalized into [csr] once all
      pairs are walked (no edges appear during the drain) *)
@@ -211,6 +198,31 @@ type t = {
   mutable csr : Csr.t;
   mutable n_pops : int;
   mutable n_pushes : int;
+  (* The pair being walked, and its scratch.  Scratch entries are
+     stamped with the pair's serial number, so nothing is cleared or
+     reallocated between pairs. *)
+  mutable w_fi : finfo;
+  mutable w_fid : int;  (** [strs] id of the function *)
+  mutable w_cid : int;
+  mutable w_ctx : Phase3.Ctx.t;
+  mutable w_p1 : Phase1.Rset.t array;
+  mutable w_pts : Pointsto.Tset.t array;
+  mutable w_serial : int;
+  mutable val_gen : int array;  (** by value id: serial of the cached entity *)
+  mutable val_eid : int array;  (** by value id: its entity id *)
+  (* control-dependence targets per block, as linked lists newest first:
+     the head entry per block id (valid when [ct_gen] is the serial),
+     then [ct_next]/[ct_eid]/[ct_why] per entry *)
+  mutable ct_gen : int array;
+  mutable ct_head : int array;
+  mutable ct_next : int array;
+  mutable ct_eid : int array;
+  mutable ct_why : int array;
+  mutable ct_n : int;
+  (* per-run sub-timings, read only when telemetry is on *)
+  mutable ns_cdg : int;
+  mutable ns_callee : int;
+  mutable ns_wire : int;
 }
 
 (* Counter inventory (registered at module init so the names exist in
@@ -224,66 +236,91 @@ let c_pair_built = Telemetry.counter "vf.pair_blocks_built"
 let c_csr_build_us = Telemetry.counter "vf.csr_build_us"
 let c_bitset_words = Telemetry.counter "vf.bitset_words"
 let c_drain_edges_per_sec = Telemetry.counter "vf.drain_edges_per_sec"
+let c_cdg_us = Telemetry.counter "phase3.cdg_us"
+let c_callee_us = Telemetry.counter "phase3.callee_us"
+let c_ctrl_edges_us = Telemetry.counter "phase3.ctrl_edges_us"
 let h_pair_build = Telemetry.histogram "pair.build"
+
+let no_func =
+  { Ssair.Ir.fname = ""; fret = Ty.Void; fparams = []; blocks = []; fentry = 0; fannot = [];
+    floc = Loc.dummy }
+
+let no_block = { Ssair.Ir.bbid = -1; phis = []; instrs = []; termin = Ssair.Ir.Unreachable }
+
+let no_finfo =
+  { fi_func = no_func; fi_sid = -1; fi_blocks = [||]; fi_maxbid = -1;
+    fi_bi = { Phase3.br_branches = []; br_decided = [||] }; fi_pnames = [||]; fi_psids = [||] }
+
+(* [views.(fx).(vid) <- v], growing the function's array to the id *)
+let set_view views empty fx vid v =
+  let a = views.(fx) in
+  let a =
+    if vid < Array.length a then a
+    else begin
+      let a' = Array.make (max (vid + 1) (2 * Array.length a)) empty in
+      Array.blit a 0 a' 0 (Array.length a);
+      views.(fx) <- a';
+      a'
+    end
+  in
+  a.(vid) <- v
 
 let create (inp : Phase3.inputs) =
   let whys = Intern.create 64 in
+  Array.iter (fun s -> ignore (Intern.intern whys s)) static_whys;
+  let funcs = Array.of_list inp.Phase3.prog.Ssair.Ir.funcs in
+  let nfuncs = Array.length funcs in
+  let findex = Hashtbl.create (2 * nfuncs) in
+  Array.iteri
+    (fun k (f : Ssair.Ir.func) ->
+      if not (Hashtbl.mem findex f.Ssair.Ir.fname) then Hashtbl.add findex f.Ssair.Ir.fname k)
+    funcs;
   (* size the flat stores from the function count so typical runs never
-     grow mid-build (≈10 entities and ≈15 edges per function in
-     practice); everything still grows on demand for denser programs.
+     grow mid-build (about 9 entities and 13 edges per function on
+     synth-384); everything still grows on demand for denser programs.
      The floor stays small: a small program (a fleet member) would
      otherwise allocate, and leave for the major collector, some 13k
      words of stores it never fills *)
-  let nfuncs = List.length inp.Phase3.prog.Ssair.Ir.funcs in
   let ecap = max 64 (10 * nfuncs) in
-  let edgecap = max 64 (14 * nfuncs) in
-  let bucket tbl fname k v =
-    let t =
-      match Hashtbl.find_opt tbl fname with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 8 in
-        Hashtbl.add tbl fname t;
-        t
-    in
-    Hashtbl.replace t k v
-  in
-  let p1_regs = Hashtbl.create (2 * nfuncs) in
+  let edgecap = max 64 (13 * nfuncs) in
+  let p1_views = Array.make nfuncs [||] in
   Hashtbl.iter
-    (fun (fname, vid) rs -> bucket p1_regs fname vid rs)
+    (fun (fname, vid) rs ->
+      match Hashtbl.find_opt findex fname with
+      | Some fx -> set_view p1_views Phase1.Rset.empty fx vid rs
+      | None -> ())
     inp.Phase3.p1.Phase1.facts;
-  let pts_regs = Hashtbl.create (2 * nfuncs) in
+  let pts_views = Array.make nfuncs [||] in
   Pointsto.fold_pts
     (fun k ts () ->
       match k with
-      | Pointsto.Kreg (fname, vid) -> bucket pts_regs fname vid ts
+      | Pointsto.Kreg (fname, vid) -> (
+        match Hashtbl.find_opt findex fname with
+        | Some fx -> set_view pts_views Pointsto.Tset.empty fx vid ts
+        | None -> ())
       | _ -> ())
     inp.Phase3.pts ();
   {
     inp;
-    (* a fixed initial size, not one scaled to the program: the
-       table's iteration order decides reported witnesses (see [pairs]) *)
-    pairs = Hashtbl.create 32;
-    pair_keys = [];
+    funcs;
+    findex;
+    pair_arr = Array.make (max 16 nfuncs) 0;
     warnings = Hashtbl.create 32;
-    own_lists = Hashtbl.create 64;
-    p1_regs;
-    pts_regs;
-    cmemos = Hashtbl.create 256;
-    own_cids = Hashtbl.create 64;
-    call_whys = Hashtbl.create 64;
-    ext_whys = Hashtbl.create 16;
-    node_eids = Array.make 64 (-1);
-    region_eids = Array.make 64 (-1);
     ctxs = Intern.Ctx.create ();
     strs = Intern.create 64;
     nodes = Intern.create 64;
     whys;
-    static_wids = Array.map (Intern.intern whys) static_whys;
     keys = Intern.Packed.create ecap;
-    finfos = Hashtbl.create (2 * nfuncs);
-    pairs_seen = Intern.Packed.create (2 * nfuncs);
-    pending = Queue.create ();
+    finfos = Array.make nfuncs None;
+    own_cids = Array.make nfuncs (-1);
+    p1_views;
+    pts_views;
+    pairs_seen = Intern.Packed.create nfuncs;
+    walk_q = Array.make (max 16 nfuncs) 0;
+    walk_n = 0;
+    cmemos = Hashtbl.create 256;
+    node_eids = Array.make 64 (-1);
+    region_eids = Array.make 64 (-1);
     wl = Array.make (max 64 (ecap / 2)) 0;
     wl_head = 0;
     wl_tail = 0;
@@ -301,6 +338,24 @@ let create (inp : Phase3.inputs) =
     csr = Csr.{ off = [| 0 |]; dst = [||]; info = [||] };
     n_pops = 0;
     n_pushes = 0;
+    w_fi = no_finfo;
+    w_fid = -1;
+    w_cid = -1;
+    w_ctx = Phase3.Ctx.empty;
+    w_p1 = [||];
+    w_pts = [||];
+    w_serial = 0;
+    val_gen = Array.make 64 0;
+    val_eid = Array.make 64 0;
+    ct_gen = Array.make 16 0;
+    ct_head = Array.make 16 0;
+    ct_next = Array.make 64 0;
+    ct_eid = Array.make 64 0;
+    ct_why = Array.make 64 0;
+    ct_n = 0;
+    ns_cdg = 0;
+    ns_callee = 0;
+    ns_wire = 0;
   }
 
 let ensure_cap g n =
@@ -431,57 +486,94 @@ let drain g =
 
 (* -- Static per-function facts ------------------------------------------------- *)
 
-let own_list g (f : Ssair.Ir.func) : Phase3.Ctx.t =
-  match Hashtbl.find_opt g.own_lists f.Ssair.Ir.fname with
-  | Some l -> l
-  | None ->
-    let l = Phase3.Ctx.make (Phase3.own_assumptions g.inp f) in
-    Hashtbl.replace g.own_lists f.Ssair.Ir.fname l;
-    l
+let func_idx g (f : Ssair.Ir.func) = Hashtbl.find g.findex f.Ssair.Ir.fname
 
-let finfo g (f : Ssair.Ir.func) : finfo =
-  match Hashtbl.find_opt g.finfos f.Ssair.Ir.fname with
+let finfo g fx : finfo =
+  match g.finfos.(fx) with
   | Some fi -> fi
   | None ->
+    let t0 = if Telemetry.enabled () then Telemetry.now_ns () else 0L in
+    let f = g.funcs.(fx) in
     let fi_bi = Phase3.branch_info g.inp f in
-    let nvals = ref 0 in
-    let maxbid = ref (-1) in
-    List.iter
-      (fun (b : Ssair.Ir.block) ->
-        if b.Ssair.Ir.bbid > !maxbid then maxbid := b.Ssair.Ir.bbid;
-        List.iter
-          (fun (p : Ssair.Ir.phi) ->
-            if p.Ssair.Ir.pid >= !nvals then nvals := p.Ssair.Ir.pid + 1)
-          b.Ssair.Ir.phis;
-        List.iter
-          (fun (i : Ssair.Ir.instr) ->
-            if i.Ssair.Ir.iid >= !nvals then nvals := i.Ssair.Ir.iid + 1)
-          b.Ssair.Ir.instrs)
-      f.Ssair.Ir.blocks;
-    let fi_blocks = Array.make (!maxbid + 1) None in
+    let maxbid =
+      List.fold_left (fun m (b : Ssair.Ir.block) -> max m b.Ssair.Ir.bbid) (-1) f.Ssair.Ir.blocks
+    in
+    let fi_blocks = Array.make (maxbid + 1) no_block in
     (* later duplicate bbids win, as Hashtbl.replace did *)
     List.iter
-      (fun (b : Ssair.Ir.block) -> fi_blocks.(b.Ssair.Ir.bbid) <- Some b)
+      (fun (b : Ssair.Ir.block) -> fi_blocks.(b.Ssair.Ir.bbid) <- b)
       f.Ssair.Ir.blocks;
-    let fi = { fi_func = f; fi_blocks; fi_maxbid = !maxbid; fi_bi; fi_nvals = !nvals } in
-    Hashtbl.replace g.finfos f.Ssair.Ir.fname fi;
+    let fi_pnames = Array.of_list (List.map fst f.Ssair.Ir.fparams) in
+    let fi =
+      { fi_func = f; fi_sid = Intern.intern g.strs f.Ssair.Ir.fname; fi_blocks;
+        fi_maxbid = maxbid; fi_bi; fi_pnames;
+        fi_psids = Array.map (Intern.intern g.strs) fi_pnames }
+    in
+    g.finfos.(fx) <- Some fi;
+    if Telemetry.enabled () then
+      g.ns_cdg <- g.ns_cdg + Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0);
     fi
+
+(* Context id of function [fx]'s own assumptions.  Most functions have
+   no [assume(core)] of their own; they share the empty context without
+   resolving any annotation. *)
+let rec has_assume_core = function
+  | [] -> false
+  | Annot.Assume_core _ :: _ -> true
+  | _ :: rest -> has_assume_core rest
+
+let rec instrs_assume_core = function
+  | [] -> false
+  | { Ssair.Ir.idesc = Ssair.Ir.Annotation { clause = Annot.Assume_core _; _ }; _ } :: _ -> true
+  | _ :: rest -> instrs_assume_core rest
+
+let own_cid g fx =
+  let c = g.own_cids.(fx) in
+  if c >= 0 then c
+  else begin
+    let f = g.funcs.(fx) in
+    let own =
+      if
+        has_assume_core f.Ssair.Ir.fannot
+        || List.exists (fun (b : Ssair.Ir.block) -> instrs_assume_core b.Ssair.Ir.instrs) f.Ssair.Ir.blocks
+      then Phase3.Ctx.make (Phase3.own_assumptions g.inp f)
+      else Phase3.Ctx.empty
+    in
+    let c = Intern.Ctx.intern g.ctxs own in
+    g.own_cids.(fx) <- c;
+    c
+  end
 
 (* -- Pair discovery ------------------------------------------------------------ *)
 
-let discover_pair g (f : Ssair.Ir.func) cid =
+let grow_slots a i fill =
+  if i < Array.length a then a
+  else begin
+    let a' = Array.make (max (i + 1) (2 * Array.length a)) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  end
+
+let push a n v =
+  let a = if n < Array.length a then a else grow_slots a n 0 in
+  a.(n) <- v;
+  a
+
+let discover_pair g fx cid =
+  let f = g.funcs.(fx) in
   let fid = Intern.intern g.strs f.Ssair.Ir.fname in
   if cid > 0xFFFFF then failwith "Vfgraph: context id overflow (packed pair key)";
   let pkey = (fid lsl 20) lor cid in
   let n = Intern.Packed.length g.pairs_seen in
   if Intern.Packed.intern g.pairs_seen pkey = n then begin
-    Hashtbl.replace g.pairs (f.Ssair.Ir.fname, Intern.Ctx.get g.ctxs cid) ();
-    g.pair_keys <- pkey :: g.pair_keys;
-    if not (Phase1.is_exempt g.inp.Phase3.p1 f.Ssair.Ir.fname) then
-      Queue.push (f, cid) g.pending
+    g.pair_arr <- push g.pair_arr n pkey;
+    if not (Phase1.is_exempt g.inp.Phase3.p1 f.Ssair.Ir.fname) then begin
+      g.walk_q <- push g.walk_q g.walk_n ((fx lsl 20) lor cid);
+      g.walk_n <- g.walk_n + 1
+    end
   end
 
-(* -- Building one (function, context) pair ------------------------------------- *)
+(* -- Entities --------------------------------------------------------------------- *)
 
 (* Dense id of a packed entity key, recording the key of a fresh id. *)
 let ent g gkey =
@@ -499,16 +591,8 @@ let ent_param g fid cid pid = ent g (Phase3.pack_key 1 fid cid pid)
 
 let ent_ret g fid cid = ent g (Phase3.pack_key 2 fid cid 0)
 
-let grow_slots a i =
-  if i < Array.length a then a
-  else begin
-    let a' = Array.make (max (i + 1) (2 * Array.length a)) (-1) in
-    Array.blit a 0 a' 0 (Array.length a);
-    a'
-  end
-
 let ent_node g nid =
-  if nid >= Array.length g.node_eids then g.node_eids <- grow_slots g.node_eids nid;
+  if nid >= Array.length g.node_eids then g.node_eids <- grow_slots g.node_eids nid (-1);
   let v = Array.unsafe_get g.node_eids nid in
   if v >= 0 then v
   else begin
@@ -518,7 +602,7 @@ let ent_node g nid =
   end
 
 let ent_region g rid =
-  if rid >= Array.length g.region_eids then g.region_eids <- grow_slots g.region_eids rid;
+  if rid >= Array.length g.region_eids then g.region_eids <- grow_slots g.region_eids rid (-1);
   let v = Array.unsafe_get g.region_eids rid in
   if v >= 0 then v
   else begin
@@ -527,378 +611,381 @@ let ent_region g rid =
     v
   end
 
+let node_ent g n = ent_node g (Intern.intern g.nodes n)
+
+let region_ent g r = ent_region g (Intern.intern g.strs r)
+
+(* Entity of value [vid] in the current pair, cached per value id. *)
+let eval g vid =
+  if vid < Array.length g.val_gen && Array.unsafe_get g.val_gen vid = g.w_serial then
+    Array.unsafe_get g.val_eid vid
+  else begin
+    let i = ent_val g g.w_fid g.w_cid vid in
+    if vid >= Array.length g.val_gen then begin
+      g.val_gen <- grow_slots g.val_gen vid 0;
+      g.val_eid <- grow_slots g.val_eid vid 0
+    end;
+    g.val_gen.(vid) <- g.w_serial;
+    g.val_eid.(vid) <- i;
+    i
+  end
+
+(* [strs] id of parameter [p] of the current function *)
+let param_sid g p =
+  let fi = g.w_fi in
+  let rec find k =
+    if k = Array.length fi.fi_pnames then Intern.intern g.strs p
+    else if String.equal fi.fi_pnames.(k) p then fi.fi_psids.(k)
+    else find (k + 1)
+  in
+  find 0
+
+(* -1 = no entity (constants) *)
+let value_eid g (v : Ssair.Ir.value) =
+  match v with
+  | Ssair.Ir.Vreg id -> eval g id
+  | Ssair.Ir.Vparam p -> ent_param g g.w_fid g.w_cid (param_sid g p)
+  | _ -> -1
+
+(* the per-function fact views of the current pair: register lookups
+   index an array; anything else falls back to the generic lookups *)
+let shm_of g (v : Ssair.Ir.value) =
+  match v with
+  | Ssair.Ir.Vreg id -> if id < Array.length g.w_p1 then g.w_p1.(id) else Phase1.Rset.empty
+  | _ -> Phase1.shm_targets g.inp.Phase3.p1 g.w_fi.fi_func v
+
+let pts_of g (v : Ssair.Ir.value) =
+  match v with
+  | Ssair.Ir.Vreg id -> if id < Array.length g.w_pts then g.w_pts.(id) else Pointsto.Tset.empty
+  | _ -> Pointsto.points_to g.inp.Phase3.pts g.w_fi.fi_func v
+
 (* Warnings deduplicated by (loc, region): the first context wins. *)
 let record_warning g (w : Report.warning) =
   let key = (w.Report.w_loc, w.Report.w_region) in
   if not (Hashtbl.mem g.warnings key) then Hashtbl.replace g.warnings key w
 
-(* Context id of [gfn] called from context [self_cid]: its own
-   assumptions, unioned with the caller's when context-sensitive.
-   Resolved at the context-id level through the memoized
-   {!Intern.Ctx.union}, never materializing the union list. *)
-let callee_cid g self_cid (gfn : Ssair.Ir.func) =
-  let ocid =
-    match Hashtbl.find_opt g.own_cids gfn.Ssair.Ir.fname with
-    | Some c -> c
-    | None ->
-      let c = Intern.Ctx.intern g.ctxs (own_list g gfn) in
-      Hashtbl.replace g.own_cids gfn.Ssair.Ir.fname c;
-      c
-  in
-  if g.inp.Phase3.config.Config.context_sensitive then Intern.Ctx.union g.ctxs self_cid ocid
+(* -- Callees ----------------------------------------------------------------------- *)
+
+(* Context id of [gfn] called from the current context: its own
+   assumptions, unioned with the caller's when context-sensitive. *)
+let callee_cid g gfx =
+  let ocid = own_cid g gfx in
+  if g.inp.Phase3.config.Config.context_sensitive then Intern.Ctx.union g.ctxs g.w_cid ocid
   else ocid
 
-let call_whys g fid callee nargs =
-  match Hashtbl.find_opt g.call_whys fid with
-  | Some w -> w
-  | None ->
-    let w =
-      ( Array.init nargs (fun k ->
-            Intern.intern g.whys ("argument " ^ string_of_int k ^ " of call to " ^ callee)),
-        Intern.intern g.whys ("return value of " ^ callee) )
-    in
-    Hashtbl.add g.call_whys fid w;
-    w
-
-let why_ext g callee =
-  let fid = Intern.intern g.strs callee in
-  match Hashtbl.find_opt g.ext_whys fid with
-  | Some w -> w
-  | None ->
-    let w = Intern.intern g.whys ("through external call " ^ callee) in
-    Hashtbl.add g.ext_whys fid w;
-    w
-
-(** The callee memo for [callee] called from context [self_cid]: callee
-    context, parameter and return entities, and the formatted reasons.
+(** The callee memo for [callee] called from the current context.
     Everything here depends only on the caller context and the callee,
     never on the rest of the calling pair, which is what lets it be
-    memoized across pairs.  Filling the memo discovers the callee pair. *)
-let cmemo g self_cid callee : cmemo =
+    memoized across pairs.  Filling the memo discovers the callee
+    pair. *)
+let cmemo g callee : cmemo =
   let fid = Intern.intern g.strs callee in
-  let key = (fid lsl 20) lor self_cid in
+  let key = (fid lsl 20) lor g.w_cid in
   match Hashtbl.find_opt g.cmemos key with
   | Some cm -> cm
   | None ->
+    let t0 = if Telemetry.enabled () then Telemetry.now_ns () else 0L in
     let cm =
-      match g.inp.Phase3.find callee with
-      | Some gfn ->
-        let gfid = Intern.intern g.strs gfn.Ssair.Ir.fname in
-        let gcid = callee_cid g self_cid gfn in
-        discover_pair g gfn gcid;
+      match Hashtbl.find_opt g.findex callee with
+      | Some gfx ->
+        let gfn = g.funcs.(gfx) in
+        let gcid = callee_cid g gfx in
+        discover_pair g gfx gcid;
         let cm_params =
           Array.of_list
             (List.map
-               (fun (pname, _) -> ent_param g gfid gcid (Intern.intern g.strs pname))
+               (fun (pname, _) -> ent_param g fid gcid (Intern.intern g.strs pname))
                gfn.Ssair.Ir.fparams)
         in
-        let cm_why_args, cm_why_ret = call_whys g gfid callee (Array.length cm_params) in
-        Cdefined { cm_params; cm_ret = ent_ret g gfid gcid; cm_why_args; cm_why_ret }
-      | None -> Cextern { cm_why_ext = why_ext g callee }
+        Cdefined { cm_callee = fid; cm_params; cm_ret = ent_ret g fid gcid }
+      | None -> Cextern { cm_callee = fid }
     in
     Hashtbl.add g.cmemos key cm;
+    if Telemetry.enabled () then
+      g.ns_callee <- g.ns_callee + Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0);
     cm
 
-(** Walk [f] under context [ctx] (interned as [self_cid]) straight into
-    the live graph; the static taint sources of the pair (unmonitored
-    non-core reads, non-core recv buffers) become seeds. *)
-let walk_pair g (f : Ssair.Ir.func) (ctx : Phase3.Ctx.t) ~self_cid : unit =
+(* -- Building one (function, context) pair ------------------------------------- *)
+
+(* File entity [eid] as a control-dependence target of block [bid]: it
+   gains ctrl-taint (with reason [why]) when the block executes under a
+   tainted branch.  Targets filed under a bid with no block are never
+   wired (closures only hold real blocks), so they are dropped. *)
+let add_ct g bid eid why =
+  if bid >= 0 && bid <= g.w_fi.fi_maxbid then begin
+    let k = g.ct_n in
+    if k = Array.length g.ct_eid then begin
+      g.ct_next <- grow_slots g.ct_next k 0;
+      g.ct_eid <- grow_slots g.ct_eid k 0;
+      g.ct_why <- grow_slots g.ct_why k 0
+    end;
+    g.ct_eid.(k) <- eid;
+    g.ct_why.(k) <- why;
+    g.ct_next.(k) <- (if g.ct_gen.(bid) = g.w_serial then g.ct_head.(bid) else -1);
+    g.ct_gen.(bid) <- g.w_serial;
+    g.ct_head.(bid) <- k;
+    g.ct_n <- k + 1
+  end
+
+let flow1 g self v why =
+  let ve = value_eid g v in
+  if ve >= 0 then add_edge g ve self mboth why
+
+let rec flow_operands g self vs why =
+  match vs with
+  | [] -> ()
+  | v :: rest ->
+    flow1 g self v why;
+    flow_operands g self rest why
+
+(* a phi: data/ctrl from its incomings; implicit flow from the branches
+   controlling the merge *)
+let walk_phi g bid (p : Ssair.Ir.phi) =
+  let self = eval g p.Ssair.Ir.pid in
+  List.iter (fun (_, v) -> flow1 g self v w_phi) p.Ssair.Ir.incoming;
+  if g.inp.Phase3.config.Config.control_deps then begin
+    let fi = g.w_fi in
+    add_ct g bid self w_phi_ctrl;
+    List.iter
+      (fun (pred, _) ->
+        add_ct g pred self w_phi_ctrl;
+        let pblk = if pred >= 0 && pred <= fi.fi_maxbid then fi.fi_blocks.(pred) else no_block in
+        match pblk.Ssair.Ir.termin with
+        | Ssair.Ir.Cbr (Ssair.Ir.Vreg cvid, _, _) | Ssair.Ir.Switch (Ssair.Ir.Vreg cvid, _, _) ->
+          if not (Phase3.branch_decided fi.fi_bi pblk.Ssair.Ir.bbid) then
+            add_edge g (eval g cvid) self many_ctrl w_phi_ctrl
+        | _ -> ())
+      p.Ssair.Ir.incoming
+  end
+
+(* one shared-memory target of a load: a static source (warning) when
+   the context leaves a non-core target uncovered; an edge from the
+   region node for covered core regions *)
+let load_shm_target g self (i : Ssair.Ir.instr) lty (tgt : Phase1.Rtgt.t) =
   let inp = g.inp in
-  let config = inp.Phase3.config in
-  let env = inp.Phase3.prog.Ssair.Ir.env in
-  let fname = f.Ssair.Ir.fname in
-  let fi = finfo g f in
-  let sid x = Intern.intern g.strs x in
-  let wid x = Intern.intern g.whys x in
-  let sw = g.static_wids in
-  let edge src dst mode why = add_edge g src dst mode why in
-  let seed dst parent why = set_data g dst ~parent ~why in
-  let self_fid = sid fname in
-  (* vid → entity id, O(1) on the hottest entity kind *)
-  let val_idx = Array.make (max fi.fi_nvals 1) (-1) in
-  let eval vid =
-    if vid < Array.length val_idx then begin
-      let i = Array.unsafe_get val_idx vid in
-      if i >= 0 then i
-      else begin
-        let i = ent_val g self_fid self_cid vid in
-        Array.unsafe_set val_idx vid i;
-        i
+  let rname = tgt.Phase1.Rtgt.region in
+  match Shm.region inp.Phase3.shm rname with
+  | None -> ()
+  | Some r ->
+    if r.Shm.r_noncore then begin
+      let ctx = g.w_ctx in
+      let covered =
+        match tgt.Phase1.Rtgt.off with
+        | Offset.Byte byte ->
+          Phase3.Ctx.covers_region ctx rname ~lo:byte
+            ~hi:(byte + Ty.sizeof inp.Phase3.prog.Ssair.Ir.env lty)
+        | Offset.Top -> Phase3.Ctx.covers_region ctx rname ~lo:0 ~hi:r.Shm.r_size
+      in
+      if not covered then begin
+        record_warning g
+          {
+            Report.w_func = g.w_fi.fi_func.Ssair.Ir.fname;
+            w_region = rname;
+            w_loc = i.Ssair.Ir.iloc;
+            w_context = Phase3.Ctx.names ctx;
+          };
+        set_data g self ~parent:(region_ent g rname)
+          ~why:
+            (Phase3.why_string
+               (Intern.intern g.whys
+                  (Fmt.str "unmonitored read of non-core region %s at %a" rname Loc.pp
+                     i.Ssair.Ir.iloc)))
       end
     end
-    else ent_val g self_fid self_cid vid
-  in
-  (* -1 = no entity (constants); avoids an option box per operand *)
-  let value_eid (v : Ssair.Ir.value) =
-    match v with
-    | Ssair.Ir.Vreg id -> eval id
-    | Ssair.Ir.Vparam p -> ent_param g self_fid self_cid (sid p)
-    | _ -> -1
-  in
-  let node_ent n = ent_node g (Intern.intern g.nodes n) in
-  let region_ent r = ent_region g (sid r) in
-  (* per-function fact views (see [p1_regs]/[pts_regs]): register
-     lookups hash an int; anything else falls back to the generic
-     tuple-keyed path, byte-for-byte equivalent *)
-  let fn_p1regs = Hashtbl.find_opt g.p1_regs fname in
-  let fn_ptsregs = Hashtbl.find_opt g.pts_regs fname in
-  let shm_of (v : Ssair.Ir.value) =
-    match v with
-    | Ssair.Ir.Vreg id -> (
-      match fn_p1regs with
-      | Some t -> Option.value ~default:Phase1.Rset.empty (Hashtbl.find_opt t id)
-      | None -> Phase1.Rset.empty)
-    | _ -> Phase1.shm_targets inp.Phase3.p1 f v
-  in
-  let pts_of (v : Ssair.Ir.value) =
-    match v with
-    | Ssair.Ir.Vreg id -> (
-      match fn_ptsregs with
-      | Some t -> Option.value ~default:Pointsto.Tset.empty (Hashtbl.find_opt t id)
-      | None -> Pointsto.Tset.empty)
-    | _ -> Pointsto.points_to inp.Phase3.pts f v
-  in
-  (* defs are only consulted to resolve recv sockets, so built on demand *)
-  let defs = lazy (Ssair.Ir.def_table f) in
-  let callees : (string, cmemo) Hashtbl.t = Hashtbl.create 8 in
-  (* control-dependence targets per block: entity that gains ctrl-taint
-     (with the given reason) when the block executes under a tainted
-     branch; wired to branch conditions after the walk *)
-  let ctrl_targets : (int * int) list array = Array.make (fi.fi_maxbid + 1) [] in
-  (* targets filed under a bid with no block are never wired (closures
-     only hold real blocks), so they are safely dropped *)
-  let add_ct bid eid why =
-    if bid >= 0 && bid <= fi.fi_maxbid then
-      ctrl_targets.(bid) <- (eid, why) :: ctrl_targets.(bid)
-  in
-  let flow1 self v why =
-    let ve = value_eid v in
-    if ve >= 0 then edge ve self mboth why
-  in
-  let flow_operands self vs why = List.iter (fun v -> flow1 self v why) vs in
-  List.iter
-    (fun (b : Ssair.Ir.block) ->
-      let bid = b.Ssair.Ir.bbid in
-      (* phis: data/ctrl from incomings; implicit flow from the branches
-         controlling the merge *)
-      List.iter
-        (fun (p : Ssair.Ir.phi) ->
-          let self = eval p.Ssair.Ir.pid in
-          List.iter (fun (_, v) -> flow1 self v sw.(w_phi)) p.Ssair.Ir.incoming;
-          if config.Config.control_deps then begin
-            let why = sw.(w_phi_ctrl) in
-            add_ct bid self why;
-            List.iter
-              (fun (pred, _) ->
-                add_ct pred self why;
-                match
-                  (if pred >= 0 && pred <= fi.fi_maxbid then fi.fi_blocks.(pred) else None)
-                with
-                | Some pblk -> (
-                  match pblk.Ssair.Ir.termin with
-                  | Ssair.Ir.Cbr (Ssair.Ir.Vreg cvid, _, _)
-                  | Ssair.Ir.Switch (Ssair.Ir.Vreg cvid, _, _) ->
-                    if not (Phase3.branch_decided fi.fi_bi pblk.Ssair.Ir.bbid) then
-                      edge (eval cvid) self many_ctrl why
-                  | _ -> ())
-                | None -> ())
-              p.Ssair.Ir.incoming
-          end)
-        b.Ssair.Ir.phis;
-      List.iter
-        (fun (i : Ssair.Ir.instr) ->
-          (* [self] is interned per arm: stores and allocas produce no
-             value flow, so their entities would only bloat the tables *)
-          match i.Ssair.Ir.idesc with
-          | Ssair.Ir.Alloca _ | Ssair.Ir.Annotation _ -> ()
-          | Ssair.Ir.Load { ptr; lty } ->
-            let self = eval i.Ssair.Ir.iid in
-            (* 1. shared-memory reads: static source (warning) when the
-               context leaves a non-core target uncovered; edge from the
-               region node for covered core regions *)
-            let shm_targets = shm_of ptr in
-            Phase1.Rset.iter
-              (fun tgt ->
-                let rname = tgt.Phase1.Rtgt.region in
-                match Shm.region inp.Phase3.shm rname with
-                | None -> ()
-                | Some r ->
-                  if r.Shm.r_noncore then begin
-                    let covered =
-                      match tgt.Phase1.Rtgt.off with
-                      | Offset.Byte byte ->
-                        Phase3.Ctx.covers_region ctx rname ~lo:byte
-                          ~hi:(byte + Ty.sizeof env lty)
-                      | Offset.Top -> Phase3.Ctx.covers_region ctx rname ~lo:0 ~hi:r.Shm.r_size
-                    in
-                    if not covered then begin
-                      record_warning g
-                        {
-                          Report.w_func = fname;
-                          w_region = rname;
-                          w_loc = i.Ssair.Ir.iloc;
-                          w_context = Phase3.Ctx.names ctx;
-                        };
-                      seed self (region_ent rname)
-                        (wid
-                           (Fmt.str "unmonitored read of non-core region %s at %a" rname
-                              Loc.pp i.Ssair.Ir.iloc))
-                    end
-                  end
-                  else begin
-                    let node = Pointsto.Node.Nshm rname in
-                    if not (Phase3.Ctx.covers_node ctx node) then
-                      edge (node_ent node) self mdata sw.(w_core_read)
-                  end)
-              shm_targets;
-            (* 2. ordinary memory — only when the address is not a
-               shared-memory pointer: shm reads are governed by the
-               region model above (P2 guarantees shm pointers cannot also
-               point to ordinary objects) *)
-            if Phase1.Rset.is_empty shm_targets then
-              Pointsto.Tset.iter
-                (fun tgt ->
-                  let node = tgt.Pointsto.Target.node in
-                  if not (Phase3.Ctx.covers_node ctx node) then begin
-                    let ne = node_ent node in
-                    edge ne self mdata sw.(w_load_unsafe);
-                    edge ne self mctrl sw.(w_load_ctrl_unsafe)
-                  end)
-                (pts_of ptr);
-            (* 3. tainted address *)
-            flow1 self ptr sw.(w_load_ptr)
-          | Ssair.Ir.Store { ptr; sval; _ } ->
-            let target_nodes =
-              let shm = shm_of ptr in
-              if Phase1.Rset.is_empty shm then
-                Pointsto.Tset.fold
-                  (fun tgt acc -> node_ent tgt.Pointsto.Target.node :: acc)
-                  (pts_of ptr)
-                  []
-              else
-                Phase1.Rset.fold
-                  (fun tgt acc ->
-                    node_ent (Pointsto.Node.Nshm tgt.Phase1.Rtgt.region) :: acc)
-                  shm []
-            in
-            (let ve = value_eid sval in
-             if ve >= 0 then
-               List.iter
-                 (fun ne ->
-                   edge ve ne mdata sw.(w_store_d);
-                   edge ve ne mctrl sw.(w_store_c))
-                 target_nodes);
-            if config.Config.control_deps then begin
-              List.iter (fun ne -> add_ct bid ne sw.(w_store_ctrl)) target_nodes
-            end
-          | Ssair.Ir.Binop { lhs; rhs; _ } ->
-            let self = eval i.Ssair.Ir.iid in
-            flow1 self lhs sw.(w_arith);
-            flow1 self rhs sw.(w_arith)
-          | Ssair.Ir.Unop { operand; _ } -> flow1 (eval i.Ssair.Ir.iid) operand sw.(w_arith)
-          | Ssair.Ir.Cast { cval; _ } -> flow1 (eval i.Ssair.Ir.iid) cval sw.(w_cast)
-          | Ssair.Ir.Gep { base; idx; _ } ->
-            let self = eval i.Ssair.Ir.iid in
-            flow1 self base sw.(w_addr);
-            flow1 self idx sw.(w_addr)
-          | Ssair.Ir.Call { callee; args; _ } -> (
-            let self = eval i.Ssair.Ir.iid in
-            let cm =
-              match Hashtbl.find_opt callees callee with
-              | Some cm -> cm
-              | None ->
-                (* first sight of this callee in the pair; filling
-                   the run-wide memo also discovers the callee pair *)
-                let cm = cmemo g self_cid callee in
-                Hashtbl.replace callees callee cm;
-                cm
-            in
-            match cm with
-            | Cdefined cm ->
-              List.iteri
-                (fun k arg ->
-                  if k < Array.length cm.cm_params then begin
-                    let pe = cm.cm_params.(k) in
-                    (let ve = value_eid arg in
-                     if ve >= 0 then edge ve pe mboth cm.cm_why_args.(k));
-                    if config.Config.control_deps then
-                      add_ct bid pe sw.(w_call_ctrl)
-                  end)
-                args;
-              edge cm.cm_ret self mboth cm.cm_why_ret
-            | Cextern cm ->
-              if List.mem callee config.Config.recv_functions then begin
-                let socket_is_noncore =
-                  match args with
-                  | sock :: _ -> (
-                    match sock with
-                    | Ssair.Ir.Vparam p -> Hashtbl.mem inp.Phase3.noncore_sockets p
-                    | Ssair.Ir.Vreg id -> (
-                      match Hashtbl.find_opt (Lazy.force defs) id with
-                      | Some
-                          (Ssair.Ir.Def_instr
-                             ( { idesc = Ssair.Ir.Load { ptr = Ssair.Ir.Vglobal gl; _ }; _ },
-                               _ )) ->
-                        Hashtbl.mem inp.Phase3.noncore_sockets gl
-                      | _ -> false)
-                    | _ -> false)
-                  | [] -> false
-                in
-                if socket_is_noncore then
-                  match args with
-                  | _ :: buf :: _ ->
-                    let w = sw.(w_recv) in
-                    Pointsto.Tset.iter
-                      (fun tgt ->
-                        seed
-                          (node_ent tgt.Pointsto.Target.node)
-                          (region_ent (Fmt.str "socket via %s" callee))
-                          w)
-                      (pts_of buf)
-                  | _ -> ()
-              end;
-              flow_operands self args cm.cm_why_ext))
-        b.Ssair.Ir.instrs;
-      match b.Ssair.Ir.termin with
-      | Ssair.Ir.Ret (Some v) ->
-        let re = ent_ret g self_fid self_cid in
-        (let ve = value_eid v in
-         if ve >= 0 then edge ve re mboth sw.(w_ret));
-        if config.Config.control_deps then
-          add_ct bid re sw.(w_ret_ctrl)
-      | _ -> ())
-    f.Ssair.Ir.blocks;
+    else begin
+      let node = Pointsto.Node.Nshm rname in
+      if not (Phase3.Ctx.covers_node g.w_ctx node) then
+        add_edge g (node_ent g node) self mdata w_core_read
+    end
+
+let load_mem_target g self (tgt : Pointsto.Target.t) =
+  let node = tgt.Pointsto.Target.node in
+  if not (Phase3.Ctx.covers_node g.w_ctx node) then begin
+    let ne = node_ent g node in
+    add_edge g ne self mdata w_load_unsafe;
+    add_edge g ne self mctrl w_load_ctrl_unsafe
+  end
+
+(* whether the first argument of a recv call is a socket named by an
+   [assume(noncore(s))] *)
+let socket_is_noncore g (args : Ssair.Ir.value list) =
+  let inp = g.inp in
+  match args with
+  | Ssair.Ir.Vparam p :: _ -> Hashtbl.mem inp.Phase3.noncore_sockets p
+  | Ssair.Ir.Vreg id :: _ -> (
+    match Hashtbl.find_opt (Ssair.Ir.def_table g.w_fi.fi_func) id with
+    | Some
+        (Ssair.Ir.Def_instr
+           ({ idesc = Ssair.Ir.Load { ptr = Ssair.Ir.Vglobal gl; _ }; _ }, _)) ->
+      Hashtbl.mem inp.Phase3.noncore_sockets gl
+    | _ -> false)
+  | _ -> false
+
+let rec arg_edges g bid (cm_params : int array) callee k = function
+  | [] -> ()
+  | arg :: rest ->
+    if k < Array.length cm_params then begin
+      let pe = cm_params.(k) in
+      (let ve = value_eid g arg in
+       if ve >= 0 then add_edge g ve pe mboth (Phase3.why_arg ~callee k));
+      if g.inp.Phase3.config.Config.control_deps then add_ct g bid pe w_call_ctrl
+    end;
+    arg_edges g bid cm_params callee (k + 1) rest
+
+let walk_call g bid (i : Ssair.Ir.instr) callee args =
+  let config = g.inp.Phase3.config in
+  let self = eval g i.Ssair.Ir.iid in
+  match cmemo g callee with
+  | Cdefined cm ->
+    arg_edges g bid cm.cm_params cm.cm_callee 0 args;
+    add_edge g cm.cm_ret self mboth (Phase3.why_ret ~callee:cm.cm_callee)
+  | Cextern { cm_callee } ->
+    if List.mem callee config.Config.recv_functions && socket_is_noncore g args then begin
+      match args with
+      | _ :: buf :: _ ->
+        Pointsto.Tset.iter
+          (fun tgt ->
+            (* the region first, as entity ids follow creation order *)
+            let src = region_ent g (Fmt.str "socket via %s" callee) in
+            set_data g (node_ent g tgt.Pointsto.Target.node) ~parent:src ~why:w_recv)
+          (pts_of g buf)
+      | _ -> ()
+    end;
+    flow_operands g self args (Phase3.why_ext ~callee:cm_callee)
+
+(* [self] is interned per arm: stores and allocas produce no value
+   flow, so their entities would only bloat the tables *)
+let walk_instr g bid (i : Ssair.Ir.instr) =
+  match i.Ssair.Ir.idesc with
+  | Ssair.Ir.Alloca _ | Ssair.Ir.Annotation _ -> ()
+  | Ssair.Ir.Load { ptr; lty } ->
+    let self = eval g i.Ssair.Ir.iid in
+    (* 1. shared-memory reads, governed by the region model *)
+    let shm_targets = shm_of g ptr in
+    if Phase1.Rset.is_empty shm_targets then begin
+      (* 2. ordinary memory — only when the address is not a
+         shared-memory pointer (P2 guarantees shm pointers cannot also
+         point to ordinary objects) *)
+      let pts = pts_of g ptr in
+      if not (Pointsto.Tset.is_empty pts) then Pointsto.Tset.iter (load_mem_target g self) pts
+    end
+    else Phase1.Rset.iter (load_shm_target g self i lty) shm_targets;
+    (* 3. tainted address *)
+    flow1 g self ptr w_load_ptr
+  | Ssair.Ir.Store { ptr; sval; _ } ->
+    let target_nodes =
+      let shm = shm_of g ptr in
+      if Phase1.Rset.is_empty shm then
+        Pointsto.Tset.fold (fun tgt acc -> node_ent g tgt.Pointsto.Target.node :: acc) (pts_of g ptr) []
+      else
+        Phase1.Rset.fold
+          (fun tgt acc -> node_ent g (Pointsto.Node.Nshm tgt.Phase1.Rtgt.region) :: acc)
+          shm []
+    in
+    (let ve = value_eid g sval in
+     if ve >= 0 then
+       List.iter
+         (fun ne ->
+           add_edge g ve ne mdata w_store_d;
+           add_edge g ve ne mctrl w_store_c)
+         target_nodes);
+    if g.inp.Phase3.config.Config.control_deps then
+      List.iter (fun ne -> add_ct g bid ne w_store_ctrl) target_nodes
+  | Ssair.Ir.Binop { lhs; rhs; _ } ->
+    let self = eval g i.Ssair.Ir.iid in
+    flow1 g self lhs w_arith;
+    flow1 g self rhs w_arith
+  | Ssair.Ir.Unop { operand; _ } -> flow1 g (eval g i.Ssair.Ir.iid) operand w_arith
+  | Ssair.Ir.Cast { cval; _ } -> flow1 g (eval g i.Ssair.Ir.iid) cval w_cast
+  | Ssair.Ir.Gep { base; idx; _ } ->
+    let self = eval g i.Ssair.Ir.iid in
+    flow1 g self base w_addr;
+    flow1 g self idx w_addr
+  | Ssair.Ir.Call { callee; args; _ } -> walk_call g bid i callee args
+
+let rec walk_phis g bid = function
+  | [] -> ()
+  | p :: rest ->
+    walk_phi g bid p;
+    walk_phis g bid rest
+
+let rec walk_instrs g bid = function
+  | [] -> ()
+  | i :: rest ->
+    walk_instr g bid i;
+    walk_instrs g bid rest
+
+let walk_block g (b : Ssair.Ir.block) =
+  let bid = b.Ssair.Ir.bbid in
+  walk_phis g bid b.Ssair.Ir.phis;
+  walk_instrs g bid b.Ssair.Ir.instrs;
+  match b.Ssair.Ir.termin with
+  | Ssair.Ir.Ret (Some v) ->
+    let re = ent_ret g g.w_fid g.w_cid in
+    (let ve = value_eid g v in
+     if ve >= 0 then add_edge g ve re mboth w_ret);
+    if g.inp.Phase3.config.Config.control_deps then add_ct g bid re w_ret_ctrl
+  | _ -> ()
+
+(* the control-dependence targets filed under block [d], newest first,
+   each wired from the branch condition entity [c] *)
+let rec wire_targets g c k =
+  if k >= 0 then begin
+    add_edge g c g.ct_eid.(k) many_ctrl g.ct_why.(k);
+    wire_targets g c g.ct_next.(k)
+  end
+
+(** Walk function [fx] under context [cid] straight into the live graph;
+    the static taint sources of the pair (unmonitored non-core reads,
+    non-core recv buffers) become seeds. *)
+let walk_pair g fx cid =
+  let fi = finfo g fx in
+  g.w_fi <- fi;
+  g.w_fid <- fi.fi_sid;
+  g.w_cid <- cid;
+  g.w_ctx <- Intern.Ctx.get g.ctxs cid;
+  g.w_p1 <- g.p1_views.(fx);
+  g.w_pts <- g.pts_views.(fx);
+  g.w_serial <- g.w_serial + 1;
+  g.ct_n <- 0;
+  if fi.fi_maxbid >= Array.length g.ct_gen then begin
+    g.ct_gen <- grow_slots g.ct_gen fi.fi_maxbid 0;
+    g.ct_head <- grow_slots g.ct_head fi.fi_maxbid 0
+  end;
+  List.iter (walk_block g) fi.fi_func.Ssair.Ir.blocks;
   (* wire branch conditions to the control-dependence targets of every
      block in their controls-closure (the closure is static, only the
      cond's taint is dynamic) *)
+  let t0 = if Telemetry.enabled () then Telemetry.now_ns () else 0L in
   List.iter
     (fun (_bB, cvid, closure) ->
-      let c = eval cvid in
+      let c = eval g cvid in
       List.iter
         (fun d ->
-          if d >= 0 && d <= fi.fi_maxbid then
-            List.iter (fun (teid, why) -> edge c teid many_ctrl why) ctrl_targets.(d))
+          if d >= 0 && d <= fi.fi_maxbid && g.ct_gen.(d) = g.w_serial then
+            wire_targets g c g.ct_head.(d))
         closure)
-    fi.fi_bi.Phase3.br_branches
+    fi.fi_bi.Phase3.br_branches;
+  if Telemetry.enabled () then
+    g.ns_wire <- g.ns_wire + Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0)
 
 (* -- Entry point --------------------------------------------------------------- *)
 
-(* The final state as a {!Phase3.flat}: the per-entity arrays cut to the
-   entity count, the interners as arrays. *)
+(* The final state as a {!Phase3.flat}: the per-entity arrays as they
+   are (their capacity may exceed the entity count; copying them would
+   add their size to the run's peak heap), the interners as arrays. *)
 let flat g : Phase3.flat =
-  let n = Intern.Packed.length g.keys in
-  let table bits parent why =
-    { Phase3.bits; parent = Array.sub parent 0 n; why = Array.sub why 0 n }
-  in
+  let table bits parent why = { Phase3.bits; parent; why } in
   {
-    Phase3.keys = Array.sub g.ekeys 0 n;
+    Phase3.entities = Intern.Packed.length g.keys;
+    keys = g.ekeys;
     strs = Intern.to_array g.strs;
     ctxs = Array.init (Intern.Ctx.length g.ctxs) (Intern.Ctx.get g.ctxs);
     nodes = Intern.to_array g.nodes;
     whys = Intern.to_array g.whys;
     data = table g.data g.d_parent g.d_why;
     ctrl = table g.ctrl g.c_parent g.c_why;
-    pairs = Array.of_list (List.rev g.pair_keys);
+    pairs = Array.sub g.pair_arr 0 (Intern.Packed.length g.pairs_seen);
   }
 
 (* Taint lookups over the flat state [fl], resolving an entity to its id
@@ -917,30 +1004,38 @@ let lookup g (fl : Phase3.flat) : Phase3.lookup =
   let origin t e = Option.bind (id_of e) (Phase3.origin fl t) in
   { Phase3.data = origin fl.Phase3.data; ctrl = origin fl.Phase3.ctrl }
 
+let us_of_ns ns = ns / 1000
+
 let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
     (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
-  let inp = Phase3.make_inputs ~config ?absint prog shm p1 pts in
-  let g = create inp in
-  List.iter
-    (fun (f, ctx) -> discover_pair g f (Intern.Ctx.intern g.ctxs ctx))
-    (Phase3.root_pairs inp);
+  let inp, g =
+    Telemetry.span "phase3.setup" (fun () ->
+        let inp = Phase3.make_inputs ~config ?absint prog shm p1 pts in
+        let g = create inp in
+        List.iter
+          (fun (f, ctx) -> discover_pair g (func_idx g f) (Intern.Ctx.intern g.ctxs ctx))
+          (Phase3.root_pairs inp);
+        (inp, g))
+  in
   (* pair discovery is taint-independent, so walking every pending pair
      (FIFO, which appends newly discovered callees) before draining
      reaches the same closure as interleaving would *)
   Telemetry.span "phase3.walk" (fun () ->
-      let n = ref 0 in
-      while not (Queue.is_empty g.pending) do
-        let f, cid = Queue.pop g.pending in
-        incr n;
+      let k = ref 0 in
+      while !k < g.walk_n do
+        let e = g.walk_q.(!k) in
+        incr k;
+        let fx = e lsr 20 and cid = e land 0xFFFFF in
         if Telemetry.enabled () then
           Telemetry.span "pair.build"
-            ~args:[ ("function", f.Ssair.Ir.fname) ]
-            (fun () ->
-              Telemetry.time_hist h_pair_build (fun () ->
-                  walk_pair g f (Intern.Ctx.get g.ctxs cid) ~self_cid:cid))
-        else walk_pair g f (Intern.Ctx.get g.ctxs cid) ~self_cid:cid
+            ~args:[ ("function", g.funcs.(fx).Ssair.Ir.fname) ]
+            (fun () -> Telemetry.time_hist h_pair_build (fun () -> walk_pair g fx cid))
+        else walk_pair g fx cid
       done;
-      Telemetry.add c_pair_built !n);
+      Telemetry.add c_pair_built !k;
+      Telemetry.add c_cdg_us (us_of_ns g.ns_cdg);
+      Telemetry.add c_callee_us (us_of_ns g.ns_callee);
+      Telemetry.add c_ctrl_edges_us (us_of_ns g.ns_wire));
   Telemetry.span "phase3.csr_build" (fun () -> finalize_csr g);
   Telemetry.span "phase3.drain" (fun () -> drain g);
   let engine_stats =
@@ -957,16 +1052,24 @@ let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (shm : Shm.
   Telemetry.add c_contexts (Intern.Ctx.length g.ctxs);
   Telemetry.add c_bitset_words (Bitset.words g.data + Bitset.words g.ctrl);
   let fl = flat g in
+  let pairs = Array.map (fun k -> (fl.Phase3.strs.(k lsr 20), fl.Phase3.ctxs.(k land 0xFFFFF))) fl.Phase3.pairs in
   let dependencies =
     Telemetry.span "phase3.collect" (fun () ->
-        Phase3.collect_dependencies inp (lookup g fl) g.pairs)
+        (* the sink collection visits pairs in the order a hash table of
+           them would iterate (which decides the witness a deduplicated
+           dependency keeps); only pairs with critical sites are
+           ordered *)
+        let has_sites (fname, _) =
+          match inp.Phase3.find fname with Some f -> Phase3.sites_of inp f <> [] | None -> false
+        in
+        Phase3.collect_dependencies inp (lookup g fl) (Phase3.hashtbl_order ~keep:has_sites pairs))
   in
   {
     Phase3.warnings =
       Hashtbl.fold (fun _ w acc -> w :: acc) g.warnings []
       |> List.stable_sort Report.compare_warning;
     dependencies;
-    pair_count = Hashtbl.length g.pairs;
+    pair_count = Array.length pairs;
     engine_stats;
     flat = fl;
   }

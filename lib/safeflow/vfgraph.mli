@@ -10,6 +10,15 @@
     ({!Intern}), so taint membership is a bitset lookup, and that
     interned state is the result ({!Phase3.flat}).
 
+    A pair walk formats and hashes nothing per call site: origin
+    reasons are packed ints rendered only when a witness or an export
+    reads them ({!Phase3.why_text}), a function without [assume(core)]
+    shares the empty context without resolving annotations, per-function
+    facts are arrays by function index and value id, and the pair's
+    scratch arrays are reused across pairs.  With telemetry on, the walk
+    reports its sub-timings as the [phase3.cdg_us], [phase3.callee_us]
+    and [phase3.ctrl_edges_us] counters.
+
     The paper-shaped dense fixpoint, which re-scans every pair until no
     taint changes, lives under [test/] as the differential oracle:
     warnings, violations, discovered pairs, dependency classifications,

@@ -321,7 +321,9 @@ let run ~config ?absint (prog : Ssair.Ir.program) (shm : Shm.t) (p1 : Phase1.t)
     warnings =
       Hashtbl.fold (fun _ w acc -> w :: acc) st.warnings []
       |> List.stable_sort Report.compare_warning;
-    dependencies = collect_dependencies inp (lookup st) st.pairs;
+    dependencies =
+      collect_dependencies inp (lookup st)
+        (List.rev (Hashtbl.fold (fun k () acc -> k :: acc) st.pairs []));
     pairs = st.pairs;
   }
 

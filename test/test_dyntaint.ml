@@ -247,6 +247,55 @@ let prop_synth_dynamic_subset =
       in
       List.for_all (fun s -> List.mem s static_sites) dyn.Dyntaint.read_sites)
 
+(* An asserted global is read where the assertion stands: a global sink
+   fed by an unmonitored read is an error dependency under the library
+   engine and under the dense oracle, and the dynamic run observes the
+   violation. *)
+let test_global_sink () =
+  let src =
+    {|
+struct B { double a; double b2; };
+typedef struct B B;
+B *reg;
+double out;
+extern void sendControl(double v);
+void initShm()
+/*** SafeFlow Annotation shminit ***/
+{
+  void *s; int id;
+  id = shmget(6300, sizeof(B), 438);
+  s = shmat(id, (void *) 0, 0);
+  reg = (B *) s;
+  /*** SafeFlow Annotation assume(shmvar(reg, sizeof(B))) assume(noncore(reg)) ***/
+}
+int main() {
+  initShm();
+  out = reg->b2;
+  /*** SafeFlow Annotation assert(safe(out)) ***/
+  sendControl(out);
+  return 0;
+}
+|}
+  in
+  let run = Oracle.run_of "global sink" Config.default src in
+  let data_deps (r : Report.t) =
+    List.filter_map
+      (fun (d : Report.dependency) ->
+        if d.Report.d_kind = Report.Data then Some d.Report.d_sink else None)
+      r.Report.dependencies
+  in
+  Alcotest.(check (list string)) "library engine" [ "assert(safe(out))" ]
+    (data_deps run.Oracle.lib.Driver.report);
+  Alcotest.(check (list string)) "dense oracle" [ "assert(safe(out))" ]
+    (data_deps run.Oracle.oracle_report);
+  let d = Lazy.force run.Oracle.lib.Driver.detail in
+  let dyn =
+    Dyntaint.run d.Driver.prepared.Driver.ir d.Driver.shm ~extern_handler:basic_handler
+  in
+  Alcotest.(check (list string)) "dynamic violation" [ "assert(safe(out))" ]
+    (List.map (fun f -> f.Dyntaint.df_sink) dyn.Dyntaint.violations);
+  check_subset "global-sink" run.Oracle.lib.Driver.report dyn
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "dyntaint"
@@ -257,5 +306,6 @@ let () =
       ( "semantics",
         [ Alcotest.test_case "monitored reads clean" `Quick
             test_monitored_read_clean_dynamically;
-          Alcotest.test_case "strong update" `Quick test_strong_update_clears_taint ] );
+          Alcotest.test_case "strong update" `Quick test_strong_update_clears_taint;
+          Alcotest.test_case "global sink" `Quick test_global_sink ] );
       ("properties", [ qt prop_synth_dynamic_subset ]) ]

@@ -499,6 +499,144 @@ let prop_array_size_linear =
       let env = Ty.empty_env () in
       Ty.sizeof env (Ty.Array (ty, n)) = n * Ty.sizeof env ty)
 
+(* -- The previous frontend as oracle -------------------------------------- *)
+
+(* What a frontend makes of a source: the AST and the typed AST (or the
+   typechecker's located error), or the parser's located error. *)
+type outcome =
+  | Parsed of Ast.program * (Tast.program, Loc.t * string) result
+  | Rejected of Loc.t * string
+
+let frontend parse check ~file src =
+  match parse ~file src with
+  | ast -> (
+    match check ast with
+    | tast -> Parsed (ast, Ok tast)
+    | exception Loc.Error (l, m) -> Parsed (ast, Error (l, m)))
+  | exception Loc.Error (l, m) -> Rejected (l, m)
+
+let library_frontend =
+  frontend (fun ~file src -> Parser.parse_string ~file src) Typecheck.check_program
+
+let oracle_frontend =
+  frontend
+    (fun ~file src -> Frontend_oracle.Parser.parse_string ~file src)
+    Frontend_oracle.Typecheck.check_program
+
+(* The driver's frontend (declarations first, then each function body
+   parsed, typechecked and lowered in turn) against the whole-program
+   frontend: the same IR and annotation count, or the same error. *)
+let by_function ~file src =
+  match Safeflow.Driver.prepare_source ~file src with
+  | p -> Ok (p.Safeflow.Driver.ir, p.Safeflow.Driver.annotation_lines)
+  | exception Loc.Error (l, m) -> Error (l, m)
+
+let by_stage ~file src =
+  match Parser.parse_string ~file src with
+  | exception Loc.Error (l, m) -> Error (l, m)
+  | ast -> (
+    match Ssair.Build.lower (Typecheck.check_program ast) with
+    | ir -> Ok (ir, Safeflow.Driver.count_annotations ast)
+    | exception Loc.Error (l, m) -> Error (l, m))
+
+let same_frontend ~file src =
+  library_frontend ~file src = oracle_frontend ~file src && by_function ~file src = by_stage ~file src
+
+let find_system name =
+  let candidates = [ "../../../systems/" ^ name; "../../systems/" ^ name; "systems/" ^ name ] in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.fail ("cannot locate systems/" ^ name)
+
+let systems = [ "figure2.c"; "ip_controller.c"; "double_ip.c"; "car_follow.c"; "generic_simplex.c" ]
+
+(* each system's source and the start and end offset of every token *)
+let system_tokens =
+  lazy
+    (List.map
+       (fun name ->
+         let src = Loc.read_source (find_system name) in
+         let line_start = Array.make (String.length src + 2) 0 in
+         let nl = ref 1 in
+         String.iteri
+           (fun i c ->
+             if c = '\n' then begin
+               incr nl;
+               line_start.(!nl) <- i + 1
+             end)
+           src;
+         let starts =
+           Lexer.tokenize ~file:name src
+           |> List.map (fun (l : Lexer.lexed) -> line_start.(l.loc.Loc.line) + l.loc.Loc.col - 1)
+           |> Array.of_list
+         in
+         (name, src, starts))
+       systems)
+
+(* A token-level mutant of a system: one token (its text up to the next
+   token) deleted, doubled, or swapped with the next one. *)
+let gen_mutant =
+  let open QCheck.Gen in
+  let* k = int_bound (List.length systems - 1) in
+  let name, src, starts = List.nth (Lazy.force system_tokens) k in
+  let n = Array.length starts - 1 in
+  let* i = int_bound (n - 2) and* op = int_bound 2 in
+  let piece j = String.sub src starts.(j) (starts.(j + 1) - starts.(j)) in
+  let before = String.sub src 0 starts.(i) in
+  let after j = String.sub src starts.(j) (String.length src - starts.(j)) in
+  return
+    ( name,
+      match op with
+      | 0 -> before ^ after (i + 1)
+      | 1 -> before ^ piece i ^ after i
+      | _ -> before ^ piece (i + 1) ^ piece i ^ after (i + 2) )
+
+let prop_oracle_mutants =
+  QCheck.Test.make ~name:"frontend = oracle on token mutants of the systems" ~count:150
+    (QCheck.make ~print:(fun (name, src) -> name ^ ":\n" ^ src) gen_mutant)
+    (fun (file, src) -> same_frontend ~file src)
+
+let prop_oracle_sprog =
+  QCheck.Test.make ~name:"frontend = oracle on sprog programs" ~count:150 Sprog.arbitrary
+    (fun p -> same_frontend ~file:"<sprog>" (Sprog.wrap_main p))
+
+let prop_oracle_synth =
+  QCheck.Test.make ~name:"frontend = oracle on Synth output" ~count:8
+    QCheck.(pair (int_range 1 1000) (int_range 1 24))
+    (fun (seed, size) -> same_frontend ~file:"<synth>" (Safeflow.Synth.of_size ~seed size))
+
+let test_oracle_systems () =
+  List.iter
+    (fun (name, src, _) ->
+      if not (same_frontend ~file:name src) then Alcotest.failf "%s: frontend differs from the oracle" name)
+    (Lazy.force system_tokens)
+
+(* Name resolution costs the same at any depth: the scope probes of a
+   4,000-deep nest of blocks are at most 5x those of a 1,000-deep one
+   (a chain of scope tables made it 16x). *)
+let nest depth =
+  let b = Buffer.create (depth * 40) in
+  Buffer.add_string b "int g;\nint main() {\n  int x = 0;\n";
+  for _ = 1 to depth do
+    Buffer.add_string b "  if (x < g) { x = x + g;\n"
+  done;
+  for _ = 1 to depth do
+    Buffer.add_string b "  }\n"
+  done;
+  Buffer.add_string b "  return x;\n}\n";
+  Buffer.contents b
+
+let probes_of depth =
+  let ast = parse (nest depth) in
+  let before = Typecheck.scope_probes () in
+  ignore (Typecheck.check_program ast);
+  Typecheck.scope_probes () - before
+
+let test_tc_probes_linear () =
+  let p1 = probes_of 1000 and p4 = probes_of 4000 in
+  if p4 > 5 * p1 then Alcotest.failf "probes: %d at depth 1000, %d at depth 4000" p1 p4
+
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "minic"
@@ -556,7 +694,13 @@ let () =
           Alcotest.test_case "sizeof folded" `Quick test_tc_sizeof_folded;
           Alcotest.test_case "array decay" `Quick test_tc_array_decay;
           Alcotest.test_case "global init flatten" `Quick test_tc_global_init_flatten;
-          Alcotest.test_case "builtin externs" `Quick test_tc_builtin_externs ] );
+          Alcotest.test_case "builtin externs" `Quick test_tc_builtin_externs;
+          Alcotest.test_case "scope probes linear in depth" `Quick test_tc_probes_linear ] );
+      ( "oracle",
+        [ Alcotest.test_case "systems" `Quick test_oracle_systems;
+          qt prop_oracle_mutants;
+          qt prop_oracle_sprog;
+          qt prop_oracle_synth ] );
       ( "layout",
         [ Alcotest.test_case "struct padding" `Quick test_layout_struct_padding;
           Alcotest.test_case "nested array" `Quick test_layout_nested_array;

@@ -499,6 +499,36 @@ let test_absint_span_coverage () =
   let share = Int64.to_float covered /. Int64.to_float absint.Telemetry.s_dur_ns in
   if share < 0.9 then Alcotest.failf "children cover %.1f %% of absint" (100. *. share)
 
+(* The frontend and phase 3 account for themselves the same way: on
+   synth-384 the children of [prepare] and of [phase3] each cover at
+   least 90 % of their parent, and lexing reports its token count. *)
+let children_cover parent_name =
+  let spans = Telemetry.spans () in
+  let parent = List.find (fun s -> s.Telemetry.s_name = parent_name) spans in
+  let children = List.filter (fun s -> s.Telemetry.s_parent = parent.Telemetry.s_id) spans in
+  let covered = List.fold_left (fun acc s -> Int64.add acc s.Telemetry.s_dur_ns) 0L children in
+  let share = Int64.to_float covered /. Int64.to_float parent.Telemetry.s_dur_ns in
+  if share < 0.9 then
+    Alcotest.failf "children of %s (%s) cover %.1f %% of it" parent_name
+      (String.concat ", " (List.map (fun s -> s.Telemetry.s_name) children))
+      (100. *. share)
+
+let test_prepare_span_coverage () =
+  fresh ();
+  ignore (Driver.analyze ~file:"synth384.c" (Synth.of_size ~seed:1 384));
+  children_cover "prepare";
+  let tokens = List.assoc "lex.tokens" (Telemetry.counters ()) in
+  if tokens < 50_000 then Alcotest.failf "lex.tokens = %d on synth-384" tokens
+
+let test_phase3_span_coverage () =
+  fresh ();
+  ignore (Driver.analyze ~file:"synth384.c" (Synth.of_size ~seed:1 384));
+  children_cover "phase3";
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name (Telemetry.counters ())) then Alcotest.failf "no %s counter" name)
+    [ "phase3.cdg_us"; "phase3.callee_us"; "phase3.ctrl_edges_us" ]
+
 (* The cache accounts for itself.  On synth-384 a warm run reads one
    analysis entry and runs no stage: the analyze span has no prepare,
    absint or phase3 child, and nothing is written.  A one-function edit
@@ -702,6 +732,10 @@ let () =
       ( "spans",
         [ Alcotest.test_case "absint children cover its time" `Quick
             (cleanup test_absint_span_coverage);
+          Alcotest.test_case "prepare children cover its time" `Quick
+            (cleanup test_prepare_span_coverage);
+          Alcotest.test_case "phase3 children cover its time" `Quick
+            (cleanup test_phase3_span_coverage);
           Alcotest.test_case "the cache accounts for itself" `Quick
             (cleanup test_cache_accounting) ] );
       ( "events",
