@@ -82,15 +82,20 @@ let table1 () =
   Fmt.pr "   (paper value / measured value)@.@.";
   Fmt.pr "%-16s %-15s %-13s %-14s %-9s %-8s %-10s %-7s@." "System" "LOC(total)"
     "LOC(core)" "SrcChanges" "Annot" "Errors" "Warnings" "FalseP";
-  let analyses =
-    Safeflow.Driver.analyze_files_par
+  let reports =
+    Safeflow.Fleet.analyze_inputs ~jobs:(Domain.recommended_domain_count ())
+      ~render:(fun _ a _ -> a.Safeflow.Driver.report)
       (List.map (fun row -> find ("systems/" ^ row.p_core_file)) paper_rows)
   in
   let mismatches =
     List.concat
       (List.map2
-         (fun row a ->
-           let r = a.Safeflow.Driver.report in
+         (fun row r ->
+           let r =
+             match r with
+             | Ok (r, _) -> r
+             | Error (f : Safeflow.Forkmap.failure) -> failwith f.Safeflow.Forkmap.message
+           in
            let core_loc = List.assoc "loc" r.Safeflow.Report.stats in
            let total_loc =
              List.fold_left
@@ -127,7 +132,7 @@ let table1 () =
                else Some (Fmt.str "%s %s: paper %d, measured %d" row.p_name col paper measured))
              [ ("Annot", row.p_annot, annot); ("Errors", row.p_errors, errors);
                ("Warnings", row.p_warnings, warnings); ("FalseP", row.p_fps, fps) ])
-         paper_rows analyses)
+         paper_rows (Array.to_list reports))
   in
   Fmt.pr "@.Notes: LOC(total) differs because the authors' lab codebases bundle@.";
   Fmt.pr "years of non-core GUI code we do not have; the analyzed core components@.";

@@ -34,20 +34,19 @@ let tool_version = Safeflow.Version.tool
    fails (a missing or unwritable directory, a full disk) the run names
    the path and the reason on stderr and exits 4. *)
 let write_output path write =
-  let fail reason =
-    Fmt.epr "cannot write %s: %s@." path reason;
+  try write path
+  with (Sys_error _ | Unix.Unix_error _) as e ->
+    Fmt.epr "%s@." (Safeflow.Fleet.cannot_write path e);
     exit 4
-  in
-  try write path with
-  | Sys_error msg ->
-    let prefix = path ^ ": " in
-    fail
-      (if String.starts_with ~prefix msg then
-         String.sub msg (String.length prefix) (String.length msg - String.length prefix)
-       else msg)
-  | Unix.Unix_error (e, _, arg) ->
-    let reason = Unix.error_message e in
-    fail (if arg = "" || arg = path then reason else arg ^ ": " ^ reason)
+
+(* Inputs that produced no result, after every other input reported:
+   each one's line on stderr, then exit 4 if the first of them could not
+   write an output, else 3. *)
+let exit_on_failures (failures : Safeflow.Forkmap.failure list) =
+  List.iter (fun (f : Safeflow.Forkmap.failure) -> Fmt.epr "%s@." f.message) failures;
+  match failures with
+  | [] -> ()
+  | f :: _ -> exit (if f.Safeflow.Forkmap.cause = Safeflow.Forkmap.Unwritable then 4 else 3)
 
 let config_of ~control_deps ~context_sensitive ~field_sensitive =
   { Safeflow.Config.default with control_deps; context_sensitive; field_sensitive }
@@ -192,17 +191,15 @@ let analyze_cmd =
           absint;
         }
       in
-      let cache =
-        Option.map (fun dir -> Safeflow.Cache.create ~dir ~verbose ()) cache_dir
-      in
-      (* one row per input: report + fingerprint context (+ coverage,
-         except under the summary engine, which has no pair universe or
-         obligation ledger) *)
+      (* one row per input that produced a result: report + fingerprint
+         context (+ coverage and ledger, except under the summary engine,
+         which has no pair universe or obligation ledger) *)
       if use_summary && emit_certs <> None then begin
         Fmt.epr "--emit-certs is not supported with --summary@.";
         exit 2
       end;
-      let rows, ledgers =
+      let multi = List.length files > 1 in
+      let rows, failures =
         if use_summary then
           ( List.map
               (fun file ->
@@ -212,63 +209,52 @@ let analyze_cmd =
               files,
             [] )
         else begin
-          let analyses =
-            Safeflow.Driver.analyze_files_par ~config ?cache
-              ~force_detail:(emit_certs <> None) files
+          let bundle =
+            Option.map
+              (fun dir file -> if multi then Safeflow.Cert.bundle_dir dir file else dir)
+              emit_certs
           in
-          List.iter2
-            (fun file (a : Safeflow.Driver.analysis) ->
-              if List.length files > 1 then Fmt.pr "== %s ==@." file;
-              Fmt.pr "%a@." Safeflow.Report.pp a.Safeflow.Driver.report)
-            files analyses;
-          (match (vfg, analyses) with
-          | Some path, [ a ] ->
-            write_output path (fun p ->
-                Safeflow.Vfg.write_dot p (Lazy.force a.Safeflow.Driver.detail).Safeflow.Driver.phase3);
-            Fmt.pr "value-flow graph written to %s@." path
-          | Some _, _ -> Fmt.epr "--vfg ignored: more than one input file@."
-          | None, _ -> ());
-          (match emit_certs with
-          | Some dir ->
-            let multi = List.length files > 1 in
-            List.iter2
-              (fun file (a : Safeflow.Driver.analysis) ->
-                let bdir =
-                  if multi then
-                    Filename.concat dir
-                      (Filename.remove_extension (Filename.basename file))
-                  else dir
-                in
-                match
-                  write_output bdir (fun dir ->
-                      Safeflow.Cert.emit_bundle ~config ~label:file ~dir a)
-                with
-                | Ok s ->
-                  Fmt.pr "certificates: %d written to %s%s@."
-                    s.Safeflow.Cert.cs_written bdir
-                    (match s.Safeflow.Cert.cs_skipped with
-                    | [] -> ""
-                    | sk -> Fmt.str " (%d skipped)" (List.length sk))
-                | Error e ->
-                  Fmt.epr "certificate emission failed for %s: %s@." file e;
-                  exit 3)
-              files analyses
-          | None -> ());
-          ( List.map2
-              (fun file (a : Safeflow.Driver.analysis) ->
-                ( file,
-                  a.Safeflow.Driver.report,
-                  a.Safeflow.Driver.fingerprints,
-                  Some a.Safeflow.Driver.coverage ))
-              files analyses,
-            List.map2
-              (fun file (a : Safeflow.Driver.analysis) ->
-                (file, a.Safeflow.Driver.ledger))
-              files analyses )
+          (* each input's bundle and DOT file are written by the worker
+             that analyzes it; its row and certificate counts come back *)
+          let done_, failures =
+            Safeflow.Fleet.analyze_inputs ~config ?cache_dir
+              ~jobs:(Domain.recommended_domain_count ())
+              ?bundle ?vfg:(if multi then None else vfg)
+              ~render:(fun file (a : Safeflow.Driver.analysis) certs ->
+                ( ( file,
+                    a.Safeflow.Driver.report,
+                    a.Safeflow.Driver.fingerprints,
+                    Some (a.Safeflow.Driver.coverage, a.Safeflow.Driver.ledger) ),
+                  certs ))
+              files
+            |> Array.to_list
+            |> List.partition_map (function Ok (r, _) -> Either.Left r | Error f -> Right f)
+          in
+          List.iter
+            (fun ((file, report, _, _), _) ->
+              if multi then Fmt.pr "== %s ==@." file;
+              Fmt.pr "%a@." Safeflow.Report.pp report)
+            done_;
+          (match (vfg, done_) with
+          | Some _, _ when multi -> Fmt.epr "--vfg ignored: more than one input file@."
+          | Some path, [ _ ] -> Fmt.pr "value-flow graph written to %s@." path
+          | _ -> ());
+          List.iter
+            (fun ((file, _, _, _), certs) ->
+              match (certs, bundle) with
+              | Some (c : Safeflow.Fleet.cert_counts), Some bundle ->
+                Fmt.pr "certificates: %d written to %s%s@." c.Safeflow.Fleet.cc_written
+                  (bundle file)
+                  (if c.Safeflow.Fleet.cc_skipped = 0 then ""
+                   else Fmt.str " (%d skipped)" c.Safeflow.Fleet.cc_skipped)
+              | _ -> ())
+            done_;
+          (List.map fst done_, failures)
         end
       in
+      (* a partial baseline would silently drop a failed input's findings *)
       (match sarif with
-      | Some path ->
+      | Some path when failures = [] ->
         write_output path (fun p ->
             Safeflow.Sarif.write ~tool_version p
               (List.map
@@ -276,35 +262,39 @@ let analyze_cmd =
                    { Safeflow.Sarif.i_file = file; i_report = r; i_ctx = ctx })
                  rows));
         Fmt.pr "SARIF written to %s@." path
-      | None -> ());
+      | _ -> ());
       let entries =
         List.concat_map
           (fun (file, r, ctx, _) -> Safeflow.Diffreport.entries_of_report ctx ~file r)
           rows
       in
       (match save_findings with
-      | Some path ->
+      | Some path when failures = [] ->
         write_output path (fun p -> Safeflow.Diffreport.save p entries);
         Fmt.pr "findings written to %s@." path
-      | None -> ());
+      | _ -> ());
       let stats_flag, _, stats_json = tele in
       List.iter
-        (fun (file, _, _, cov) ->
-          match cov with
-          | Some cov ->
-            if stats_flag then Fmt.epr "== %s ==@.%a@." file Safeflow.Coverage.pp cov;
-            if stats_json <> None then
-              Safeflow.Telemetry.set_section ("coverage:" ^ file)
-                (Safeflow.Coverage.to_json cov)
-          | None -> ())
+        (fun (file, _, _, extra) ->
+          Option.iter
+            (fun (cov, _) ->
+              if stats_flag then Fmt.epr "== %s ==@.%a@." file Safeflow.Coverage.pp cov;
+              if stats_json <> None then
+                Safeflow.Telemetry.set_section ("coverage:" ^ file)
+                  (Safeflow.Coverage.to_json cov))
+            extra)
         rows;
       if stats_json <> None then
         List.iter
-          (fun (file, ledger) ->
-            Safeflow.Telemetry.set_section ("ledger:" ^ file)
-              (Safeflow.Ledger.summary_json ledger))
-          ledgers;
+          (fun (file, _, _, extra) ->
+            Option.iter
+              (fun (_, ledger) ->
+                Safeflow.Telemetry.set_section ("ledger:" ^ file)
+                  (Safeflow.Ledger.summary_json ledger))
+              extra)
+          rows;
       telemetry_finish tele;
+      exit_on_failures failures;
       let gated =
         match baseline with
         | Some bl ->
@@ -426,37 +416,12 @@ let check_cert_cmd =
     let failed = ref false in
     List.iter
       (fun file ->
-        let bdir =
-          if multi then
-            Filename.concat bundle (Filename.remove_extension (Filename.basename file))
-          else bundle
-        in
+        let bdir = if multi then Safeflow.Cert.bundle_dir bundle file else bundle in
         try
-          let prep =
-            match source_label with
-            | None -> Safeflow.Driver.prepare_file file
-            | Some label ->
-              Safeflow.Driver.prepare_source ~file:label (Minic.Loc.read_source file)
-          in
-          let ir = prep.Safeflow.Driver.ir in
-          let shm = Safeflow.Driver.stage_shm prep in
-          let regions =
-            List.map
-              (fun (r : Safeflow.Shm.region) ->
-                (r.Safeflow.Shm.r_name, r.Safeflow.Shm.r_size))
-              shm.Safeflow.Shm.regions
-          in
-          let d = Safeflow.Digest_ir.of_program ir in
-          let expect =
-            [
-              ("program", d.Safeflow.Digest_ir.program);
-              ("env", d.Safeflow.Digest_ir.env);
-            ]
-          in
           let o =
-            Checker.validate_bundle ~ir ~regions ~expect
-              ~check_finding:(Safeflow.Cert.check_finding_binding ir)
-              bdir
+            Safeflow.Cert.check_bundle
+              ~label:(Option.value source_label ~default:file)
+              (Minic.Loc.read_source file) bdir
           in
           List.iter
             (fun (f : Checker.failure) ->
@@ -709,6 +674,7 @@ let hotspots_cmd =
       Safeflow.Telemetry.set_enabled true;
       let config = { Safeflow.Config.default with absint } in
       let r = Safeflow.Fleet.run ~config ?cache_dir ~jobs members in
+      exit_on_failures r.Safeflow.Fleet.f_failures;
       let pairs =
         List.map
           (fun (m : Safeflow.Fleet.member_result) ->
@@ -742,12 +708,8 @@ let hotspots_cmd =
                 (float_of_int hv.Safeflow.Telemetry.hv_p99_ns /. 1e3))
           (Safeflow.Telemetry.histograms ())
       end
-    with
-    | Minic.Loc.Error (loc, msg) ->
+    with Minic.Loc.Error (loc, msg) ->
       Fmt.epr "%a: %s@." Minic.Loc.pp loc msg;
-      exit 3
-    | Failure msg ->
-      Fmt.epr "%s@." msg;
       exit 3
   in
   Cmd.v
@@ -986,7 +948,7 @@ let fleet_cmd =
       & info [ "log-json" ] ~docv:"OUT.ndjson"
           ~doc:
             "tee the raw worker event stream (newline-delimited JSON, schema \
-             $(b,safeflow-events/2): fleet/worker/member lifecycle, per-member cache \
+             $(b,safeflow-events/3): fleet/worker/member lifecycle, per-member cache \
              deltas, heartbeats) to $(docv) for post-hoc analysis")
   in
   let verbose =
@@ -1132,6 +1094,7 @@ let fleet_cmd =
           check_certs && f > 0
       in
       telemetry_finish tele;
+      exit_on_failures r.Safeflow.Fleet.f_failures;
       let entries =
         List.concat_map
           (fun (m : Safeflow.Fleet.member_result) -> m.Safeflow.Fleet.mr_entries)
@@ -1155,12 +1118,8 @@ let fleet_cmd =
       in
       let code = Safeflow.Diffreport.gate ~fail_on gated in
       exit (if certs_failed && code = 0 then 1 else code)
-    with
-    | Minic.Loc.Error (loc, msg) ->
+    with Minic.Loc.Error (loc, msg) ->
       Fmt.epr "%a: %s@." Minic.Loc.pp loc msg;
-      exit 3
-    | Failure msg ->
-      Fmt.epr "%s@." msg;
       exit 3
   in
   Cmd.v

@@ -715,6 +715,22 @@ let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
         cs_skipped = skipped;
       })
 
+let bundle_dir root path =
+  Filename.concat root (Filename.remove_extension (Filename.basename path))
+
+(* against a fresh parse, never the pipeline's own structures *)
+let check_bundle ~label src dir =
+  let prep = Driver.prepare_source ~file:label src in
+  let ir = prep.Driver.ir in
+  let regions =
+    List.map (fun (rg : Shm.region) -> (rg.Shm.r_name, rg.Shm.r_size))
+      (Driver.stage_shm prep).Shm.regions
+  in
+  let d = Digest_ir.of_program ir in
+  Checker.validate_bundle ~ir ~regions
+    ~expect:[ ("program", d.Digest_ir.program); ("env", d.Digest_ir.env) ]
+    ~check_finding:(check_finding_binding ir) dir
+
 (* ---- explain --json ------------------------------------------------------ *)
 
 let explain_json ~label (an : Driver.analysis) : J.t =

@@ -55,6 +55,15 @@ val emit_bundle :
     failures only demote to [skipped]).  A directory that cannot be
     written raises [Sys_error] or [Unix.Unix_error]. *)
 
+val bundle_dir : string -> string -> string
+(** [bundle_dir root path] is [root/<basename of path, no extension>]:
+    an input's bundle when one run emits several *)
+
+val check_bundle : label:string -> string -> string -> Checker.outcome
+(** [check_bundle ~label src dir] validates the bundle in [dir] against
+    a fresh parse of [src] under [label] ([safeflow check-cert], and
+    [fleet --check-certs] in the worker) *)
+
 val explain_json : label:string -> Driver.analysis -> Jsonlite.t
 (** the [safeflow explain --json] document: every finding with its
     fingerprint id, dependencies carrying their full witness chain in

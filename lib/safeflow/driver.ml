@@ -383,94 +383,44 @@ let point_latest c ~key =
   if (Cache.find c ~ns:"latest" ~key:latest_key : string option) <> Some key then
     Cache.store ~replace:true c ~ns:"latest" ~key:latest_key key
 
-(* [detail] on demand, as after a cache hit: every stage again under
-   [origin], with the cache's absint pack when there is a cache *)
-let detail_later ~config ?cache ~origin ?file (src : unit -> string) : detail Lazy.t =
-  lazy
-    (Cache.with_origin origin (fun () ->
-         let src = src () in
-         let absint_key =
-           Option.map
-             (fun _ -> Digest_ir.combine [ "absint"; Digest_ir.source_key ?file src ])
-             cache
-         in
-         fst (stages ~config ?cache ?absint_key ?file src)))
-
-(* The "analysis" entry of one input (every info kept) and its detail.
-   Everything here is unsynchronised, so a second domain is refused. *)
-let analyze_entry ~config ?cache ?file (src : string) : entry * detail Lazy.t =
+(* One input's analysis.  Everything here is unsynchronised, so a
+   second domain is refused.  After a cache hit, [detail] reruns every
+   stage on demand under the same origin, with the cache's absint pack. *)
+let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
   if not (Domain.is_main_domain ()) then
     invalid_arg "Driver.analyze: called off the main domain (use forked workers)";
-  Telemetry.span "analyze"
-    ~args:[ ("file", Option.value file ~default:"<input>") ]
-    (fun () ->
-  with_default_origin (Option.value file ~default:"<input>") (fun () ->
-  match cache with
-  | None ->
-    let d, ph2 = stages ~config ?file src in
-    (summarize d ph2, Lazy.from_val d)
-  | Some c -> (
-    let source_key = Digest_ir.source_key ?file src in
-    let absint_key = Digest_ir.combine [ "absint"; source_key ] in
-    let key = Digest_ir.combine [ source_key; Digest_ir.semantic_config config ] in
-    match (Cache.find c ~ns:"analysis" ~key : entry option) with
-    | Some e ->
-      if config.Config.absint then point_latest c ~key:absint_key;
-      (e, detail_later ~config ~cache:c ~origin:(Cache.current_origin ()) ?file (fun () -> src))
+  let (report, coverage, ledger, fingerprints), detail =
+    Telemetry.span "analyze"
+      ~args:[ ("file", Option.value file ~default:"<input>") ]
+      (fun () ->
+    with_default_origin (Option.value file ~default:"<input>") (fun () ->
+    match cache with
     | None ->
-      let d, ph2 = stages ~config ~cache:c ~absint_key ?file src in
-      let e = summarize d ph2 in
-      Cache.store c ~ns:"analysis" ~key e;
-      (e, Lazy.from_val d))))
-
-let of_entry ~config ((report, coverage, ledger, fingerprints) : entry) detail =
+      let d, ph2 = stages ~config ?file src in
+      (summarize d ph2, Lazy.from_val d)
+    | Some c -> (
+      let source_key = Digest_ir.source_key ?file src in
+      let absint_key = Digest_ir.combine [ "absint"; source_key ] in
+      let key = Digest_ir.combine [ source_key; Digest_ir.semantic_config config ] in
+      match (Cache.find c ~ns:"analysis" ~key : entry option) with
+      | Some e ->
+        if config.Config.absint then point_latest c ~key:absint_key;
+        let origin = Cache.current_origin () in
+        ( e,
+          lazy
+            (Cache.with_origin origin (fun () ->
+                 fst (stages ~config ~cache:c ~absint_key ?file src))) )
+      | None ->
+        let d, ph2 = stages ~config ~cache:c ~absint_key ?file src in
+        let e = summarize d ph2 in
+        Cache.store c ~ns:"analysis" ~key e;
+        (e, Lazy.from_val d))))
+  in
   let report = if config.Config.verbose then report else { report with Report.infos = [] } in
   { report; coverage; ledger; fingerprints; detail }
 
-let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
-  let e, detail = analyze_entry ~config ?cache ?file src in
-  of_entry ~config e detail
-
 let analyze_file ?config ?cache path : analysis =
   analyze ?config ?cache ~file:path (Loc.read_source path)
-
-(** Several inputs on forked workers ({!Forkmap}), at most one per
-    hardware thread.  A worker sends back each input's entry, and its
-    forced detail when [force_detail]; a frontend error comes back as
-    data and the first one in input order is raised here. *)
-let analyze_files_par ?(config = Config.default) ?cache ?(force_detail = false)
-    (paths : string list) : analysis list =
-  let n = List.length paths in
-  let workers = min (Domain.recommended_domain_count ()) n in
-  if workers <= 1 then List.map (analyze_file ~config ?cache) paths
-  else begin
-    let files = Array.of_list paths in
-    let results =
-      Forkmap.map ~what:"analyze worker" ~stripes:(Forkmap.stripes ~workers n)
-        (fun ~worker:_ ~emit:_ indices ->
-          Array.map
-            (fun i ->
-              let path = files.(i) in
-              match analyze_entry ~config ?cache ~file:path (Loc.read_source path) with
-              | e, d -> Ok (e, if force_detail then Some (Lazy.force d) else None)
-              | exception Loc.Error (loc, msg) -> Error (loc, msg))
-            indices)
-    in
-    Array.iter (function Error (loc, msg) -> raise (Loc.Error (loc, msg)) | Ok _ -> ()) results;
-    let origin = Cache.current_origin () in
-    List.mapi
-      (fun i path ->
-        match results.(i) with
-        | Ok (e, Some d) -> of_entry ~config e (Lazy.from_val d)
-        | Ok (e, None) ->
-          of_entry ~config e
-            (detail_later ~config ?cache
-               ~origin:(if origin = "" then path else origin)
-               ~file:path
-               (fun () -> Loc.read_source path))
-        | Error _ -> assert false)
-      paths
-  end
 
 (** Summary-engine variant of phase 3 (paper §3.3's ESP-style
     optimization): single bottom-up pass with per-function value-flow

@@ -113,23 +113,9 @@ val analyze : ?config:Config.t -> ?cache:Cache.t -> ?file:string -> string -> an
 
     Raises [Invalid_argument] off the main domain: no analysis state is
     synchronised, and SafeFlow's parallelism is forked processes
-    ({!analyze_files_par}, {!Fleet.run}). *)
+    ({!Fleet.analyze_inputs}). *)
 
 val analyze_file : ?config:Config.t -> ?cache:Cache.t -> string -> analysis
-
-val analyze_files_par :
-  ?config:Config.t -> ?cache:Cache.t -> ?force_detail:bool -> string list -> analysis list
-(** analyze several systems on forked worker processes ({!Forkmap}), at
-    most [Domain.recommended_domain_count ()] of them; a single input (or
-    a single core) stays in this process.  Results are in input order and
-    equal {!analyze_file}'s: each worker sends back the input's cached
-    entry (report with every info, coverage, ledger, fingerprints) and
-    [detail] is built from it as after a cache hit, lazily, unless
-    [~force_detail:true] (for a caller that will force it, such as
-    certificate emission) has the worker ship the forced [detail] too.
-    Each worker uses its own copy of [~cache]; they share its disk tier.
-    A frontend error in any input raises [Minic.Loc.Error] for the first
-    such input in input order, after all workers are done. *)
 
 (** {1 Summary engine (paper §3.3's ESP-style optimization)} *)
 

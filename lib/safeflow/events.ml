@@ -1,5 +1,5 @@
 (* Structured fleet event stream: one JSON object per line
-   (schema "safeflow-events/2"), written by workers onto a dedicated
+   (schema "safeflow-events/3"), written by workers onto a dedicated
    pipe and consumed by the parent for live progress and --log-json.
 
    Lines stay far below PIPE_BUF, so a single Unix.write per line is
@@ -10,8 +10,9 @@
    epoch). *)
 
 (* v2: [fleet_start] no longer carries "shard_domains" (workers are
-   single-threaded processes) *)
-let schema = "safeflow-events/2"
+   single-threaded processes); v3: [member_done] carries a "status",
+   and a member that failed has one too *)
+let schema = "safeflow-events/3"
 
 let esc = Jsonlite.escape
 
@@ -46,12 +47,13 @@ let member_start ~worker ~path =
   base "member_start"
     [ Printf.sprintf "\"worker\":%d" worker; Printf.sprintf "\"path\":\"%s\"" (esc path) ]
 
-let member_done ~worker ~path ~errors ~warnings ~findings ~cache_hits ~cache_misses
+let member_done ~worker ~path ~status ~errors ~warnings ~findings ~cache_hits ~cache_misses
     ?certs ~elapsed_ms () =
   base "member_done"
     ([
        Printf.sprintf "\"worker\":%d" worker;
        Printf.sprintf "\"path\":\"%s\"" (esc path);
+       Printf.sprintf "\"status\":\"%s\"" status;
        Printf.sprintf "\"errors\":%d" errors;
        Printf.sprintf "\"warnings\":%d" warnings;
        Printf.sprintf "\"findings\":%d" findings;

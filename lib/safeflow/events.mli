@@ -1,5 +1,5 @@
 (** Structured fleet event stream: newline-delimited JSON
-    ([safeflow-events/2]).
+    ([safeflow-events/3]).
 
     Fleet workers emit these on a dedicated pipe; the parent tees them
     to [--log-json FILE] and feeds {!Progress}.  Each constructor
@@ -9,7 +9,7 @@
     atomic across concurrently-writing workers. *)
 
 val schema : string
-(** ["safeflow-events/2"]; carried in the [fleet_start] event *)
+(** ["safeflow-events/3"]; carried in the [fleet_start] event *)
 
 val fleet_start : systems:int -> jobs:int -> string
 
@@ -20,6 +20,7 @@ val member_start : worker:int -> path:string -> string
 val member_done :
   worker:int ->
   path:string ->
+  status:string ->
   errors:int ->
   warnings:int ->
   findings:int ->
@@ -29,7 +30,10 @@ val member_done :
   elapsed_ms:float ->
   unit ->
   string
-(** [cache_hits]/[cache_misses] are the delta observed while analyzing
+(** [status] is ["ok"], or for a member that produced no result the
+    {!Forkmap.cause} in lower case (["rejected"], ["unwritable"],
+    ["crashed"]), with zero counts and no [certs].
+    [cache_hits]/[cache_misses] are the delta observed while analyzing
     this member (a worker analyzes its members one at a time, so the
     delta is exact).  [certs], present only under [--emit-certs --check-certs],
     is the member's (passed, failed, skipped) certificate validation

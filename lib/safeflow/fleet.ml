@@ -58,6 +58,7 @@ let map2_totals f a b =
 
 type result = {
   f_results : member_result list;
+  f_failures : Forkmap.failure list;
   f_systems : int;
   f_jobs : int;
   f_elapsed_s : float;
@@ -65,110 +66,88 @@ type result = {
   f_cache : cache_totals;
 }
 
-(* One member: analyze under the normalized source label (so identical
-   members share one source key and their cache entries dedupe
-   fleet-wide) but attribute cache traffic to the member's real path —
-   a later hit from a different member is a cross-system hit. *)
-let analyze_member ?config ?cache ?emit_certs ?(check_certs = false) ~source_label
-    path : member_result =
-  let src = Minic.Loc.read_source path in
-  Cache.with_origin path (fun () ->
-      let a =
-        try Driver.analyze ?config ?cache ~file:source_label src
-        with Minic.Loc.Error (loc, msg) when loc.Minic.Loc.file = source_label ->
-          (* a frontend error names the member, not the normalized label *)
-          raise (Minic.Loc.Error ({ loc with Minic.Loc.file = path }, msg))
-      in
-      let r = a.Driver.report in
-      let ctx = a.Driver.fingerprints in
-      (* per-member certificate bundle under <root>/<basename>; the
-         real path is recorded as the manifest label, but digests bind
-         to the IR as analyzed (under the normalized source label) *)
-      let certs =
-        match emit_certs with
-        | None -> None
-        | Some root ->
-          let bdir =
-            Filename.concat root (Filename.remove_extension (Filename.basename path))
-          in
-          let s =
-            match Cert.emit_bundle ?config ~label:path ~dir:bdir a with
-            | Ok s -> s
-            | Error e -> failwith (path ^ ": certificate emission failed: " ^ e)
-          in
-          if not check_certs then
-            Some
-              {
-                cc_written = s.Cert.cs_written;
-                cc_passed = 0;
-                cc_failed = 0;
-                cc_skipped = List.length s.Cert.cs_skipped;
-              }
-          else begin
-            (* independent re-validation: a fresh parse of the member's
-               source, never the analysis pipeline's own structures *)
-            let prep = Driver.prepare_source ~file:source_label src in
-            let ir = prep.Driver.ir in
-            let shm = Driver.stage_shm prep in
-            let regions =
-              List.map (fun (rg : Shm.region) -> (rg.Shm.r_name, rg.Shm.r_size))
-                shm.Shm.regions
-            in
-            let d = Digest_ir.of_program ir in
-            let o =
-              Checker.validate_bundle ~ir ~regions
-                ~expect:
-                  [ ("program", d.Digest_ir.program); ("env", d.Digest_ir.env) ]
-                ~check_finding:(Cert.check_finding_binding ir) bdir
-            in
-            Telemetry.add c_certs_pass o.Checker.passed;
-            Telemetry.add c_certs_fail (List.length o.Checker.failures);
-            Telemetry.add c_certs_skipped o.Checker.skipped;
-            Some
-              {
-                cc_written = s.Cert.cs_written;
-                cc_passed = o.Checker.passed;
-                cc_failed = List.length o.Checker.failures;
-                cc_skipped = o.Checker.skipped;
-              }
-          end
-      in
-      (* finding locations come out under the normalized label; baselines
-         and gating should attribute them to the real member *)
-      let relabel (e : Diffreport.entry) =
-        let ll = String.length source_label in
-        if
-          String.length e.Diffreport.e_where >= ll
-          && String.equal (String.sub e.Diffreport.e_where 0 ll) source_label
-        then
-          {
-            e with
-            Diffreport.e_where =
-              path ^ String.sub e.Diffreport.e_where ll (String.length e.Diffreport.e_where - ll);
-          }
-        else e
-      in
-      {
-        mr_path = path;
-        mr_report = Fmt.str "%a" Report.pp r;
-        mr_entries =
-          List.map relabel (Diffreport.entries_of_report ctx ~file:path r);
-        mr_errors = List.length (Report.errors r);
-        mr_warnings = List.length r.Report.warnings;
-        (* pure data, so it marshals over the worker result channel
-           unchanged — the fleet parent gets every member's audit trail *)
-        mr_ledger = a.Driver.ledger;
-        mr_certs = certs;
-      })
+(* a write that fails, or a bundle the emitter rejects: the input's
+   failure record, raised out of the steps after its analysis *)
+exception Failed of Forkmap.cause * string
 
-(* One shard's member analyzer: a cache instance opened on the shared
-   directory, and per member its result and the cache traffic it caused.
-   [emit], when present, receives one Events line per lifecycle point;
-   event emission is skipped entirely (not just dropped) when absent.
-   [worker] is the shard index, used as the event tag. *)
-let shard_analyzer ?config ?cache_dir ?emit_certs ?check_certs ~source_label ~worker
-    ~(emit : (string -> unit) option) ~total (paths : string array) :
-    int -> member_result * cache_totals =
+let cannot_write path e =
+  let reason =
+    match e with
+    | Sys_error msg ->
+      let prefix = path ^ ": " in
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    | Unix.Unix_error (e, _, arg) ->
+      let reason = Unix.error_message e in
+      if arg = "" || arg = path then reason else arg ^ ": " ^ reason
+    | e -> Printexc.to_string e
+  in
+  Printf.sprintf "cannot write %s: %s" path reason
+
+let writing path f =
+  try f path
+  with (Sys_error _ | Unix.Unix_error _) as e -> raise (Failed (Unwritable, cannot_write path e))
+
+(* The bundle of one analysed input, revalidated when [check_certs]
+   against a fresh read and parse of its source.  The real path is
+   recorded as the manifest label, but digests bind to the IR as
+   analyzed (under [label]). *)
+let certify ?config ~check_certs ~label ~dir path a =
+  let s =
+    match writing dir (fun dir -> Cert.emit_bundle ?config ~label:path ~dir a) with
+    | Ok s -> s
+    | Error e ->
+      raise (Failed (Crashed, Printf.sprintf "certificate emission failed for %s: %s" path e))
+  in
+  let counts passed failed skipped =
+    { cc_written = s.Cert.cs_written; cc_passed = passed; cc_failed = failed; cc_skipped = skipped }
+  in
+  if not check_certs then counts 0 0 (List.length s.Cert.cs_skipped)
+  else begin
+    let o = Cert.check_bundle ~label (Minic.Loc.read_source path) dir in
+    let failed = List.length o.Checker.failures in
+    Telemetry.add c_certs_pass o.Checker.passed;
+    Telemetry.add c_certs_fail failed;
+    Telemetry.add c_certs_skipped o.Checker.skipped;
+    counts o.Checker.passed failed o.Checker.skipped
+  end
+
+(* A fleet member as it crosses the pipe.  Finding locations come out
+   under the normalized label; baselines and gating attribute them to
+   the real member. *)
+let render_member ~source_label path (a : Driver.analysis) certs =
+  let r = a.Driver.report in
+  let relabel (e : Diffreport.entry) =
+    let w = e.Diffreport.e_where in
+    if String.starts_with ~prefix:source_label w then
+      {
+        e with
+        Diffreport.e_where =
+          (let l = String.length source_label in
+           path ^ String.sub w l (String.length w - l));
+      }
+    else e
+  in
+  {
+    mr_path = path;
+    mr_report = Fmt.str "%a" Report.pp r;
+    mr_entries = List.map relabel (Diffreport.entries_of_report a.Driver.fingerprints ~file:path r);
+    mr_errors = List.length (Report.errors r);
+    mr_warnings = List.length r.Report.warnings;
+    mr_ledger = a.Driver.ledger;
+    mr_certs = certs;
+  }
+
+(* One stripe, in the process that runs it: a cache instance opened on
+   the shared directory, then each input through the one per-input
+   function, with the cache traffic it caused, plus the stripe's error
+   and warning totals.  [emit], when present, receives one Events line
+   per lifecycle point; event emission is skipped entirely (not just
+   dropped) when absent.  [worker] is the shard index, used as the event
+   tag. *)
+let analyze_stripe ?config ?cache_dir ?bundle ?(check_certs = false) ?vfg ~label ~render
+    ~worker ~(emit : (string -> unit) option) (paths : string array) (indices : int array) =
   let verbose = match config with Some c -> c.Config.verbose | None -> false in
   let on_recovery =
     Option.map
@@ -179,24 +158,70 @@ let shard_analyzer ?config ?cache_dir ?emit_certs ?check_certs ~source_label ~wo
     Option.map (fun dir -> Cache.create ~dir ~verbose ?on_recovery ()) cache_dir
   in
   let totals () = match cache with Some c -> cache_totals_of c | None -> no_cache_totals in
+  (* read, analyze under [label] with the input's path as the cache
+     origin, write the DOT file and the bundle, render *)
+  let analyze path =
+    let fail cause message = Error { Forkmap.input = path; cause; message } in
+    let label = label path in
+    match
+      Cache.with_origin path (fun () ->
+          (* read here, not held: a source live through the analysis
+             raises its peak heap by its own size *)
+          let a = Driver.analyze ?config ?cache ~file:label (Minic.Loc.read_source path) in
+          Option.iter
+            (fun p ->
+              writing p (fun p -> Vfg.write_dot p (Lazy.force a.Driver.detail).Driver.phase3))
+            vfg;
+          let certs =
+            Option.map
+              (fun dir -> certify ?config ~check_certs ~label ~dir:(dir path) path a)
+              bundle
+          in
+          (a.Driver.report, certs, render path a certs))
+    with
+    | r -> Ok r
+    | exception Minic.Loc.Error (loc, msg) ->
+      (* a frontend error names the input, not a normalized label *)
+      let loc = if loc.Minic.Loc.file = label then { loc with Minic.Loc.file = path } else loc in
+      fail Rejected (Fmt.str "%a: %s" Minic.Loc.pp loc msg)
+    | exception Failed (cause, message) -> fail cause message
+    | exception e -> fail Crashed (Printf.sprintf "%s: %s" path (Printexc.to_string e))
+  in
+  let total = Array.length indices in
   Telemetry.add c_fleet_members total;
-  let done_count = ref 0 in
-  (* heartbeat after the first member to finish a quiet second later *)
+  let errors = ref 0 and warnings = ref 0 and done_count = ref 0 in
+  (* heartbeat after the first input to finish a quiet second later *)
   let last_beat = ref (Telemetry.now_ns ()) in
-  fun i ->
+  let step i =
     let path = paths.(i) in
     let before = totals () in
     Option.iter (fun e -> e (Events.member_start ~worker ~path)) emit;
     let t0 = Unix.gettimeofday () in
-    let r = analyze_member ?config ?cache ?emit_certs ?check_certs ~source_label path in
+    let r = analyze path in
     let delta = map2_totals ( - ) (totals ()) before in
+    let len = List.length in
+    let status, e, w, findings, certs =
+      match r with
+      | Ok (rep, certs, _) ->
+        let w = len rep.Report.warnings in
+        ( "ok", len (Report.errors rep), w,
+          len rep.Report.violations + w + len rep.Report.dependencies + len rep.Report.infos,
+          certs )
+      | Error { Forkmap.cause; _ } ->
+        ( (match cause with
+          | Rejected -> "rejected"
+          | Unwritable -> "unwritable"
+          | Crashed -> "crashed"),
+          0, 0, 0, None )
+    in
+    errors := !errors + e;
+    warnings := !warnings + w;
     Option.iter
       (fun emit ->
         emit
-          (Events.member_done ~worker ~path ~errors:r.mr_errors ~warnings:r.mr_warnings
-             ~findings:(List.length r.mr_entries) ~cache_hits:delta.ct_hits
-             ~cache_misses:delta.ct_misses
-             ?certs:(Option.map (fun c -> (c.cc_passed, c.cc_failed, c.cc_skipped)) r.mr_certs)
+          (Events.member_done ~worker ~path ~status ~errors:e ~warnings:w ~findings
+             ~cache_hits:delta.ct_hits ~cache_misses:delta.ct_misses
+             ?certs:(Option.map (fun c -> (c.cc_passed, c.cc_failed, c.cc_skipped)) certs)
              ~elapsed_ms:((Unix.gettimeofday () -. t0) *. 1000.0)
              ());
         incr done_count;
@@ -206,82 +231,55 @@ let shard_analyzer ?config ?cache_dir ?emit_certs ?check_certs ~source_label ~wo
           emit (Events.heartbeat ~worker ~done_:!done_count ~total)
         end)
       emit;
-    (r, delta)
+    Result.map (fun (_, _, r) -> (r, delta)) r
+  in
+  let results = Array.map step indices in
+  (results, !errors, !warnings)
 
-(* Members with the same source are analyzed under the same label, so
-   they share every cache key: grouping them by content on one worker
-   makes the first one store the entries and the others hit them, in
-   every run.  Spread over two workers, both could miss and store. *)
+(* Inputs with the same source analyzed under one label share every
+   cache key: grouping them by content on one worker makes the first one
+   store the entries and the others hit them, in every run.  Spread over
+   two workers, both could miss and store. *)
 let content_key paths i =
   try Digest.file paths.(i) with Sys_error _ -> "path:" ^ paths.(i)
 
-(* Fork-based sharding over {!Forkmap}: each worker opens its own cache
-   instance on the shared directory (the disk tier is the shared medium;
-   see Cache for the write/validate protocol) and analyzes its stripe.
-   A member that raises comes back as its message, and the first one in
-   input order fails the run. *)
-let run_forked ?config ?cache_dir ?emit_certs ?check_certs ~jobs ~source_label ~on_event
-    (paths : string array) : (member_result * cache_totals) array =
-  let stripes = Forkmap.stripes ~key:(content_key paths) ~workers:jobs (Array.length paths) in
-  let results =
-    Forkmap.map ?on_event ~what:"fleet shard" ~stripes (fun ~worker ~emit indices ->
+let analyze_inputs ?config ?cache_dir ?(jobs = 1) ?source_label ?on_event ?bundle
+    ?check_certs ?vfg ~render (paths : string list) =
+  let paths = Array.of_list paths in
+  let n = Array.length paths in
+  let label path = Option.value source_label ~default:path in
+  let stripe = analyze_stripe ?config ?cache_dir ?bundle ?check_certs ?vfg ~label ~render in
+  let workers = min jobs n in
+  if workers <= 1 then
+    (* one process: every single-input run, and the mode tests use for
+       single-process cache statistics *)
+    let results, _, _ = stripe ~worker:0 ~emit:on_event paths (Array.init n Fun.id) in
+    results
+  else
+    let key = Option.map (fun _ -> content_key paths) source_label in
+    Forkmap.map ?on_event
+      ~stripes:(Forkmap.stripes ?key ~workers n)
+      ~name:(Array.get paths)
+      (fun ~worker ~emit indices ->
         Logctx.set (Printf.sprintf "[worker %d] " worker);
         let members = Array.length indices in
         Option.iter (fun e -> e (Events.worker_start ~worker ~pid:(Unix.getpid ()) ~members)) emit;
-        let analyze =
-          shard_analyzer ?config ?cache_dir ?emit_certs ?check_certs ~source_label ~worker ~emit
-            ~total:members paths
-        in
-        let results =
-          Array.map
-            (fun i ->
-              try Ok (analyze i)
-              with e ->
-                Error
-                  (match e with
-                  | Minic.Loc.Error (loc, msg) -> Fmt.str "%a: %s" Minic.Loc.pp loc msg
-                  | e -> Printexc.to_string e))
-            indices
-        in
-        Option.iter
-          (fun e ->
-            let errors, warnings =
-              Array.fold_left
-                (fun (es, ws) -> function
-                  | Ok (r, _) -> (es + r.mr_errors, ws + r.mr_warnings)
-                  | Error _ -> (es, ws))
-                (0, 0) results
-            in
-            e (Events.worker_done ~worker ~members ~errors ~warnings))
-          emit;
+        let results, errors, warnings = stripe ~worker ~emit paths indices in
+        Option.iter (fun e -> e (Events.worker_done ~worker ~members ~errors ~warnings)) emit;
         results)
-  in
-  Array.mapi
-    (fun i -> function
-      | Ok r -> r
-      | Error msg ->
-        let j = ref 0 in
-        Array.iteri (fun k s -> if Array.mem i s then j := k) stripes;
-        failwith (Printf.sprintf "fleet shard %d/%d: %s" !j jobs msg))
-    results
 
 let run ?config ?cache_dir ?(jobs = 1) ?(source_label = "<system>") ?on_event ?emit_certs
     ?check_certs (paths : string list) : result =
   Telemetry.span "fleet.run" @@ fun () ->
   let n = List.length paths in
-  let arr = Array.of_list paths in
   let jobs = max 1 (min jobs (max 1 n)) in
   let emit_parent line = match on_event with Some sink -> sink line | None -> () in
   emit_parent (Events.fleet_start ~systems:n ~jobs);
   let t0 = Unix.gettimeofday () in
   let analyzed =
-    (* a sequential run stays in this process: the mode tests use for
-       single-process cache statistics *)
-    if jobs <= 1 then
-      Array.init n
-        (shard_analyzer ?config ?cache_dir ?emit_certs ?check_certs ~source_label ~worker:0
-           ~emit:on_event ~total:n arr)
-    else run_forked ?config ?cache_dir ?emit_certs ?check_certs ~jobs ~source_label ~on_event arr
+    analyze_inputs ?config ?cache_dir ~jobs ~source_label ?on_event
+      ?bundle:(Option.map Cert.bundle_dir emit_certs)
+      ?check_certs ~render:(render_member ~source_label) paths
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   let aps = if elapsed > 0.0 then float_of_int n /. elapsed else 0.0 in
@@ -289,13 +287,18 @@ let run ?config ?cache_dir ?(jobs = 1) ?(source_label = "<system>") ?on_event ?e
   Telemetry.add c_fleet_shards jobs;
   Telemetry.record_float_max "fleet.analyses_per_sec" aps;
   emit_parent (Events.fleet_done ~systems:n ~elapsed_s:elapsed ~analyses_per_sec:aps);
+  let ok, failures =
+    Array.to_list analyzed
+    |> List.partition_map (function Ok r -> Either.Left r | Error f -> Right f)
+  in
   {
-    f_results = Array.to_list (Array.map fst analyzed);
+    f_results = List.map fst ok;
+    f_failures = failures;
     f_systems = n;
     f_jobs = jobs;
     f_elapsed_s = elapsed;
     f_analyses_per_sec = aps;
-    f_cache = Array.fold_left (fun acc (_, t) -> map2_totals ( + ) acc t) no_cache_totals analyzed;
+    f_cache = List.fold_left (fun acc (_, t) -> map2_totals ( + ) acc t) no_cache_totals ok;
   }
 
 (* -- input collection --------------------------------------------------------- *)

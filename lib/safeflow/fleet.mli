@@ -1,18 +1,24 @@
 (** Fleet mode: analyze many subject systems — a directory or manifest of
     independently-built core components — sharded across forked worker
     processes ([jobs]), all sharing one content-addressed disk cache.
+    Its runner, {!analyze_inputs}, also runs [safeflow analyze]'s
+    inputs.
 
     {2 Sharding model}
 
-    Members with identical sources form one group (they share every
-    cache key), and the groups go round-robin over [jobs] stripes in
-    first-appearance order ({!Forkmap.stripes}), so the first member of
-    a group stores its entries and its duplicates hit them on the same
-    worker.  Each stripe is one forked worker process ({!Forkmap.map})
-    that analyzes its members one after another and marshals their
-    results back to the parent.  A sequential run ([jobs = 1]) stays
-    in-process — the mode used by tests that need deterministic
-    single-process cache statistics.
+    Each input goes through one per-input function, in the worker that
+    analyses it: read, {!Driver.analyze} with the input's path as the
+    {!Cache.with_origin} origin, write the certificate bundle and DOT
+    file, and the caller's [render], whose pure-data result is all that
+    crosses the pipe.  An input that yields no result, or whose worker
+    dies, is a {!Forkmap.failure}; the others still come back.  Under
+    one normalized label, members with identical sources form one group
+    (they share every cache key), and the groups go round-robin over
+    [jobs] stripes in first-appearance order ({!Forkmap.stripes}), so a
+    group's first member stores its entries and its duplicates hit them
+    on the same worker.  A sequential run ([jobs = 1]) stays in-process —
+    the mode used by tests that need deterministic single-process cache
+    statistics.
 
     {2 Shared cache and cross-system dedupe}
 
@@ -86,13 +92,35 @@ type cache_totals = {
 }
 
 type result = {
-  f_results : member_result list;  (** in input order *)
+  f_results : member_result list;  (** the members that succeeded, in input order *)
+  f_failures : Forkmap.failure list;
+      (** the members that produced no result, in input order *)
   f_systems : int;
   f_jobs : int;  (** worker processes; 1 for an in-process run *)
   f_elapsed_s : float;
   f_analyses_per_sec : float;
   f_cache : cache_totals;  (** summed over all shards and namespaces *)
 }
+
+val analyze_inputs :
+  ?config:Config.t ->
+  ?cache_dir:string ->
+  ?jobs:int ->
+  ?source_label:string ->
+  ?on_event:(string -> unit) ->
+  ?bundle:(string -> string) ->
+  ?check_certs:bool ->
+  ?vfg:string ->
+  render:(string -> Driver.analysis -> cert_counts option -> 'r) ->
+  string list ->
+  ('r * cache_totals, Forkmap.failure) Stdlib.result array
+(** [analyze_inputs ~render paths], in input order, each result with
+    the cache traffic its input caused, on [min jobs n] workers (default
+    1: in this process).  Each input is analyzed under [source_label]
+    (grouped by content) or else under its own path; each worker opens
+    its own cache on [cache_dir]; input [p]'s bundle goes to [bundle p]
+    ([check_certs] revalidates it) and its DOT file to [vfg] (give it
+    with one input).  [render p a certs] runs in the worker. *)
 
 val run :
   ?config:Config.t ->
@@ -104,25 +132,26 @@ val run :
   ?check_certs:bool ->
   string list ->
   result
-(** [run paths] analyzes every member and aggregates.  A member whose
-    analysis raises fails the whole run: in-process with the original
-    exception, forked with [Failure] carrying its message prefixed by its
-    shard (the first such member in input order).  Cache totals are meaningful only with
-    [~cache_dir]; without it every member is analyzed cold.
-    [on_event] receives each {!Events} line (no trailing newline) on
-    the parent, in arrival order; it is called from the parent's single
-    thread, never concurrently.
+(** [run paths] analyzes every member through {!analyze_inputs} under
+    [source_label] and aggregates; a member that produced no result is
+    in [f_failures] and the others still report.  Cache totals are
+    meaningful only with [~cache_dir]; without it every member is
+    analyzed cold.  [on_event] receives each {!Events} line (no trailing
+    newline) on the parent, in arrival order; it is called from the
+    parent's single thread, never concurrently.
 
     [~emit_certs:ROOT] writes each member's certificate bundle
-    ({!Cert.emit_bundle}) to [ROOT/<basename-without-extension>]; an
-    emission error fails that member.  [~check_certs:true] additionally
-    revalidates every bundle in the worker with {!Checker.validate_bundle}
-    against a {e fresh} parse of the member (the
-    [fleet.certs_pass]/[_fail]/[_skipped] telemetry counters and the
-    [member_done] event's cert fields record the outcome).  Note the
-    bundle's digests bind to the IR as analyzed under [source_label];
-    standalone [safeflow check-cert] on a fleet bundle therefore needs
-    [--source-label] with the same label. *)
+    ({!Cert.emit_bundle}) to [Cert.bundle_dir ROOT path].
+    [~check_certs:true] additionally revalidates every bundle in the
+    worker with {!Cert.check_bundle} against a {e fresh} parse of
+    the member (the [fleet.certs_pass]/[_fail]/[_skipped] telemetry
+    counters and the [member_done] event's cert fields record the
+    outcome).  Note the bundle's digests bind to the IR as analyzed under
+    [source_label]; standalone [safeflow check-cert] on a fleet bundle
+    therefore needs [--source-label] with the same label. *)
+
+val cannot_write : string -> exn -> string
+(** ["cannot write PATH: REASON"] for what a write of [PATH] raised *)
 
 val members_of_dir : string -> string list
 (** the [.c] files of a directory, sorted by name *)

@@ -33,12 +33,20 @@ let mkdtemp prefix =
   in
   go 0
 
+type cause = Rejected | Unwritable | Crashed
+
+type failure = { input : string; cause : cause; message : string }
+
 (* what a worker marshals back: its per-item results and, when telemetry
    is on, its snapshot; or why it could not finish its stripe *)
-type ('b, 'e) payload =
-  (('b, 'e) result array * Telemetry.snapshot option, string) Stdlib.result
+type 'b payload =
+  (('b, failure) result array * Telemetry.snapshot option, string) Stdlib.result
 
-let map ?on_event ~what ~stripes f =
+let signal_name s =
+  Sys.[ (sigkill, "KILL"); (sigsegv, "SEGV"); (sigabrt, "ABRT"); (sigterm, "TERM") ]
+  |> List.assoc_opt s |> Option.value ~default:(string_of_int s)
+
+let map ?on_event ~stripes ~name f =
   let jobs = Array.length stripes in
   let tmpdir = mkdtemp "safeflow-workers" in
   let result_file j = Filename.concat tmpdir (Printf.sprintf "worker-%d.bin" j) in
@@ -91,27 +99,36 @@ let map ?on_event ~what ~stripes f =
      with End_of_file | Sys_error _ -> ());
     close_in_noerr ic
   | _ -> ());
-  (* reap every worker before acting on any failure: no zombies *)
+  (* reap every worker before reading any result: no zombies *)
   let statuses = List.map (fun pid -> snd (Unix.waitpid [] pid)) pids in
+  (* a worker that did not finish its stripe turns each of its items
+     into a failure record *)
   let read j status =
-    let fail fmt =
-      Fmt.kstr (fun msg -> failwith (Printf.sprintf "%s %d/%d: %s" what j jobs msg)) fmt
+    let lost reason =
+      ( Array.map
+          (fun i ->
+            let input = name i in
+            Error
+              { input; cause = Crashed;
+                message = Printf.sprintf "%s: worker %d %s" input j reason })
+          stripes.(j),
+        None )
     in
-    (match status with
-    | Unix.WEXITED (0 | 1) -> ()
-    | Unix.WEXITED c -> fail "worker exited with code %d" c
-    | Unix.WSIGNALED s -> fail "worker killed by signal %d" s
-    | Unix.WSTOPPED s -> fail "worker stopped by signal %d" s);
-    match open_in_bin (result_file j) with
-    | exception Sys_error _ -> fail "worker produced no result file"
-    | ic -> (
+    match status with
+    | Unix.WEXITED c when c <> 0 && c <> 1 -> lost (Printf.sprintf "exited with code %d" c)
+    | Unix.WSIGNALED s -> lost ("killed by signal " ^ signal_name s)
+    | Unix.WSTOPPED s -> lost ("stopped by signal " ^ signal_name s)
+    | Unix.WEXITED _ -> (
       match
+        let ic = open_in_bin (result_file j) in
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> (Marshal.from_channel ic : _ payload))
       with
       | Ok r -> r
-      | Error msg -> fail "%s" msg)
+      | Error msg -> lost ("failed: " ^ msg)
+      | exception (Sys_error _ | End_of_file | Failure _) ->
+        lost "left no readable result file")
   in
   let shards =
     Fun.protect
@@ -138,4 +155,4 @@ let map ?on_event ~what ~stripes f =
   List.iteri
     (fun j (results, _) -> Array.iteri (fun k i -> by_item.(i) <- Some results.(k)) stripes.(j))
     shards;
-  Array.map (function Some r -> r | None -> failwith (what ^ ": missing result")) by_item
+  Array.map Option.get by_item

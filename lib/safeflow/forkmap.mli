@@ -4,8 +4,9 @@
     gathers the per-item results in the parent.  A worker shares nothing
     with its parent after the fork, so analysis state, telemetry and
     cache handles need no synchronisation, and a fault stays inside the
-    process that hit it.  Fleet mode ({!Fleet.run}) and multi-file
-    analysis ({!Driver.analyze_files_par}) both go through it.
+    process that hit it.  Its one caller is {!Fleet.analyze_inputs}, the
+    runner that [analyze] (one input or several), [fleet] and [hotspots]
+    all use.
 
     {2 Protocol}
 
@@ -32,21 +33,35 @@ val stripes : ?key:(int -> string) -> workers:int -> int -> int array array
     always land on one worker.  Every stripe lists its items in
     increasing order; a stripe may be empty. *)
 
+type cause =
+  | Rejected  (** the frontend rejected the input, or it could not be read *)
+  | Unwritable  (** an output file for the input could not be written *)
+  | Crashed  (** its analysis raised, or its worker died *)
+
+type failure = {
+  input : string;  (** the input's path *)
+  cause : cause;
+  message : string;  (** the whole line a run prints for it on stderr *)
+}
+(** an input that produced no result: what [analyze] and [fleet] print
+    and exit on (4 for [Unwritable], 3 otherwise) *)
+
 val map :
   ?on_event:(string -> unit) ->
-  what:string ->
   stripes:int array array ->
-  (worker:int -> emit:(string -> unit) option -> int array -> ('b, 'e) result array) ->
-  ('b, 'e) result array
-(** [map ~what ~stripes f] forks one worker per stripe; worker [j] runs
+  name:(int -> string) ->
+  (worker:int -> emit:(string -> unit) option -> int array -> ('b, failure) result array) ->
+  ('b, failure) result array
+(** [map ~stripes ~name f] forks one worker per stripe; worker [j] runs
     [f ~worker:j ~emit stripes.(j)], which returns one result per item of
     its stripe, in stripe order.  The results come back indexed by item.
-    ['b] and ['e] must be pure data (no closures): they cross the
-    process boundary through [Marshal].
+    ['b] must be pure data (no closures): it crosses the process
+    boundary through [Marshal].
 
     [emit] is [Some] exactly when [on_event] is given; the parent calls
     [on_event] on each line, in arrival order, from its single thread.
 
-    A worker that exits abnormally, leaves no result file, or whose [f]
-    raises fails the whole map with [Failure "WHAT j/N: reason"], after
-    every worker has been reaped. *)
+    A worker that is killed, exits abnormally, leaves no readable result
+    file, or whose [f] raises, turns every item [i] of its stripe into a
+    [Crashed] failure for input [name i] (["PATH: worker 1 killed by
+    signal KILL"]); the other stripes' results still come back. *)

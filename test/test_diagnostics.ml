@@ -38,19 +38,21 @@ let slist = Alcotest.(list string)
 
 (* -- fingerprint invariance ---------------------------------------------------- *)
 
-(* [name] analyzed alongside the other systems on the multi-system
-   driver's domains must keep the fingerprints of a lone sequential run *)
+(* [name] analyzed alongside the other systems on forked workers must
+   keep the fingerprints of a lone sequential run *)
 let test_parallelism_invariance name () =
   let path = find_system name in
   let par =
     List.combine system_files
-      (Driver.analyze_files_par (List.map find_system system_files))
+      (Array.to_list
+         (Fleet.analyze_inputs ~jobs:2
+            ~render:(fun _ a _ -> (a.Driver.report, a.Driver.fingerprints))
+            (List.map find_system system_files)))
   in
-  let a = List.assoc name par in
-  let ctx = a.Driver.fingerprints in
+  let report, ctx = fst (Result.get_ok (List.assoc name par)) in
   Alcotest.check slist "sequential = parallel"
     (sorted_fps (read_file path))
-    (List.sort compare (List.map fst (Fingerprint.of_report ctx a.Driver.report)))
+    (List.sort compare (List.map fst (Fingerprint.of_report ctx report)))
 
 (* cache entries live under a generation subdirectory of the root *)
 let rec rm_rf dir =

@@ -164,11 +164,15 @@ let test_telemetry_invariance () =
     && List.assoc "vf.worklist_pops" counters > 0)
 
 let test_parallel_driver () =
-  (* analyze_files_par must agree with sequential analyze_file, in order *)
+  (* Fleet.analyze_inputs on forked workers must agree with sequential
+     analyze_file, in order *)
   let files = List.map find_system [ "ip_controller.c"; "generic_simplex.c"; "car_follow.c" ] in
   let seq = List.map (fun f -> (Driver.analyze_file f).Driver.report) files in
-  let par = List.map (fun (a : Driver.analysis) -> a.Driver.report)
-      (Driver.analyze_files_par files) in
+  let par =
+    List.map
+      (fun r -> fst (Result.get_ok r))
+      (Array.to_list (Fleet.analyze_inputs ~jobs:2 ~render:(fun _ a _ -> a.Driver.report) files))
+  in
   List.iteri
     (fun i (rs, rp) ->
       let label = Fmt.str "par[%d]" i in

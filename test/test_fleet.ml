@@ -10,6 +10,8 @@
      no miss and no corrupt entry on the warm run;
    - identical members go to one worker, so a cold run stores each
      distinct source once;
+   - failure records: a killed worker fails only the items of its
+     stripe, and a member the frontend rejects does not sink the run;
    - the single-domain contract: a second domain is refused.
 
    Ordering matters: the OCaml 5 runtime forbids Unix.fork in any
@@ -378,6 +380,66 @@ let test_fleet_duplicates () =
   rm_rf cache_dir;
   rm_rf src_dir
 
+(* -- failure records ---------------------------------------------------------- *)
+
+(* A worker that dies takes only its own stripe with it: each of its
+   items becomes a failure record, and the other stripe's results come
+   back. *)
+let test_killed_worker () =
+  let items = [| "a.c"; "b.c"; "c.c"; "d.c" |] in
+  let stripes = Forkmap.stripes ~workers:2 (Array.length items) in
+  let results =
+    Forkmap.map ~stripes ~name:(Array.get items) (fun ~worker ~emit:_ indices ->
+        if worker = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        Array.map (fun i -> Ok (String.uppercase_ascii items.(i))) indices)
+  in
+  Array.iter
+    (fun i ->
+      Alcotest.(check (result string reject)) ("stripe 0 item " ^ items.(i))
+        (Ok (String.uppercase_ascii items.(i))) (Result.map_error ignore results.(i)))
+    stripes.(0);
+  Array.iter
+    (fun i ->
+      match results.(i) with
+      | Ok _ -> Alcotest.failf "item %s of the killed stripe came back" items.(i)
+      | Error (f : Forkmap.failure) ->
+        Alcotest.(check string) "input" items.(i) f.Forkmap.input;
+        Alcotest.(check bool) "crashed" true (f.Forkmap.cause = Forkmap.Crashed);
+        Alcotest.(check string) "message" (items.(i) ^ ": worker 1 killed by signal KILL")
+          f.Forkmap.message)
+    stripes.(1)
+
+(* A member the frontend rejects is a failure record naming its path;
+   the other members still report, in process and on forked workers. *)
+let test_bad_member () =
+  let dir = mkdtemp "sf-fleet-bad" in
+  let write name src =
+    let path = Filename.concat dir name in
+    let oc = open_out_bin path in
+    output_string oc src;
+    close_out oc;
+    path
+  in
+  let good = write "good.c" "int main() { return 0; }\n"
+  and bad = write "bad.c" "int main() { return 0 }\n" in
+  let lone = (Fleet.run [ good ]).Fleet.f_results in
+  List.iter
+    (fun jobs ->
+      let r = Fleet.run ~jobs [ bad; good ] in
+      let label = Printf.sprintf "jobs %d: " jobs in
+      Alcotest.(check (list string)) (label ^ "the good member reports as alone")
+        (List.map (fun m -> m.Fleet.mr_report) lone)
+        (List.map (fun m -> m.Fleet.mr_report) r.Fleet.f_results);
+      match r.Fleet.f_failures with
+      | [ f ] ->
+        Alcotest.(check string) (label ^ "input") bad f.Forkmap.input;
+        Alcotest.(check bool) (label ^ "rejected") true (f.Forkmap.cause = Forkmap.Rejected);
+        Alcotest.(check bool) (label ^ "message names the path") true
+          (String.starts_with ~prefix:(bad ^ ":") f.Forkmap.message)
+      | fs -> Alcotest.failf "%sexpected one failure, got %d" label (List.length fs))
+    [ 1; 2 ];
+  rm_rf dir
+
 (* -- a second domain (must stay last: spawning a domain forbids fork) --------- *)
 
 (* Caches and analyses are unsynchronised, so SafeFlow refuses to run
@@ -410,6 +472,11 @@ let () =
             `Quick test_fleet_observability;
           Alcotest.test_case "duplicates analyzed once on one worker" `Quick
             test_fleet_duplicates ] );
+      ( "failures",
+        [ Alcotest.test_case "a killed worker fails only its stripe" `Quick
+            test_killed_worker;
+          Alcotest.test_case "a rejected member does not sink the run" `Quick
+            test_bad_member ] );
       ( "multidomain",
         [ Alcotest.test_case "a second domain is refused" `Quick test_second_domain_refused ] )
     ]

@@ -4,8 +4,8 @@
    function universe and the value-flow-graph export a cache hit's
    forced detail yields; the on-disk tier must survive a round trip through a fresh process-level
    cache object, silently recompute corrupt entries, and survive losing
-   the race to create its directories; Driver.analyze_files_par (forked
-   workers) must agree with sequential analysis in input order. *)
+   the race to create its directories; Fleet.analyze_inputs on forked
+   workers must agree with sequential analysis in input order. *)
 
 open Safeflow
 
@@ -481,8 +481,9 @@ let test_par_driver_deterministic () =
   let seq = List.map (fun p -> (Driver.analyze_file p).Driver.report) paths in
   let par =
     List.map
-      (fun (a : Driver.analysis) -> a.Driver.report)
-      (Driver.analyze_files_par paths)
+      (fun r -> fst (Result.get_ok r))
+      (Array.to_list
+         (Fleet.analyze_inputs ~jobs:2 ~render:(fun _ a _ -> a.Driver.report) paths))
   in
   Alcotest.(check int) "one result per input" (List.length seq) (List.length par);
   List.iteri
@@ -523,5 +524,5 @@ let () =
           Alcotest.test_case "damaged entries counted corrupt" `Quick
             test_damaged_entries ] );
       ( "parallel",
-        [ Alcotest.test_case "analyze_files_par deterministic" `Quick
+        [ Alcotest.test_case "analyze_inputs deterministic" `Quick
             test_par_driver_deterministic ] ) ]

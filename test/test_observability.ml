@@ -630,7 +630,7 @@ let test_events_parse () =
       Events.fleet_start ~systems:64 ~jobs:2;
       Events.worker_start ~worker:1 ~pid:123 ~members:32;
       Events.member_start ~worker:1 ~path:"m\"quoted\".c";
-      Events.member_done ~worker:1 ~path:"m.c" ~errors:1 ~warnings:2 ~findings:3
+      Events.member_done ~worker:1 ~path:"m.c" ~status:"ok" ~errors:1 ~warnings:2 ~findings:3
         ~cache_hits:4 ~cache_misses:5 ~certs:(7, 1, 2) ~elapsed_ms:6.5 ();
       Events.cache_recovered ~worker:1 ~ns:"analysis" ~key:"abc" ~kind:"corrupt";
       Events.heartbeat ~worker:1 ~done_:10 ~total:32;
@@ -652,6 +652,7 @@ let test_events_parse () =
   Alcotest.(check (option string)) "schema on fleet_start" (Some Events.schema)
     (str "schema" first);
   let md = Jsonlite.parse_exn (List.nth lines 3) in
+  Alcotest.(check (option string)) "status" (Some "ok") (str "status" md);
   Alcotest.(check (option int)) "findings" (Some 3) (int "findings" md);
   Alcotest.(check (option int)) "cache delta" (Some 4) (int "cache_hits" md);
   Alcotest.(check (option int)) "certs pass" (Some 7) (int "certs_pass" md);
@@ -678,7 +679,7 @@ let test_progress () =
     let w = i mod 2 in
     Progress.feed p (Events.member_start ~worker:w ~path:(Printf.sprintf "m%d.c" i));
     Progress.feed p
-      (Events.member_done ~worker:w ~path:(Printf.sprintf "m%d.c" i) ~errors:0
+      (Events.member_done ~worker:w ~path:(Printf.sprintf "m%d.c" i) ~status:"ok" ~errors:0
          ~warnings:0 ~findings:0 ~cache_hits:0 ~cache_misses:0 ~elapsed_ms:1.0 ())
   done;
   Progress.feed p "not json at all";  (* must not raise *)
