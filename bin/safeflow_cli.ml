@@ -201,13 +201,22 @@ let analyze_cmd =
       let multi = List.length files > 1 in
       let rows, failures =
         if use_summary then
-          ( List.map
-              (fun file ->
-                let r, _ = Safeflow.Driver.analyze_summary ~config ~file (Minic.Loc.read_source file) in
+          (* an input the frontend rejects becomes a failure record, as
+             under the default engine: the others still print *)
+          List.partition_map
+            (fun file ->
+              let fail cause message =
+                Either.Right { Safeflow.Forkmap.input = file; cause; message }
+              in
+              match Safeflow.Driver.analyze_summary ~config ~file (Minic.Loc.read_source file) with
+              | r, _ ->
                 Fmt.pr "%a@." Safeflow.Report.pp r;
-                (file, r, Safeflow.Fingerprint.ctx_empty, None))
-              files,
-            [] )
+                Either.Left (file, r, Safeflow.Fingerprint.ctx_empty, None)
+              | exception Minic.Loc.Error (loc, msg) ->
+                fail Safeflow.Forkmap.Rejected (Fmt.str "%a: %s" Minic.Loc.pp loc msg)
+              | exception e ->
+                fail Safeflow.Forkmap.Crashed (Printf.sprintf "%s: %s" file (Printexc.to_string e)))
+            files
         else begin
           let bundle =
             Option.map

@@ -185,8 +185,7 @@ type func_summary = {
 }
 
 type t = {
-  prog : Ssair.Ir.program;
-  ids : (string, int) Hashtbl.t;  (* function name -> index in [prog.funcs] *)
+  index : Ssair.Index.t;
   summaries : func_summary option array;  (* by function index *)
 }
 
@@ -208,7 +207,7 @@ type fctx = {
   present : Bytes.t;  (* an absent value is Bot *)
   pnames : string array;  (* the formal parameters, in declaration order *)
   params : Itv.t array;  (* their ranges *)
-  ret_of : string -> Itv.t;  (* callee return summary (Top for externs) *)
+  ret_of : Ir.vid -> Itv.t;  (* by call instruction: callee return summary (Top for externs) *)
   reach : Bytes.t;  (* by block id *)
   mutable changed : bool;
   mutable iters : int;
@@ -636,7 +635,7 @@ let eval_instr ctx env_ty (i : Ir.instr) =
     let from = Ty.resolve env_ty from_ty in
     if Ty.is_integer from || Ty.is_pointer from then eval_cast env_ty to_ty (eval_value ctx cval)
     else Itv.top
-  | Ir.Call { callee; _ } -> ctx.ret_of callee
+  | Ir.Call _ -> ctx.ret_of i.Ir.iid
   | Ir.Load _ | Ir.Alloca _ | Ir.Gep _ | Ir.Store _ | Ir.Annotation _ -> Itv.top
 
 (* the reachable blocks in reverse postorder, and whether any edge
@@ -804,13 +803,9 @@ let without_locs (f : Ir.func) : Ir.func =
 
 let sorted_tbl tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
-  let funcs = Array.of_list prog.Ir.funcs in
+let analyze ?memo ?(span = no_span) (index : Ssair.Index.t) : t =
+  let prog = index.Ssair.Index.prog and funcs = index.Ssair.Index.funcs in
   let n = Array.length funcs in
-  let ids = Hashtbl.create n in
-  Array.iteri
-    (fun i (f : Ir.func) -> if not (Hashtbl.mem ids f.Ir.fname) then Hashtbl.add ids f.Ir.fname i)
-    funcs;
   (* call graph over defined functions: distinct callees sorted by name,
      call sites, and call-site counts (entry points, never called, keep
      ⊤ parameters) *)
@@ -821,7 +816,7 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
         let nodes = ref [] in
         Array.iteri
           (fun i (f : Ir.func) ->
-            if Hashtbl.find ids f.Ir.fname = i then begin
+            if Ssair.Index.find index f.Ir.fname = i then begin
               nodes := i :: !nodes;
               let names = ref [] in
               List.iter
@@ -829,17 +824,17 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
                   List.iter
                     (fun (ins : Ir.instr) ->
                       match ins.Ir.idesc with
-                      | Ir.Call { callee; args; _ } -> (
-                        match Hashtbl.find_opt ids callee with
-                        | Some j ->
+                      | Ir.Call { callee; args; _ } ->
+                        let j = Ssair.Index.callee index i ins.Ir.iid in
+                        if j >= 0 then begin
                           names := callee :: !names;
                           calls.(i) <- (j, args) :: calls.(i)
-                        | None -> ())
+                        end
                       | _ -> ())
                     b.Ir.instrs)
                 f.Ir.blocks;
               let cs = Array.of_list (List.sort_uniq String.compare !names) in
-              callees.(i) <- Array.map (Hashtbl.find ids) cs;
+              callees.(i) <- Array.map (Ssair.Index.find index) cs;
               Array.iter (fun c -> ncallers.(c) <- ncallers.(c) + 1) callees.(i)
             end)
           funcs;
@@ -868,8 +863,10 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
       r
   in
   let rets = Array.make n Itv.top in
-  let ret_of callee =
-    match Hashtbl.find_opt ids callee with Some j -> rets.(j) | None -> Itv.top
+  (* the return range of the callee of call [iid] of function [i] *)
+  let ret_of i iid =
+    let j = Ssair.Index.callee index i iid in
+    if j >= 0 then rets.(j) else Itv.top
   in
   (* each function's last fixpoint with the parameter and callee-return
      ranges it was computed from.  The fixpoint is a pure function of
@@ -897,7 +894,7 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
              (Digest.string (no_sharing (Lazy.force env_repr, body_repr i, params, named))))
       in
       let s =
-        memo ~fname:f.Ir.fname ~inputs_digest (fun () -> run_function ~prog ~params ~ret_of f)
+        memo ~fname:f.Ir.fname ~inputs_digest (fun () -> run_function ~prog ~params ~ret_of:(ret_of i) f)
       in
       last.(i) <- Some (params, callee_rets, s);
       s
@@ -968,12 +965,13 @@ let analyze ?memo ?(span = no_span) (prog : Ir.program) : t =
              summaries.(i) <- Some s;
              record_calls i s))
         (List.rev comps));
-  { prog; ids; summaries }
+  { index; summaries }
 
 (* -- Accessors ----------------------------------------------------------- *)
 
 let summary t fname =
-  match Hashtbl.find_opt t.ids fname with Some i -> t.summaries.(i) | None -> None
+  let i = Ssair.Index.find t.index fname in
+  if i >= 0 then t.summaries.(i) else None
 
 let fold_summaries_i f t init =
   let acc = ref init in
@@ -1102,7 +1100,7 @@ type summary_view = {
 }
 
 let summary_views t =
-  let funcs = Array.of_list t.prog.Ir.funcs in
+  let funcs = t.index.Ssair.Index.funcs in
   fold_summaries_i
     (fun i s acc ->
       {

@@ -83,9 +83,10 @@ type span_probe = { span : 'a. string -> (unit -> 'a) -> 'a }
 val analyze :
   ?memo:(fname:string -> inputs_digest:string Lazy.t -> (unit -> func_summary) -> func_summary) ->
   ?span:span_probe ->
-  Ssair.Ir.program ->
+  Ssair.Index.t ->
   t
-(** [analyze prog] runs both interprocedural passes.  [~memo] is called
+(** [analyze index] runs both interprocedural passes over the indexed
+    program; calls resolve through the index's call-site callees.  [~memo] is called
     around every per-function fixpoint with a digest of everything the
     fixpoint reads (the function body without its source locations, the
     type environment, parameter ranges and callee return ranges), once

@@ -37,11 +37,12 @@ type cphi = {
 }
 
 type bstate = {
-  mutable blk : Ir.block;  (** [instrs] accumulate in reverse *)
+  mutable blk : Ir.block;  (** [instrs] set when the function is finished *)
+  mutable ibuf : Ir.instr array;  (** the instructions emitted so far, [ilen] used *)
+  mutable ilen : int;
   mutable preds : Ir.bid list;  (** reachable predecessors, latest first *)
   mutable live : bool;  (** reachable from the entry *)
   mutable sealed : bool;  (** all predecessors known *)
-  mutable defs : (int * Ir.value) list;  (** variable → current definition *)
   mutable incomplete : cphi list;  (** phis placed before sealing *)
   mutable bphis : cphi list;  (** latest first *)
 }
@@ -58,6 +59,11 @@ type builder = {
   locals : (string, local) Hashtbl.t;
   global_ty : string -> Ty.t option;  (** a global's type *)
   mutable nvars : int;
+  mutable defs : Ir.value array array;
+      (** by variable, then block id: the variable's current definition
+          in the block, valid where [def_fn] holds [fn] *)
+  mutable def_fn : int array array;
+  mutable fn : int;  (** serial of the function being lowered *)
   mutable phis : cphi array;  (** by [k], [nphis] used *)
   mutable nphis : int;
   mutable break_targets : Ir.bid list;
@@ -71,6 +77,9 @@ let fresh_id b =
 
 let grow arr n fill = if n < Array.length arr then arr else Array.append arr (Array.make (max 8 n) fill)
 
+let no_instr =
+  { Ir.iid = -1; idesc = Ir.Alloca { aname = ""; aty = Ty.Void }; ity = Ty.Void; iloc = Loc.dummy }
+
 (* Block states are reused from function to function: only the IR
    block is new. *)
 let new_block b =
@@ -79,15 +88,18 @@ let new_block b =
   if bid < b.nstates then begin
     let s = b.blocks.(bid) in
     s.blk <- blk;
+    s.ilen <- 0;
     s.preds <- [];
     s.live <- false;
     s.sealed <- false;
-    s.defs <- [];
     s.incomplete <- [];
     s.bphis <- []
   end
   else begin
-    let s = { blk; preds = []; live = false; sealed = false; defs = []; incomplete = []; bphis = [] } in
+    let s =
+      { blk; ibuf = [||]; ilen = 0; preds = []; live = false; sealed = false; incomplete = [];
+        bphis = [] }
+    in
     b.blocks <- grow b.blocks bid s;
     b.blocks.(bid) <- s;
     b.nstates <- bid + 1
@@ -99,7 +111,12 @@ let new_block b =
     in dead code the id is taken and nothing is emitted. *)
 let emit ~loc b ity idesc =
   let iid = fresh_id b in
-  if not b.dead then b.cur.blk.instrs <- { Ir.iid; idesc; ity; iloc = loc } :: b.cur.blk.instrs;
+  if not b.dead then begin
+    let s = b.cur in
+    if s.ilen = Array.length s.ibuf then s.ibuf <- grow s.ibuf s.ilen no_instr;
+    s.ibuf.(s.ilen) <- { Ir.iid; idesc; ity; iloc = loc };
+    s.ilen <- s.ilen + 1
+  end;
   iid
 
 let emit_v ~loc b ity idesc = Ir.Vreg (emit ~loc b ity idesc)
@@ -151,17 +168,22 @@ let new_phi b s var =
   s.bphis <- p :: s.bphis;
   p
 
-(* the current definition of variable [idx] in a block's [defs] *)
-let rec def_in idx = function
-  | [] -> raise_notrace Not_found
-  | (i, v) :: rest -> if i = idx then v else def_in idx rest
+let write_var b s var v =
+  let bid = s.blk.Ir.bbid in
+  if bid >= Array.length b.def_fn.(var.idx) then begin
+    b.defs.(var.idx) <- grow b.defs.(var.idx) (bid + 1) (Ir.Vundef Ty.Void);
+    b.def_fn.(var.idx) <- grow b.def_fn.(var.idx) (bid + 1) (-1)
+  end;
+  b.defs.(var.idx).(bid) <- v;
+  b.def_fn.(var.idx).(bid) <- b.fn
 
-let write_var s var v = s.defs <- (var.idx, v) :: s.defs
+let has_def b s var =
+  let bid = s.blk.Ir.bbid and fns = b.def_fn.(var.idx) in
+  bid < Array.length fns && fns.(bid) = b.fn
 
 let rec read_var b s var =
-  match def_in var.idx s.defs with
-  | v -> resolve b v
-  | exception Not_found ->
+  if has_def b s var then resolve b b.defs.(var.idx).(s.blk.Ir.bbid)
+  else
     let v =
       if not s.sealed then begin
         let p = new_phi b s var in
@@ -176,10 +198,10 @@ let rec read_var b s var =
           let p = new_phi b s var in
           (* the phi is the definition while its operands are read, which
              breaks cycles through loops *)
-          write_var s var (phi_value p);
+          write_var b s var (phi_value p);
           add_operands b s p
     in
-    write_var s var v;
+    write_var b s var v;
     v
 
 and add_operands b s p =
@@ -241,7 +263,7 @@ let read_local b var =
 
 let write_local b var v =
   ignore (fresh_id b);
-  if not b.dead then write_var b.cur var v
+  if not b.dead then write_var b b.cur var v
 
 (** A fresh local, promoted when [promote] allows and [ty] is scalar.  A
     slot's alloca is emitted here. *)
@@ -251,6 +273,10 @@ let declare ?(loc = Loc.dummy) ?(promote = true) b name ty =
       ignore (fresh_id b);
       let idx = b.nvars in
       b.nvars <- idx + 1;
+      if idx = Array.length b.defs then begin
+        b.defs <- grow b.defs idx [||];
+        b.def_fn <- grow b.def_fn idx [||]
+      end;
       Var { idx; vname = name; vty = ty }
     end
     else Slot (emit ~loc b (Ty.Ptr ty) (Ir.Alloca { aname = name; aty = ty }), ty)
@@ -600,12 +626,16 @@ let fix b v =
   let v = resolve b v in
   if is_phi v then (phi_named b v).fval else v
 
-(* [instrs] reversed, each with its operands through [fix] *)
-let rec rev_fixed fix acc = function
-  | [] -> acc
-  | (i : Ir.instr) :: rest ->
-    i.idesc <- Ir.map_operands fix i.idesc;
-    rev_fixed fix (i :: acc) rest
+(* the instructions of [s] in order, each with its operands through
+   [fix] when there is one *)
+let instr_list ?fix s =
+  let acc = ref [] in
+  for k = s.ilen - 1 downto 0 do
+    let i = s.ibuf.(k) in
+    (match fix with Some fix -> i.Ir.idesc <- Ir.map_operands fix i.Ir.idesc | None -> ());
+    acc := i :: !acc
+  done;
+  !acc
 
 let final_phi fix p =
   match (p.repl, p.fval) with
@@ -631,9 +661,9 @@ let finish_func b : Ir.block list =
     let s = b.blocks.(bid) in
     if s.live then begin
       let blk = s.blk in
-      if b.nphis = 0 then blk.instrs <- List.rev blk.instrs
+      if b.nphis = 0 then blk.instrs <- instr_list s
       else begin
-        blk.instrs <- rev_fixed fix [] blk.instrs;
+        blk.instrs <- instr_list ~fix s;
         blk.termin <- Ir.map_term_operands fix blk.termin
       end;
       if s.bphis <> [] then blk.phis <- List.filter_map (final_phi fix) (List.rev s.bphis);
@@ -644,6 +674,7 @@ let finish_func b : Ir.block list =
 
 let lower_func b (tf : Tast.tfunc) : Ir.func =
   b.next_id <- 0;
+  b.fn <- b.fn + 1;
   b.nblocks <- 0;
   b.nvars <- 0;
   b.nphis <- 0;
@@ -680,7 +711,7 @@ let lower_func b (tf : Tast.tfunc) : Ir.func =
 let builder ~promote env global_ty =
   let dummy_blk =
     { blk = { Ir.bbid = -1; phis = []; instrs = []; termin = Ir.Unreachable };
-      preds = []; live = false; sealed = true; defs = []; incomplete = []; bphis = [] }
+      ibuf = [||]; ilen = 0; preds = []; live = false; sealed = true; incomplete = []; bphis = [] }
   in
   {
     env;
@@ -694,6 +725,9 @@ let builder ~promote env global_ty =
     locals = Hashtbl.create 16;
     global_ty;
     nvars = 0;
+    defs = [||];
+    def_fn = [||];
+    fn = 0;
     phis = [||];
     nphis = 0;
     break_targets = [];

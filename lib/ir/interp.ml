@@ -35,7 +35,7 @@ type memblock = {
 
 type state = {
   prog : Ir.program;
-  find : string -> Ir.func option;  (** {!Ir.func_index} of [prog] *)
+  find : string -> Ir.func option;  (** name lookup through the {!Index} of [prog] *)
   mem : (int, memblock) Hashtbl.t;
   mutable next_blk : int;
   global_addr : (string, ptr) Hashtbl.t;
@@ -78,7 +78,7 @@ let create ?(max_steps = 50_000_000) ?(extern_handler = default_extern)
   let st =
     {
       prog;
-      find = Ir.func_index prog;
+      find = Index.func_opt (Index.of_program prog);
       mem = Hashtbl.create 64;
       next_blk = 1;
       global_addr = Hashtbl.create 32;

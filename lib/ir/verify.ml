@@ -12,7 +12,9 @@
     once per program at the largest function's size and cleared after
     each function; operands are visited by top-level functions over that
     state, so checking a valid function allocates next to nothing beyond
-    its dominator tree.  A message is formatted only for a violation. *)
+    its dominator tree, which only a function with a use outside its
+    definition's block needs.  A message is formatted only for a
+    violation. *)
 
 type violation = { vfunc : string; vmsg : string }
 
@@ -33,7 +35,7 @@ type fctx = {
   s : scratch;
   mutable errs : violation list;  (** newest first *)
   mutable dup : bool;  (** a block id seen twice *)
-  mutable tree : Dom.tree option;
+  mutable tree : Dom.tree option;  (** computed at the first use outside its def's block *)
   (* the use being checked *)
   mutable use_iid : int;
   mutable use_block : int;
@@ -60,7 +62,16 @@ let dominates_use c id ~use_block ~use_pos =
   &&
   let db = c.s.def_block.(id) in
   if db = use_block then c.s.def_pos.(id) < use_pos
-  else match c.tree with Some t -> Dom.dominates t db use_block | None -> false
+  else
+    let t =
+      match c.tree with
+      | Some t -> t
+      | None ->
+        let t = Dom.compute c.f in
+        c.tree <- Some t;
+        t
+    in
+    Dom.dominates t db use_block
 
 let reg check c (v : Ir.value) = match v with Ir.Vreg id -> check c id | _ -> ()
 
@@ -238,7 +249,6 @@ let check_in ?(ssa = false) (s : scratch) (f : Ir.func) : violation list =
   each_block block_defs c f.blocks;
   each_block block_uses c f.blocks;
   if ssa then begin
-    c.tree <- Some (Dom.compute f);
     each_block block_preds c f.blocks;
     each_block check_phi_arity c f.blocks;
     each_block block_dominance c f.blocks

@@ -60,162 +60,205 @@ type key =
   | Kret of string             (** function return value *)
 
 type t = {
-  pts : (key, Tset.t) Hashtbl.t;
+  index : Ssair.Index.t;
+  regs : Tset.t array array;
+      (** by function index, then value id; [[||]] for a function none
+          of whose values points anywhere *)
+  params : Tset.t array array;  (** by function index, then parameter position *)
+  rets : Tset.t array;  (** by function index *)
   heap : (Node.t, Tset.t) Hashtbl.t;
 }
 
-let pts_get t k = Option.value ~default:Tset.empty (Hashtbl.find_opt t.pts k)
+let get a i = if i >= 0 && i < Array.length a then Array.unsafe_get a i else Tset.empty
 
-let fold_pts f t acc = Hashtbl.fold f t.pts acc
+let param_pts t fx p = get t.params.(fx) (Ssair.Index.param_pos t.index.Ssair.Index.funcs.(fx) p)
+
+let pts_get t = function
+  | Kreg (fname, vid) ->
+    let fx = Ssair.Index.find t.index fname in
+    if fx < 0 then Tset.empty else get t.regs.(fx) vid
+  | Kparam (fname, p) ->
+    let fx = Ssair.Index.find t.index fname in
+    if fx < 0 then Tset.empty else param_pts t fx p
+  | Kret fname ->
+    let fx = Ssair.Index.find t.index fname in
+    if fx < 0 then Tset.empty else t.rets.(fx)
+
+let reg_facts t fx = t.regs.(fx)
 
 let fold_heap f t acc = Hashtbl.fold f t.heap acc
 let heap_get t n = Option.value ~default:Tset.empty (Hashtbl.find_opt t.heap n)
 
-(* returns true if the set grew *)
-let pts_add t k s =
-  let old = pts_get t k in
-  let merged = Tset.union old s in
-  if Tset.cardinal merged > Tset.cardinal old then begin
-    Hashtbl.replace t.pts k merged;
+(* [a.(i) <- a.(i) ∪ s]; whether it grew *)
+let union_into a i s =
+  let old = a.(i) in
+  if Tset.subset s old then false
+  else begin
+    a.(i) <- Tset.union old s;
     true
   end
-  else false
+
+(* the array of [tbl.(fx)], made [len] long when still empty *)
+let slots tbl fx len =
+  let a = tbl.(fx) in
+  if Array.length a > 0 then a
+  else begin
+    let a = Array.make len Tset.empty in
+    tbl.(fx) <- a;
+    a
+  end
+
+let reg_add t fx vid s =
+  (not (Tset.is_empty s))
+  && union_into (slots t.regs fx (Ssair.Index.bound t.index fx)) vid s
+
+let param_add t gx k s =
+  (not (Tset.is_empty s))
+  && union_into (slots t.params gx (List.length t.index.Ssair.Index.funcs.(gx).Ssair.Ir.fparams)) k s
 
 let heap_add t n s =
   let old = heap_get t n in
-  let merged = Tset.union old s in
-  if Tset.cardinal merged > Tset.cardinal old then begin
-    Hashtbl.replace t.heap n merged;
+  if Tset.subset s old then false
+  else begin
+    Hashtbl.replace t.heap n (Tset.union old s);
     true
   end
-  else false
 
 let is_pointer env ty = match Ty.resolve env ty with Ty.Ptr _ -> true | _ -> false
 
-(** Points-to set of an IR value within function [f]. *)
-let value_pts t (f : Ssair.Ir.func) (v : Ssair.Ir.value) : Tset.t =
+(** Points-to set of an IR value within function [fx]. *)
+let value_pts t fx (v : Ssair.Ir.value) : Tset.t =
   match v with
-  | Ssair.Ir.Vreg id -> pts_get t (Kreg (f.fname, id))
-  | Ssair.Ir.Vparam p -> pts_get t (Kparam (f.fname, p))
+  | Ssair.Ir.Vreg id -> get t.regs.(fx) id
+  | Ssair.Ir.Vparam p -> param_pts t fx p
   | Ssair.Ir.Vglobal g ->
     Tset.singleton { Target.node = Node.Nglobal g; off = Offset.Byte 0 }
   | Ssair.Ir.Vstr s -> Tset.singleton { Target.node = Node.Nstr s; off = Offset.Byte 0 }
   | Ssair.Ir.Vint _ | Ssair.Ir.Vfloat _ | Ssair.Ir.Vundef _ -> Tset.empty
 
-(** One propagation pass over an instruction; returns true on any change.
-    [env] is the program's type environment. *)
-let transfer t env find (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
+(** One propagation pass over an instruction of function [fx]; returns
+    true on any change.  [env] is the program's type environment. *)
+let transfer t env fx (f : Ssair.Ir.func) (i : Ssair.Ir.instr) : bool =
   let changed = ref false in
-  let ( <+ ) k s = if pts_add t k s then changed := true in
-  let self = Kreg (f.fname, i.Ssair.Ir.iid) in
+  let self s = if reg_add t fx i.Ssair.Ir.iid s then changed := true in
   (match i.Ssair.Ir.idesc with
   | Ssair.Ir.Alloca _ ->
-    self <+ Tset.singleton
-              { Target.node = Node.Nalloca (f.fname, i.Ssair.Ir.iid); off = Offset.Byte 0 }
+    self (Tset.singleton
+            { Target.node = Node.Nalloca (f.fname, i.Ssair.Ir.iid); off = Offset.Byte 0 })
   | Ssair.Ir.Load { ptr; lty } ->
     if is_pointer env lty then
       (* read the heap cells of every object the pointer may reference *)
-      Tset.iter
-        (fun tgt -> self <+ heap_get t tgt.Target.node)
-        (value_pts t f ptr)
+      Tset.iter (fun tgt -> self (heap_get t tgt.Target.node)) (value_pts t fx ptr)
   | Ssair.Ir.Store { ptr; sval; sty } ->
     if is_pointer env sty then
-      let sv = value_pts t f sval in
+      let sv = value_pts t fx sval in
       Tset.iter
         (fun tgt -> if heap_add t tgt.Target.node sv then changed := true)
-        (value_pts t f ptr)
+        (value_pts t fx ptr)
   | Ssair.Ir.Gep { base; kind; idx } ->
-    let base_pts = value_pts t f base in
-    let delta =
-      match kind with
-      | Ssair.Ir.Gfield (sname, fname) -> (
-        match Ty.field_offset env sname fname with
-        | Some off -> Offset.Byte off
-        | None -> Offset.Top)
-      | Ssair.Ir.Gindex elt -> (
-        match idx with
-        | Ssair.Ir.Vint (0L, _) -> Offset.Byte 0
-        | Ssair.Ir.Vint (n, _) -> Offset.Byte (Int64.to_int n * Ty.sizeof env elt)
-        | _ -> Offset.Top)
-    in
-    self <+ Tset.map
-              (fun tgt -> { tgt with Target.off = Offset.add tgt.Target.off delta })
-              base_pts
+    let base_pts = value_pts t fx base in
+    if not (Tset.is_empty base_pts) then begin
+      let delta =
+        match kind with
+        | Ssair.Ir.Gfield (sname, fname) -> (
+          match Ty.field_offset env sname fname with
+          | Some off -> Offset.Byte off
+          | None -> Offset.Top)
+        | Ssair.Ir.Gindex elt -> (
+          match idx with
+          | Ssair.Ir.Vint (0L, _) -> Offset.Byte 0
+          | Ssair.Ir.Vint (n, _) -> Offset.Byte (Int64.to_int n * Ty.sizeof env elt)
+          | _ -> Offset.Top)
+      in
+      self (Tset.map (fun tgt -> { tgt with Target.off = Offset.add tgt.Target.off delta }) base_pts)
+    end
   | Ssair.Ir.Cast { to_ty; cval; _ } ->
-    if is_pointer env to_ty then self <+ value_pts t f cval
+    if is_pointer env to_ty then self (value_pts t fx cval)
   | Ssair.Ir.Binop { lhs; rhs; _ } ->
     (* pointer comparisons produce ints; pointer arithmetic is gep-only.
        Still, conservatively flow operand targets into the result when it
        is pointer-typed (does not occur in lowered code). *)
     if is_pointer env i.Ssair.Ir.ity then begin
-      self <+ value_pts t f lhs;
-      self <+ value_pts t f rhs
+      self (value_pts t fx lhs);
+      self (value_pts t fx rhs)
     end
   | Ssair.Ir.Unop _ | Ssair.Ir.Annotation _ -> ()
-  | Ssair.Ir.Call { callee; args; rty } -> (
-    match find callee with
-    | Some g ->
+  | Ssair.Ir.Call { callee; args; rty } ->
+    let gx = Ssair.Index.callee t.index fx i.Ssair.Ir.iid in
+    if gx >= 0 then begin
       (* bind arguments to parameters *)
+      let g = t.index.Ssair.Index.funcs.(gx) in
       List.iteri
         (fun k arg ->
           match List.nth_opt g.Ssair.Ir.fparams k with
-          | Some (pname, pty) ->
-            if is_pointer env pty then Kparam (g.Ssair.Ir.fname, pname) <+ value_pts t f arg
+          | Some (_, pty) ->
+            if is_pointer env pty && param_add t gx k (value_pts t fx arg) then changed := true
           | None -> ())
         args;
-      if is_pointer env rty then self <+ pts_get t (Kret g.Ssair.Ir.fname)
-    | None ->
+      if is_pointer env rty then self t.rets.(gx)
+    end
+    else begin
       (* extern: pointer arguments escape into an opaque region; a pointer
          result may alias that region *)
       let ext = Node.Nextern callee in
       List.iter
         (fun arg ->
-          let s = value_pts t f arg in
+          let s = value_pts t fx arg in
           if not (Tset.is_empty s) then
             if heap_add t ext s then changed := true)
         args;
-      if is_pointer env rty then
-        self <+ Tset.singleton { Target.node = ext; off = Offset.Top }));
+      if is_pointer env rty then self (Tset.singleton { Target.node = ext; off = Offset.Top })
+    end);
   !changed
 
-let transfer_term t env (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
+let transfer_term t env fx (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
   match b.Ssair.Ir.termin with
   | Ssair.Ir.Ret (Some v) ->
-    if is_pointer env f.Ssair.Ir.fret then pts_add t (Kret f.Ssair.Ir.fname) (value_pts t f v)
-    else false
+    is_pointer env f.Ssair.Ir.fret && union_into t.rets fx (value_pts t fx v)
   | _ -> false
 
-let transfer_phis t env (f : Ssair.Ir.func) (b : Ssair.Ir.block) : bool =
+let transfer_phis t env fx (b : Ssair.Ir.block) : bool =
   List.fold_left
     (fun changed (p : Ssair.Ir.phi) ->
       if is_pointer env p.Ssair.Ir.pty then
         List.fold_left
-          (fun ch (_, v) -> pts_add t (Kreg (f.fname, p.Ssair.Ir.pid)) (value_pts t f v) || ch)
+          (fun ch (_, v) -> reg_add t fx p.Ssair.Ir.pid (value_pts t fx v) || ch)
           changed p.Ssair.Ir.incoming
       else changed)
     false b.Ssair.Ir.phis
 
 (** Run the analysis to fixpoint. *)
-let analyze (prog : Ssair.Ir.program) : t =
-  let t = { pts = Hashtbl.create 256; heap = Hashtbl.create 64 } in
-  let env = prog.Ssair.Ir.env and find = Ssair.Ir.func_index prog in
+let analyze (index : Ssair.Index.t) : t =
+  let n = Ssair.Index.length index in
+  let t =
+    { index; regs = Array.make n [||]; params = Array.make n [||]; rets = Array.make n Tset.empty;
+      heap = Hashtbl.create 64 }
+  in
+  let env = index.Ssair.Index.prog.Ssair.Ir.env in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun f ->
+    Array.iteri
+      (fun fx (f : Ssair.Ir.func) ->
         List.iter
           (fun b ->
-            if transfer_phis t env f b then changed := true;
-            List.iter (fun i -> if transfer t env find f i then changed := true) b.Ssair.Ir.instrs;
-            if transfer_term t env f b then changed := true)
+            if transfer_phis t env fx b then changed := true;
+            List.iter (fun i -> if transfer t env fx f i then changed := true) b.Ssair.Ir.instrs;
+            if transfer_term t env fx f b then changed := true)
           f.Ssair.Ir.blocks)
-      prog.Ssair.Ir.funcs
+      index.Ssair.Index.funcs
   done;
   t
 
 (** All memory objects a value may point to. *)
-let points_to t (f : Ssair.Ir.func) (v : Ssair.Ir.value) : Tset.t = value_pts t f v
+let points_to t (f : Ssair.Ir.func) (v : Ssair.Ir.value) : Tset.t =
+  match v with
+  | Ssair.Ir.Vreg _ | Ssair.Ir.Vparam _ ->
+    let fx = Ssair.Index.find t.index f.Ssair.Ir.fname in
+    if fx < 0 then Tset.empty else value_pts t fx v
+  | _ -> value_pts t 0 v
+
+let points_to_fx = value_pts
 
 (** Objects transitively reachable from a target set through the heap. *)
 let reachable t (roots : Tset.t) : Tset.t =

@@ -43,19 +43,28 @@ type key =
 
 type t
 
-val analyze : Ssair.Ir.program -> t
-(** run to fixpoint over the whole program *)
+val analyze : Ssair.Index.t -> t
+(** run to fixpoint over the whole program; facts are stored per
+    function, by function index of the program index *)
 
 val pts_get : t -> key -> Tset.t
 
-val fold_pts : (key -> Tset.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** fold over every points-to binding (iteration order unspecified) *)
+val reg_facts : t -> int -> Tset.t array
+(** [reg_facts t fx]: the points-to sets of function [fx]'s values by
+    value id; ids past its end (and every id of a function whose values
+    point nowhere, whose array is empty) have none *)
+
+val param_pts : t -> int -> string -> Tset.t
+(** [param_pts t fx p]: the points-to set of parameter [p] of function [fx] *)
 
 val fold_heap : (Node.t -> Tset.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** fold over every heap cell (iteration order unspecified) *)
 
 val points_to : t -> Ssair.Ir.func -> Ssair.Ir.value -> Tset.t
 (** objects a value may reference *)
+
+val points_to_fx : t -> int -> Ssair.Ir.value -> Tset.t
+(** {!points_to} in the function of that index *)
 
 val reachable : t -> Tset.t -> Tset.t
 (** objects transitively reachable through the heap *)

@@ -8,9 +8,8 @@ type assumption =
 
 val pp : Format.formatter -> assumption -> unit
 
-val of_func :
-  prog:Ssair.Ir.program -> shm:Shm.t -> p1:Phase1.t -> pts:Pointsto.t ->
-  Ssair.Ir.func -> assumption list
-(** the function's own assumptions (function-level and statement-level
+val of_func : shm:Shm.t -> p1:Phase1.t -> pts:Pointsto.t -> int -> assumption list
+(** the own assumptions of a function, by its index in [p1]'s program
+    index (function-level and statement-level
     annotations); region ranges resolved through phase-1 facts and the
     points-to analysis when the annotated pointer is a parameter *)

@@ -446,9 +446,9 @@ let obligation_certs ~(config : Config.t) (d : Driver.detail) :
           if reasons <> [] then
             skipped := (mk_id rule, String.concat "; " reasons) :: !skipped)
     in
-    List.iter
-      (fun (f : Ssair.Ir.func) ->
-        if not (Phase1.is_exempt p1 f.Ssair.Ir.fname) then begin
+    Array.iteri
+      (fun fx (f : Ssair.Ir.func) ->
+        if not (Phase1.exempt_fx p1 fx) then begin
           let aq =
             lazy (Option.map (fun ai -> Absint.query_ctx ai f) d.Driver.absint)
           in
@@ -458,7 +458,7 @@ let obligation_certs ~(config : Config.t) (d : Driver.detail) :
                 (fun (i : Ssair.Ir.instr) ->
                   match i.Ssair.Ir.idesc with
                   | Ssair.Ir.Gep { base; kind = Ssair.Ir.Gindex elt; idx } ->
-                    let targets = Phase1.shm_targets p1 f base in
+                    let targets = Phase1.targets p1 fx base in
                     if not (Phase1.Rset.is_empty targets) then begin
                       let elsize = max 1 (Ty.sizeof prog.Ssair.Ir.env elt) in
                       Phase1.Rset.iter
@@ -477,7 +477,7 @@ let obligation_certs ~(config : Config.t) (d : Driver.detail) :
                 b.Ssair.Ir.instrs)
             f.Ssair.Ir.blocks
         end)
-      prog.Ssair.Ir.funcs;
+      p1.Phase1.index.Ssair.Index.funcs;
     (List.rev !certs, List.rev !skipped)
   end
 

@@ -43,35 +43,40 @@ let union_bytes ~size intervals =
   (match !cur with Some (clo, chi) -> acc := !acc + (chi - clo) | None -> ());
   !acc
 
-let compute ?(bounds = Phase2.bounds_zero) ~(prog : Ssair.Ir.program) ~(shm : Shm.t)
+let compute ?(bounds = Phase2.bounds_zero) ~prog:(_ : Ssair.Ir.program) ~(shm : Shm.t)
     ~(p1 : Phase1.t) ~(pts : Pointsto.t) ~(analyzed : string list) (r : Report.t) : t =
-  let analyzed_set = Hashtbl.create 32 in
-  List.iter (fun f -> Hashtbl.replace analyzed_set f ()) analyzed;
-  let in_scope (f : Ssair.Ir.func) =
-    Hashtbl.mem analyzed_set f.Ssair.Ir.fname
-    && not (Phase1.is_exempt p1 f.Ssair.Ir.fname)
-  in
+  let index = p1.Phase1.index in
+  (* by function index: analyzed and not exempt *)
+  let in_scope = Array.make (Ssair.Index.length index) false in
+  List.iter
+    (fun name ->
+      let fx = Ssair.Index.find index name in
+      if fx >= 0 && not (Phase1.exempt_fx p1 fx) then in_scope.(fx) <- true)
+    analyzed;
   (* syntactic non-core read sites: loads whose phase-1 facts target a
      non-core region — the same site predicate phase 3 warns on *)
   let sites : (Loc.t * string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
-      if in_scope f then
+  Array.iteri
+    (fun fx (f : Ssair.Ir.func) ->
+      if in_scope.(fx) then
         List.iter
-          (fun (i : Ssair.Ir.instr) ->
-            match i.Ssair.Ir.idesc with
-            | Ssair.Ir.Load { ptr; _ } ->
-              Phase1.Rset.iter
-                (fun tgt ->
-                  let rname = tgt.Phase1.Rtgt.region in
-                  match Shm.region shm rname with
-                  | Some reg when reg.Shm.r_noncore ->
-                    Hashtbl.replace sites (i.Ssair.Ir.iloc, rname) ()
-                  | _ -> ())
-                (Phase1.shm_targets p1 f ptr)
-            | _ -> ())
-          (Ssair.Ir.all_instrs f))
-    prog.Ssair.Ir.funcs;
+          (fun (b : Ssair.Ir.block) ->
+            List.iter
+              (fun (i : Ssair.Ir.instr) ->
+                match i.Ssair.Ir.idesc with
+                | Ssair.Ir.Load { ptr; _ } ->
+                  Phase1.Rset.iter
+                    (fun tgt ->
+                      let rname = tgt.Phase1.Rtgt.region in
+                      match Shm.region shm rname with
+                      | Some reg when reg.Shm.r_noncore ->
+                        Hashtbl.replace sites (i.Ssair.Ir.iloc, rname) ()
+                      | _ -> ())
+                    (Phase1.targets p1 fx ptr)
+                | _ -> ())
+              b.Ssair.Ir.instrs)
+          f.Ssair.Ir.blocks)
+    index.Ssair.Index.funcs;
   let unmonitored : (Loc.t * string, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (w : Report.warning) ->
@@ -79,27 +84,34 @@ let compute ?(bounds = Phase2.bounds_zero) ~(prog : Ssair.Ir.program) ~(shm : Sh
     r.Report.warnings;
   (* monitor assumptions anywhere in the analyzed program *)
   let assumed : (string, (int * int) list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
-      if in_scope f then
+  Array.iteri
+    (fun fx in_scope ->
+      if in_scope then
         List.iter
           (function
             | Assume.Aregion (rname, lo, hi) ->
               Hashtbl.replace assumed rname
                 ((lo, hi) :: Option.value ~default:[] (Hashtbl.find_opt assumed rname))
             | Assume.Anode _ -> ())
-          (Assume.of_func ~prog ~shm ~p1 ~pts f))
-    prog.Ssair.Ir.funcs;
+          (Assume.of_func ~shm ~p1 ~pts fx))
+    in_scope;
+  (* a table's (site, region) keys counted per region, in one pass *)
+  let per_region tbl =
+    let counts = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun (_, rn) () ->
+        Hashtbl.replace counts rn (1 + Option.value ~default:0 (Hashtbl.find_opt counts rn)))
+      tbl;
+    fun name -> Option.value ~default:0 (Hashtbl.find_opt counts name)
+  in
+  let site_count = per_region sites and unmonitored_count = per_region unmonitored in
   let region_cov (reg : Shm.region) =
     let name = reg.Shm.r_name in
-    let count tbl =
-      Hashtbl.fold (fun (_, rn) () acc -> if String.equal rn name then acc + 1 else acc) tbl 0
-    in
     {
       rc_region = name;
       rc_size = reg.Shm.r_size;
-      rc_read_sites = count sites;
-      rc_unmonitored_sites = count unmonitored;
+      rc_read_sites = site_count name;
+      rc_unmonitored_sites = unmonitored_count name;
       rc_assumed_bytes =
         union_bytes ~size:reg.Shm.r_size
           (Option.value ~default:[] (Hashtbl.find_opt assumed name));

@@ -9,6 +9,7 @@ open Minic
 
 type prepared = {
   ir : Ssair.Ir.program;
+  index : Ssair.Index.t;
   annotation_lines : int;
   loc_total : int;
 }
@@ -120,7 +121,8 @@ let prepare_source ?(file = "<input>") (src : string) : prepared =
           | [] -> ()
           | v :: _ ->
             Loc.error Loc.dummy "internal IR verification failed: %s" v.Ssair.Verify.vmsg);
-      { ir; annotation_lines; loc_total })
+      let index = Telemetry.span "prepare.index" (fun () -> Ssair.Index.of_program ir) in
+      { ir; index; annotation_lines; loc_total })
 
 let prepare_file path : prepared = prepare_source ~file:path (Loc.read_source path)
 
@@ -129,9 +131,9 @@ let prepare_file path : prepared = prepare_source ~file:path (Loc.read_source pa
 let stage_shm (p : prepared) : Shm.t = Shm.discover p.ir
 
 let stage_phase1 ?config (p : prepared) (shm : Shm.t) : Phase1.t =
-  Phase1.run ?config p.ir shm
+  Phase1.run ?config p.index shm
 
-let stage_pointsto (p : prepared) : Pointsto.t = Pointsto.analyze p.ir
+let stage_pointsto (p : prepared) : Pointsto.t = Pointsto.analyze p.index
 
 let c_absint_iters = Telemetry.counter "absint.iterations"
 let c_absint_widenings = Telemetry.counter "absint.widenings"
@@ -197,7 +199,7 @@ let stage_absint ?(config = Config.default) ?cache ?key (p : prepared) : Absint.
         let ai =
           match cache with
           | None ->
-            Absint.analyze ~span:absint_span p.ir
+            Absint.analyze ~span:absint_span p.index
               ~memo:(fun ~fname:_ ~inputs_digest:_ compute -> compute_summary compute)
           | Some c ->
             let pack k : absint_pack option = Cache.find c ~ns:"absint" ~key:k in
@@ -225,7 +227,7 @@ let stage_absint ?(config = Config.default) ?cache ?key (p : prepared) : Absint.
               Hashtbl.replace used d s;
               s
             in
-            let ai = Absint.analyze ~memo ~span:absint_span p.ir in
+            let ai = Absint.analyze ~memo ~span:absint_span p.index in
             Option.iter
               (fun k ->
                 if exact = None then
@@ -245,13 +247,13 @@ let stage_absint ?(config = Config.default) ?cache ?key (p : prepared) : Absint.
 
 (* [?cache] and [?digests] are accepted and ignored: results are cached
    whole, per analysed input, by {!analyze} *)
-let stage_phase2 ?config ?cache:_ ?digests:_ ?absint (p : prepared) (p1 : Phase1.t) :
+let stage_phase2 ?config ?cache:_ ?digests:_ ?absint (_ : prepared) (p1 : Phase1.t) :
     Phase2.result =
-  Phase2.run ?config ?absint p.ir p1
+  Phase2.run ?config ?absint p1
 
-let stage_phase3 ?(config = Config.default) ?cache:_ ?digests:_ ?absint (p : prepared)
+let stage_phase3 ?(config = Config.default) ?cache:_ ?digests:_ ?absint (_ : prepared)
     (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
-  Vfgraph.run ~config ?absint p.ir shm p1 pts
+  Vfgraph.run ~config ?absint shm p1 pts
 
 (* -- One-shot analysis ------------------------------------------------------------ *)
 
@@ -426,9 +428,9 @@ let analyze_file ?config ?cache path : analysis =
     optimization): single bottom-up pass with per-function value-flow
     summaries.  Warnings match {!analyze}; dependencies are data
     only (no control-dependence classification). *)
-let stage_summary ?config (p : prepared) (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) :
+let stage_summary ?config (_ : prepared) (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) :
     Summary.result =
-  Summary.run ?config p.ir shm p1 pts
+  Summary.run ?config shm p1 pts
 
 (** One-shot analysis with the summary engine. *)
 let analyze_summary ?(config = Config.default) ?file (src : string) :

@@ -4,6 +4,7 @@
 
 type prepared = {
   ir : Ssair.Ir.program;
+  index : Ssair.Index.t;  (** the index of [ir] every later stage reads *)
   annotation_lines : int;
   loc_total : int;
 }
@@ -16,7 +17,7 @@ val count_loc : string -> int
 (** non-empty source lines *)
 
 val prepare_source : ?file:string -> string -> prepared
-(** frontend + lowering + SSA + IR verification *)
+(** frontend + lowering + SSA + IR verification, then the program index *)
 
 val prepare_file : string -> prepared
 

@@ -255,18 +255,57 @@ let analyze_inputs ?config ?cache_dir ?(jobs = 1) ?source_label ?on_event ?bundl
        single-process cache statistics *)
     let results, _, _ = stripe ~worker:0 ~emit:on_event paths (Array.init n Fun.id) in
     results
-  else
+  else begin
     let key = Option.map (fun _ -> content_key paths) source_label in
-    Forkmap.map ?on_event
-      ~stripes:(Forkmap.stripes ?key ~workers n)
-      ~name:(Array.get paths)
-      (fun ~worker ~emit indices ->
-        Logctx.set (Printf.sprintf "[worker %d] " worker);
-        let members = Array.length indices in
-        Option.iter (fun e -> e (Events.worker_start ~worker ~pid:(Unix.getpid ()) ~members)) emit;
-        let results, errors, warnings = stripe ~worker ~emit paths indices in
-        Option.iter (fun e -> e (Events.worker_done ~worker ~members ~errors ~warnings)) emit;
-        results)
+    let stripes = Forkmap.stripes ?key ~workers n in
+    (* the member_done events seen, per path *)
+    let reported = Hashtbl.create 16 in
+    let counted =
+      Option.map
+        (fun sink line ->
+          (match Jsonlite.parse line with
+          | Ok j when Option.bind (Jsonlite.member "ev" j) Jsonlite.to_string = Some "member_done"
+            -> (
+            match Option.bind (Jsonlite.member "path" j) Jsonlite.to_string with
+            | Some p ->
+              Hashtbl.replace reported p (1 + Option.value ~default:0 (Hashtbl.find_opt reported p))
+            | None -> ())
+          | _ -> ());
+          sink line)
+        on_event
+    in
+    let results =
+      Forkmap.map ?on_event:counted ~stripes ~name:(Array.get paths) (fun ~worker ~emit indices ->
+          Logctx.set (Printf.sprintf "[worker %d] " worker);
+          let members = Array.length indices in
+          Option.iter (fun e -> e (Events.worker_start ~worker ~pid:(Unix.getpid ()) ~members)) emit;
+          let results, errors, warnings = stripe ~worker ~emit paths indices in
+          Option.iter (fun e -> e (Events.worker_done ~worker ~members ~errors ~warnings)) emit;
+          results)
+    in
+    (* a worker that died reported none of the inputs it had not
+       finished: the parent reports them, so every input gets its
+       member_done *)
+    Option.iter
+      (fun sink ->
+        Array.iteri
+          (fun worker stripe ->
+            Array.iter
+              (fun i ->
+                match results.(i) with
+                | Error { Forkmap.cause = Forkmap.Crashed; _ } -> (
+                  match Hashtbl.find_opt reported paths.(i) with
+                  | Some k when k > 0 -> Hashtbl.replace reported paths.(i) (k - 1)
+                  | _ ->
+                    sink
+                      (Events.member_done ~worker ~path:paths.(i) ~status:"crashed" ~errors:0
+                         ~warnings:0 ~findings:0 ~cache_hits:0 ~cache_misses:0 ~elapsed_ms:0.0 ()))
+                | _ -> ())
+              stripe)
+          stripes)
+      on_event;
+    results
+  end
 
 let run ?config ?cache_dir ?(jobs = 1) ?(source_label = "<system>") ?on_event ?emit_certs
     ?check_certs (paths : string list) : result =

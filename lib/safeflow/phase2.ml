@@ -307,6 +307,7 @@ let bounds_add a b =
 type state = {
   prog : Ssair.Ir.program;
   p1 : Phase1.t;
+  mutable fx : int;  (** index of the function being checked *)
   config : Config.t;
   absint : Absint.t option;
   mutable violations : Report.violation list;
@@ -362,44 +363,40 @@ let note st (f : Ssair.Ir.func) loc fmt =
         :: st.infos)
     fmt
 
-(** Does function [fname] (transitively) load or store shared memory? *)
-let shm_accessors (prog : Ssair.Ir.program) (p1 : Phase1.t) : (string, unit) Hashtbl.t =
-  let direct = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
-      List.iter
-        (fun i ->
-          match i.Ssair.Ir.idesc with
-          | Ssair.Ir.Load { ptr; _ } | Ssair.Ir.Store { ptr; _ } ->
-            if not (Phase1.Rset.is_empty (Phase1.shm_targets p1 f ptr)) then
-              Hashtbl.replace direct f.fname ()
-          | _ -> ())
-        (Ssair.Ir.all_instrs f))
-    prog.Ssair.Ir.funcs;
+(** By function index: does the function (transitively) load or store
+    shared memory? *)
+let shm_accessors (p1 : Phase1.t) : bool array =
+  let index = p1.Phase1.index in
+  let direct =
+    Array.mapi
+      (fun fx (f : Ssair.Ir.func) ->
+        List.exists
+          (fun (b : Ssair.Ir.block) ->
+            List.exists
+              (fun i ->
+                match i.Ssair.Ir.idesc with
+                | Ssair.Ir.Load { ptr; _ } | Ssair.Ir.Store { ptr; _ } ->
+                  not (Phase1.Rset.is_empty (Phase1.targets p1 fx ptr))
+                | _ -> false)
+              b.Ssair.Ir.instrs)
+          f.Ssair.Ir.blocks)
+      index.Ssair.Index.funcs
+  in
   (* close over the call graph: callers of accessors access too *)
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (f : Ssair.Ir.func) ->
-        if not (Hashtbl.mem direct f.fname) then
-          let calls_accessor =
-            List.exists
-              (fun i ->
-                match i.Ssair.Ir.idesc with
-                | Ssair.Ir.Call { callee; _ } -> Hashtbl.mem direct callee
-                | _ -> false)
-              (Ssair.Ir.all_instrs f)
-          in
-          if calls_accessor then begin
-            Hashtbl.replace direct f.fname ();
-            changed := true
-          end)
-      prog.Ssair.Ir.funcs
+    Array.iteri
+      (fun fx callees ->
+        if (not direct.(fx)) && Array.exists (fun gx -> gx >= 0 && direct.(gx)) callees then begin
+          direct.(fx) <- true;
+          changed := true
+        end)
+      index.Ssair.Index.call_callees
   done;
   direct
 
-let check_p1 st (f : Ssair.Ir.func) accessors =
+let check_p1 st (f : Ssair.Ir.func) (accessors : bool array Lazy.t) =
   List.iter
     (fun (b : Ssair.Ir.block) ->
       List.iteri
@@ -408,7 +405,7 @@ let check_p1 st (f : Ssair.Ir.func) accessors =
           | Ssair.Ir.Call { callee; args; _ } when List.mem callee dealloc_functions ->
             let arg_targets =
               List.fold_left
-                (fun acc a -> Phase1.Rset.union acc (Phase1.shm_targets st.p1 f a))
+                (fun acc a -> Phase1.Rset.union acc (Phase1.targets st.p1 st.fx a))
                 Phase1.Rset.empty args
             in
             let on_shm = not (Phase1.Rset.is_empty arg_targets) in
@@ -432,8 +429,10 @@ let check_p1 st (f : Ssair.Ir.func) accessors =
                 let instr_touches_shm j =
                   match j.Ssair.Ir.idesc with
                   | Ssair.Ir.Load { ptr; _ } | Ssair.Ir.Store { ptr; _ } ->
-                    not (Phase1.Rset.is_empty (Phase1.shm_targets st.p1 f ptr))
-                  | Ssair.Ir.Call { callee = c; _ } -> Hashtbl.mem accessors c
+                    not (Phase1.Rset.is_empty (Phase1.targets st.p1 st.fx ptr))
+                  | Ssair.Ir.Call _ ->
+                    let gx = Ssair.Index.callee st.p1.Phase1.index st.fx j.Ssair.Ir.iid in
+                    gx >= 0 && (Lazy.force accessors).(gx)
                   | _ -> false
                 in
                 let later_same_block = List.exists instr_touches_shm tail_instrs in
@@ -475,7 +474,7 @@ let check_p2_p3 st (f : Ssair.Ir.func) =
     (fun (i : Ssair.Ir.instr) ->
       match i.Ssair.Ir.idesc with
       | Ssair.Ir.Store { sval; _ } ->
-        let targets = Phase1.shm_targets st.p1 f sval in
+        let targets = Phase1.targets st.p1 st.fx sval in
         if not (Phase1.Rset.is_empty targets) then begin
           ledger_add st
             (site_entry ~rule:"P2" ~func:f.fname ~loc:i.Ssair.Ir.iloc
@@ -484,7 +483,7 @@ let check_p2_p3 st (f : Ssair.Ir.func) =
             "shared-memory pointer stored into memory (aliasing through memory)"
         end
       | Ssair.Ir.Cast { from_ty; to_ty; cval } -> (
-        let targets = Phase1.shm_targets st.p1 f cval in
+        let targets = Phase1.targets st.p1 st.fx cval in
         if not (Phase1.Rset.is_empty targets) then
           let p3_entry discharge =
             ledger_add st
@@ -545,7 +544,7 @@ let range_hypotheses aq ~bid (e : Omega.Linexpr.t) : Omega.cstr list =
     reads them. *)
 let check_bounds st ctx aq (f : Ssair.Ir.func) (i : Ssair.Ir.instr) bid base kind idx =
   let env = st.prog.Ssair.Ir.env in
-  let targets = Phase1.shm_targets st.p1 f base in
+  let targets = Phase1.targets st.p1 st.fx base in
   if not (Phase1.Rset.is_empty targets) then
     match kind with
     | Ssair.Ir.Gfield _ -> () (* field offsets are statically in range by typing *)
@@ -787,17 +786,19 @@ let empty_result = { violations = []; infos = []; bounds = bounds_zero; ledger =
 (** Run phase 2.  Returns restriction violations (empty when the program
     adheres to the MiniC shared-memory discipline) together with range
     notes and bounds-obligation statistics. *)
-let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (p1 : Phase1.t) : result =
+let run ?(config = Config.default) ?absint (p1 : Phase1.t) : result =
   if not config.Config.check_restrictions then empty_result
   else begin
-    let accessors = shm_accessors prog p1 in
+    let prog = p1.Phase1.index.Ssair.Index.prog in
+    let accessors = lazy (shm_accessors p1) in
     let st =
-      { prog; p1; config; absint; violations = []; infos = []; bounds = bounds_zero;
+      { prog; p1; fx = -1; config; absint; violations = []; infos = []; bounds = bounds_zero;
         ledger = [] }
     in
-    List.iter
-      (fun (f : Ssair.Ir.func) ->
-        if Phase1.is_exempt p1 f.Ssair.Ir.fname then
+    Array.iteri
+      (fun fx (f : Ssair.Ir.func) ->
+        st.fx <- fx;
+        if Phase1.exempt_fx p1 fx then
           (* obligation suspended under the initializing-function
              exemption (§3.2.1): one "assumed" ledger entry marks the
              whole function as unexamined by phases 2's provers *)
@@ -822,7 +823,7 @@ let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (p1 : Phase
           check_p2_p3 st f;
           check_arrays st f
         end)
-      prog.Ssair.Ir.funcs;
+      p1.Phase1.index.Ssair.Index.funcs;
     (* canonical (file, line, code) order: emission follows program
        order, so sorting here makes a cached report and a fresh run
        byte-identical regardless of function layout *)

@@ -91,26 +91,28 @@ type brinfo = {
     memos derived from them.  Independent of the taint state. *)
 type inputs = {
   prog : Ssair.Ir.program;
+  index : Ssair.Index.t;  (** of [prog]; phase 1's *)
   shm : Shm.t;
   p1 : Phase1.t;
   pts : Pointsto.t;
   config : Config.t;
   absint : Absint.t option;
       (** value ranges; decided branches exert no control dependence *)
-  brinfos : (string, brinfo) Hashtbl.t;
-  find : string -> Ssair.Ir.func option;  (** {!Ssair.Ir.func_index} of [prog] *)
+  brinfos : brinfo option array;  (** {!branch_info} memo, by function index *)
   noncore_sockets : (string, unit) Hashtbl.t;
       (** [assume(noncore(s))] clauses naming something that is not a
           shared-memory region (message-passing extension §3.4.3) *)
-  sites : (string, site list) Hashtbl.t;  (** {!sites_of} memo *)
+  sites : site list option array;  (** {!sites_of} memo, by function index *)
 }
 
 (** A critical site: its block, location, sink description and the
     value checked there. *)
 and site = Ssair.Ir.bid * Loc.t * string * Ssair.Ir.value
 
-let make_inputs ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
-    (p1 : Phase1.t) (pts : Pointsto.t) : inputs =
+let make_inputs ~(config : Config.t) ?absint (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) :
+    inputs =
+  let index = p1.Phase1.index in
+  let prog = index.Ssair.Index.prog in
   let noncore_sockets = Hashtbl.create 4 in
   List.iter
     (fun (f : Ssair.Ir.func) ->
@@ -121,8 +123,9 @@ let make_inputs ~(config : Config.t) ?absint (prog : Ssair.Ir.program) (shm : Sh
           | _ -> ())
         f.Ssair.Ir.fannot)
     prog.Ssair.Ir.funcs;
-  { prog; shm; p1; pts; config; absint; brinfos = Hashtbl.create 16;
-    find = Ssair.Ir.func_index prog; noncore_sockets; sites = Hashtbl.create 32 }
+  let n = Ssair.Index.length index in
+  { prog; index; shm; p1; pts; config; absint; brinfos = Array.make n None; noncore_sockets;
+    sites = Array.make n None }
 
 (* A conditional branch whose condition's value range decides the
    direction takes the same successor in every concrete execution, so it
@@ -144,13 +147,14 @@ let rec controlled (c : Ssair.Cdg.t) seen acc = function
       controlled c seen (controlled c seen (d :: acc) c.Ssair.Cdg.ctrl_slots.(d)) rest
     end
 
-(** Memoized {!brinfo} of [f].  Pure with respect to the taint state;
-    it writes the memo tables, so it must not run on two domains at
-    once. *)
-let branch_info inp (f : Ssair.Ir.func) : brinfo =
-  match Hashtbl.find_opt inp.brinfos f.fname with
+(** Memoized {!brinfo} of function [fx].  Pure with respect to the
+    taint state; it writes the memo tables, so it must not run on two
+    domains at once. *)
+let branch_info inp fx : brinfo =
+  match inp.brinfos.(fx) with
   | Some bi -> bi
   | None ->
+    let f = Ssair.Index.func inp.index fx in
     let br_decided =
       match inp.absint with
       | None -> [||]
@@ -198,47 +202,33 @@ let branch_info inp (f : Ssair.Ir.func) : brinfo =
       end
     in
     let bi = { br_branches; br_decided } in
-    Hashtbl.replace inp.brinfos f.fname bi;
+    inp.brinfos.(fx) <- Some bi;
     bi
 
-(** Assumptions contributed by function [f]'s own [assume(core(...))]
+(** Assumptions contributed by function [fx]'s own [assume(core(...))]
     annotations (see {!Assume}). *)
-let own_assumptions inp (f : Ssair.Ir.func) : assumption list =
-  Assume.of_func ~prog:inp.prog ~shm:inp.shm ~p1:inp.p1 ~pts:inp.pts f
+let own_assumptions inp fx : assumption list =
+  Assume.of_func ~shm:inp.shm ~p1:inp.p1 ~pts:inp.pts fx
 
-(** Root (function, context) pairs: main with its own assumptions, plus
-    every non-exempt function that is never called (library entry
-    points). *)
-let root_pairs inp : (Ssair.Ir.func * Ctx.t) list =
-  let prog = inp.prog in
+(** Root (function index, context) pairs: main with its own
+    assumptions, plus every non-exempt function that is never called
+    (library entry points). *)
+let root_pairs inp : (int * Ctx.t) list =
+  let index = inp.index in
   let roots = ref [] in
-  let add_root (f : Ssair.Ir.func) =
-    roots := (f, Ctx.make (own_assumptions inp f)) :: !roots
-  in
-  (match inp.find "main" with
-  | Some m -> add_root m
-  | None -> ());
-  let called = Hashtbl.create 32 in
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
-      List.iter
-        (fun (b : Ssair.Ir.block) ->
-          List.iter
-            (fun (i : Ssair.Ir.instr) ->
-              match i.Ssair.Ir.idesc with
-              | Ssair.Ir.Call { callee; _ } -> Hashtbl.replace called callee ()
-              | _ -> ())
-            b.Ssair.Ir.instrs)
-        f.Ssair.Ir.blocks)
-    prog.Ssair.Ir.funcs;
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
+  let add_root fx = roots := (fx, Ctx.make (own_assumptions inp fx)) :: !roots in
+  let main = Ssair.Index.find index "main" in
+  if main >= 0 then add_root main;
+  let called = Array.make (Ssair.Index.length index) false in
+  Array.iter (Array.iter (fun gx -> if gx >= 0 then called.(gx) <- true)) index.Ssair.Index.call_callees;
+  Array.iteri
+    (fun fx (f : Ssair.Ir.func) ->
       if
-        (not (Hashtbl.mem called f.Ssair.Ir.fname))
+        (not called.(fx))
         && (not (String.equal f.Ssair.Ir.fname "main"))
-        && not (Phase1.is_exempt inp.p1 f.Ssair.Ir.fname)
-      then add_root f)
-    prog.Ssair.Ir.funcs;
+        && not (Phase1.exempt_fx inp.p1 fx)
+      then add_root fx)
+    index.Ssair.Index.funcs;
   List.rev !roots
 
 (* -- Taint lookups -------------------------------------------------------------- *)
@@ -259,9 +249,9 @@ let value_entity fname ctx (v : Ssair.Ir.value) : entity option =
     relation is static per function ({!branch_info}); only the branch
     conditions' taint is dynamic, and the closure of a union of branch
     sets equals the union of the per-branch closures. *)
-let block_control_taint inp (tl : lookup) (f : Ssair.Ir.func) ctx :
-    (Ssair.Ir.bid, unit) Hashtbl.t =
-  let bi = branch_info inp f in
+let block_control_taint inp (tl : lookup) fx ctx : (Ssair.Ir.bid, unit) Hashtbl.t =
+  let f = Ssair.Index.func inp.index fx in
+  let bi = branch_info inp fx in
   let closed = Hashtbl.create 8 in
   List.iter
     (fun (_bB, id, closure) ->
@@ -286,23 +276,22 @@ let entity_key (e : entity) : string =
     string trace is derived from this path ({!Report.path_strings}),
     keeping both in lockstep. *)
 let path_of (origin_of : entity -> origin option) e : Report.path_step list =
-  let step e why parent =
-    {
-      Report.p_desc = Fmt.str "%a" pp_entity e;
-      p_why = why;
-      p_key = entity_key e;
-      p_parent = Option.map entity_key parent;
-    }
+  let step e key why parent =
+    { Report.p_desc = Fmt.str "%a" pp_entity e; p_why = why; p_key = key; p_parent = parent }
   in
-  let rec go e acc depth =
+  (* [key] is [e]'s key, digested once: as the parent of the step
+     before and as the key of [e]'s own step *)
+  let rec go e key acc depth =
     if depth > 32 then Report.synthetic_step "..." :: acc
     else
       match origin_of e with
-      | Some { parent = Some p; why } -> go p (step e (Some why) (Some p) :: acc) (depth + 1)
-      | Some { parent = None; why } -> step e (Some why) None :: acc
-      | None -> step e None None :: acc
+      | Some { parent = Some p; why } ->
+        let pkey = entity_key p in
+        go p pkey (step e key (Some why) (Some pkey) :: acc) (depth + 1)
+      | Some { parent = None; why } -> step e key (Some why) None :: acc
+      | None -> step e key None None :: acc
   in
-  go e [] 0
+  go e (entity_key e) [] 0
 
 (** The critical sites of [f] in block and instruction order:
     [assert(safe(x))] annotations and the critical arguments of sink
@@ -318,17 +307,18 @@ let rec blocks_have_site sinks = function
   | [] -> false
   | (b : Ssair.Ir.block) :: rest -> instrs_have_site sinks b.Ssair.Ir.instrs || blocks_have_site sinks rest
 
-let rec sites_of inp (f : Ssair.Ir.func) : site list =
-  (* most functions have no site: found out without allocating, and not
-     memoized *)
-  if not (blocks_have_site inp.config.Config.critical_sinks f.Ssair.Ir.blocks) then []
-  else
-    match Hashtbl.find_opt inp.sites f.Ssair.Ir.fname with
-    | Some l -> l
-    | None ->
-      let l = collect_sites inp f in
-      Hashtbl.replace inp.sites f.Ssair.Ir.fname l;
-      l
+let rec sites_of inp fx : site list =
+  match inp.sites.(fx) with
+  | Some l -> l
+  | None ->
+    let f = Ssair.Index.func inp.index fx in
+    (* most functions have no site: found out without allocating *)
+    let l =
+      if blocks_have_site inp.config.Config.critical_sinks f.Ssair.Ir.blocks then collect_sites inp f
+      else []
+    in
+    inp.sites.(fx) <- Some l;
+    l
 
 and collect_sites inp (f : Ssair.Ir.func) =
   let sinks = inp.config.Config.critical_sinks in
@@ -455,13 +445,13 @@ let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t) list) :
   in
   List.iter
     (fun (fname, ctx) ->
-      match inp.find fname with
-      | None -> ()
-      | Some f -> (
-        match sites_of inp f with
+      let fx = Ssair.Index.find inp.index fname in
+      if fx >= 0 then (
+        match sites_of inp fx with
         | [] -> ()
         | sites ->
-          let blk_ctrl = block_control_taint inp tl f ctx in
+          let f = Ssair.Index.func inp.index fx in
+          let blk_ctrl = block_control_taint inp tl fx ctx in
           List.iter
             (fun (bid, loc, sink, v) -> check_value f ctx blk_ctrl bid loc sink v)
             sites))

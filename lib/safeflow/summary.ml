@@ -38,7 +38,7 @@ end)
 
 type state = {
   prog : Ssair.Ir.program;
-  find : string -> Ssair.Ir.func option;  (** {!Ssair.Ir.func_index} of [prog] *)
+  index : Ssair.Index.t;  (** of [prog]; phase 1's *)
   shm : Shm.t;
   p1 : Phase1.t;
   pts : Pointsto.t;
@@ -96,7 +96,7 @@ let covers_node ctx node =
 (** Walk the call graph from the roots accumulating assumption sets; no
     per-instruction work happens per context. *)
 let compute_reachability st =
-  let own f = List.sort_uniq compare (Assume.of_func ~prog:st.prog ~shm:st.shm ~p1:st.p1 ~pts:st.pts f) in
+  let own fx = List.sort_uniq compare (Assume.of_func ~shm:st.shm ~p1:st.p1 ~pts:st.pts fx) in
   let seen : (string * Assume.assumption list, unit) Hashtbl.t = Hashtbl.create 64 in
   let queue = Queue.create () in
   let push fname ctx =
@@ -107,44 +107,33 @@ let compute_reachability st =
       Queue.add (fname, ctx) queue
     end
   in
-  let called = Hashtbl.create 32 in
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
-      List.iter
-        (fun i ->
-          match i.Ssair.Ir.idesc with
-          | Ssair.Ir.Call { callee; _ } -> Hashtbl.replace called callee ()
-          | _ -> ())
-        (Ssair.Ir.all_instrs f))
-    st.prog.Ssair.Ir.funcs;
-  List.iter
-    (fun (f : Ssair.Ir.func) ->
+  let index = st.index in
+  let called = Array.make (Ssair.Index.length index) false in
+  Array.iter (Array.iter (fun gx -> if gx >= 0 then called.(gx) <- true)) index.Ssair.Index.call_callees;
+  Array.iteri
+    (fun fx (f : Ssair.Ir.func) ->
       let name = f.Ssair.Ir.fname in
-      if
-        (String.equal name "main" || not (Hashtbl.mem called name))
-        && not (Phase1.is_exempt st.p1 name)
-      then push name (own f))
-    st.prog.Ssair.Ir.funcs;
+      if (String.equal name "main" || not called.(fx)) && not (Phase1.exempt_fx st.p1 fx) then
+        push name (own fx))
+    index.Ssair.Index.funcs;
   while not (Queue.is_empty queue) do
     let fname, ctx = Queue.pop queue in
-    match st.find fname with
-    | None -> ()
-    | Some f ->
+    let fx = Ssair.Index.find index fname in
+    if fx >= 0 then
       List.iter
-        (fun i ->
-          match i.Ssair.Ir.idesc with
-          | Ssair.Ir.Call { callee; _ } -> (
-            match st.find callee with
-            | Some g when not (Phase1.is_exempt st.p1 callee) ->
-              let gctx =
-                if st.config.Config.context_sensitive then
-                  List.sort_uniq compare (ctx @ own g)
-                else own g
-              in
-              push callee gctx
-            | _ -> ())
-          | _ -> ())
-        (Ssair.Ir.all_instrs f)
+        (fun (b : Ssair.Ir.block) ->
+          List.iter
+            (fun (i : Ssair.Ir.instr) ->
+              match i.Ssair.Ir.idesc with
+              | Ssair.Ir.Call { callee; _ } ->
+                let gx = Ssair.Index.callee index fx i.Ssair.Ir.iid in
+                if gx >= 0 && not (Phase1.exempt_fx st.p1 gx) then
+                  push callee
+                    (if st.config.Config.context_sensitive then List.sort_uniq compare (ctx @ own gx)
+                     else own gx)
+              | _ -> ())
+            b.Ssair.Ir.instrs)
+        (Ssair.Index.func index fx).Ssair.Ir.blocks
   done
 
 let reaching st fname = Option.value ~default:[] (Hashtbl.find_opt st.reach fname)
@@ -194,7 +183,7 @@ let summarize_function st (f : Ssair.Ir.func) (sinks : sink list ref) =
   (* inline a callee's return summary at a call site *)
   let instantiate callee args =
     let gsum = ret_get st callee in
-    match st.find callee with
+    match Ssair.Index.func_opt st.index callee with
     | None -> Srcset.empty
     | Some g ->
       let arg_of p =
@@ -297,7 +286,7 @@ let summarize_function st (f : Ssair.Ir.func) (sinks : sink list ref) =
               vset i.Ssair.Ir.iid (Srcset.union (value_src base) (value_src idx))
             | Ssair.Ir.Annotation _ -> ()
             | Ssair.Ir.Call { callee; args; _ } -> (
-              match st.find callee with
+              match Ssair.Index.func_opt st.index callee with
               | Some _ -> vset i.Ssair.Ir.iid (instantiate callee args)
               | None ->
                 (* message passing: recv through a non-core socket *)
@@ -398,12 +387,13 @@ let pp_source ppf = function
   | Ssite (loc, r) -> Fmt.pf ppf "non-core region %s (read at %a)" r Loc.pp loc
   | Ssocket (loc, f) -> Fmt.pf ppf "non-core socket via %s at %a" f Loc.pp loc
 
-let run ?(config = Config.default) (prog : Ssair.Ir.program) (shm : Shm.t)
-    (p1 : Phase1.t) (pts : Pointsto.t) : result =
+let run ?(config = Config.default) (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : result =
+  let index = p1.Phase1.index in
+  let prog = index.Ssair.Index.prog in
   let st =
     {
       prog;
-      find = Ssair.Ir.func_index prog;
+      index;
       shm;
       p1;
       pts;
@@ -431,13 +421,13 @@ let run ?(config = Config.default) (prog : Ssair.Ir.program) (shm : Shm.t)
   compute_reachability st;
   (* bottom-up order over call-graph SCCs *)
   let callees fname =
-    match st.find fname with
+    match Ssair.Index.func_opt st.index fname with
     | None -> []
     | Some f ->
       List.filter_map
         (fun i ->
           match i.Ssair.Ir.idesc with
-          | Ssair.Ir.Call { callee; _ } when st.find callee <> None ->
+          | Ssair.Ir.Call { callee; _ } when Ssair.Index.func_opt st.index callee <> None ->
             Some callee
           | _ -> None)
         (Ssair.Ir.all_instrs f)
@@ -465,7 +455,7 @@ let run ?(config = Config.default) (prog : Ssair.Ir.program) (shm : Shm.t)
           in
           List.iter
             (fun fname ->
-              match st.find fname with
+              match Ssair.Index.func_opt st.index fname with
               | Some f when not (Phase1.is_exempt p1 fname) ->
                 summarize_function st f sinks
               | _ -> ())

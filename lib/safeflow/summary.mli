@@ -26,4 +26,4 @@ type result = {
 val pp_source : Format.formatter -> source -> unit
 
 val run :
-  ?config:Config.t -> Ssair.Ir.program -> Shm.t -> Phase1.t -> Pointsto.t -> result
+  ?config:Config.t -> Shm.t -> Phase1.t -> Pointsto.t -> result

@@ -146,8 +146,7 @@ type cmemo =
 
 type t = {
   inp : Phase3.inputs;
-  funcs : Ssair.Ir.func array;  (** the program's functions, by function index *)
-  findex : (string, int) Hashtbl.t;  (** name → function index, first definition wins *)
+  funcs : Ssair.Ir.func array;  (** the program index's functions, by function index *)
   mutable pair_arr : int array;  (** packed pair keys in discovery order ([pairs_seen] ids) *)
   warnings : (Loc.t * string, Report.warning) Hashtbl.t;  (** by (loc, region) *)
   ctxs : Intern.Ctx.store;
@@ -159,10 +158,6 @@ type t = {
   own_cids : int array;
       (** by function index: context id of the function's own
           assumptions, -1 until first needed *)
-  p1_views : Phase1.Rset.t array array;
-      (** by function index, then value id: phase-1 register facts
-          (empty arrays and out-of-range ids mean none) *)
-  pts_views : Pointsto.Tset.t array array;  (** points-to register facts, same layout *)
   pairs_seen : Intern.Packed.t;  (** packed (fname id lsl 20) lor ctx id *)
   mutable walk_q : int array;
       (** the pairs to walk in discovery order, each
@@ -202,11 +197,12 @@ type t = {
      stamped with the pair's serial number, so nothing is cleared or
      reallocated between pairs. *)
   mutable w_fi : finfo;
+  mutable w_fx : int;  (** function index *)
   mutable w_fid : int;  (** [strs] id of the function *)
   mutable w_cid : int;
   mutable w_ctx : Phase3.Ctx.t;
-  mutable w_p1 : Phase1.Rset.t array;
-  mutable w_pts : Pointsto.Tset.t array;
+  mutable w_p1 : Phase1.Rset.t array;  (** phase-1 facts of the function's values, by value id *)
+  mutable w_pts : Pointsto.Tset.t array;  (** points-to facts, the same way *)
   mutable w_serial : int;
   mutable val_gen : int array;  (** by value id: serial of the cached entity *)
   mutable val_eid : int array;  (** by value id: its entity id *)
@@ -251,30 +247,11 @@ let no_finfo =
   { fi_func = no_func; fi_sid = -1; fi_blocks = [||]; fi_maxbid = -1;
     fi_bi = { Phase3.br_branches = []; br_decided = [||] }; fi_pnames = [||]; fi_psids = [||] }
 
-(* [views.(fx).(vid) <- v], growing the function's array to the id *)
-let set_view views empty fx vid v =
-  let a = views.(fx) in
-  let a =
-    if vid < Array.length a then a
-    else begin
-      let a' = Array.make (max (vid + 1) (2 * Array.length a)) empty in
-      Array.blit a 0 a' 0 (Array.length a);
-      views.(fx) <- a';
-      a'
-    end
-  in
-  a.(vid) <- v
-
 let create (inp : Phase3.inputs) =
   let whys = Intern.create 64 in
   Array.iter (fun s -> ignore (Intern.intern whys s)) static_whys;
-  let funcs = Array.of_list inp.Phase3.prog.Ssair.Ir.funcs in
+  let funcs = inp.Phase3.index.Ssair.Index.funcs in
   let nfuncs = Array.length funcs in
-  let findex = Hashtbl.create (2 * nfuncs) in
-  Array.iteri
-    (fun k (f : Ssair.Ir.func) ->
-      if not (Hashtbl.mem findex f.Ssair.Ir.fname) then Hashtbl.add findex f.Ssair.Ir.fname k)
-    funcs;
   (* size the flat stores from the function count so typical runs never
      grow mid-build (about 9 entities and 13 edges per function on
      synth-384); everything still grows on demand for denser programs.
@@ -283,27 +260,9 @@ let create (inp : Phase3.inputs) =
      words of stores it never fills *)
   let ecap = max 64 (10 * nfuncs) in
   let edgecap = max 64 (13 * nfuncs) in
-  let p1_views = Array.make nfuncs [||] in
-  Hashtbl.iter
-    (fun (fname, vid) rs ->
-      match Hashtbl.find_opt findex fname with
-      | Some fx -> set_view p1_views Phase1.Rset.empty fx vid rs
-      | None -> ())
-    inp.Phase3.p1.Phase1.facts;
-  let pts_views = Array.make nfuncs [||] in
-  Pointsto.fold_pts
-    (fun k ts () ->
-      match k with
-      | Pointsto.Kreg (fname, vid) -> (
-        match Hashtbl.find_opt findex fname with
-        | Some fx -> set_view pts_views Pointsto.Tset.empty fx vid ts
-        | None -> ())
-      | _ -> ())
-    inp.Phase3.pts ();
   {
     inp;
     funcs;
-    findex;
     pair_arr = Array.make (max 16 nfuncs) 0;
     warnings = Hashtbl.create 32;
     ctxs = Intern.Ctx.create ();
@@ -313,8 +272,6 @@ let create (inp : Phase3.inputs) =
     keys = Intern.Packed.create ecap;
     finfos = Array.make nfuncs None;
     own_cids = Array.make nfuncs (-1);
-    p1_views;
-    pts_views;
     pairs_seen = Intern.Packed.create nfuncs;
     walk_q = Array.make (max 16 nfuncs) 0;
     walk_n = 0;
@@ -339,6 +296,7 @@ let create (inp : Phase3.inputs) =
     n_pops = 0;
     n_pushes = 0;
     w_fi = no_finfo;
+    w_fx = -1;
     w_fid = -1;
     w_cid = -1;
     w_ctx = Phase3.Ctx.empty;
@@ -486,15 +444,13 @@ let drain g =
 
 (* -- Static per-function facts ------------------------------------------------- *)
 
-let func_idx g (f : Ssair.Ir.func) = Hashtbl.find g.findex f.Ssair.Ir.fname
-
 let finfo g fx : finfo =
   match g.finfos.(fx) with
   | Some fi -> fi
   | None ->
     let t0 = if Telemetry.enabled () then Telemetry.now_ns () else 0L in
     let f = g.funcs.(fx) in
-    let fi_bi = Phase3.branch_info g.inp f in
+    let fi_bi = Phase3.branch_info g.inp fx in
     let maxbid =
       List.fold_left (fun m (b : Ssair.Ir.block) -> max m b.Ssair.Ir.bbid) (-1) f.Ssair.Ir.blocks
     in
@@ -514,32 +470,13 @@ let finfo g fx : finfo =
       g.ns_cdg <- g.ns_cdg + Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0);
     fi
 
-(* Context id of function [fx]'s own assumptions.  Most functions have
-   no [assume(core)] of their own; they share the empty context without
-   resolving any annotation. *)
-let rec has_assume_core = function
-  | [] -> false
-  | Annot.Assume_core _ :: _ -> true
-  | _ :: rest -> has_assume_core rest
-
-let rec instrs_assume_core = function
-  | [] -> false
-  | { Ssair.Ir.idesc = Ssair.Ir.Annotation { clause = Annot.Assume_core _; _ }; _ } :: _ -> true
-  | _ :: rest -> instrs_assume_core rest
-
+(* Context id of function [fx]'s own assumptions; most functions have
+   none and share the empty context. *)
 let own_cid g fx =
   let c = g.own_cids.(fx) in
   if c >= 0 then c
   else begin
-    let f = g.funcs.(fx) in
-    let own =
-      if
-        has_assume_core f.Ssair.Ir.fannot
-        || List.exists (fun (b : Ssair.Ir.block) -> instrs_assume_core b.Ssair.Ir.instrs) f.Ssair.Ir.blocks
-      then Phase3.Ctx.make (Phase3.own_assumptions g.inp f)
-      else Phase3.Ctx.empty
-    in
-    let c = Intern.Ctx.intern g.ctxs own in
+    let c = Intern.Ctx.intern g.ctxs (Phase3.Ctx.make (Phase3.own_assumptions g.inp fx)) in
     g.own_cids.(fx) <- c;
     c
   end
@@ -567,7 +504,7 @@ let discover_pair g fx cid =
   let n = Intern.Packed.length g.pairs_seen in
   if Intern.Packed.intern g.pairs_seen pkey = n then begin
     g.pair_arr <- push g.pair_arr n pkey;
-    if not (Phase1.is_exempt g.inp.Phase3.p1 f.Ssair.Ir.fname) then begin
+    if not (Phase1.exempt_fx g.inp.Phase3.p1 fx) then begin
       g.walk_q <- push g.walk_q g.walk_n ((fx lsl 20) lor cid);
       g.walk_n <- g.walk_n + 1
     end
@@ -652,12 +589,12 @@ let value_eid g (v : Ssair.Ir.value) =
 let shm_of g (v : Ssair.Ir.value) =
   match v with
   | Ssair.Ir.Vreg id -> if id < Array.length g.w_p1 then g.w_p1.(id) else Phase1.Rset.empty
-  | _ -> Phase1.shm_targets g.inp.Phase3.p1 g.w_fi.fi_func v
+  | _ -> Phase1.targets g.inp.Phase3.p1 g.w_fx v
 
 let pts_of g (v : Ssair.Ir.value) =
   match v with
   | Ssair.Ir.Vreg id -> if id < Array.length g.w_pts then g.w_pts.(id) else Pointsto.Tset.empty
-  | _ -> Pointsto.points_to g.inp.Phase3.pts g.w_fi.fi_func v
+  | _ -> Pointsto.points_to_fx g.inp.Phase3.pts g.w_fx v
 
 (* Warnings deduplicated by (loc, region): the first context wins. *)
 let record_warning g (w : Report.warning) =
@@ -673,12 +610,12 @@ let callee_cid g gfx =
   if g.inp.Phase3.config.Config.context_sensitive then Intern.Ctx.union g.ctxs g.w_cid ocid
   else ocid
 
-(** The callee memo for [callee] called from the current context.
-    Everything here depends only on the caller context and the callee,
-    never on the rest of the calling pair, which is what lets it be
-    memoized across pairs.  Filling the memo discovers the callee
-    pair. *)
-let cmemo g callee : cmemo =
+(** The callee memo for [callee] (function index [gfx], -1 for an
+    extern) called from the current context.  Everything here depends
+    only on the caller context and the callee, never on the rest of the
+    calling pair, which is what lets it be memoized across pairs.
+    Filling the memo discovers the callee pair. *)
+let cmemo g callee gfx : cmemo =
   let fid = Intern.intern g.strs callee in
   let key = (fid lsl 20) lor g.w_cid in
   match Hashtbl.find_opt g.cmemos key with
@@ -686,8 +623,7 @@ let cmemo g callee : cmemo =
   | None ->
     let t0 = if Telemetry.enabled () then Telemetry.now_ns () else 0L in
     let cm =
-      match Hashtbl.find_opt g.findex callee with
-      | Some gfx ->
+      if gfx >= 0 then begin
         let gfn = g.funcs.(gfx) in
         let gcid = callee_cid g gfx in
         discover_pair g gfx gcid;
@@ -698,7 +634,8 @@ let cmemo g callee : cmemo =
                gfn.Ssair.Ir.fparams)
         in
         Cdefined { cm_callee = fid; cm_params; cm_ret = ent_ret g fid gcid }
-      | None -> Cextern { cm_callee = fid }
+      end
+      else Cextern { cm_callee = fid }
     in
     Hashtbl.add g.cmemos key cm;
     if Telemetry.enabled () then
@@ -835,7 +772,7 @@ let rec arg_edges g bid (cm_params : int array) callee k = function
 let walk_call g bid (i : Ssair.Ir.instr) callee args =
   let config = g.inp.Phase3.config in
   let self = eval g i.Ssair.Ir.iid in
-  match cmemo g callee with
+  match cmemo g callee (Ssair.Index.callee g.inp.Phase3.index g.w_fx i.Ssair.Ir.iid) with
   | Cdefined cm ->
     arg_edges g bid cm.cm_params cm.cm_callee 0 args;
     add_edge g cm.cm_ret self mboth (Phase3.why_ret ~callee:cm.cm_callee)
@@ -944,8 +881,9 @@ let walk_pair g fx cid =
   g.w_fid <- fi.fi_sid;
   g.w_cid <- cid;
   g.w_ctx <- Intern.Ctx.get g.ctxs cid;
-  g.w_p1 <- g.p1_views.(fx);
-  g.w_pts <- g.pts_views.(fx);
+  g.w_fx <- fx;
+  g.w_p1 <- g.inp.Phase3.p1.Phase1.facts.(fx);
+  g.w_pts <- Pointsto.reg_facts g.inp.Phase3.pts fx;
   g.w_serial <- g.w_serial + 1;
   g.ct_n <- 0;
   if fi.fi_maxbid >= Array.length g.ct_gen then begin
@@ -1006,14 +944,14 @@ let lookup g (fl : Phase3.flat) : Phase3.lookup =
 
 let us_of_ns ns = ns / 1000
 
-let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (shm : Shm.t)
-    (p1 : Phase1.t) (pts : Pointsto.t) : Phase3.result =
+let run ?(config = Config.default) ?absint (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) :
+    Phase3.result =
   let inp, g =
     Telemetry.span "phase3.setup" (fun () ->
-        let inp = Phase3.make_inputs ~config ?absint prog shm p1 pts in
+        let inp = Phase3.make_inputs ~config ?absint shm p1 pts in
         let g = create inp in
         List.iter
-          (fun (f, ctx) -> discover_pair g (func_idx g f) (Intern.Ctx.intern g.ctxs ctx))
+          (fun (fx, ctx) -> discover_pair g fx (Intern.Ctx.intern g.ctxs ctx))
           (Phase3.root_pairs inp);
         (inp, g))
   in
@@ -1060,7 +998,8 @@ let run ?(config = Config.default) ?absint (prog : Ssair.Ir.program) (shm : Shm.
            dependency keeps); only pairs with critical sites are
            ordered *)
         let has_sites (fname, _) =
-          match inp.Phase3.find fname with Some f -> Phase3.sites_of inp f <> [] | None -> false
+          let fx = Ssair.Index.find inp.Phase3.index fname in
+          fx >= 0 && Phase3.sites_of inp fx <> []
         in
         Phase3.collect_dependencies inp (lookup g fl) (Phase3.hashtbl_order ~keep:has_sites pairs))
   in

@@ -56,7 +56,6 @@ end
 val run :
   ?config:Config.t ->
   ?absint:Absint.t ->
-  Ssair.Ir.program ->
   Shm.t ->
   Phase1.t ->
   Pointsto.t ->

@@ -537,7 +537,7 @@ let env_table s =
   env
 
 let analyze (prog : Ir.program) : t =
-  let find = Ir.func_index prog in
+  let find = Ssair.Index.func_opt (Ssair.Index.of_program prog) in
   let defined n = Option.get (find n) in
   (* call graph over defined functions, plus call-site counts: entry
      points (never called) keep ⊤ parameters *)

@@ -47,10 +47,11 @@ let first_tainted fname ctx vs table =
 
 (** Analyze one function under one context; records taints, warnings and
     newly discovered (callee, context) pairs. *)
-let analyze_pair st (f : Ssair.Ir.func) (ctx : Ctx.t) =
+let analyze_pair st fx (ctx : Ctx.t) =
+  let f = Ssair.Index.func st.inp.index fx in
   let env = st.inp.prog.Ssair.Ir.env in
   let fname = f.Ssair.Ir.fname in
-  let blk_ctrl = block_control_taint st.inp (lookup st) f ctx in
+  let blk_ctrl = block_control_taint st.inp (lookup st) fx ctx in
   let in_tainted_block bid = Hashtbl.mem blk_ctrl bid in
   List.iter
     (fun (b : Ssair.Ir.block) ->
@@ -195,12 +196,13 @@ let analyze_pair st (f : Ssair.Ir.func) (ctx : Ctx.t) =
           | Ssair.Ir.Gep { base; idx; _ } -> flow_operands [ base; idx ] "address arithmetic"
           | Ssair.Ir.Annotation _ -> ()
           | Ssair.Ir.Call { callee; args; _ } -> (
-            match st.inp.find callee with
+            let gx = Ssair.Index.find st.inp.index callee in
+            match Ssair.Index.func_opt st.inp.index callee with
             | Some g ->
               let gctx =
                 if st.inp.config.Config.context_sensitive then
-                  Ctx.union ctx (Ctx.make (own_assumptions st.inp g))
-                else Ctx.make (own_assumptions st.inp g)
+                  Ctx.union ctx (Ctx.make (own_assumptions st.inp gx))
+                else Ctx.make (own_assumptions st.inp gx)
               in
               if not (Hashtbl.mem st.pairs (g.Ssair.Ir.fname, gctx)) then begin
                 Hashtbl.replace st.pairs (g.Ssair.Ir.fname, gctx) ();
@@ -291,9 +293,8 @@ type result = {
   pairs : (string * Ctx.t, unit) Hashtbl.t;
 }
 
-let run ~config ?absint (prog : Ssair.Ir.program) (shm : Shm.t) (p1 : Phase1.t)
-    (pts : Pointsto.t) : result =
-  let inp = make_inputs ~config ?absint prog shm p1 pts in
+let run ~config ?absint (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : result =
+  let inp = make_inputs ~config ?absint shm p1 pts in
   let st =
     {
       inp;
@@ -305,16 +306,15 @@ let run ~config ?absint (prog : Ssair.Ir.program) (shm : Shm.t) (p1 : Phase1.t)
     }
   in
   List.iter
-    (fun ((f : Ssair.Ir.func), ctx) -> Hashtbl.replace st.pairs (f.Ssair.Ir.fname, ctx) ())
+    (fun (fx, ctx) -> Hashtbl.replace st.pairs ((Ssair.Index.func inp.index fx).Ssair.Ir.fname, ctx) ())
     (root_pairs inp);
   while st.changed do
     st.changed <- false;
     let pairs = Hashtbl.fold (fun k () acc -> k :: acc) st.pairs [] in
     List.iter
       (fun (fname, ctx) ->
-        match inp.find fname with
-        | Some f when not (Phase1.is_exempt p1 fname) -> analyze_pair st f ctx
-        | _ -> ())
+        let fx = Ssair.Index.find inp.index fname in
+        if fx >= 0 && not (Phase1.is_exempt p1 fname) then analyze_pair st fx ctx)
       pairs
   done;
   {

@@ -29,7 +29,7 @@ let run_of label (config : Config.t) src =
     let d = Lazy.force lib.Driver.detail in
     let p = d.Driver.prepared in
     let absint = d.Driver.absint in
-    let o = Dense.run ~config ?absint p.Driver.ir d.Driver.shm d.Driver.phase1 d.Driver.pointsto in
+    let o = Dense.run ~config ?absint d.Driver.shm d.Driver.phase1 d.Driver.pointsto in
     let oracle_report =
       Driver.canonicalize
         (Fingerprint.ctx_of_program p.Driver.ir)

@@ -154,7 +154,7 @@ int main() { return spin(50); }
 |}
   in
   let p = Driver.prepare_source ~file:"loop.c" src in
-  let ai = Absint.analyze p.Driver.ir in
+  let ai = Absint.analyze p.Driver.index in
   Alcotest.(check bool) "fixpoint ran" true (Absint.iterations ai > 0);
   Alcotest.(check bool) "widening fired" true (Absint.widenings ai > 0);
   (* the pass budget in run_function is 100 ascending iterations; a
@@ -163,7 +163,7 @@ int main() { return spin(50); }
 
 let test_branch_refinement_kills_branch () =
   let p = Driver.prepare_source ~file:"clamp.c" clamp_src in
-  let ai = Absint.analyze p.Driver.ir in
+  let ai = Absint.analyze p.Driver.index in
   let main =
     List.find (fun f -> f.Ssair.Ir.fname = "main") p.Driver.ir.Ssair.Ir.funcs
   in
@@ -249,7 +249,7 @@ let count_fixpoints (ir : Ssair.Ir.program) =
     Hashtbl.replace inputs (fname, Lazy.force inputs_digest) ();
     compute ()
   in
-  ignore (Absint.analyze ~memo ir);
+  ignore (Absint.analyze ~memo (Ssair.Index.of_program ir));
   (calls, Hashtbl.length inputs)
 
 let test_synth_one_fixpoint_per_function () =
@@ -282,7 +282,7 @@ let pp_view ppf (v : Absint.summary_view) =
    block, and the range of every SSA value and parameter at every
    block. *)
 let oracle_diff (ir : Ssair.Ir.program) : string option =
-  let lib = Absint.analyze ir and ora = Absint_oracle.analyze ir in
+  let lib = Absint.analyze (Ssair.Index.of_program ir) and ora = Absint_oracle.analyze ir in
   let views_l = Absint.summary_views lib and views_o = Absint_oracle.summary_views ora in
   let exception Diff of string in
   let differ fmt = Fmt.kstr (fun m -> raise (Diff m)) fmt in

@@ -409,6 +409,59 @@ let test_killed_worker () =
           f.Forkmap.message)
     stripes.(1)
 
+(* Progress counts member_done events: when a worker is killed, the
+   parent reports each input of its stripe that the worker did not, so
+   the count still reaches the number of inputs. *)
+let test_killed_worker_events () =
+  let dir = mkdtemp "sf-fleet-killed" in
+  let paths =
+    List.init 4 (fun k ->
+        let path = Filename.concat dir (Printf.sprintf "m%d.c" k) in
+        let oc = open_out_bin path in
+        output_string oc (Printf.sprintf "int main() { return %d; }\n" k);
+        close_out oc;
+        path)
+  in
+  let stripes = Forkmap.stripes ~workers:2 (List.length paths) in
+  let first_of_stripe1 = List.nth paths stripes.(1).(0) in
+  let events = ref [] in
+  let results =
+    Fleet.analyze_inputs ~jobs:2
+      ~on_event:(fun line -> events := line :: !events)
+      ~render:(fun path _ _ ->
+        (* stripe 1 dies in its first input, before reporting it *)
+        if path = first_of_stripe1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        path)
+      paths
+  in
+  let member_done =
+    List.filter
+      (fun l ->
+        match Jsonlite.parse l with
+        | Ok j -> Option.bind (Jsonlite.member "ev" j) Jsonlite.to_string = Some "member_done"
+        | Error _ -> false)
+      !events
+  in
+  Alcotest.(check int) "one member_done per input" (List.length paths) (List.length member_done);
+  Array.iter
+    (fun i ->
+      match results.(i) with
+      | Ok _ -> Alcotest.failf "input %d of the killed stripe came back" i
+      | Error (f : Forkmap.failure) ->
+        Alcotest.(check bool) "crashed" true (f.Forkmap.cause = Forkmap.Crashed);
+        Alcotest.(check bool) "reported crashed" true
+          (List.exists
+             (fun l ->
+               let j = Result.get_ok (Jsonlite.parse l) in
+               Option.bind (Jsonlite.member "path" j) Jsonlite.to_string = Some f.Forkmap.input
+               && Option.bind (Jsonlite.member "status" j) Jsonlite.to_string = Some "crashed")
+             member_done))
+    stripes.(1);
+  Array.iter
+    (fun i -> Alcotest.(check bool) "stripe 0 came back" true (Result.is_ok results.(i)))
+    stripes.(0);
+  rm_rf dir
+
 (* A member the frontend rejects is a failure record naming its path;
    the other members still report, in process and on forked workers. *)
 let test_bad_member () =
@@ -476,7 +529,9 @@ let () =
         [ Alcotest.test_case "a killed worker fails only its stripe" `Quick
             test_killed_worker;
           Alcotest.test_case "a rejected member does not sink the run" `Quick
-            test_bad_member ] );
+            test_bad_member;
+          Alcotest.test_case "a killed worker's inputs still report done" `Quick
+            test_killed_worker_events ] );
       ( "multidomain",
         [ Alcotest.test_case "a second domain is refused" `Quick test_second_domain_refused ] )
     ]

@@ -227,7 +227,7 @@ let fixpoint_digests src =
     ds := Lazy.force inputs_digest :: !ds;
     compute ()
   in
-  ignore (Absint.analyze ~memo p.Driver.ir);
+  ignore (Absint.analyze ~memo p.Driver.index);
   List.sort_uniq compare !ds
 
 (* an edit to one return value moves the ranges of its callers: exactly

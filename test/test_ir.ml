@@ -38,13 +38,13 @@ let no_violations ?ssa ir =
 let test_lower_simple () =
   let ir = compile "int add(int a, int b) { return a + b; }" in
   no_violations ir;
-  let f = Option.get (Ssair.Ir.func_index ir "add") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "add") in
   Alcotest.(check int) "one block" 1 (List.length f.blocks)
 
 let test_lower_if_blocks () =
   let ir = compile "int f(int x) { if (x > 0) { return 1; } return 0; }" in
   no_violations ir;
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   Alcotest.(check bool) "several blocks" true (List.length f.blocks >= 3)
 
 let test_lower_annotations_kept () =
@@ -53,7 +53,7 @@ let test_lower_annotations_kept () =
      double *g;"
   in
   let ir = compile src in
-  let f = Option.get (Ssair.Ir.func_index ir "dec") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "dec") in
   let annots =
     List.filter
       (fun i -> match i.Ssair.Ir.idesc with Ssair.Ir.Annotation _ -> true | _ -> false)
@@ -68,7 +68,7 @@ let test_lower_switch () =
        default: r = r + 1; } return r; }"
   in
   no_violations ir;
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let has_switch =
     List.exists
       (fun b -> match b.Ssair.Ir.termin with Ssair.Ir.Switch _ -> true | _ -> false)
@@ -78,7 +78,7 @@ let test_lower_switch () =
 
 let test_lower_pointer_gep () =
   let ir = compile "int f(int *p, int i) { return p[i]; }" in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let has_gep =
     List.exists
       (fun i -> match i.Ssair.Ir.idesc with Ssair.Ir.Gep _ -> true | _ -> false)
@@ -93,7 +93,7 @@ let diamond_src =
 
 let test_dom_diamond () =
   let ir = compile diamond_src in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let t = Ssair.Dom.compute f in
   (* entry dominates everything *)
   List.iter
@@ -120,7 +120,7 @@ let test_dom_diamond () =
 
 let test_dom_frontier_diamond () =
   let ir = compile diamond_src in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let t = Ssair.Dom.compute f in
   let df = Mem2reg.frontiers f t in
   let preds = Ssair.Ir.predecessors f in
@@ -142,7 +142,7 @@ let test_dom_frontier_diamond () =
 
 let test_dom_loop_header () =
   let ir = compile "int f(int n) { int s = 0; while (n > 0) { s += n; n--; } return s; }" in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let t = Ssair.Dom.compute f in
   (* every block reachable: the dom tree covers all blocks *)
   List.iter
@@ -183,12 +183,12 @@ let test_verify_undefined_operands () =
 
 let test_ssa_phi_inserted () =
   let ir = compile_ssa diamond_src in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   Alcotest.(check bool) "phi exists" true (List.length (Ssair.Ir.all_phis f) >= 1)
 
 let test_ssa_no_scalar_allocas () =
   let ir = compile_ssa diamond_src in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let scalar_allocas =
     List.filter
       (fun i ->
@@ -201,7 +201,7 @@ let test_ssa_no_scalar_allocas () =
 
 let test_ssa_address_taken_not_promoted () =
   let ir = compile_ssa "int f() { int x = 1; int *p = &x; *p = 5; return x; }" in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let allocas =
     List.filter
       (fun i -> match i.Ssair.Ir.idesc with Ssair.Ir.Alloca _ -> true | _ -> false)
@@ -214,7 +214,7 @@ let test_ssa_address_taken_not_promoted () =
 let test_ssa_loop_phi () =
   let ir = compile_ssa "int f(int n) { int s = 0; int i = 0; while (i < n) { s += i; i++; } return s; }" in
   no_violations ~ssa:true ir;
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   Alcotest.(check bool) "loop phis" true (List.length (Ssair.Ir.all_phis f) >= 2)
 
 (* -- Interpreter (differential) -------------------------------------------- *)
@@ -365,7 +365,7 @@ let test_interp_undeclared_call_rejected () =
 
 let test_cdg_if () =
   let ir = compile_ssa diamond_src in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let cdg = Ssair.Cdg.compute f in
   (* the entry block (holding the condition) controls both branch blocks *)
   let controlled =
@@ -376,7 +376,7 @@ let test_cdg_if () =
 
 let test_cdg_straightline () =
   let ir = compile_ssa "int f() { int a = 1; int b = 2; return a + b; }" in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let cdg = Ssair.Cdg.compute f in
   List.iter
     (fun b ->
@@ -388,7 +388,7 @@ let test_cdg_straightline () =
 
 let test_cdg_loop_self () =
   let ir = compile_ssa "int f(int n) { int s = 0; while (n > 0) { s++; n--; } return s; }" in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let cdg = Ssair.Cdg.compute f in
   (* loop body is control-dependent on the header *)
   let dependent_blocks =
@@ -398,7 +398,7 @@ let test_cdg_loop_self () =
 
 let test_cdg_infinite_loop_tolerated () =
   let ir = compile_ssa "void f() { while (1) { } }" in
-  let f = Option.get (Ssair.Ir.func_index ir "f") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f") in
   let _ = Ssair.Cdg.compute f in
   ()
 
@@ -469,7 +469,7 @@ let test_unreachable_address_taken () =
     List.length
       (List.filter
          (fun i -> match i.Ssair.Ir.idesc with Ssair.Ir.Alloca _ -> true | _ -> false)
-         (Ssair.Ir.all_instrs (Option.get (Ssair.Ir.func_index ir "f"))))
+         (Ssair.Ir.all_instrs (Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "f"))))
   in
   let direct = compile_ssa src in
   let oracle = compile src in

@@ -22,7 +22,7 @@ let test_constant_folding () =
   let ir = compile "int main() { return 2 + 3 * 4 - 1; }" in
   let n = Ssair.Opt.run ir in
   Alcotest.(check bool) "some rewrites" true (n > 0);
-  let f = Option.get (Ssair.Ir.func_index ir "main") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "main") in
   (* everything folds into a constant return *)
   Alcotest.(check int) "no instructions left" 0 (instr_count f);
   Alcotest.(check int64) "still 13" 13L (run_int ir)
@@ -30,7 +30,7 @@ let test_constant_folding () =
 let test_branch_folding () =
   let ir = compile "int main() { if (1 < 2) { return 10; } return 20; }" in
   ignore (Ssair.Opt.run ir);
-  let f = Option.get (Ssair.Ir.func_index ir "main") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "main") in
   Alcotest.(check int) "collapsed to one block" 1 (block_count f);
   Alcotest.(check int64) "result" 10L (run_int ir)
 
@@ -40,14 +40,14 @@ let test_switch_folding () =
              default: return 300; } }"
   in
   ignore (Ssair.Opt.run ir);
-  let f = Option.get (Ssair.Ir.func_index ir "main") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "main") in
   Alcotest.(check int) "one block" 1 (block_count f);
   Alcotest.(check int64) "result" 200L (run_int ir)
 
 let test_dead_code_removed () =
   let ir = compile "int main(){ int unused = 5 * 7; int x = 2; return x + 1; }" in
   ignore (Ssair.Opt.run ir);
-  let f = Option.get (Ssair.Ir.func_index ir "main") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "main") in
   Alcotest.(check int) "all folded away" 0 (instr_count f)
 
 let test_calls_not_removed () =
@@ -56,7 +56,7 @@ let test_calls_not_removed () =
       "extern int effectful(void); int main() { effectful(); return 1; }"
   in
   ignore (Ssair.Opt.run ir);
-  let f = Option.get (Ssair.Ir.func_index ir "main") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "main") in
   let calls =
     List.filter
       (fun i -> match i.Ssair.Ir.idesc with Ssair.Ir.Call _ -> true | _ -> false)
@@ -72,7 +72,7 @@ let test_annotations_kept () =
        sendControl(v); return 0; }"
   in
   ignore (Ssair.Opt.run ir);
-  let f = Option.get (Ssair.Ir.func_index ir "main") in
+  let f = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) "main") in
   let annots =
     List.filter
       (fun i -> match i.Ssair.Ir.idesc with Ssair.Ir.Annotation _ -> true | _ -> false)

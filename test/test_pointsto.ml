@@ -6,9 +6,9 @@ open Minic
 
 let compile src =
   let ir = Ssair.Build.lower (Typecheck.check_program (Parser.parse_string src)) in
-  (ir, Pointsto.analyze ir)
+  (ir, Pointsto.analyze (Ssair.Index.of_program ir))
 
-let func ir name = Option.get (Ssair.Ir.func_index ir name)
+let func ir name = Option.get (Ssair.Index.func_opt (Ssair.Index.of_program ir) name)
 
 (* the points-to set of the value returned by [fname] *)
 let ret_pts pts fname = Pointsto.pts_get pts (Pointsto.Kret fname)
