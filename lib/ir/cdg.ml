@@ -10,20 +10,13 @@
     [f.blocks] order, the virtual exit last) with int-array CHK
     post-dominators — this is called once per function on the phase-3
     pair walk, where per-function constant cost dominates on programs
-    made of many small functions.  The dependence relation is therefore
-    delivered primarily as dense slot arrays ([slot_bid], [ctrl_slots]);
-    the bid-keyed hashtables are built lazily, only for consumers that
-    ask for them (emission order and cons-list shape match the original
-    hashtable construction exactly).
+    made of many small functions.  The dependence relation is delivered
+    as dense slot arrays ([slot_of], [slot_bid], [ctrl_slots]).
 
     Used by SafeFlow phase 3 to detect critical data that is control-
     dependent on unmonitored non-core values (§3.4.1). *)
 
 type t = {
-  deps : (Ir.bid, Ir.bid list) Hashtbl.t Lazy.t;
-      (** block → blocks it is control-dependent on *)
-  controls : (Ir.bid, Ir.bid list) Hashtbl.t Lazy.t;
-      (** block → blocks control-dependent on it *)
   slot_of : Ir.bid -> int;
       (** block id → canonical dense slot (first block with that id), or
           [-1] when no block has that id *)
@@ -54,8 +47,6 @@ let compute (f : Ir.func) : t =
   let n = Array.length blocks in
   if n = 0 then
     {
-      deps = lazy (Hashtbl.create 1);
-      controls = lazy (Hashtbl.create 1);
       slot_of = (fun _ -> -1);
       slot_bid = [||];
       ctrl_slots = [||];
@@ -216,47 +207,9 @@ let compute (f : Ir.func) : t =
         walk stop a sa.(j)
       done
     done;
-    (* the bid-keyed tables, derived from [ctrl_s] on demand: a slot's
-       controlled list is in recording order, newest first; a block's
-       controllers come newest (highest slot) first, the order in which
-       the walk above records them *)
-    let tbl_of arr =
-      let t = Hashtbl.create 16 in
-      Array.iteri (fun i l -> if l <> [] then Hashtbl.replace t blocks.(i).Ir.bbid l) arr;
-      t
-    in
-    let bid s = blocks.(s).Ir.bbid in
-    let deps =
-      lazy
-        (let deps_a = Array.make n [] in
-         Array.iteri (fun asl l -> List.iter (fun bs -> deps_a.(bs) <- bid asl :: deps_a.(bs)) l) ctrl_s;
-         tbl_of deps_a)
-    in
-    let controls = lazy (tbl_of (Array.map (List.map bid) ctrl_s)) in
     {
-      deps;
-      controls;
       slot_of;
       slot_bid = Array.map (fun (b : Ir.block) -> b.Ir.bbid) blocks;
       ctrl_slots = ctrl_s;
     }
   end
-
-(** Blocks that [b] is control-dependent on. *)
-let deps_of t b = Option.value ~default:[] (Hashtbl.find_opt (Lazy.force t.deps) b)
-
-(** Transitive closure of control dependence for [b] (not including [b]
-    unless it controls itself through a loop). *)
-let transitive_deps t b =
-  let seen = Hashtbl.create 16 in
-  let rec go n =
-    List.iter
-      (fun a ->
-        if not (Hashtbl.mem seen a) then begin
-          Hashtbl.replace seen a ();
-          go a
-        end)
-      (deps_of t n)
-  in
-  go b;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen []

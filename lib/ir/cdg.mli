@@ -3,18 +3,12 @@
     that is control-dependent on unmonitored non-core values. *)
 
 type t = {
-  deps : (Ir.bid, Ir.bid list) Hashtbl.t Lazy.t;
-      (** block → its controllers; built on first use *)
-  controls : (Ir.bid, Ir.bid list) Hashtbl.t Lazy.t;
-      (** block → blocks it controls; built on first use *)
   slot_of : Ir.bid -> int;  (** block id → canonical dense slot, -1 if unknown *)
   slot_bid : int array;  (** dense slot → block id *)
   ctrl_slots : int list array;
-      (** [controls] on dense slots, for array-based closure walks *)
+      (** slot → slots control-dependent on it (the blocks it controls),
+          for array-based closure walks *)
 }
 
 val compute : Ir.func -> t
 
-val deps_of : t -> Ir.bid -> Ir.bid list
-
-val transitive_deps : t -> Ir.bid -> Ir.bid list

@@ -1,9 +1,11 @@
-(* Minimal JSON reader (and escape helper).  The repo deliberately has
-   no JSON dependency — emitters are hand-rolled Buffer code — but the
-   observability layer needs to *read* JSON back: NDJSON fleet events
-   for [Progress], stats files in tests.  Recursive-descent parser over
-   a string; numbers are kept as floats, which covers every value the
-   tool itself emits. *)
+(* Minimal JSON reader and writer.  The repo deliberately has no JSON
+   dependency.  The reader serves the observability layer (NDJSON fleet
+   events for [Progress], stats files in tests) and the certificate
+   checker; [emit] serializes the certificate and explain documents;
+   [escape] is the one string escape every hand-rolled emitter (SARIF,
+   telemetry, the audit ledger) uses.  Recursive-descent parser over a
+   string; numbers are kept as floats, which covers every value the tool
+   itself emits. *)
 
 type t =
   | Null

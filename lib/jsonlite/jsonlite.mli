@@ -1,9 +1,11 @@
-(** Minimal dependency-free JSON reader.
+(** Minimal dependency-free JSON reader and writer.
 
-    The repo's emitters are hand-rolled; this is the matching reader
-    for the observability layer — fleet NDJSON events ({!Events},
-    {!Progress}) and stats files in tests.  Numbers are represented as
-    floats, which is lossless for everything the tool itself emits. *)
+    {!parse} reads fleet NDJSON events ({!Events}, {!Progress}), stats
+    files in tests and certificate bundles; {!emit} writes the
+    certificate and explain documents; {!escape} is the string escape of
+    every emitter that builds its JSON by hand (SARIF, telemetry, the
+    audit ledger).  Numbers are represented as floats, which is lossless
+    for everything the tool itself emits. *)
 
 type t =
   | Null

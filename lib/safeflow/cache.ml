@@ -48,8 +48,11 @@
    analysed input, keyed on the source key and the semantic
    configuration, holds the report (every phase-2 info included), the
    coverage, the ledger and the fingerprint context.  "absint" and
-   "latest" are unchanged. *)
-let format_version = 12
+   "latest" are unchanged.
+   Version 13: the coverage in an "analysis" entry carries the bounds
+   tally as a {!Ledger.recon} (six fields, Omega queries issued
+   included) instead of phase 2's five-field summary. *)
+let format_version = 13
 
 let magic = "SAFEFLOW-CACHE"
 

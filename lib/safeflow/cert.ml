@@ -20,7 +20,6 @@
 
 open Minic
 module J = Jsonlite
-module Offset = Pointsto.Offset
 
 let schema = Checker.schema
 let explain_schema = "safeflow-explain/1"
@@ -248,97 +247,55 @@ let site_certs (ledger : Ledger.entry list) : (string * string * J.t) list =
 
 (* ---- obligation certificates (A1/A2 bounds) ------------------------------ *)
 
-(* phase 2's opacity test, applied to a fresh affine context: symbols
-   that are neither loop phis nor parameters make the obligation A2 *)
-let opaque_syms (actx : Phase2.affine_ctx) (e : Omega.Linexpr.t) =
-  List.exists
-    (fun sym ->
-      match
-        if String.length sym > 1 && sym.[0] = 'v' then
-          int_of_string_opt (String.sub sym 1 (String.length sym - 1))
-        else None
-      with
-      | None -> not (String.length sym > 2 && String.sub sym 0 2 = "p_")
-      | Some id -> (
-        match Hashtbl.find_opt actx.Phase2.defs id with
-        | Some (Ssair.Ir.Def_phi _) -> false
-        | _ -> true))
-    (Omega.Linexpr.vars e)
-
 type side_fail =
   | Side_failed  (* the analysis did not discharge this side either *)
   | Side_unreplayable of string  (* discharged, but the checker cannot replay it *)
 
-(* certify one Omega side: re-decide the query exactly as phase 2 did,
-   then find a core the independent refuter replays — the solver's
+(* certify one side phase 2 refuted with Omega: find a core of its
+   constraint pool the independent refuter replays — the solver's
    deletion-minimal core first, the oracle-minimized full pool as
    fallback *)
-let certify_omega_side ~fuel ~doms ~inds ~hyps goal :
-    (J.t * [ `Omega | `Ranges ], side_fail) result =
-  let feas cs = Omega.feasible ~fuel cs in
-  let constraints = doms @ inds in
-  let verdict =
-    match hyps with
-    | [] -> feas (goal :: constraints)
-    | _ -> (
-      match feas ((goal :: hyps) @ constraints) with
-      | Omega.Unsat -> Omega.Unsat
-      | Omega.Sat | Omega.Unknown -> feas (goal :: constraints))
+let certify_omega_side ~fuel ~pool goal : (J.t, side_fail) result =
+  let goal_j = cstr_json goal in
+  let replayable core = Checker.refutable (goal_j :: List.map cstr_json core) in
+  let core =
+    match Omega.unsat_core ~fuel [ goal ] pool with
+    | Some c when replayable c -> Some c
+    | _ ->
+      if not (replayable pool) then None
+      else begin
+        (* deletion-minimize with the checker itself as the oracle *)
+        let rec shrink kept = function
+          | [] -> List.rev kept
+          | c :: rest ->
+            if replayable (List.rev_append kept rest) then shrink kept rest
+            else shrink (c :: kept) rest
+        in
+        Some (shrink [] pool)
+      end
   in
-  match verdict with
-  | Omega.Sat | Omega.Unknown -> Error Side_failed
-  | Omega.Unsat -> (
-    let pool = constraints @ hyps in
-    let goal_j = cstr_json goal in
-    let replayable core = Checker.refutable (goal_j :: List.map cstr_json core) in
-    let core =
-      match Omega.unsat_core ~fuel [ goal ] pool with
-      | Some c when replayable c -> Some c
-      | _ ->
-        if not (replayable pool) then None
-        else begin
-          (* deletion-minimize with the checker itself as the oracle *)
-          let rec shrink kept = function
-            | [] -> List.rev kept
-            | c :: rest ->
-              if replayable (List.rev_append kept rest) then shrink kept rest
-              else shrink (c :: kept) rest
-          in
-          Some (shrink [] pool)
-        end
-    in
-    match core with
-    | Some core ->
-      Ok
-        ( J.Obj
-            [
-              ("by", J.Str "omega");
-              ("goal", goal_j);
-              ("core", J.Arr (List.map cstr_json core));
-            ],
-          `Omega )
-    | None ->
-      Error
-        (Side_unreplayable
-           "Omega verdict not replayable by the independent refuter"))
+  match core with
+  | Some core ->
+    Ok
+      (J.Obj
+         [ ("by", J.Str "omega"); ("goal", goal_j); ("core", J.Arr (List.map cstr_json core)) ])
+  | None -> Error (Side_unreplayable "Omega verdict not replayable by the independent refuter")
 
-let obligation_certs ~(config : Config.t) (d : Driver.detail) :
+(* One certificate per discharged obligation, read off phase 2's
+   records: nothing is re-derived or re-decided here.  An obligation
+   phase 2 failed has a finding certificate instead. *)
+let obligation_certs ~(config : Config.t) (ph2 : Phase2.result) :
     (string * string * J.t) list * (string * string) list =
-  if not config.Config.check_restrictions then ([], [])
-  else begin
-    let prog = d.Driver.prepared.Driver.ir in
-    let p1 = d.Driver.phase1 in
-    let fuel = config.Config.omega_fuel in
-    let certs = ref [] and skipped = ref [] in
-    let seq_tbl = Hashtbl.create 32 in
-    let emit_one (f : Ssair.Ir.func) bid (i : Ssair.Ir.instr) idx elsize
-        (r : Shm.region) base_off aq =
-      let bound = (r.Shm.r_size - base_off) / elsize in
-      let loc = i.Ssair.Ir.iloc in
+  let fuel = config.Config.omega_fuel in
+  let certs = ref [] and skipped = ref [] in
+  let seq_tbl = Hashtbl.create 32 in
+  List.iter
+    (fun (ob : Phase2.obligation) ->
+      let loc = ob.Phase2.ob_loc and r = ob.Phase2.ob_region in
       let key =
         String.concat "|"
           [
-            f.Ssair.Ir.fname;
+            ob.Phase2.ob_func;
             loc.Loc.file;
             string_of_int loc.Loc.line;
             string_of_int loc.Loc.col;
@@ -347,139 +304,69 @@ let obligation_certs ~(config : Config.t) (d : Driver.detail) :
       in
       let seq = Option.value ~default:0 (Hashtbl.find_opt seq_tbl key) in
       Hashtbl.replace seq_tbl key (seq + 1);
-      let mk_id rule =
-        md5_hex (String.concat "|" [ "oblig"; rule; key; string_of_int seq ])
+      let mk_id rule = md5_hex (String.concat "|" [ "oblig"; rule; key; string_of_int seq ]) in
+      let cert ~rule ~discharge ~index extra =
+        certs :=
+          ( mk_id rule,
+            "obligation",
+            J.Obj
+              (header ~kind:"obligation" ~id:(mk_id rule)
+              @ [ ("rule", J.Str rule); ("func", J.Str ob.Phase2.ob_func) ]
+              @ loc_fields loc
+              @ [
+                  ("iid", num ob.Phase2.ob_iid);
+                  ("bid", num ob.Phase2.ob_bid);
+                  ("region", J.Str r.Shm.r_name);
+                  ("region_size", num r.Shm.r_size);
+                  ("base_off", num ob.Phase2.ob_base_off);
+                  ("elsize", num ob.Phase2.ob_elsize);
+                  ("bound", num ob.Phase2.ob_bound);
+                  ("discharge", J.Str discharge);
+                  ("index", index);
+                ]
+              @ extra) )
+          :: !certs
       in
-      let base_fields ~rule ~discharge ~index =
-        header ~kind:"obligation" ~id:(mk_id rule)
-        @ [ ("rule", J.Str rule); ("func", J.Str f.Ssair.Ir.fname) ]
-        @ loc_fields loc
-        @ [
-            ("iid", num i.Ssair.Ir.iid);
-            ("bid", num bid);
-            ("region", J.Str r.Shm.r_name);
-            ("region_size", num r.Shm.r_size);
-            ("base_off", num base_off);
-            ("elsize", num elsize);
-            ("bound", num bound);
-            ("discharge", J.Str discharge);
-            ("index", index);
-          ]
-      in
-      match idx with
-      | Ssair.Ir.Vint (n64, _) ->
-        let n = Int64.to_int n64 in
-        if n >= 0 && n < bound then
-          (* in-range constant: pure arithmetic for the checker *)
-          certs :=
-            ( mk_id "A1",
-              "obligation",
-              J.Obj
-                (base_fields ~rule:"A1" ~discharge:"const"
-                   ~index:(J.Obj [ ("kind", J.Str "const"); ("value", num n) ])) )
-            :: !certs
-        (* out of range ⇒ the analysis reported a violation; its finding
-           certificate covers the verdict, no obligation cert to emit *)
-      | _ -> (
-        (* counted obligation: fresh affine context in the canonical
-           derivation order (index expression, dominating constraints,
-           induction facts, range hypotheses) so the fresh "u<n>" symbols
-           line up with the checker's own re-derivation *)
-        let actx = Phase2.mk_affine_ctx f in
-        let idx_e = Phase2.affine_of_value actx idx in
-        let doms = Phase2.dominating_constraints actx bid in
-        let inds = Phase2.induction_constraints actx idx_e in
-        let hyps = Phase2.range_hypotheses aq ~bid idx_e in
-        let rule = if opaque_syms actx idx_e then "A2" else "A1" in
-        let rng = Option.map (fun q -> Absint.range_of_value q ~at:bid idx) aq in
-        let lo_proved =
-          match rng with
-          | Some r ->
-            Absint.Itv.is_bot r
-            || (match Absint.Itv.finite_lo r with Some l -> l >= 0 | None -> false)
-          | None -> false
+      match ob.Phase2.ob_index with
+      | Phase2.Const n ->
+        (* in range: pure arithmetic for the checker; out of range, the
+           violation's finding certificate covers the verdict *)
+        if n >= 0 && n < ob.Phase2.ob_bound then
+          cert ~rule:"A1" ~discharge:"const"
+            ~index:(J.Obj [ ("kind", J.Str "const"); ("value", num n) ])
+            []
+      | Phase2.Counted { rule; low; high } -> (
+        let side = function
+          | Phase2.By_ranges -> Ok (J.Obj [ ("by", J.Str "ranges") ])
+          | Phase2.By_omega { goal; pool; _ } -> certify_omega_side ~fuel ~pool goal
+          | Phase2.Undecided _ -> Error Side_failed
         in
-        let hi_proved =
-          match rng with
-          | Some r -> (
-            Absint.Itv.is_bot r
-            ||
-            match Absint.Itv.finite_hi r with
-            | Some h -> h <= bound - 1
-            | None -> false)
-          | None -> false
-        in
-        let side proved goal =
-          if proved then Ok (J.Obj [ ("by", J.Str "ranges") ], `Ranges)
-          else certify_omega_side ~fuel ~doms ~inds ~hyps goal
-        in
-        let low = side lo_proved (Omega.le idx_e (Omega.Linexpr.const (-1))) in
-        let high = side hi_proved (Omega.ge idx_e (Omega.Linexpr.const bound)) in
-        match (low, high) with
-        | Ok (lj, lt), Ok (hj, ht) ->
+        match (side low, side high) with
+        | Ok lj, Ok hj ->
           let discharge =
-            match (lt, ht) with
-            | `Ranges, `Ranges -> "ranges"
-            | `Omega, `Omega -> "omega"
+            match (low, high) with
+            | Phase2.By_ranges, Phase2.By_ranges -> "ranges"
+            | Phase2.By_omega _, Phase2.By_omega _ -> "omega"
             | _ -> "omega+ranges"
           in
-          certs :=
-            ( mk_id rule,
-              "obligation",
-              J.Obj
-                (base_fields ~rule ~discharge
-                   ~index:(J.Obj [ ("kind", J.Str "counted") ])
-                @ [ ("sides", J.Obj [ ("low", lj); ("high", hj) ]) ]) )
-            :: !certs
-        | _ ->
+          cert ~rule ~discharge
+            ~index:(J.Obj [ ("kind", J.Str "counted") ])
+            [ ("sides", J.Obj [ ("low", lj); ("high", hj) ]) ]
+        | lo, hi ->
           let reasons =
             List.filter_map
               (fun (name, s) ->
                 match s with
                 | Error (Side_unreplayable m) -> Some (name ^ " side: " ^ m)
                 | _ -> None)
-              [ ("low", low); ("high", high) ]
+              [ ("low", lo); ("high", hi) ]
           in
           (* only unreplayable sides are worth reporting: an undischarged
              side means the analysis failed the obligation too, and the
              violation's finding certificate carries that verdict *)
-          if reasons <> [] then
-            skipped := (mk_id rule, String.concat "; " reasons) :: !skipped)
-    in
-    Array.iteri
-      (fun fx (f : Ssair.Ir.func) ->
-        if not (Phase1.exempt_fx p1 fx) then begin
-          let aq =
-            lazy (Option.map (fun ai -> Absint.query_ctx ai f) d.Driver.absint)
-          in
-          List.iter
-            (fun (b : Ssair.Ir.block) ->
-              List.iter
-                (fun (i : Ssair.Ir.instr) ->
-                  match i.Ssair.Ir.idesc with
-                  | Ssair.Ir.Gep { base; kind = Ssair.Ir.Gindex elt; idx } ->
-                    let targets = Phase1.targets p1 fx base in
-                    if not (Phase1.Rset.is_empty targets) then begin
-                      let elsize = max 1 (Ty.sizeof prog.Ssair.Ir.env elt) in
-                      Phase1.Rset.iter
-                        (fun tgt ->
-                          match Shm.region p1.Phase1.shm tgt.Phase1.Rtgt.region with
-                          | None -> ()
-                          | Some r -> (
-                            match tgt.Phase1.Rtgt.off with
-                            | Offset.Top -> () (* A2 violation; finding cert *)
-                            | Offset.Byte base_off ->
-                              emit_one f b.Ssair.Ir.bbid i idx elsize r base_off
-                                (Lazy.force aq)))
-                        targets
-                    end
-                  | _ -> ())
-                b.Ssair.Ir.instrs)
-            f.Ssair.Ir.blocks
-        end)
-      p1.Phase1.index.Ssair.Index.funcs;
-    (List.rev !certs, List.rev !skipped)
-  end
+          if reasons <> [] then skipped := (mk_id rule, String.concat "; " reasons) :: !skipped))
+    ph2.Phase2.obligations;
+  (List.rev !certs, List.rev !skipped)
 
 (* ---- absenv snapshot ----------------------------------------------------- *)
 
@@ -596,15 +483,24 @@ let write_file path body =
   output_string oc body;
   close_out oc
 
+(* a certificate as the file it becomes: (id, kind, path, body, digest) *)
+let encode (id, kind, j) =
+  let body = J.emit j in
+  (id, kind, "certs/" ^ id ^ ".json", body, md5_hex body)
+
+(* Under one [cert.emit] span, each part of the bundle has a child: the
+   finding and witness certificates, the site and obligation
+   certificates, the value-range snapshot, the manifest, the self-check
+   and the file writes. *)
 let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
     (summary, string) result =
   let d = Lazy.force an.Driver.detail in
+  Telemetry.span "cert.emit" @@ fun () ->
   let ir = d.Driver.prepared.Driver.ir in
-  let digests = Digest_ir.of_program ir in
   (* every certificate, in report order: findings and witnesses first
      (keyed by fingerprint), then P1–P3 sites, then A1/A2 obligations *)
-  let fp_ctx = an.Driver.fingerprints in
-  let finding_certs =
+  let finding_files =
+    Telemetry.span "cert.findings" @@ fun () ->
     let seen = Hashtbl.create 64 in
     List.filter_map
       (fun (fp, f) ->
@@ -612,29 +508,27 @@ let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
         else begin
           Hashtbl.replace seen fp ();
           match f with
-          | Fingerprint.Violation v -> Some (fp, "finding", violation_cert ~id:fp v)
-          | Fingerprint.Warning w -> Some (fp, "finding", warning_cert ~id:fp w)
-          | Fingerprint.Dependency d -> Some (fp, "witness", witness_cert ~id:fp d)
+          | Fingerprint.Violation v -> Some (encode (fp, "finding", violation_cert ~id:fp v))
+          | Fingerprint.Warning w -> Some (encode (fp, "finding", warning_cert ~id:fp w))
+          | Fingerprint.Dependency d -> Some (encode (fp, "witness", witness_cert ~id:fp d))
           | Fingerprint.Info _ -> None
         end)
-      (Fingerprint.of_report fp_ctx an.Driver.report)
+      (Fingerprint.of_report an.Driver.fingerprints an.Driver.report)
   in
-  let obligs, skipped0 = obligation_certs ~config d in
-  let all_certs = finding_certs @ site_certs an.Driver.ledger @ obligs in
-  let files =
-    List.map
-      (fun (id, kind, j) ->
-        let body = J.emit j in
-        (id, kind, "certs/" ^ id ^ ".json", body, md5_hex body))
-      all_certs
+  let oblig_files, skipped0 =
+    Telemetry.span "cert.obligations" @@ fun () ->
+    let obligs, skipped = obligation_certs ~config d.Driver.phase2 in
+    (List.map encode (site_certs an.Driver.ledger @ obligs), skipped)
   in
+  let files = finding_files @ oblig_files in
   let absint_on = d.Driver.absint <> None in
   let absenv_file =
-    match d.Driver.absint with
-    | None -> None
-    | Some ai ->
-      let body = J.emit (absenv_json ai) in
-      Some ("absenv.json", body, md5_hex body)
+    Telemetry.span "cert.absenv" @@ fun () ->
+    Option.map
+      (fun ai ->
+        let body = J.emit (absenv_json ai) in
+        ("absenv.json", body, md5_hex body))
+      d.Driver.absint
   in
   let absenv_entry =
     match absenv_file with
@@ -642,30 +536,31 @@ let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
     | Some (path, _, digest) ->
       J.Obj [ ("path", J.Str path); ("digest", J.Str digest) ]
   in
-  let build_manifest entries skipped =
+  let build_manifest digests entries skipped =
     manifest_json ~label ~digests ~config ~absint_on ~absenv_entry
       ~entries:(List.map (fun (id, kind, path, _, digest) -> (id, kind, path, digest)) entries)
       ~skipped ~ledger:an.Driver.ledger
   in
+  let digests, manifest0 =
+    Telemetry.span "cert.manifest" @@ fun () ->
+    let digests = Digest_ir.of_program ir in
+    (digests, build_manifest digests files skipped0)
+  in
   (* in-memory self-check with the independent checker: a certificate it
      rejects is demoted to [skipped] rather than shipped *)
-  let load_from files path =
-    match
-      List.find_opt (fun (_, _, p, _, _) -> p = path) files
-    with
+  let load path =
+    match List.find_opt (fun (_, _, p, _, _) -> p = path) files with
     | Some (_, _, _, body, _) -> Ok body
     | None -> (
       match absenv_file with
       | Some (p, body, _) when p = path -> Ok body
       | _ -> Error ("no such bundle file " ^ path))
   in
-  let entries0 = files in
   let expect = [ ("program", digests.Digest_ir.program); ("env", digests.Digest_ir.env) ] in
   let outcome =
+    Telemetry.span "cert.check" @@ fun () ->
     Checker.validate ~ir ~regions:(regions_of d) ~expect
-      ~check_finding:(check_finding_binding ir)
-      ~manifest:(build_manifest entries0 skipped0)
-      ~load:(load_from entries0) ()
+      ~check_finding:(check_finding_binding ir) ~manifest:manifest0 ~load ()
   in
   let fatal =
     List.find_opt
@@ -682,21 +577,24 @@ let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
         outcome.Checker.failures
     in
     let entries =
-      List.filter (fun (id, _, _, _, _) -> not (List.mem_assoc id rejected)) entries0
+      List.filter (fun (id, _, _, _, _) -> not (List.mem_assoc id rejected)) files
     in
     let skipped =
       skipped0
       @ List.map (fun (id, msg) -> (id, "self-check: " ^ msg)) rejected
     in
-    mkdir_p (Filename.concat dir "certs");
-    List.iter
-      (fun (_, _, path, body, _) -> write_file (Filename.concat dir path) body)
-      entries;
-    (match absenv_file with
-    | Some (path, body, _) -> write_file (Filename.concat dir path) body
-    | None -> ());
-    write_file (Filename.concat dir "manifest.json")
-      (J.emit (build_manifest entries skipped));
+    Telemetry.span "cert.write" (fun () ->
+        let manifest =
+          if rejected = [] then manifest0 else build_manifest digests entries skipped
+        in
+        mkdir_p (Filename.concat dir "certs");
+        List.iter
+          (fun (_, _, path, body, _) -> write_file (Filename.concat dir path) body)
+          entries;
+        (match absenv_file with
+        | Some (path, body, _) -> write_file (Filename.concat dir path) body
+        | None -> ());
+        write_file (Filename.concat dir "manifest.json") (J.emit manifest));
     let kinds =
       let t = Hashtbl.create 4 in
       List.iter

@@ -49,8 +49,11 @@ val emit_bundle :
   dir:string ->
   Driver.analysis ->
   (summary, string) result
-(** Emit the certificate bundle for one analyzed system.  [label] is the
-    source path recorded in the manifest.  [Error _] means the manifest
+(** Emit the certificate bundle for one analyzed system, under a
+    [cert.emit] telemetry span.  [label] is the source path recorded in
+    the manifest.  Obligation certificates are read off phase 2's
+    decision records ({!Phase2.result.obligations} in the forced
+    [detail]); nothing is re-derived.  [Error _] means the manifest
     or absenv failed their own self-check (individual certificate
     failures only demote to [skipped]).  A directory that cannot be
     written raises [Sys_error] or [Unix.Unix_error]. *)

@@ -15,7 +15,7 @@ type t = {
   cov_errors : int;
   cov_control_only : int;
   cov_warnings : int;
-  cov_bounds : Phase2.bounds_stats;
+  cov_bounds : Ledger.recon;
 }
 
 (* byte count of the union of [lo, hi) intervals, clamped to [0, size) *)
@@ -43,7 +43,7 @@ let union_bytes ~size intervals =
   (match !cur with Some (clo, chi) -> acc := !acc + (chi - clo) | None -> ());
   !acc
 
-let compute ?(bounds = Phase2.bounds_zero) ~prog:(_ : Ssair.Ir.program) ~(shm : Shm.t)
+let compute ?(bounds = Ledger.reconcile []) ~prog:(_ : Ssair.Ir.program) ~(shm : Shm.t)
     ~(p1 : Phase1.t) ~(pts : Pointsto.t) ~(analyzed : string list) (r : Report.t) : t =
   let index = p1.Phase1.index in
   (* by function index: analyzed and not exempt *)
@@ -145,11 +145,11 @@ let stats t =
     ("noncore_read_sites", t.cov_read_sites);
     ("monitored_read_sites", t.cov_monitored_sites);
     ("control_only_deps", t.cov_control_only);
-    ("a1a2_obligations", b.Phase2.bs_total);
-    ("a1a2_by_ranges", b.Phase2.bs_ranges);
-    ("a1a2_by_omega", b.Phase2.bs_omega);
-    ("a1a2_failed", b.Phase2.bs_failed);
-    ("omega_queries_avoided", b.Phase2.bs_omega_avoided);
+    ("a1a2_obligations", b.Ledger.r_total);
+    ("a1a2_by_ranges", b.Ledger.r_ranges);
+    ("a1a2_by_omega", b.Ledger.r_omega);
+    ("a1a2_failed", b.Ledger.r_failed);
+    ("omega_queries_avoided", b.Ledger.r_avoided);
   ]
 
 let pp ppf t =
@@ -163,8 +163,8 @@ let pp ppf t =
   (let b = t.cov_bounds in
    Fmt.pf ppf
      "A1/A2 bounds obligations: %d (%d by ranges, %d by Omega, %d failed; %d Omega queries avoided)@,"
-     b.Phase2.bs_total b.Phase2.bs_ranges b.Phase2.bs_omega b.Phase2.bs_failed
-     b.Phase2.bs_omega_avoided);
+     b.Ledger.r_total b.Ledger.r_ranges b.Ledger.r_omega b.Ledger.r_failed
+     b.Ledger.r_avoided);
   Fmt.pf ppf "non-core regions:@,";
   List.iter
     (fun rc ->
@@ -180,9 +180,9 @@ let to_json t =
     (Printf.sprintf
        "{\"read_sites\":%d,\"monitored_sites\":%d,\"monitored_fraction\":%.3f,\"errors\":%d,\"control_only\":%d,\"warnings\":%d,\"bounds\":{\"obligations\":%d,\"by_ranges\":%d,\"by_omega\":%d,\"failed\":%d,\"omega_avoided\":%d},\"regions\":["
        t.cov_read_sites t.cov_monitored_sites (monitored_fraction t) t.cov_errors
-       t.cov_control_only t.cov_warnings t.cov_bounds.Phase2.bs_total
-       t.cov_bounds.Phase2.bs_ranges t.cov_bounds.Phase2.bs_omega
-       t.cov_bounds.Phase2.bs_failed t.cov_bounds.Phase2.bs_omega_avoided);
+       t.cov_control_only t.cov_warnings t.cov_bounds.Ledger.r_total
+       t.cov_bounds.Ledger.r_ranges t.cov_bounds.Ledger.r_omega
+       t.cov_bounds.Ledger.r_failed t.cov_bounds.Ledger.r_avoided);
   List.iteri
     (fun i rc ->
       if i > 0 then Buffer.add_char b ',';

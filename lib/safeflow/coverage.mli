@@ -35,12 +35,13 @@ type t = {
   cov_errors : int;           (** data dependencies (E-CRITICAL-DEP) *)
   cov_control_only : int;     (** control-only deps — likely false positives *)
   cov_warnings : int;
-  cov_bounds : Phase2.bounds_stats;
-      (** A1/A2 bounds-obligation discharge accounting (ranges vs Omega) *)
+  cov_bounds : Ledger.recon;
+      (** A1/A2 bounds-obligation discharge accounting (ranges vs Omega):
+          the tally of phase 2's ledger *)
 }
 
 val compute :
-  ?bounds:Phase2.bounds_stats ->
+  ?bounds:Ledger.recon ->
   prog:Ssair.Ir.program ->
   shm:Shm.t ->
   p1:Phase1.t ->
@@ -51,7 +52,7 @@ val compute :
 (** [analyzed] is the function universe phase 3 visited (pair discovery
     minus exempt functions); read sites outside it are dead to the
     analysis and not counted.  [bounds] is phase 2's discharge
-    accounting (defaults to all-zero when phase 2 was skipped). *)
+    tally, {!Phase2.result.bounds} (all zero when phase 2 was skipped). *)
 
 val monitored_fraction : t -> float
 (** monitored / total read sites; [1.0] when there are no reads *)

@@ -62,8 +62,9 @@ let c_lex_tokens = Telemetry.counter "lex.tokens"
    with every function body skipped, then each body is parsed,
    typechecked and lowered in turn, so no function's syntax tree or
    typed tree lives long enough to reach the major heap; only the IR
-   does.  Returns the IR, the annotation clause count and the number of
-   tokens lexed.
+   does.  The bodies are parsed and lowered under the [typecheck] span,
+   in [parse.body] and [prepare.lower] children of it.  Returns the IR,
+   the annotation clause count and the number of tokens lexed.
 
    On a valid program this builds what parsing, typechecking and
    lowering the whole program in turn builds.  A frontend error could
@@ -82,7 +83,10 @@ let frontend_by_function ~file src =
     match !pending with
     | b :: rest ->
       pending := rest;
-      let stmts = Parser.parse_body b in
+      let stmts =
+        if Telemetry.enabled () then Telemetry.span "parse.body" (fun () -> Parser.parse_body b)
+        else Parser.parse_body b
+      in
       annots := stmt_clauses !annots stmts;
       stmts
     | [] -> invalid_arg "Driver: more function definitions than parsed bodies"
@@ -261,6 +265,7 @@ type detail = {
   prepared : prepared;
   shm : Shm.t;
   phase1 : Phase1.t;
+  phase2 : Phase2.result;
   pointsto : Pointsto.t;
   phase3 : Phase3.result;
   absint : Absint.t option;
@@ -328,10 +333,8 @@ let with_default_origin label f =
   if not (String.equal (Cache.current_origin ()) "") then f ()
   else Cache.with_origin label f
 
-(* Every stage once, in order, with no cache but the absint pack.
-   Phase 2's result is not part of [detail]; a forced [detail] reruns it
-   too (a few per cent of the run) to keep one code path. *)
-let stages ~config ?cache ?absint_key ?file src : detail * Phase2.result =
+(* Every stage once, in order, with no cache but the absint pack. *)
+let stages ~config ?cache ?absint_key ?file src : detail =
   let p = prepare_source ?file src in
   let shm = Telemetry.span "shm" (fun () -> stage_shm p) in
   let p1 = Telemetry.span "phase1" (fun () -> stage_phase1 ~config p shm) in
@@ -339,7 +342,7 @@ let stages ~config ?cache ?absint_key ?file src : detail * Phase2.result =
   let ph2 = Telemetry.span "phase2" (fun () -> stage_phase2 ~config ?absint p p1) in
   let pts = Telemetry.span "pointsto" (fun () -> stage_pointsto p) in
   let ph3 = Telemetry.span "phase3" (fun () -> stage_phase3 ~config ?absint p shm p1 pts) in
-  ({ prepared = p; shm; phase1 = p1; pointsto = pts; phase3 = ph3; absint }, ph2)
+  { prepared = p; shm; phase1 = p1; phase2 = ph2; pointsto = pts; phase3 = ph3; absint }
 
 (* The "analysis" entry: what [analyze] prints and what audit, hotspots,
    baselines, SARIF and the fleet read.  The report keeps every phase-2
@@ -347,8 +350,8 @@ let stages ~config ?cache ?absint_key ?file src : detail * Phase2.result =
    the lookup. *)
 type entry = Report.t * Coverage.t * Ledger.entry list * Fingerprint.ctx
 
-let summarize (d : detail) (ph2 : Phase2.result) : entry =
-  let p = d.prepared and ph3 = d.phase3 in
+let summarize (d : detail) : entry =
+  let p = d.prepared and ph2 = d.phase2 and ph3 = d.phase3 in
   let fctx = Fingerprint.ctx_of_program p.ir in
   let report =
     Telemetry.span "canonicalize" @@ fun () ->
@@ -398,8 +401,8 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
     with_default_origin (Option.value file ~default:"<input>") (fun () ->
     match cache with
     | None ->
-      let d, ph2 = stages ~config ?file src in
-      (summarize d ph2, Lazy.from_val d)
+      let d = stages ~config ?file src in
+      (summarize d, Lazy.from_val d)
     | Some c -> (
       let source_key = Digest_ir.source_key ?file src in
       let absint_key = Digest_ir.combine [ "absint"; source_key ] in
@@ -411,10 +414,10 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
         ( e,
           lazy
             (Cache.with_origin origin (fun () ->
-                 fst (stages ~config ~cache:c ~absint_key ?file src))) )
+                 stages ~config ~cache:c ~absint_key ?file src)) )
       | None ->
-        let d, ph2 = stages ~config ~cache:c ~absint_key ?file src in
-        let e = summarize d ph2 in
+        let d = stages ~config ~cache:c ~absint_key ?file src in
+        let e = summarize d in
         Cache.store c ~ns:"analysis" ~key e;
         (e, Lazy.from_val d))))
   in

@@ -70,6 +70,10 @@ type detail = {
   prepared : prepared;
   shm : Shm.t;
   phase1 : Phase1.t;
+  phase2 : Phase2.result;
+      (** restriction verdicts, the ledger and the record of how each
+          A1/A2 obligation was decided, which certificate emission reads;
+          the records are not part of the ["analysis"] cache entry *)
   pointsto : Pointsto.t;
   phase3 : Phase3.result;  (** taint state, for VFG export *)
   absint : Absint.t option;

@@ -25,7 +25,7 @@ type entry = {
   l_loc : Loc.t;
   l_region : string;  (* shm region / array symbol; "" when not tied to one *)
   l_discharge : discharge;
-  l_counted : bool;  (* participates in Phase2.bounds_stats accounting *)
+  l_counted : bool;  (* participates in the bounds tally ([reconcile]) *)
   l_queries : int;  (* Omega queries issued for this obligation *)
   l_avoided : int;  (* Omega queries skipped thanks to interval proofs *)
   l_cstrs : int;  (* constraint-system size handed to Omega (max over queries) *)
@@ -54,11 +54,11 @@ let compare_entry a b =
 
 let sort entries = List.sort compare_entry entries
 
-(* -- Reconciliation with Phase2.bounds_stats ------------------------------- *)
+(* -- The bounds tally ------------------------------------------------------- *)
 
-(* counted bounds obligations must reproduce the phase-2 summary
-   exactly: ranges ↔ bs_ranges, omega(+ranges) ↔ bs_omega,
-   failed ↔ bs_failed, and their sum ↔ bs_total *)
+(* the counted bounds obligations by discharge: ranges, omega (with or
+   without range hypotheses) and failed, their sum, and the Omega
+   queries issued and avoided; phase 2's [bounds] is this tally *)
 type recon = {
   r_ranges : int;
   r_omega : int;

@@ -32,9 +32,8 @@ type entry = {
       (** shm region / array symbol; [""] when not tied to one *)
   l_discharge : discharge;
   l_counted : bool;
-      (** participates in {!Phase2.bounds_stats} accounting: exactly the
-          non-constant A1/A2 obligations, so counted entries reconcile
-          with [bs_total]/[bs_ranges]/[bs_omega]/[bs_failed] *)
+      (** participates in the bounds tally ({!reconcile}): exactly the
+          non-constant A1/A2 obligations *)
   l_queries : int;  (** Omega queries issued for this obligation *)
   l_avoided : int;  (** Omega queries skipped thanks to interval proofs *)
   l_cstrs : int;
@@ -54,7 +53,9 @@ val sort : entry list -> entry list
 (** stable rendering order (function, location, rule, region) —
     emission order is a phase-2 traversal detail and must not leak *)
 
-(** sums over the [l_counted] entries, mirroring {!Phase2.bounds_stats} *)
+(** The bounds tally: sums over the [l_counted] entries.  Phase 2's
+    [bounds], the coverage stats, [safeflow audit] and the certificate
+    manifest all read this one record. *)
 type recon = {
   r_ranges : int;
   r_omega : int;  (** [Omega_unsat] + [Omega_hyp] *)

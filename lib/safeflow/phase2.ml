@@ -43,6 +43,14 @@ let mk_affine_ctx f =
     n_unknowns = 0;
   }
 
+(* A fresh symbol namespace over the same function: each counted bounds
+   obligation is derived in one, so its "u<n>" unknowns are numbered
+   from 0 as the certificate checker numbers them when it re-derives the
+   obligation.  The def table and the dominator tree are shared. *)
+let fresh_namespace ctx =
+  { ctx with memo = Hashtbl.create 32; visiting = []; unknowns = Hashtbl.create 4;
+             n_unknowns = 0 }
+
 let sym_of_vid id = Fmt.str "v%d" id
 let sym_of_param p = "p_" ^ p
 
@@ -276,33 +284,39 @@ let induction_constraints ctx (e : Omega.Linexpr.t) : Omega.cstr list =
 
 (* -- The checker -------------------------------------------------------------- *)
 
-(** How the A1/A2 array-bounds obligations of a run were discharged.  An
-    obligation is one (indexing gep, region target) pair with a
-    non-constant index.  [bs_ranges] counts obligations proved in bounds
-    by the value-range analysis alone (no Omega query), [bs_omega] those
-    needing at least one Omega query but reported clean, [bs_failed]
-    those that produced a violation.  [bs_omega_avoided] counts the
-    individual solver queries skipped thanks to ranges (two per fully
-    discharged obligation, one when only one side was range-proven). *)
-type bounds_stats = {
-  bs_total : int;
-  bs_ranges : int;
-  bs_omega : int;
-  bs_failed : int;
-  bs_omega_avoided : int;
+(** How one side of a counted bounds obligation (index >= 0, index <
+    bound) was settled. *)
+type side =
+  | By_ranges  (** the index's interval proves the side; no Omega query *)
+  | By_omega of { goal : Omega.cstr; pool : Omega.cstr list; with_hyps : bool }
+      (** Omega found [goal] (the violation of the side) infeasible.
+          [pool] holds the dominating constraints, the induction facts
+          and the range hypotheses, in that order; [with_hyps] when the
+          Unsat came from the query that includes the hypotheses *)
+  | Undecided of Omega.result
+      (** [Sat] or [Unknown]: the side produced a violation *)
+
+type index =
+  | Const of int  (** a constant index, in or out of bounds *)
+  | Counted of { rule : string; low : side; high : side }
+      (** a symbolic index; [rule] is "A2" when the index expression
+          has an opaque symbol (neither a loop phi nor a parameter),
+          else "A1" *)
+
+(** One A1/A2 obligation: an indexing gep into a shared-memory region at
+    a known byte offset, in phase 2's traversal order.  The record of
+    the decision that certificate emission reads. *)
+type obligation = {
+  ob_func : string;
+  ob_iid : int;
+  ob_bid : int;
+  ob_loc : Loc.t;
+  ob_region : Shm.region;
+  ob_base_off : int;
+  ob_elsize : int;
+  ob_bound : int;  (** element count: (region size - base offset) / element size *)
+  ob_index : index;
 }
-
-let bounds_zero =
-  { bs_total = 0; bs_ranges = 0; bs_omega = 0; bs_failed = 0; bs_omega_avoided = 0 }
-
-let bounds_add a b =
-  {
-    bs_total = a.bs_total + b.bs_total;
-    bs_ranges = a.bs_ranges + b.bs_ranges;
-    bs_omega = a.bs_omega + b.bs_omega;
-    bs_failed = a.bs_failed + b.bs_failed;
-    bs_omega_avoided = a.bs_omega_avoided + b.bs_omega_avoided;
-  }
 
 type state = {
   prog : Ssair.Ir.program;
@@ -312,8 +326,8 @@ type state = {
   absint : Absint.t option;
   mutable violations : Report.violation list;
   mutable infos : Report.info list;
-  mutable bounds : bounds_stats;
   mutable ledger : Ledger.entry list;  (* newest first; audit trail only *)
+  mutable obligations : obligation list;  (* newest first *)
 }
 
 (* The obligation ledger is collected unconditionally (like Telemetry
@@ -538,10 +552,32 @@ let range_hypotheses aq ~bid (e : Omega.Linexpr.t) : Omega.cstr list =
           lo @ hi)
       (Omega.Linexpr.vars e)
 
+(* Symbols that are neither loop phis nor parameters are opaque (call
+   results, memory loads): a satisfiable violation query over them means
+   "cannot prove affine" (A2) rather than a definite out-of-bounds
+   access (A1). *)
+let opaque_index ctx (e : Omega.Linexpr.t) =
+  List.exists
+    (fun sym ->
+      match
+        if String.length sym > 1 && sym.[0] = 'v' then
+          int_of_string_opt (String.sub sym 1 (String.length sym - 1))
+        else None
+      with
+      | None -> not (String.length sym > 2 && String.sub sym 0 2 = "p_")
+      | Some id -> (
+        match Hashtbl.find_opt ctx.defs id with
+        | Some (Ssair.Ir.Def_phi _) -> false
+        | _ -> true))
+    (Omega.Linexpr.vars e)
+
 (** Check one shm array access: gep with non-trivial index.  The affine
     context [ctx] and the range query context [aq] are forced only for a
     symbolic index into a shared-memory region, the one access that
-    reads them. *)
+    reads them.  A counted obligation is derived in a fresh symbol
+    namespace, in the order the certificate checker re-derives it: the
+    index expression, the dominating constraints, the induction facts,
+    the range hypotheses. *)
 let check_bounds st ctx aq (f : Ssair.Ir.func) (i : Ssair.Ir.instr) bid base kind idx =
   let env = st.prog.Ssair.Ir.env in
   let targets = Phase1.targets st.p1 st.fx base in
@@ -566,6 +602,13 @@ let check_bounds st ctx aq (f : Ssair.Ir.func) (i : Ssair.Ir.instr) bid base kin
             | Offset.Byte base_off -> (
               let avail = r.Shm.r_size - base_off in
               let nelems = avail / elsize in
+              let record index =
+                st.obligations <-
+                  { ob_func = f.fname; ob_iid = i.Ssair.Ir.iid; ob_bid = bid;
+                    ob_loc = i.Ssair.Ir.iloc; ob_region = r; ob_base_off = base_off;
+                    ob_elsize = elsize; ob_bound = nelems; ob_index = index }
+                  :: st.obligations
+              in
               let bounds_entry ~rule ~discharge ~counted ~queries ~avoided ~cstrs
                   ~hyps ~itv ~ns =
                 ledger_add st
@@ -588,6 +631,7 @@ let check_bounds st ctx aq (f : Ssair.Ir.func) (i : Ssair.Ir.instr) bid base kin
               match idx with
               | Ssair.Ir.Vint (n, _) ->
                 let n = Int64.to_int n in
+                record (Const n);
                 if n < 0 || n >= nelems then begin
                   bounds_entry ~rule:"A1" ~discharge:Ledger.Failed ~counted:false
                     ~queries:0 ~avoided:0 ~cstrs:0 ~hyps:0 ~itv:None ~ns:0;
@@ -599,9 +643,7 @@ let check_bounds st ctx aq (f : Ssair.Ir.func) (i : Ssair.Ir.instr) bid base kin
                   bounds_entry ~rule:"A1" ~discharge:Ledger.Const ~counted:false
                     ~queries:0 ~avoided:0 ~cstrs:0 ~hyps:0 ~itv:None ~ns:0
               | _ ->
-                let ctx = Lazy.force ctx and aq = Lazy.force aq in
-                let tick d = st.bounds <- bounds_add st.bounds d in
-                tick { bounds_zero with bs_total = 1 };
+                let ctx = fresh_namespace (Lazy.force ctx) and aq = Lazy.force aq in
                 let t0 = Telemetry.now_ns () in
                 (* range verdicts first: each side an interval proves in
                    bounds skips its Omega query outright *)
@@ -631,117 +673,83 @@ let check_bounds st ctx aq (f : Ssair.Ir.func) (i : Ssair.Ir.instr) bid base kin
                     | _ -> None)
                   | None -> None
                 in
-                if lo_proved && hi_proved then begin
-                  tick { bounds_zero with bs_ranges = 1; bs_omega_avoided = 2 };
-                  bounds_entry ~rule:"A1" ~discharge:Ledger.Ranges ~counted:true
-                    ~queries:0 ~avoided:2 ~cstrs:0 ~hyps:0 ~itv:itv_fact
-                    ~ns:(Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0));
+                let idx_e = affine_of_value ctx idx in
+                let rule = if opaque_index ctx idx_e then "A2" else "A1" in
+                (* per-obligation solver accounting for the ledger *)
+                let n_queries = ref 0 and max_cstrs = ref 0 and n_hyps = ref 0 in
+                let low, high =
+                  if lo_proved && hi_proved then (By_ranges, By_ranges)
+                  else begin
+                    let doms = dominating_constraints ctx bid in
+                    let constraints = doms @ induction_constraints ctx idx_e in
+                    let hyps = range_hypotheses aq ~bid idx_e in
+                    n_hyps := List.length hyps;
+                    let feas cs =
+                      incr n_queries;
+                      max_cstrs := max !max_cstrs (List.length cs);
+                      Omega.feasible ~fuel:st.config.Config.omega_fuel cs
+                    in
+                    (* hypotheses may only strengthen a query towards
+                       Unsat: a query they do not settle falls back to the
+                       baseline verdict, so a run with ranges reports a
+                       subset of the findings of a run without *)
+                    let side proved goal =
+                      let refuted with_hyps =
+                        By_omega { goal; pool = constraints @ hyps; with_hyps }
+                      in
+                      let baseline () =
+                        match feas (goal :: constraints) with
+                        | Omega.Unsat -> refuted false
+                        | v -> Undecided v
+                      in
+                      if proved then By_ranges
+                      else if hyps = [] then baseline ()
+                      else
+                        match feas ((goal :: hyps) @ constraints) with
+                        | Omega.Unsat -> refuted true
+                        | Omega.Sat | Omega.Unknown -> baseline ()
+                    in
+                    let low = side lo_proved (Omega.le idx_e (Omega.Linexpr.const (-1))) in
+                    let high = side hi_proved (Omega.ge idx_e (Omega.Linexpr.const nelems)) in
+                    (low, high)
+                  end
+                in
+                let sat_rule = if rule = "A2" then Report.A2 else Report.A1 in
+                (match low with
+                | Undecided Omega.Sat ->
+                  violate st sat_rule f i.Ssair.Ir.iloc "index into region %s can be negative"
+                    r.Shm.r_name
+                | Undecided _ ->
+                  violate st Report.A2 f i.Ssair.Ir.iloc
+                    "cannot prove index into region %s non-negative (non-affine)" r.Shm.r_name
+                | By_ranges | By_omega _ -> ());
+                (match high with
+                | Undecided Omega.Sat ->
+                  violate st sat_rule f i.Ssair.Ir.iloc
+                    "index into region %s can exceed %d elements" r.Shm.r_name nelems
+                | Undecided _ ->
+                  violate st Report.A2 f i.Ssair.Ir.iloc
+                    "cannot prove index into region %s below bound %d (non-affine)"
+                    r.Shm.r_name nelems
+                | By_ranges | By_omega _ -> ());
+                let discharge =
+                  match (low, high) with
+                  | Undecided _, _ | _, Undecided _ -> Ledger.Failed
+                  | By_ranges, By_ranges -> Ledger.Ranges
+                  | By_omega { with_hyps = true; _ }, _ | _, By_omega { with_hyps = true; _ } ->
+                    Ledger.Omega_hyp
+                  | _ -> Ledger.Omega_unsat
+                in
+                let ranged = function By_ranges -> 1 | By_omega _ | Undecided _ -> 0 in
+                let avoided = ranged low + ranged high in
+                bounds_entry ~rule ~discharge ~counted:true ~queries:!n_queries ~avoided
+                  ~cstrs:!max_cstrs ~hyps:!n_hyps ~itv:itv_fact
+                  ~ns:(Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0));
+                if discharge = Ledger.Ranges then
                   note st f i.Ssair.Ir.iloc
                     "index into region %s proven within [0,%d) by value-range analysis"
-                    r.Shm.r_name nelems
-                end
-                else begin
-                  let idx_e = affine_of_value ctx idx in
-                  (* symbols that are neither loop phis nor parameters are
-                     opaque (call results, memory loads): a satisfiable
-                     violation query then means "cannot prove affine" (A2)
-                     rather than a definite out-of-bounds access (A1) *)
-                  let opaque =
-                    List.exists
-                      (fun sym ->
-                        match
-                          if String.length sym > 1 && sym.[0] = 'v' then
-                            int_of_string_opt (String.sub sym 1 (String.length sym - 1))
-                          else None
-                        with
-                        | None -> not (String.length sym > 2 && String.sub sym 0 2 = "p_")
-                        | Some id -> (
-                          match Hashtbl.find_opt ctx.defs id with
-                          | Some (Ssair.Ir.Def_phi _) -> false
-                          | _ -> true))
-                      (Omega.Linexpr.vars idx_e)
-                  in
-                  let sat_rule = if opaque then Report.A2 else Report.A1 in
-                  let constraints =
-                    dominating_constraints ctx bid @ induction_constraints ctx idx_e
-                  in
-                  let hyps = range_hypotheses aq ~bid idx_e in
-                  (* per-obligation solver accounting for the ledger *)
-                  let n_queries = ref 0 in
-                  let max_cstrs = ref 0 in
-                  let hyp_settled = ref false in
-                  let feas cs =
-                    incr n_queries;
-                    max_cstrs := max !max_cstrs (List.length cs);
-                    Omega.feasible ~fuel:st.config.Config.omega_fuel cs
-                  in
-                  (* hypotheses may only strengthen a query towards Unsat: a
-                     query they do not settle falls back to the baseline
-                     verdict, so a run with ranges reports a subset of the
-                     findings of a run without *)
-                  let query goal =
-                    match hyps with
-                    | [] -> feas (goal :: constraints)
-                    | _ -> (
-                      match feas ((goal :: hyps) @ constraints) with
-                      | Omega.Unsat ->
-                        hyp_settled := true;
-                        Omega.Unsat
-                      | Omega.Sat | Omega.Unknown -> feas (goal :: constraints))
-                  in
-                  let low_q =
-                    if lo_proved then begin
-                      tick { bounds_zero with bs_omega_avoided = 1 };
-                      Omega.Unsat
-                    end
-                    else query (Omega.le idx_e (Omega.Linexpr.const (-1)))
-                  in
-                  let high_q =
-                    if hi_proved then begin
-                      tick { bounds_zero with bs_omega_avoided = 1 };
-                      Omega.Unsat
-                    end
-                    else query (Omega.ge idx_e (Omega.Linexpr.const nelems))
-                  in
-                  let clean = ref true in
-                  (match low_q with
-                  | Omega.Unsat -> ()
-                  | Omega.Sat ->
-                    clean := false;
-                    violate st sat_rule f i.Ssair.Ir.iloc
-                      "index into region %s can be negative" r.Shm.r_name
-                  | Omega.Unknown ->
-                    clean := false;
-                    violate st Report.A2 f i.Ssair.Ir.iloc
-                      "cannot prove index into region %s non-negative (non-affine)"
-                      r.Shm.r_name);
-                  (match high_q with
-                  | Omega.Unsat -> ()
-                  | Omega.Sat ->
-                    clean := false;
-                    violate st sat_rule f i.Ssair.Ir.iloc
-                      "index into region %s can exceed %d elements" r.Shm.r_name nelems
-                  | Omega.Unknown ->
-                    clean := false;
-                    violate st Report.A2 f i.Ssair.Ir.iloc
-                      "cannot prove index into region %s below bound %d (non-affine)"
-                      r.Shm.r_name nelems);
-                  tick
-                    (if !clean then { bounds_zero with bs_omega = 1 }
-                     else { bounds_zero with bs_failed = 1 });
-                  let discharge =
-                    if not !clean then Ledger.Failed
-                    else if !hyp_settled then Ledger.Omega_hyp
-                    else Ledger.Omega_unsat
-                  in
-                  bounds_entry
-                    ~rule:(if opaque then "A2" else "A1")
-                    ~discharge ~counted:true ~queries:!n_queries
-                    ~avoided:
-                      ((if lo_proved then 1 else 0) + if hi_proved then 1 else 0)
-                    ~cstrs:!max_cstrs ~hyps:(List.length hyps) ~itv:itv_fact
-                    ~ns:(Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0))
-                end)))
+                    r.Shm.r_name nelems;
+                record (Counted { rule; low; high }))))
         targets
 
 (* range query contexts built: one per function with a symbolic index
@@ -772,28 +780,32 @@ let check_arrays st (f : Ssair.Ir.func) =
     f.Ssair.Ir.blocks
 
 (** Everything phase 2 produces in one pass: restriction verdicts, the
-    [I-RANGE-PROVED] audit notes, the A1/A2 discharge accounting, and
-    the per-obligation audit ledger (PR 9; never part of the report). *)
+    [I-RANGE-PROVED] audit notes, the per-obligation audit ledger (PR 9;
+    never part of the report), its tally over the counted A1/A2
+    obligations, and the record of how each A1/A2 obligation was decided
+    (certificate emission reads it; it is not cached). *)
 type result = {
   violations : Report.violation list;
   infos : Report.info list;
-  bounds : bounds_stats;
+  bounds : Ledger.recon;  (** [Ledger.reconcile ledger] *)
   ledger : Ledger.entry list;
+  obligations : obligation list;  (** in traversal order *)
 }
 
-let empty_result = { violations = []; infos = []; bounds = bounds_zero; ledger = [] }
+let empty_result =
+  { violations = []; infos = []; bounds = Ledger.reconcile []; ledger = []; obligations = [] }
 
 (** Run phase 2.  Returns restriction violations (empty when the program
     adheres to the MiniC shared-memory discipline) together with range
-    notes and bounds-obligation statistics. *)
+    notes, the ledger and the obligation records. *)
 let run ?(config = Config.default) ?absint (p1 : Phase1.t) : result =
   if not config.Config.check_restrictions then empty_result
   else begin
     let prog = p1.Phase1.index.Ssair.Index.prog in
     let accessors = lazy (shm_accessors p1) in
     let st =
-      { prog; p1; fx = -1; config; absint; violations = []; infos = []; bounds = bounds_zero;
-        ledger = [] }
+      { prog; p1; fx = -1; config; absint; violations = []; infos = []; ledger = [];
+        obligations = [] }
     in
     Array.iteri
       (fun fx (f : Ssair.Ir.func) ->
@@ -829,6 +841,7 @@ let run ?(config = Config.default) ?absint (p1 : Phase1.t) : result =
        byte-identical regardless of function layout *)
     let violations = List.stable_sort Report.compare_violation (List.rev st.violations) in
     let infos = List.stable_sort Report.compare_info (List.rev st.infos) in
-    let bounds = st.bounds and ledger = Ledger.sort (List.rev st.ledger) in
-    { violations; infos; bounds; ledger }
+    let ledger = Ledger.sort (List.rev st.ledger) in
+    { violations; infos; bounds = Ledger.reconcile ledger; ledger;
+      obligations = List.rev st.obligations }
   end

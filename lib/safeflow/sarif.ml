@@ -1,6 +1,7 @@
-(** SARIF 2.1.0 emission.  Hand-rolled JSON building, like the telemetry
-    and bench exporters: the structure is fixed and shallow, and the repo
-    deliberately carries no JSON dependency. *)
+(** SARIF 2.1.0 emission.  Hand-rolled JSON building over
+    {!Jsonlite.escape}, like the telemetry exporter: the structure is
+    fixed and shallow, and the repo deliberately carries no JSON
+    dependency. *)
 
 open Minic
 
@@ -19,22 +20,7 @@ type input = {
 
 (* -- JSON building ------------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let str s = Printf.sprintf "\"%s\"" (escape s)
+let str s = Printf.sprintf "\"%s\"" (Jsonlite.escape s)
 let field k v = Printf.sprintf "%s:%s" (str k) v
 let obj fields = "{" ^ String.concat "," fields ^ "}"
 let arr items = "[" ^ String.concat "," items ^ "]"

@@ -351,21 +351,6 @@ let set_enabled b =
 
 (* -- JSON helpers ----------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let us_of_ns ns = Int64.to_float ns /. 1_000.0
 
 let ms_of_ns ns = Int64.to_float ns /. 1_000_000.0
@@ -382,21 +367,21 @@ let write_chrome_trace path =
     Buffer.add_string b
       (Printf.sprintf
          "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-         pid (json_escape name))
+         pid (Jsonlite.escape name))
   in
   let event ~pid s =
     sep ();
     Buffer.add_string b
       (Printf.sprintf
          "{\"name\":\"%s\",\"cat\":\"safeflow\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":0"
-         (json_escape s.s_name) (us_of_ns s.s_start_ns) (us_of_ns s.s_dur_ns) pid);
+         (Jsonlite.escape s.s_name) (us_of_ns s.s_start_ns) (us_of_ns s.s_dur_ns) pid);
     if s.s_args <> [] then begin
       Buffer.add_string b ",\"args\":{";
       List.iteri
         (fun j (k, v) ->
           if j > 0 then Buffer.add_char b ',';
           Buffer.add_string b
-            (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+            (Printf.sprintf "\"%s\":\"%s\"" (Jsonlite.escape k) (Jsonlite.escape v)))
         s.s_args;
       Buffer.add_char b '}'
     end;
@@ -423,7 +408,7 @@ let write_chrome_trace path =
         Buffer.add_string b
           (Printf.sprintf
              "{\"name\":\"hist:%s\",\"cat\":\"safeflow\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"count\":%d,\"p50_us\":%.3f,\"p90_us\":%.3f,\"p99_us\":%.3f}}"
-             (json_escape hv.hv_name) now_ts self_pid hv.hv_count
+             (Jsonlite.escape hv.hv_name) now_ts self_pid hv.hv_count
              (float_of_int hv.hv_p50_ns /. 1_000.0)
              (float_of_int hv.hv_p90_ns /. 1_000.0)
              (float_of_int hv.hv_p99_ns /. 1_000.0))
@@ -515,7 +500,7 @@ let buf_counters b (cs : (string * int) list) =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape name) v))
+      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (Jsonlite.escape name) v))
     cs;
   Buffer.add_char b '}'
 
@@ -524,7 +509,7 @@ let buf_fgauges b (gs : (string * float) list) =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%.6f" (json_escape name) v))
+      Buffer.add_string b (Printf.sprintf "\"%s\":%.6f" (Jsonlite.escape name) v))
     gs;
   Buffer.add_char b '}'
 
@@ -536,7 +521,7 @@ let buf_hists b (hs : hist_view list) =
       Buffer.add_string b
         (Printf.sprintf
            "\"%s\":{\"count\":%d,\"total_ms\":%.3f,\"p50_us\":%.3f,\"p90_us\":%.3f,\"p99_us\":%.3f,\"buckets\":["
-           (json_escape hv.hv_name) hv.hv_count
+           (Jsonlite.escape hv.hv_name) hv.hv_count
            (float_of_int hv.hv_sum_ns /. 1_000_000.0)
            (float_of_int hv.hv_p50_ns /. 1_000.0)
            (float_of_int hv.hv_p90_ns /. 1_000.0)
@@ -577,7 +562,7 @@ let write_stats_json path =
       first := false;
       Buffer.add_string b
         (Printf.sprintf "{\"name\":\"%s\",\"depth\":%d,\"count\":%d,\"total_ms\":%.3f}"
-           (json_escape a.g_name) depth a.g_count (ms_of_ns a.g_total_ns)))
+           (Jsonlite.escape a.g_name) depth a.g_count (ms_of_ns a.g_total_ns)))
     0 (aggregate ());
   Buffer.add_string b "],\"workers\":[";
   List.iteri
@@ -585,7 +570,7 @@ let write_stats_json path =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf "{\"label\":\"%s\",\"pid\":%d,\"spans\":%d,\"counters\":"
-           (json_escape w.w_label) w.w_snapshot.sn_pid
+           (Jsonlite.escape w.w_label) w.w_snapshot.sn_pid
            (List.length w.w_snapshot.sn_spans));
       buf_counters b w.w_snapshot.sn_counters;
       Buffer.add_string b ",\"gauges\":";
@@ -598,7 +583,7 @@ let write_stats_json path =
   List.iteri
     (fun i (name, json) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (json_escape name) json))
+      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Jsonlite.escape name) json))
     (sections ());
   Buffer.add_string b "}}\n";
   let oc = open_out path in

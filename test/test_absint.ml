@@ -231,8 +231,8 @@ let test_generic_simplex_discharges () =
   let split absint =
     let config = { Config.default with Config.absint } in
     let b = (Driver.analyze_file ~config path).Driver.coverage.Coverage.cov_bounds in
-    [ b.Phase2.bs_total; b.Phase2.bs_ranges; b.Phase2.bs_omega; b.Phase2.bs_failed;
-      b.Phase2.bs_omega_avoided ]
+    [ b.Ledger.r_total; b.Ledger.r_ranges; b.Ledger.r_omega; b.Ledger.r_failed;
+      b.Ledger.r_avoided ]
   in
   let fields = "total, ranges, Omega, failed, avoided" in
   Alcotest.(check (list int)) ("absint on: " ^ fields) [ 3; 3; 0; 0; 6 ] (split true);

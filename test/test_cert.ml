@@ -13,7 +13,9 @@
      error (the certificate digest is re-signed after tampering, so the
      rejection exercises the semantic check, not the content digest);
    - explain --json: the document parses and shares the certificate
-     step-chain encoding. *)
+     step-chain encoding;
+   - an opaque index's obligation has one rule, A2, in the audit ledger
+     and in its certificate, with absint on and off. *)
 
 open Safeflow
 module J = Jsonlite
@@ -427,6 +429,62 @@ let test_tamper_digest () =
              contains ~sub:"content digest mismatch" f.Checker.ce_msg)
            o.Checker.failures))
 
+(* -- one account of each obligation ------------------------------------------- *)
+
+(* A shared-memory index taken from a call's result under an
+   [if (i >= 0 && i < N)] guard is opaque, so its obligation is A2
+   whichever prover discharges it (ranges with absint on, Omega with it
+   off).  The audit ledger and the obligation certificate must give the
+   same rule, and the independent checker must accept the bundle. *)
+let find_fixture name =
+  let candidates = [ "../../../test/cli/" ^ name; "cli/" ^ name; "test/cli/" ^ name ] in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.fail ("cannot locate test/cli/" ^ name)
+
+let test_opaque_index_rule () =
+  let path = find_fixture "opaque_index.c" in
+  List.iter
+    (fun absint ->
+      let tag = Printf.sprintf "absint=%b" absint in
+      let config = { Config.default with Config.absint } in
+      let a = Driver.analyze_file ~config path in
+      let counted = List.filter (fun (e : Ledger.entry) -> e.Ledger.l_counted) a.Driver.ledger in
+      Alcotest.(check (list string)) (tag ^ ": audit rules") [ "A2" ]
+        (List.map (fun (e : Ledger.entry) -> e.Ledger.l_rule) counted);
+      with_tmpdir (fun dir ->
+          (match Cert.emit_bundle ~config ~label:path ~dir a with
+          | Ok s -> Alcotest.(check int) (tag ^ ": nothing skipped") 0 (List.length s.Cert.cs_skipped)
+          | Error e -> Alcotest.fail (tag ^ ": emission failed: " ^ e));
+          let certs =
+            List.filter_map
+              (fun (p, body) ->
+                let j = J.parse_exn body in
+                let str k = Option.bind (J.member k j) J.to_string in
+                let int k = Option.bind (J.member k j) J.to_int in
+                if Filename.dirname p = "certs" && str "kind" = Some "obligation" then
+                  Some (str "func", int "line", int "col", str "region", str "rule")
+                else None)
+              (bundle_files dir)
+          in
+          let audit =
+            List.map
+              (fun (e : Ledger.entry) ->
+                ( Some e.Ledger.l_func,
+                  Some e.Ledger.l_loc.Minic.Loc.line,
+                  Some e.Ledger.l_loc.Minic.Loc.col,
+                  Some e.Ledger.l_region,
+                  Some e.Ledger.l_rule ))
+              counted
+          in
+          Alcotest.(check bool) (tag ^ ": certificate rule = audit rule") true (certs = audit);
+          let o = validate_fresh path dir in
+          List.iter
+            (fun (f : Checker.failure) ->
+              Alcotest.fail (tag ^ ": " ^ f.Checker.ce_id ^ ": " ^ f.Checker.ce_msg))
+            o.Checker.failures))
+    [ true; false ]
+
 (* -- explain --json -------------------------------------------------------------- *)
 
 let test_explain_json () =
@@ -486,4 +544,7 @@ let () =
         ] );
       ( "explain",
         [ Alcotest.test_case "json document" `Quick test_explain_json ] );
+      ( "obligations",
+        [ Alcotest.test_case "opaque index: audit rule = certificate rule" `Quick
+            test_opaque_index_rule ] );
     ]

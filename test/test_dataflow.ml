@@ -1,5 +1,4 @@
-(* Tests for the dataflow toolkit: Tarjan SCC, the generic worklist
-   solver, and the call graph. *)
+(* Tests for the dataflow toolkit: Tarjan SCC. *)
 
 let adj edges n =
   ( List.init n (fun i -> i),
@@ -67,107 +66,6 @@ let prop_scc_partition =
            (fun v -> List.mem v scc.components.(scc.index_of v))
            nodes)
 
-(* -- Worklist ----------------------------------------------------------------- *)
-
-(* reaching "max value" analysis over a diamond with a loop *)
-let test_worklist_constant_reaches_fixpoint () =
-  (* graph: 0 -> 1 -> 2 -> 1 (loop), 2 -> 3 *)
-  let succs = function 0 -> [ 1 ] | 1 -> [ 2 ] | 2 -> [ 1; 3 ] | _ -> [] in
-  let preds = function 1 -> [ 0; 2 ] | 2 -> [ 1 ] | 3 -> [ 2 ] | _ -> [] in
-  let problem =
-    {
-      Dataflow.Worklist.entry = 0;
-      nodes = [ 0; 1; 2; 3 ];
-      succs;
-      preds;
-      init = 5;
-      bottom = 0;
-      join = max;
-      equal = Int.equal;
-      transfer = (fun n fact -> if n = 2 then max fact 7 else fact);
-    }
-  in
-  let sol = Dataflow.Worklist.solve problem in
-  Alcotest.(check int) "out of entry" 5 (sol.out_fact 0);
-  (* the loop pumps 7 back into node 1 *)
-  Alcotest.(check int) "loop head sees 7" 7 (sol.in_fact 1);
-  Alcotest.(check int) "exit sees 7" 7 (sol.out_fact 3);
-  Alcotest.(check bool) "terminates in few iterations" true (sol.iterations < 50)
-
-let test_worklist_unreachable_node () =
-  let succs = function 0 -> [ 1 ] | _ -> [] in
-  let preds = function 1 -> [ 0 ] | _ -> [] in
-  let problem =
-    {
-      Dataflow.Worklist.entry = 0;
-      nodes = [ 0; 1; 9 ];
-      succs;
-      preds;
-      init = 3;
-      bottom = 0;
-      join = max;
-      equal = Int.equal;
-      transfer = (fun _ f -> f);
-    }
-  in
-  let sol = Dataflow.Worklist.solve problem in
-  Alcotest.(check int) "unreachable keeps bottom" 0 (sol.out_fact 9)
-
-(* -- Call graph ----------------------------------------------------------------- *)
-
-let prog_of src = Minic.Typecheck.check_program (Minic.Parser.parse_string src)
-
-let test_callgraph_basic () =
-  let p =
-    prog_of
-      "void c() { } void b() { c(); } void a() { b(); c(); } int main() { a(); return 0; }"
-  in
-  let cg = Dataflow.Callgraph.build p in
-  Alcotest.(check (list string)) "callees of a" [ "b"; "c" ]
-    (List.sort compare (Dataflow.Callgraph.callees_of cg "a"));
-  Alcotest.(check (list string)) "callers of c" [ "a"; "b" ]
-    (List.sort compare (Dataflow.Callgraph.callers_of cg "c"));
-  Alcotest.(check bool) "main reaches c" true
-    (Dataflow.Callgraph.reachable cg ~from:"main" "c");
-  Alcotest.(check bool) "c does not reach main" false
-    (Dataflow.Callgraph.reachable cg ~from:"c" "main")
-
-let test_callgraph_recursion () =
-  let p = prog_of "int f(int n) { if (n > 0) { return g(n - 1); } return 0; } \
-                   int g(int n) { return f(n); } int main() { return f(3); }" in
-  let cg = Dataflow.Callgraph.build p in
-  let bottom_up = Dataflow.Callgraph.bottom_up cg in
-  (* f and g form one SCC processed before main *)
-  let fg_comp = List.find (fun c -> List.mem "f" c) bottom_up in
-  Alcotest.(check bool) "f,g same SCC" true (List.mem "g" fg_comp);
-  let pos name =
-    let rec go i = function
-      | [] -> -1
-      | c :: rest -> if List.mem name c then i else go (i + 1) rest
-    in
-    go 0 bottom_up
-  in
-  Alcotest.(check bool) "callee SCC before main (bottom-up)" true (pos "f" < pos "main")
-
-let test_callgraph_externs_in_all_callees () =
-  let p = prog_of "extern void ext(int); void a() { ext(1); } int main() { a(); return 0; }" in
-  let cg = Dataflow.Callgraph.build p in
-  Alcotest.(check (list string)) "all callees include extern" [ "ext" ]
-    (Dataflow.Callgraph.all_callees_of cg "a");
-  Alcotest.(check (list string)) "defined callees exclude extern" []
-    (Dataflow.Callgraph.callees_of cg "a")
-
-let test_callgraph_reachable_set () =
-  let p =
-    prog_of
-      "void leaf() { } void mid() { leaf(); } void island() { } \
-       int main() { mid(); return 0; }"
-  in
-  let cg = Dataflow.Callgraph.build p in
-  let set = Dataflow.Callgraph.reachable_set cg "main" in
-  Alcotest.(check bool) "leaf reachable" true (Hashtbl.mem set "leaf");
-  Alcotest.(check bool) "island not reachable" false (Hashtbl.mem set "island")
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "dataflow"
@@ -176,12 +74,4 @@ let () =
           Alcotest.test_case "cycle" `Quick test_scc_cycle;
           Alcotest.test_case "self loop" `Quick test_scc_self_loop;
           Alcotest.test_case "topological order" `Quick test_scc_topological_respects_edges;
-          qt prop_scc_partition ] );
-      ( "worklist",
-        [ Alcotest.test_case "loop fixpoint" `Quick test_worklist_constant_reaches_fixpoint;
-          Alcotest.test_case "unreachable" `Quick test_worklist_unreachable_node ] );
-      ( "callgraph",
-        [ Alcotest.test_case "basic" `Quick test_callgraph_basic;
-          Alcotest.test_case "recursion scc" `Quick test_callgraph_recursion;
-          Alcotest.test_case "externs" `Quick test_callgraph_externs_in_all_callees;
-          Alcotest.test_case "reachable set" `Quick test_callgraph_reachable_set ] ) ]
+          qt prop_scc_partition ] ) ]

@@ -473,12 +473,13 @@ let test_trace_multi_pid () =
 
 (* -- Obligation ledger ----------------------------------------------------------- *)
 
-(* The reconciliation contract (DESIGN.md §16): summing the ledger's
-   counted entries must reproduce the phase-2 bounds summary exactly —
-   per discharge class, per query, per avoided query — on every subject
-   system, with and without the value-range analysis.  The bounds
-   summary reaches the report through the coverage stats, so the two
-   accountings take fully independent paths from phase 2 outward. *)
+(* The reconciliation contract (DESIGN.md §16): phase 2's bounds tally
+   is the sum of the ledger's counted entries, and it must reach the
+   report's coverage stats intact — per discharge class, per avoided
+   query — on every subject system, with and without the value-range
+   analysis.  The counted entries and phase 2's obligation records (what
+   certificate emission reads) are one account: same obligations, same
+   rules. *)
 let ledger_systems =
   [ "ip_controller.c"; "generic_simplex.c"; "double_ip.c"; "figure2.c"; "car_follow.c" ]
 
@@ -528,6 +529,49 @@ let test_phase3_span_coverage () =
     (fun name ->
       if not (List.mem_assoc name (Telemetry.counters ())) then Alcotest.failf "no %s counter" name)
     [ "phase3.cdg_us"; "phase3.callee_us"; "phase3.ctrl_edges_us" ]
+
+(* The frontend's per-function stages are labelled apart: each body is
+   parsed in a [parse.body] span and lowered in a [prepare.lower] span,
+   both children of [typecheck]. *)
+let test_typecheck_children () =
+  fresh ();
+  ignore (Driver.analyze ~file:"synth64.c" (Synth.of_size 64));
+  let spans = Telemetry.spans () in
+  let typecheck = List.find (fun s -> s.Telemetry.s_name = "typecheck") spans in
+  let children =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun s ->
+           if s.Telemetry.s_parent = typecheck.Telemetry.s_id then Some s.Telemetry.s_name
+           else None)
+         spans)
+  in
+  Alcotest.(check (list string)) "children of typecheck" [ "parse.body"; "prepare.lower" ]
+    children
+
+(* Certificate emission accounts for itself: on the program [safeflow
+   synth 64] prints, the children of [cert.emit] (findings, obligations,
+   absenv, manifest, self-check, writes) cover at least 90 % of it. *)
+let test_cert_span_coverage () =
+  fresh ();
+  let dir = Filename.temp_dir "sf-obs-certs" "" in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
+    (fun () ->
+      let a = Driver.analyze ~file:"synth64.c" (Synth.of_size 64) in
+      (match Cert.emit_bundle ~label:"synth64.c" ~dir a with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      let spans = Telemetry.spans () in
+      let emit = List.find (fun s -> s.Telemetry.s_name = "cert.emit") spans in
+      Alcotest.(check (list string)) "children of cert.emit"
+        [ "cert.findings"; "cert.obligations"; "cert.absenv"; "cert.manifest"; "cert.check";
+          "cert.write" ]
+        (List.filter_map
+           (fun s ->
+             if s.Telemetry.s_parent = emit.Telemetry.s_id then Some s.Telemetry.s_name else None)
+           spans);
+      children_cover "cert.emit")
 
 (* The cache accounts for itself.  On synth-384 a warm run reads one
    analysis entry and runs no stage: the analyze span has no prepare,
@@ -616,7 +660,29 @@ let test_ledger_reconcile name () =
           | _ -> ())
         a.Driver.ledger;
       Alcotest.(check bool) (label ^ ": ledger sorted") true
-        (Ledger.sort a.Driver.ledger = a.Driver.ledger))
+        (Ledger.sort a.Driver.ledger = a.Driver.ledger);
+      let key func (loc : Minic.Loc.t) region rule =
+        Printf.sprintf "%s %d:%d %s %s" func loc.Minic.Loc.line loc.Minic.Loc.col region rule
+      in
+      let records =
+        List.filter_map
+          (fun (ob : Phase2.obligation) ->
+            match ob.Phase2.ob_index with
+            | Phase2.Counted { rule; _ } ->
+              Some (key ob.Phase2.ob_func ob.Phase2.ob_loc ob.Phase2.ob_region.Shm.r_name rule)
+            | Phase2.Const _ -> None)
+          (Lazy.force a.Driver.detail).Driver.phase2.Phase2.obligations
+      in
+      let counted =
+        List.filter_map
+          (fun (e : Ledger.entry) ->
+            if e.Ledger.l_counted then
+              Some (key e.Ledger.l_func e.Ledger.l_loc e.Ledger.l_region e.Ledger.l_rule)
+            else None)
+          a.Driver.ledger
+      in
+      Alcotest.(check (list string)) (label ^ ": obligation records = counted entries")
+        (List.sort compare counted) (List.sort compare records))
     [ ("absint", Config.default);
       ("no-absint", { Config.default with Config.absint = false }) ]
 
@@ -737,6 +803,10 @@ let () =
             (cleanup test_prepare_span_coverage);
           Alcotest.test_case "phase3 children cover its time" `Quick
             (cleanup test_phase3_span_coverage);
+          Alcotest.test_case "typecheck holds parse.body and prepare.lower" `Quick
+            (cleanup test_typecheck_children);
+          Alcotest.test_case "cert.emit children cover its time" `Quick
+            (cleanup test_cert_span_coverage);
           Alcotest.test_case "the cache accounts for itself" `Quick
             (cleanup test_cache_accounting) ] );
       ( "events",
