@@ -84,7 +84,7 @@ let table1 () =
     "LOC(core)" "SrcChanges" "Annot" "Errors" "Warnings" "FalseP";
   let reports =
     Safeflow.Fleet.analyze_inputs ~jobs:(Domain.recommended_domain_count ())
-      ~render:(fun _ a _ -> a.Safeflow.Driver.report)
+      ~render:(fun _ a -> a.Safeflow.Driver.report)
       (List.map (fun row -> find ("systems/" ^ row.p_core_file)) paper_rows)
   in
   let mismatches =
@@ -93,8 +93,8 @@ let table1 () =
          (fun row r ->
            let r =
              match r with
-             | Ok (r, _) -> r
-             | Error (f : Safeflow.Forkmap.failure) -> failwith f.Safeflow.Forkmap.message
+             | Ok (r, _, _) -> r
+             | Error ((f : Safeflow.Forkmap.failure), _) -> failwith f.Safeflow.Forkmap.message
            in
            let core_loc = List.assoc "loc" r.Safeflow.Report.stats in
            let total_loc =

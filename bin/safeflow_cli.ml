@@ -18,7 +18,7 @@
                              [--top N] [--regions] [--json] [--jobs N] [--cache DIR]
      safeflow initcheck file.c
      safeflow dump-ir file.c
-     safeflow synth N
+     safeflow synth [--seed S] N
      safeflow version
 
    Exit codes (analyze and diff): 0 clean, 1 error-level findings,
@@ -224,26 +224,32 @@ let analyze_cmd =
               emit_certs
           in
           (* each input's bundle and DOT file are written by the worker
-             that analyzes it; its row and certificate counts come back *)
-          let done_, failures =
+             that analyzes it; its row and certificate counts come back,
+             and an input whose writes failed still brings its row *)
+          let results =
             Safeflow.Fleet.analyze_inputs ~config ?cache_dir
               ~jobs:(Domain.recommended_domain_count ())
               ?bundle ?vfg:(if multi then None else vfg)
-              ~render:(fun file (a : Safeflow.Driver.analysis) certs ->
-                ( ( file,
-                    a.Safeflow.Driver.report,
-                    a.Safeflow.Driver.fingerprints,
-                    Some (a.Safeflow.Driver.coverage, a.Safeflow.Driver.ledger) ),
-                  certs ))
+              ~render:(fun file (a : Safeflow.Driver.analysis) ->
+                ( file,
+                  a.Safeflow.Driver.report,
+                  a.Safeflow.Driver.fingerprints,
+                  Some (a.Safeflow.Driver.coverage, a.Safeflow.Driver.ledger) ))
               files
             |> Array.to_list
-            |> List.partition_map (function Ok (r, _) -> Either.Left r | Error f -> Right f)
           in
           List.iter
-            (fun ((file, report, _, _), _) ->
-              if multi then Fmt.pr "== %s ==@." file;
-              Fmt.pr "%a@." Safeflow.Report.pp report)
-            done_;
+            (function
+              | Ok ((file, report, _, _), _, _) | Error (_, Some (file, report, _, _)) ->
+                if multi then Fmt.pr "== %s ==@." file;
+                Fmt.pr "%a@." Safeflow.Report.pp report
+              | Error (_, None) -> ())
+            results;
+          let done_, failures =
+            List.partition_map
+              (function Ok (row, certs, _) -> Either.Left (row, certs) | Error (f, _) -> Right f)
+              results
+          in
           (match (vfg, done_) with
           | Some _, _ when multi -> Fmt.epr "--vfg ignored: more than one input file@."
           | Some path, [ _ ] -> Fmt.pr "value-flow graph written to %s@." path
@@ -1162,7 +1168,9 @@ let synth_cmd =
   let seed =
     Arg.(
       value & opt int 0
-      & info [ "seed" ] ~docv:"S" ~doc:"generation seed (with $(b,--fleet)); same seed, same fleet")
+      & info [ "seed" ] ~docv:"S"
+          ~doc:"generation seed of the component or the fleet; same seed, same bytes (0, the \
+                default, gives the historical component)")
   in
   let out =
     Arg.(
@@ -1173,7 +1181,7 @@ let synth_cmd =
   in
   let run n fleet_n seed out =
     match fleet_n with
-    | None -> print_string (Safeflow.Synth.of_size n)
+    | None -> print_string (Safeflow.Synth.of_size ~seed n)
     | Some fn -> (
       match out with
       | None ->

@@ -168,14 +168,10 @@ end
 
 (* -- Summaries ----------------------------------------------------------- *)
 
-(* [s_env] holds [Kvid] keys only; [Kparam] stays for the layout of
-   summaries in absint packs *)
-type key = Kvid of Ssair.Ir.vid | Kparam of string [@@warning "-37"]
-
 type dead = Dead_then | Dead_else
 
 type func_summary = {
-  s_env : (key * Itv.t) list;          (* sorted by key *)
+  s_env : (Ssair.Ir.vid * Itv.t) list; (* sorted by SSA id *)
   s_params : (string * Itv.t) list;    (* declaration order *)
   s_ret : Itv.t;
   s_ret_raw : Itv.t;  (* pre-promotion join over reachable rets (Bot if none) *)
@@ -769,7 +765,7 @@ let run_function ~(prog : Ir.program) ~params ~ret_of (f : Ir.func) : func_summa
     blocks;
   let env = ref [] in
   for id = Array.length ctx.env - 1 downto 0 do
-    if bit_get ctx.present id then env := (Kvid id, ctx.env.(id)) :: !env
+    if bit_get ctx.present id then env := (id, ctx.env.(id)) :: !env
   done;
   {
     s_env = !env;
@@ -787,23 +783,7 @@ type span_probe = { span : 'a. string -> (unit -> 'a) -> 'a }
 
 let no_span = { span = (fun _ f -> f ()) }
 
-(* Digest input for a function: its IR with every source location
-   blanked, so an edit that only shifts lines leaves the keys of every
-   other function intact. *)
-let without_locs (f : Ir.func) : Ir.func =
-  let unlocated (i : Ir.instr) = { i with Ir.iloc = Loc.dummy } in
-  {
-    f with
-    Ir.floc = Loc.dummy;
-    blocks =
-      List.map
-        (fun (b : Ir.block) -> { b with Ir.instrs = List.map unlocated b.Ir.instrs })
-        f.Ir.blocks;
-  }
-
-let sorted_tbl tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
-let analyze ?memo ?(span = no_span) (index : Ssair.Index.t) : t =
+let analyze ?on_fixpoint ?(span = no_span) (index : Ssair.Index.t) : t =
   let prog = index.Ssair.Index.prog and funcs = index.Ssair.Index.funcs in
   let n = Array.length funcs in
   (* call graph over defined functions: distinct callees sorted by name,
@@ -843,24 +823,10 @@ let analyze ?memo ?(span = no_span) (index : Ssair.Index.t) : t =
         List.iter (fun i -> cyclic.(i) <- Dataflow.Scc.in_cycle scc succs i) !nodes;
         Dataflow.Scc.reverse_topological scc)
   in
-  let memo =
-    match memo with
-    | Some m -> m
-    | None -> fun ~fname:_ ~inputs_digest:_ compute -> compute ()
-  in
-  (* key parts shared by every key; only derived when a key is *)
-  let no_sharing v = Marshal.to_string v [ Marshal.No_sharing ] in
-  let env_repr =
-    lazy (no_sharing (sorted_tbl prog.Ir.env.Ty.structs, sorted_tbl prog.Ir.env.Ty.typedefs))
-  in
-  let body_reprs = Array.make n None in
-  let body_repr i =
-    match body_reprs.(i) with
-    | Some r -> r
-    | None ->
-      let r = no_sharing (without_locs funcs.(i)) in
-      body_reprs.(i) <- Some r;
-      r
+  let on_fixpoint =
+    match on_fixpoint with
+    | Some h -> h
+    | None -> fun ~fname:_ ~params:_ ~callee_rets:_ compute -> compute ()
   in
   let rets = Array.make n Itv.top in
   (* the return range of the callee of call [iid] of function [i] *)
@@ -870,31 +836,21 @@ let analyze ?memo ?(span = no_span) (index : Ssair.Index.t) : t =
   in
   (* each function's last fixpoint with the parameter and callee-return
      ranges it was computed from.  The fixpoint is a pure function of
-     those, the body and the type environment, and the last two do not
-     change between the passes, so pass 2 reuses a pass-1 result whose
-     ranges are unchanged without asking [memo] *)
+     those and the program, so pass 2 reuses a pass-1 result whose
+     ranges are unchanged *)
   let last = Array.make n None in
   let same_params a b = List.for_all2 (fun (_, x) (_, y) -> Itv.equal x y) a b in
   let analyze_one i ~params =
     let f = funcs.(i) in
-    (* the callee ranges are read now, the rest only if a key is asked
-       for: everything the fixpoint reads except source locations *)
     let callee_rets = Array.map (fun c -> rets.(c)) callees.(i) in
     match last.(i) with
     | Some (params', callee_rets', s)
       when same_params params' params && Array.for_all2 Itv.equal callee_rets' callee_rets ->
       s
     | _ ->
-      let inputs_digest =
-        lazy
-          (let named =
-             Array.to_list (Array.mapi (fun k c -> (funcs.(c).Ir.fname, callee_rets.(k))) callees.(i))
-           in
-           Digest.to_hex
-             (Digest.string (no_sharing (Lazy.force env_repr, body_repr i, params, named))))
-      in
       let s =
-        memo ~fname:f.Ir.fname ~inputs_digest (fun () -> run_function ~prog ~params ~ret_of:(ret_of i) f)
+        on_fixpoint ~fname:f.Ir.fname ~params ~callee_rets (fun () ->
+            run_function ~prog ~params ~ret_of:(ret_of i) f)
       in
       last.(i) <- Some (params, callee_rets, s);
       s
@@ -913,9 +869,9 @@ let analyze ?memo ?(span = no_span) (index : Ssair.Index.t) : t =
        recorded; an id the fixpoint never stored reads as ⊤ here *)
     let env =
       lazy
-        (let size = List.fold_left (fun m (k, _) -> match k with Kvid id -> max m (id + 1) | Kparam _ -> m) 0 s.s_env in
+        (let size = List.fold_left (fun m (id, _) -> max m (id + 1)) 0 s.s_env in
          let a = Array.make size Itv.top in
-         List.iter (function Kvid id, v -> a.(id) <- v | Kparam _, _ -> ()) s.s_env;
+         List.iter (fun (id, v) -> a.(id) <- v) s.s_env;
          a)
     in
     List.iter
@@ -969,6 +925,13 @@ let analyze ?memo ?(span = no_span) (index : Ssair.Index.t) : t =
 
 (* -- Accessors ----------------------------------------------------------- *)
 
+let summaries t = t.summaries
+
+let of_summaries (index : Ssair.Index.t) summaries =
+  if Array.length summaries <> Array.length index.Ssair.Index.funcs then
+    invalid_arg "Absint.of_summaries: one summary slot per indexed function expected";
+  { index; summaries }
+
 let summary t fname =
   let i = Ssair.Index.find t.index fname in
   if i >= 0 then t.summaries.(i) else None
@@ -1012,7 +975,7 @@ let query_ctx t (f : Ir.func) =
     (fun s ->
       List.iter
         (function
-          | Kvid id, v when id < Array.length ctx.env ->
+          | id, v when id < Array.length ctx.env ->
             ctx.env.(id) <- v;
             bit_set ctx.present id
           | _ -> ())
@@ -1077,10 +1040,7 @@ let pp_func_summary t ppf (f : Ir.func) =
         s.s_params;
     if not (Ty.equal f.Ir.fret Ty.Void) then Fmt.pf ppf "  ret: %a@." Itv.pp s.s_ret;
     List.iter
-      (fun (k, v) ->
-        match k with
-        | Kvid id -> if not (Itv.equal v Itv.top) then Fmt.pf ppf "  %%%d = %a@." id Itv.pp v
-        | Kparam _ -> ())
+      (fun (id, v) -> if not (Itv.equal v Itv.top) then Fmt.pf ppf "  %%%d = %a@." id Itv.pp v)
       s.s_env;
     List.iter
       (fun (bid, d) ->
@@ -1108,8 +1068,7 @@ let summary_views t =
         sv_params = s.s_params;
         sv_ret = s.s_ret;
         sv_ret_raw = s.s_ret_raw;
-        sv_env =
-          List.filter_map (function Kvid id, v -> Some (id, v) | Kparam _, _ -> None) s.s_env;
+        sv_env = s.s_env;
       }
       :: acc)
     t []

@@ -20,7 +20,11 @@
     as extra hypotheses); Phase 3 drops control-dependence edges for
     branches whose condition has a decided value; [safeflow ranges]
     dumps the summaries.  The analysis is purely an over-approximation:
-    consumers may only ever {e remove} findings based on it. *)
+    consumers may only ever {e remove} findings based on it.
+
+    The result is one whole-program post-fixpoint: its per-function
+    summaries ({!summaries}) are pure data, and the driver caches them
+    as one entry per program ({!of_summaries} rebuilds the result). *)
 
 (** Integer intervals with infinite bounds and saturating arithmetic. *)
 module Itv : sig
@@ -81,23 +85,37 @@ type span_probe = { span : 'a. string -> (unit -> 'a) -> 'a }
 (** wraps a named stretch of the analysis (the caller's tracing hook) *)
 
 val analyze :
-  ?memo:(fname:string -> inputs_digest:string Lazy.t -> (unit -> func_summary) -> func_summary) ->
+  ?on_fixpoint:
+    (fname:string ->
+    params:(string * Itv.t) list ->
+    callee_rets:Itv.t array ->
+    (unit -> func_summary) ->
+    func_summary) ->
   ?span:span_probe ->
   Ssair.Index.t ->
   t
 (** [analyze index] runs both interprocedural passes over the indexed
-    program; calls resolve through the index's call-site callees.  [~memo] is called
-    around every per-function fixpoint with a digest of everything the
-    fixpoint reads (the function body without its source locations, the
-    type environment, parameter ranges and callee return ranges), once
-    per distinct input: the top-down pass reuses a bottom-up result
-    whose ranges are unchanged without calling it again; the
-    driver uses it to back the computation with the content-addressed
-    cache.  The digest is lazy, so a memo that does not force it costs
-    nothing.  [~span] wraps the call-graph and SCC construction and
-    each of the two interprocedural passes, each under the name
-    ["absint.bookkeeping"] (three spans per run); spans that [~memo]
-    opens nest inside the passes'. *)
+    program; calls resolve through the index's call-site callees.
+    [~on_fixpoint] is called around every per-function fixpoint with
+    what varies between the fixpoints of one function: its parameter
+    ranges and the return ranges of its distinct callees (in callee-name
+    order).  It is called once per distinct input: the top-down pass
+    reuses a bottom-up result whose ranges are unchanged without calling
+    it again.  The driver uses it to time each fixpoint.  [~span] wraps
+    the call-graph and SCC construction and each of the two
+    interprocedural passes, each under the name ["absint.bookkeeping"]
+    (three spans per run); spans that [~on_fixpoint] opens nest inside
+    the passes'. *)
+
+val summaries : t -> func_summary option array
+(** the per-function summaries by function index of the analyzed
+    program's {!Ssair.Index.t}: pure data, which the driver caches
+    whole *)
+
+val of_summaries : Ssair.Index.t -> func_summary option array -> t
+(** the result {!summaries} was taken from, rebuilt over an index of
+    the same program.  Raises [Invalid_argument] when the array does
+    not have one slot per indexed function. *)
 
 val iterations : t -> int
 (** total fixpoint passes, all functions *)

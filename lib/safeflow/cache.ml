@@ -51,8 +51,12 @@
    "latest" are unchanged.
    Version 13: the coverage in an "analysis" entry carries the bounds
    tally as a {!Ledger.recon} (six fields, Omega queries issued
-   included) instead of phase 2's five-field summary. *)
-let format_version = 13
+   included) instead of phase 2's five-field summary.
+   Version 14: an "absint" entry holds the whole program's summaries
+   (one slot per function index) under the absint key of the source,
+   instead of a pack keyed by per-function inputs digests; the "latest"
+   namespace is gone, so no entry is ever rewritten. *)
+let format_version = 14
 
 let magic = "SAFEFLOW-CACHE"
 
@@ -110,7 +114,7 @@ let c_cross_hits = Telemetry.counter "cache.cross_hits"
 let () =
   List.iter
     (fun ns -> List.iter (fun o -> ignore (tele_counter ns o)) outcomes)
-    [ "analysis"; "absint"; "latest" ]
+    [ "analysis"; "absint" ]
 
 let tele_add ns what n = if Telemetry.enabled () then Telemetry.add (tele_counter ns what) n
 
@@ -330,14 +334,13 @@ let write_file path (e : entry) h : int =
     raise ex
 
 (* [true] when the entry is on disk afterwards — published now, or
-   already there (same key ⇒ same value, so it is not rewritten unless
-   [replace]) *)
-let write_disk t ns key ~replace (e : entry) =
+   already there (same key ⇒ same value, so it is never rewritten) *)
+let write_disk t ns key (e : entry) =
   match t.dir with
   | None -> false
   | Some dir ->
     let path = path_of dir ns key in
-    if (not replace) && Sys.file_exists path then true
+    if Sys.file_exists path then true
     else begin
       incr tmp_seq;
       let tmp = Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ()) !tmp_seq in
@@ -380,12 +383,12 @@ let find t ~ns ~key : 'a option =
 
 let h_store = Telemetry.histogram "cache.store"
 
-let store ?(replace = false) t ~ns ~key v =
+let store t ~ns ~key v =
   Telemetry.span "cache.store" ~args:[ ("ns", ns) ] @@ fun () ->
   Telemetry.time_hist h_store (fun () ->
       let e = { e_v = Obj.repr v; e_origin = current_origin () } in
       let k = ns ^ ":" ^ key in
-      if write_disk t ns key ~replace e then Hashtbl.remove t.tbl k
+      if write_disk t ns key e then Hashtbl.remove t.tbl k
       else Hashtbl.replace t.tbl k e)
 
 let stats t =

@@ -6,10 +6,10 @@
     Entries are keyed by [(namespace, digest)] where the digest is
     computed by {!Digest_ir} over everything the cached computation
     reads; a stale input therefore changes the key and the entry is
-    simply never found again — there is no explicit invalidation.  The
-    one exception is the ["latest"] namespace, which names the last
-    absint pack an origin used (see {!Driver.stage_absint}); it is the
-    only entry ever rewritten, and only with [~replace].
+    simply never found again — there is no explicit invalidation, and
+    no entry is ever rewritten.  Two namespaces are in use: one
+    ["analysis"] entry per analysed input and configuration, and one
+    ["absint"] entry per program (see {!Driver.analyze}).
 
     The store is type-unsafe by construction (one table holds values of
     many types); safety is by the namespace discipline: a namespace is
@@ -33,10 +33,8 @@
     counter), flush and close it with errors checked, and only
     then publish it with an atomic [rename(2)]; a write that fails (a
     full disk, a file-size limit) publishes nothing.  A key that already
-    exists on disk is left alone (same key ⇒ same value) unless the
-    store asks to [~replace] it, which still goes through a fresh temp
-    file and [rename], so a hard link to the old file keeps the old
-    bytes.  Each file starts with the hex MD5 of everything after it,
+    exists on disk is left alone (same key ⇒ same value), so a file, and
+    any hard link to it, keeps its bytes for as long as it exists.  Each file starts with the hex MD5 of everything after it,
     then a versioned header recording the cache format, compiler
     version and entry key, then the payload.  Readers validate
     lock-free: the digest is checked by streaming the file before
@@ -82,12 +80,12 @@ val find : t -> ns:string -> key:string -> 'a option
 (** memory first, then disk; a disk hit is not copied into memory.  The
     caller must request the type that [store] put in [ns]. *)
 
-val store : ?replace:bool -> t -> ns:string -> key:string -> 'a -> unit
+val store : t -> ns:string -> key:string -> 'a -> unit
 (** the value must be pure data (no closures).  With a disk tier the
     value goes to a pid+sequence-unique temp file published by atomic
     rename and is not kept in memory; a key already present on disk is
-    not rewritten unless [~replace] (default false).  A memory-only
-    cache, or a failed disk write, keeps the value in memory instead. *)
+    not rewritten.  A memory-only cache, or a failed disk write, keeps
+    the value in memory instead. *)
 
 val stats : t -> (string * (int * int)) list
 (** per-namespace (hits, misses) counters, sorted by namespace — kept

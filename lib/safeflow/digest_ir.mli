@@ -30,7 +30,7 @@ val combine : string list -> string
 
 val source_key : ?file:string -> string -> string
 (** digest of (file name, source text); with {!semantic_config} it keys
-    the ["analysis"] entry, and alone the input's absint pack *)
+    the ["analysis"] entry, and alone the input's ["absint"] entry *)
 
 val semantic_config : Config.t -> string
 (** fingerprint of the {e semantic} configuration fields — the ones that

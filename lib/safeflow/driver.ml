@@ -142,9 +142,7 @@ let stage_pointsto (p : prepared) : Pointsto.t = Pointsto.analyze p.index
 let c_absint_iters = Telemetry.counter "absint.iterations"
 let c_absint_widenings = Telemetry.counter "absint.widenings"
 
-(* per-function memo outcomes: a summary taken from the cached pack, or
-   a fixpoint computed *)
-let c_absint_reused = Telemetry.counter "absint.reused"
+(* fixpoints computed; a cache hit computes none *)
 let c_absint_computed = Telemetry.counter "absint.computed"
 
 (* Latency histograms for the solver stack (PR 9).  The Omega library
@@ -168,82 +166,33 @@ let () =
 
 let absint_span = { Absint.span = (fun name f -> Telemetry.span name f) }
 
-(* An absint pack: every per-function summary one run used, keyed by the
-   digest of the inputs it was computed from. *)
-type absint_pack = (string * Absint.func_summary) list
-
-(* the "latest" entry of the current origin names its last absint pack *)
-let latest_key () = Digest_ir.of_value (Cache.current_origin ())
-
 (** Interprocedural value-range analysis, or [None] when disabled by
     [Config.absint] (phases 2/3 then behave exactly as without it).
-    With [~cache], per-function summaries come from one absint pack: the
-    pack stored under [~key] when there is one, else the pack the
-    ["latest"] entry of the current origin names, else none.  A summary
-    is reused only when its inputs digest (location-free function body,
-    type environment, parameter and callee-return intervals) matches, so
-    a pack written by any other version of the program is sound to
-    consult: an edit recomputes only the functions whose inputs actually
-    shifted, and a line shift alone recomputes none.  With [~key], a
-    pack of the summaries this run used is stored under it when it
-    missed, and ["latest"] is pointed at it.  Without a cache no key is
-    derived. *)
+    With [~cache] and [~key], the whole program's summaries are one
+    "absint" entry under [key]: a hit rebuilds the result from it and
+    runs no fixpoint, a miss analyzes and stores it.  Without a key the
+    cache is not consulted. *)
 let stage_absint ?(config = Config.default) ?cache ?key (p : prepared) : Absint.t option =
   if not config.Config.absint then None
   else
     Telemetry.span "absint" (fun () ->
-        (* the memo hook wraps every per-function fixpoint, so it is
-           also where the summary latency histogram lives: only true
-           recomputations are timed *)
-        let compute_summary compute =
+        (* the hook runs once per fixpoint computed, never on a hit *)
+        let on_fixpoint ~fname:_ ~params:_ ~callee_rets:_ compute =
           Telemetry.incr c_absint_computed;
           Telemetry.span "absint.summary" (fun () ->
               Telemetry.time_hist h_absint_summary compute)
         in
+        let analyze () = Absint.analyze ~on_fixpoint ~span:absint_span p.index in
         let ai =
-          match cache with
-          | None ->
-            Absint.analyze ~span:absint_span p.index
-              ~memo:(fun ~fname:_ ~inputs_digest:_ compute -> compute_summary compute)
-          | Some c ->
-            let pack k : absint_pack option = Cache.find c ~ns:"absint" ~key:k in
-            let latest_key = latest_key () in
-            let exact = Option.bind key pack in
-            let latest : string option = Cache.find c ~ns:"latest" ~key:latest_key in
-            let prior =
-              match (exact, latest) with
-              | Some _, _ -> exact
-              | None, Some k when Some k <> key -> pack k
-              | None, _ -> None
-            in
-            let known = Hashtbl.create 64 in
-            Option.iter (List.iter (fun (d, s) -> Hashtbl.replace known d s)) prior;
-            let used = Hashtbl.create 64 in
-            let memo ~fname:_ ~inputs_digest compute =
-              let d = Telemetry.span "absint.key" (fun () -> Lazy.force inputs_digest) in
-              let s =
-                match Hashtbl.find_opt known d with
-                | Some s ->
-                  Telemetry.incr c_absint_reused;
-                  s
-                | None -> compute_summary compute
-              in
-              Hashtbl.replace used d s;
-              s
-            in
-            let ai = Absint.analyze ~memo ~span:absint_span p.index in
-            Option.iter
-              (fun k ->
-                if exact = None then
-                  Cache.store c ~ns:"absint" ~key:k
-                    (List.sort
-                       (fun (a, _) (b, _) -> String.compare a b)
-                       (Hashtbl.fold (fun d s acc -> (d, s) :: acc) used []));
-                (* republished on exact hits too, so which files a run
-                   leaves does not depend on who stored the pack first *)
-                if latest <> key then Cache.store ~replace:true c ~ns:"latest" ~key:latest_key k)
-              key;
-            ai
+          match (cache, key) with
+          | Some c, Some key -> (
+            match Cache.find c ~ns:"absint" ~key with
+            | Some summaries -> Absint.of_summaries p.index summaries
+            | None ->
+              let ai = analyze () in
+              Cache.store c ~ns:"absint" ~key (Absint.summaries ai);
+              ai)
+          | _ -> analyze ()
         in
         Telemetry.add c_absint_iters (Absint.iterations ai);
         Telemetry.add c_absint_widenings (Absint.widenings ai);
@@ -333,7 +282,7 @@ let with_default_origin label f =
   if not (String.equal (Cache.current_origin ()) "") then f ()
   else Cache.with_origin label f
 
-(* Every stage once, in order, with no cache but the absint pack. *)
+(* Every stage once, in order, with no cache but the absint entry. *)
 let stages ~config ?cache ?absint_key ?file src : detail =
   let p = prepare_source ?file src in
   let shm = Telemetry.span "shm" (fun () -> stage_shm p) in
@@ -380,17 +329,10 @@ let summarize (d : detail) : entry =
   in
   ({ report with Report.stats }, coverage, ph2.Phase2.ledger, fctx)
 
-(* A hit runs no absint, but still points the origin's "latest" entry at
-   this input's pack, as a miss does: otherwise which entries a fleet
-   leaves would depend on the order its members ran in. *)
-let point_latest c ~key =
-  let latest_key = latest_key () in
-  if (Cache.find c ~ns:"latest" ~key:latest_key : string option) <> Some key then
-    Cache.store ~replace:true c ~ns:"latest" ~key:latest_key key
-
 (* One input's analysis.  Everything here is unsynchronised, so a
    second domain is refused.  After a cache hit, [detail] reruns every
-   stage on demand under the same origin, with the cache's absint pack. *)
+   stage on demand under the same origin, with the cache's absint
+   entry. *)
 let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
   if not (Domain.is_main_domain ()) then
     invalid_arg "Driver.analyze: called off the main domain (use forked workers)";
@@ -409,7 +351,6 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
       let key = Digest_ir.combine [ source_key; Digest_ir.semantic_config config ] in
       match (Cache.find c ~ns:"analysis" ~key : entry option) with
       | Some e ->
-        if config.Config.absint then point_latest c ~key:absint_key;
         let origin = Cache.current_origin () in
         ( e,
           lazy

@@ -32,13 +32,11 @@ val stage_pointsto : prepared -> Pointsto.t
 val stage_absint :
   ?config:Config.t -> ?cache:Cache.t -> ?key:string -> prepared -> Absint.t option
 (** interprocedural value-range analysis, or [None] when disabled by
-    {!Config.t.absint}.  With [~cache], per-function summaries are
-    reused from one absint pack (inputs digest ↦ summary): the pack
-    stored under [~key], else the one the ["latest"] entry of the
-    current origin ({!Cache.current_origin}) names.  With [~key], the
-    summaries this run used are stored as the pack under [key] when that
-    lookup missed, and ["latest"] is pointed at [key]; without it the
-    cache is only read. *)
+    {!Config.t.absint}.  With [~cache] and [~key], the whole program's
+    summaries ({!Absint.summaries}) are the ["absint"] entry under
+    [key]: a hit rebuilds the result from it ({!Absint.of_summaries})
+    and computes no fixpoint, a miss runs {!Absint.analyze} once and
+    stores the entry.  Without a key it only computes. *)
 
 val stage_phase2 :
   ?config:Config.t ->
@@ -94,7 +92,8 @@ type analysis = {
   fingerprints : Fingerprint.ctx;  (** the context [report]'s fingerprints use *)
   detail : detail Lazy.t;
       (** already computed when the run computed the report; after a
-          cache hit, forcing it reruns the stages (with the absint pack) *)
+          cache hit, forcing it reruns the stages (with the absint
+          entry) *)
 }
 
 val canonicalize : Fingerprint.ctx -> Report.t -> Report.t
@@ -109,12 +108,13 @@ val analyze : ?config:Config.t -> ?cache:Cache.t -> ?file:string -> string -> an
 (** With [~cache], one ["analysis"] entry per analysed input, keyed on
     the source key (file label and text, {!Digest_ir.source_key}) and
     the semantic configuration, holds the report, coverage, ledger and
-    fingerprint context.  A hit returns them and runs no stage; it only
-    points the origin's ["latest"] entry at the input's absint pack, as
-    a miss would.  A miss runs every stage and stores the entry; absint
-    reuses the pack keyed on the source key, else the one ["latest"]
-    names, so an edit recomputes only the summaries whose inputs moved.
-    Reports are bit-identical with and without the cache.
+    fingerprint context.  A hit returns them and runs no stage.  A miss
+    runs every stage and stores the entry; absint goes through the
+    ["absint"] entry keyed on the source key alone ({!stage_absint}), so
+    a forced [detail] after a hit, or a rerun of the same source under
+    another configuration, computes no fixpoint, while any edit misses
+    it and analyzes the whole program again.  Reports are bit-identical
+    with and without the cache.
 
     Raises [Invalid_argument] off the main domain: no analysis state is
     synchronised, and SafeFlow's parallelism is forked processes

@@ -115,8 +115,9 @@ let certify ?config ~check_certs ~label ~dir path a =
 
 (* A fleet member as it crosses the pipe.  Finding locations come out
    under the normalized label; baselines and gating attribute them to
-   the real member. *)
-let render_member ~source_label path (a : Driver.analysis) certs =
+   the real member.  The certificate counts are filled in after the
+   writes. *)
+let render_member ~source_label path (a : Driver.analysis) =
   let r = a.Driver.report in
   let relabel (e : Diffreport.entry) =
     let w = e.Diffreport.e_where in
@@ -136,7 +137,7 @@ let render_member ~source_label path (a : Driver.analysis) certs =
     mr_errors = List.length (Report.errors r);
     mr_warnings = List.length r.Report.warnings;
     mr_ledger = a.Driver.ledger;
-    mr_certs = certs;
+    mr_certs = None;
   }
 
 (* One stripe, in the process that runs it: a cache instance opened on
@@ -159,33 +160,36 @@ let analyze_stripe ?config ?cache_dir ?bundle ?(check_certs = false) ?vfg ~label
   in
   let totals () = match cache with Some c -> cache_totals_of c | None -> no_cache_totals in
   (* read, analyze under [label] with the input's path as the cache
-     origin, write the DOT file and the bundle, render *)
+     origin and render; then write the DOT file and the bundle.  An
+     input whose writes fail keeps its rendered row next to its
+     failure *)
   let analyze path =
-    let fail cause message = Error { Forkmap.input = path; cause; message } in
+    let fail ?row cause message = Error ({ Forkmap.input = path; cause; message }, row) in
+    let crashed e = Printf.sprintf "%s: %s" path (Printexc.to_string e) in
     let label = label path in
+    Cache.with_origin path @@ fun () ->
     match
-      Cache.with_origin path (fun () ->
-          (* read here, not held: a source live through the analysis
-             raises its peak heap by its own size *)
-          let a = Driver.analyze ?config ?cache ~file:label (Minic.Loc.read_source path) in
-          Option.iter
-            (fun p ->
-              writing p (fun p -> Vfg.write_dot p (Lazy.force a.Driver.detail).Driver.phase3))
-            vfg;
-          let certs =
-            Option.map
-              (fun dir -> certify ?config ~check_certs ~label ~dir:(dir path) path a)
-              bundle
-          in
-          (a.Driver.report, certs, render path a certs))
+      (* read here, not held: a source live through the analysis raises
+         its peak heap by its own size *)
+      let a = Driver.analyze ?config ?cache ~file:label (Minic.Loc.read_source path) in
+      (a, render path a)
     with
-    | r -> Ok r
     | exception Minic.Loc.Error (loc, msg) ->
       (* a frontend error names the input, not a normalized label *)
       let loc = if loc.Minic.Loc.file = label then { loc with Minic.Loc.file = path } else loc in
       fail Rejected (Fmt.str "%a: %s" Minic.Loc.pp loc msg)
-    | exception Failed (cause, message) -> fail cause message
-    | exception e -> fail Crashed (Printf.sprintf "%s: %s" path (Printexc.to_string e))
+    | exception e -> fail Crashed (crashed e)
+    | a, row -> (
+      match
+        Option.iter
+          (fun p ->
+            writing p (fun p -> Vfg.write_dot p (Lazy.force a.Driver.detail).Driver.phase3))
+          vfg;
+        Option.map (fun dir -> certify ?config ~check_certs ~label ~dir:(dir path) path a) bundle
+      with
+      | certs -> Ok (a.Driver.report, certs, row)
+      | exception Failed (cause, message) -> fail ~row cause message
+      | exception e -> fail ~row Crashed (crashed e))
   in
   let total = Array.length indices in
   Telemetry.add c_fleet_members total;
@@ -207,7 +211,7 @@ let analyze_stripe ?config ?cache_dir ?bundle ?(check_certs = false) ?vfg ~label
         ( "ok", len (Report.errors rep), w,
           len rep.Report.violations + w + len rep.Report.dependencies + len rep.Report.infos,
           certs )
-      | Error { Forkmap.cause; _ } ->
+      | Error ({ Forkmap.cause; _ }, _) ->
         ( (match cause with
           | Rejected -> "rejected"
           | Unwritable -> "unwritable"
@@ -231,7 +235,7 @@ let analyze_stripe ?config ?cache_dir ?bundle ?(check_certs = false) ?vfg ~label
           emit (Events.heartbeat ~worker ~done_:!done_count ~total)
         end)
       emit;
-    Result.map (fun (_, _, r) -> (r, delta)) r
+    Result.map (fun (_, certs, row) -> (row, certs, delta)) r
   in
   let results = Array.map step indices in
   (results, !errors, !warnings)
@@ -281,7 +285,8 @@ let analyze_inputs ?config ?cache_dir ?(jobs = 1) ?source_label ?on_event ?bundl
           Option.iter (fun e -> e (Events.worker_start ~worker ~pid:(Unix.getpid ()) ~members)) emit;
           let results, errors, warnings = stripe ~worker ~emit paths indices in
           Option.iter (fun e -> e (Events.worker_done ~worker ~members ~errors ~warnings)) emit;
-          results)
+          Array.map Result.ok results)
+      |> Array.map (function Ok r -> r | Error f -> Error (f, None))
     in
     (* a worker that died reported none of the inputs it had not
        finished: the parent reports them, so every input gets its
@@ -293,7 +298,7 @@ let analyze_inputs ?config ?cache_dir ?(jobs = 1) ?source_label ?on_event ?bundl
             Array.iter
               (fun i ->
                 match results.(i) with
-                | Error { Forkmap.cause = Forkmap.Crashed; _ } -> (
+                | Error ({ Forkmap.cause = Forkmap.Crashed; _ }, _) -> (
                   match Hashtbl.find_opt reported paths.(i) with
                   | Some k when k > 0 -> Hashtbl.replace reported paths.(i) (k - 1)
                   | _ ->
@@ -328,16 +333,16 @@ let run ?config ?cache_dir ?(jobs = 1) ?(source_label = "<system>") ?on_event ?e
   emit_parent (Events.fleet_done ~systems:n ~elapsed_s:elapsed ~analyses_per_sec:aps);
   let ok, failures =
     Array.to_list analyzed
-    |> List.partition_map (function Ok r -> Either.Left r | Error f -> Right f)
+    |> List.partition_map (function Ok r -> Either.Left r | Error (f, _) -> Right f)
   in
   {
-    f_results = List.map fst ok;
+    f_results = List.map (fun (m, certs, _) -> { m with mr_certs = certs }) ok;
     f_failures = failures;
     f_systems = n;
     f_jobs = jobs;
     f_elapsed_s = elapsed;
     f_analyses_per_sec = aps;
-    f_cache = List.fold_left (fun acc (_, t) -> map2_totals ( + ) acc t) no_cache_totals ok;
+    f_cache = List.fold_left (fun acc (_, _, t) -> map2_totals ( + ) acc t) no_cache_totals ok;
   }
 
 (* -- input collection --------------------------------------------------------- *)

@@ -13,10 +13,11 @@
     crosses the pipe.  An input that yields no result, or whose worker
     dies, is a {!Forkmap.failure}; the others still come back.  Under
     one normalized label, members with identical sources form one group
-    (they share every cache key), and the groups go round-robin over
-    [jobs] stripes in first-appearance order ({!Forkmap.stripes}), so a
-    group's first member stores its entries and its duplicates hit them
-    on the same worker.  A sequential run ([jobs = 1]) stays in-process —
+    (they share every cache key), and the groups are dealt over [jobs]
+    stripes, largest first, each to the least loaded stripe, a
+    duplicate weighing an eighth of a distinct member
+    ({!Forkmap.stripes}); so a group's first member stores its entries
+    and its duplicates hit them on the same worker.  A sequential run ([jobs = 1]) stays in-process —
     the mode used by tests that need deterministic single-process cache
     statistics.
 
@@ -111,16 +112,19 @@ val analyze_inputs :
   ?bundle:(string -> string) ->
   ?check_certs:bool ->
   ?vfg:string ->
-  render:(string -> Driver.analysis -> cert_counts option -> 'r) ->
+  render:(string -> Driver.analysis -> 'r) ->
   string list ->
-  ('r * cache_totals, Forkmap.failure) Stdlib.result array
+  ('r * cert_counts option * cache_totals, Forkmap.failure * 'r option) Stdlib.result array
 (** [analyze_inputs ~render paths], in input order, each result with
-    the cache traffic its input caused, on [min jobs n] workers (default
-    1: in this process).  Each input is analyzed under [source_label]
-    (grouped by content) or else under its own path; each worker opens
-    its own cache on [cache_dir]; input [p]'s bundle goes to [bundle p]
-    ([check_certs] revalidates it) and its DOT file to [vfg] (give it
-    with one input).  [render p a certs] runs in the worker. *)
+    its certificate counts and the cache traffic its input caused, on
+    [min jobs n] workers (default 1: in this process).  Each input is
+    analyzed under [source_label] (grouped by content) or else under its
+    own path; each worker opens its own cache on [cache_dir]; input
+    [p]'s bundle goes to [bundle p] ([check_certs] revalidates it) and
+    its DOT file to [vfg] (give it with one input).  [render p a] runs
+    in the worker, after the analysis and before those writes, so an
+    input whose writes fail keeps its row next to its failure; a failure
+    before rendering has none. *)
 
 val run :
   ?config:Config.t ->

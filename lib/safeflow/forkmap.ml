@@ -1,21 +1,44 @@
 (** Forked worker processes (see the interface). *)
 
+(* What an item costs its worker, in eighths: the first item of a group
+   8, each further one 1.  Equal items after the first are cache hits in
+   a fleet: 52 copies of one member take 3.2 ms longer than one copy,
+   52 distinct members 25.7 ms longer (fleet --jobs 1 on a cold cache,
+   2-core VM), an eighth. *)
+let first_cost = 8
+
 let stripes ?key ~workers n =
   let workers = max 1 workers in
-  let groups = Hashtbl.create 64 in
-  let group i =
+  let worker =
     match key with
-    | None -> i
-    | Some key -> (
-      let k = key i in
-      match Hashtbl.find_opt groups k with
-      | Some g -> g
-      | None ->
-        let g = Hashtbl.length groups in
-        Hashtbl.replace groups k g;
-        g)
+    | None -> Array.init n (fun i -> i mod workers)
+    | Some key ->
+      (* groups numbered in first-appearance order, then dealt largest
+         first (a stable sort: ties keep that order), each to the least
+         loaded worker (ties: the lowest index) *)
+      let ids = Hashtbl.create 64 in
+      let group =
+        Array.init n (fun i ->
+            let k = key i in
+            match Hashtbl.find_opt ids k with
+            | Some g -> g
+            | None ->
+              let g = Hashtbl.length ids in
+              Hashtbl.replace ids k g;
+              g)
+      in
+      let size = Array.make (Hashtbl.length ids) 0 in
+      Array.iter (fun g -> size.(g) <- size.(g) + 1) group;
+      let load = Array.make workers 0 and dealt = Array.make (Array.length size) 0 in
+      List.init (Array.length size) Fun.id
+      |> List.stable_sort (fun a b -> Int.compare size.(b) size.(a))
+      |> List.iter (fun g ->
+             let w = ref 0 in
+             Array.iteri (fun j l -> if l < load.(!w) then w := j) load;
+             dealt.(g) <- !w;
+             load.(!w) <- load.(!w) + first_cost + size.(g) - 1);
+      Array.map (fun g -> dealt.(g)) group
   in
-  let worker = Array.init n (fun i -> group i mod workers) in
   Array.init workers (fun j ->
       Array.of_list (List.filter (fun i -> worker.(i) = j) (List.init n Fun.id)))
 

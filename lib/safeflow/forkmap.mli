@@ -28,9 +28,13 @@
 
 val stripes : ?key:(int -> string) -> workers:int -> int -> int array array
 (** [stripes ~workers n] assigns items [0 .. n-1] to [workers] stripes,
-    round-robin.  With [~key], items with equal keys form one group, and
-    the groups go round-robin in first-appearance order, so equal items
-    always land on one worker.  Every stripe lists its items in
+    round-robin.  With [~key], items with equal keys form one group, so
+    equal items always land on one worker, and the groups are dealt
+    largest first (ties in first-appearance order), each to the stripe
+    with the least load so far.  A group's load is its first item plus
+    an eighth of an item for each further one, since equal items after
+    the first are cache hits in a fleet; so the stripes balance distinct
+    work first and items with it.  Every stripe lists its items in
     increasing order; a stripe may be empty. *)
 
 type cause =

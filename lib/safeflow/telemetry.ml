@@ -138,6 +138,21 @@ let record_float_max name v =
 let float_gauges () =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fgauges [])
 
+(* this process's GC figures so far, as float gauges; they only grow, so
+   recording them again at each export keeps the latest.  [quick_stat]'s
+   word counts stand as of the last minor collection, which is exact for
+   promotion but not for allocation: [Gc.minor_words] also counts the
+   words allocated since *)
+let record_gc () =
+  let g = Gc.quick_stat () in
+  List.iter
+    (fun (name, v) -> record_float_max name v)
+    [ ("gc.minor_collections", float_of_int g.Gc.minor_collections);
+      ("gc.major_collections", float_of_int g.Gc.major_collections);
+      ("gc.minor_words", Gc.minor_words ());
+      ("gc.promoted_words", g.Gc.promoted_words);
+      ("gc.top_heap_words", float_of_int g.Gc.top_heap_words) ]
+
 (* -- Histograms ------------------------------------------------------------------ *)
 
 (* log2-bucketed latency histograms: bucket [i] counts observations with
@@ -274,6 +289,7 @@ type snapshot = {
 }
 
 let snapshot () =
+  record_gc ();
   {
     sn_version = snapshot_version;
     sn_pid = Unix.getpid ();
@@ -545,6 +561,7 @@ let worker_hist_views (s : snapshot) =
     s.sn_hists
 
 let write_stats_json path =
+  record_gc ();
   let b = Buffer.create 4096 in
   Buffer.add_string b (Printf.sprintf "{\"schema\":\"%s\"" stats_json_schema);
   Buffer.add_string b (Printf.sprintf ",\"pid\":%d" (Unix.getpid ()));
@@ -593,6 +610,7 @@ let write_stats_json path =
 (* -- Human-readable tree -------------------------------------------------------------- *)
 
 let pp_stats ppf () =
+  record_gc ();
   Fmt.pf ppf "@[<v>== telemetry ==@,";
   (match workers () with
   | [] -> ()

@@ -103,6 +103,18 @@ val float_gauges : unit -> (string * float) list
 (** recorded float gauges, sorted by name; the [gauges] object of the
     stats JSON *)
 
+val record_gc : unit -> unit
+(** record this process's whole-run figures from [Gc.quick_stat] as
+    float gauges: [gc.minor_collections], [gc.major_collections],
+    [gc.minor_words] (read with [Gc.minor_words], which also counts the
+    words allocated since the last minor collection),
+    [gc.promoted_words] and [gc.top_heap_words] (both as of the last
+    collection: 0 in a run too short for one).
+    {!snapshot}, {!write_stats_json} and {!pp_stats} call it first, so
+    a worker view holds the worker's own figures and a fleet's top level
+    the largest of the parent's and its workers'.  No-op when
+    disabled. *)
+
 (** {1 Latency histograms}
 
     Log2-bucketed latency histograms: bucket [i] counts observations

@@ -240,16 +240,17 @@ let test_generic_simplex_discharges () =
 
 (* -- one fixpoint per distinct input -------------------------------------- *)
 
-(* Analyze [ir] under a memo that counts its calls per function and the
-   distinct (function, inputs digest) pairs it was asked for. *)
+(* Analyze [ir] under a fixpoint hook that counts its calls per
+   function and the distinct (function, parameter ranges, callee-return
+   ranges) inputs it was asked for. *)
 let count_fixpoints (ir : Ssair.Ir.program) =
   let calls = Hashtbl.create 64 and inputs = Hashtbl.create 64 in
-  let memo ~fname ~inputs_digest compute =
+  let on_fixpoint ~fname ~params ~callee_rets compute =
     Hashtbl.replace calls fname (1 + Option.value ~default:0 (Hashtbl.find_opt calls fname));
-    Hashtbl.replace inputs (fname, Lazy.force inputs_digest) ();
+    Hashtbl.replace inputs (fname, params, Array.to_list callee_rets) ();
     compute ()
   in
-  ignore (Absint.analyze ~memo (Ssair.Index.of_program ir));
+  ignore (Absint.analyze ~on_fixpoint (Ssair.Index.of_program ir));
   (calls, Hashtbl.length inputs)
 
 let test_synth_one_fixpoint_per_function () =

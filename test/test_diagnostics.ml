@@ -46,10 +46,10 @@ let test_parallelism_invariance name () =
     List.combine system_files
       (Array.to_list
          (Fleet.analyze_inputs ~jobs:2
-            ~render:(fun _ a _ -> (a.Driver.report, a.Driver.fingerprints))
+            ~render:(fun _ a -> (a.Driver.report, a.Driver.fingerprints))
             (List.map find_system system_files)))
   in
-  let report, ctx = fst (Result.get_ok (List.assoc name par)) in
+  let (report, ctx), _, _ = Result.get_ok (List.assoc name par) in
   Alcotest.check slist "sequential = parallel"
     (sorted_fps (read_file path))
     (List.sort compare (List.map fst (Fingerprint.of_report ctx report)))

@@ -170,8 +170,10 @@ let test_parallel_driver () =
   let seq = List.map (fun f -> (Driver.analyze_file f).Driver.report) files in
   let par =
     List.map
-      (fun r -> fst (Result.get_ok r))
-      (Array.to_list (Fleet.analyze_inputs ~jobs:2 ~render:(fun _ a _ -> a.Driver.report) files))
+      (fun r ->
+        let report, _, _ = Result.get_ok r in
+        report)
+      (Array.to_list (Fleet.analyze_inputs ~jobs:2 ~render:(fun _ a -> a.Driver.report) files))
   in
   List.iteri
     (fun i (rs, rp) ->

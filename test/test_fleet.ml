@@ -297,7 +297,7 @@ let test_fleet_observability () =
         ("merged " ^ hits ^ "+" ^ misses ^ " = sum over workers")
         (worker_sum hits + worker_sum misses)
         (merged hits + merged misses))
-    [ "analysis"; "absint"; "latest" ];
+    [ "analysis"; "absint" ];
   Alcotest.(check int) "merged cross_hits = sum over workers"
     (worker_sum "cache.cross_hits") (merged "cache.cross_hits");
   Alcotest.(check bool) "merged cross_hits above parent-only value" true
@@ -310,6 +310,20 @@ let test_fleet_observability () =
   | Some (Jsonlite.Num aps) ->
     Alcotest.(check bool) "analyses_per_sec is a positive float" true (aps > 0.0)
   | _ -> Alcotest.fail "fleet.analyses_per_sec gauge missing");
+  (* each worker view holds the worker's own GC figures *)
+  List.iter
+    (fun w ->
+      let g = Option.value ~default:[] (Option.bind (Jsonlite.member "gauges" w) Jsonlite.to_obj) in
+      List.iter
+        (fun name ->
+          match List.assoc_opt name g with
+          | Some (Jsonlite.Num v) ->
+            if name = "gc.minor_words" then
+              Alcotest.(check bool) "a worker allocated" true (v > 0.0)
+          | _ -> Alcotest.failf "a worker view has no %s gauge" name)
+        [ "gc.minor_collections"; "gc.major_collections"; "gc.minor_words";
+          "gc.promoted_words"; "gc.top_heap_words" ])
+    workers;
   Alcotest.(check (option int)) "truncated counter gone" None
     (Option.bind (Jsonlite.member "counters" stats) (fun c ->
          Option.map (fun _ -> 0) (Jsonlite.member "fleet.analyses_per_sec" c)));
@@ -380,6 +394,35 @@ let test_fleet_duplicates () =
   rm_rf cache_dir;
   rm_rf src_dir
 
+(* Keyed striping balances the work of the stripes, members as well as
+   groups, and keeps every group on one worker.  On the benchmark fleet
+   (256 members: 65 copies of member 0 and 191 distinct ones, 192
+   groups) two workers cannot get 128 members and 96 groups each; the
+   worker with the 65 copies gets 9 fewer groups, so that each does the
+   work of 100 distinct members (the copies after the first weighing an
+   eighth).  Round-robin in first-appearance order gave 160 members and
+   96 groups against 96 and 96. *)
+let test_balanced_stripes () =
+  let members =
+    Array.of_list
+      (Synth.fleet ~seed:1
+         { Synth.fleet_n = 256; fleet_workers = 4; fleet_overlap = 0.5; fleet_dup = 0.25 })
+  in
+  let key i = Digest.string (snd members.(i)) in
+  let stripes = Forkmap.stripes ~key ~workers:2 (Array.length members) in
+  let groups stripe = List.sort_uniq compare (Array.to_list (Array.map key stripe)) in
+  Alcotest.(check (list int)) "members per worker" [ 156; 100 ]
+    (Array.to_list (Array.map Array.length stripes));
+  Alcotest.(check (list int)) "groups per worker" [ 92; 100 ]
+    (Array.to_list (Array.map (fun s -> List.length (groups s)) stripes));
+  Alcotest.(check (list string)) "no group on both workers" []
+    (List.filter (fun g -> List.mem g (groups stripes.(1))) (groups stripes.(0)));
+  (* groups of equal size: the plain round-robin split *)
+  let stripes = Forkmap.stripes ~key:(fun i -> string_of_int (i / 2)) ~workers:3 12 in
+  Alcotest.(check (list (list int))) "pairs dealt in first-appearance order"
+    [ [ 0; 1; 6; 7 ]; [ 2; 3; 8; 9 ]; [ 4; 5; 10; 11 ] ]
+    (Array.to_list (Array.map Array.to_list stripes))
+
 (* -- failure records ---------------------------------------------------------- *)
 
 (* A worker that dies takes only its own stripe with it: each of its
@@ -428,7 +471,7 @@ let test_killed_worker_events () =
   let results =
     Fleet.analyze_inputs ~jobs:2
       ~on_event:(fun line -> events := line :: !events)
-      ~render:(fun path _ _ ->
+      ~render:(fun path _ ->
         (* stripe 1 dies in its first input, before reporting it *)
         if path = first_of_stripe1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
         path)
@@ -447,7 +490,7 @@ let test_killed_worker_events () =
     (fun i ->
       match results.(i) with
       | Ok _ -> Alcotest.failf "input %d of the killed stripe came back" i
-      | Error (f : Forkmap.failure) ->
+      | Error ((f : Forkmap.failure), _) ->
         Alcotest.(check bool) "crashed" true (f.Forkmap.cause = Forkmap.Crashed);
         Alcotest.(check bool) "reported crashed" true
           (List.exists
@@ -524,7 +567,9 @@ let () =
           Alcotest.test_case "observed run: merged telemetry, events, neutral reports"
             `Quick test_fleet_observability;
           Alcotest.test_case "duplicates analyzed once on one worker" `Quick
-            test_fleet_duplicates ] );
+            test_fleet_duplicates;
+          Alcotest.test_case "keyed stripes balance members and groups" `Quick
+            test_balanced_stripes ] );
       ( "failures",
         [ Alcotest.test_case "a killed worker fails only its stripe" `Quick
             test_killed_worker;

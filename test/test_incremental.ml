@@ -189,51 +189,29 @@ let test_disk_corrupt () =
   check_report "corrupt entries are silently recomputed" baseline
     (report ~cache:(Cache.create ~dir ()) Config.default src)
 
-(* per-function memo outcomes of [f]: summaries reused from an absint
-   pack and fixpoints computed, read from the telemetry counters *)
-let absint_outcomes f =
-  let reused = Telemetry.counter "absint.reused"
-  and computed = Telemetry.counter "absint.computed" in
+(* the fixpoints absint computed while [f] ran, read from the telemetry
+   counter *)
+let fixpoints f =
+  let computed = Telemetry.counter "absint.computed" in
   let was = Telemetry.enabled () in
   Telemetry.set_enabled true;
-  let r0 = Telemetry.value reused and c0 = Telemetry.value computed in
+  let c0 = Telemetry.value computed in
   let v = Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) f in
-  (v, Telemetry.value reused - r0, Telemetry.value computed - c0)
+  (v, Telemetry.value computed - c0)
 
-(* absint keys are location-free: a leading comment shifts every line,
-   so the whole-program tiers (and the exact absint pack) miss, yet every
-   per-function summary must still be reused from the pack the previous
-   run left *)
-let test_absint_location_free () =
-  List.iter
-    (fun sys ->
-      let src = read_file (find_system sys) in
-      let shifted = "/* shifts every line */\n" ^ src in
-      let c = Cache.create () in
-      ignore (report ~cache:c Config.default src);
-      let r, reused, computed =
-        absint_outcomes (fun () -> report ~cache:c Config.default shifted)
-      in
-      check_report (sys ^ " shifted") (report Config.default shifted) r;
-      Alcotest.(check bool) (sys ^ " absint summaries reused") true (reused > 0);
-      Alcotest.(check int) (sys ^ " absint fixpoints computed") 0 computed)
-    systems
+let st c ns = Option.value ~default:(0, 0) (List.assoc_opt ns (Cache.stats c))
 
-(* the inputs digest of every fixpoint a cache-less absint run computes *)
-let fixpoint_digests src =
-  let p = Driver.prepare_source src in
-  let ds = ref [] in
-  let memo ~fname:_ ~inputs_digest compute =
-    ds := Lazy.force inputs_digest :: !ds;
-    compute ()
-  in
-  ignore (Absint.analyze ~memo p.Driver.index);
-  List.sort_uniq compare !ds
+let written dir ns =
+  List.length
+    (List.filter (fun f -> String.starts_with ~prefix:(ns ^ "-") (Filename.basename f)) (entry_files dir))
 
-(* an edit to one return value moves the ranges of its callers: exactly
-   the fixpoints whose inputs digest the primed run never saw are
-   recomputed, and every other one is reused *)
-let test_absint_edit_recomputes_moved () =
+(* the absint entry holds the whole program: an edit to one return
+   value misses it and recomputes every fixpoint a cache-less run of the
+   edited program computes, then stores one absint and one analysis
+   entry *)
+let test_edit_recomputes_all () =
+  with_tmp_root @@ fun root ->
+  let dir = Filename.concat root "cache" in
   let program ret =
     Printf.sprintf
       "int base(int x) { return %d; }\n\
@@ -243,43 +221,77 @@ let test_absint_edit_recomputes_moved () =
       ret
   in
   let src = program 10 and edited = program 20 in
-  let before = fixpoint_digests src and after = fixpoint_digests edited in
-  let moved = List.filter (fun d -> not (List.mem d before)) after in
-  Alcotest.(check bool) "the edit moves more than the edited function" true
-    (List.length moved > 1);
-  Alcotest.(check bool) "the edit leaves some fixpoint in place" true
-    (List.length moved < List.length after);
-  let c = Cache.create () in
-  ignore (report ~cache:c Config.default src);
-  let r, reused, computed = absint_outcomes (fun () -> report ~cache:c Config.default edited) in
-  check_report "edited" (report Config.default edited) r;
-  Alcotest.(check int) "computed = moved fixpoints" (List.length moved) computed;
-  Alcotest.(check int) "reused = the rest" (List.length after - List.length moved) reused
+  let fresh, cold = fixpoints (fun () -> report Config.default edited) in
+  ignore (report ~cache:(Cache.create ~dir ()) Config.default src);
+  let c = Cache.create ~dir () in
+  let r, computed = fixpoints (fun () -> report ~cache:c Config.default edited) in
+  check_report "edited" fresh r;
+  Alcotest.(check bool) "a cold run computes fixpoints" true (cold > 0);
+  Alcotest.(check int) "the edit computes every fixpoint" cold computed;
+  Alcotest.(check (pair int int)) "absint looked up once, missed" (0, 1) (st c "absint");
+  Alcotest.(check (list int)) "analysis and absint entries" [ 2; 2 ]
+    (List.map (written dir) [ "analysis"; "absint" ])
 
 let ranges (a : Driver.analysis) =
   Option.map Absint.summary_views (Lazy.force a.Driver.detail).Driver.absint
 
-(* summaries are matched by their exact inputs digest, so a "latest" pack
-   another program left under the same label is sound to consult: the
-   report and every range equal a run with no cache *)
-let test_latest_other_program () =
+(* the absint key ignores the semantic configuration: a field-insensitive
+   run after a default one misses the analysis entry, hits the absint
+   entry and computes no fixpoint, and its report and ranges equal a run
+   with no cache *)
+let test_other_config_hits_absint () =
+  let insensitive = { Config.default with Config.field_sensitive = false } in
+  List.iter
+    (fun sys ->
+      let src = read_file (find_system sys) in
+      let c = Cache.create () in
+      ignore (report ~cache:c Config.default src);
+      Cache.reset_stats c;
+      let a, computed = fixpoints (fun () -> Driver.analyze ~config:insensitive ~cache:c src) in
+      let fresh = Driver.analyze ~config:insensitive src in
+      check_report (sys ^ " field-insensitive") fresh.Driver.report a.Driver.report;
+      Alcotest.(check (pair int int)) (sys ^ " analysis missed") (0, 1) (st c "analysis");
+      Alcotest.(check (pair int int)) (sys ^ " absint hit") (1, 0) (st c "absint");
+      Alcotest.(check int) (sys ^ " fixpoints computed") 0 computed;
+      Alcotest.(check bool) (sys ^ " ranges") true (ranges fresh = ranges a))
+    systems
+
+(* the files of a bundle directory, by name *)
+let bundle_files dir =
+  List.sort compare
+    (List.map
+       (fun f -> (String.sub f (String.length dir) (String.length f - String.length dir), read_file f))
+       (entry_files dir))
+
+(* a forced detail after an analysis hit reruns the stages with the
+   absint entry: no fixpoint is computed, and the certificate bundle is
+   byte-identical to the one the cold run emits *)
+let test_forced_detail () =
   with_tmp_root @@ fun root ->
   let dir = Filename.concat root "cache" in
-  let file = "member.c" in
-  List.iteri
-    (fun i sys ->
+  List.iter
+    (fun sys ->
       clear_dir dir;
-      let other = List.nth systems ((i + 1) mod List.length systems) in
-      let src = read_file (find_system sys) in
-      ignore (Driver.analyze ~cache:(Cache.create ~dir ()) ~file (read_file (find_system other)));
+      let path = find_system sys in
+      let src = read_file path in
+      let bundle state a =
+        let out = Filename.concat root (state ^ "-" ^ sys) in
+        (match Cert.emit_bundle ~label:path ~dir:out a with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e);
+        bundle_files out
+      in
+      let cold = bundle "cold" (Driver.analyze ~cache:(Cache.create ~dir ()) ~file:path src) in
       let c = Cache.create ~dir () in
-      let a = Driver.analyze ~cache:c ~file src and fresh = Driver.analyze ~file src in
-      check_report (sys ^ " after " ^ other) fresh.Driver.report a.Driver.report;
-      Alcotest.(check bool) (sys ^ " ranges after " ^ other) true (ranges fresh = ranges a);
-      let st ns = Option.value ~default:(0, 0) (List.assoc_opt ns (Cache.stats c)) in
-      Alcotest.(check (pair int int)) (sys ^ " latest named the other pack") (1, 0) (st "latest");
-      Alcotest.(check (pair int int)) (sys ^ " exact miss, then that pack") (1, 1) (st "absint"))
-    systems
+      let warm, computed =
+        fixpoints (fun () -> bundle "warm" (Driver.analyze ~cache:c ~file:path src))
+      in
+      Alcotest.(check (pair int int)) (sys ^ " analysis hit") (1, 0) (st c "analysis");
+      Alcotest.(check (pair int int)) (sys ^ " absint hit") (1, 0) (st c "absint");
+      Alcotest.(check int) (sys ^ " fixpoints computed") 0 computed;
+      Alcotest.(check bool) (sys ^ " bundle has files") true (cold <> []);
+      Alcotest.(check (list (pair string string))) (sys ^ " bundle bytes") cold warm)
+    [ "figure2.c"; "generic_simplex.c" ]
 
 (* Concurrent forked workers opening one missing cache directory race to
    create it (and its generation subdirectory); every one must end up
@@ -346,39 +358,39 @@ let test_disk_mkdir_race () =
 let entry_path dir ns =
   List.find (fun f -> String.starts_with ~prefix:(ns ^ "-") (Filename.basename f)) (entry_files dir)
 
-(* "latest" is the one entry that is rewritten, and only through a temp
-   file and rename: a hard link to the old file (a cache restored from a
-   pristine copy by linking) keeps its bytes *)
-let test_latest_rewrite_keeps_links () =
+(* no entry file is ever rewritten: storing a key that is already on
+   disk leaves the file, and a hard link to it (a cache restored from a
+   pristine copy by linking), byte for byte as it was; the same holds
+   for every entry a rerun of the driver finds *)
+let test_store_never_rewrites () =
   with_tmp_root @@ fun root ->
   let dir = Filename.concat root "cache" in
   clear_dir dir;
   let c = Cache.create ~dir () in
-  Cache.store c ~ns:"latest" ~key:"k" "first";
-  let path = entry_path dir "latest" in
-  let link = Filename.concat root "latest.old" in
-  (try Sys.remove link with Sys_error _ -> ());
+  Cache.store c ~ns:"once" ~key:"k" "first";
+  let path = entry_path dir "once" in
+  let link = Filename.concat root "once.old" in
   Unix.link path link;
   let before = read_file link in
-  Cache.store c ~ns:"latest" ~key:"k" "ignored";
-  Alcotest.(check (option string)) "store without replace keeps the entry" (Some "first")
-    (Cache.find c ~ns:"latest" ~key:"k");
-  Cache.store ~replace:true c ~ns:"latest" ~key:"k" "second";
-  Alcotest.(check (option string)) "replaced" (Some "second")
-    (Cache.find (Cache.create ~dir ()) ~ns:"latest" ~key:"k");
-  Alcotest.(check string) "the old link is byte-identical" before (read_file link);
-  (* the same through the driver: a second program under one label *)
-  clear_dir dir;
-  let file = "member.c" in
-  ignore (Driver.analyze ~cache:(Cache.create ~dir ()) ~file (read_file (find_system "figure2.c")));
-  let path = entry_path dir "latest" in
+  Cache.store c ~ns:"once" ~key:"k" "second";
+  Alcotest.(check (option string)) "the stored value stays" (Some "first")
+    (Cache.find (Cache.create ~dir ()) ~ns:"once" ~key:"k");
+  Alcotest.(check string) "the file is byte-identical" before (read_file path);
+  Alcotest.(check bool) "the file is still the linked one" true
+    ((Unix.stat path).Unix.st_ino = (Unix.stat link).Unix.st_ino);
   Sys.remove link;
-  Unix.link path link;
-  let before = read_file link in
-  ignore (Driver.analyze ~cache:(Cache.create ~dir ()) ~file (read_file (find_system "double_ip.c")));
-  Alcotest.(check bool) "the driver rewrote latest" true (read_file path <> before);
-  Alcotest.(check string) "the driver left the old link alone" before (read_file link);
-  Sys.remove link
+  clear_dir dir;
+  let src = read_file (find_system "figure2.c") in
+  ignore (Driver.analyze ~cache:(Cache.create ~dir ()) src);
+  let files = List.sort compare (entry_files dir) in
+  let inodes () = List.map (fun f -> (f, (Unix.stat f).Unix.st_ino, read_file f)) files in
+  let before = inodes () in
+  (* the same source under another configuration: analysis misses and
+     is stored under a new key, absint hits; then everything hits *)
+  List.iter
+    (fun config -> ignore (Driver.analyze ~config ~cache:(Cache.create ~dir ()) src))
+    [ { Config.default with Config.control_deps = false }; Config.default ];
+  Alcotest.(check bool) "no entry file rewritten" true (before = inodes ())
 
 (* memory holds only what disk does not *)
 let test_no_memory_shadow () =
@@ -422,9 +434,9 @@ let test_unwritable_dir () =
   Sys.remove gen
 
 (* a flipped payload byte and a tampered digest prefix are each counted
-   corrupt, and the entry is recomputed.  The absint pack is read only on
-   a miss of the analysis entry, so that case reruns under another
-   semantic configuration: the pack's key is the source key alone. *)
+   corrupt, and the entry is recomputed.  The absint entry is read only
+   on a miss of the analysis entry, so that case reruns under another
+   semantic configuration: the absint key is the source key alone. *)
 let test_damaged_entries () =
   with_tmp_root @@ fun root ->
   let dir = Filename.concat root "cache" in
@@ -450,8 +462,7 @@ let test_damaged_entries () =
       ("absint", "tampered digest prefix", no_control, fun _ -> 0) ]
 
 (* which entries a run leaves must not depend on the order of members
-   with equal sources: a hit still points the member's "latest" entry at
-   the pack, as a miss does *)
+   with equal sources *)
 let test_member_order () =
   with_tmp_root @@ fun root ->
   let members =
@@ -472,8 +483,8 @@ let test_member_order () =
   in
   let forward = entries "forward" members and reverse = entries "reverse" (List.rev members) in
   let count ns = List.length (List.filter (String.starts_with ~prefix:(ns ^ "-")) forward) in
-  Alcotest.(check (list int)) "analysis, absint, latest entries" [ 3; 3; 6 ]
-    (List.map count [ "analysis"; "absint"; "latest" ]);
+  Alcotest.(check (list int)) "analysis and absint entries" [ 3; 3 ]
+    (List.map count [ "analysis"; "absint" ]);
   Alcotest.(check (list string)) "same entries in either order" forward reverse
 
 let test_par_driver_deterministic () =
@@ -481,9 +492,10 @@ let test_par_driver_deterministic () =
   let seq = List.map (fun p -> (Driver.analyze_file p).Driver.report) paths in
   let par =
     List.map
-      (fun r -> fst (Result.get_ok r))
-      (Array.to_list
-         (Fleet.analyze_inputs ~jobs:2 ~render:(fun _ a _ -> a.Driver.report) paths))
+      (fun r ->
+        let report, _, _ = Result.get_ok r in
+        report)
+      (Array.to_list (Fleet.analyze_inputs ~jobs:2 ~render:(fun _ a -> a.Driver.report) paths))
   in
   Alcotest.(check int) "one result per input" (List.length seq) (List.length par);
   List.iteri
@@ -499,12 +511,12 @@ let () =
             test_verbose_either_order;
           Alcotest.test_case "one-function edit reports identical" `Quick
             test_dirty_identity;
-          Alcotest.test_case "absint keys ignore source locations" `Quick
-            test_absint_location_free;
-          Alcotest.test_case "one-function edit recomputes the moved fixpoints" `Quick
-            test_absint_edit_recomputes_moved;
-          Alcotest.test_case "latest pack of another program" `Quick
-            test_latest_other_program ] );
+          Alcotest.test_case "one-function edit recomputes every fixpoint" `Quick
+            test_edit_recomputes_all;
+          Alcotest.test_case "another configuration hits the absint entry" `Quick
+            test_other_config_hits_absint;
+          Alcotest.test_case "forced detail after a hit computes no fixpoint" `Quick
+            test_forced_detail ] );
       ( "disk",
         [ Alcotest.test_case "round trip through a fresh cache" `Quick
             test_disk_roundtrip;
@@ -513,8 +525,8 @@ let () =
           Alcotest.test_case "corrupt entries recomputed" `Quick test_disk_corrupt;
           Alcotest.test_case "racing openers all get a disk tier" `Quick
             test_disk_mkdir_race;
-          Alcotest.test_case "rewriting latest keeps hard links" `Quick
-            test_latest_rewrite_keeps_links;
+          Alcotest.test_case "storing an existing key never rewrites it" `Quick
+            test_store_never_rewrites;
           Alcotest.test_case "no in-memory shadow of disk entries" `Quick
             test_no_memory_shadow;
           Alcotest.test_case "unwritable directory keeps values in memory" `Quick
