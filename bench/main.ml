@@ -6,7 +6,6 @@
      table1   - regenerate the paper's Table 1 (paper vs measured); exits 1
                 when an Annot, Errors, Warnings or FalseP cell differs from
                 the paper
-     summary  - exact vs ESP-style summary engine (paper section 3.3)
      sim      - closed-loop Simplex scenario outcomes (Figure 1 / section 4)
 
    Timing of the analysis itself lives in bench/e2e. *)
@@ -23,11 +22,6 @@ let read_file p =
   let s = really_input_string ic n in
   close_in ic;
   s
-
-let time_ms f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1000.0)
 
 (* ==================================================== Table 1 ============ *)
 
@@ -143,45 +137,6 @@ let table1 () =
     List.iter (Fmt.epr "table1 mismatch: %s@.") ms;
     exit 1
 
-(* ==================================================== summary (B4) ======= *)
-
-let summary () =
-  Fmt.pr "@.== B4: exact vs summary engine (paper §3.3's ESP optimization) ==@.@.";
-  Fmt.pr "The exact engine re-analyzes each function per monitoring context@.";
-  Fmt.pr "(exponential worst case); the summary engine inlines per-function@.";
-  Fmt.pr "value-flow summaries in a single bottom-up pass.@.@.";
-  (* equivalence on the subject systems *)
-  Fmt.pr "%-20s %18s %18s %10s@." "input" "exact warn/err" "summary warn/err" "agree";
-  List.iter
-    (fun row ->
-      let path = find ("systems/" ^ row.p_core_file) in
-      let src = read_file path in
-      let exact = (Safeflow.Driver.analyze ~file:path src).Safeflow.Driver.report in
-      let rs, _ = Safeflow.Driver.analyze_summary ~file:path src in
-      let we = List.length exact.Safeflow.Report.warnings
-      and ee = List.length (Safeflow.Report.errors exact)
-      and ws = List.length rs.Safeflow.Report.warnings
-      and es = List.length (Safeflow.Report.errors rs) in
-      Fmt.pr "%-20s %14d/%-3d %14d/%-3d %10b@." row.p_name we ee ws es
-        (we = ws && ee = es))
-    paper_rows;
-  (* the exponential case: a binary tree of monitoring functions *)
-  Fmt.pr "@.%8s %8s %12s %12s %10s@." "depth" "contexts" "exact(ms)" "summary(ms)" "speedup";
-  List.iter
-    (fun depth ->
-      let src = Safeflow.Synth.context_explosion ~depth in
-      let a, t_exact = time_ms (fun () -> Safeflow.Driver.analyze src) in
-      let _, t_sum = time_ms (fun () -> Safeflow.Driver.analyze_summary src) in
-      let ctxs =
-        List.assoc "phase3_contexts" a.Safeflow.Driver.report.Safeflow.Report.stats
-      in
-      Fmt.pr "%8d %8d %12.1f %12.1f %9.1fx@." depth ctxs t_exact t_sum
-        (t_exact /. Float.max 0.01 t_sum))
-    [ 2; 4; 6; 8; 10 ];
-  Fmt.pr "@.(both engines report identical warnings and error dependencies on@.";
-  Fmt.pr "every input above; the summary engine does not classify control-only@.";
-  Fmt.pr "dependencies — ESP summaries capture data flow)@."
-
 (* ==================================================== sim (F1/E1) ======== *)
 
 let sim () =
@@ -217,7 +172,7 @@ let sim () =
 (* ==================================================== driver ============= *)
 
 let () =
-  let all = [ ("table1", table1); ("summary", summary); ("sim", sim) ] in
+  let all = [ ("table1", table1); ("sim", sim) ] in
   match Array.to_list Sys.argv with
   | [ _; which ] when List.mem_assoc which all -> (List.assoc which all) ()
   | _ ->

@@ -114,7 +114,6 @@ let analyze_cmd =
   let ctx_insensitive = Arg.(value & flag & info [ "ctx-insensitive" ] ~doc:"merge monitoring contexts (ablation)") in
   let field_insensitive = Arg.(value & flag & info [ "field-insensitive" ] ~doc:"ignore byte offsets in regions (ablation)") in
   let vfg = Arg.(value & opt (some string) None & info [ "vfg" ] ~docv:"OUT.dot" ~doc:"write the value-flow graph as DOT (single file only)") in
-  let use_summary = Arg.(value & flag & info [ "summary" ] ~doc:"use the ESP-style summary engine (single bottom-up pass; data dependencies only)") in
   let cache_dir =
     Arg.(
       value
@@ -177,7 +176,7 @@ let analyze_cmd =
              a $(docv)/<basename> sub-bundle.  Validate with $(b,safeflow check-cert); \
              reports are byte-identical with and without this option")
   in
-  let run files no_control ctx_insensitive field_insensitive vfg use_summary absint cache_dir verbose sarif save_findings baseline emit_certs
+  let run files no_control ctx_insensitive field_insensitive vfg absint cache_dir verbose sarif save_findings baseline emit_certs
       fail_on tele =
     try
       telemetry_setup tele;
@@ -191,82 +190,56 @@ let analyze_cmd =
           absint;
         }
       in
-      (* one row per input that produced a result: report + fingerprint
-         context (+ coverage and ledger, except under the summary engine,
-         which has no pair universe or obligation ledger) *)
-      if use_summary && emit_certs <> None then begin
-        Fmt.epr "--emit-certs is not supported with --summary@.";
-        exit 2
-      end;
       let multi = List.length files > 1 in
-      let rows, failures =
-        if use_summary then
-          (* an input the frontend rejects becomes a failure record, as
-             under the default engine: the others still print *)
-          List.partition_map
-            (fun file ->
-              let fail cause message =
-                Either.Right { Safeflow.Forkmap.input = file; cause; message }
-              in
-              match Safeflow.Driver.analyze_summary ~config ~file (Minic.Loc.read_source file) with
-              | r, _ ->
-                Fmt.pr "%a@." Safeflow.Report.pp r;
-                Either.Left (file, r, Safeflow.Fingerprint.ctx_empty, None)
-              | exception Minic.Loc.Error (loc, msg) ->
-                fail Safeflow.Forkmap.Rejected (Fmt.str "%a: %s" Minic.Loc.pp loc msg)
-              | exception e ->
-                fail Safeflow.Forkmap.Crashed (Printf.sprintf "%s: %s" file (Printexc.to_string e)))
-            files
-        else begin
-          let bundle =
-            Option.map
-              (fun dir file -> if multi then Safeflow.Cert.bundle_dir dir file else dir)
-              emit_certs
-          in
-          (* each input's bundle and DOT file are written by the worker
-             that analyzes it; its row and certificate counts come back,
-             and an input whose writes failed still brings its row *)
-          let results =
-            Safeflow.Fleet.analyze_inputs ~config ?cache_dir
-              ~jobs:(Domain.recommended_domain_count ())
-              ?bundle ?vfg:(if multi then None else vfg)
-              ~render:(fun file (a : Safeflow.Driver.analysis) ->
-                ( file,
-                  a.Safeflow.Driver.report,
-                  a.Safeflow.Driver.fingerprints,
-                  Some (a.Safeflow.Driver.coverage, a.Safeflow.Driver.ledger) ))
-              files
-            |> Array.to_list
-          in
-          List.iter
-            (function
-              | Ok ((file, report, _, _), _, _) | Error (_, Some (file, report, _, _)) ->
-                if multi then Fmt.pr "== %s ==@." file;
-                Fmt.pr "%a@." Safeflow.Report.pp report
-              | Error (_, None) -> ())
-            results;
-          let done_, failures =
-            List.partition_map
-              (function Ok (row, certs, _) -> Either.Left (row, certs) | Error (f, _) -> Right f)
-              results
-          in
-          (match (vfg, done_) with
-          | Some _, _ when multi -> Fmt.epr "--vfg ignored: more than one input file@."
-          | Some path, [ _ ] -> Fmt.pr "value-flow graph written to %s@." path
-          | _ -> ());
-          List.iter
-            (fun ((file, _, _, _), certs) ->
-              match (certs, bundle) with
-              | Some (c : Safeflow.Fleet.cert_counts), Some bundle ->
-                Fmt.pr "certificates: %d written to %s%s@." c.Safeflow.Fleet.cc_written
-                  (bundle file)
-                  (if c.Safeflow.Fleet.cc_skipped = 0 then ""
-                   else Fmt.str " (%d skipped)" c.Safeflow.Fleet.cc_skipped)
-              | _ -> ())
-            done_;
-          (List.map fst done_, failures)
-        end
+      let bundle =
+        Option.map
+          (fun dir file -> if multi then Safeflow.Cert.bundle_dir dir file else dir)
+          emit_certs
       in
+      (* one row per input that produced a result: report, fingerprint
+         context, coverage and ledger.  Each input's bundle and DOT file
+         are written by the worker that analyzes it; its row and
+         certificate counts come back, and an input whose writes failed
+         still brings its row *)
+      let results =
+        Safeflow.Fleet.analyze_inputs ~config ?cache_dir
+          ~jobs:(Domain.recommended_domain_count ())
+          ?bundle ?vfg:(if multi then None else vfg)
+          ~render:(fun file (a : Safeflow.Driver.analysis) ->
+            ( file,
+              a.Safeflow.Driver.report,
+              a.Safeflow.Driver.fingerprints,
+              (a.Safeflow.Driver.coverage, a.Safeflow.Driver.ledger) ))
+          files
+        |> Array.to_list
+      in
+      List.iter
+        (function
+          | Ok ((file, report, _, _), _, _) | Error (_, Some (file, report, _, _)) ->
+            if multi then Fmt.pr "== %s ==@." file;
+            Fmt.pr "%a@." Safeflow.Report.pp report
+          | Error (_, None) -> ())
+        results;
+      let done_, failures =
+        List.partition_map
+          (function Ok (row, certs, _) -> Either.Left (row, certs) | Error (f, _) -> Right f)
+          results
+      in
+      (match (vfg, done_) with
+      | Some _, _ when multi -> Fmt.epr "--vfg ignored: more than one input file@."
+      | Some path, [ _ ] -> Fmt.pr "value-flow graph written to %s@." path
+      | _ -> ());
+      List.iter
+        (fun ((file, _, _, _), certs) ->
+          match (certs, bundle) with
+          | Some (c : Safeflow.Fleet.cert_counts), Some bundle ->
+            Fmt.pr "certificates: %d written to %s%s@." c.Safeflow.Fleet.cc_written
+              (bundle file)
+              (if c.Safeflow.Fleet.cc_skipped = 0 then ""
+               else Fmt.str " (%d skipped)" c.Safeflow.Fleet.cc_skipped)
+          | _ -> ())
+        done_;
+      let rows = List.map fst done_ in
       (* a partial baseline would silently drop a failed input's findings *)
       (match sarif with
       | Some path when failures = [] ->
@@ -290,23 +263,15 @@ let analyze_cmd =
       | _ -> ());
       let stats_flag, _, stats_json = tele in
       List.iter
-        (fun (file, _, _, extra) ->
-          Option.iter
-            (fun (cov, _) ->
-              if stats_flag then Fmt.epr "== %s ==@.%a@." file Safeflow.Coverage.pp cov;
-              if stats_json <> None then
-                Safeflow.Telemetry.set_section ("coverage:" ^ file)
-                  (Safeflow.Coverage.to_json cov))
-            extra)
+        (fun (file, _, _, (cov, _)) ->
+          if stats_flag then Fmt.epr "== %s ==@.%a@." file Safeflow.Coverage.pp cov;
+          if stats_json <> None then
+            Safeflow.Telemetry.set_section ("coverage:" ^ file) (Safeflow.Coverage.to_json cov))
         rows;
       if stats_json <> None then
         List.iter
-          (fun (file, _, _, extra) ->
-            Option.iter
-              (fun (_, ledger) ->
-                Safeflow.Telemetry.set_section ("ledger:" ^ file)
-                  (Safeflow.Ledger.summary_json ledger))
-              extra)
+          (fun (file, _, _, (_, ledger)) ->
+            Safeflow.Telemetry.set_section ("ledger:" ^ file) (Safeflow.Ledger.summary_json ledger))
           rows;
       telemetry_finish tele;
       exit_on_failures failures;
@@ -333,7 +298,7 @@ let analyze_cmd =
           error-level findings, 2 on warning-level findings only (see $(b,--fail-on)), \
           3 on frontend failure, 4 when an output file cannot be written.")
     Term.(const run $ files $ no_control $ ctx_insensitive $ field_insensitive $ vfg
-          $ use_summary $ absint_arg $ cache_dir $ verbose $ sarif
+          $ absint_arg $ cache_dir $ verbose $ sarif
           $ save_findings $ baseline $ emit_certs $ fail_on_arg $ telemetry_flags)
 
 let explain_cmd =
@@ -1167,10 +1132,11 @@ let synth_cmd =
   in
   let seed =
     Arg.(
-      value & opt int 0
+      value
+      & opt (some int) None
       & info [ "seed" ] ~docv:"S"
-          ~doc:"generation seed of the component or the fleet; same seed, same bytes (0, the \
-                default, gives the historical component)")
+          ~doc:"generation seed of the component or the fleet; same seed, same bytes (the \
+                default is 0 for a component, the historical one, and 1 for a fleet)")
   in
   let out =
     Arg.(
@@ -1181,7 +1147,7 @@ let synth_cmd =
   in
   let run n fleet_n seed out =
     match fleet_n with
-    | None -> print_string (Safeflow.Synth.of_size ~seed n)
+    | None -> print_string (Safeflow.Synth.of_size ?seed n)
     | Some fn -> (
       match out with
       | None ->
@@ -1189,7 +1155,7 @@ let synth_cmd =
         exit 2
       | Some dir ->
         let members =
-          Safeflow.Synth.fleet ~seed
+          Safeflow.Synth.fleet ?seed
             { Safeflow.Synth.default_fleet with Safeflow.Synth.fleet_n = fn }
         in
         write_output dir (fun dir ->

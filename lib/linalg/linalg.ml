@@ -57,7 +57,6 @@ let mat_vec (a : mat) (x : vec) : vec =
 
 let vec_add (x : vec) (y : vec) : vec = Array.mapi (fun i xi -> xi +. y.(i)) x
 let vec_sub (x : vec) (y : vec) : vec = Array.mapi (fun i xi -> xi -. y.(i)) x
-let vec_scale k (x : vec) : vec = Array.map (fun v -> k *. v) x
 
 let dot (x : vec) (y : vec) : float =
   let s = ref 0.0 in
@@ -168,19 +167,6 @@ let lqr_gain (a : mat) (b : mat) (p : mat) (r : mat) : mat =
 
 (** Closed-loop matrix A − BK. *)
 let closed_loop (a : mat) (b : mat) (k : mat) : mat = sub a (mul b k)
-
-(** Spectral radius estimate by power iteration on AᵀA (upper bound via
-    the 2-norm); adequate for stability checks in tests. *)
-let norm_two_estimate ?(iters = 200) (a : mat) : float =
-  let n, _ = dims a in
-  let x = ref (Array.init n (fun i -> 1.0 /. float_of_int (i + 1))) in
-  let ata = mul (transpose a) a in
-  for _ = 1 to iters do
-    let y = mat_vec ata !x in
-    let n2 = norm2 y in
-    if n2 > 1e-300 then x := vec_scale (1.0 /. n2) y
-  done;
-  sqrt (norm2 (mat_vec ata !x) /. Float.max 1e-300 (norm2 !x))
 
 let pp_mat ppf (a : mat) =
   Array.iter

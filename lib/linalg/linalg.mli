@@ -42,8 +42,6 @@ val vec_add : vec -> vec -> vec
 
 val vec_sub : vec -> vec -> vec
 
-val vec_scale : float -> vec -> vec
-
 val dot : vec -> vec -> float
 
 val norm2 : vec -> float
@@ -78,8 +76,5 @@ val lqr_gain : mat -> mat -> mat -> mat -> mat
 
 val closed_loop : mat -> mat -> mat -> mat
 (** [closed_loop a b k] = A − B·K *)
-
-val norm_two_estimate : ?iters:int -> mat -> float
-(** power-iteration estimate of ‖A‖₂ (stability sanity checks) *)
 
 val pp_mat : Format.formatter -> mat -> unit

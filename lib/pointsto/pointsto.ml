@@ -86,7 +86,6 @@ let pts_get t = function
 
 let reg_facts t fx = t.regs.(fx)
 
-let fold_heap f t acc = Hashtbl.fold f t.heap acc
 let heap_get t n = Option.value ~default:Tset.empty (Hashtbl.find_opt t.heap n)
 
 (* [a.(i) <- a.(i) ∪ s]; whether it grew *)
@@ -271,12 +270,3 @@ let reachable t (roots : Tset.t) : Tset.t =
   in
   Tset.iter go roots;
   !seen
-
-(** May two values alias (point to a common object)? *)
-let may_alias t (f : Ssair.Ir.func) a b =
-  let na = Tset.map (fun x -> { x with Target.off = Offset.Top }) (points_to t f a) in
-  let nb = Tset.map (fun x -> { x with Target.off = Offset.Top }) (points_to t f b) in
-  not (Tset.is_empty (Tset.inter na nb))
-
-let pp_target_set ppf s =
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma Target.pp) (Tset.elements s)

@@ -57,9 +57,6 @@ val reg_facts : t -> int -> Tset.t array
 val param_pts : t -> int -> string -> Tset.t
 (** [param_pts t fx p]: the points-to set of parameter [p] of function [fx] *)
 
-val fold_heap : (Node.t -> Tset.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** fold over every heap cell (iteration order unspecified) *)
-
 val points_to : t -> Ssair.Ir.func -> Ssair.Ir.value -> Tset.t
 (** objects a value may reference *)
 
@@ -68,7 +65,3 @@ val points_to_fx : t -> int -> Ssair.Ir.value -> Tset.t
 
 val reachable : t -> Tset.t -> Tset.t
 (** objects transitively reachable through the heap *)
-
-val may_alias : t -> Ssair.Ir.func -> Ssair.Ir.value -> Ssair.Ir.value -> bool
-
-val pp_target_set : Format.formatter -> Tset.t -> unit

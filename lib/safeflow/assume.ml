@@ -1,6 +1,5 @@
 (** Resolution of [assume(core(...))] annotations into monitoring
-    assumptions — shared by the exact (per-context) phase 3 engine, the
-    summary engine and the dynamic taint tracker. *)
+    assumptions — shared by the per-context phase 3 engine and coverage. *)
 
 open Minic
 module Offset = Pointsto.Offset

@@ -1,6 +1,5 @@
 (** Resolution of [assume(core(...))] annotations into monitoring
-    assumptions — shared by the exact engine, the summary engine and the
-    dynamic taint tracker. *)
+    assumptions — shared by phase 3 and coverage. *)
 
 type assumption =
   | Aregion of string * int * int  (** region, byte range [lo, hi) assumed core *)

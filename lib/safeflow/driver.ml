@@ -367,34 +367,3 @@ let analyze ?(config = Config.default) ?cache ?file (src : string) : analysis =
 
 let analyze_file ?config ?cache path : analysis =
   analyze ?config ?cache ~file:path (Loc.read_source path)
-
-(** Summary-engine variant of phase 3 (paper §3.3's ESP-style
-    optimization): single bottom-up pass with per-function value-flow
-    summaries.  Warnings match {!analyze}; dependencies are data
-    only (no control-dependence classification). *)
-let stage_summary ?config (_ : prepared) (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) :
-    Summary.result =
-  Summary.run ?config shm p1 pts
-
-(** One-shot analysis with the summary engine. *)
-let analyze_summary ?(config = Config.default) ?file (src : string) :
-    Report.t * Summary.result =
-  let p = prepare_source ?file src in
-  let shm = stage_shm p in
-  let p1 = stage_phase1 ~config p shm in
-  let absint = stage_absint ~config p in
-  let ph2 = stage_phase2 ~config ?absint p p1 in
-  let pts = stage_pointsto p in
-  let s = stage_summary ~config p shm p1 pts in
-  ( canonicalize (Fingerprint.ctx_of_program p.ir)
-      {
-        Report.violations = ph2.Phase2.violations;
-        warnings = s.Summary.warnings;
-        dependencies = s.Summary.dependencies;
-        infos = (if config.Config.verbose then ph2.Phase2.infos else []);
-        regions =
-          List.map (fun r -> (r.Shm.r_name, r.Shm.r_size, r.Shm.r_noncore)) shm.Shm.regions;
-        annotation_lines = p.annotation_lines;
-        stats = [ ("loc", p.loc_total); ("summary_passes", s.Summary.passes) ];
-      },
-    s )

@@ -121,13 +121,3 @@ val analyze : ?config:Config.t -> ?cache:Cache.t -> ?file:string -> string -> an
     ({!Fleet.analyze_inputs}). *)
 
 val analyze_file : ?config:Config.t -> ?cache:Cache.t -> string -> analysis
-
-(** {1 Summary engine (paper §3.3's ESP-style optimization)} *)
-
-val stage_summary :
-  ?config:Config.t -> prepared -> Shm.t -> Phase1.t -> Pointsto.t -> Summary.result
-
-val analyze_summary :
-  ?config:Config.t -> ?file:string -> string -> Report.t * Summary.result
-(** one-shot analysis using per-function value-flow summaries; warnings
-    match {!analyze}, dependencies are data-flow only *)

@@ -60,8 +60,6 @@ let ctx_of_program (prog : Ssair.Ir.program) : ctx =
     prog.Ssair.Ir.funcs;
   t
 
-let ctx_empty : ctx = Hashtbl.create 1
-
 (* span of a finding relative to its enclosing function's first line;
    columns are kept absolute (they do not move under reordering) *)
 let norm_span (ctx : ctx) (fn : string) (l : Loc.t) : int * int =

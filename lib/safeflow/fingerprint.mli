@@ -40,9 +40,6 @@ type ctx
 
 val ctx_of_program : Ssair.Ir.program -> ctx
 
-val ctx_empty : ctx
-(** degrades gracefully: spans stay absolute for unknown functions *)
-
 val compute : ctx -> finding -> string
 (** hex fingerprint (32 chars) *)
 

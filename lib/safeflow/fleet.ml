@@ -331,18 +331,22 @@ let run ?config ?cache_dir ?(jobs = 1) ?(source_label = "<system>") ?on_event ?e
   Telemetry.add c_fleet_shards jobs;
   Telemetry.record_float_max "fleet.analyses_per_sec" aps;
   emit_parent (Events.fleet_done ~systems:n ~elapsed_s:elapsed ~analyses_per_sec:aps);
-  let ok, failures =
-    Array.to_list analyzed
-    |> List.partition_map (function Ok r -> Either.Left r | Error (f, _) -> Right f)
-  in
+  let analyzed = Array.to_list analyzed in
   {
-    f_results = List.map (fun (m, certs, _) -> { m with mr_certs = certs }) ok;
-    f_failures = failures;
+    (* a member whose writes failed keeps its row next to its failure *)
+    f_results =
+      List.filter_map
+        (function Ok (m, certs, _) -> Some { m with mr_certs = certs } | Error (_, row) -> row)
+        analyzed;
+    f_failures = List.filter_map (function Error (f, _) -> Some f | Ok _ -> None) analyzed;
     f_systems = n;
     f_jobs = jobs;
     f_elapsed_s = elapsed;
     f_analyses_per_sec = aps;
-    f_cache = List.fold_left (fun acc (_, _, t) -> map2_totals ( + ) acc t) no_cache_totals ok;
+    f_cache =
+      List.fold_left
+        (fun acc -> function Ok (_, _, t) -> map2_totals ( + ) acc t | Error _ -> acc)
+        no_cache_totals analyzed;
   }
 
 (* -- input collection --------------------------------------------------------- *)

@@ -93,9 +93,12 @@ type cache_totals = {
 }
 
 type result = {
-  f_results : member_result list;  (** the members that succeeded, in input order *)
+  f_results : member_result list;
+      (** the members that produced a report, in input order: those that
+          succeeded and those whose writes failed after rendering (also
+          in [f_failures]) *)
   f_failures : Forkmap.failure list;
-      (** the members that produced no result, in input order *)
+      (** the members that failed, in input order *)
   f_systems : int;
   f_jobs : int;  (** worker processes; 1 for an in-process run *)
   f_elapsed_s : float;
@@ -137,8 +140,9 @@ val run :
   string list ->
   result
 (** [run paths] analyzes every member through {!analyze_inputs} under
-    [source_label] and aggregates; a member that produced no result is
-    in [f_failures] and the others still report.  Cache totals are
+    [source_label] and aggregates; a member that failed is in
+    [f_failures] and the others still report, as does a member whose
+    writes failed.  Cache totals are
     meaningful only with [~cache_dir]; without it every member is
     analyzed cold.  [on_event] receives each {!Events} line (no trailing
     newline) on the parent, in arrival order; it is called from the

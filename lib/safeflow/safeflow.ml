@@ -35,8 +35,6 @@ module Driver = Driver
 module Forkmap = Forkmap
 module Fleet = Fleet
 module Synth = Synth
-module Dyntaint = Dyntaint
-module Summary = Summary
 module Assume = Assume
 module Fingerprint = Fingerprint
 module Cert = Cert

@@ -82,13 +82,6 @@ let discover (prog : Ssair.Ir.program) : t =
   List.iter (fun r -> Hashtbl.replace by_name r.r_name r) !regions;
   { regions = List.rev !regions; init_funcs = !init_funcs; by_name }
 
-(** Number of elements when the region is used as an array of its pointee
-    type (paper: "the size of the array ... inferred by dividing the size
-    of the shared memory by the size of the type"). *)
-let array_length env r =
-  let esz = max 1 (Ty.sizeof env r.r_elem) in
-  r.r_size / esz
-
 (* -- InitCheck -------------------------------------------------------------- *)
 
 exception Init_check_failed of string

@@ -26,10 +26,6 @@ val is_init_func : t -> string -> bool
 
 val discover : Ssair.Ir.program -> t
 
-val array_length : Ty.env -> region -> int
-(** element count when the region is indexed as an array of its pointee
-    type (size / sizeof(elem), per §3.2.1) *)
-
 exception Init_check_failed of string
 
 val run_init_check : Ssair.Ir.program -> t -> (string * int * int) list

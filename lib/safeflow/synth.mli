@@ -49,4 +49,4 @@ val fleet : ?seed:int -> fleet_params -> (string * string) list
 
 val context_explosion : depth:int -> string
 (** binary tree of monitoring functions: 2^depth distinct monitoring
-    contexts reach the leaf — the exact engine's exponential case (B4) *)
+    contexts reach the leaf — the phase-3 engine's exponential case *)

@@ -16,6 +16,7 @@
     static error dependency.  The property tests in
     [test/test_dyntaint.ml] check exactly this. *)
 
+open Safeflow
 open Minic
 module I = Ssair.Interp
 

@@ -7,6 +7,8 @@
     dynamic source sites ⊆ static warnings, dynamic critical-data
     violations ⊆ static error dependencies. *)
 
+open Safeflow
+
 type finding = {
   df_sink : string;  (** e.g. "assert(safe(output))" or "argument 0 of kill" *)
   df_func : string;
