@@ -122,7 +122,8 @@ let analyze_cmd =
           ~doc:
             "content-addressed analysis cache directory (created if missing); a rerun of \
              an unchanged source under the same options reads its result and runs no \
-             analysis, an edit reuses the value-range summaries of unaffected functions.  \
+             analysis, and under other options reuses the whole program's value-range \
+             summaries; any edit to the source reanalyses the whole program.  \
              Stale or corrupt entries are discarded and recomputed (counted in --stats, \
              reported per file with --verbose); reports are identical with and without \
              the cache")
@@ -215,7 +216,7 @@ let analyze_cmd =
       in
       List.iter
         (function
-          | Ok ((file, report, _, _), _, _) | Error (_, Some (file, report, _, _)) ->
+          | Ok ((file, report, _, _), _, _) | Error (_, Some ((file, report, _, _), _)) ->
             if multi then Fmt.pr "== %s ==@." file;
             Fmt.pr "%a@." Safeflow.Report.pp report
           | Error (_, None) -> ())

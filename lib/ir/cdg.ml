@@ -22,9 +22,9 @@ type t = {
           [-1] when no block has that id *)
   slot_bid : int array;  (** dense slot → block id *)
   ctrl_slots : int list array;
-      (** dense [controls] relation: slot → slots control-dependent on
-          it; lets closure walks (phase 3 branch info) run on arrays
-          instead of per-node hashtable probes *)
+      (** dense direct [controls] relation: slot → slots control-dependent
+          on it (its CDG children), each once; phase 3 wires one pc edge
+          per entry, never a transitive closure *)
 }
 
 (* the successors with a slot: how many, and their slots in order *)

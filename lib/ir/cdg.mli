@@ -6,8 +6,8 @@ type t = {
   slot_of : Ir.bid -> int;  (** block id → canonical dense slot, -1 if unknown *)
   slot_bid : int array;  (** dense slot → block id *)
   ctrl_slots : int list array;
-      (** slot → slots control-dependent on it (the blocks it controls),
-          for array-based closure walks *)
+      (** slot → slots directly control-dependent on it (its CDG
+          children), each once; phase 3 wires one pc edge per entry *)
 }
 
 val compute : Ir.func -> t

@@ -236,6 +236,7 @@ let analyze_stripe ?config ?cache_dir ?bundle ?(check_certs = false) ?vfg ~label
         end)
       emit;
     Result.map (fun (_, certs, row) -> (row, certs, delta)) r
+    |> Result.map_error (fun (f, row) -> (f, Option.map (fun row -> (row, delta)) row))
   in
   let results = Array.map step indices in
   (results, !errors, !warnings)
@@ -336,7 +337,8 @@ let run ?config ?cache_dir ?(jobs = 1) ?(source_label = "<system>") ?on_event ?e
     (* a member whose writes failed keeps its row next to its failure *)
     f_results =
       List.filter_map
-        (function Ok (m, certs, _) -> Some { m with mr_certs = certs } | Error (_, row) -> row)
+        (function
+          | Ok (m, certs, _) -> Some { m with mr_certs = certs } | Error (_, row) -> Option.map fst row)
         analyzed;
     f_failures = List.filter_map (function Error (f, _) -> Some f | Ok _ -> None) analyzed;
     f_systems = n;
@@ -345,7 +347,9 @@ let run ?config ?cache_dir ?(jobs = 1) ?(source_label = "<system>") ?on_event ?e
     f_analyses_per_sec = aps;
     f_cache =
       List.fold_left
-        (fun acc -> function Ok (_, _, t) -> map2_totals ( + ) acc t | Error _ -> acc)
+        (fun acc -> function
+          | Ok (_, _, t) | Error (_, Some (_, t)) -> map2_totals ( + ) acc t
+          | Error (_, None) -> acc)
         no_cache_totals analyzed;
   }
 

@@ -117,7 +117,9 @@ val analyze_inputs :
   ?vfg:string ->
   render:(string -> Driver.analysis -> 'r) ->
   string list ->
-  ('r * cert_counts option * cache_totals, Forkmap.failure * 'r option) Stdlib.result array
+  ('r * cert_counts option * cache_totals, Forkmap.failure * ('r * cache_totals) option)
+  Stdlib.result
+  array
 (** [analyze_inputs ~render paths], in input order, each result with
     its certificate counts and the cache traffic its input caused, on
     [min jobs n] workers (default 1: in this process).  Each input is
@@ -126,8 +128,9 @@ val analyze_inputs :
     [p]'s bundle goes to [bundle p] ([check_certs] revalidates it) and
     its DOT file to [vfg] (give it with one input).  [render p a] runs
     in the worker, after the analysis and before those writes, so an
-    input whose writes fail keeps its row next to its failure; a failure
-    before rendering has none. *)
+    input whose writes fail keeps its row, and the cache traffic its
+    analysis caused, next to its failure; a failure before rendering
+    has neither. *)
 
 val run :
   ?config:Config.t ->

@@ -12,8 +12,9 @@
     analyzed once per set of [assume(core(...))] assumptions accumulated
     along the call chain, which is the paper's "each function ... analyzed
     multiple times for different call sequences".  Control dependence on
-    unsafe values is tracked separately (implicit flows through phis,
-    conditional sinks and conditional stores) and reported as
+    unsafe values is tracked separately, through a program-counter
+    entity per block ([Epc]; implicit flows through phis, conditional
+    sinks and conditional stores), and reported as
     [Control_only] — the class the paper identifies as candidate false
     positives requiring value-flow-graph review (§3.4.1).
 
@@ -62,6 +63,10 @@ type entity =
   | Eret of string * Ctx.t
   | Enode of Pointsto.Node.t
   | Eregion of string  (** a non-core region as a taint source *)
+  | Epc of string * Ctx.t * Ssair.Ir.bid
+      (** the program counter of a block in a pair: ctrl-tainted when an
+          undecided branch whose condition is tainted (data or ctrl)
+          reaches the block in the CDG "controls" relation *)
 
 let pp_entity ppf = function
   | Eval (f, _, id) -> Fmt.pf ppf "%s:%%%d" f id
@@ -69,23 +74,9 @@ let pp_entity ppf = function
   | Eret (f, _) -> Fmt.pf ppf "%s:return" f
   | Enode n -> Fmt.pf ppf "mem %a" Pointsto.Node.pp n
   | Eregion r -> Fmt.pf ppf "non-core region %s" r
+  | Epc (f, _, b) -> Fmt.pf ppf "%s:pc b%d" f b
 
 type origin = { parent : entity option; why : string }
-
-(** Per-function control-dependence facts that do not depend on the
-    monitoring context or the taint state: the undecided register-cond
-    branches, and per branch block the transitive closure of the CDG
-    "controls" relation.  Memoized in {!inputs} ([brinfos]); only the
-    branch conditions' taint is dynamic. *)
-type brinfo = {
-  br_branches : (Ssair.Ir.bid * Ssair.Ir.vid * Ssair.Ir.bid list) list;
-      (** blocks ending in [Cbr]/[Switch] on a register: block, cond
-          vid, and the blocks transitively control-dependent on the
-          block (as a set — member order is not meaningful) *)
-  br_decided : bool array;
-      (** by block id: the block's branch is decided by the value
-          ranges; empty when none is *)
-}
 
 (** What phase 3 reads of the program and the earlier phases, plus the
     memos derived from them.  Independent of the taint state. *)
@@ -98,7 +89,6 @@ type inputs = {
   config : Config.t;
   absint : Absint.t option;
       (** value ranges; decided branches exert no control dependence *)
-  brinfos : brinfo option array;  (** {!branch_info} memo, by function index *)
   noncore_sockets : (string, unit) Hashtbl.t;
       (** [assume(noncore(s))] clauses naming something that is not a
           shared-memory region (message-passing extension §3.4.3) *)
@@ -124,86 +114,7 @@ let make_inputs ~(config : Config.t) ?absint (shm : Shm.t) (p1 : Phase1.t) (pts 
         f.Ssair.Ir.fannot)
     prog.Ssair.Ir.funcs;
   let n = Ssair.Index.length index in
-  { prog; index; shm; p1; pts; config; absint; brinfos = Array.make n None; noncore_sockets;
-    sites = Array.make n None }
-
-(* A conditional branch whose condition's value range decides the
-   direction takes the same successor in every concrete execution, so it
-   exerts no control dependence.  Pruning it is precision-only: findings
-   can disappear, never appear. *)
-let decided_in table bid = bid < Array.length table && table.(bid)
-
-let branch_decided (bi : brinfo) (bid : Ssair.Ir.bid) : bool = decided_in bi.br_decided bid
-
-(* The slots reachable through [ds] in the CDG's "controls" relation
-   that [seen] does not hold yet, marked there and consed onto [acc] in
-   depth-first preorder. *)
-let rec controlled (c : Ssair.Cdg.t) seen acc = function
-  | [] -> acc
-  | d :: rest ->
-    if seen.(d) then controlled c seen acc rest
-    else begin
-      seen.(d) <- true;
-      controlled c seen (controlled c seen (d :: acc) c.Ssair.Cdg.ctrl_slots.(d)) rest
-    end
-
-(** Memoized {!brinfo} of function [fx].  Pure with respect to the
-    taint state; it writes the memo tables, so it must not run on two
-    domains at once. *)
-let branch_info inp fx : brinfo =
-  match inp.brinfos.(fx) with
-  | Some bi -> bi
-  | None ->
-    let f = Ssair.Index.func inp.index fx in
-    let br_decided =
-      match inp.absint with
-      | None -> [||]
-      | Some ai -> (
-        match Absint.decided_branches ai ~fname:f.fname with
-        | [] -> [||]
-        | bids ->
-          let a = Array.make (1 + List.fold_left max 0 bids) false in
-          List.iter (fun bid -> a.(bid) <- true) bids;
-          a)
-    in
-    (* the register condition of an undecided branch ending [b], or -1 *)
-    let cond (b : Ssair.Ir.block) =
-      if decided_in br_decided b.Ssair.Ir.bbid then -1
-      else
-        match b.Ssair.Ir.termin with
-        | Ssair.Ir.Cbr (Ssair.Ir.Vreg id, _, _) | Ssair.Ir.Switch (Ssair.Ir.Vreg id, _, _) -> id
-        | _ -> -1
-    in
-    let br_branches =
-      (* the CDG is only consulted through the closures of undecided
-         branches, so a branch-free (or all-decided) function never
-         pays for post-dominator computation *)
-      if not (List.exists (fun b -> cond b >= 0) f.Ssair.Ir.blocks) then []
-      else begin
-        let c = Ssair.Cdg.compute f in
-        (* per-function scratch; unmarked after each branch walk *)
-        let seen = Array.make (Array.length c.Ssair.Cdg.slot_bid) false in
-        List.fold_right
-          (fun (b : Ssair.Ir.block) acc ->
-            let id = cond b in
-            if id < 0 then acc
-            else begin
-              (* transitive closure of the CDG "controls" relation from
-                 bB, excluding bB itself unless it controls itself — a
-                 DFS on the dense slot arrays *)
-              let bB = b.Ssair.Ir.bbid in
-              let s0 = c.Ssair.Cdg.slot_of bB in
-              let slots = if s0 >= 0 then controlled c seen [] c.Ssair.Cdg.ctrl_slots.(s0) else [] in
-              let bids = List.map (fun s -> c.Ssair.Cdg.slot_bid.(s)) slots in
-              List.iter (fun s -> seen.(s) <- false) slots;
-              (bB, id, bids) :: acc
-            end)
-          f.Ssair.Ir.blocks []
-      end
-    in
-    let bi = { br_branches; br_decided } in
-    inp.brinfos.(fx) <- Some bi;
-    bi
+  { prog; index; shm; p1; pts; config; absint; noncore_sockets; sites = Array.make n None }
 
 (** Assumptions contributed by function [fx]'s own [assume(core(...))]
     annotations (see {!Assume}). *)
@@ -235,7 +146,8 @@ let root_pairs inp : (int * Ctx.t) list =
 
 (** How the sink collection reads a taint state: the first-taint origin
     of an entity in the data and in the control table, [None] when the
-    entity is not tainted there. *)
+    entity is not tainted there.  Of an [Epc] only whether [ctrl] finds
+    it is read; no witness names one. *)
 type lookup = { data : entity -> origin option; ctrl : entity -> origin option }
 
 let value_entity fname ctx (v : Ssair.Ir.value) : entity option =
@@ -243,23 +155,6 @@ let value_entity fname ctx (v : Ssair.Ir.value) : entity option =
   | Ssair.Ir.Vreg id -> Some (Eval (fname, ctx, id))
   | Ssair.Ir.Vparam p -> Some (Eparam (fname, ctx, p))
   | _ -> None
-
-(** Blocks' tainted-control status: block → is any controlling branch
-    condition tainted (data or ctrl)?  The closure of the "controls"
-    relation is static per function ({!branch_info}); only the branch
-    conditions' taint is dynamic, and the closure of a union of branch
-    sets equals the union of the per-branch closures. *)
-let block_control_taint inp (tl : lookup) fx ctx : (Ssair.Ir.bid, unit) Hashtbl.t =
-  let f = Ssair.Index.func inp.index fx in
-  let bi = branch_info inp fx in
-  let closed = Hashtbl.create 8 in
-  List.iter
-    (fun (_bB, id, closure) ->
-      let e = Eval (f.fname, ctx, id) in
-      if tl.data e <> None || tl.ctrl e <> None then
-        List.iter (fun dep -> Hashtbl.replace closed dep ()) closure)
-    bi.br_branches;
-  closed
 
 (* -- Sinks and asserts ------------------------------------------------------------ *)
 
@@ -390,13 +285,13 @@ let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t) list) :
       }
       :: !deps
   in
-  let check_value f ctx blk_ctrl bid loc sink (v : Ssair.Ir.value) =
+  let check_value f ctx bid loc sink (v : Ssair.Ir.value) =
     let fname = f.Ssair.Ir.fname in
     match value_entity fname ctx v with
     | Some e when data_tainted e -> add Report.Data sink fname loc (path_of tl.data e)
     | Some e when config.Config.control_deps && ctrl_tainted e ->
       add Report.Control_only sink fname loc (path_of tl.ctrl e)
-    | Some e ->
+    | _ ->
       (* pointer-typed critical data: unsafe data reachable from it? *)
       let is_ptr =
         match v with
@@ -424,19 +319,9 @@ let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t) list) :
             (path_of tl.data ne @ [ Report.synthetic_step "reachable from critical pointer" ])
         | None -> ()
       end;
-      if
-        config.Config.control_deps
-        && (not (data_tainted e))
-        && (not (ctrl_tainted e))
-        && Hashtbl.mem blk_ctrl bid
-      then
-        add Report.Control_only sink fname loc
-          [
-            Report.synthetic_step
-              "critical site executes under a condition influenced by non-core values";
-          ]
-    | None ->
-      if config.Config.control_deps && Hashtbl.mem blk_ctrl bid then
+      (* the value itself is untainted: is the site's block under a
+         tainted branch? *)
+      if config.Config.control_deps && ctrl_tainted (Epc (fname, ctx, bid)) then
         add Report.Control_only sink fname loc
           [
             Report.synthetic_step
@@ -451,10 +336,7 @@ let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t) list) :
         | [] -> ()
         | sites ->
           let f = Ssair.Index.func inp.index fx in
-          let blk_ctrl = block_control_taint inp tl fx ctx in
-          List.iter
-            (fun (bid, loc, sink, v) -> check_value f ctx blk_ctrl bid loc sink v)
-            sites))
+          List.iter (fun (bid, loc, sink, v) -> check_value f ctx bid loc sink v) sites))
     pairs;
   (* deduplicate by (sink, loc, kind), then emit in the canonical
      (file, line, code) order *)
@@ -475,7 +357,8 @@ let collect_dependencies inp (tl : lookup) (pairs : (string * Ctx.t) list) :
 (* Packed entity key: tag(3) | a(20) | b(19) | c(20) — 62 bits, so the
    word stays a non-negative OCaml int; a/b/c are ids into the [strs],
    [ctxs] and [nodes] tables of a {!flat}.  Tags: 0 Eval(fname,ctx,vid),
-   1 Eparam(fname,ctx,pname), 2 Eret(fname,ctx), 3 Enode, 4 Eregion. *)
+   1 Eparam(fname,ctx,pname), 2 Eret(fname,ctx), 3 Enode, 4 Eregion,
+   5 Epc(fname,ctx,bid). *)
 let pack_key tag a b c =
   if a lor c > 0xFFFFF || b > 0x7FFFF then failwith "Phase3: packed entity key overflow";
   tag lor (a lsl 3) lor (b lsl 23) lor (c lsl 42)
@@ -529,7 +412,8 @@ let entity (f : flat) id : entity =
   | 1 -> Eparam (f.strs.(a), f.ctxs.(b), f.strs.(c))
   | 2 -> Eret (f.strs.(a), f.ctxs.(b))
   | 3 -> Enode f.nodes.(a)
-  | _ -> Eregion f.strs.(a)
+  | 4 -> Eregion f.strs.(a)
+  | _ -> Epc (f.strs.(a), f.ctxs.(b), c)
 
 (** The text of a packed reason. *)
 let why_text (f : flat) code =

@@ -2,7 +2,7 @@
 
     The paper requires the reported errors to be "verified using the value
     flow graphs manually" (§1, §4).  This module renders the taint state
-    of a {!Phase3.result} as a DOT graph: nodes are tainted entities
+    of a {!Phase3.result} as a DOT graph: nodes are data-tainted entities
     (values, parameters, returns, memory objects, non-core regions),
     edges follow the recorded propagation origins.  Nodes and edges are
     emitted in entity-id order and numbered per graph, so the bytes
@@ -15,10 +15,12 @@ let escape s =
          match c with '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> " " | c -> String.make 1 c)
        (List.init (String.length s) (String.get s)))
 
-(** Render one taint table (data or control) as DOT. *)
-let table_to_dot ~name (fl : Phase3.flat) (t : Phase3.table) : string =
+(** DOT rendering of the data-flow taint graph of a phase-3 result. *)
+let to_dot (r : Phase3.result) : string =
+  let fl = r.Phase3.flat in
+  let t = fl.Phase3.data in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Fmt.str "digraph %s {\n  rankdir=LR;\n  node [shape=box];\n" name);
+  Buffer.add_string buf "digraph value_flow {\n  rankdir=LR;\n  node [shape=box];\n";
   let n = fl.Phase3.entities in
   (* DOT node number per entity id, 0 = not yet declared *)
   let ids = Array.make n 0 in
@@ -54,14 +56,6 @@ let table_to_dot ~name (fl : Phase3.flat) (t : Phase3.table) : string =
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-(** DOT rendering of the full value-flow graph of a phase-3 result
-    (data-flow edges; control taint in a second cluster). *)
-let to_dot (r : Phase3.result) : string =
-  table_to_dot ~name:"value_flow" r.Phase3.flat r.Phase3.flat.Phase3.data
-
-let control_to_dot (r : Phase3.result) : string =
-  table_to_dot ~name:"control_flow" r.Phase3.flat r.Phase3.flat.Phase3.ctrl
 
 let write_dot path (r : Phase3.result) =
   let oc = open_out path in

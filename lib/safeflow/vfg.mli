@@ -6,7 +6,4 @@
 val to_dot : Phase3.result -> string
 (** data-flow taint graph *)
 
-val control_to_dot : Phase3.result -> string
-(** control-taint graph *)
-
 val write_dot : string -> Phase3.result -> unit

@@ -83,9 +83,17 @@ end
 type finfo = {
   fi_func : Ssair.Ir.func;
   fi_sid : int;  (** [strs] id of the name *)
-  fi_blocks : Ssair.Ir.block array;  (** indexed by block id; [no_block] where none *)
-  fi_maxbid : int;  (** max block id *)
-  fi_bi : Phase3.brinfo;  (** undecided branches + CDG closures (shared memo) *)
+  fi_cond : int array;
+      (** by block id: the register condition of the block's branch when
+          the value ranges leave its direction open, else -1; empty
+          without control dependence *)
+  fi_cdg : Ssair.Cdg.t option;  (** when some [fi_pc] is [pc_own] *)
+  fi_pc : int array;
+      (** by block id, what is tainted when the block executes under a
+          tainted branch: [pc_none] when no undecided branch reaches the
+          block in the CDG, the value id of the condition when exactly
+          one does, else [pc_own] (the block's own pc entity); empty
+          without a CDG *)
   fi_pnames : string array;  (** parameter names, in order *)
   fi_psids : int array;  (** their [strs] ids *)
 }
@@ -112,6 +120,7 @@ let static_whys =
     "data received from a non-core component";
     "returned";
     "returned value selected by an unsafe condition";
+    "block executes under an unsafe condition";
   |]
 
 (* codes of [static_whys] *)
@@ -131,6 +140,7 @@ let w_call_ctrl = Phase3.why_string 12
 let w_recv = Phase3.why_string 13
 let w_ret = Phase3.why_string 14
 let w_ret_ctrl = Phase3.why_string 15
+let w_pc = Phase3.why_string 16
 
 (* What the walk memoizes per (callee, calling context): the callee's
    parameter and return entities in the callee context.  They are the
@@ -206,15 +216,9 @@ type t = {
   mutable w_serial : int;
   mutable val_gen : int array;  (** by value id: serial of the cached entity *)
   mutable val_eid : int array;  (** by value id: its entity id *)
-  (* control-dependence targets per block, as linked lists newest first:
-     the head entry per block id (valid when [ct_gen] is the serial),
-     then [ct_next]/[ct_eid]/[ct_why] per entry *)
-  mutable ct_gen : int array;
-  mutable ct_head : int array;
-  mutable ct_next : int array;
-  mutable ct_eid : int array;
-  mutable ct_why : int array;
-  mutable ct_n : int;
+  mutable w_late : int list;
+      (** blocks of the pair whose pc is a condition but that have a pc
+          entity, to be wired from the condition *)
   (* per-run sub-timings, read only when telemetry is on *)
   mutable ns_cdg : int;
   mutable ns_callee : int;
@@ -241,11 +245,9 @@ let no_func =
   { Ssair.Ir.fname = ""; fret = Ty.Void; fparams = []; blocks = []; fentry = 0; fannot = [];
     floc = Loc.dummy }
 
-let no_block = { Ssair.Ir.bbid = -1; phis = []; instrs = []; termin = Ssair.Ir.Unreachable }
-
 let no_finfo =
-  { fi_func = no_func; fi_sid = -1; fi_blocks = [||]; fi_maxbid = -1;
-    fi_bi = { Phase3.br_branches = []; br_decided = [||] }; fi_pnames = [||]; fi_psids = [||] }
+  { fi_func = no_func; fi_sid = -1;
+    fi_cond = [||]; fi_cdg = None; fi_pc = [||]; fi_pnames = [||]; fi_psids = [||] }
 
 let create (inp : Phase3.inputs) =
   let whys = Intern.create 64 in
@@ -305,12 +307,7 @@ let create (inp : Phase3.inputs) =
     w_serial = 0;
     val_gen = Array.make 64 0;
     val_eid = Array.make 64 0;
-    ct_gen = Array.make 16 0;
-    ct_head = Array.make 16 0;
-    ct_next = Array.make 64 0;
-    ct_eid = Array.make 64 0;
-    ct_why = Array.make 64 0;
-    ct_n = 0;
+    w_late = [];
     ns_cdg = 0;
     ns_callee = 0;
     ns_wire = 0;
@@ -444,26 +441,72 @@ let drain g =
 
 (* -- Static per-function facts ------------------------------------------------- *)
 
+(* [finfo.fi_pc] markers; a value id is >= 0 *)
+let pc_none = -1
+
+let pc_own = -2
+
 let finfo g fx : finfo =
   match g.finfos.(fx) with
   | Some fi -> fi
   | None ->
     let t0 = if Telemetry.enabled () then Telemetry.now_ns () else 0L in
     let f = g.funcs.(fx) in
-    let fi_bi = Phase3.branch_info g.inp fx in
     let maxbid =
       List.fold_left (fun m (b : Ssair.Ir.block) -> max m b.Ssair.Ir.bbid) (-1) f.Ssair.Ir.blocks
     in
-    let fi_blocks = Array.make (maxbid + 1) no_block in
-    (* later duplicate bbids win, as Hashtbl.replace did *)
-    List.iter
-      (fun (b : Ssair.Ir.block) -> fi_blocks.(b.Ssair.Ir.bbid) <- b)
-      f.Ssair.Ir.blocks;
+    let fi_cond, fi_cdg, fi_pc =
+      if not g.inp.Phase3.config.Config.control_deps then ([||], None, [||])
+      else begin
+        let cond = Array.make (maxbid + 1) (-1) in
+        List.iter
+          (fun (b : Ssair.Ir.block) ->
+            match b.Ssair.Ir.termin with
+            | Ssair.Ir.Cbr (Ssair.Ir.Vreg id, _, _) | Ssair.Ir.Switch (Ssair.Ir.Vreg id, _, _) ->
+              cond.(b.Ssair.Ir.bbid) <- id
+            | _ -> ())
+          f.Ssair.Ir.blocks;
+        (* a branch whose condition's value range decides the direction
+           takes the same successor in every concrete execution, so it
+           exerts no control dependence; pruning it is precision-only:
+           findings can disappear, never appear *)
+        Option.iter
+          (fun ai ->
+            List.iter
+              (fun bid -> if bid <= maxbid then cond.(bid) <- -1)
+              (Absint.decided_branches ai ~fname:f.Ssair.Ir.fname))
+          g.inp.Phase3.absint;
+        (* the CDG only matters below an undecided branch, so a
+           branch-free (or all-decided) function never pays for
+           post-dominators *)
+        if not (Array.exists (fun c -> c >= 0) cond) then ([||], None, [||])
+        else begin
+          let c = Ssair.Cdg.compute f in
+          let kids = c.Ssair.Cdg.ctrl_slots and bid = c.Ssair.Cdg.slot_bid in
+          (* per block, the undecided branches that reach it in the CDG:
+             [pc_none], [pc_own] for two or more, else the one branch's
+             block id, turned into its condition below; each entry
+             changes at most twice *)
+          let pc = Array.make (maxbid + 1) pc_none in
+          let rec reach b k =
+            let cur = pc.(bid.(k)) in
+            let b' = if cur = pc_none then b else if cur = b then cur else pc_own in
+            if b' <> cur then begin
+              pc.(bid.(k)) <- b';
+              List.iter (reach b') kids.(k)
+            end
+          in
+          Array.iteri (fun s ks -> if cond.(bid.(s)) >= 0 then List.iter (reach bid.(s)) ks) kids;
+          Array.iteri (fun x b -> if b >= 0 then pc.(x) <- cond.(b)) pc;
+          (* the CDG edges are only wired into own pc entities *)
+          (cond, (if Array.mem pc_own pc then Some c else None), pc)
+        end
+      end
+    in
     let fi_pnames = Array.of_list (List.map fst f.Ssair.Ir.fparams) in
     let fi =
-      { fi_func = f; fi_sid = Intern.intern g.strs f.Ssair.Ir.fname; fi_blocks;
-        fi_maxbid = maxbid; fi_bi; fi_pnames;
-        fi_psids = Array.map (Intern.intern g.strs) fi_pnames }
+      { fi_func = f; fi_sid = Intern.intern g.strs f.Ssair.Ir.fname;
+        fi_cond; fi_cdg; fi_pc; fi_pnames; fi_psids = Array.map (Intern.intern g.strs) fi_pnames }
     in
     g.finfos.(fx) <- Some fi;
     if Telemetry.enabled () then
@@ -567,6 +610,17 @@ let eval g vid =
     i
   end
 
+(* the pc entity of block [bid] in the current pair *)
+let ent_pc g bid = ent g (Phase3.pack_key 5 g.w_fid g.w_cid bid)
+
+(* the pc entity of a block whose pc is a condition, queued for
+   {!walk_pair} to wire from the condition when fresh *)
+let alias_pc g bid =
+  let n = Intern.Packed.length g.keys in
+  let id = ent_pc g bid in
+  if id = n then g.w_late <- bid :: g.w_late;
+  id
+
 (* [strs] id of parameter [p] of the current function *)
 let param_sid g p =
   let fi = g.w_fi in
@@ -644,25 +698,31 @@ let cmemo g callee gfx : cmemo =
 
 (* -- Building one (function, context) pair ------------------------------------- *)
 
-(* File entity [eid] as a control-dependence target of block [bid]: it
-   gains ctrl-taint (with reason [why]) when the block executes under a
-   tainted branch.  Targets filed under a bid with no block are never
-   wired (closures only hold real blocks), so they are dropped. *)
+(* The entity whose taint marks block [bid] of the current pair as
+   executing under a tainted branch ({!finfo.fi_pc}), or -1 when none
+   can.  A condition serves once its definition has been walked:
+   interning it earlier would reorder the entity ids the DOT export
+   numbers by, so until then the block gets a pc entity, which
+   {!walk_pair} wires from the condition, as it does the pc entity of
+   a block with a critical site (the sink collection looks up its
+   [Epc]). *)
+let pc_src g bid =
+  let pc = g.w_fi.fi_pc in
+  if bid < 0 || bid >= Array.length pc then -1
+  else
+    let p = Array.unsafe_get pc bid in
+    if p = pc_own then ent_pc g bid
+    else if p = pc_none then -1
+    else if p < Array.length g.val_gen && Array.unsafe_get g.val_gen p = g.w_serial then
+      Array.unsafe_get g.val_eid p
+    else alias_pc g bid
+
+(* Make entity [eid] a control-dependence target of block [bid]: it
+   gains ctrl-taint (with reason [why], no parent) when the block
+   executes under a tainted branch. *)
 let add_ct g bid eid why =
-  if bid >= 0 && bid <= g.w_fi.fi_maxbid then begin
-    let k = g.ct_n in
-    if k = Array.length g.ct_eid then begin
-      g.ct_next <- grow_slots g.ct_next k 0;
-      g.ct_eid <- grow_slots g.ct_eid k 0;
-      g.ct_why <- grow_slots g.ct_why k 0
-    end;
-    g.ct_eid.(k) <- eid;
-    g.ct_why.(k) <- why;
-    g.ct_next.(k) <- (if g.ct_gen.(bid) = g.w_serial then g.ct_head.(bid) else -1);
-    g.ct_gen.(bid) <- g.w_serial;
-    g.ct_head.(bid) <- k;
-    g.ct_n <- k + 1
-  end
+  let src = pc_src g bid in
+  if src >= 0 then add_edge g src eid many_ctrl why
 
 let flow1 g self v why =
   let ve = value_eid g v in
@@ -675,25 +735,36 @@ let rec flow_operands g self vs why =
     flow1 g self v why;
     flow_operands g self rest why
 
-(* a phi: data/ctrl from its incomings; implicit flow from the branches
-   controlling the merge *)
-let walk_phi g bid (p : Ssair.Ir.phi) =
+(* a phi: data/ctrl from its incomings; implicit flow from the
+   branches ending its predecessors *)
+let walk_phi g (p : Ssair.Ir.phi) =
   let self = eval g p.Ssair.Ir.pid in
   List.iter (fun (_, v) -> flow1 g self v w_phi) p.Ssair.Ir.incoming;
   if g.inp.Phase3.config.Config.control_deps then begin
-    let fi = g.w_fi in
-    add_ct g bid self w_phi_ctrl;
+    let cond = g.w_fi.fi_cond in
     List.iter
       (fun (pred, _) ->
-        add_ct g pred self w_phi_ctrl;
-        let pblk = if pred >= 0 && pred <= fi.fi_maxbid then fi.fi_blocks.(pred) else no_block in
-        match pblk.Ssair.Ir.termin with
-        | Ssair.Ir.Cbr (Ssair.Ir.Vreg cvid, _, _) | Ssair.Ir.Switch (Ssair.Ir.Vreg cvid, _, _) ->
-          if not (Phase3.branch_decided fi.fi_bi pblk.Ssair.Ir.bbid) then
-            add_edge g (eval g cvid) self many_ctrl w_phi_ctrl
-        | _ -> ())
+        let c = if pred >= 0 && pred < Array.length cond then cond.(pred) else -1 in
+        if c >= 0 then add_edge g (eval g c) self many_ctrl w_phi_ctrl)
       p.Ssair.Ir.incoming
   end
+
+(* the implicit flow into the phis of block [bid] from the branches
+   controlling the merge: each phi is a control target of the block and
+   of its predecessors *)
+let rec phis_ctrl g bid = function
+  | [] -> ()
+  | (p : Ssair.Ir.phi) :: rest ->
+    let self = eval g p.Ssair.Ir.pid in
+    add_ct g bid self w_phi_ctrl;
+    preds_ctrl g self p.Ssair.Ir.incoming;
+    phis_ctrl g bid rest
+
+and preds_ctrl g self = function
+  | [] -> ()
+  | (pred, _) :: rest ->
+    add_ct g pred self w_phi_ctrl;
+    preds_ctrl g self rest
 
 (* one shared-memory target of a load: a static source (warning) when
    the context leaves a non-core target uncovered; an edge from the
@@ -840,11 +911,11 @@ let walk_instr g bid (i : Ssair.Ir.instr) =
     flow1 g self idx w_addr
   | Ssair.Ir.Call { callee; args; _ } -> walk_call g bid i callee args
 
-let rec walk_phis g bid = function
+let rec walk_phis g = function
   | [] -> ()
   | p :: rest ->
-    walk_phi g bid p;
-    walk_phis g bid rest
+    walk_phi g p;
+    walk_phis g rest
 
 let rec walk_instrs g bid = function
   | [] -> ()
@@ -854,8 +925,11 @@ let rec walk_instrs g bid = function
 
 let walk_block g (b : Ssair.Ir.block) =
   let bid = b.Ssair.Ir.bbid in
-  walk_phis g bid b.Ssair.Ir.phis;
+  walk_phis g b.Ssair.Ir.phis;
   walk_instrs g bid b.Ssair.Ir.instrs;
+  (* after the instructions, so a loop header's condition has its
+     entity when the header's phis are filed under the loop's blocks *)
+  if g.inp.Phase3.config.Config.control_deps then phis_ctrl g bid b.Ssair.Ir.phis;
   match b.Ssair.Ir.termin with
   | Ssair.Ir.Ret (Some v) ->
     let re = ent_ret g g.w_fid g.w_cid in
@@ -864,13 +938,38 @@ let walk_block g (b : Ssair.Ir.block) =
     if g.inp.Phase3.config.Config.control_deps then add_ct g bid re w_ret_ctrl
   | _ -> ()
 
-(* the control-dependence targets filed under block [d], newest first,
-   each wired from the branch condition entity [c] *)
-let rec wire_targets g c k =
-  if k >= 0 then begin
-    add_edge g c g.ct_eid.(k) many_ctrl g.ct_why.(k);
-    wire_targets g c g.ct_next.(k)
-  end
+(* Into each pc entity of the current pair, one edge per direct CDG
+   edge b -> c from b's pc and one from b's condition when b is an
+   undecided register branch: pc(c) is tainted exactly when some
+   undecided branch whose condition is tainted reaches c in the CDG
+   "controls" relation. *)
+let wire_pcs g (cdg : Ssair.Cdg.t) =
+  let fi = g.w_fi in
+  Array.iteri
+    (fun s kids ->
+      if kids <> [] then begin
+        let b = cdg.Ssair.Cdg.slot_bid.(s) in
+        let cond = if fi.fi_cond.(b) >= 0 then eval g fi.fi_cond.(b) else -1 in
+        let pcb = pc_src g b in
+        let pcb = if pcb = cond then -1 else pcb in
+        List.iter
+          (fun k ->
+            let c = cdg.Ssair.Cdg.slot_bid.(k) in
+            if fi.fi_pc.(c) = pc_own then begin
+              let pcc = ent_pc g c in
+              if cond >= 0 then add_edge g cond pcc many_ctrl w_pc;
+              if pcb >= 0 && k <> s then add_edge g pcb pcc many_ctrl w_pc
+            end)
+          kids
+      end)
+    cdg.Ssair.Cdg.ctrl_slots
+
+(* the pc entities of the critical sites' blocks whose pc is a condition *)
+let rec site_pcs g = function
+  | [] -> ()
+  | (bid, _, _, _) :: rest ->
+    if g.w_fi.fi_pc.(bid) >= 0 then ignore (alias_pc g bid);
+    site_pcs g rest
 
 (** Walk function [fx] under context [cid] straight into the live graph;
     the static taint sources of the pair (unmonitored non-core reads,
@@ -885,27 +984,19 @@ let walk_pair g fx cid =
   g.w_p1 <- g.inp.Phase3.p1.Phase1.facts.(fx);
   g.w_pts <- Pointsto.reg_facts g.inp.Phase3.pts fx;
   g.w_serial <- g.w_serial + 1;
-  g.ct_n <- 0;
-  if fi.fi_maxbid >= Array.length g.ct_gen then begin
-    g.ct_gen <- grow_slots g.ct_gen fi.fi_maxbid 0;
-    g.ct_head <- grow_slots g.ct_head fi.fi_maxbid 0
-  end;
+  g.w_late <- [];
   List.iter (walk_block g) fi.fi_func.Ssair.Ir.blocks;
-  (* wire branch conditions to the control-dependence targets of every
-     block in their controls-closure (the closure is static, only the
-     cond's taint is dynamic) *)
-  let t0 = if Telemetry.enabled () then Telemetry.now_ns () else 0L in
-  List.iter
-    (fun (_bB, cvid, closure) ->
-      let c = eval g cvid in
+  if fi.fi_pc <> [||] then begin
+    let t0 = if Telemetry.enabled () then Telemetry.now_ns () else 0L in
+    (match fi.fi_cdg with Some cdg -> wire_pcs g cdg | None -> ());
+    site_pcs g (Phase3.sites_of g.inp fx);
+    if g.w_late <> [] then
       List.iter
-        (fun d ->
-          if d >= 0 && d <= fi.fi_maxbid && g.ct_gen.(d) = g.w_serial then
-            wire_targets g c g.ct_head.(d))
-        closure)
-    fi.fi_bi.Phase3.br_branches;
-  if Telemetry.enabled () then
-    g.ns_wire <- g.ns_wire + Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0)
+        (fun x -> add_edge g (eval g fi.fi_pc.(x)) (ent_pc g x) many_ctrl w_pc)
+        (List.rev g.w_late);
+    if Telemetry.enabled () then
+      g.ns_wire <- g.ns_wire + Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0)
+  end
 
 (* -- Entry point --------------------------------------------------------------- *)
 
@@ -937,7 +1028,8 @@ let lookup g (fl : Phase3.flat) : Phase3.lookup =
       | Phase3.Eparam (f, ctx, p) -> Phase3.pack_key 1 (sid f) (cid ctx) (sid p)
       | Phase3.Eret (f, ctx) -> Phase3.pack_key 2 (sid f) (cid ctx) 0
       | Phase3.Enode n -> Phase3.pack_key 3 (Intern.intern g.nodes n) 0 0
-      | Phase3.Eregion r -> Phase3.pack_key 4 (sid r) 0 0)
+      | Phase3.Eregion r -> Phase3.pack_key 4 (sid r) 0 0
+      | Phase3.Epc (f, ctx, bid) -> Phase3.pack_key 5 (sid f) (cid ctx) bid)
   in
   let origin t e = Option.bind (id_of e) (Phase3.origin fl t) in
   { Phase3.data = origin fl.Phase3.data; ctrl = origin fl.Phase3.ctrl }

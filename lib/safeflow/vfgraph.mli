@@ -4,8 +4,18 @@
     Each discovered (function, context) pair is visited {e once}: on
     first discovery the engine builds the pair's value-flow successor
     edges (SSA def-use, load/store edges resolved by {!Pointsto},
-    call/return edges, control-dependence edges from the cached CDGs),
-    and a single worklist drain then propagates taint along out-edges.
+    call/return edges, control-dependence edges), and a single worklist
+    drain then propagates taint along out-edges.
+
+    Control dependence goes through program counters: each control
+    target of a block (a phi it selects, a store, a call argument, a
+    return) hangs off the block's pc ({!Phase3.Epc}), and each direct
+    edge b -> c of the function's CDG becomes an edge into pc(c) from
+    pc(b) and from b's condition when b is an undecided register
+    branch.  The graph is linear in the CDG and the targets however
+    deep the nest.  A block that exactly one undecided branch reaches
+    shares that branch's condition as its pc instead of an entity of
+    its own.
     Entities and monitoring contexts are interned to dense integer ids
     ({!Intern}), so taint membership is a bitset lookup, and that
     interned state is the result ({!Phase3.flat}).

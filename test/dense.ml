@@ -3,7 +3,11 @@
    discovered (function, context) pair, testing taint in hash tables of
    boxed entities, until no taint, warning or pair changes.  It shares
    the library's vocabulary (Phase3: contexts, entities, inputs, roots
-   and the sink collection) and owns only the propagation. *)
+   and the sink collection) and owns only the propagation.  Control
+   dependence is the transitive closure of the CDG "controls" relation
+   per branch, recomputed from the branch conditions' taint on every
+   scan; the sink collection reads it through the [Epc] entities of
+   its lookup. *)
 
 open Safeflow
 open Minic
@@ -16,12 +20,79 @@ type state = {
   ctrl : (entity, origin) Hashtbl.t;  (** control-tainted entities *)
   pairs : (string * Ctx.t, unit) Hashtbl.t;  (** discovered (function, context) pairs *)
   warnings : (Loc.t * string, Report.warning) Hashtbl.t;
+  branches : (int, (Ssair.Ir.vid * Ssair.Ir.bid list) list) Hashtbl.t;
+      (** {!branches} memo, by function index *)
   mutable changed : bool;
 }
 
 let data_tainted st e = Hashtbl.mem st.data e
 let ctrl_tainted st e = Hashtbl.mem st.ctrl e
-let lookup st = { data = Hashtbl.find_opt st.data; ctrl = Hashtbl.find_opt st.ctrl }
+
+(* The slots reachable through [ds] in the CDG's "controls" relation
+   that [seen] does not hold yet, marked there and consed onto [acc]. *)
+let rec controlled (c : Ssair.Cdg.t) seen acc = function
+  | [] -> acc
+  | d :: rest ->
+    if seen.(d) then controlled c seen acc rest
+    else begin
+      seen.(d) <- true;
+      controlled c seen (controlled c seen (d :: acc) c.Ssair.Cdg.ctrl_slots.(d)) rest
+    end
+
+(** The undecided register branches of function [fx]: the condition,
+    and the blocks transitively control-dependent on the branch block
+    (excluding the block itself unless it controls itself). *)
+let branches st fx =
+  match Hashtbl.find_opt st.branches fx with
+  | Some l -> l
+  | None ->
+    let f = Ssair.Index.func st.inp.index fx in
+    let undecided (b : Ssair.Ir.block) =
+      match st.inp.absint with
+      | None -> true
+      | Some ai -> Absint.dead_branch ai ~fname:f.Ssair.Ir.fname ~bid:b.Ssair.Ir.bbid = None
+    in
+    let c = Ssair.Cdg.compute f in
+    let l =
+      List.filter_map
+        (fun (b : Ssair.Ir.block) ->
+          match b.Ssair.Ir.termin with
+          | (Ssair.Ir.Cbr (Ssair.Ir.Vreg id, _, _) | Ssair.Ir.Switch (Ssair.Ir.Vreg id, _, _))
+            when undecided b ->
+            let seen = Array.make (Array.length c.Ssair.Cdg.slot_bid) false in
+            let s0 = c.Ssair.Cdg.slot_of b.Ssair.Ir.bbid in
+            let slots = if s0 >= 0 then controlled c seen [] c.Ssair.Cdg.ctrl_slots.(s0) else [] in
+            Some (id, List.map (fun s -> c.Ssair.Cdg.slot_bid.(s)) slots)
+          | _ -> None)
+        f.Ssair.Ir.blocks
+    in
+    Hashtbl.replace st.branches fx l;
+    l
+
+(** The blocks of [fx] under [ctx] that execute under a branch whose
+    condition is tainted (data or ctrl): the union of those branches'
+    closures. *)
+let block_control_taint st fx ctx : (Ssair.Ir.bid, unit) Hashtbl.t =
+  let fname = (Ssair.Index.func st.inp.index fx).Ssair.Ir.fname in
+  let closed = Hashtbl.create 8 in
+  List.iter
+    (fun (id, closure) ->
+      let e = Eval (fname, ctx, id) in
+      if data_tainted st e || ctrl_tainted st e then
+        List.iter (fun bid -> Hashtbl.replace closed bid ()) closure)
+    (branches st fx);
+  closed
+
+(* [Epc] entities are answered from the closures *)
+let lookup st =
+  let pc = { parent = None; why = "block executes under an unsafe condition" } in
+  { data = Hashtbl.find_opt st.data;
+    ctrl =
+      (function
+      | Epc (fname, ctx, bid) ->
+        let fx = Ssair.Index.find st.inp.index fname in
+        if fx >= 0 && Hashtbl.mem (block_control_taint st fx ctx) bid then Some pc else None
+      | e -> Hashtbl.find_opt st.ctrl e) }
 
 let taint st table e ~parent ~why =
   if not (Hashtbl.mem table e) then begin
@@ -51,7 +122,7 @@ let analyze_pair st fx (ctx : Ctx.t) =
   let f = Ssair.Index.func st.inp.index fx in
   let env = st.inp.prog.Ssair.Ir.env in
   let fname = f.Ssair.Ir.fname in
-  let blk_ctrl = block_control_taint st.inp (lookup st) fx ctx in
+  let blk_ctrl = block_control_taint st fx ctx in
   let in_tainted_block bid = Hashtbl.mem blk_ctrl bid in
   List.iter
     (fun (b : Ssair.Ir.block) ->
@@ -302,6 +373,7 @@ let run ~config ?absint (shm : Shm.t) (p1 : Phase1.t) (pts : Pointsto.t) : resul
       ctrl = Hashtbl.create 256;
       pairs = Hashtbl.create 32;
       warnings = Hashtbl.create 32;
+      branches = Hashtbl.create 16;
       changed = true;
     }
   in

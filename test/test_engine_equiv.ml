@@ -92,6 +92,37 @@ let test_synth_scale () = Oracle.over_grid "synth8" (Synth.of_size 8) check_synt
 let test_synth_context_explosion () =
   Oracle.over_grid "ctx-explosion" (Synth.context_explosion ~depth:4) check_synthetic
 
+(* Control-dependence shapes ([Shapes]): the value-flow graph stays
+   linear in the nest depth or chain length, and both sinks of each
+   program are control-only, the inner one only through the transitive
+   control dependence on the outermost test. *)
+let test_shape_edges shape () =
+  let n = 2000 in
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  let r = (Driver.analyze (Shapes.program shape n)).Driver.report in
+  let edges = List.assoc "vf.edges_built" (Telemetry.counters ()) in
+  Telemetry.set_enabled false;
+  Telemetry.reset ();
+  if edges > 16 * n then Alcotest.failf "%d edges for n = %d (bound %d)" edges n (16 * n);
+  Alcotest.(check int) "one warning" 1 (List.length r.Report.warnings);
+  Alcotest.(check (list string)) "two control-only dependencies"
+    [ "assert(safe(k))"; "assert(safe(out))" ]
+    (List.map
+       (fun (d : Report.dependency) ->
+         if d.Report.d_kind <> Report.Control_only then Alcotest.fail "not control-only";
+         d.Report.d_sink)
+       r.Report.dependencies)
+
+(* also with the non-core test innermost: the blocks it controls are
+   reached by every enclosing branch too *)
+let test_shape_oracle shape () =
+  Oracle.over_grid (Shapes.name shape ^ "40") (Shapes.program shape 40) check_findings;
+  Oracle.over_grid
+    (Shapes.name shape ^ "40 inner")
+    (Shapes.program ~inner:true shape 40)
+    check_findings
+
 let test_worklist_stats () =
   (* the engine must expose its graph counters in the report *)
   let r = (Driver.analyze (Synth.of_size 8)).Driver.report in
@@ -190,6 +221,14 @@ let () =
       ( "synthetic",
         [ Alcotest.test_case "of_size 8" `Quick test_synth_scale;
           Alcotest.test_case "context_explosion 4" `Quick test_synth_context_explosion ] );
+      ( "shapes",
+        List.concat_map
+          (fun shape ->
+            [ Alcotest.test_case (Shapes.name shape ^ " 2000: edges <= 16n") `Quick
+                (test_shape_edges shape);
+              Alcotest.test_case (Shapes.name shape ^ " 40: oracle") `Quick
+                (test_shape_oracle shape) ])
+          Shapes.all );
       ( "engine plumbing",
         [ Alcotest.test_case "worklist stats" `Quick test_worklist_stats;
           Alcotest.test_case "telemetry invariance" `Quick test_telemetry_invariance;

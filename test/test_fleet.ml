@@ -536,6 +536,35 @@ let test_bad_member () =
     [ 1; 2 ];
   rm_rf dir
 
+(* A member whose bundle cannot be written still counts the cache
+   traffic of its analysis: on an empty cache, a run whose every bundle
+   write fails reports the misses of a plain cold run. *)
+let test_unwritable_cache_totals () =
+  let dir = mkdtemp "sf-fleet-unwritable" in
+  let write name src =
+    let path = Filename.concat dir name in
+    let oc = open_out_bin path in
+    output_string oc src;
+    close_out oc;
+    path
+  in
+  let paths =
+    List.map
+      (fun k -> write (Printf.sprintf "m%d.c" k) (Printf.sprintf "int main() { return %d; }\n" k))
+      [ 1; 2; 3 ]
+  in
+  (* a bundle root under a regular file *)
+  let root = Filename.concat (List.hd paths) "certs" in
+  let cold ?emit_certs name =
+    Fleet.run ~cache_dir:(Filename.concat dir name) ?emit_certs paths
+  in
+  let plain = cold "plain" and failed = cold ~emit_certs:root "failed" in
+  Alcotest.(check int) "every bundle write failed" 3 (List.length failed.Fleet.f_failures);
+  Alcotest.(check bool) "the plain run misses" true (plain.Fleet.f_cache.Fleet.ct_misses > 0);
+  Alcotest.(check int) "misses of a plain cold run" plain.Fleet.f_cache.Fleet.ct_misses
+    failed.Fleet.f_cache.Fleet.ct_misses;
+  rm_rf dir
+
 (* -- a second domain (must stay last: spawning a domain forbids fork) --------- *)
 
 (* Caches and analyses are unsynchronised, so SafeFlow refuses to run
@@ -576,7 +605,9 @@ let () =
           Alcotest.test_case "a rejected member does not sink the run" `Quick
             test_bad_member;
           Alcotest.test_case "a killed worker's inputs still report done" `Quick
-            test_killed_worker_events ] );
+            test_killed_worker_events;
+          Alcotest.test_case "a failed bundle write keeps its cache totals" `Quick
+            test_unwritable_cache_totals ] );
       ( "multidomain",
         [ Alcotest.test_case "a second domain is refused" `Quick test_second_domain_refused ] )
     ]

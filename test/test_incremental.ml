@@ -33,21 +33,36 @@ let report ?cache config src = (Driver.analyze ~config ?cache src).Driver.report
 let check_report label (expected : Report.t) (actual : Report.t) =
   Alcotest.(check bool) label true (expected = actual)
 
-(* what a run exposes beyond the report: the analyzed function universe
-   and both DOT exports, all read from the phase-3 result (after a cache
-   hit, forcing [detail] reruns the stages) *)
+(* the control-taint table of a phase-3 result, one line per tainted
+   entity: its id and description, first-taint parent and reason *)
+let ctrl_table (r : Phase3.result) =
+  let fl = r.Phase3.flat in
+  let t = fl.Phase3.ctrl in
+  List.filter_map
+    (fun id ->
+      if not (Bitset.get t.Phase3.bits id) then None
+      else
+        Some
+          (Fmt.str "%d %a <- %d (%s)" id Phase3.pp_entity (Phase3.entity fl id)
+             t.Phase3.parent.(id)
+             (Phase3.why_text fl t.Phase3.why.(id))))
+    (List.init fl.Phase3.entities Fun.id)
+
+(* what a run exposes beyond the report: the analyzed function universe,
+   the DOT export and the control-taint table, all read from the phase-3
+   result (after a cache hit, forcing [detail] reruns the stages) *)
 let views (a : Driver.analysis) =
   let d = Lazy.force a.Driver.detail in
   ( Driver.analyzed_functions d.Driver.phase3 d.Driver.phase1,
     Vfg.to_dot d.Driver.phase3,
-    Vfg.control_to_dot d.Driver.phase3 )
+    ctrl_table d.Driver.phase3 )
 
 let check_analysis label (expected : Driver.analysis) (actual : Driver.analysis) =
   check_report (label ^ " report") expected.Driver.report actual.Driver.report;
   let fns, dot, cdot = views expected and fns', dot', cdot' = views actual in
   Alcotest.(check (list string)) (label ^ " analyzed functions") fns fns';
   Alcotest.(check string) (label ^ " to_dot") dot dot';
-  Alcotest.(check string) (label ^ " control_to_dot") cdot cdot'
+  Alcotest.(check (list string)) (label ^ " control table") cdot cdot'
 
 (* an uncalled one-function edit: every other function keeps its source
    location, so only the probe's dependent cache entries miss *)
@@ -168,7 +183,7 @@ let test_dot_deterministic () =
         (fun state ->
           let _, dot', cdot' = views (Driver.analyze ~cache:(Cache.create ~dir ()) src) in
           Alcotest.(check string) (sys ^ " " ^ state ^ " to_dot") dot dot';
-          Alcotest.(check string) (sys ^ " " ^ state ^ " control_to_dot") cdot cdot')
+          Alcotest.(check (list string)) (sys ^ " " ^ state ^ " control table") cdot cdot')
         [ "cold"; "warm" ])
     systems
 
