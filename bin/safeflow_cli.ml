@@ -40,13 +40,13 @@ let write_output path write =
     exit 4
 
 (* Inputs that produced no result, after every other input reported:
-   each one's line on stderr, then exit 4 if the first of them could not
-   write an output, else 3. *)
+   each one's line on stderr, then the exit code of the first one's
+   cause. *)
 let exit_on_failures (failures : Safeflow.Forkmap.failure list) =
   List.iter (fun (f : Safeflow.Forkmap.failure) -> Fmt.epr "%s@." f.message) failures;
   match failures with
   | [] -> ()
-  | f :: _ -> exit (if f.Safeflow.Forkmap.cause = Safeflow.Forkmap.Unwritable then 4 else 3)
+  | f :: _ -> exit (Safeflow.Forkmap.exit_code f.Safeflow.Forkmap.cause)
 
 let config_of ~control_deps ~context_sensitive ~field_sensitive =
   { Safeflow.Config.default with control_deps; context_sensitive; field_sensitive }
@@ -180,6 +180,10 @@ let analyze_cmd =
   let run files no_control ctx_insensitive field_insensitive vfg absint cache_dir verbose sarif save_findings baseline emit_certs
       fail_on tele =
     try
+      (* a malformed baseline fails the run before any input is analysed;
+         its entries are read again at the gate, so they are not live
+         during the analysis (nor copied into fleet workers) *)
+      Option.iter (fun bl -> ignore (Safeflow.Diffreport.load bl)) baseline;
       telemetry_setup tele;
       let config =
         {
@@ -297,7 +301,8 @@ let analyze_cmd =
        ~doc:
          "run the full SafeFlow analysis on core components.  Exits 0 when clean, 1 on \
           error-level findings, 2 on warning-level findings only (see $(b,--fail-on)), \
-          3 on frontend failure, 4 when an output file cannot be written.")
+          3 on frontend failure or a malformed baseline, 4 when an output file cannot \
+          be written, 5 when an analysis crashes.")
     Term.(const run $ files $ no_control $ ctx_insensitive $ field_insensitive $ vfg
           $ absint_arg $ cache_dir $ verbose $ sarif
           $ save_findings $ baseline $ emit_certs $ fail_on_arg $ telemetry_flags)
@@ -543,15 +548,27 @@ let audit_cmd =
       | None -> ()
       | Some path ->
         write_output path @@ fun path ->
+        let module J = Safeflow.Jsonlite in
         let oc = open_out path in
-        Printf.fprintf oc
-          "{\"schema\":\"%s\",\"tool_version\":\"%s\",\"file\":\"%s\",\"summary\":%s,\"phase2_bounds\":{\"total\":%d,\"ranges\":%d,\"omega\":%d,\"failed\":%d,\"avoided\":%d},\"entries\":%s}\n"
-          audit_schema tool_version
-          (Safeflow.Jsonlite.escape file)
-          (Safeflow.Ledger.summary_json ledger)
-          r.Safeflow.Ledger.r_total r.Safeflow.Ledger.r_ranges r.Safeflow.Ledger.r_omega
-          r.Safeflow.Ledger.r_failed r.Safeflow.Ledger.r_avoided
-          (Safeflow.Ledger.entries_json ledger);
+        J.to_channel oc
+          (J.Vobj
+             [
+               ("schema", J.Vstr audit_schema);
+               ("tool_version", J.Vstr tool_version);
+               ("file", J.Vstr file);
+               ("summary", Safeflow.Ledger.summary_json ledger);
+               ( "phase2_bounds",
+                 J.Vobj
+                   [
+                     ("total", J.Vint r.Safeflow.Ledger.r_total);
+                     ("ranges", J.Vint r.Safeflow.Ledger.r_ranges);
+                     ("omega", J.Vint r.Safeflow.Ledger.r_omega);
+                     ("failed", J.Vint r.Safeflow.Ledger.r_failed);
+                     ("avoided", J.Vint r.Safeflow.Ledger.r_avoided);
+                   ] );
+               ("entries", Safeflow.Ledger.entries_json ledger);
+             ]);
+        output_char oc '\n';
         close_out oc;
         Fmt.pr "audit JSON written to %s@." path
     with Minic.Loc.Error (loc, msg) ->
@@ -650,9 +667,15 @@ let hotspots_cmd =
       let funcs = Safeflow.Hotspots.rank ~top pairs in
       let regs = Safeflow.Hotspots.rank_regions ~top pairs in
       if json then
-        Fmt.pr "{\"schema\":\"%s\",\"functions\":%s,\"regions\":%s}@." hotspots_schema
-          (Safeflow.Hotspots.rows_json funcs)
-          (Safeflow.Hotspots.rows_json regs)
+        let module J = Safeflow.Jsonlite in
+        Fmt.pr "%s@."
+          (J.render
+             (J.Vobj
+                [
+                  ("schema", J.Vstr hotspots_schema);
+                  ("functions", Safeflow.Hotspots.rows_json funcs);
+                  ("regions", Safeflow.Hotspots.rows_json regs);
+                ]))
       else begin
         Fmt.pr "hot functions (analysis time x obligations x failure rate):@.%a@."
           Safeflow.Hotspots.pp_rows funcs;
@@ -792,7 +815,7 @@ let diff_cmd =
   let entries_of ~config file =
     let content = Minic.Loc.read_source file in
     if Safeflow.Diffreport.looks_like_findings content then
-      Safeflow.Diffreport.parse content
+      Safeflow.Diffreport.parse ~file content
     else begin
       let a = Safeflow.Driver.analyze ~config ~file content in
       Safeflow.Diffreport.entries_of_report a.Safeflow.Driver.fingerprints ~file
@@ -950,6 +973,10 @@ let fleet_cmd =
       print_reports save_findings baseline fail_on progress_flag no_progress log_json
       verbose emit_certs check_certs tele =
     try
+      (* a malformed baseline fails the run before any input is analysed;
+         its entries are read again at the gate, so they are not live
+         during the analysis (nor copied into fleet workers) *)
+      Option.iter (fun bl -> ignore (Safeflow.Diffreport.load bl)) baseline;
       telemetry_setup tele;
       let members =
         match (dir, manifest) with

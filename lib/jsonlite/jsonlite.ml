@@ -1,9 +1,10 @@
 (* Minimal JSON reader and writer.  The repo deliberately has no JSON
    dependency.  The reader serves the observability layer (NDJSON fleet
    events for [Progress], stats files in tests) and the certificate
-   checker; [emit] serializes the certificate and explain documents;
-   [escape] is the one string escape every hand-rolled emitter (SARIF,
-   telemetry, the audit ledger) uses.  Recursive-descent parser over a
+   checker.  The writer is the one encoder of every document the tool
+   writes: callers describe a document as a [value] and [render] or
+   [to_channel] write it, so escaping, separators and number formats are
+   decided here and nowhere else.  Recursive-descent parser over a
    string; numbers are kept as floats, which covers every value the tool
    itself emits. *)
 
@@ -239,55 +240,88 @@ let to_list = function Arr l -> Some l | _ -> None
 
 let to_obj = function Obj l -> Some l | _ -> None
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+(* -- Writer ------------------------------------------------------------------ *)
+
+(* values are data, not closures: building a document allocates but
+   calls nothing, so an emitter's fields cost no call sites (each one a
+   frame descriptor; the runtime's descriptor table, allocated whole at
+   start-up, doubles at every power of two), and [write] is the one
+   place that turns a value into text *)
+type value =
+  | Vnull
+  | Vbool of bool
+  | Vint of int
+  | Vfixed of int * float
+  | Vstr of string
+  | Varr of value list
+  | Vlist : ('a -> value) * 'a list -> value
+  | Vobj of (string * value) list
+  | Vtree of t
+
+type writer = Buf of Buffer.t | Chan of out_channel
+
+let add_string w s =
+  match w with Buf b -> Buffer.add_string b s | Chan oc -> output_string oc s
+
+let add_char w c = match w with Buf b -> Buffer.add_char b c | Chan oc -> output_char oc c
+
+let write_string w s =
+  add_char w '"';
   String.iter
     (fun c ->
       match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
+      | '"' -> add_string w "\\\""
+      | '\\' -> add_string w "\\\\"
+      | '\n' -> add_string w "\\n"
+      | '\r' -> add_string w "\\r"
+      | '\t' -> add_string w "\\t"
+      | c when Char.code c < 0x20 -> add_string w (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> add_char w c)
     s;
+  add_char w '"'
+
+let write_seq w opening closing write_item items =
+  add_char w opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then add_char w ',';
+      write_item x)
+    items;
+  add_char w closing
+
+let write_field w write_v (k, v) =
+  write_string w k;
+  add_char w ':';
+  write_v v
+
+(* integers below 2^53 print exactly, everything else round-trips *)
+let rec write_tree w = function
+  | Null -> add_string w "null"
+  | Bool b -> add_string w (if b then "true" else "false")
+  | Num f ->
+    if Float.is_integer f && Float.abs f <= 9.007199254740992e15 then
+      add_string w (Printf.sprintf "%.0f" f)
+    else add_string w (Printf.sprintf "%.17g" f)
+  | Str s -> write_string w s
+  | Arr l -> write_seq w '[' ']' (write_tree w) l
+  | Obj fields -> write_seq w '{' '}' (write_field w (write_tree w)) fields
+
+let rec write w = function
+  | Vnull -> write_tree w Null
+  | Vbool b -> write_tree w (Bool b)
+  | Vint n -> add_string w (string_of_int n)
+  | Vfixed (digits, f) -> add_string w (Printf.sprintf "%.*f" digits f)
+  | Vstr s -> write_string w s
+  | Varr vs -> write_seq w '[' ']' (write w) vs
+  | Vlist (f, xs) -> write_seq w '[' ']' (fun x -> write w (f x)) xs
+  | Vobj fields -> write_seq w '{' '}' (write_field w (write w)) fields
+  | Vtree t -> write_tree w t
+
+let to_channel oc v = write (Chan oc) v
+
+let render v =
+  let b = Buffer.create 256 in
+  write (Buf b) v;
   Buffer.contents b
 
-let emit (j : t) : string =
-  let b = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string b "null"
-    | Bool true -> Buffer.add_string b "true"
-    | Bool false -> Buffer.add_string b "false"
-    | Num f ->
-      if Float.is_integer f && Float.abs f <= 9.007199254740992e15 then
-        Buffer.add_string b (Printf.sprintf "%.0f" f)
-      else Buffer.add_string b (Printf.sprintf "%.17g" f)
-    | Str s ->
-      Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
-      Buffer.add_char b '"'
-    | Arr l ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char b ',';
-          go x)
-        l;
-      Buffer.add_char b ']'
-    | Obj fields ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
-          Buffer.add_string b "\":";
-          go v)
-        fields;
-      Buffer.add_char b '}'
-  in
-  go j;
-  Buffer.contents b
+let emit j = render (Vtree j)

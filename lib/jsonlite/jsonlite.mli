@@ -1,11 +1,12 @@
 (** Minimal dependency-free JSON reader and writer.
 
     {!parse} reads fleet NDJSON events ({!Events}, {!Progress}), stats
-    files in tests and certificate bundles; {!emit} writes the
-    certificate and explain documents; {!escape} is the string escape of
-    every emitter that builds its JSON by hand (SARIF, telemetry, the
-    audit ledger).  Numbers are represented as floats, which is lossless
-    for everything the tool itself emits. *)
+    files in tests and certificate bundles.  The writer ({!value},
+    {!render}, {!to_channel}) is the one encoder of every JSON document the tool
+    writes: SARIF, explain, certificate bundles, audit and hotspot
+    documents, stats JSON, Chrome traces and fleet events.  Numbers are
+    represented as floats in trees, which is lossless for everything the
+    tool itself emits. *)
 
 type t =
   | Null
@@ -39,11 +40,34 @@ val to_list : t -> t list option
 
 val to_obj : t -> (string * t) list option
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes) *)
+(** {1 Writing} *)
+
+(** A document to write.  Building one only allocates; {!render} and
+    {!to_channel} turn it into text, with every escape, separator and
+    number format decided there. *)
+type value =
+  | Vnull
+  | Vbool of bool
+  | Vint of int
+  | Vfixed of int * float  (** [Vfixed (digits, f)] prints as [Printf "%.*f"] *)
+  | Vstr of string
+      (** a double quote, a backslash, newline, return and tab take their
+          two-character escapes, other bytes below 0x20 take [\u00XX],
+          and every other byte (UTF-8 included) is written as is *)
+  | Varr of value list
+  | Vlist : ('a -> value) * 'a list -> value
+      (** [Vlist (f, xs)] is [Varr (List.map f xs)], with each [f x] made
+          only when it is written *)
+  | Vobj of (string * value) list  (** members in list order *)
+  | Vtree of t
+      (** integers of magnitude up to 2{^53} print as [%.0f], other
+          numbers as [%.17g] *)
+
+val render : value -> string
+
+val to_channel : out_channel -> value -> unit
 
 val emit : t -> string
-(** compact serialization ([parse (emit j) = Ok j] for trees whose
-    numbers are exact integers below 2{^53}, which is all this repo
-    emits); inverse direction of {!parse} for the certificate and
-    explain emitters *)
+(** [render (Vtree j)]: compact serialization ([parse (emit j) = Ok j]
+    for trees whose numbers are exact integers below 2{^53}, which is
+    all this repo emits) *)

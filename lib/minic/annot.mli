@@ -25,8 +25,6 @@ type t = clause list
 
 val eval_aexpr : Ty.env -> aexpr -> int
 
-val pp_aexpr : Format.formatter -> aexpr -> unit
-
 val pp_clause : Format.formatter -> clause -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -3,10 +3,6 @@
 
 val pp_expr : Format.formatter -> Ast.expr -> unit
 
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-
-val pp_decl : Format.formatter -> Ast.decl -> unit
-
 val pp_program : Format.formatter -> Ast.program -> unit
 
 val program_to_string : Ast.program -> string

@@ -44,8 +44,6 @@ val is_scalar : t -> bool
 
 val alignof : env -> t -> int
 
-val align_up : int -> int -> int
-
 val sizeof : env -> t -> int
 (** byte size under the LP64 layout the whole toolchain shares *)
 

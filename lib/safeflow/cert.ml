@@ -30,13 +30,6 @@ let md5_hex = Checker.md5_hex
 let num n = J.Num (float_of_int n)
 let wide n = J.Str (string_of_int n)
 
-let itv_json (itv : Absint.Itv.t) : J.t =
-  match itv with
-  | Absint.Itv.Bot -> J.Null
-  | Absint.Itv.Iv (lo, hi) ->
-    let b = function Absint.Itv.Fin n -> wide n | Absint.Itv.MInf | Absint.Itv.PInf -> J.Null in
-    J.Obj [ ("lo", b lo); ("hi", b hi) ]
-
 let lin_fields (e : Omega.Linexpr.t) =
   let terms =
     Omega.Linexpr.Vmap.bindings e.Omega.Linexpr.coeffs
@@ -370,32 +363,33 @@ let obligation_certs ~(config : Config.t) (ph2 : Phase2.result) :
 
 (* ---- absenv snapshot ----------------------------------------------------- *)
 
-let absenv_json (ai : Absint.t) : J.t =
-  J.Obj
-    [
-      ("schema", J.Str schema);
-      ( "funcs",
-        J.Arr
-          (List.map
-             (fun (v : Absint.summary_view) ->
-               J.Obj
-                 [
-                   ("func", J.Str v.Absint.sv_func);
-                   ( "params",
-                     J.Arr
-                       (List.map
-                          (fun (p, itv) -> J.Arr [ J.Str p; itv_json itv ])
-                          v.Absint.sv_params) );
-                   ( "env",
-                     J.Arr
-                       (List.map
-                          (fun (vid, itv) -> J.Arr [ num vid; itv_json itv ])
-                          v.Absint.sv_env) );
-                   ("ret", itv_json v.Absint.sv_ret);
-                   ("ret_raw", itv_json v.Absint.sv_ret_raw);
-                 ])
-             (Absint.summary_views ai)) );
-    ]
+(* written from the summary views, one function's value at a time
+   ([Vlist]), with no tree of the whole snapshot: [null] is Bot, a
+   [null] bound is infinite *)
+let itv_json (itv : Absint.Itv.t) : J.value =
+  match itv with
+  | Absint.Itv.Bot -> J.Vnull
+  | Absint.Itv.Iv (lo, hi) ->
+    let b = function
+      | Absint.Itv.Fin n -> J.Vstr (string_of_int n)
+      | Absint.Itv.MInf | Absint.Itv.PInf -> J.Vnull
+    in
+    J.Vobj [ ("lo", b lo); ("hi", b hi) ]
+
+let absenv_json (ai : Absint.t) : J.value =
+  let func (v : Absint.summary_view) =
+    J.Vobj
+      [
+        ("func", J.Vstr v.Absint.sv_func);
+        ( "params",
+          J.Vlist ((fun (p, itv) -> J.Varr [ J.Vstr p; itv_json itv ]), v.Absint.sv_params) );
+        ( "env",
+          J.Vlist ((fun (vid, itv) -> J.Varr [ J.Vint vid; itv_json itv ]), v.Absint.sv_env) );
+        ("ret", itv_json v.Absint.sv_ret);
+        ("ret_raw", itv_json v.Absint.sv_ret_raw);
+      ]
+  in
+  J.Vobj [ ("schema", J.Vstr schema); ("funcs", J.Vlist (func, Absint.summary_views ai)) ]
 
 (* ---- manifest ------------------------------------------------------------ *)
 
@@ -526,7 +520,7 @@ let emit_bundle ?(config = Config.default) ~label ~dir (an : Driver.analysis) :
     Telemetry.span "cert.absenv" @@ fun () ->
     Option.map
       (fun ai ->
-        let body = J.emit (absenv_json ai) in
+        let body = J.render (absenv_json ai) in
         ("absenv.json", body, md5_hex body))
       d.Driver.absint
   in

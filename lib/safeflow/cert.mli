@@ -21,11 +21,6 @@ val schema : string
 val explain_schema : string
 (** ["safeflow-explain/1"] — the [safeflow explain --json] document *)
 
-val steps_json : Report.path_step list -> Jsonlite.t
-(** witness steps with their {!Checker.step_link} hash chain; shared by
-    witness certificates and [explain --json] so both encode paths
-    identically *)
-
 val check_finding_binding :
   Ssair.Ir.program -> Jsonlite.t -> (unit, string) result
 (** [check_finding_binding ir] is the [?check_finding] callback for

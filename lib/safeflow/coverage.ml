@@ -175,22 +175,36 @@ let pp ppf t =
   Fmt.pf ppf "@]"
 
 let to_json t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"read_sites\":%d,\"monitored_sites\":%d,\"monitored_fraction\":%.3f,\"errors\":%d,\"control_only\":%d,\"warnings\":%d,\"bounds\":{\"obligations\":%d,\"by_ranges\":%d,\"by_omega\":%d,\"failed\":%d,\"omega_avoided\":%d},\"regions\":["
-       t.cov_read_sites t.cov_monitored_sites (monitored_fraction t) t.cov_errors
-       t.cov_control_only t.cov_warnings t.cov_bounds.Ledger.r_total
-       t.cov_bounds.Ledger.r_ranges t.cov_bounds.Ledger.r_omega
-       t.cov_bounds.Ledger.r_failed t.cov_bounds.Ledger.r_avoided);
-  List.iteri
-    (fun i rc ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"region\":\"%s\",\"size\":%d,\"read_sites\":%d,\"unmonitored_sites\":%d,\"assumed_bytes\":%d}"
-           rc.rc_region rc.rc_size rc.rc_read_sites rc.rc_unmonitored_sites
-           rc.rc_assumed_bytes))
-    t.cov_regions;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let module J = Jsonlite in
+  let b = t.cov_bounds in
+  J.Vobj
+    [
+      ("read_sites", J.Vint t.cov_read_sites);
+      ("monitored_sites", J.Vint t.cov_monitored_sites);
+      ("monitored_fraction", J.Vfixed (3, monitored_fraction t));
+      ("errors", J.Vint t.cov_errors);
+      ("control_only", J.Vint t.cov_control_only);
+      ("warnings", J.Vint t.cov_warnings);
+      ( "bounds",
+        J.Vobj
+          [
+            ("obligations", J.Vint b.Ledger.r_total);
+            ("by_ranges", J.Vint b.Ledger.r_ranges);
+            ("by_omega", J.Vint b.Ledger.r_omega);
+            ("failed", J.Vint b.Ledger.r_failed);
+            ("omega_avoided", J.Vint b.Ledger.r_avoided);
+          ] );
+      ( "regions",
+        J.Varr
+          (List.map
+             (fun rc ->
+               J.Vobj
+                 [
+                   ("region", J.Vstr rc.rc_region);
+                   ("size", J.Vint rc.rc_size);
+                   ("read_sites", J.Vint rc.rc_read_sites);
+                   ("unmonitored_sites", J.Vint rc.rc_unmonitored_sites);
+                   ("assumed_bytes", J.Vint rc.rc_assumed_bytes);
+                 ])
+             t.cov_regions) );
+    ]

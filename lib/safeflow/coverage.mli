@@ -64,6 +64,5 @@ val stats : t -> (string * int) list
 val pp : Format.formatter -> t -> unit
 (** the [--stats] rendering *)
 
-val to_json : t -> string
-(** one JSON object, embedded in [--stats-json] (telemetry schema 2)
-    and the bench meta blocks *)
+val to_json : t -> Jsonlite.value
+(** one JSON object, a [coverage:FILE] section of [--stats-json] *)

@@ -44,24 +44,22 @@ let looks_like_findings content =
   String.length content >= String.length prefix
   && String.equal (String.sub content 0 (String.length prefix)) prefix
 
-let parse content : entry list =
+let parse ~file content : entry list =
+  let fail line fmt = Loc.error (Loc.make ~file ~line ~col:1) fmt in
   if not (looks_like_findings content) then
-    failwith
-      (Printf.sprintf "not a %s file (missing '# %s' header)" format_version
-         format_version);
+    fail 1 "not a %s file (missing '# %s' header)" format_version format_version;
   String.split_on_char '\n' content
-  |> List.filteri (fun i _ -> i > 0)
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then None
+  |> List.mapi (fun i line -> (i + 1, String.trim line))
+  |> List.filter_map (fun (n, line) ->
+         if n = 1 || line = "" || line.[0] = '#' then None
          else
            (* <fp> <code> <where> <message with spaces> *)
            match String.index_opt line ' ' with
-           | None -> failwith ("malformed findings line: " ^ line)
+           | None -> fail n "malformed findings line: %s" line
            | Some i1 -> (
              let rest = String.sub line (i1 + 1) (String.length line - i1 - 1) in
              match String.index_opt rest ' ' with
-             | None -> failwith ("malformed findings line: " ^ line)
+             | None -> fail n "malformed findings line: %s" line
              | Some i2 -> (
                let rest2 = String.sub rest (i2 + 1) (String.length rest - i2 - 1) in
                let where, msg =
@@ -77,7 +75,7 @@ let parse content : entry list =
                    e_where = where;
                    e_msg = msg })))
 
-let load path = parse (Minic.Loc.read_source path)
+let load path = parse ~file:path (Loc.read_source path)
 
 (* -- Classification ------------------------------------------------------------- *)
 

@@ -28,9 +28,10 @@ val to_string : entry list -> string
 
 val save : string -> entry list -> unit
 
-val parse : string -> entry list
-(** parse findings-file content.
-    @raise Failure on a missing or incompatible header *)
+val parse : file:string -> string -> entry list
+(** parse the content of findings file [file].
+    @raise Minic.Loc.Error at [file:LINE] on a missing or incompatible
+    header or a malformed line *)
 
 val looks_like_findings : string -> bool
 (** content sniff: does this text start with the findings header?

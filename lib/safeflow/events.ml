@@ -14,94 +14,72 @@
    and a member that failed has one too *)
 let schema = "safeflow-events/3"
 
-let esc = Jsonlite.escape
+module J = Jsonlite
 
-let base ev fields =
-  let b = Buffer.create 128 in
-  Buffer.add_string b (Printf.sprintf "{\"ev\":\"%s\",\"t\":%.3f" ev (Unix.gettimeofday ()));
-  List.iter
-    (fun f ->
-      Buffer.add_char b ',';
-      Buffer.add_string b f)
-    fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
+let event ev fields =
+  J.render (J.Vobj (("ev", J.Vstr ev) :: ("t", J.Vfixed (3, Unix.gettimeofday ())) :: fields))
 
 let fleet_start ~systems ~jobs =
-  base "fleet_start"
-    [
-      Printf.sprintf "\"schema\":\"%s\"" schema;
-      Printf.sprintf "\"systems\":%d" systems;
-      Printf.sprintf "\"jobs\":%d" jobs;
-    ]
+  event "fleet_start"
+    [ ("schema", J.Vstr schema); ("systems", J.Vint systems); ("jobs", J.Vint jobs) ]
 
 let worker_start ~worker ~pid ~members =
-  base "worker_start"
-    [
-      Printf.sprintf "\"worker\":%d" worker;
-      Printf.sprintf "\"pid\":%d" pid;
-      Printf.sprintf "\"members\":%d" members;
-    ]
+  event "worker_start"
+    [ ("worker", J.Vint worker); ("pid", J.Vint pid); ("members", J.Vint members) ]
 
 let member_start ~worker ~path =
-  base "member_start"
-    [ Printf.sprintf "\"worker\":%d" worker; Printf.sprintf "\"path\":\"%s\"" (esc path) ]
+  event "member_start" [ ("worker", J.Vint worker); ("path", J.Vstr path) ]
 
 let member_done ~worker ~path ~status ~errors ~warnings ~findings ~cache_hits ~cache_misses
     ?certs ~elapsed_ms () =
-  base "member_done"
+  event "member_done"
     ([
-       Printf.sprintf "\"worker\":%d" worker;
-       Printf.sprintf "\"path\":\"%s\"" (esc path);
-       Printf.sprintf "\"status\":\"%s\"" status;
-       Printf.sprintf "\"errors\":%d" errors;
-       Printf.sprintf "\"warnings\":%d" warnings;
-       Printf.sprintf "\"findings\":%d" findings;
-       Printf.sprintf "\"cache_hits\":%d" cache_hits;
-       Printf.sprintf "\"cache_misses\":%d" cache_misses;
+       ("worker", J.Vint worker);
+       ("path", J.Vstr path);
+       ("status", J.Vstr status);
+       ("errors", J.Vint errors);
+       ("warnings", J.Vint warnings);
+       ("findings", J.Vint findings);
+       ("cache_hits", J.Vint cache_hits);
+       ("cache_misses", J.Vint cache_misses);
      ]
     @ (match certs with
       | None -> []
       | Some (pass, fail, skipped) ->
         [
-          Printf.sprintf "\"certs_pass\":%d" pass;
-          Printf.sprintf "\"certs_fail\":%d" fail;
-          Printf.sprintf "\"certs_skipped\":%d" skipped;
+          ("certs_pass", J.Vint pass);
+          ("certs_fail", J.Vint fail);
+          ("certs_skipped", J.Vint skipped);
         ])
-    @ [ Printf.sprintf "\"elapsed_ms\":%.3f" elapsed_ms ])
+    @ [ ("elapsed_ms", J.Vfixed (3, elapsed_ms)) ])
 
 let cache_recovered ~worker ~ns ~key ~kind =
-  base "cache.recovered"
+  event "cache.recovered"
     [
-      Printf.sprintf "\"worker\":%d" worker;
-      Printf.sprintf "\"ns\":\"%s\"" (esc ns);
-      Printf.sprintf "\"key\":\"%s\"" (esc key);
-      Printf.sprintf "\"kind\":\"%s\"" (esc kind);
+      ("worker", J.Vint worker);
+      ("ns", J.Vstr ns);
+      ("key", J.Vstr key);
+      ("kind", J.Vstr kind);
     ]
 
 let heartbeat ~worker ~done_ ~total =
-  base "heartbeat"
-    [
-      Printf.sprintf "\"worker\":%d" worker;
-      Printf.sprintf "\"done\":%d" done_;
-      Printf.sprintf "\"total\":%d" total;
-    ]
+  event "heartbeat" [ ("worker", J.Vint worker); ("done", J.Vint done_); ("total", J.Vint total) ]
 
 let worker_done ~worker ~members ~errors ~warnings =
-  base "worker_done"
+  event "worker_done"
     [
-      Printf.sprintf "\"worker\":%d" worker;
-      Printf.sprintf "\"members\":%d" members;
-      Printf.sprintf "\"errors\":%d" errors;
-      Printf.sprintf "\"warnings\":%d" warnings;
+      ("worker", J.Vint worker);
+      ("members", J.Vint members);
+      ("errors", J.Vint errors);
+      ("warnings", J.Vint warnings);
     ]
 
 let fleet_done ~systems ~elapsed_s ~analyses_per_sec =
-  base "fleet_done"
+  event "fleet_done"
     [
-      Printf.sprintf "\"systems\":%d" systems;
-      Printf.sprintf "\"elapsed_s\":%.3f" elapsed_s;
-      Printf.sprintf "\"analyses_per_sec\":%.3f" analyses_per_sec;
+      ("systems", J.Vint systems);
+      ("elapsed_s", J.Vfixed (3, elapsed_s));
+      ("analyses_per_sec", J.Vfixed (3, analyses_per_sec));
     ]
 
 let write_line fd line =

@@ -58,6 +58,8 @@ let mkdtemp prefix =
 
 type cause = Rejected | Unwritable | Crashed
 
+let exit_code = function Rejected -> 3 | Unwritable -> 4 | Crashed -> 5
+
 type failure = { input : string; cause : cause; message : string }
 
 (* what a worker marshals back: its per-item results and, when telemetry

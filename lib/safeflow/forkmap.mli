@@ -42,13 +42,18 @@ type cause =
   | Unwritable  (** an output file for the input could not be written *)
   | Crashed  (** its analysis raised, or its worker died *)
 
+val exit_code : cause -> int
+(** the exit code of a run whose first failure has this cause: 3 for
+    [Rejected] (a frontend failure), 4 for [Unwritable], 5 for
+    [Crashed] *)
+
 type failure = {
   input : string;  (** the input's path *)
   cause : cause;
   message : string;  (** the whole line a run prints for it on stderr *)
 }
 (** an input that produced no result: what [analyze] and [fleet] print
-    and exit on (4 for [Unwritable], 3 otherwise) *)
+    and exit on ({!exit_code}) *)
 
 val map :
   ?on_event:(string -> unit) ->

@@ -84,21 +84,22 @@ let rank_regions ?top members =
     members
 
 let rows_json rows =
-  let b = Buffer.create 512 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"member\":\"%s\",\"name\":\"%s\",\"entries\":%d,\"failed\":%d,\"queries\":%d,\"avoided\":%d,\"time_ms\":%.3f,\"score\":%.6f}"
-           (Jsonlite.escape r.hs_member) (Jsonlite.escape r.hs_name) r.hs_entries
-           r.hs_failed r.hs_queries r.hs_avoided
-           (float_of_int r.hs_time_ns /. 1e6)
-           r.hs_score))
-    rows;
-  Buffer.add_char b ']';
-  Buffer.contents b
+  let module J = Jsonlite in
+  J.Varr
+    (List.map
+       (fun r ->
+         J.Vobj
+           [
+             ("member", J.Vstr r.hs_member);
+             ("name", J.Vstr r.hs_name);
+             ("entries", J.Vint r.hs_entries);
+             ("failed", J.Vint r.hs_failed);
+             ("queries", J.Vint r.hs_queries);
+             ("avoided", J.Vint r.hs_avoided);
+             ("time_ms", J.Vfixed (3, float_of_int r.hs_time_ns /. 1e6));
+             ("score", J.Vfixed (6, r.hs_score));
+           ])
+       rows)
 
 let pp_rows ppf (rows : row list) =
   Fmt.pf ppf "@[<v>";

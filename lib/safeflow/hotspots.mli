@@ -16,11 +16,6 @@ type row = {
   hs_score : float;
 }
 
-val score : time_ns:int -> entries:int -> failed:int -> float
-(** analysis time × obligation count × failure rate, the rate
-    Laplace-smoothed ([(failed+1)/(entries+1)]) so obligation-heavy but
-    clean functions still rank by cost *)
-
 val rank : ?top:int -> (string * Ledger.entry list) list -> row list
 (** per-function ranking over [(member path, ledger)] pairs, highest
     score first (ties broken by name for determinism); [top] truncates
@@ -30,7 +25,7 @@ val rank_regions : ?top:int -> (string * Ledger.entry list) list -> row list
 (** same, grouped by shm region name (entries without a region are
     skipped) *)
 
-val rows_json : row list -> string
+val rows_json : row list -> Jsonlite.value
 (** rows as a JSON array (the [functions] / [regions] payloads of
     [safeflow hotspots --json]) *)
 

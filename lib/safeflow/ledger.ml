@@ -83,34 +83,31 @@ let reconcile entries =
 
 (* -- JSON ------------------------------------------------------------------ *)
 
-let esc = Jsonlite.escape
+module J = Jsonlite
 
-let entry_json b e =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"rule\":\"%s\",\"func\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"region\":\"%s\",\"discharge\":\"%s\",\"counted\":%b,\"queries\":%d,\"avoided\":%d,\"cstrs\":%d,\"hyps\":%d"
-       (esc e.l_rule) (esc e.l_func) (esc e.l_loc.Loc.file) e.l_loc.Loc.line
-       e.l_loc.Loc.col (esc e.l_region)
-       (discharge_name e.l_discharge)
-       e.l_counted e.l_queries e.l_avoided e.l_cstrs e.l_hyps);
-  (match e.l_itv with
-  | Some (lo, hi) ->
-    Buffer.add_string b (Printf.sprintf ",\"itv\":[%d,%d]" lo hi)
-  | None -> ());
-  if e.l_bound >= 0 then
-    Buffer.add_string b (Printf.sprintf ",\"bound\":%d" e.l_bound);
-  Buffer.add_string b (Printf.sprintf ",\"us\":%.3f}" (float_of_int e.l_ns /. 1_000.0))
+let entry_json e =
+  J.Vobj
+    ([
+       ("rule", J.Vstr e.l_rule);
+       ("func", J.Vstr e.l_func);
+       ("file", J.Vstr e.l_loc.Loc.file);
+       ("line", J.Vint e.l_loc.Loc.line);
+       ("col", J.Vint e.l_loc.Loc.col);
+       ("region", J.Vstr e.l_region);
+       ("discharge", J.Vstr (discharge_name e.l_discharge));
+       ("counted", J.Vbool e.l_counted);
+       ("queries", J.Vint e.l_queries);
+       ("avoided", J.Vint e.l_avoided);
+       ("cstrs", J.Vint e.l_cstrs);
+       ("hyps", J.Vint e.l_hyps);
+     ]
+    @ (match e.l_itv with
+      | Some (lo, hi) -> [ ("itv", J.Varr [ J.Vint lo; J.Vint hi ]) ]
+      | None -> [])
+    @ (if e.l_bound >= 0 then [ ("bound", J.Vint e.l_bound) ] else [])
+    @ [ ("us", J.Vfixed (3, float_of_int e.l_ns /. 1_000.0)) ])
 
-let entries_json entries =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      entry_json b e)
-    (sort entries);
-  Buffer.add_char b ']';
-  Buffer.contents b
+let entries_json entries = J.Varr (List.map entry_json (sort entries))
 
 (* compact per-file summary, suitable for a Telemetry section *)
 let summary_json entries =
@@ -123,16 +120,19 @@ let summary_json entries =
         (k, n + 1) :: List.remove_assoc k acc)
       [] entries
   in
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"entries\":%d,\"bounds\":{\"total\":%d,\"ranges\":%d,\"omega\":%d,\"failed\":%d,\"queries\":%d,\"avoided\":%d},\"discharge\":{"
-       (List.length entries) r.r_total r.r_ranges r.r_omega r.r_failed
-       r.r_queries r.r_avoided);
-  List.iteri
-    (fun i (k, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (esc k) n))
-    (List.sort compare by_discharge);
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  J.Vobj
+    [
+      ("entries", J.Vint (List.length entries));
+      ( "bounds",
+        J.Vobj
+          [
+            ("total", J.Vint r.r_total);
+            ("ranges", J.Vint r.r_ranges);
+            ("omega", J.Vint r.r_omega);
+            ("failed", J.Vint r.r_failed);
+            ("queries", J.Vint r.r_queries);
+            ("avoided", J.Vint r.r_avoided);
+          ] );
+      ( "discharge",
+        J.Vobj (List.map (fun (k, n) -> (k, J.Vint n)) (List.sort compare by_discharge)) );
+    ]

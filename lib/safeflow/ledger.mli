@@ -47,8 +47,6 @@ type entry = {
 val discharge_name : discharge -> string
 (** stable lower-case name used in JSON and CLI output *)
 
-val compare_entry : entry -> entry -> int
-
 val sort : entry list -> entry list
 (** stable rendering order (function, location, rule, region) —
     emission order is a phase-2 traversal detail and must not leak *)
@@ -67,11 +65,11 @@ type recon = {
 
 val reconcile : entry list -> recon
 
-val entries_json : entry list -> string
+val entries_json : entry list -> Jsonlite.value
 (** the sorted entries as a JSON array (the [entries] payload of the
     [safeflow-audit/1] schema) *)
 
-val summary_json : entry list -> string
+val summary_json : entry list -> Jsonlite.value
 (** compact JSON object: entry count, bounds reconciliation block, and
     per-discharge totals — attached as a Telemetry section and embedded
     in audit JSON *)

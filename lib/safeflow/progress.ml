@@ -2,7 +2,7 @@
    renders a throttled single-line status to a channel (stderr in the
    CLI).  Pure consumer — rendering never feeds back into analysis. *)
 
-type worker_state = { mutable ws_done : int; mutable ws_last_path : string }
+type worker_state = { mutable ws_done : int }
 
 type t = {
   out : out_channel;
@@ -31,7 +31,7 @@ let worker_state t w =
   match Hashtbl.find_opt t.workers w with
   | Some ws -> ws
   | None ->
-    let ws = { ws_done = 0; ws_last_path = "" } in
+    let ws = { ws_done = 0 } in
     Hashtbl.replace t.workers w ws;
     ws
 
@@ -77,19 +77,12 @@ let feed t line =
       (match worker with
       | Some w ->
         let ws = worker_state t w in
-        ws.ws_done <- ws.ws_done + 1;
-        (match Option.bind (Jsonlite.member "path" j) Jsonlite.to_string with
-        | Some p -> ws.ws_last_path <- p
-        | None -> ())
+        ws.ws_done <- ws.ws_done + 1
       | None -> ());
       let now = Unix.gettimeofday () in
       if now -. t.last_render >= t.interval_s || t.members_done = t.total then
         render t ~now
-    | Some "member_start" -> (
-      match (worker, Option.bind (Jsonlite.member "path" j) Jsonlite.to_string) with
-      | Some w, Some p -> (worker_state t w).ws_last_path <- p
-      | _ -> ())
-    | Some ("worker_start" | "heartbeat") -> (
+    | Some ("worker_start" | "member_start" | "heartbeat") -> (
       match worker with Some w -> ignore (worker_state t w) | None -> ())
     | _ -> ())
 

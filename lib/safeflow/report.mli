@@ -144,18 +144,9 @@ val compare_info : info -> info -> int
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val pp_info : Format.formatter -> info -> unit
-
-val pp_warning : Format.formatter -> warning -> unit
-
-val pp_dependency : Format.formatter -> dependency -> unit
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
-
-val pp_witness : Format.formatter -> dependency -> unit
-(** one dependency with its step-by-step witness path *)
 
 val pp_explain : Format.formatter -> t -> unit
 (** reviewer-facing rendering (the [explain] CLI subcommand): every

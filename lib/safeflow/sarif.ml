@@ -1,9 +1,8 @@
-(** SARIF 2.1.0 emission.  Hand-rolled JSON building over
-    {!Jsonlite.escape}, like the telemetry exporter: the structure is
-    fixed and shallow, and the repo deliberately carries no JSON
-    dependency. *)
+(** SARIF 2.1.0 emission: the log is a {!Jsonlite.value}, written by the
+    one JSON writer of the repo. *)
 
 open Minic
+module J = Jsonlite
 
 let sarif_version = "2.1.0"
 
@@ -18,27 +17,21 @@ type input = {
   i_ctx : Fingerprint.ctx;
 }
 
-(* -- JSON building ------------------------------------------------------------- *)
-
-let str s = Printf.sprintf "\"%s\"" (Jsonlite.escape s)
-let field k v = Printf.sprintf "%s:%s" (str k) v
-let obj fields = "{" ^ String.concat "," fields ^ "}"
-let arr items = "[" ^ String.concat "," items ^ "]"
-let text s = obj [ field "text" (str s) ]
+(* a SARIF message: an object with a plain "text" property *)
+let message s = J.Vobj [ ("text", J.Vstr s) ]
 
 let level_name = function `Error -> "error" | `Warning -> "warning" | `Note -> "note"
 
 (* -- Rules ---------------------------------------------------------------------- *)
 
 let rule_json (r : Report.rule) =
-  obj
-    [ field "id" (str r.Report.rule_id);
-      field "name" (str r.Report.rule_name);
-      field "shortDescription" (text r.Report.rule_summary);
-      field "fullDescription" (text r.Report.rule_summary);
-      field "help" (text r.Report.rule_help);
-      field "defaultConfiguration"
-        (obj [ field "level" (str (level_name r.Report.rule_level)) ]) ]
+  J.Vobj
+    [ ("id", J.Vstr r.Report.rule_id);
+      ("name", J.Vstr r.Report.rule_name);
+      ("shortDescription", message r.Report.rule_summary);
+      ("fullDescription", message r.Report.rule_summary);
+      ("help", message r.Report.rule_help);
+      ("defaultConfiguration", J.Vobj [ ("level", J.Vstr (level_name r.Report.rule_level)) ]) ]
 
 let rule_index code =
   let rec go i = function
@@ -52,16 +45,12 @@ let rule_index code =
 
 (* SARIF regions are 1-based; IR-internal findings can carry Loc.dummy *)
 let region (l : Loc.t) =
-  obj
-    [ field "startLine" (string_of_int (max 1 l.Loc.line));
-      field "startColumn" (string_of_int (max 1 l.Loc.col)) ]
+  J.Vobj [ ("startLine", J.Vint (max 1 l.Loc.line)); ("startColumn", J.Vint (max 1 l.Loc.col)) ]
 
 let physical_location ~uri (l : Loc.t) =
-  obj
-    [ field "physicalLocation"
-        (obj
-           [ field "artifactLocation" (obj [ field "uri" (str uri) ]);
-             field "region" (region l) ]) ]
+  J.Vobj
+    [ ("artifactLocation", J.Vobj [ ("uri", J.Vstr uri) ]);
+      ("region", region l) ]
 
 (* -- Code flows ------------------------------------------------------------------ *)
 
@@ -77,20 +66,17 @@ let code_flow ~uri (d : Report.dependency) =
       let n = List.length steps in
       let tag = if i = 0 then " [source]" else if i = n - 1 then " [sink]" else "" in
       let loc = if i = n - 1 then d.Report.d_loc else Loc.dummy in
-      obj
-        [ field "location"
-            (obj
-               [ field "physicalLocation"
-                   (obj
-                      [ field "artifactLocation" (obj [ field "uri" (str uri) ]);
-                        field "region" (region loc) ]);
-                 field "message" (text (Report.path_step_string s ^ tag)) ]) ]
+      J.Vobj
+        [ ( "location",
+            J.Vobj
+              [ ("physicalLocation", physical_location ~uri loc);
+                ("message", message (Report.path_step_string s ^ tag)) ] ) ]
     in
     Some
-      (arr
-         [ obj
-             [ field "threadFlows"
-                 (arr [ obj [ field "locations" (arr (List.mapi step_loc steps)) ] ]) ] ])
+      (J.Varr
+         [ J.Vobj
+             [ ("threadFlows",
+                J.Varr [ J.Vobj [ ("locations", J.Varr (List.mapi step_loc steps)) ] ]) ] ])
 
 (* -- Results -------------------------------------------------------------------- *)
 
@@ -100,18 +86,19 @@ let result_json ~uri (fp : string) (f : Fingerprint.finding) =
   let flows =
     match f with Fingerprint.Dependency d -> code_flow ~uri d | _ -> None
   in
-  obj
-    ([ field "ruleId" (str code);
-       field "ruleIndex" (string_of_int (rule_index code));
-       field "level" (str (level_name rule.Report.rule_level));
-       field "message"
-         (text (Printf.sprintf "%s (in %s)" (Fingerprint.message f) (Fingerprint.func f)));
-       field "locations" (arr [ physical_location ~uri (Fingerprint.loc f) ]);
-       field "partialFingerprints" (obj [ field fingerprint_key (str fp) ]);
+  J.Vobj
+    ([ ("ruleId", J.Vstr code);
+       ("ruleIndex", J.Vint (rule_index code));
+       ("level", J.Vstr (level_name rule.Report.rule_level));
+       ( "message",
+         message (Printf.sprintf "%s (in %s)" (Fingerprint.message f) (Fingerprint.func f)) );
+       ( "locations",
+         J.Varr [ J.Vobj [ ("physicalLocation", physical_location ~uri (Fingerprint.loc f)) ] ] );
+       ("partialFingerprints", J.Vobj [ (fingerprint_key, J.Vstr fp) ]);
        (* the fingerprint doubles as the finding's certificate id: under
           analyze --emit-certs the bundle contains certs/<certId>.json *)
-       field "properties" (obj [ field "certId" (str fp) ]) ]
-    @ match flows with Some fl -> [ field "codeFlows" fl ] | None -> [])
+       ("properties", J.Vobj [ ("certId", J.Vstr fp) ]) ]
+    @ match flows with Some fl -> [ ("codeFlows", fl) ] | None -> [])
 
 let results_of_input (i : input) =
   List.map
@@ -120,33 +107,32 @@ let results_of_input (i : input) =
 
 (* -- Top level ------------------------------------------------------------------- *)
 
-let to_string ?(tool_version = Version.tool) (inputs : input list) =
+let log ~tool_version (inputs : input list) =
   let driver =
-    obj
-      [ field "name" (str "safeflow");
-        field "version" (str tool_version);
-        field "informationUri"
-          (str "https://doi.org/10.1109/DSN.2006.64");
-        field "rules" (arr (List.map rule_json Report.rules)) ]
+    J.Vobj
+      [ ("name", J.Vstr "safeflow");
+        ("version", J.Vstr tool_version);
+        ("informationUri", J.Vstr "https://doi.org/10.1109/DSN.2006.64");
+        ("rules", J.Varr (List.map rule_json Report.rules)) ]
   in
   let artifacts =
-    List.map
-      (fun i -> obj [ field "location" (obj [ field "uri" (str i.i_file) ]) ])
-      inputs
+    List.map (fun i -> J.Vobj [ ("location", J.Vobj [ ("uri", J.Vstr i.i_file) ]) ]) inputs
   in
   let run =
-    obj
-      [ field "tool" (obj [ field "driver" driver ]);
-        field "artifacts" (arr artifacts);
-        field "results" (arr (List.concat_map results_of_input inputs)) ]
+    J.Vobj
+      [ ("tool", J.Vobj [ ("driver", driver) ]);
+        ("artifacts", J.Varr artifacts);
+        ("results", J.Varr (List.concat_map results_of_input inputs)) ]
   in
-  obj
-    [ field "$schema" (str schema_uri);
-      field "version" (str sarif_version);
-      field "runs" (arr [ run ]) ]
-  ^ "\n"
+  J.Vobj
+    [ ("$schema", J.Vstr schema_uri);
+      ("version", J.Vstr sarif_version);
+      ("runs", J.Varr [ run ]) ]
 
-let write ?tool_version path inputs =
+let to_string ?(tool_version = Version.tool) inputs = J.render (log ~tool_version inputs) ^ "\n"
+
+let write ?(tool_version = Version.tool) path inputs =
   let oc = open_out path in
-  output_string oc (to_string ?tool_version inputs);
+  J.to_channel oc (log ~tool_version inputs);
+  output_char oc '\n';
   close_out oc

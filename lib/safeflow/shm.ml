@@ -92,7 +92,8 @@ exception Init_check_failed of string
     globals are disjoint and within the attached segment.
 
     Returns the region layout [(name, start-offset, size)] on success.
-    Raises [Init_check_failed] — the paper terminates the core component
+    Raises [Init_check_failed], also when the initializing function
+    traps or runs out of fuel — the paper terminates the core component
     before bootstrap in that case. *)
 let run_init_check (prog : Ssair.Ir.program) (t : t) : (string * int * int) list =
   match t.init_funcs with
@@ -115,7 +116,9 @@ let run_init_check (prog : Ssair.Ir.program) (t : t) : (string * int * int) list
     in
     let st = Ssair.Interp.create ~extern_handler:handler prog in
     Ssair.Interp.init_globals st;
-    ignore (Ssair.Interp.run_state st ~entry:init []);
+    (try ignore (Ssair.Interp.run_state st ~entry:init [])
+     with Ssair.Interp.Trap m ->
+       raise (Init_check_failed (Fmt.str "initializing function %s trapped: %s" init m)));
     let seg_block =
       match !seg with
       | Some p -> p.Ssair.Interp.pblk

@@ -31,5 +31,7 @@ exception Init_check_failed of string
 val run_init_check : Ssair.Ir.program -> t -> (string * int * int) list
 (** Execute the initializing function with a simulated [shmat]; return
     the verified layout [(region, offset, size)].
-    @raise Init_check_failed on overlap, escape or missing initialization
-    — the paper terminates the core component before bootstrap. *)
+    @raise Init_check_failed on overlap, escape, missing initialization
+    or a trap (running out of fuel included) in the initializing
+    function — the paper terminates the core component before
+    bootstrap. *)

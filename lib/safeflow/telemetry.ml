@@ -139,7 +139,10 @@ let float_gauges () =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fgauges [])
 
 (* this process's GC figures so far, as float gauges; they only grow, so
-   recording them again at each export keeps the latest.  [quick_stat]'s
+   recording them again at each export keeps the latest, and
+   [snapshot], [write_stats_json] and [pp_stats] call this first, so a
+   worker view holds the worker's own figures and a fleet's top level
+   the largest of the parent's and its workers'.  [quick_stat]'s
    word counts stand as of the last minor collection, which is exact for
    promotion but not for allocation: [Gc.minor_words] also counts the
    words allocated since *)
@@ -259,22 +262,22 @@ let histograms () =
 
 (* -- Sections -------------------------------------------------------------------- *)
 
-(* named raw-JSON fragments contributed by other subsystems (monitoring
-   coverage per analyzed file, notably) and embedded verbatim in the
-   stats JSON; first-set order preserved *)
-let section_tbl : (string * string) list ref = ref []
+(* named JSON values contributed by other subsystems (monitoring
+   coverage per analyzed file, notably), written into the stats JSON;
+   first-set order preserved *)
+let section_tbl : (string * Jsonlite.value) list ref = ref []
 
 let set_section name json = section_tbl := (name, json) :: List.remove_assoc name !section_tbl
-
-let sections () = List.rev !section_tbl
 
 (* -- Worker snapshots -------------------------------------------------------------- *)
 
 (* v2: adds [sn_hists] (log-bucketed latency histograms, merged
    bucket-wise).
    v3: span records lose [s_domain] (a worker is one single-threaded
-   process) *)
-let snapshot_version = 3
+   process).
+   v4: loses [sn_sections] (sections are set by the parent after the
+   workers are done) *)
+let snapshot_version = 4
 
 type snapshot = {
   sn_version : int;
@@ -285,7 +288,6 @@ type snapshot = {
   sn_hists : (string * int * int * int array) list;
       (* name, count, sum_ns, buckets *)
   sn_spans : span_record list;
-  sn_sections : (string * string) list;
 }
 
 let snapshot () =
@@ -301,7 +303,6 @@ let snapshot () =
         (fun hv -> (hv.hv_name, hv.hv_count, hv.hv_sum_ns, hv.hv_buckets))
         (histograms ());
     sn_spans = spans ();
-    sn_sections = sections ();
   }
 
 type worker_view = { w_label : string; w_snapshot : snapshot }
@@ -330,12 +331,6 @@ let merge_worker ~label (s : snapshot) =
         h.h_sum <- h.h_sum + sum;
         Array.iteri (fun i n -> if i < hist_buckets then h.h_b.(i) <- h.h_b.(i) + n) buckets)
       s.sn_hists;
-    (* sections carry analysis-derived data, not timings: keep the
-       parent's value when both set the same name *)
-    List.iter
-      (fun (name, json) ->
-        if not (List.mem_assoc name !section_tbl) then section_tbl := (name, json) :: !section_tbl)
-      s.sn_sections;
     worker_views := { w_label = label; w_snapshot = s } :: !worker_views;
     true
   end
@@ -365,75 +360,75 @@ let set_enabled b =
   if b && not !on then epoch := now_ns ();
   on := b
 
-(* -- JSON helpers ----------------------------------------------------------------- *)
+(* -- JSON export ------------------------------------------------------------------- *)
+
+module J = Jsonlite
 
 let us_of_ns ns = Int64.to_float ns /. 1_000.0
 
 let ms_of_ns ns = Int64.to_float ns /. 1_000_000.0
 
+let write_json path v =
+  let oc = open_out path in
+  J.to_channel oc v;
+  output_char oc '\n';
+  close_out oc
+
 (* -- Chrome trace export ----------------------------------------------------------- *)
 
 let write_chrome_trace path =
-  let b = Buffer.create 4096 in
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_char b ',' in
   let meta ~pid name =
-    sep ();
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-         pid (Jsonlite.escape name))
+    J.Vobj
+      [ ("name", J.Vstr "process_name"); ("ph", J.Vstr "M"); ("pid", J.Vint pid);
+        ("tid", J.Vint 0); ("args", J.Vobj [ ("name", J.Vstr name) ]) ]
   in
   let event ~pid s =
-    sep ();
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"name\":\"%s\",\"cat\":\"safeflow\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":0"
-         (Jsonlite.escape s.s_name) (us_of_ns s.s_start_ns) (us_of_ns s.s_dur_ns) pid);
-    if s.s_args <> [] then begin
-      Buffer.add_string b ",\"args\":{";
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":\"%s\"" (Jsonlite.escape k) (Jsonlite.escape v)))
-        s.s_args;
-      Buffer.add_char b '}'
-    end;
-    Buffer.add_char b '}'
+    J.Vobj
+      ([ ("name", J.Vstr s.s_name); ("cat", J.Vstr "safeflow"); ("ph", J.Vstr "X");
+         ("ts", J.Vfixed (3, us_of_ns s.s_start_ns)); ("dur", J.Vfixed (3, us_of_ns s.s_dur_ns));
+         ("pid", J.Vint pid); ("tid", J.Vint 0) ]
+      @
+      if s.s_args = [] then []
+      else [ ("args", J.Vobj (List.map (fun (k, v) -> (k, J.Vstr v)) s.s_args)) ])
   in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   let self_pid = Unix.getpid () in
   let ws = workers () in
-  meta ~pid:self_pid (if ws = [] then "safeflow" else "safeflow (fleet parent)");
-  List.iter (fun w -> meta ~pid:w.w_snapshot.sn_pid w.w_label) ws;
-  List.iter (event ~pid:self_pid) (spans ());
-  List.iter
-    (fun w ->
-      List.iter (event ~pid:w.w_snapshot.sn_pid) (sort_spans w.w_snapshot.sn_spans))
-    ws;
+  let span_events =
+    List.map (event ~pid:self_pid) (spans ())
+    @ List.concat_map
+        (fun w -> List.map (event ~pid:w.w_snapshot.sn_pid) (sort_spans w.w_snapshot.sn_spans))
+        ws
+  in
   (* latency histograms as trace counter events ("ph":"C"): one sample
      per histogram at the current trace time, so Perfetto renders a
      counter track with the percentile series next to the span rows *)
   let now_ts = us_of_ns (Int64.sub (now_ns ()) !epoch) in
-  List.iter
-    (fun hv ->
-      if hv.hv_count > 0 then begin
-        sep ();
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"hist:%s\",\"cat\":\"safeflow\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"count\":%d,\"p50_us\":%.3f,\"p90_us\":%.3f,\"p99_us\":%.3f}}"
-             (Jsonlite.escape hv.hv_name) now_ts self_pid hv.hv_count
-             (float_of_int hv.hv_p50_ns /. 1_000.0)
-             (float_of_int hv.hv_p90_ns /. 1_000.0)
-             (float_of_int hv.hv_p99_ns /. 1_000.0))
-      end)
-    (histograms ());
-  Buffer.add_string b "]}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc
+  let hist_events =
+    List.filter_map
+      (fun hv ->
+        if hv.hv_count = 0 then None
+        else
+          Some
+            (J.Vobj
+               [ ("name", J.Vstr ("hist:" ^ hv.hv_name)); ("cat", J.Vstr "safeflow");
+                 ("ph", J.Vstr "C"); ("ts", J.Vfixed (3, now_ts)); ("pid", J.Vint self_pid);
+                 ("tid", J.Vint 0);
+                 ( "args",
+                   J.Vobj
+                     [ ("count", J.Vint hv.hv_count);
+                       ("p50_us", J.Vfixed (3, float_of_int hv.hv_p50_ns /. 1_000.0));
+                       ("p90_us", J.Vfixed (3, float_of_int hv.hv_p90_ns /. 1_000.0));
+                       ("p99_us", J.Vfixed (3, float_of_int hv.hv_p99_ns /. 1_000.0)) ] ) ]))
+      (histograms ())
+  in
+  write_json path
+    (J.Vobj
+       [ ("displayTimeUnit", J.Vstr "ms");
+         ( "traceEvents",
+           J.Varr
+             ((meta ~pid:self_pid (if ws = [] then "safeflow" else "safeflow (fleet parent)")
+              :: List.map (fun w -> meta ~pid:w.w_snapshot.sn_pid w.w_label) ws)
+             @ span_events @ hist_events) ) ])
 
 (* -- Aggregated span tree ------------------------------------------------------------ *)
 
@@ -499,7 +494,7 @@ let rec iter_agg f depth (a : agg) =
 
 (* -- Stats JSON ---------------------------------------------------------------------- *)
 
-(* v2: adds the "sections" object (raw JSON fragments from subsystems,
+(* v2: adds the "sections" object (one JSON value per subsystem entry,
    e.g. per-file monitoring coverage).
    v3: adds "pid", the "gauges" object (float gauges such as
    fleet.analyses_per_sec) and the "workers" array (per-worker counter/
@@ -511,49 +506,27 @@ let rec iter_agg f depth (a : agg) =
    each "workers" entry. *)
 let stats_json_schema = "safeflow-telemetry/4"
 
-let buf_counters b (cs : (string * int) list) =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (Jsonlite.escape name) v))
-    cs;
-  Buffer.add_char b '}'
+let counters_json cs = J.Vobj (List.map (fun (name, v) -> (name, J.Vint v)) cs)
 
-let buf_fgauges b (gs : (string * float) list) =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%.6f" (Jsonlite.escape name) v))
-    gs;
-  Buffer.add_char b '}'
+let fgauges_json gs = J.Vobj (List.map (fun (name, v) -> (name, J.Vfixed (6, v))) gs)
 
-let buf_hists b (hs : hist_view list) =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i hv ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"total_ms\":%.3f,\"p50_us\":%.3f,\"p90_us\":%.3f,\"p99_us\":%.3f,\"buckets\":["
-           (Jsonlite.escape hv.hv_name) hv.hv_count
-           (float_of_int hv.hv_sum_ns /. 1_000_000.0)
-           (float_of_int hv.hv_p50_ns /. 1_000.0)
-           (float_of_int hv.hv_p90_ns /. 1_000.0)
-           (float_of_int hv.hv_p99_ns /. 1_000.0));
-      let first = ref true in
-      Array.iteri
-        (fun j n ->
-          if n > 0 then begin
-            if not !first then Buffer.add_char b ',';
-            first := false;
-            Buffer.add_string b (Printf.sprintf "[%d,%d]" j n)
-          end)
-        hv.hv_buckets;
-      Buffer.add_string b "]}")
-    hs;
-  Buffer.add_char b '}'
+let hists_json hs =
+  J.Vobj
+    (List.map
+       (fun hv ->
+         let buckets = ref [] in
+         Array.iteri
+           (fun j n -> if n > 0 then buckets := J.Varr [ J.Vint j; J.Vint n ] :: !buckets)
+           hv.hv_buckets;
+         ( hv.hv_name,
+           J.Vobj
+             [ ("count", J.Vint hv.hv_count);
+               ("total_ms", J.Vfixed (3, float_of_int hv.hv_sum_ns /. 1_000_000.0));
+               ("p50_us", J.Vfixed (3, float_of_int hv.hv_p50_ns /. 1_000.0));
+               ("p90_us", J.Vfixed (3, float_of_int hv.hv_p90_ns /. 1_000.0));
+               ("p99_us", J.Vfixed (3, float_of_int hv.hv_p99_ns /. 1_000.0));
+               ("buckets", J.Varr (List.rev !buckets)) ] ))
+       hs)
 
 let worker_hist_views (s : snapshot) =
   List.map
@@ -562,50 +535,29 @@ let worker_hist_views (s : snapshot) =
 
 let write_stats_json path =
   record_gc ();
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (Printf.sprintf "{\"schema\":\"%s\"" stats_json_schema);
-  Buffer.add_string b (Printf.sprintf ",\"pid\":%d" (Unix.getpid ()));
-  Buffer.add_string b ",\"counters\":";
-  buf_counters b (counters ());
-  Buffer.add_string b ",\"gauges\":";
-  buf_fgauges b (float_gauges ());
-  Buffer.add_string b ",\"histograms\":";
-  buf_hists b (histograms ());
-  Buffer.add_string b ",\"spans\":[";
-  let first = ref true in
+  let spans = ref [] in
   iter_agg
     (fun depth a ->
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"depth\":%d,\"count\":%d,\"total_ms\":%.3f}"
-           (Jsonlite.escape a.g_name) depth a.g_count (ms_of_ns a.g_total_ns)))
+      spans :=
+        J.Vobj
+          [ ("name", J.Vstr a.g_name); ("depth", J.Vint depth); ("count", J.Vint a.g_count);
+            ("total_ms", J.Vfixed (3, ms_of_ns a.g_total_ns)) ]
+        :: !spans)
     0 (aggregate ());
-  Buffer.add_string b "],\"workers\":[";
-  List.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"label\":\"%s\",\"pid\":%d,\"spans\":%d,\"counters\":"
-           (Jsonlite.escape w.w_label) w.w_snapshot.sn_pid
-           (List.length w.w_snapshot.sn_spans));
-      buf_counters b w.w_snapshot.sn_counters;
-      Buffer.add_string b ",\"gauges\":";
-      buf_fgauges b w.w_snapshot.sn_fgauges;
-      Buffer.add_string b ",\"histograms\":";
-      buf_hists b (worker_hist_views w.w_snapshot);
-      Buffer.add_char b '}')
-    (workers ());
-  Buffer.add_string b "],\"sections\":{";
-  List.iteri
-    (fun i (name, json) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Jsonlite.escape name) json))
-    (sections ());
-  Buffer.add_string b "}}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc
+  let worker w =
+    let s = w.w_snapshot in
+    J.Vobj
+      [ ("label", J.Vstr w.w_label); ("pid", J.Vint s.sn_pid);
+        ("spans", J.Vint (List.length s.sn_spans)); ("counters", counters_json s.sn_counters);
+        ("gauges", fgauges_json s.sn_fgauges); ("histograms", hists_json (worker_hist_views s)) ]
+  in
+  write_json path
+    (J.Vobj
+       [ ("schema", J.Vstr stats_json_schema); ("pid", J.Vint (Unix.getpid ()));
+         ("counters", counters_json (counters ())); ("gauges", fgauges_json (float_gauges ()));
+         ("histograms", hists_json (histograms ())); ("spans", J.Varr (List.rev !spans));
+         ("workers", J.Varr (List.map worker (workers ())));
+         ("sections", J.Vobj (List.rev !section_tbl)) ])
 
 (* -- Human-readable tree -------------------------------------------------------------- *)
 

@@ -103,18 +103,6 @@ val float_gauges : unit -> (string * float) list
 (** recorded float gauges, sorted by name; the [gauges] object of the
     stats JSON *)
 
-val record_gc : unit -> unit
-(** record this process's whole-run figures from [Gc.quick_stat] as
-    float gauges: [gc.minor_collections], [gc.major_collections],
-    [gc.minor_words] (read with [Gc.minor_words], which also counts the
-    words allocated since the last minor collection),
-    [gc.promoted_words] and [gc.top_heap_words] (both as of the last
-    collection: 0 in a run too short for one).
-    {!snapshot}, {!write_stats_json} and {!pp_stats} call it first, so
-    a worker view holds the worker's own figures and a fleet's top level
-    the largest of the parent's and its workers'.  No-op when
-    disabled. *)
-
 (** {1 Latency histograms}
 
     Log2-bucketed latency histograms: bucket [i] counts observations
@@ -157,16 +145,15 @@ val histograms : unit -> hist_view list
 
 (** {1 Sections} *)
 
-val set_section : string -> string -> unit
-(** [set_section name json] attaches a raw JSON fragment under the
-    [sections] object of the stats JSON; setting an existing
-    name replaces it.  Used for the per-file monitoring-coverage blocks
-    ({!Coverage.to_json}).  Unlike counters, sections are recorded even
-    while telemetry is disabled — they carry analysis-derived data, not
-    timings. *)
-
-val sections : unit -> (string * string) list
-(** recorded sections, first-set order *)
+val set_section : string -> Jsonlite.value -> unit
+(** [set_section name v] writes [v] under [name] in the [sections]
+    object of the stats JSON; setting an existing name replaces it, and
+    names keep their first-set order.  Used for the per-file
+    monitoring-coverage and ledger blocks ({!Coverage.to_json},
+    {!Ledger.summary_json}).  Unlike counters, sections are recorded
+    even while telemetry is disabled — they carry analysis-derived data,
+    not timings.  They stay in the process that sets them: a worker
+    {!snapshot} carries none. *)
 
 (** {1 Fleet snapshots}
 
@@ -188,12 +175,11 @@ type snapshot = {
       (** per-histogram (name, count, sum_ns, buckets); merged
           bucket-wise by {!merge_worker} *)
   sn_spans : span_record list;
-  sn_sections : (string * string) list;
 }
 
 val snapshot : unit -> snapshot
 (** capture the current process's telemetry state (counters, gauges,
-    finished spans, sections) for shipping to a fleet parent *)
+    histograms, finished spans) for shipping to a fleet parent *)
 
 val begin_worker : unit -> unit
 (** called by a forked worker before doing any work: clears span /
@@ -203,8 +189,7 @@ val begin_worker : unit -> unit
 
 val merge_worker : label:string -> snapshot -> bool
 (** fold a worker snapshot into this process's telemetry: counters are
-    summed, gauge-flagged counters and float gauges are max'd, sections
-    are adopted when the parent has no section of that name, and the
+    summed, gauge-flagged counters and float gauges are max'd, and the
     snapshot is retained verbatim for the per-worker stats breakdown
     and the multi-pid Chrome trace.  Returns [false] (and merges
     nothing) on a {!snapshot_version} mismatch. *)

@@ -14,9 +14,6 @@ type t = {
   state_dim : int;
 }
 
-val discretize : a:Linalg.mat -> b:Linalg.mat -> dt:float -> Linalg.mat * Linalg.mat
-(** 4th-order series approximation of the exact zero-order-hold pair *)
-
 val make :
   name:string -> a:Linalg.mat -> b:Linalg.mat -> dt:float ->
   ?u_min:float -> ?u_max:float -> unit -> t
@@ -32,8 +29,6 @@ val double_inverted_pendulum :
     state [x; ẋ; θ1; θ̇1; θ2; θ̇2] *)
 
 val generic_lti : ?dim:int -> ?pole:float -> ?dt:float -> unit -> t
-
-val saturate : t -> float -> float
 
 val step : t -> Linalg.vec -> u:float -> w:Linalg.vec -> Linalg.vec
 (** one simulation step x' = A·x + B·sat(u) + w *)

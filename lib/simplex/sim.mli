@@ -60,8 +60,4 @@ type config = {
 
 val default_config : Plant.t -> config
 
-val core_pid : int
-
-val other_pid : int
-
 val run : config -> result

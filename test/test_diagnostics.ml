@@ -379,7 +379,7 @@ let test_findings_roundtrip () =
   Alcotest.(check bool) "sniffs as findings" true (Diffreport.looks_like_findings text);
   Alcotest.(check bool) "source does not sniff" false
     (Diffreport.looks_like_findings (read_file (find_system "figure2.c")));
-  let back = Diffreport.parse text in
+  let back = Diffreport.parse ~file:"baseline.findings" text in
   Alcotest.(check int) "entry count" (List.length entries) (List.length back);
   List.iter2
     (fun (a : Diffreport.entry) (b : Diffreport.entry) ->
@@ -491,7 +491,7 @@ let test_coverage name () =
       Alcotest.(check bool) (key ^ " in stats") true (List.mem_assoc key r.Report.stats))
     [ "noncore_read_sites"; "monitored_read_sites"; "control_only_deps" ];
   (* and the JSON embedding is well-formed *)
-  (match Json.parse (Coverage.to_json cov) with
+  (match Json.parse (Jsonlite.render (Coverage.to_json cov)) with
   | Json.Obj _ -> ()
   | _ -> Alcotest.fail "coverage JSON is not an object"
   | exception Json.Bad m -> Alcotest.fail ("bad coverage JSON: " ^ m))

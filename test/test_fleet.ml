@@ -505,6 +505,35 @@ let test_killed_worker_events () =
     stripes.(0);
   rm_rf dir
 
+(* An input whose analysis raises in a worker comes back [Crashed], the
+   cause a run exits 5 on; the input on the other worker comes back. *)
+let test_crashed_input () =
+  let dir = mkdtemp "sf-fleet-crash" in
+  let paths =
+    List.init 2 (fun k ->
+        let path = Filename.concat dir (Printf.sprintf "m%d.c" k) in
+        let oc = open_out_bin path in
+        output_string oc (Printf.sprintf "int main() { return %d; }\n" k);
+        close_out oc;
+        path)
+  in
+  let boom = List.hd paths in
+  let results =
+    Fleet.analyze_inputs ~jobs:2
+      ~render:(fun path _ -> if path = boom then failwith "render failed" else path)
+      paths
+  in
+  (match results.(0) with
+  | Ok _ -> Alcotest.fail "the raising input came back"
+  | Error ((f : Forkmap.failure), _) ->
+    Alcotest.(check string) "input" boom f.Forkmap.input;
+    Alcotest.(check bool) "crashed" true (f.Forkmap.cause = Forkmap.Crashed);
+    Alcotest.(check int) "exit code" 5 (Forkmap.exit_code f.Forkmap.cause));
+  (match results.(1) with
+  | Ok (row, _, _) -> Alcotest.(check string) "other input" (List.nth paths 1) row
+  | Error _ -> Alcotest.fail "the other input failed");
+  rm_rf dir
+
 (* A member the frontend rejects is a failure record naming its path;
    the other members still report, in process and on forked workers. *)
 let test_bad_member () =
@@ -606,6 +635,8 @@ let () =
             test_bad_member;
           Alcotest.test_case "a killed worker's inputs still report done" `Quick
             test_killed_worker_events;
+          Alcotest.test_case "an input whose analysis raises exits 5" `Quick
+            test_crashed_input;
           Alcotest.test_case "a failed bundle write keeps its cache totals" `Quick
             test_unwritable_cache_totals ] );
       ( "multidomain",

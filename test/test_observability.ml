@@ -66,7 +66,7 @@ let test_jsonlite_errors () =
   bad "";
   (* escape must survive a round-trip through parse *)
   let tricky = "a\"b\\c\nd\te\r" ^ String.make 1 (Char.chr 7) in
-  let doc = "{\"k\":\"" ^ Jsonlite.escape tricky ^ "\"}" in
+  let doc = Jsonlite.(render (Vobj [ ("k", Vstr tricky) ])) in
   match Jsonlite.parse doc with
   | Ok j ->
     Alcotest.(check (option string)) "escape round-trip" (Some tricky)
@@ -167,7 +167,112 @@ let test_jsonlite_truncated_prefixes () =
 
 (* -- Telemetry snapshot merge -------------------------------------------------- *)
 
+
+(* -- Jsonlite writer ------------------------------------------------------------ *)
+
+let test_writer_escapes () =
+  let render_str s = Jsonlite.(render (Vstr s)) in
+  Alcotest.(check string) "control bytes, quote and backslash"
+    {|"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n\u000b\u000c\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f\"\\/ ~"|}
+    (render_str (String.init 0x20 Char.chr ^ "\"\\/ ~"));
+  Alcotest.(check string) "DEL and UTF-8 pass through" "\"\x7f\xc3\xa9\""
+    (render_str "\x7f\xc3\xa9");
+  let all = String.init 256 Char.chr in
+  Alcotest.(check (option string)) "every byte round-trips" (Some all)
+    (Jsonlite.to_string (Jsonlite.parse_exn (render_str all)))
+
+let test_writer_containers () =
+  let open Jsonlite in
+  let int n = Vint n in
+  Alcotest.(check string) "empty array" "[]" (render (Varr []));
+  Alcotest.(check string) "empty object" "{}" (render (Vobj []));
+  Alcotest.(check string) "empty list" "[]" (render (Vlist (int, [])));
+  Alcotest.(check string) "nested"
+    {|{"a":[],"b":{},"c":[[],{},[[]]],"d":{"e":[1,[true,{"f":null}]]},"g":[1,2,3]}|}
+    (render
+       (Vobj
+          [
+            ("a", Varr []);
+            ("b", Vobj []);
+            ("c", Varr [ Varr []; Vobj []; Varr [ Varr [] ] ]);
+            ("d", Vobj [ ("e", Varr [ Vint 1; Varr [ Vbool true; Vobj [ ("f", Vnull) ] ] ]) ]);
+            ("g", Vlist (int, [ 1; 2; 3 ]));
+          ]));
+  let t = Obj [ ("a", Arr []); ("b", Obj [ ("c", Arr [ Num 3.0; Num 0.1; Str "x" ]) ]) ] in
+  Alcotest.(check string) "tree: %.0f integers, %.17g otherwise"
+    {|{"a":[],"b":{"c":[3,0.10000000000000001,"x"]}}|} (emit t);
+  Alcotest.(check string) "a tree inside a value"
+    {|[{"a":[],"b":{"c":[3,0.10000000000000001,"x"]}},2]|}
+    (render (Varr [ Vtree t; Vint 2 ]))
+
+let test_writer_fixed () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string) (Printf.sprintf "%%.3f of %h" x) (Printf.sprintf "%.3f" x)
+        (Jsonlite.render (Vfixed (3, x)));
+      Alcotest.(check string) (Printf.sprintf "%%.6f of %h" x) (Printf.sprintf "%.6f" x)
+        (Jsonlite.render (Vfixed (6, x))))
+    [ 0.0; -0.0; 1.5; 0.0005; 2.0005; -3.14159265358979; 123456.0; 1e9 +. 0.123456789; 1e-7;
+      1e21 ]
+
+(* A source path holding a double quote and a backslash reaches every
+   document as data: each one still parses and gives the path back. *)
+let test_writer_hostile_path () =
+  let path = {|dir "q"\sub\fig"2.c|} in
+  let a = Driver.analyze ~file:path (read_file (find_system "figure2.c")) in
+  let parse what doc =
+    match Jsonlite.parse doc with Ok j -> j | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let field path j =
+    List.fold_left
+      (fun j k ->
+        match (j, k) with
+        | Some j, `K k -> Jsonlite.member k j
+        | Some j, `I i -> Option.bind (Jsonlite.to_list j) (fun l -> List.nth_opt l i)
+        | None, _ -> None)
+      (Some j) path
+  in
+  let check_path what j at =
+    Alcotest.(check (option string)) what (Some path) (Option.bind (field at j) Jsonlite.to_string)
+  in
+  let sarif =
+    parse "sarif"
+      (Sarif.to_string
+         [ { Sarif.i_file = path; i_report = a.Driver.report; i_ctx = a.Driver.fingerprints } ])
+  in
+  check_path "sarif artifact" sarif
+    [ `K "runs"; `I 0; `K "artifacts"; `I 0; `K "location"; `K "uri" ];
+  check_path "explain file" (parse "explain" (Jsonlite.emit (Cert.explain_json ~label:path a)))
+    [ `K "file" ];
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  Telemetry.span ~args:[ ("file", path) ] path (fun () -> ());
+  Telemetry.set_section ("coverage:" ^ path) (Coverage.to_json a.Driver.coverage);
+  let stats = tmpfile ".json" and trace = tmpfile ".json" in
+  Telemetry.write_stats_json stats;
+  Telemetry.write_chrome_trace trace;
+  let sj = parse "stats" (read_file stats) in
+  check_path "stats span name" sj [ `K "spans"; `I 0; `K "name" ];
+  Alcotest.(check bool) "stats section" true
+    (field [ `K "sections"; `K ("coverage:" ^ path) ] sj <> None);
+  check_path "trace span argument" (parse "trace" (read_file trace))
+    [ `K "traceEvents"; `I 1; `K "args"; `K "file" ];
+  Sys.remove stats;
+  Sys.remove trace;
+  List.iter
+    (fun line -> check_path "event path" (parse "event" line) [ `K "path" ])
+    [
+      Events.member_start ~worker:0 ~path;
+      Events.member_done ~worker:0 ~path ~status:"ok" ~errors:0 ~warnings:0 ~findings:0
+        ~cache_hits:0 ~cache_misses:0 ~elapsed_ms:1.0 ();
+    ]
+
+(* from a compacted heap: the span-coverage tests compare a parent span
+   with its children, and a major collection of garbage that earlier
+   tests left, landing between two children, would be charged to the
+   parent alone *)
 let fresh () =
+  Gc.compact ();
   Telemetry.set_enabled true;
   Telemetry.reset ()
 
@@ -175,7 +280,7 @@ let counter_value name = Telemetry.value (Telemetry.counter name)
 
 let mk_snapshot ?(pid = 4242) ?(version = Telemetry.snapshot_version)
     ?(counters = []) ?(gauge_names = []) ?(fgauges = []) ?(hists = [])
-    ?(spans = []) ?(sections = []) () =
+    ?(spans = []) () =
   {
     Telemetry.sn_version = version;
     sn_pid = pid;
@@ -184,7 +289,6 @@ let mk_snapshot ?(pid = 4242) ?(version = Telemetry.snapshot_version)
     sn_fgauges = fgauges;
     sn_hists = hists;
     sn_spans = spans;
-    sn_sections = sections;
   }
 
 let test_merge_counters () =
@@ -813,6 +917,11 @@ let () =
             test_jsonlite_unicode;
           Alcotest.test_case "deep nesting" `Quick test_jsonlite_deep_nesting;
           Alcotest.test_case "numeric boundaries" `Quick test_jsonlite_num_boundaries;
+          Alcotest.test_case "writer escapes" `Quick test_writer_escapes;
+          Alcotest.test_case "writer containers" `Quick test_writer_containers;
+          Alcotest.test_case "writer fixed precision" `Quick test_writer_fixed;
+          Alcotest.test_case "writer output parses with a hostile path" `Quick
+            (cleanup test_writer_hostile_path);
           Alcotest.test_case "truncated prefixes" `Quick
             test_jsonlite_truncated_prefixes ] );
       ( "telemetry-merge",
